@@ -47,6 +47,7 @@ from .borelfun import (
 )
 from .scalars import ExactScalar
 from .series import FormalSeries, euler_series, inverse_borel, stirling_series
+from .words import compositions
 
 __all__ = [
     "ResurgentSeries",
@@ -393,15 +394,6 @@ def apply_stokes(ts: Transseries, actions=None,
     return Transseries(ts.omega, out)
 
 
-def _compositions(k: int):
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
-
-
 def stokes_power(ts: Transseries, w, actions=None,
                  up_to: int | None = None) -> Transseries:
     """The w-th power of the Stokes automorphism, as the exponential of
@@ -424,7 +416,7 @@ def stokes_power(ts: Transseries, w, actions=None,
             psi = ts.component(k - j)
             if psi.is_zero():
                 continue
-            for comp in _compositions(j):
+            for comp in compositions(j):
                 r = len(comp)
                 term = psi
                 for part in reversed(comp):

@@ -26,8 +26,13 @@ Conventions shared by every subcommand:
   table`` prints the same data as flat ``key = value`` rows.
 * Exit codes: 0 on success, 2 when the mathematics refuses (resonant
   words, blocked rays, non-simple singularities, and the rest of the
-  domain error taxonomy), 1 for usage errors.  Domain failures still
-  print a machine-readable error object.
+  domain error taxonomy) or a value is out of the supported range (an
+  index above the weight cap, a cutoff or order too small, a precision
+  below MIN_PREC), 1 for usage errors.  Refusals with exit code 2 print
+  a machine-readable error object on standard output.
+* ``--prec`` is at least MIN_PREC = 53 bits: the default error targets
+  (1e-12 for ray sums, 1e-10 for nested sums) need double precision, and
+  below it the reported errors would describe meaningless values.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test
@@ -58,6 +63,9 @@ from .mzv import MzvIndex, verify_relation, ze_eval
 from .scalars import ExactScalar, parse_scalar
 from .series import borel, euler_series, stirling_series
 from .words import Alphabet
+
+
+MIN_PREC = 53
 
 
 class UsageError(Exception):
@@ -538,6 +546,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             parser.error("a subcommand is required")
+        if args.prec < MIN_PREC:
+            raise ValueError(f"--prec {args.prec} is below the floor of "
+                             f"{MIN_PREC} bits")
         if args.seed is not None:
             random.seed(args.seed)
         payload = args.handler(args)
@@ -547,6 +558,10 @@ def main(argv=None) -> int:
         return 1
     except ResurgenceError as exc:
         print(json.dumps(exc.payload(), indent=2))
+        return 2
+    except ValueError as exc:
+        # out-of-range values that the library validation rejects
+        print(json.dumps({"error": "usage", "message": str(exc)}, indent=2))
         return 2
     except NotImplementedError as exc:
         print(json.dumps({"error": "unsupported", "message": str(exc)}))

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .moulds import Mould
 from .scalars import ExactScalar
-from .words import Word
+from .words import Word, compositions
 
 __all__ = [
     "FreeElement",
@@ -176,16 +176,6 @@ def lie_expand(m: Mould) -> FreeElement:
     return out
 
 
-def _compositions(k: int):
-    """All ordered tuples of positive integers summing to k."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
-
-
 def stokes_components(max_weight: int) -> dict[int, FreeElement]:
     """Weight components of exp(sum of graded symbols), see module docstring.
 
@@ -195,7 +185,7 @@ def stokes_components(max_weight: int) -> dict[int, FreeElement]:
     out = {}
     for k in range(1, max_weight + 1):
         terms = {}
-        for comp in _compositions(k):
+        for comp in compositions(k):
             terms[Word(comp)] = ExactScalar.from_rational(
                 Fraction(1, math.factorial(len(comp)))
             )

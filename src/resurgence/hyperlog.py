@@ -41,7 +41,7 @@ from math import factorial
 
 import mpmath
 
-from ._chebyshev import chebyshev_cumulative, chebyshev_nodes
+from ._chebyshev import iterated_integral, segment
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
 from .errors import ResonanceError
@@ -381,11 +381,8 @@ class IteratedIntegral:
     nodes: int
 
 
-_QUARTER = Fraction(1, 4)
-
-
 def _contour_segments(endpoint: int):
-    """Segments (position, velocity) over [-1, 1] of the standard path.
+    """Panels (position, velocity) over [-1, 1] of the standard path.
 
     Straight runs along the real axis from 0 to the endpoint, with
     semicircular detours of radius 1/4 around every integer strictly
@@ -396,12 +393,6 @@ def _contour_segments(endpoint: int):
     pi = +mpmath.pi
     eye = mpmath.mpc(0, 1)
     segs = []
-
-    def line(z0, z1):
-        mid = (mpmath.mpc(z0) + z1) / 2
-        half = (mpmath.mpc(z1) - z0) / 2
-        return (lambda u, mid=mid, half=half: mid + half * u,
-                lambda u, half=half: half)
 
     def arc(center, t0, t1):
         c = mpmath.mpc(center)
@@ -419,37 +410,16 @@ def _contour_segments(endpoint: int):
     prev = mpmath.mpf(0)
     if endpoint > 0:
         for m in range(1, endpoint):
-            segs.append(line(prev, m - quarter))
+            segs.append(segment(prev, m - quarter))
             segs.append(arc(m, pi, 2 * pi))
             prev = m + quarter
     else:
         for m in range(-1, endpoint, -1):
-            segs.append(line(prev, m + quarter))
+            segs.append(segment(prev, m + quarter))
             segs.append(arc(m, mpmath.mpf(0), pi))
             prev = m - quarter
-    segs.append(line(prev, endpoint))
+    segs.append(segment(prev, endpoint))
     return segs
-
-
-def _iterated(segments, kernel_points, n: int):
-    """The iterated integral of the kernels 1/(zeta - point), in order,
-    along the chained segments, as an (n+1)-node spectral cumulative."""
-    nodes = chebyshev_nodes(n)
-    samples = []
-    for position, velocity in segments:
-        samples.append(([position(u) for u in nodes],
-                        [velocity(u) for u in nodes]))
-    level = [[mpmath.mpc(1)] * (n + 1) for _ in segments]
-    for point in kernel_points:
-        offset = mpmath.mpc(0)
-        deeper = []
-        for (zs, dzs), cur in zip(samples, level):
-            vals = [cur[i] * dzs[i] / (zs[i] - point) for i in range(n + 1)]
-            cumulative = chebyshev_cumulative(vals)
-            deeper.append([offset + f for f in cumulative])
-            offset = offset + cumulative[-1]
-        level = deeper
-    return level[-1][-1]
 
 
 def L_numeric(w, prec: int = 53) -> IteratedIntegral:
@@ -460,7 +430,8 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     1/(zeta - s_k), k < r, along the right-circumventing path from 0 to
     s_r.  Depth one has an empty integrand and returns 2*pi*i, the
     convention consistent with the depth-1 extraction.  Depth is capped
-    at 3.  The error estimate compares two spectral resolutions.
+    at 3.  The error estimate compares two spectral resolutions and adds
+    one unit in the last place of the returned value for its rounding.
     """
     word = Word(w)
     r = len(word)
@@ -495,12 +466,21 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
             endpoint=endpoint,
         )
     n = max(48, prec)
+    if not kernels:
+        # no integrand: the constant 2*pi*i, correctly rounded by mpmath
+        with mpmath.workprec(prec):
+            return IteratedIntegral(value=mpmath.mpc(0, 2 * mpmath.pi),
+                                    error_estimate=mpmath.mpf(0), nodes=n)
     with mpmath.workprec(prec + 24):
+        tau = mpmath.mpc(0, 2 * mpmath.pi)
         segments = _contour_segments(endpoint)
-        fine = _iterated(segments, kernels, n)
-        coarse = _iterated(segments, kernels, max(24, n // 2))
-        tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
+        # the engine's kernels are 1/(a - zeta), these are 1/(zeta - a)
+        sign = (-1) ** len(kernels)
+        fine = sign * iterated_integral(kernels, segments, n)
+        coarse = sign * iterated_integral(kernels, segments, max(24, n // 2))
         value = tau * fine
         err = abs(tau) * abs(fine - coarse)
     with mpmath.workprec(prec):
-        return IteratedIntegral(value=+value, error_estimate=+err, nodes=n)
+        value = +value
+        err = err + mpmath.ldexp(1 + abs(value), -prec)
+        return IteratedIntegral(value=value, error_estimate=+err, nodes=n)

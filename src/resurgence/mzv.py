@@ -34,7 +34,8 @@ Two independent evaluators are provided.
 
 The two sides are linked by the dictionary :func:`ze_to_wa`, which spells
 an index as the letter word (e_r, 0^{s_r - 1}, ..., e_1, 0^{s_1 - 1})
-with cumulative colours e_j = exp(2 pi i (eps_1 + ... + eps_j)).  Words
+with cumulative colours e_j = exp(-2 pi i (eps_1 + ... + eps_j)), the
+inverse roots that make Wa the iterated-integral form of the sum.  Words
 in the image of the dictionary inherit their sign convention from the
 sum side; standalone words outside it (for instance with colours of
 denominator larger than the supported 12) evaluate fine but carry a
@@ -51,11 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath
 
-from ._chebyshev import chebyshev_cumulative, chebyshev_nodes
+from ._chebyshev import iterated_integral, segment
 from .errors import DivergentIndexError
 from .words import Word, shuffle, stuffle
 
@@ -195,11 +197,16 @@ class WaWord:
         return sum(1 for p in self.phases if p is None)
 
     def letter_values(self):
-        """The letters as exact-phase complex numbers at working precision."""
+        """The letters at working precision: real for 0, 1 and -1, exact-phase
+        complex numbers otherwise."""
         out = []
         for p in self.phases:
             if p is None:
                 out.append(mpmath.mpf(0))
+            elif p == 0:
+                out.append(mpmath.mpf(1))
+            elif p == Fraction(1, 2):
+                out.append(mpmath.mpf(-1))
             else:
                 out.append(mpmath.expjpi(2 * mpmath.mpf(p.numerator) / p.denominator))
         return out
@@ -419,9 +426,6 @@ def _compose_level(q_level: Fraction, s_level: int, prev: _TailForm) -> _TailFor
 # ---------------------------------------------------------------------------
 
 
-_ZE_CACHE: dict = {}
-
-
 def _colour_row(q: Fraction):
     """exp(2 pi i q n) for n = 0 .. denominator-1, indexable by n mod d."""
     d = q.denominator
@@ -455,11 +459,13 @@ def ze_eval(
         raise ValueError(f"weight {idx.weight} exceeds the supported {MAX_WEIGHT}")
     if cutoff < 64:
         raise ValueError("cutoff below 64 leaves no room for certified tails")
-    key = (idx, prec, cutoff, terms)
-    hit = _ZE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _ze_sum(idx, prec, cutoff, terms)
 
+
+@lru_cache(maxsize=512)
+def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
+    """The body of :func:`ze_eval` for a validated index, memoised: a
+    repeated call returns the identical Evaluation."""
     r = idx.depth
     N = cutoff
     with mpmath.workprec(prec + 48):
@@ -520,9 +526,7 @@ def ze_eval(
     with mpmath.workprec(prec):
         value = +value
         bound = bound + mpmath.ldexp(1 + abs(value), -prec)
-        out = Evaluation(value, +bound, certified=True)
-    _ZE_CACHE[key] = out
-    return out
+        return Evaluation(value, +bound, certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -530,41 +534,19 @@ def ze_eval(
 # ---------------------------------------------------------------------------
 
 
-def _panel_points(edge: int):
-    """Panel breakpoints of [h, 1-h], h = 2^-edge, refined geometrically
+def _simplex_panels(edge: int):
+    """Straight panels of [h, 1-h], h = 2^-edge, refined geometrically
     toward both endpoints so endpoint singularities stay spectral."""
-    h = mpmath.ldexp(1, -edge)
     left = [mpmath.ldexp(1, -edge + k) for k in range(edge)]
-    right = [1 - x for x in reversed(left[:-1])]
-    return left + right
-
-
-def _simplex_value(alphas, nodes_per_panel: int, points):
-    """Iterated cumulative integral of the kernel stack over [h, 1-h]."""
-    xs = chebyshev_nodes(nodes_per_panel)
-    panels = []
-    for a, b in zip(points[:-1], points[1:]):
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        panels.append((half, [mid + half * x for x in xs]))
-    level = [[mpmath.mpf(1)] * (nodes_per_panel + 1) for _ in panels]
-    for alpha in alphas:
-        offset = mpmath.mpc(0)
-        nxt = []
-        for (half, zs), prev in zip(panels, level):
-            samples = [g / (alpha - z) for g, z in zip(prev, zs)]
-            cum = chebyshev_cumulative(samples)
-            nxt.append([offset + half * c for c in cum])
-            offset = nxt[-1][-1]
-        level = nxt
-    return level[-1][-1]
+    points = left + [1 - x for x in reversed(left[:-1])]
+    return [segment(a, b) for a, b in zip(points[:-1], points[1:])]
 
 
 def _decode_word(w: WaWord) -> MzvIndex:
     """Invert the dictionary: split the word into blocks, one nonzero
-    letter plus its following zeros each, and difference the cumulative
-    colours.  Raises if a decoded colour falls outside the supported
-    denominators."""
+    letter plus its following zeros each, negate the phases back to
+    cumulative colours and difference them.  Raises if a decoded colour
+    falls outside the supported denominators."""
     blocks = []
     for p in w.phases:
         if p is not None:
@@ -576,7 +558,7 @@ def _decode_word(w: WaWord) -> MzvIndex:
     eps = []
     previous = Fraction(0)
     for phase, _ in blocks:
-        eps.append((phase - previous) % 1)
+        eps.append((previous - phase) % 1)
         previous = phase
     return MzvIndex(s, tuple(eps))
 
@@ -611,9 +593,9 @@ def wa_eval(
 
     with mpmath.workprec(prec + 24):
         alphas = w.letter_values()
-        points = _panel_points(edge)
-        fine = _simplex_value(alphas, nodes, points)
-        coarse = _simplex_value(alphas, max(8, (2 * nodes) // 3), points)
+        panels = _simplex_panels(edge)
+        fine = iterated_integral(alphas, panels, nodes)
+        coarse = iterated_integral(alphas, panels, max(8, (2 * nodes) // 3))
         h = mpmath.ldexp(1, -edge)
         ends = 8 * h * (1 + mpmath.log(1 / h)) ** w.length
         sign = -1 if w.zero_count % 2 else 1
@@ -621,12 +603,8 @@ def wa_eval(
         error = 2 * abs(fine - coarse) + ends + mpmath.ldexp(1 + abs(value), -prec)
 
     with mpmath.workprec(prec):
-        if all(p is None or 2 * p.numerator % p.denominator == 0 for p in w.phases):
-            value = mpmath.mpf(value.real) if isinstance(value, mpmath.mpc) else +value
-        else:
-            value = +value
-        out = Evaluation(value, +error, certified=False, flagged=flagged)
-    return out
+        # real letters (0, 1, -1) keep the whole integration real
+        return Evaluation(+value, +error, certified=False, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +614,8 @@ def wa_eval(
 
 def ze_to_wa(idx: MzvIndex) -> WaWord:
     """Spell an index as its integral word: innermost block first, each
-    block a cumulative colour followed by s_j - 1 zeros.  The word length
-    is the weight."""
+    block the letter exp(-2 pi i * cumulative colour) followed by s_j - 1
+    zeros.  The word length is the weight."""
     if not isinstance(idx, MzvIndex):
         idx = MzvIndex(tuple(idx))
     if idx.depth == 0:
@@ -649,7 +627,7 @@ def ze_to_wa(idx: MzvIndex) -> WaWord:
         cumulative.append(running)
     letters = []
     for j in range(idx.depth, 0, -1):
-        letters.append(cumulative[j - 1])
+        letters.append(-cumulative[j - 1] % 1)
         letters.extend([None] * (idx.s[j - 1] - 1))
     return WaWord(tuple(letters))
 

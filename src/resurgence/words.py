@@ -32,6 +32,7 @@ __all__ = [
     "shuffle_coefficient",
     "stuffle",
     "splittings",
+    "compositions",
 ]
 
 
@@ -155,6 +156,17 @@ class Alphabet:
         for w in self.words(max_length, min_length=1):
             sums.add(self.word_sum(w))
         return sorted(sums, key=letter_sort_key)
+
+
+def compositions(k: int):
+    """All ordered tuples of positive integers summing to k; the empty
+    tuple for k = 0."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
 
 
 def splittings(word, parts: int | None = None):

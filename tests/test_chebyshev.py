@@ -1,0 +1,159 @@
+"""The spectral kernel against the direct cosine-transform loops.
+
+``reference_cumulative`` is the textbook construction the integration
+matrix replaces: the type-I cosine transform of the samples, the
+antiderivative of the Chebyshev series, and its evaluation back at the
+nodes, each as an O(n^2) loop in mpmath arithmetic.  Run at three times
+the working precision it is the reference the kernel must match to a few
+units in the last place.
+"""
+
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from resurgence._chebyshev import (GUARD, _matrix, chebyshev_cumulative,
+                                   chebyshev_nodes, iterated_integral,
+                                   segment)
+
+
+def reference_cumulative(values):
+    n = len(values) - 1
+    pi = +mpmath.pi
+    cos = [[mpmath.cos(pi * j * k / n) for k in range(n + 2)]
+           for j in range(n + 1)]
+    g = list(reversed(values))
+    c = []
+    for k in range(n + 1):
+        s = g[0] / 2 + g[n] * (-1) ** k / 2
+        for j in range(1, n):
+            s += g[j] * cos[j][k]
+        c.append(s * 2 / n)
+    c[0] /= 2
+    c[n] /= 2
+    c += [0, 0]
+    b = [None, c[0] - c[2] / 2]
+    for k in range(2, n + 2):
+        b.append((c[k - 1] - c[k + 1]) / (2 * k))
+    return [sum(b[k] * (-1) ** k * (cos[j][k] - 1) for k in range(1, n + 2))
+            for j in range(n + 1)]
+
+
+def ulps(got, want, prec, scale=None):
+    """Largest deviation in units of the last place of ``scale``, by
+    default the largest output."""
+    if scale is None:
+        scale = max(abs(w) for w in want)
+    return max(abs(g - w) for g, w in zip(got, want)) / mpmath.ldexp(scale,
+                                                                     -prec)
+
+
+def against_reference(values, prec):
+    """(kernel at prec, reference at 3 * prec) for the same samples."""
+    with mpmath.workprec(prec):
+        got = chebyshev_cumulative(values)
+    with mpmath.workprec(3 * prec):
+        want = reference_cumulative(values)
+    return got, want
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 24])
+def test_exact_on_polynomials(n):
+    """Samples of a degree-n polynomial, correctly rounded, integrate to
+    its antiderivative up to the rounding of the samples: a few units in
+    the last place of the largest sample."""
+    rng = random.Random(n)
+    prec = 77
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for _ in range(n + 1)]
+    antider = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
+    with mpmath.workprec(prec):
+        xs = chebyshev_nodes(n)
+    with mpmath.workprec(3 * prec):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+        antider = [mpmath.mpf(c.numerator) / c.denominator for c in antider]
+        exact = [mpmath.polyval(coeffs[::-1], x) for x in xs]
+        want = [mpmath.polyval(antider[::-1], x)
+                - mpmath.polyval(antider[::-1], -1) for x in xs]
+    with mpmath.workprec(prec):
+        got = chebyshev_cumulative([+v for v in exact])
+    assert got[0] == 0
+    assert ulps(got, want, prec, max(abs(v) for v in exact)) <= 4
+
+
+@pytest.mark.parametrize("n,prec", [(16, 77), (24, 77), (24, 84), (53, 77),
+                                    (80, 104)])
+def test_real_samples_match_reference(n, prec):
+    with mpmath.workprec(prec):
+        xs = chebyshev_nodes(n)
+        values = [mpmath.exp(x) / (3 - x) for x in xs]
+    got, want = against_reference(values, prec)
+    assert all(isinstance(v, mpmath.mpf) for v in got)
+    assert ulps(got, want, prec) <= 2
+
+
+@pytest.mark.parametrize("n,prec", [(16, 77), (24, 77), (53, 77), (80, 104)])
+def test_complex_samples_match_reference(n, prec):
+    with mpmath.workprec(prec):
+        xs = chebyshev_nodes(n)
+        pole = mpmath.mpc(0.5, 0.75)
+        values = [mpmath.log(1 - x / 2) / (pole - x) for x in xs]
+        values[3] = mpmath.mpf(values[3].real)
+    got, want = against_reference(values, prec)
+    assert all(isinstance(v, mpmath.mpc) for v in got)
+    assert ulps(got, want, prec) <= 2
+
+
+def test_shared_exponent_spans_magnitudes():
+    n, prec = 24, 77
+    with mpmath.workprec(prec):
+        xs = chebyshev_nodes(n)
+        base = [1 + x / 3 for x in xs]
+        for k in (-52, 52):
+            scaled = chebyshev_cumulative([mpmath.ldexp(v, k) for v in base])
+            plain = chebyshev_cumulative(base)
+            assert scaled == [mpmath.ldexp(v, k) for v in plain]
+        mixed = [mpmath.ldexp(v, (-52, 0, 52)[j % 3])
+                 for j, v in enumerate(base)]
+    got, want = against_reference(mixed, prec)
+    assert ulps(got, want, prec) <= 2
+
+
+def test_all_zero_samples():
+    with mpmath.workprec(77):
+        assert chebyshev_cumulative([mpmath.mpf(0)] * 9) == [0] * 9
+        out = chebyshev_cumulative([mpmath.mpc(0)] * 9)
+        assert all(isinstance(v, mpmath.mpc) and v == 0 for v in out)
+
+
+def test_invalid_samples_rejected():
+    with pytest.raises(ValueError):
+        chebyshev_cumulative([mpmath.mpf(1)])
+    with pytest.raises(ValueError):
+        chebyshev_cumulative([])
+    with pytest.raises(ValueError):
+        chebyshev_cumulative([mpmath.mpf(1), mpmath.nan, mpmath.mpf(1)])
+
+
+@pytest.mark.parametrize("n", [16, 24, 53])
+def test_matrix_consistent_across_precisions(n):
+    fine, coarse = _matrix(n, 104), _matrix(n, 77)
+    drop = 104 - 77
+    half = 1 << (drop - 1)
+    assert max(abs(((f + half) >> drop) - c)
+               for frow, crow in zip(fine, coarse)
+               for f, c in zip(frow, crow)) <= 1
+    # a matrix entry carries GUARD bits beyond the working precision
+    assert max(abs(c) for row in coarse for c in row) < 2 << (77 + GUARD)
+
+
+def test_iterated_integral_of_one_kernel():
+    """int_0^1 dz / (2 - z) = log 2 over two chained panels."""
+    with mpmath.workprec(77):
+        panels = [segment(mpmath.mpf(0), mpmath.mpf(1) / 2),
+                  segment(mpmath.mpf(1) / 2, mpmath.mpf(1))]
+        got = iterated_integral([2], panels, 24)
+        assert abs(got - mpmath.log(2)) < mpmath.mpf(2) ** -70
+        assert iterated_integral([], panels, 24) == 1

@@ -272,3 +272,23 @@ class TestUsage:
     def test_seed_flag_accepted(self, capsys):
         data = run_json(capsys, "mzv", "eval", "--s", "2", "--seed", "7")
         assert data["certified"] is True
+
+
+class TestRefusals:
+    """Values outside the supported range are refused with exit code 2
+    and one JSON object on standard output, never a traceback."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("mzv", "eval", "--s", "13"), "weight 13"),
+        (("mzv", "eval", "--s", "2", "--cutoff", "10"), "cutoff"),
+        (("series", "--input", "euler", "--order", "-1"), "order"),
+        (("mzv", "eval", "--s", "2", "--prec", "0"), "--prec 0"),
+    ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor"])
+    def test_refused_with_json(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert needle in payload["message"]
+        assert "certified" not in payload

@@ -438,6 +438,15 @@ class TestIteratedIntegrals:
             with pytest.raises(ResonanceError):
                 L_numeric(w)
 
+    def test_error_covers_rounding(self):
+        """The estimate bounds the deviation from L(1,1) = -2 pi^2 and
+        includes the rounding of the returned value."""
+        for prec in (53, 80):
+            got = L_numeric((1, 1), prec=prec)
+            assert got.error_estimate >= mpmath.ldexp(abs(got.value), -prec)
+            with mpmath.workprec(3 * prec):
+                assert abs(got.value + 2 * mpmath.pi ** 2) <= got.error_estimate
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             L_numeric(())

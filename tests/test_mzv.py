@@ -22,6 +22,10 @@ Oracles, all classical and independently derivable:
   integral of 1/(-1-z), which is -log 2.  The quadrature is also
   checked against mpmath.quad directly for those two shapes.
 
+* Complex colours fix the dictionary's letters: ze((1), (1/3)) =
+  -log(1 - e^(2 pi i/3)), while wa of the single letter a is
+  -log(1 - 1/a), so the letter must be the inverse root e^(-2 pi i/3).
+
 * Scalar tail sums have reference values from mpmath: the phase-free
   tail is a Hurwitz zeta, and the alternating tail is a Lerch
   transcendent, sum_{n>N} (-1)^n n^{-s} = (-1)^{N+1} lerchphi(-1,s,N+1).
@@ -32,6 +36,7 @@ within the reported bound.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -43,6 +48,7 @@ from resurgence.mzv import (
     MAX_COLOUR_DENOMINATOR,
     MzvIndex,
     WaWord,
+    _decode_word,
     _tail_sum,
     _TailForm,
     stuffle_product,
@@ -54,6 +60,8 @@ from resurgence.mzv import (
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+QUARTER = Fraction(1, 4)
+SIXTH = Fraction(1, 6)
 
 
 def mpf_pi_power(k):
@@ -301,6 +309,20 @@ class TestDictionary:
         w = ze_to_wa(MzvIndex((2, 1), (HALF, HALF)))
         assert w.phases == (Fraction(0), HALF, None)
 
+    def test_letters_are_inverse_roots(self):
+        assert ze_to_wa(MzvIndex((1,), (THIRD,))).phases == (Fraction(2, 3),)
+        w = ze_to_wa(MzvIndex((2, 1), (THIRD, QUARTER)))
+        assert w.phases == (Fraction(5, 12), Fraction(2, 3), None)
+
+    def test_decoding_inverts_spelling(self):
+        colours = (0, HALF, THIRD, QUARTER, SIXTH)
+        for s in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 1, 1)]:
+            for eps in product(colours, repeat=len(s)):
+                if s[0] == 1 and eps[0] == 0:
+                    continue
+                idx = MzvIndex(s, eps)
+                assert _decode_word(ze_to_wa(idx)) == idx
+
     def test_length_is_weight(self):
         for idx in [MzvIndex((2, 2)), MzvIndex((3, 1)), MzvIndex((2, 1, 1))]:
             assert ze_to_wa(idx).length == idx.weight
@@ -340,6 +362,28 @@ class TestWaEval:
         assert abs(wa.value - exact()) <= wa.error
         assert abs(wa.value - ze.value) < 1e-6
         assert abs(wa.value - ze.value) <= wa.error + ze.error
+
+    # every colour of {0, 1/2, 1/3, 1/4, 1/6} in each slot, every shape of
+    # depth <= 2 and weight <= 3
+    COLOURED = [
+        ((1,), (THIRD,)), ((1,), (SIXTH,)), ((2,), (QUARTER,)),
+        ((3,), (THIRD,)), ((1, 1), (THIRD, QUARTER)), ((1, 1), (QUARTER, HALF)),
+        ((1, 1), (SIXTH, 0)), ((2, 1), (THIRD, QUARTER)), ((2, 1), (0, SIXTH)),
+        ((2, 1), (HALF, THIRD)), ((1, 2), (SIXTH, HALF)),
+        ((1, 2), (QUARTER, THIRD)), ((1, 2), (THIRD, SIXTH)),
+    ]
+
+    @pytest.mark.parametrize("s,eps", COLOURED,
+                             ids=[f"{c[0]}{tuple(map(str, c[1]))}"
+                                  for c in COLOURED])
+    def test_complex_colours_agree(self, s, eps):
+        """Sum and integral agree within their reported errors off the
+        real-colour slice, where a conjugated dictionary differs by
+        0.1 to 1.8."""
+        idx = MzvIndex(s, eps)
+        ze = ze_eval(idx)
+        wa = wa_eval(ze_to_wa(idx))
+        assert abs(ze.value - wa.value) <= ze.error + wa.error
 
     def test_quadrature_against_direct_integral(self, wa_values):
         direct = mpmath.quad(lambda z: -mpmath.log(1 - z) / z, [0, 1])
