@@ -27,9 +27,10 @@ Conventions shared by every subcommand:
 * Exit codes: 0 on success, 2 when the mathematics refuses (resonant
   words, blocked rays, non-simple singularities, and the rest of the
   domain error taxonomy) or a value is out of the supported range (an
-  index above the weight cap, a cutoff or order too small, a precision
-  below MIN_PREC), 1 for usage errors.  Refusals with exit code 2 print
-  a machine-readable error object on standard output.
+  index above the weight cap, a cutoff outside [64, MAX_CUTOFF], an
+  order too small, a precision below MIN_PREC), 1 for usage errors.
+  Refusals with exit code 2 print a machine-readable error object on
+  standard output.
 * ``--prec`` is at least MIN_PREC = 53 bits: the default error targets
   (1e-12 for ray sums, 1e-10 for nested sums) need double precision, and
   below it the reported errors would describe meaningless values.

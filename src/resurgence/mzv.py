@@ -19,13 +19,14 @@ inputs are rejected rather than regularised.
 
 Two independent evaluators are provided.
 
-* :func:`ze_eval` sums the series directly below a cutoff (where the
-  nested partial sums are exact) and completes every level's tail with
-  certified asymptotic expansions.  Levels whose accumulated phase is
-  trivial use the Euler-Maclaurin expansion of the Hurwitz tail; levels
-  with a nontrivial root-of-unity phase use iterated summation by parts.
-  Truncation remainders are tracked through every algebraic step with
-  explicit inequalities, so the reported error is a guaranteed bound.
+* :func:`ze_eval` sums the series directly below a cutoff, as
+  fixed-point integer prefix sums with a proved rounding term, and
+  completes every level's tail with certified asymptotic expansions.
+  Levels whose accumulated phase is trivial use the Euler-Maclaurin
+  expansion of the Hurwitz tail; levels with a nontrivial root-of-unity
+  phase use iterated summation by parts.  Truncation remainders are
+  tracked through every algebraic step with explicit inequalities, so
+  the reported error is a guaranteed bound.
 
 * :func:`wa_eval` integrates over the simplex with spectral panels
   refined geometrically toward both endpoints, where the kernels
@@ -53,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import mpmath
@@ -75,11 +77,15 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_WEIGHT",
     "MAX_COLOUR_DENOMINATOR",
+    "MAX_CUTOFF",
 ]
 
 MAX_DEPTH = 4
 MAX_WEIGHT = 12
 MAX_COLOUR_DENOMINATOR = 12
+# The largest cutoff ze_eval accepts: its prefix sums hold depth lists of
+# cutoff entries, so a larger one would take minutes and gigabytes.
+MAX_CUTOFF = 10**6
 
 
 def _as_colour(value) -> Fraction:
@@ -440,14 +446,18 @@ def ze_eval(
 ) -> Evaluation:
     """Evaluate a nested harmonic sum with a guaranteed error bound.
 
-    The simplex below ``cutoff`` is summed exactly by cumulative prefix
-    sums; the part where at least one variable exceeds the cutoff is
-    split by the deepest such variable, which factors it into a computed
-    partial sum times a pure tail.  Pure tails are completed by the
-    certified expansion engine with ``terms`` retained correction powers
-    beyond the leading ones.  The returned error adds every certified
-    remainder to a rounding allowance; at the defaults it is far below
+    The simplex below ``cutoff`` is summed by cumulative prefix sums in
+    fixed point (Python ints scaled by 2^(prec + 56)), whose rounding
+    is bounded by a proved term carried through the levels; the part
+    where at least one variable exceeds the cutoff is split by the
+    deepest such variable, which factors it into a computed partial sum
+    times a pure tail.  Pure tails are completed by the certified
+    expansion engine with ``terms`` retained correction powers beyond
+    the leading ones.  The returned error adds every certified remainder
+    and the proved rounding term to an ulp-scale allowance for the
+    tails' floating-point arithmetic; at the defaults it is far below
     1e-10 for all supported indices (depth <= 4, weight <= 12).
+    ``cutoff`` must lie in [64, MAX_CUTOFF].
     """
     if not isinstance(idx, MzvIndex):
         idx = MzvIndex(tuple(idx))
@@ -459,7 +469,90 @@ def ze_eval(
         raise ValueError(f"weight {idx.weight} exceeds the supported {MAX_WEIGHT}")
     if cutoff < 64:
         raise ValueError("cutoff below 64 leaves no room for certified tails")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the supported {MAX_CUTOFF}")
     return _ze_sum(idx, prec, cutoff, terms)
+
+
+# Guard bits of the fixed-point prefix sums beyond the tail engine's
+# prec + 48.  The proved rounding term of the sums is a few units 2^-P
+# times cutoff * |inner sums| per level, at most about 2^-(prec + 29)
+# for supported indices at the default cutoff (2^-(prec + 25) at 10^5):
+# far under the ulp-scale cushion kept for the mpf arithmetic of the
+# tails.
+_FIX_GUARD = 8
+
+
+def _fixed_mul(xr, xi, yr, yi, P: int):
+    """floor(x * y / 2^P) entry by entry for complex lanes of fixed-point
+    ints, an imaginary lane of None standing for zero.  Each product is
+    exact; each output lane adds one floor, less than one unit 2^-P."""
+    if xi is None and yi is None:
+        return [(a * c) >> P for a, c in zip(xr, yr)], None
+    if xi is None:
+        xr, xi, yr, yi = yr, yi, xr, xi
+    if yi is None:
+        return ([(a * c) >> P for a, c in zip(xr, yr)],
+                [(b * c) >> P for b, c in zip(xi, yr)])
+    return ([(a * c - b * d) >> P for a, b, c, d in zip(xr, xi, yr, yi)],
+            [(a * d + b * c) >> P for a, b, c, d in zip(xr, xi, yr, yi)])
+
+
+def _fixed_colour(q: Fraction, P: int, N: int):
+    """The colour exp(2 pi i q n) for n = 1 .. N as lanes of nint(2^P x),
+    each part within one unit 2^-P; no imaginary lane for q = 1/2."""
+    with mpmath.workprec(P + 16):
+        row = _colour_row(q)
+        re = [int(mpmath.nint(mpmath.ldexp(z.real, P))) for z in row]
+        im = [int(mpmath.nint(mpmath.ldexp(z.imag, P))) for z in row]
+    reps = N // len(row) + 2
+    return (re * reps)[1:N + 1], (im * reps)[1:N + 1] if any(im) else None
+
+
+def _prefix_sums(idx: MzvIndex, N: int, P: int):
+    """Fixed-point prefix sums, for every level j and n <= N + 1, of
+    S_j(n) = sum over n > m_j > ... > m_r > 0 of prod_{i >= j} of
+    z_i^{m_i} m_i^{-s_i}, with z_i = exp(2 pi i eps_i).
+
+    Returns (tops, err): tops[j] = S~_j(N + 1) as a (real, imaginary or
+    None) pair of ints scaled by 2^P, with tops[r + 1] = 1, and err[j] an
+    int proved to bound |S~_j(n) - S_j(n)| in units u = 2^-P for every n.
+    The bound: a~ = floor(2^P n^-s) / 2^P is within u below a = n^-s, and
+    each part of the colour c~ is within u of c, so the coloured factor
+    g~ = floor(a~ c~) is within 6u of a c (within u when uncoloured, g~ =
+    a~).  The level-j summand floor(g~ S~_{j+1}(n)), with L lanes, is then
+    within  L u + 6u |S~_{j+1}(n)| + a |S~_{j+1}(n) - S_{j+1}(n)|  of its
+    true value, and prefix sums of ints add no rounding."""
+    r = idx.depth
+    one = 1 << P
+    powers = {}
+    tops = [None] * (r + 2)
+    err = [0] * (r + 2)
+    tops[r + 1] = (one, None)
+    inner = None
+    for j in range(r, 0, -1):
+        s_j, e_j = idx.s[j - 1], idx.eps[j - 1]
+        if s_j not in powers:
+            powers[s_j] = [one // n**s_j for n in range(1, N + 1)]
+        a = powers[s_j]
+        if e_j == 0:
+            lanes, slack = (a, None), 1
+        else:
+            lanes, slack = _fixed_mul(a, None, *_fixed_colour(e_j, P, N), P), 6
+        if inner is None:
+            err[j] = N * slack
+        else:
+            lanes = _fixed_mul(*lanes, *inner, P)
+            width = 1 if lanes[1] is None else 2
+            size = sum(max(map(abs, lane)) for lane in inner if lane is not None)
+            a_sum = sum(a) + N  # bounds 2^P * sum of n^-s_j over n <= N
+            # -(-x >> P) is the ceiling of x / 2^P
+            err[j] = (N * width - (-N * slack * size >> P)
+                      - (-err[j + 1] * a_sum >> P))
+        inner = tuple(lane if lane is None else list(accumulate(lane, initial=0))
+                      for lane in lanes)
+        tops[j] = tuple(lane if lane is None else lane[-1] for lane in inner)
+    return tops, err
 
 
 @lru_cache(maxsize=512)
@@ -468,37 +561,22 @@ def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
     repeated call returns the identical Evaluation."""
     r = idx.depth
     N = cutoff
+    P = prec + 48 + _FIX_GUARD
+    tops, err = _prefix_sums(idx, N, P)
     with mpmath.workprec(prec + 48):
-        rows = [None if e == 0 else _colour_row(e) for e in idx.eps]
-        one = mpmath.mpf(1)
 
-        # Exact prefix sums S_j(n) for n <= N+1, innermost level first.
-        S_next = None
-        tops = [None] * (r + 2)
-        tops[r + 1] = one
-        head = None
-        for j in range(r, 0, -1):
-            s_j, row = idx.s[j - 1], rows[j - 1]
-            d = len(row) if row is not None else 1
-            acc = mpmath.mpf(0)
-            cur = [mpmath.mpf(0)] * (N + 2)
-            for n in range(1, N + 1):
-                f = one / mpmath.mpf(n**s_j)
-                if row is not None:
-                    f = f * row[n % d]
-                if S_next is not None:
-                    f = f * S_next[n]
-                acc = acc + f
-                cur[n + 1] = acc
-            tops[j] = acc
-            S_next = cur
-        head = tops[1]
+        def top(j):
+            re, im = tops[j]
+            if idx.is_real():
+                return mpmath.mpf((re, -P))
+            return mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im or 0, -P)))
 
         # Tail telescope: sum over the deepest level j still above the
-        # cutoff of (pure j-tail at N) times (exact partial below N).
+        # cutoff of (pure j-tail at N) times (fixed-point partial below N).
+        one = mpmath.mpf(1)
         K0 = terms + r + 2
-        value = head
-        bound = mpmath.mpf(0)
+        value = top(1)
+        bound = mpmath.ldexp(err[1], -P)
         prev = None
         for j in range(1, r + 1):
             if prev is None:
@@ -508,18 +586,18 @@ def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
             else:
                 base = _compose_level(idx.eps[j - 1], idx.s[j - 1], prev)
             W = _tail_sum(base)
-            weight_factor = tops[j + 1]
-            value = value + W.value_at(N) * weight_factor
-            bound = bound + W.error_at(N) * abs(weight_factor)
+            weight_factor = top(j + 1)
+            tail, tail_err = W.value_at(N), W.error_at(N)
+            value = value + tail * weight_factor
+            bound = (bound + tail_err * abs(weight_factor)
+                     + (abs(tail) + tail_err) * mpmath.ldexp(err[j + 1], -P))
             prev = W
 
-        # Rounding allowance: the prefix loops perform O(r N) operations
-        # at 48 guard bits, so accumulated roundoff sits far below the
-        # analytic remainders; a single ulp-scale cushion keeps the
-        # reported bound honest.
+        # The prefix sums' rounding is proved above; the tail engine's mpf
+        # arithmetic at 48 guard bits and the conversions of the sums sit
+        # far below the analytic remainders, and a single ulp-scale
+        # cushion keeps the reported bound honest.
         bound = bound + mpmath.ldexp(1 + abs(value), -(prec + 16))
-        if idx.is_real() and isinstance(value, mpmath.mpc):
-            value = value.real
         value = +value
         bound = +bound
 

@@ -11,15 +11,20 @@ nested sum at index 2 is pi^2 / 6.  Exit codes follow the contract:
 object), 1 on usage mistakes.
 """
 
+import contextlib
+import io
 import json
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resurgence.cli import main
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
 from resurgence.moulds import exp_scale_mould, mould_from_json, mould_to_json
+from resurgence.mzv import MAX_CUTOFF
 from resurgence.scalars import ExactScalar, parse_scalar
 from resurgence.series import euler_series
 from resurgence.words import Alphabet
@@ -283,7 +288,9 @@ class TestRefusals:
         (("mzv", "eval", "--s", "2", "--cutoff", "10"), "cutoff"),
         (("series", "--input", "euler", "--order", "-1"), "order"),
         (("mzv", "eval", "--s", "2", "--prec", "0"), "--prec 0"),
-    ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor"])
+        (("mzv", "eval", "--s", "2", "--cutoff", "1000000000"), "cutoff"),
+    ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor",
+            "cutoff-ceiling"])
     def test_refused_with_json(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -292,3 +299,64 @@ class TestRefusals:
         assert payload["error"] == "usage"
         assert needle in payload["message"]
         assert "certified" not in payload
+
+
+# Cutoffs from three bands: refused below 64, cheap in 64..2000, and
+# refused above MAX_CUTOFF before anything is allocated.
+CUTOFFS = st.one_of(st.integers(-5, 63), st.integers(64, 2000),
+                    st.integers(MAX_CUTOFF + 1, 10**12))
+PRECS = st.sampled_from([None, 0, 52, 53, 64, 80])
+
+
+def index_text(max_depth, top):
+    return st.one_of(
+        st.lists(st.integers(0, top), max_size=max_depth).map(
+            lambda parts: ",".join(map(str, parts))),
+        st.sampled_from(["x", "2,,1", "(2,1)", "2.5", "-1"]))
+
+
+@st.composite
+def invocations(draw):
+    """argv lists over the mzv eval, mzv relation and series grammar."""
+    command = draw(st.sampled_from(["eval", "relation", "series"]))
+    if command == "eval":
+        argv = ["mzv", "eval", "--s", draw(index_text(4, 13))]
+    elif command == "relation":
+        argv = ["mzv", "relation", "--a", draw(index_text(2, 5)),
+                "--b", draw(index_text(2, 5))]
+        mode = draw(st.sampled_from([None, "stuffle", "shuffle",
+                                     "stuffle,shuffle", "bogus", ""]))
+        if mode is not None:
+            argv += ["--mode", mode]
+    else:
+        argv = ["series", "--input",
+                draw(st.sampled_from(["euler", "stirling", "dilog"]))]
+        if draw(st.booleans()):
+            argv += ["--order", str(draw(st.integers(-3, 20)))]
+        if draw(st.booleans()):
+            argv.append("--borel")
+    if command != "series" and draw(st.booleans()):
+        argv += ["--cutoff", str(draw(CUTOFFS))]
+    prec = draw(PRECS)
+    if prec is not None:
+        argv += ["--prec", str(prec)]
+    return argv
+
+
+class TestFuzz:
+    """Every invocation of the grammar exits 0, 1 or 2 with exactly one
+    JSON object and no traceback: on standard output for results and
+    refusals (0 and 2), on standard error for usage mistakes (1)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(invocations())
+    def test_one_json_object_and_a_contract_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        stream, other = (err, out) if code == 1 else (out, err)
+        assert other == ""
+        assert isinstance(json.loads(stream), dict)

@@ -46,6 +46,7 @@ from hypothesis import strategies as st
 from resurgence.errors import DivergentIndexError
 from resurgence.mzv import (
     MAX_COLOUR_DENOMINATOR,
+    MAX_CUTOFF,
     MzvIndex,
     WaWord,
     _decode_word,
@@ -242,6 +243,10 @@ class TestZeEval:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             ze_eval(MzvIndex((2,)), cutoff=32)
+
+    def test_cutoff_ceiling(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            ze_eval(MzvIndex((2,)), cutoff=MAX_CUTOFF + 1)
 
     def test_smaller_cutoff_still_honest(self):
         ev = ze_eval(MzvIndex((2, 1)), cutoff=500)
