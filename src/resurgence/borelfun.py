@@ -130,14 +130,6 @@ def _poly_eval(p, x: ExactScalar) -> ExactScalar:
     return acc
 
 
-def _poly_eval_numeric(p, x, prec: int):
-    with mpmath.workprec(prec + 16):
-        acc = mpmath.mpc(0)
-        for c in reversed(p):
-            acc = acc * x + c.evaluate(prec + 16)
-        return acc
-
-
 def _poly_shift(p, a: ExactScalar):
     """Coefficients of p(x + a) (recentring at a)."""
     out = [ExactScalar() for _ in p]
@@ -315,16 +307,35 @@ class RationalFunction:
             denom = denom * diff**m
         return _poly_eval(self.num, x) / denom
 
+    def numeric_evaluator(self, prec: int = 53):
+        """A closure z -> value rounded to ``prec`` bits.
+
+        The coefficients, the leading factor and the poles are evaluated
+        once, at the prec + 16 bits the arithmetic runs at, so a caller
+        that samples many points pays for the exact constants once.
+        """
+        work = prec + 16
+        coeffs = [c.evaluate(work) for c in reversed(self.num)]
+        lead = self.lead.evaluate(work)
+        poles = [(p.evaluate(work), m) for p, m in self.poles.items()]
+
+        def evaluate(z):
+            with mpmath.workprec(work):
+                zv = mpmath.mpmathify(z)
+                val = mpmath.mpc(0)
+                for c in coeffs:
+                    val = val * zv + c
+                den = lead
+                for p, m in poles:
+                    den *= (zv - p) ** m
+                out = val / den
+            with mpmath.workprec(prec):
+                return +out
+
+        return evaluate
+
     def numeric_eval(self, z, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(z)
-            val = _poly_eval_numeric(self.num, zv, prec)
-            den = self.lead.evaluate(prec + 16)
-            for p, m in self.poles.items():
-                den *= (zv - p.evaluate(prec + 16)) ** m
-            out = val / den
-        with mpmath.workprec(prec):
-            return +out
+        return self.numeric_evaluator(prec)(z)
 
     def taylor_at(self, center, order: int):
         """Exact Taylor coefficients at a regular point, as a list."""
@@ -424,8 +435,13 @@ class BorelFunction:
     def singular_points(self):
         raise NotImplementedError
 
-    def numeric_eval(self, zeta, prec: int = 53):
+    def numeric_evaluator(self, prec: int = 53):
+        """A closure zeta -> value at ``prec`` bits, with every exact
+        constant of the shape evaluated once when it is built."""
         raise NotImplementedError
+
+    def numeric_eval(self, zeta, prec: int = 53):
+        return self.numeric_evaluator(prec)(zeta)
 
     def _with_branch_updates(self, passed_with_signs, loops):
         """Return a copy continued past the given (point, sign) list."""
@@ -446,8 +462,8 @@ class RationalBF(BorelFunction):
     def singular_points(self):
         return [p for p in self.rat.poles if self.rat.pole_order(p) > 0]
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        return self.rat.numeric_eval(zeta, prec)
+    def numeric_evaluator(self, prec: int = 53):
+        return self.rat.numeric_evaluator(prec)
 
     def _with_branch_updates(self, passed_with_signs, loops):
         # meromorphic: any detour choice yields the same germ
@@ -494,17 +510,25 @@ class LogPoleBF(BorelFunction):
             pts.update(p for p in r.poles if r.pole_order(p) > 0)
         return sorted(pts, key=lambda s: s.sort_key())
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(zeta)
-            total = self.rational_part.numeric_eval(zv, prec + 16)
+    def numeric_evaluator(self, prec: int = 53):
+        work = prec + 16
+        rational = self.rational_part.numeric_evaluator(work)
+        with mpmath.workprec(work):
             tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
-            for a, r, k in self.log_terms:
-                av = a.evaluate(prec + 16)
-                logval = mpmath.log(1 - zv / av) + k * tau
-                total += r.numeric_eval(zv, prec + 16) * logval
-        with mpmath.workprec(prec):
-            return +total
+            logs = [(a.evaluate(work), k * tau, r.numeric_evaluator(work))
+                    for a, r, k in self.log_terms]
+
+        def evaluate(zeta):
+            with mpmath.workprec(work):
+                zv = mpmath.mpmathify(zeta)
+                total = rational(zv)
+                for av, branch, r in logs:
+                    logval = mpmath.log(1 - zv / av) + branch
+                    total += r(zv) * logval
+            with mpmath.workprec(prec):
+                return +total
+
+        return evaluate
 
     def log_value_at(self, a: ExactScalar, point: ExactScalar) -> ExactScalar:
         """Exact branch value of Log(1 - zeta/a) + 2*pi*i*k at an exact point.
@@ -596,31 +620,49 @@ class StirlingBF(BorelFunction):
             raise ValueError("the origin is a regular point")
         return ExactScalar.tau(-1) / k
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        with mpmath.workprec(prec + 24):
-            zv = mpmath.mpmathify(zeta)
-            if abs(zv) < mpmath.mpf(1) / 2:
-                # Taylor sum: sum of B_{2k+2} zeta^(2k) / (2k+2)!; the closed
-                # form loses half its digits to cancellation near 0
-                total = mpmath.mpc(0)
-                power = mpmath.mpc(1)
-                k = 0
-                while True:
-                    p, q = mpmath.bernfrac(2 * k + 2)
-                    term = mpmath.mpf(int(p)) / int(q) / mpmath.factorial(2 * k + 2)
-                    total += term * power
-                    if abs(power) * abs(term) < mpmath.mpf(2) ** (-(prec + 24)) \
-                            and k > 2:
-                        break
-                    power *= zv * zv
-                    k += 1
-                    if k > prec:
-                        break
-                out = total
-            else:
-                out = (zv / 2 * mpmath.coth(zv / 2) - 1) / zv**2
-        with mpmath.workprec(prec):
-            return +out
+    def numeric_evaluator(self, prec: int = 53):
+        work = prec + 24
+        with mpmath.workprec(work):
+            half = mpmath.mpf(1) / 2
+            floor = mpmath.mpf(2) ** (-work)
+        # Taylor coefficients B_{2k+2} / (2k+2)!, computed at most once each
+        # and only as far as the points evaluated so far have needed
+        terms = []
+
+        def term(k):
+            while len(terms) <= k:
+                j = 2 * len(terms) + 2
+                p, q = mpmath.bernfrac(j)
+                with mpmath.workprec(work):
+                    terms.append(mpmath.mpf(int(p)) / int(q)
+                                 / mpmath.factorial(j))
+            return terms[k]
+
+        def evaluate(zeta):
+            with mpmath.workprec(work):
+                zv = mpmath.mpmathify(zeta)
+                if abs(zv) < half:
+                    # Taylor sum: sum of B_{2k+2} zeta^(2k) / (2k+2)!; the
+                    # closed form loses half its digits to cancellation near 0
+                    total = mpmath.mpc(0)
+                    power = mpmath.mpc(1)
+                    k = 0
+                    while True:
+                        t = term(k)
+                        total += t * power
+                        if abs(power) * abs(t) < floor and k > 2:
+                            break
+                        power *= zv * zv
+                        k += 1
+                        if k > prec:
+                            break
+                    out = total
+                else:
+                    out = (zv / 2 * mpmath.coth(zv / 2) - 1) / zv**2
+            with mpmath.workprec(prec):
+                return +out
+
+        return evaluate
 
     def _with_branch_updates(self, passed_with_signs, loops):
         # meromorphic: all lateral paths define the same germ
@@ -659,17 +701,26 @@ class DilogBF(BorelFunction):
             pts.insert(0, ExactScalar())
         return pts
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(zeta)
-            total = mpmath.polylog(2, zv)
-            if self.n:
-                # each counterclockwise loop at 1 adds -2*pi*i*log(zeta),
-                # and the log itself sits on the branch indexed by m
-                tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
-                total += -self.n * tau * (mpmath.log(zv) + self.m * tau)
-        with mpmath.workprec(prec):
-            return +total
+    def numeric_evaluator(self, prec: int = 53):
+        work = prec + 16
+        n = self.n
+        with mpmath.workprec(work):
+            # each counterclockwise loop at 1 adds -2*pi*i*log(zeta), and
+            # the log itself sits on the branch indexed by m
+            tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
+            loops = -n * tau
+            branch = self.m * tau
+
+        def evaluate(zeta):
+            with mpmath.workprec(work):
+                zv = mpmath.mpmathify(zeta)
+                total = mpmath.polylog(2, zv)
+                if n:
+                    total += loops * (mpmath.log(zv) + branch)
+            with mpmath.workprec(prec):
+                return +total
+
+        return evaluate
 
     def _with_branch_updates(self, passed_with_signs, loops):
         n, m = self.n, self.m
@@ -738,26 +789,46 @@ class PowerBF(BorelFunction):
         with mpmath.workprec(prec):
             return +gp
 
+    def polar_evaluator(self, prec: int = 53):
+        """A closure (radius, theta) -> value at zeta = radius * e^(i theta),
+        theta a continuous angle; g, g' and the exponent are evaluated once."""
+        work = prec + 16
+        with_log = self.with_log
+        g = self.g_value(work)
+        gp = self.g_prime_value(work) if with_log else None
+        with mpmath.workprec(work):
+            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator
+            exponent = s - 1
+            i = mpmath.mpc(0, 1)
+
+        def evaluate(radius, theta):
+            with mpmath.workprec(work):
+                r = mpmath.mpf(radius)
+                th = mpmath.mpf(theta)
+                logz = mpmath.log(r) + i * th
+                power = mpmath.exp(exponent * logz)
+                if with_log:
+                    out = g * power * logz + gp * power
+                else:
+                    out = g * power
+            with mpmath.workprec(prec):
+                return +out
+
+        return evaluate
+
     def eval_polar(self, radius, theta, prec: int = 53):
         """Value at zeta = radius * e^(i theta), theta a continuous angle."""
-        with mpmath.workprec(prec + 16):
-            r = mpmath.mpf(radius)
-            th = mpmath.mpf(theta)
-            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator
-            logz = mpmath.log(r) + mpmath.mpc(0, 1) * th
-            power = mpmath.exp((s - 1) * logz)
-            if self.with_log:
-                out = self.g_value(prec + 16) * power * logz \
-                    + self.g_prime_value(prec + 16) * power
-            else:
-                out = self.g_value(prec + 16) * power
-        with mpmath.workprec(prec):
-            return +out
+        return self.polar_evaluator(prec)(radius, theta)
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(zeta)
-            return self.eval_polar(abs(zv), mpmath.arg(zv), prec)
+    def numeric_evaluator(self, prec: int = 53):
+        polar = self.polar_evaluator(prec)
+
+        def evaluate(zeta):
+            with mpmath.workprec(prec + 16):
+                zv = mpmath.mpmathify(zeta)
+                return polar(abs(zv), mpmath.arg(zv))
+
+        return evaluate
 
     def singular_points(self):
         return [ExactScalar()]

@@ -29,11 +29,13 @@ Conventions shared by every subcommand:
   domain error taxonomy) or a value is out of the supported range (an
   index above the weight cap, a cutoff outside [64, MAX_CUTOFF], an
   order too small, a precision below MIN_PREC), 1 for usage errors.
-  Refusals with exit code 2 print a machine-readable error object on
-  standard output.
-* ``--prec`` is at least MIN_PREC = 53 bits: the default error targets
-  (1e-12 for ray sums, 1e-10 for nested sums) need double precision, and
-  below it the reported errors would describe meaningless values.
+  Every exit code prints one JSON object on standard output: the result,
+  the refusal, or the usage mistake; standard error stays empty.
+* ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
+  ``ze_eval``, ``wa_eval`` and ``L_numeric`` enforce as well): the
+  default error targets (1e-12 for ray sums, 1e-10 for nested sums) need
+  double precision, and below it the reported errors would describe
+  meaningless values.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -54,7 +57,7 @@ import mpmath
 from .alien import (ResurgentSeries, alien_derivation, alien_minus,
                     alien_plus, euler_resurgent, stirling_resurgent)
 from .borelfun import dilog_minor, euler_minor, power_minor, stirling_minor
-from .errors import ResurgenceError
+from .errors import MIN_PREC, ResurgenceError
 from .hyperlog import L_numeric, MonomialFamily, v_series
 from .laplace import RaySpec, hankel_laplace, laplace_ray, lateral_jump
 from .moulds import (exp_scale_mould, identity_mould, is_alternal,
@@ -64,9 +67,6 @@ from .mzv import MzvIndex, verify_relation, ze_eval
 from .scalars import ExactScalar, parse_scalar
 from .series import borel, euler_series, stirling_series
 from .words import Alphabet
-
-
-MIN_PREC = 53
 
 
 class UsageError(Exception):
@@ -92,23 +92,27 @@ class _Parser(argparse.ArgumentParser):
 def _parse_angle(text: str) -> float:
     """Parse an angle that may use pi literals: 'pi', '-pi/2', '3pi/4', '0.3'."""
     s = text.strip().replace(" ", "").replace("*", "")
-    if "pi" in s:
-        head, _, tail = s.partition("pi")
-        if head in ("", "+"):
-            mult = Fraction(1)
-        elif head == "-":
-            mult = Fraction(-1)
-        else:
-            mult = Fraction(head)
-        if tail:
-            if not tail.startswith("/"):
-                raise UsageError(f"cannot parse angle {text!r}")
-            mult /= Fraction(tail[1:])
-        return float(mult) * float(mpmath.pi)
     try:
-        return float(s)
-    except ValueError:
+        if "pi" in s:
+            head, _, tail = s.partition("pi")
+            if head in ("", "+"):
+                mult = Fraction(1)
+            elif head == "-":
+                mult = Fraction(-1)
+            else:
+                mult = Fraction(head)
+            if tail:
+                if not tail.startswith("/"):
+                    raise UsageError(f"cannot parse angle {text!r}")
+                mult /= Fraction(tail[1:])
+            angle = float(mult) * float(mpmath.pi)
+        else:
+            angle = float(s)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise UsageError(f"the angle {text!r} is not finite")
+    return angle
 
 
 def _parse_point(text: str) -> ExactScalar:
@@ -123,12 +127,12 @@ def _parse_point(text: str) -> ExactScalar:
         else:
             try:
                 mult = Fraction(head)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"cannot parse point {text!r}") from None
         return ExactScalar.tau() * ExactScalar.from_rational(mult)
     try:
         return parse_scalar(s)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse point {text!r}: {exc}") from None
 
 
@@ -137,13 +141,18 @@ def _parse_z(text: str, prec: int):
     s = text.strip()
     try:
         return parse_scalar(s).evaluate(prec)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     try:
         with mpmath.workprec(prec):
-            return mpmath.mpmathify(s.replace("i", "j"))
-    except (ValueError, TypeError):
+            z = mpmath.mpmathify(s.replace("i", "j"))
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError):
+        # mpmath's string parser fails with AttributeError on some text
+        # and with ZeroDivisionError on a zero denominator
         raise UsageError(f"cannot parse z value {text!r}") from None
+    if not mpmath.isfinite(z):
+        raise UsageError(f"the z value {text!r} is not finite")
+    return z
 
 
 def _parse_word(text: str) -> tuple:
@@ -268,7 +277,7 @@ def _borel_input(name: str):
             spec = spec[:-len(":log")]
         try:
             sigma = Fraction(spec)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse sigma in {name!r}") from None
         return power_minor(sigma, with_log=with_log), zero
     raise UsageError(
@@ -554,8 +563,7 @@ def main(argv=None) -> int:
             random.seed(args.seed)
         payload = args.handler(args)
     except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}),
-              file=sys.stderr)
+        print(json.dumps({"error": "usage", "message": str(exc)}))
         return 1
     except ResurgenceError as exc:
         print(json.dumps(exc.payload(), indent=2))

@@ -8,6 +8,19 @@ can emit structured error objects and map them to exit status 2.
 
 from __future__ import annotations
 
+# The precision floor, in bits, of every numeric evaluator that reports a
+# certified error: the default error targets (1e-12 for ray sums, 1e-10
+# for nested sums) need double precision, and below it the reported
+# errors would describe meaningless values.
+MIN_PREC = 53
+
+
+def check_prec(prec) -> None:
+    """Refuse a working precision below MIN_PREC with a ValueError."""
+    if prec < MIN_PREC:
+        raise ValueError(f"precision {prec} is below the floor of "
+                         f"{MIN_PREC} bits")
+
 
 class ResurgenceError(Exception):
     """Base class for domain errors raised by this package."""

@@ -44,7 +44,7 @@ import mpmath
 from ._chebyshev import iterated_integral, segment
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
-from .errors import ResonanceError
+from .errors import ResonanceError, check_prec
 from .moulds import Mould, comp_inverse
 from .scalars import ExactScalar
 from .series import FormalSeries
@@ -432,7 +432,9 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     convention consistent with the depth-1 extraction.  Depth is capped
     at 3.  The error estimate compares two spectral resolutions and adds
     one unit in the last place of the returned value for its rounding.
+    ``prec`` must be at least MIN_PREC.
     """
+    check_prec(prec)
     word = Word(w)
     r = len(word)
     if r == 0:

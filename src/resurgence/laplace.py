@@ -28,6 +28,13 @@ The numeric scheme has two independent error sources and both are reported:
   quadrature error is the rule's own nested-level comparison, taken with
   a safety factor, never a wishful constant.
 
+Each sum builds the shape's evaluator once (``numeric_evaluator`` or, for
+power kernels, ``polar_evaluator`` of :mod:`.borelfun`): the exact
+constants of the shape are evaluated a single time and every quadrature
+node only does the arithmetic that depends on the point.  The singular
+points are likewise evaluated once per sum and shared by the ray check,
+the truncation floor and the segment ladder.
+
 Lateral sums and their jump follow the frozen orientation convention of the
 whole package: the "+" determination uses rays at angles just below the
 singular direction theta_star.  Collapsing the two rays onto the singular
@@ -45,9 +52,11 @@ The contour comes in from e^(i (theta - 2 pi)) * infinity, circles the
 origin once counterclockwise at radius rho (a quarter of the distance to
 the nearest nonzero singular point, or 1/4 when there is none), and leaves
 toward e^(i theta) * infinity.  The two rays live on different sheets, so
-the integrand is evaluated in polar form with a continuous angle; shapes
-that are single valued simply cancel between the rays and keep only their
-circle contribution.
+the integrand is evaluated in polar form with a continuous angle.  They
+share their points and their kernel, so they are integrated as one
+difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)); for
+single-valued shapes that difference is at rounding level, the rule stops
+after its first levels, and only the circle contributes.
 
 `verify_asymptotics` compares ray sums against the partial sums of a
 divergent expansion and reports the rescaled remainders
@@ -122,8 +131,8 @@ class RaySpec:
     def __post_init__(self):
         if self.max_nodes < 64:
             raise ValueError("max_nodes must be at least 64")
-        if not float(self.target_error) > 0:
-            raise ValueError("target_error must be positive")
+        if not 0 < float(self.target_error) < math.inf:
+            raise ValueError("target_error must be positive and finite")
 
     def working_prec(self) -> int:
         if self.prec is not None:
@@ -237,14 +246,21 @@ class PadeApproximant:
                 raise ValueError("no diagonal Pade fit exists for the series")
         return cls(p, q)
 
+    def numeric_evaluator(self, prec: int = 53):
+        num = list(reversed(self.num))
+        den = list(reversed(self.den))
+
+        def evaluate(zeta):
+            with mpmath.workprec(prec + 16):
+                zv = mpmath.mpmathify(zeta)
+                out = mpmath.polyval(num, zv) / mpmath.polyval(den, zv)
+            with mpmath.workprec(prec):
+                return +out
+
+        return evaluate
+
     def numeric_eval(self, zeta, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(zeta)
-            num = mpmath.polyval(list(reversed(self.num)), zv)
-            den = mpmath.polyval(list(reversed(self.den)), zv)
-            out = num / den
-        with mpmath.workprec(prec):
-            return +out
+        return self.numeric_evaluator(prec)(zeta)
 
     def singular_points(self):
         return []
@@ -298,10 +314,10 @@ def _ray_distance(v, theta):
     return abs(u)
 
 
-def _check_ray(f, theta, prec):
-    """Raise RayBlockedError when the ray hugs a singular point of f."""
+def _check_ray(sing, theta):
+    """Raise RayBlockedError when the ray hugs one of the singular values."""
     worst = None
-    for v in _singular_values(f, prec):
+    for v in sing:
         d = _ray_distance(v, theta)
         if d < min(mpmath.mpf(1), abs(v)) / 64:
             if worst is None or d < worst[1]:
@@ -448,7 +464,7 @@ def _dilog_tail(f, m, T, theta, moment, prec):
         + C * moment_integral(moment + 2)
 
 
-def _t_floor(f, theta, prec):
+def _t_floor(f, sing, prec):
     """Smallest truncation point at which the shape's envelope is valid."""
     if isinstance(f, (RationalBF, PowerBF)):
         return mpmath.mpf(1)
@@ -460,7 +476,7 @@ def _t_floor(f, theta, prec):
             mods.extend(abs(p.evaluate(prec)) for p in r.poles)
         top = max(mods, default=mpmath.mpf(0))
         return max(mpmath.mpf(4), 2 * top + 1)
-    mods = [abs(v) for v in _singular_values(f, prec)]
+    mods = [abs(v) for v in sing]
     top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
     return max(mpmath.mpf(4), 2 * top + 1)
 
@@ -498,8 +514,29 @@ def _tail_bound(f, evalf, theta, m, T, moment, prec):
     return abs(tail), sampled
 
 
-def _choose_truncation(f, evalf, theta, m, target, moment, prec):
-    T = _t_floor(f, theta, prec)
+def _check_turns(w, m, T, max_nodes):
+    """Refuse a ray on which the kernel e^(-w t) turns more often over
+    [0, T] than ``max_nodes`` nodes could resolve.
+
+    That happens when the decay margin m = Re w is tiny next to |w|: the
+    truncation point grows like 1/m while the kernel keeps turning at the
+    rate |Im w|, and the rule's own error estimate then no longer bounds
+    its error.
+    """
+    turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
+    if turns > max_nodes:
+        raise DecayMarginError(
+            f"decay margin {mpmath.nstr(m, 8)} is too small next to "
+            f"|w| = {mpmath.nstr(abs(w), 8)}: the kernel turns "
+            f"{mpmath.nstr(turns, 4)} times up to the truncation point, "
+            f"more than the {max_nodes} nodes allowed",
+            margin=float(m),
+            turns=float(turns),
+        )
+
+
+def _choose_truncation(f, evalf, sing, theta, m, target, moment, prec):
+    T = _t_floor(f, sing, prec)
     tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
     for _ in range(400):
         if tail <= target / 4:
@@ -513,18 +550,24 @@ def _choose_truncation(f, evalf, theta, m, target, moment, prec):
 
 
 def _ray_evaluator(f, theta, prec):
+    """t -> f(t e^(i theta)), with f's evaluator built once per sum."""
     if isinstance(f, PowerBF):
-        return lambda t: f.eval_polar(t, theta, prec)
+        polar = f.polar_evaluator(prec)
+        return lambda t: polar(t, theta)
+    evaluate = f.numeric_evaluator(prec)
     direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
-    return lambda t: f.numeric_eval(t * direction, prec)
+    return lambda t: evaluate(t * direction)
 
 
 def _polar_evaluator(f, prec):
+    """(r, angle) -> f(r e^(i angle)) on the sheet the continuous angle
+    reaches, with f's evaluator built once per sum."""
     if isinstance(f, PowerBF):
-        return lambda r, ang: f.eval_polar(r, ang, prec)
+        return f.polar_evaluator(prec)
     if isinstance(f, (RationalBF, StirlingBF, PadeApproximant)):
-        return lambda r, ang: f.numeric_eval(
-            r * mpmath.exp(mpmath.mpc(0, 1) * ang), prec)
+        evaluate = f.numeric_evaluator(prec)
+        return lambda r, ang: evaluate(
+            r * mpmath.exp(mpmath.mpc(0, 1) * ang))
     raise NotImplementedError(
         "Hankel contours need a single-valued shape or one with polar "
         f"(continuous-angle) evaluation; got {type(f).__name__}"
@@ -572,7 +615,7 @@ def _power_head(f, w, theta, h, moment, prec):
     return phase * total, bound
 
 
-def _segments(lo, T, f, theta, prec):
+def _segments(lo, T, sing, theta):
     """Subdivision points: a geometric ladder plus near-pole projections."""
     lo = mpmath.mpf(lo)
     pts = {lo, mpmath.mpf(T)}
@@ -581,7 +624,7 @@ def _segments(lo, T, f, theta, prec):
         if t > lo:
             pts.add(t)
         t *= 2
-    for v in _singular_values(f, prec):
+    for v in sing:
         u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
         if abs(u.imag) < 1 and lo < u.real < T:
             pts.add(u.real)
@@ -618,8 +661,9 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     these absolutely convergent integrals).
 
     Raises DecayMarginError when the margin Re(z e^(i theta)) - growth is
-    not positive (or when a power kernel is not integrable at the
-    origin), and RayBlockedError when the ray passes too close to a
+    not positive, when it is so small next to |z| that the kernel turns
+    more than ``max_nodes`` times before the truncation point (or when a
+    power kernel is not integrable at the origin), and RayBlockedError when the ray passes too close to a
     singular point, naming the nearest one.
     """
     if moment < 0:
@@ -643,11 +687,13 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
                 "at the origin",
                 margin=float(f.sigma),
             )
-        _check_ray(f, theta, guard)
+        sing = _singular_values(f, guard)
+        _check_ray(sing, theta)
         evalf = _ray_evaluator(f, theta, guard)
         target = mpmath.mpf(float(spec.target_error))
         T, tail, sampled = _choose_truncation(
-            f, evalf, theta, m, target, moment, guard)
+            f, evalf, sing, theta, m, target, moment, guard)
+        _check_turns(w, m, T, spec.max_nodes)
 
         def g(t):
             base = evalf(t)
@@ -661,7 +707,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         if isinstance(f, PowerBF):
             lo = min(mpmath.mpf(1) / 2, T / 4, 1 / (2 * max(abs(w), 1)))
             head, head_err = _power_head(f, w, theta, lo, moment, guard)
-        pts = _segments(lo, T, f, theta, guard)
+        pts = _segments(lo, T, sing, theta)
         val, errq, nodes = _quad(g, pts, _max_degree(spec.max_nodes))
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
         weight = (-phase) ** moment * phase
@@ -724,8 +770,16 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     distance)/4 (or 1/4 when f is singular only at the origin), and goes
     back out toward e^(i theta) * infinity.  The in-ray lives one full
     turn below the out-ray, so multivalued shapes are evaluated in polar
-    form with a continuous angle; single-valued shapes see their two ray
-    contributions cancel, leaving the circle.
+    form with a continuous angle.  Both rays share the points t e^(i theta)
+    and the kernel e^(-w t), so they are integrated as one integrand
+
+        e^(-w t) * (f(t, theta) - f(t, theta - 2 pi))    over [rho, T],
+
+    with f in polar form; for single-valued shapes the difference is at
+    rounding level and the rule stops after its first levels, leaving the
+    circle.  The shape's evaluator is built once for both pieces.  The
+    error is 4 * (ray + circle quadrature errors) + 2 * tail (one tail
+    bound per ray) + one unit of the result's last place.
     """
     spec = RaySpec(theta, z, max_nodes=max_nodes,
                    target_error=target_error, prec=prec)
@@ -743,47 +797,49 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
                 margin=float(m),
             )
         polar = _polar_evaluator(f, guard)
-        _check_ray(f, th, guard)
         sing = _singular_values(f, guard)
+        _check_ray(sing, th)
         rho = min(abs(v) for v in sing) / 4 if sing \
             else mpmath.mpf(1) / 4
         target = mpmath.mpf(float(target_error))
         T, tail, sampled = _choose_truncation(
-            f, lambda t: polar(t, th), th, m, target, 0, guard)
+            f, lambda t: polar(t, th), sing, th, m, target, 0, guard)
         T = max(T, 4 * rho)
+        _check_turns(w, m, T, max_nodes)
         maxdeg = _max_degree(max_nodes)
-        pts = _segments(rho, T, f, th, guard)
-        tau = 2 * mpmath.pi
+        pts = _segments(rho, T, sing, th)
+        below = th - 2 * mpmath.pi
 
-        out_val, out_err, out_n = _quad(
-            lambda t: mpmath.exp(-w * t) * polar(t, th), pts, maxdeg)
-        in_val, in_err, in_n = _quad(
-            lambda t: mpmath.exp(-w * t) * polar(t, th - tau), pts, maxdeg)
+        ray_val, ray_err, ray_n = _quad(
+            lambda t: mpmath.exp(-w * t) * (polar(t, th) - polar(t, below)),
+            pts, maxdeg)
 
         def on_circle(phi):
             pos = rho * mpmath.exp(mpmath.mpc(0, 1) * phi)
             return mpmath.exp(-zv * pos) * polar(rho, phi) \
                 * mpmath.mpc(0, 1) * pos
 
-        angles = [th - tau + k * mpmath.pi / 4 for k in range(9)]
+        angles = [below + k * mpmath.pi / 4 for k in range(9)]
         circ_val, circ_err, circ_n = _quad(on_circle, angles, maxdeg)
 
         phase = mpmath.exp(mpmath.mpc(0, 1) * th)
-        value = phase * (out_val - in_val) + circ_val
-        error = 4 * (out_err + in_err + circ_err) + 2 * tail \
+        value = phase * ray_val + circ_val
+        error = 4 * (ray_err + circ_err) + 2 * tail \
             + mpmath.ldexp(1 + abs(value), -out_prec)
         diagnostics = {
             "margin": float(m),
             "truncation": float(T),
             "radius": float(rho),
             "tail_bound": float(tail),
-            "quadrature_error": float(out_err + in_err + circ_err),
+            "quadrature_error": float(ray_err + circ_err),
+            "segments": len(pts) - 1,
+            "ray_nodes": ray_n,
+            "circle_nodes": circ_n,
             "rigorous_tail": not sampled,
             "method": "tanh-sinh",
         }
     with mpmath.workprec(out_prec):
-        return SummationResult(+value, +error, out_n + in_n + circ_n,
-                               diagnostics)
+        return SummationResult(+value, +error, ray_n + circ_n, diagnostics)
 
 
 # -- asymptotics reports ---------------------------------------------------------------

@@ -60,7 +60,7 @@ from math import comb
 import mpmath
 
 from ._chebyshev import iterated_integral, segment
-from .errors import DivergentIndexError
+from .errors import DivergentIndexError, check_prec
 from .words import Word, shuffle, stuffle
 
 __all__ = [
@@ -457,8 +457,10 @@ def ze_eval(
     and the proved rounding term to an ulp-scale allowance for the
     tails' floating-point arithmetic; at the defaults it is far below
     1e-10 for all supported indices (depth <= 4, weight <= 12).
-    ``cutoff`` must lie in [64, MAX_CUTOFF].
+    ``cutoff`` must lie in [64, MAX_CUTOFF] and ``prec`` must be at
+    least MIN_PREC.
     """
+    check_prec(prec)
     if not isinstance(idx, MzvIndex):
         idx = MzvIndex(tuple(idx))
     if idx.depth == 0:
@@ -655,8 +657,9 @@ def wa_eval(
     for the two omitted endpoint slivers of width 2^-edge; at the
     defaults it sits well below the 1e-6 target for supported words.
     Words outside the dictionary image are evaluated with the same sign
-    convention and marked ``flagged``.
+    convention and marked ``flagged``.  ``prec`` must be at least MIN_PREC.
     """
+    check_prec(prec)
     if not isinstance(w, WaWord):
         w = WaWord(tuple(w))
     if w.length > MAX_DEPTH:

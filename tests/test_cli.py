@@ -151,10 +151,11 @@ class TestSum:
         assert json.loads(out)["error"] == "unsupported"
 
     def test_jump_requires_theta_star(self, capsys):
-        code, _, err = run(capsys, "sum", "--jump", "--input", "euler",
-                           "--z", "-3")
+        code, out, err = run(capsys, "sum", "--jump", "--input", "euler",
+                             "--z", "-3")
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 class TestMzv:
@@ -182,10 +183,11 @@ class TestMzv:
         assert stuffle_terms["Ze(2, 2)"] == 2
 
     def test_unknown_mode_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "mzv", "relation", "--a", "2",
-                           "--b", "2", "--mode", "bogus")
+        code, out, err = run(capsys, "mzv", "relation", "--a", "2",
+                             "--b", "2", "--mode", "bogus")
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 class TestMould:
@@ -212,9 +214,10 @@ class TestMould:
         made = run_json(capsys, "mould", "make", "--unit",
                         "--letters", "1", "--order", "2")
         path.write_text(json.dumps(made), encoding="utf-8")
-        code, _, err = run(capsys, "mould", "check", "--file", str(path))
+        code, out, err = run(capsys, "mould", "check", "--file", str(path))
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 class TestHyperlog:
@@ -233,9 +236,10 @@ class TestHyperlog:
         assert float(data["error"]) < 1e-10
 
     def test_word_or_L_required(self, capsys):
-        code, _, err = run(capsys, "hyperlog", "--order", "8")
+        code, out, err = run(capsys, "hyperlog", "--order", "8")
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 class TestSeries:
@@ -258,21 +262,24 @@ class TestSeries:
 
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
-        code, _, err = run(capsys, "alien", "--input", "euler",
-                           "--omega", "-1", "--bogus")
+        code, out, err = run(capsys, "alien", "--input", "euler",
+                             "--omega", "-1", "--bogus")
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
     def test_subcommand_required(self, capsys):
-        code, _, err = run(capsys)
+        code, out, err = run(capsys)
         assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
     def test_unknown_input_name(self, capsys):
-        code, _, err = run(capsys, "sum", "--input", "nope",
-                           "--theta", "0", "--z", "2")
+        code, out, err = run(capsys, "sum", "--input", "nope",
+                             "--theta", "0", "--z", "2")
         assert code == 1
-        assert "unknown input" in json.loads(err)["message"]
+        assert err == ""
+        assert "unknown input" in json.loads(out)["message"]
 
     def test_seed_flag_accepted(self, capsys):
         data = run_json(capsys, "mzv", "eval", "--s", "2", "--seed", "7")
@@ -299,6 +306,30 @@ class TestRefusals:
         assert payload["error"] == "usage"
         assert needle in payload["message"]
         assert "certified" not in payload
+
+
+class TestMalformedLiterals:
+    """Zero denominators and values that are not finite are usage errors
+    (exit 1, one JSON object on standard output, never a traceback); a
+    target error that is not finite is out of range (exit 2)."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("sum", "--input", "I_sigma:1/0", "--theta", "0", "--z", "2"), 1),
+        (("sum", "--input", "euler", "--theta", "pi/0", "--z", "2"), 1),
+        (("sum", "--input", "euler", "--theta", "inf", "--z", "2"), 1),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "1/0"), 1),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "inf"), 1),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "nan"), 1),
+        (("alien", "--input", "euler", "--omega", "1/0"), 1),
+        (("alien", "--input", "euler", "--omega", "1/0*2pii"), 1),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "2",
+          "--target-err", "inf"), 2),
+    ])
+    def test_refused_with_json(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 # Cutoffs from three bands: refused below 64, cheap in 64..2000, and
@@ -343,20 +374,83 @@ def invocations(draw):
     return argv
 
 
+def mostly(valid, invalid):
+    """Mostly valid values, so that whole invocations often get past
+    parsing and reach the summation."""
+    return st.sampled_from(list(valid) * 8 + list(invalid))
+
+
+# The sum grammar: every builtin input, sigma texts that parse, that are
+# integers (refused by the shape) and that do not parse; angles and points
+# with positive, zero and negative decay margins; target errors that are
+# valid (loose, to keep each sum cheap), zero, negative or not finite.
+SUM_INPUTS = mostly(
+    ["stirling", "euler", "dilog", "I_sigma:1/2", "I_sigma:1/3",
+     "I_sigma:3/4", "I_sigma:5/4", "I_sigma:-1/2", "I_sigma:1/2:log"],
+    ["nope", "I_sigma:2", "I_sigma:0", "I_sigma:1/0", "I_sigma:x"])
+ANGLES = mostly(["0", "pi/4", "0.3", "-pi/2", "3pi/4", "pi"],
+                ["pi/0", "2xpi", "x", "inf", "nan"])
+POINTS = mostly(["2", "10", "3+i", "1-2i", "4", "i", "0", "-2"],
+                ["1/0", "x", "inf", "nan"])
+TARGETS = mostly([None, "1e-3", "1e-6"], ["0", "-1e-6", "inf", "nan"])
+SUM_PRECS = mostly([None, "53", "64"], ["0", "52", "x"])
+
+
+@st.composite
+def sum_invocations(draw):
+    """argv lists over the sum grammar: ray, Hankel and lateral pairs."""
+    # "--flag=value", so that values with a leading minus reach the parser
+    argv = ["sum", f"--input={draw(SUM_INPUTS)}", f"--z={draw(POINTS)}"]
+    mode = draw(st.sampled_from(["ray", "hankel", "jump"]))
+    if mode == "jump":
+        argv.append("--jump")
+        if draw(mostly([True], [False])):
+            argv.append(f"--theta-star={draw(ANGLES)}")
+        if draw(st.booleans()):
+            delta = draw(mostly(["0.5", "0.3"], ["0", "-1", "2", "nan"]))
+            argv.append(f"--delta={delta}")
+    else:
+        if mode == "hankel":
+            argv.append("--hankel")
+        if draw(mostly([True], [False])):
+            argv.append(f"--theta={draw(ANGLES)}")
+    target = draw(TARGETS)
+    if target is not None:
+        argv.append(f"--target-err={target}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--max-nodes={draw(st.sampled_from(['64', '10', 'x']))}")
+    if mode == "ray" and draw(st.integers(0, 3)) == 0:
+        argv.append(f"--moment={draw(st.sampled_from(['1', '-1']))}")
+    prec = draw(SUM_PRECS)
+    if prec is not None:
+        argv.append(f"--prec={prec}")
+    return argv
+
+
+def assert_contract(argv):
+    """Exit 0, 1 or 2 with exactly one JSON object on standard output,
+    nothing on standard error and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    assert err == ""
+    assert isinstance(json.loads(out), dict)
+
+
 class TestFuzz:
     """Every invocation of the grammar exits 0, 1 or 2 with exactly one
-    JSON object and no traceback: on standard output for results and
-    refusals (0 and 2), on standard error for usage mistakes (1)."""
+    JSON object on standard output, whatever the exit code, an empty
+    standard error and no traceback."""
 
     @settings(max_examples=60, deadline=None)
     @given(invocations())
     def test_one_json_object_and_a_contract_exit_code(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        assert "Traceback" not in out + err
-        stream, other = (err, out) if code == 1 else (out, err)
-        assert other == ""
-        assert isinstance(json.loads(stream), dict)
+        assert_contract(argv)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sum_invocations())
+    def test_sum_grammar(self, argv):
+        assert_contract(argv)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from resurgence._chebyshev import chebyshev_cumulative, chebyshev_nodes
 from resurgence.alien import alien_derivation, alien_plus, z_derivative
 from resurgence.borelfun import LogPoleBF, RationalBF, RationalFunction
-from resurgence.errors import ResonanceError
+from resurgence.errors import MIN_PREC, ResonanceError
 from resurgence.hyperlog import (
     IteratedIntegral,
     L_numeric,
@@ -446,6 +446,12 @@ class TestIteratedIntegrals:
             assert got.error_estimate >= mpmath.ldexp(abs(got.value), -prec)
             with mpmath.workprec(3 * prec):
                 assert abs(got.value + 2 * mpmath.pi ** 2) <= got.error_estimate
+
+    def test_precision_floor(self):
+        with pytest.raises(ValueError, match="precision"):
+            L_numeric((1, 1), prec=MIN_PREC - 1)
+        with pytest.raises(ValueError, match="precision"):
+            L_numeric((1,), prec=8)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

@@ -237,6 +237,19 @@ class TestLaplaceRay:
         with pytest.raises(DecayMarginError):
             laplace_ray(power_minor("-1/2"), 0, RaySpec(0, 2))
 
+    def test_margin_at_rounding_level_rejected(self):
+        # cos(-pi/2) in floats leaves a margin of 2e-16: the kernel would
+        # turn about 1e17 times before the truncation point, far more than
+        # any node budget resolves, so the rule's error estimate would not
+        # bound its error
+        theta = -math.pi / 2
+        with pytest.raises(DecayMarginError) as info:
+            laplace_ray(power_minor("1/2"), 0,
+                        RaySpec(theta, 4, target_error=1e-6))
+        assert info.value.details["turns"] > 4000
+        with pytest.raises(DecayMarginError):
+            hankel_laplace(power_minor("1/2"), theta, 2)
+
     def test_blocked_ray_names_nearest_singularity(self):
         with pytest.raises(RayBlockedError) as info:
             laplace_ray(euler_minor(), 0, RaySpec(mpmath.pi, -3))

@@ -1,0 +1,289 @@
+"""Compiled shape evaluators and the one-integrand Hankel contour.
+
+Each shape builds its evaluator once (``numeric_evaluator``, and
+``polar_evaluator`` for power kernels) and the sums call it at every
+node.  The per-point code it replaced is kept below as the reference:
+the compiled evaluators must return the same numbers, bit for bit, at
+53 and 113 bits.  The Hankel contour integrates both rays as one
+difference integrand; its values must stay within their reported errors
+of the closed forms z^-sigma and -z^-sigma log z, and single-valued
+shapes must need fewer nodes than the two separate ray quadratures did.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from resurgence import laplace
+from resurgence.borelfun import (
+    DilogBF,
+    LogPoleBF,
+    PowerBF,
+    RationalBF,
+    RationalFunction,
+    StirlingBF,
+    euler_minor,
+)
+from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray, pade_minor
+from resurgence.scalars import ExactScalar, GaussianRational
+from resurgence.series import euler_series
+
+PRECS = (53, 113)
+
+
+# -- the per-point code the compiled evaluators replaced -----------------------
+
+
+def old_rational(rat, z, prec):
+    with mpmath.workprec(prec + 16):
+        zv = mpmath.mpmathify(z)
+        with mpmath.workprec(prec + 16):
+            val = mpmath.mpc(0)
+            for c in reversed(rat.num):
+                val = val * zv + c.evaluate(prec + 16)
+        den = rat.lead.evaluate(prec + 16)
+        for p, m in rat.poles.items():
+            den *= (zv - p.evaluate(prec + 16)) ** m
+        out = val / den
+    with mpmath.workprec(prec):
+        return +out
+
+
+def old_logpole(f, zeta, prec):
+    with mpmath.workprec(prec + 16):
+        zv = mpmath.mpmathify(zeta)
+        total = old_rational(f.rational_part, zv, prec + 16)
+        tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
+        for a, r, k in f.log_terms:
+            av = a.evaluate(prec + 16)
+            logval = mpmath.log(1 - zv / av) + k * tau
+            total += old_rational(r, zv, prec + 16) * logval
+    with mpmath.workprec(prec):
+        return +total
+
+
+def old_stirling(zeta, prec):
+    with mpmath.workprec(prec + 24):
+        zv = mpmath.mpmathify(zeta)
+        if abs(zv) < mpmath.mpf(1) / 2:
+            total = mpmath.mpc(0)
+            power = mpmath.mpc(1)
+            k = 0
+            while True:
+                p, q = mpmath.bernfrac(2 * k + 2)
+                term = mpmath.mpf(int(p)) / int(q) / mpmath.factorial(2 * k + 2)
+                total += term * power
+                if abs(power) * abs(term) < mpmath.mpf(2) ** (-(prec + 24)) \
+                        and k > 2:
+                    break
+                power *= zv * zv
+                k += 1
+                if k > prec:
+                    break
+            out = total
+        else:
+            out = (zv / 2 * mpmath.coth(zv / 2) - 1) / zv**2
+    with mpmath.workprec(prec):
+        return +out
+
+
+def old_dilog(f, zeta, prec):
+    with mpmath.workprec(prec + 16):
+        zv = mpmath.mpmathify(zeta)
+        total = mpmath.polylog(2, zv)
+        if f.n:
+            tau = 2 * mpmath.pi * mpmath.mpc(0, 1)
+            total += -f.n * tau * (mpmath.log(zv) + f.m * tau)
+    with mpmath.workprec(prec):
+        return +total
+
+
+def old_polar(f, radius, theta, prec):
+    with mpmath.workprec(prec + 16):
+        r = mpmath.mpf(radius)
+        th = mpmath.mpf(theta)
+        s = mpmath.mpf(f.sigma.numerator) / f.sigma.denominator
+        logz = mpmath.log(r) + mpmath.mpc(0, 1) * th
+        power = mpmath.exp((s - 1) * logz)
+        if f.with_log:
+            out = f.g_value(prec + 16) * power * logz \
+                + f.g_prime_value(prec + 16) * power
+        else:
+            out = f.g_value(prec + 16) * power
+    with mpmath.workprec(prec):
+        return +out
+
+
+def old_power(f, zeta, prec):
+    with mpmath.workprec(prec + 16):
+        zv = mpmath.mpmathify(zeta)
+        return old_polar(f, abs(zv), mpmath.arg(zv), prec)
+
+
+def old_pade(model, zeta, prec):
+    with mpmath.workprec(prec + 16):
+        zv = mpmath.mpmathify(zeta)
+        num = mpmath.polyval(list(reversed(model.num)), zv)
+        den = mpmath.polyval(list(reversed(model.den)), zv)
+        out = num / den
+    with mpmath.workprec(prec):
+        return +out
+
+
+# -- shapes and points -----------------------------------------------------------
+
+
+def G(re, im=0):
+    return ExactScalar.from_gaussian(GaussianRational(Fraction(re),
+                                                      Fraction(im)))
+
+
+# a double pole, a complex pole, a non-monic denominator and a full numerator
+DOUBLE_POLE = RationalFunction([1, G(2, 1), Fraction(1, 3)],
+                               poles={1: 1, G(0, -2): 2},
+                               lead=Fraction(3, 2))
+LOG_POLE = LogPoleBF(
+    RationalFunction([1], poles={2: 1}),
+    [(-1, RationalFunction([1, 1], poles={3: 1}), 2),
+     (G(0, 1), RationalFunction.constant(Fraction(1, 2)), -1),
+     (Fraction(5, 2), RationalFunction.constant(3), 0)])
+POINTS = [mpmath.mpf("0.3"), mpmath.mpc("0.7", "-1.3"), mpmath.mpc(-2, "0.4"),
+          mpmath.mpc("0.01", "0.02"), mpmath.mpf(7)]
+# the Stirling minor switches from its Taylor sum to the closed form at
+# |zeta| = 1/2: points on both sides, the small ones in mixed order
+STIRLING_POINTS = [mpmath.mpf("0.3"), mpmath.mpc(0, "0.49"),
+                   mpmath.mpf("0.001"), mpmath.mpc("-0.2", "0.1"),
+                   mpmath.mpf("0.5"), mpmath.mpc("0.7", 3), mpmath.mpf(-9)]
+
+
+@pytest.mark.parametrize("prec", PRECS)
+class TestCompiledEvaluators:
+    def test_rational_function(self, prec):
+        for rat in (DOUBLE_POLE, euler_minor().rat, RationalFunction.zero()):
+            evaluate = rat.numeric_evaluator(prec)
+            for z in POINTS:
+                assert evaluate(z) == old_rational(rat, z, prec)
+                assert rat.numeric_eval(z, prec) == evaluate(z)
+
+    def test_rational_shape(self, prec):
+        f = RationalBF(DOUBLE_POLE)
+        evaluate = f.numeric_evaluator(prec)
+        for z in POINTS:
+            assert evaluate(z) == old_rational(DOUBLE_POLE, z, prec)
+            assert f.numeric_eval(z, prec) == evaluate(z)
+
+    def test_log_pole_with_branch_integers(self, prec):
+        assert sorted(k for _a, _r, k in LOG_POLE.log_terms) == [-1, 0, 2]
+        evaluate = LOG_POLE.numeric_evaluator(prec)
+        for z in POINTS:
+            assert evaluate(z) == old_logpole(LOG_POLE, z, prec)
+            assert LOG_POLE.numeric_eval(z, prec) == evaluate(z)
+
+    def test_stirling_both_branches(self, prec):
+        f = StirlingBF()
+        evaluate = f.numeric_evaluator(prec)
+        for z in STIRLING_POINTS:
+            assert evaluate(z) == old_stirling(z, prec)
+            assert f.numeric_eval(z, prec) == evaluate(z)
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 0), (-2, 1)])
+    def test_dilog_sheets(self, prec, n, m):
+        f = DilogBF(n, m)
+        evaluate = f.numeric_evaluator(prec)
+        for z in POINTS:
+            assert evaluate(z) == old_dilog(f, z, prec)
+            assert f.numeric_eval(z, prec) == evaluate(z)
+
+    @pytest.mark.parametrize("sigma,with_log", [
+        ("1/3", False), ("1/2", False), ("3/4", False), ("-1/2", False),
+        ("1/2", True), ("5/4", True)])
+    def test_power_kernel_on_both_sheets(self, prec, sigma, with_log):
+        f = PowerBF(sigma, with_log=with_log)
+        polar = f.polar_evaluator(prec)
+        tau = 2 * mpmath.pi
+        for r in (mpmath.mpf("0.25"), mpmath.mpf("0.7"), mpmath.mpf(9)):
+            for th in (mpmath.mpf(0), mpmath.mpf("0.3"), -mpmath.mpf(2)):
+                for sheet in (th, th - tau):
+                    assert polar(r, sheet) == old_polar(f, r, sheet, prec)
+                    assert f.eval_polar(r, sheet, prec) == polar(r, sheet)
+        evaluate = f.numeric_evaluator(prec)
+        for z in POINTS:
+            assert evaluate(z) == old_power(f, z, prec)
+            assert f.numeric_eval(z, prec) == evaluate(z)
+
+    def test_pade_model(self, prec):
+        model = pade_minor(euler_series(12))
+        evaluate = model.numeric_evaluator(prec)
+        for z in POINTS:
+            assert evaluate(z) == old_pade(model, z, prec)
+            assert model.numeric_eval(z, prec) == evaluate(z)
+
+
+class TestOncePerSum:
+    """The evaluator and the singular values are built once per sum."""
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_ray_builds_once(self, monkeypatch):
+        built = self.count_calls(monkeypatch, StirlingBF, "numeric_evaluator")
+        sing = self.count_calls(monkeypatch, laplace, "_singular_values")
+        res = laplace_ray(StirlingBF(), 0, RaySpec(0, 10, target_error=1e-10))
+        assert res.nodes_used > 100
+        assert (len(built), len(sing)) == (1, 1)
+
+    def test_hankel_builds_once(self, monkeypatch):
+        built = self.count_calls(monkeypatch, PowerBF, "polar_evaluator")
+        sing = self.count_calls(monkeypatch, laplace, "_singular_values")
+        res = hankel_laplace(PowerBF("1/2"), 0, 2)
+        assert res.nodes_used > 100
+        assert (len(built), len(sing)) == (1, 1)
+
+
+# -- the Hankel contour as one ray integrand plus the circle ------------------------
+
+
+def closed_form(sigma, with_log, z):
+    with mpmath.workprec(200):
+        zv = mpmath.mpmathify(z)
+        s = mpmath.mpf(Fraction(sigma).numerator) / Fraction(sigma).denominator
+        value = zv ** (-s)
+        return -value * mpmath.log(zv) if with_log else value
+
+
+@pytest.mark.parametrize("sigma,with_log", [
+    ("1/3", False), ("1/2", False), ("3/4", False), ("1/2", True)])
+def test_hankel_within_error_of_closed_form(sigma, with_log):
+    f = PowerBF(sigma, with_log=with_log)
+    for z in (2, 3):
+        for theta in (0, "0.3"):
+            res = hankel_laplace(f, theta, z)
+            assert abs(res.value - closed_form(sigma, with_log, z)) \
+                <= res.error_estimate
+            assert res.error_estimate < 1e-10
+            diag = res.diagnostics
+            assert diag["ray_nodes"] + diag["circle_nodes"] == res.nodes_used
+            assert diag["segments"] >= 1
+
+
+def test_single_valued_pole_needs_fewer_nodes():
+    # 2460 is the node count of the circle plus two separate ray
+    # quadratures; the difference of the two sheets of a pole is at
+    # rounding level, so its ray integrand stops after the first levels
+    shape = RationalBF(RationalFunction.simple_pole(0, ExactScalar.tau(-1)))
+    res = hankel_laplace(shape, 0, 3)
+    assert abs(res.value - 1) <= res.error_estimate
+    assert res.nodes_used < 2460
+    diag = res.diagnostics
+    assert diag["ray_nodes"] + diag["circle_nodes"] == res.nodes_used
+    assert diag["ray_nodes"] < diag["circle_nodes"]
+    assert diag["segments"] >= 1

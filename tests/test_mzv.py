@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resurgence.errors import DivergentIndexError
+from resurgence.errors import MIN_PREC, DivergentIndexError
 from resurgence.mzv import (
     MAX_COLOUR_DENOMINATOR,
     MAX_CUTOFF,
@@ -248,6 +248,13 @@ class TestZeEval:
         with pytest.raises(ValueError, match="cutoff"):
             ze_eval(MzvIndex((2,)), cutoff=MAX_CUTOFF + 1)
 
+    def test_precision_floor(self):
+        # below the floor a certified error would describe a meaningless value
+        for idx in (MzvIndex((2,)), MzvIndex(())):
+            with pytest.raises(ValueError, match="precision"):
+                ze_eval(idx, prec=MIN_PREC - 1)
+        assert ze_eval(MzvIndex((2,)), prec=MIN_PREC).certified
+
     def test_smaller_cutoff_still_honest(self):
         ev = ze_eval(MzvIndex((2, 1)), cutoff=500)
         assert abs(ev.value - mpmath.zeta(3)) <= ev.error
@@ -342,6 +349,10 @@ class TestDictionary:
 
 
 class TestWaEval:
+    def test_precision_floor(self):
+        with pytest.raises(ValueError, match="precision"):
+            wa_eval(WaWord((1, 0)), prec=1)
+
     DICTIONARY = [
         ((1, 0), (2,), (), lambda: mpmath.pi**2 / 6),
         ((-1,), (1,), (HALF,), lambda: -mpmath.log(2)),
