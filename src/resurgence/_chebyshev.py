@@ -24,6 +24,14 @@ the kernel.  It integrates a stack of kernels dz / (a - z) cumulatively
 over chained panels and serves both the simplex integrals of
 :mod:`resurgence.mzv` and the contour integrals of
 :mod:`resurgence.hyperlog`.
+
+:func:`clenshaw_curtis` applies only the last row of that map, the
+Clenshaw-Curtis weights, built once per (n, precision) in O(n^2) from
+the same cosines and applied in the same block floating point.  The
+Laplace rays, lateral jumps and Hankel contours of
+:mod:`resurgence.laplace` integrate their panels with it: the Lobatto
+nodes of degree n are every other node of degree 2n, so one set of
+samples gives two nested rules.
 """
 
 from __future__ import annotations
@@ -134,6 +142,47 @@ def _apply(rows, parts, prec: int):
             for row in rows]
 
 
+@lru_cache(maxsize=16)
+def _weights(n: int, prec: int):
+    """The Clenshaw-Curtis weights of the n + 1 nodes, as integers scaled
+    by 2^(prec + GUARD): the last row of the integration matrix.
+
+    The interpolant integrates to the sum over even k of
+    c_k * 2 / (1 - k^2), so the weight of sample j is that combination of
+    column j of the cosine transform.  The weights are symmetric, so the
+    order in which the transform reads the samples does not matter.
+    """
+    bits = prec + GUARD + _BUILD_GUARD
+    cos = _cosines(n, bits)
+    two_n = 2 * n
+    edge = (0, n)
+    row = []
+    for j in range(n + 1):
+        # w_j = (e_j / n) * sum over even k of e_k cos(pi j k / n) / (1 - k^2),
+        # with e = 1 at the edges 0 and n and 2 elsewhere
+        total = cos[0]
+        for k in range(2, n + 1, 2):
+            total -= _round_div(cos[j * k % two_n] * (1 if k == n else 2),
+                                k * k - 1)
+        row.append(_round_div(total * (1 if j in edge else 2),
+                              n << _BUILD_GUARD))
+    return tuple(row)
+
+
+def _applied(rows, values, prec: int):
+    """The integer rows applied to real or complex samples, as mpf or mpc
+    values at ``prec`` bits."""
+    ctx = mpmath.mp
+    values = [ctx.convert(v) for v in values]
+    if any(type(v) is ctx.mpc for v in values):
+        pairs = [v._mpc_ if type(v) is ctx.mpc else (v._mpf_, fzero)
+                 for v in values]
+        re, im = (_apply(rows, part, prec) for part in zip(*pairs))
+        return [ctx.make_mpc(pair) for pair in zip(re, im)]
+    return [ctx.make_mpf(v)
+            for v in _apply(rows, [v._mpf_ for v in values], prec)]
+
+
 def chebyshev_cumulative(values):
     """Cumulative integral of a sampled integrand, at the sample nodes.
 
@@ -145,17 +194,23 @@ def chebyshev_cumulative(values):
     n = len(values) - 1
     if n < 1:
         raise ValueError("need at least two samples")
-    ctx = mpmath.mp
-    prec = ctx.prec
-    rows = _matrix(n, prec)
-    values = [ctx.convert(v) for v in values]
-    if any(type(v) is ctx.mpc for v in values):
-        pairs = [v._mpc_ if type(v) is ctx.mpc else (v._mpf_, fzero)
-                 for v in values]
-        re, im = (_apply(rows, part, prec) for part in zip(*pairs))
-        return [ctx.make_mpc(pair) for pair in zip(re, im)]
-    return [ctx.make_mpf(v)
-            for v in _apply(rows, [v._mpf_ for v in values], prec)]
+    prec = mpmath.mp.prec
+    return _applied(_matrix(n, prec), values, prec)
+
+
+def clenshaw_curtis(values):
+    """Integral over [-1, 1] of the interpolant of a sampled integrand.
+
+    ``values`` are the integrand at ``chebyshev_nodes(n)`` with
+    n = len(values) - 1; the result equals ``chebyshev_cumulative(values)
+    [-1]`` without building or applying the matrix.  It is complex when
+    any sample is.
+    """
+    n = len(values) - 1
+    if n < 1:
+        raise ValueError("need at least two samples")
+    prec = mpmath.mp.prec
+    return _applied((_weights(n, prec),), values, prec)[0]
 
 
 def segment(z0, z1):

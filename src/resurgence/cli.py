@@ -28,7 +28,9 @@ Conventions shared by every subcommand:
   words, blocked rays, non-simple singularities, and the rest of the
   domain error taxonomy) or a value is out of the supported range (an
   index above the weight cap, a cutoff outside [64, MAX_CUTOFF], an
-  order too small, a precision below MIN_PREC), 1 for usage errors.
+  order outside [0, MAX_ORDER[subcommand]], a mould of more than
+  MAX_MOULD_WORDS words, a precision below MIN_PREC), 1 for usage errors
+  (unknown flags, malformed literals, a file that cannot be read).
   Every exit code prints one JSON object on standard output: the result,
   the refusal, or the usage mistake; standard error stays empty.
 * ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
@@ -71,6 +73,15 @@ from .words import Alphabet
 
 class UsageError(Exception):
     """A malformed invocation (unknown flag, bad literal, missing mode)."""
+
+
+# The largest --order of each subcommand, so that no order runs for
+# minutes: series coefficients grow factorially (order 1000 takes about a
+# second), hyperlog's shuffle products grow with the square of the order,
+# and mould make writes one entry per word.
+MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
+# the largest number of words mould make materialises (about 4 s)
+MAX_MOULD_WORDS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,7 +187,7 @@ def _parse_index(text: str) -> MzvIndex:
 def _parse_letters(text: str) -> list:
     try:
         return [parse_scalar(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse letters {text!r}: {exc}") from None
 
 
@@ -380,8 +391,17 @@ def _cmd_mzv_relation(args) -> dict:
 def _cmd_mould_make(args) -> dict:
     letters = _parse_letters(args.letters)
     alphabet = Alphabet(letters)
+    words = sum(len(alphabet) ** k for k in range(args.order + 1))
+    if words > MAX_MOULD_WORDS:
+        raise ValueError(f"{words} words up to length {args.order} exceed "
+                         f"the ceiling of {MAX_MOULD_WORDS}")
     if args.exp_scale is not None:
-        m = exp_scale_mould(parse_scalar(args.exp_scale))
+        try:
+            scale = parse_scalar(args.exp_scale)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"cannot parse --exp-scale {args.exp_scale!r}: "
+                             f"{exc}") from None
+        m = exp_scale_mould(scale)
     elif args.identity:
         m = identity_mould()
     else:
@@ -390,9 +410,17 @@ def _cmd_mould_make(args) -> dict:
 
 
 def _cmd_mould_check(args) -> dict:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    m = mould_from_json(data)
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read --file {args.file!r}: "
+                         f"{exc.strerror}") from None
+    try:
+        m = mould_from_json(data)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"--file {args.file!r} is not a serialized mould: "
+                         f"{exc!r}") from None
     predicates = {
         "symmetral": (args.symmetral, is_symmetral),
         "alternal": (args.alternal, is_alternal),
@@ -423,7 +451,7 @@ def _cmd_hyperlog(args) -> dict:
     if not w:
         raise UsageError("the word must be non-empty")
     letters = (sorted(set(w)) if args.letters is None
-               else [int(part) for part in args.letters.split(",")])
+               else list(_parse_word(args.letters)))
     fam = MonomialFamily(letters, order=args.order)
     data = _series_payload(v_series(fam, w))
     data.update(word=list(w), text=_series_text(v_series(fam, w)))
@@ -448,12 +476,14 @@ def _cmd_series(args) -> dict:
 # parser assembly
 
 
-def _common(sub, order=None, prec=53):
+def _common(sub, order=None, prec=53, name=None):
     sub.add_argument("--prec", type=int, default=prec,
                      help="working precision in bits")
     if order is not None:
+        ceiling = MAX_ORDER[name]
         sub.add_argument("--order", type=int, default=order,
-                         help="truncation order")
+                         help=f"truncation order, at most {ceiling}")
+        sub.set_defaults(max_order=ceiling)
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--seed", type=int, default=None,
                      help="reseed the random module (property-test replay)")
@@ -488,7 +518,10 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.5,
                    help="angular gap between the lateral rays")
     p.add_argument("--target-err", type=float, default=1e-12)
-    p.add_argument("--max-nodes", type=int, default=4000)
+    p.add_argument("--max-nodes", type=int, default=4000,
+                   help="cap on the integrand evaluations of one sum: "
+                        "panels stop bisecting there and the error of "
+                        "the unconverged ones is reported")
     p.add_argument("--moment", type=int, default=0)
     _common(p)
     p.set_defaults(handler=_cmd_sum)
@@ -518,7 +551,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--identity", action="store_true")
     q.add_argument("--letters", default="1",
                    help="comma-separated exact letters")
-    _common(q, order=4)
+    _common(q, order=4, name="mould make")
     q.set_defaults(handler=_cmd_mould_make)
     q = mould_subs.add_parser("check")
     q.add_argument("--file", required=True)
@@ -537,14 +570,14 @@ def build_parser() -> _Parser:
     target.add_argument("--L", default=None,
                         help="numeric one-sided singular value")
     p.add_argument("--letters", default=None)
-    _common(p, order=12)
+    _common(p, order=12, name="hyperlog")
     p.set_defaults(handler=_cmd_hyperlog)
 
     p = subs.add_parser("series", help="print builtin formal series")
     p.add_argument("--input", required=True, choices=("euler", "stirling"))
     p.add_argument("--borel", action="store_true",
                    help="include the Borel transform coefficients")
-    _common(p, order=8)
+    _common(p, order=8, name="series")
     p.set_defaults(handler=_cmd_series)
 
     return parser
@@ -559,6 +592,10 @@ def main(argv=None) -> int:
         if args.prec < MIN_PREC:
             raise ValueError(f"--prec {args.prec} is below the floor of "
                              f"{MIN_PREC} bits")
+        order = getattr(args, "order", None)
+        if order is not None and not 0 <= order <= args.max_order:
+            raise ValueError(f"--order {order} is outside 0 .. "
+                             f"{args.max_order}")
         if args.seed is not None:
             random.seed(args.seed)
         payload = args.handler(args)

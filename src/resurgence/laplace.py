@@ -22,11 +22,18 @@ The numeric scheme has two independent error sources and both are reported:
   M * Gamma(moment+1, m T) / m^(moment+1) is a guaranteed inequality.
   Shapes without a hand-proved envelope fall back to a sampled envelope
   and the result is flagged as not rigorous in the diagnostics.
-* quadrature: each segment of [0, T] is integrated with the
-  double-exponential (tanh-sinh) rule, which handles the integrable
-  endpoint singularity of power kernels natively.  The reported
-  quadrature error is the rule's own nested-level comparison, taken with
-  a safety factor, never a wishful constant.
+* quadrature: [0, T] is cut at a geometric ladder of segments, and each
+  segment is integrated with adaptive nested Clenshaw-Curtis panels on
+  the Chebyshev-Lobatto nodes of :mod:`._chebyshev`.  A panel is sampled
+  once at 2n + 1 nodes; the (n + 1)-point rule on every other sample is
+  compared with the full rule, and a panel whose difference exceeds its
+  length's share of target_error / 16 is bisected.  Every panel
+  integrand is analytic on its panel (power kernels leave out [0, h],
+  which their exact head series covers), so the rule converges
+  geometrically.  The reported quadrature error is the sum of the panel
+  differences, taken with a safety factor of 4, never a wishful
+  constant.  ``max_nodes`` caps the bisection, and panels left
+  unconverged by it keep their differences in the error.
 
 Each sum builds the shape's evaluator once (``numeric_evaluator`` or, for
 power kernels, ``polar_evaluator`` of :mod:`.borelfun`): the exact
@@ -55,8 +62,10 @@ toward e^(i theta) * infinity.  The two rays live on different sheets, so
 the integrand is evaluated in polar form with a continuous angle.  They
 share their points and their kernel, so they are integrated as one
 difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)); for
-single-valued shapes that difference is at rounding level, the rule stops
-after its first levels, and only the circle contributes.
+single-valued shapes that difference is at rounding level, every panel
+passes on its first sampling, and only the circle contributes.  The
+circle integrand is analytic in the angle, so the same panel rule takes
+the whole turn as one panel.
 
 `verify_asymptotics` compares ray sums against the partial sums of a
 divergent expansion and reports the rescaled remainders
@@ -74,11 +83,13 @@ certified interval quadrature.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import mpmath
 
+from ._chebyshev import chebyshev_nodes, clenshaw_curtis
 from .borelfun import (
     BorelFunction,
     DilogBF,
@@ -118,7 +129,13 @@ class RaySpec:
     be positive.  ``growth`` is the growth constant of the integrand along
     the ray, zero for every bundled shape.  ``target_error`` drives both
     the truncation point and the working precision (when ``prec`` is not
-    given explicitly), and ``max_nodes`` caps the quadrature effort.
+    given explicitly).  ``max_nodes`` caps the integrand evaluations of
+    one sum: panels are bisected only while the sum stays within it
+    (the initial segments are always sampled, one panel each), and a
+    sum stopped by the cap reports the error estimates of its
+    unconverged panels, so its error may exceed ``target_error``.  Rays
+    whose kernel turns more than ``max_nodes`` times before the
+    truncation point are refused.
     """
 
     theta: object
@@ -144,11 +161,12 @@ class RaySpec:
 class SummationResult:
     """A computed sum: value, honest error estimate, and how it was made.
 
-    ``error_estimate`` adds the quadrature rule's nested-level comparison
+    ``error_estimate`` adds the quadrature rule's nested-rule comparison
     (with a safety factor) to the analytic truncation bound.  The
     ``diagnostics`` mapping records the truncation point, the decay
-    margin, both error components, and whether the tail envelope was
-    proved (``rigorous_tail``) or merely sampled.
+    margin, both error components, the ``method``, the initial
+    ``segments`` and the ``panels`` left after bisection, and whether the
+    tail envelope was proved (``rigorous_tail``) or merely sampled.
     """
 
     value: object
@@ -631,21 +649,54 @@ def _segments(lo, T, sing, theta):
     return sorted(pts)
 
 
-def _max_degree(max_nodes):
-    return max(5, min(11, int(math.log2(max(max_nodes, 64))) - 2))
+# degree n of the coarse Clenshaw-Curtis rule; the fine rule has degree 2n
+_PANEL_DEGREE = 24
 
 
-def _quad(g, pts, maxdeg):
-    """Piecewise tanh-sinh integration with node counting."""
+def _panels(g, pts, budget, max_nodes):
+    """Integral of g over [pts[0], pts[-1]] by adaptive nested
+    Clenshaw-Curtis panels, as (value, error, nodes, panels).
+
+    Each panel is sampled once, at the 2n + 1 Chebyshev-Lobatto nodes of
+    the fine rule; the (n + 1)-point rule reuses every other sample, and
+    the difference of the two rules is the panel's error estimate (the
+    value is the fine rule's).  A panel whose estimate exceeds its
+    length's share of ``budget`` is bisected, the largest estimate first,
+    while the two halves keep the node count within ``max_nodes``.  Every
+    segment between consecutive breakpoints is sampled, one panel each,
+    and panels still unconverged when the cap binds keep their estimates
+    in the returned error.
+    """
+    nodes = chebyshev_nodes(2 * _PANEL_DEGREE)
+    length = pts[-1] - pts[0]
     count = 0
+    accepted = []
+    pending = []
 
-    def wrapped(t):
+    def sample(a, b):
         nonlocal count
-        count += 1
-        return g(t)
+        mid = (a + b) / 2
+        half = (b - a) / 2
+        values = [g(mid + half * x) for x in nodes]
+        count += len(values)
+        fine = clenshaw_curtis(values)
+        err = abs(half * (fine - clenshaw_curtis(values[::2])))
+        panel = (a, b, half * fine, err)
+        if err <= budget * (b - a) / length:
+            accepted.append(panel)
+        else:
+            heapq.heappush(pending, (-float(err), count, panel))
 
-    val, err = mpmath.quad(wrapped, pts, error=True, maxdegree=maxdeg)
-    return val, abs(err), count
+    for a, b in zip(pts, pts[1:]):
+        sample(a, b)
+    while pending and count + 2 * len(nodes) <= max_nodes:
+        a, b, _val, _err = heapq.heappop(pending)[2]
+        sample(a, (a + b) / 2)
+        sample((a + b) / 2, b)
+    final = accepted + [entry[2] for entry in pending]
+    value = mpmath.fsum(panel[2] for panel in final)
+    error = mpmath.fsum(panel[3] for panel in final)
+    return value, error, count, len(final)
 
 
 # -- the operations -------------------------------------------------------------------
@@ -708,7 +759,8 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
             lo = min(mpmath.mpf(1) / 2, T / 4, 1 / (2 * max(abs(w), 1)))
             head, head_err = _power_head(f, w, theta, lo, moment, guard)
         pts = _segments(lo, T, sing, theta)
-        val, errq, nodes = _quad(g, pts, _max_degree(spec.max_nodes))
+        val, errq, nodes, panels = _panels(g, pts, target / 16,
+                                           spec.max_nodes)
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
         weight = (-phase) ** moment * phase
         value = _to_mp(c0, guard) + weight * (head + val)
@@ -720,8 +772,9 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
             "tail_bound": float(tail),
             "quadrature_error": float(errq),
             "segments": len(pts) - 1,
+            "panels": panels,
             "rigorous_tail": not sampled,
-            "method": "tanh-sinh",
+            "method": "clenshaw-curtis",
         }
     with mpmath.workprec(prec):
         return SummationResult(+value, +error, nodes, diagnostics)
@@ -776,10 +829,13 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         e^(-w t) * (f(t, theta) - f(t, theta - 2 pi))    over [rho, T],
 
     with f in polar form; for single-valued shapes the difference is at
-    rounding level and the rule stops after its first levels, leaving the
-    circle.  The shape's evaluator is built once for both pieces.  The
-    error is 4 * (ray + circle quadrature errors) + 2 * tail (one tail
-    bound per ray) + one unit of the result's last place.
+    rounding level and every panel passes on its first sampling, leaving
+    the circle.  The circle is one Clenshaw-Curtis panel over the whole
+    turn (bisected like any other panel); it and the ray share the
+    quadrature budget target_error / 16 and the ``max_nodes`` cap.  The
+    shape's evaluator is built once for both pieces.  The error is
+    4 * (ray + circle quadrature errors) + 2 * tail (one tail bound per
+    ray) + one unit of the result's last place.
     """
     spec = RaySpec(theta, z, max_nodes=max_nodes,
                    target_error=target_error, prec=prec)
@@ -806,21 +862,20 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             f, lambda t: polar(t, th), sing, th, m, target, 0, guard)
         T = max(T, 4 * rho)
         _check_turns(w, m, T, max_nodes)
-        maxdeg = _max_degree(max_nodes)
         pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
-
-        ray_val, ray_err, ray_n = _quad(
-            lambda t: mpmath.exp(-w * t) * (polar(t, th) - polar(t, below)),
-            pts, maxdeg)
 
         def on_circle(phi):
             pos = rho * mpmath.exp(mpmath.mpc(0, 1) * phi)
             return mpmath.exp(-zv * pos) * polar(rho, phi) \
                 * mpmath.mpc(0, 1) * pos
 
-        angles = [below + k * mpmath.pi / 4 for k in range(9)]
-        circ_val, circ_err, circ_n = _quad(on_circle, angles, maxdeg)
+        # the circle and the ray share the quadrature budget and the cap
+        circ_val, circ_err, circ_n, circ_panels = _panels(
+            on_circle, [below, th], target / 32, max_nodes)
+        ray_val, ray_err, ray_n, ray_panels = _panels(
+            lambda t: mpmath.exp(-w * t) * (polar(t, th) - polar(t, below)),
+            pts, target / 32, max_nodes - circ_n)
 
         phase = mpmath.exp(mpmath.mpc(0, 1) * th)
         value = phase * ray_val + circ_val
@@ -833,10 +888,11 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             "tail_bound": float(tail),
             "quadrature_error": float(ray_err + circ_err),
             "segments": len(pts) - 1,
+            "panels": ray_panels + circ_panels,
             "ray_nodes": ray_n,
             "circle_nodes": circ_n,
             "rigorous_tail": not sampled,
-            "method": "tanh-sinh",
+            "method": "clenshaw-curtis",
         }
     with mpmath.workprec(out_prec):
         return SummationResult(+value, +error, ray_n + circ_n, diagnostics)

@@ -15,8 +15,8 @@ import mpmath
 import pytest
 
 from resurgence._chebyshev import (GUARD, _matrix, chebyshev_cumulative,
-                                   chebyshev_nodes, iterated_integral,
-                                   segment)
+                                   chebyshev_nodes, clenshaw_curtis,
+                                   iterated_integral, segment)
 
 
 def reference_cumulative(values):
@@ -121,6 +121,34 @@ def test_shared_exponent_spans_magnitudes():
     assert ulps(got, want, prec) <= 2
 
 
+@pytest.mark.parametrize("n,prec", [(1, 77), (2, 77), (24, 77), (48, 77),
+                                    (48, 119)])
+def test_clenshaw_curtis_is_the_full_integral(n, prec):
+    """The weights row gives the reference's last cumulative value."""
+    with mpmath.workprec(prec):
+        xs = chebyshev_nodes(n)
+        pole = mpmath.mpc(0.5, 0.75)
+        values = [mpmath.exp(x) / (pole - x) for x in xs]
+        reals = [v.real for v in values]
+        got = [clenshaw_curtis(values), clenshaw_curtis(reals)]
+        assert isinstance(got[0], mpmath.mpc)
+        assert isinstance(got[1], mpmath.mpf)
+        assert clenshaw_curtis([mpmath.mpf(1)] * (n + 1)) == 2
+    with mpmath.workprec(3 * prec):
+        want = [reference_cumulative(values)[-1],
+                reference_cumulative(reals)[-1]]
+    assert ulps(got[:1], want[:1], prec) <= 2
+    assert ulps(got[1:], want[1:], prec) <= 2
+
+
+@pytest.mark.parametrize("n", [3, 24])
+def test_nodes_nest(n):
+    """Every other node of degree 2n is a node of degree n, so one set of
+    samples carries two nested Clenshaw-Curtis rules."""
+    with mpmath.workprec(77):
+        assert chebyshev_nodes(2 * n)[::2] == chebyshev_nodes(n)
+
+
 def test_all_zero_samples():
     with mpmath.workprec(77):
         assert chebyshev_cumulative([mpmath.mpf(0)] * 9) == [0] * 9
@@ -135,6 +163,10 @@ def test_invalid_samples_rejected():
         chebyshev_cumulative([])
     with pytest.raises(ValueError):
         chebyshev_cumulative([mpmath.mpf(1), mpmath.nan, mpmath.mpf(1)])
+    with pytest.raises(ValueError):
+        clenshaw_curtis([mpmath.mpf(1)])
+    with pytest.raises(ValueError):
+        clenshaw_curtis([mpmath.mpf(1), mpmath.inf, mpmath.mpf(1)])
 
 
 @pytest.mark.parametrize("n", [16, 24, 53])

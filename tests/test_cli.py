@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resurgence.cli import main
+from resurgence.cli import MAX_MOULD_WORDS, MAX_ORDER, main
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
 from resurgence.moulds import exp_scale_mould, mould_from_json, mould_to_json
@@ -219,6 +219,23 @@ class TestMould:
         assert err == ""
         assert json.loads(out)["error"] == "usage"
 
+    @pytest.mark.parametrize("content,needle", [
+        (None, "cannot read"), ("{}", "not a serialized mould"),
+        ("[1]", "not a serialized mould")],
+        ids=["missing", "no-keys", "not-an-object"])
+    def test_check_unreadable_file_is_usage_error(self, capsys, tmp_path,
+                                                  content, needle):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, out, err = run(capsys, "mould", "check", "--file", str(path),
+                             "--symmetral")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert needle in payload["message"]
+
 
 class TestHyperlog:
     def test_word_series_coefficients(self, capsys):
@@ -296,8 +313,16 @@ class TestRefusals:
         (("series", "--input", "euler", "--order", "-1"), "order"),
         (("mzv", "eval", "--s", "2", "--prec", "0"), "--prec 0"),
         (("mzv", "eval", "--s", "2", "--cutoff", "1000000000"), "cutoff"),
+        (("mould", "make", "--exp-scale", "1/2", "--letters", "1",
+          "--order", "-1"), "--order -1"),
+        (("series", "--input", "euler", "--order", "20000", "--borel"),
+         f"--order 20000 is outside 0 .. {MAX_ORDER['series']}"),
+        (("hyperlog", "--word", "1,2", "--order", "101"), "--order 101"),
+        (("mould", "make", "--unit", "--letters", "1,2", "--order", "12"),
+         f"ceiling of {MAX_MOULD_WORDS}"),
     ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor",
-            "cutoff-ceiling"])
+            "cutoff-ceiling", "negative-mould-order", "series-order-ceiling",
+            "hyperlog-order-ceiling", "mould-word-ceiling"])
     def test_refused_with_json(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -322,6 +347,10 @@ class TestMalformedLiterals:
         (("sum", "--input", "euler", "--theta", "0", "--z", "nan"), 1),
         (("alien", "--input", "euler", "--omega", "1/0"), 1),
         (("alien", "--input", "euler", "--omega", "1/0*2pii"), 1),
+        (("mould", "make", "--exp-scale", "1/0", "--letters", "1",
+          "--order", "4"), 1),
+        (("mould", "make", "--unit", "--letters", "1/0"), 1),
+        (("hyperlog", "--word", "1,2", "--letters", "x"), 1),
         (("sum", "--input", "euler", "--theta", "0", "--z", "2",
           "--target-err", "inf"), 2),
     ])

@@ -277,13 +277,15 @@ def test_hankel_within_error_of_closed_form(sigma, with_log):
 
 def test_single_valued_pole_needs_fewer_nodes():
     # 2460 is the node count of the circle plus two separate ray
-    # quadratures; the difference of the two sheets of a pole is at
-    # rounding level, so its ray integrand stops after the first levels
+    # quadratures, and 1170 that of tanh-sinh on the one difference
+    # integrand plus eight circle arcs; the difference of the two sheets
+    # of a pole is at rounding level, so every ray panel passes on its
+    # first sampling
     shape = RationalBF(RationalFunction.simple_pole(0, ExactScalar.tau(-1)))
     res = hankel_laplace(shape, 0, 3)
     assert abs(res.value - 1) <= res.error_estimate
     assert res.nodes_used < 2460
     diag = res.diagnostics
     assert diag["ray_nodes"] + diag["circle_nodes"] == res.nodes_used
-    assert diag["ray_nodes"] < diag["circle_nodes"]
+    assert res.nodes_used < 1170
     assert diag["segments"] >= 1
