@@ -347,12 +347,12 @@ class TestMalformedLiterals:
         (("sum", "--input", "euler", "--theta", "0", "--z", "nan"), 1),
         (("alien", "--input", "euler", "--omega", "1/0"), 1),
         (("alien", "--input", "euler", "--omega", "1/0*2pii"), 1),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "2",
+          "--target-err", "inf"), 2),
         (("mould", "make", "--exp-scale", "1/0", "--letters", "1",
           "--order", "4"), 1),
         (("mould", "make", "--unit", "--letters", "1/0"), 1),
         (("hyperlog", "--word", "1,2", "--letters", "x"), 1),
-        (("sum", "--input", "euler", "--theta", "0", "--z", "2",
-          "--target-err", "inf"), 2),
     ])
     def test_refused_with_json(self, capsys, argv, expected):
         code, out, err = run(capsys, *argv)
