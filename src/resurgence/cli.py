@@ -65,7 +65,7 @@ from .laplace import RaySpec, hankel_laplace, laplace_ray, lateral_jump
 from .moulds import (exp_scale_mould, identity_mould, is_alternal,
                      is_alternel, is_symmetral, is_symmetrel,
                      mould_from_json, mould_to_json, unit_mould)
-from .mzv import MzvIndex, verify_relation, ze_eval
+from .mzv import DEFAULT_CUTOFF, MzvIndex, verify_relation, ze_eval
 from .scalars import ExactScalar, parse_scalar
 from .series import borel, euler_series, stirling_series
 from .words import Alphabet
@@ -82,6 +82,10 @@ class UsageError(Exception):
 MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
 # the largest number of words mould make materialises (about 4 s)
 MAX_MOULD_WORDS = 4096
+CUTOFF_HELP = (
+    "direct-sum cutoff in [64, MAX_CUTOFF]; by default mzv.DEFAULT_CUTOFF "
+    f"= {DEFAULT_CUTOFF}, which ze_eval doubles where the index's colours "
+    "need it; a given value is used as it stands")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -530,14 +534,16 @@ def build_parser() -> _Parser:
     mzv_subs = p.add_subparsers(dest="mzv_command", parser_class=_Parser)
     q = mzv_subs.add_parser("eval")
     q.add_argument("--s", required=True, help="index, e.g. 2 or 2,1")
-    q.add_argument("--cutoff", type=int, default=10000)
+    q.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
+                   help=CUTOFF_HELP)
     _common(q)
     q.set_defaults(handler=_cmd_mzv_eval)
     q = mzv_subs.add_parser("relation")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--mode", default="stuffle,shuffle")
-    q.add_argument("--cutoff", type=int, default=10000)
+    q.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
+                   help=CUTOFF_HELP)
     _common(q)
     q.set_defaults(handler=_cmd_mzv_relation)
 

@@ -112,12 +112,6 @@ class FreeElement:
     def bracket(self, other) -> "FreeElement":
         return self * other - other * self
 
-    def weight_component(self, k: int) -> "FreeElement":
-        """Terms whose integer letters sum to k."""
-        return FreeElement(
-            {w: c for w, c in self.terms.items() if sum(w) == k}
-        )
-
     def length_component(self, r: int) -> "FreeElement":
         return FreeElement({w: c for w, c in self.terms.items() if len(w) == r})
 

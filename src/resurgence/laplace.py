@@ -577,12 +577,16 @@ def _ray_evaluator(f, theta, prec):
     return lambda t: evaluate(t * direction)
 
 
+# shapes with one sheet: a Hankel contour reduces to its circle on them
+_SINGLE_VALUED = (RationalBF, StirlingBF, PadeApproximant)
+
+
 def _polar_evaluator(f, prec):
     """(r, angle) -> f(r e^(i angle)) on the sheet the continuous angle
     reaches, with f's evaluator built once per sum."""
     if isinstance(f, PowerBF):
         return f.polar_evaluator(prec)
-    if isinstance(f, (RationalBF, StirlingBF, PadeApproximant)):
+    if isinstance(f, _SINGLE_VALUED):
         evaluate = f.numeric_evaluator(prec)
         return lambda r, ang: evaluate(
             r * mpmath.exp(mpmath.mpc(0, 1) * ang))
@@ -828,14 +832,16 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
 
         e^(-w t) * (f(t, theta) - f(t, theta - 2 pi))    over [rho, T],
 
-    with f in polar form; for single-valued shapes the difference is at
-    rounding level and every panel passes on its first sampling, leaving
-    the circle.  The circle is one Clenshaw-Curtis panel over the whole
-    turn (bisected like any other panel); it and the ray share the
-    quadrature budget target_error / 16 and the ``max_nodes`` cap.  The
-    shape's evaluator is built once for both pieces.  The error is
-    4 * (ray + circle quadrature errors) + 2 * tail (one tail bound per
-    ray) + one unit of the result's last place.
+    with f in polar form.  On single-valued shapes (rational, Stirling
+    and Pade) the two sheets agree, the rays cancel identically, and only
+    the circle is integrated: the diagnostics then report no segments,
+    ``ray_nodes`` 0 and a zero tail bound.  The circle is one
+    Clenshaw-Curtis panel over the whole turn (bisected like any other
+    panel); it and the ray share the quadrature budget target_error / 16
+    and the ``max_nodes`` cap.  The shape's evaluator is built once for
+    both pieces.  The error is 4 * (ray + circle quadrature errors) +
+    2 * tail (one tail bound per ray) + one unit of the result's last
+    place, which is 4 * circle + one unit on single-valued shapes.
     """
     spec = RaySpec(theta, z, max_nodes=max_nodes,
                    target_error=target_error, prec=prec)
@@ -858,11 +864,16 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         rho = min(abs(v) for v in sing) / 4 if sing \
             else mpmath.mpf(1) / 4
         target = mpmath.mpf(float(target_error))
-        T, tail, sampled = _choose_truncation(
-            f, lambda t: polar(t, th), sing, th, m, target, 0, guard)
-        T = max(T, 4 * rho)
-        _check_turns(w, m, T, max_nodes)
-        pts = _segments(rho, T, sing, th)
+        if isinstance(f, _SINGLE_VALUED):
+            # no ray segments: the contour that is integrated ends on the
+            # circle, and neither ray has a tail
+            T, tail, sampled, pts = rho, mpmath.mpf(0), False, [rho]
+        else:
+            T, tail, sampled = _choose_truncation(
+                f, lambda t: polar(t, th), sing, th, m, target, 0, guard)
+            T = max(T, 4 * rho)
+            _check_turns(w, m, T, max_nodes)
+            pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
 
         def on_circle(phi):

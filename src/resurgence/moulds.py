@@ -134,9 +134,6 @@ class Mould:
                 )
         return self.entries.get(word, self._zero)
 
-    def is_rule_backed(self) -> bool:
-        return self.rule is not None
-
     def materialize(self, alphabet: Alphabet, max_length: int) -> "Mould":
         """Turn a rule-backed mould into a table over the given alphabet."""
         entries = {w: self[w] for w in alphabet.words(max_length)}

@@ -26,7 +26,11 @@ Two independent evaluators are provided.
   expansion of the Hurwitz tail; levels with a nontrivial root-of-unity
   phase use iterated summation by parts.  Truncation remainders are
   tracked through every algebraic step with explicit inequalities, so
-  the reported error is a guaranteed bound.
+  the reported error is a guaranteed bound.  By default the direct sum
+  stops at DEFAULT_CUTOFF = 1024, doubled for indices whose partial
+  colour sums come close to an integer, and the tails keep
+  4 + max(0, prec - 53) // 5 correction terms; the reported error is
+  within one unit 2^-prec (1 + |value|) of that at a cutoff of 10^4.
 
 * :func:`wa_eval` integrates over the simplex with spectral panels
   refined geometrically toward both endpoints, where the kernels
@@ -54,8 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, count
+from math import comb, factorial, pi, prod, sin
 
 import mpmath
 
@@ -78,6 +82,7 @@ __all__ = [
     "MAX_WEIGHT",
     "MAX_COLOUR_DENOMINATOR",
     "MAX_CUTOFF",
+    "DEFAULT_CUTOFF",
 ]
 
 MAX_DEPTH = 4
@@ -86,6 +91,21 @@ MAX_COLOUR_DENOMINATOR = 12
 # The largest cutoff ze_eval accepts: its prefix sums hold depth lists of
 # cutoff entries, so a larger one would take minutes and gigabytes.
 MAX_CUTOFF = 10**6
+
+
+class _DefaultCutoff(int):
+    """The int DEFAULT_CUTOFF, marked so that ze_eval may raise it for the
+    index at hand; a cutoff given as any other int is used as it stands."""
+
+
+# The cutoff ze_eval and verify_relation start from unless told otherwise.
+# At 1024 the certified tails of most supported indices already sit under
+# the ulp-scale cushion of the reported error.  A level whose accumulated
+# colour z is close to 1 has a tail expanded in 1/(cutoff |1 - z|), so an
+# index whose partial colour sums come near an integer needs more: there
+# ze_eval doubles the default until the remainders fall under that
+# cushion, up to 16 * 1024, which is past 10^4.
+DEFAULT_CUTOFF = _DefaultCutoff(1024)
 
 
 def _as_colour(value) -> Fraction:
@@ -296,16 +316,21 @@ def _phase_power(q: Fraction, n: int):
     return mpmath.expjpi(2 * mpmath.mpf(qn.numerator) / qn.denominator)
 
 
-def _binom_tail_bound(x: int, top: int, cutoff: int):
-    """A bound B with  sum_{l > top} C(x+l-1, l) n^{-l} <= B n^{-top-1}
+def _scale(x, q: Fraction):
+    """x * q for an mpf x and an exact rational q, rounded twice."""
+    return x * q.numerator / q.denominator
+
+
+@lru_cache(maxsize=4096)
+def _binom_tail_bound(x: int, top: int, cutoff: int) -> Fraction:
+    """An exact bound B with  sum_{l > top} C(x+l-1, l) n^{-l} <= B n^{-top-1}
     for all n > cutoff.  Successive term ratios are at most
     (x + top + 1) / ((top + 2) cutoff), so the series is dominated by a
     geometric one starting at its first term."""
-    first = mpmath.mpf(comb(x + top, top + 1))
-    ratio = mpmath.mpf(x + top + 1) / ((top + 2) * cutoff)
+    ratio = Fraction(x + top + 1, (top + 2) * cutoff)
     if ratio >= 1:
         raise ValueError("cutoff too small for certified tail expansions")
-    return first / (1 - ratio)
+    return comb(x + top, top + 1) / (1 - ratio)
 
 
 def _shift_down(c, t: int, R, cutoff: int):
@@ -328,7 +353,7 @@ def _shift_down(c, t: int, R, cutoff: int):
         out[i] = acc
     rem = mpmath.mpf(R)
     for j in range(K + 1):
-        rem += abs(c[j]) * _binom_tail_bound(t + j, K - j, cutoff)
+        rem += _scale(abs(c[j]), _binom_tail_bound(t + j, K - j, cutoff))
     return out, rem
 
 
@@ -355,7 +380,7 @@ def _tail_abel(form: _TailForm) -> _TailForm:
         v[i] = (acc + Z * inner) / one_minus
     eta = mpmath.mpf(0)
     for j in range(K + 1):
-        eta += abs(v[j]) * _binom_tail_bound(t + j, K - j, N0)
+        eta += _scale(abs(v[j]), _binom_tail_bound(t + j, K - j, N0))
     unrolled = (mpmath.mpf(form.R) + eta) / (t + K)
     shifted, rem_shift = _shift_down([Z * x for x in v], t, 0, N0)
     c_out = shifted[:K]
@@ -363,13 +388,22 @@ def _tail_abel(form: _TailForm) -> _TailForm:
     return _TailForm(form.q, t, c_out, R_out, N0)
 
 
-def _tail_em(form: _TailForm, bern_terms: int = 16) -> _TailForm:
+@lru_cache(maxsize=4096)
+def _em_weight(x: int, j: int) -> Fraction:
+    """B_2j / (2j)! * x (x + 1) ... (x + 2j - 2), exactly: the coefficient
+    of n^(-x-2j+1) in the Euler-Maclaurin expansion of sum_{n > m} n^{-x}."""
+    p, q = mpmath.bernfrac(2 * j)
+    return Fraction(p * prod(range(x, x + 2 * j - 1)), q * factorial(2 * j))
+
+
+def _tail_em(form: _TailForm) -> _TailForm:
     """Sum the tail of a phase-free form by the Euler-Maclaurin expansion
     of the Hurwitz tails  sum_{n > m} n^{-x} = zeta(x, m+1).
 
     Requires x = t >= 2.  Each Hurwitz expansion's remainder is bounded
     in absolute value by its first omitted Bernoulli term, the classical
-    envelope for completely monotone integrands."""
+    envelope for completely monotone integrands; the Bernoulli weights are
+    exact rationals, rounded once per use."""
     K = form.order
     t, N0 = form.t, form.cutoff
     if t < 2:
@@ -390,21 +424,13 @@ def _tail_em(form: _TailForm, bern_terms: int = 16) -> _TailForm:
             out[k + 1] += ck / mpmath.mpf(2)
         else:
             fold(abs(ck) / 2, k + 1)
-        for j in range(1, bern_terms + 1):
+        for j in count(1):
             slot = k + 2 * j
-            weight = (
-                abs(mpmath.bernoulli(2 * j))
-                / mpmath.factorial(2 * j)
-                * mpmath.rf(x, 2 * j - 1)
-            )
-            if slot <= K:
-                sign = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
-                out[slot] += ck * sign * mpmath.rf(x, 2 * j - 1)
-            else:
-                fold(abs(ck) * weight, slot)
+            term = _scale(ck, _em_weight(x, j))
+            if slot > K:
+                fold(abs(term), slot)
                 break
-        else:
-            raise ValueError("Bernoulli expansion did not reach the slot limit")
+            out[slot] += term
     shifted, rem_shift = _shift_down(out, tau, rem, N0)
     R_out = rem_shift + mpmath.mpf(form.R) / (t + K)
     return _TailForm(form.q, tau, shifted, R_out, N0)
@@ -441,8 +467,8 @@ def _colour_row(q: Fraction):
 def ze_eval(
     idx: MzvIndex,
     prec: int = 53,
-    cutoff: int = 10**4,
-    terms: int = 4,
+    cutoff: int = DEFAULT_CUTOFF,
+    terms: int | None = None,
 ) -> Evaluation:
     """Evaluate a nested harmonic sum with a guaranteed error bound.
 
@@ -455,8 +481,21 @@ def ze_eval(
     expansion engine with ``terms`` retained correction powers beyond
     the leading ones.  The returned error adds every certified remainder
     and the proved rounding term to an ulp-scale allowance for the
-    tails' floating-point arithmetic; at the defaults it is far below
-    1e-10 for all supported indices (depth <= 4, weight <= 12).
+    tails' floating-point arithmetic.
+
+    By default ``terms`` is 4 + max(0, prec - 53) // 5, one more power
+    per 5 bits, but at most half of cutoff * |1 - z| (and at least 4),
+    where z runs over the levels' accumulated colours exp(2 pi i (eps_1 +
+    ... + eps_j)) other than 1: the tails of those levels are expansions
+    in 1/(cutoff |1 - z|), which diverge past about that order.  The
+    default ``cutoff``, DEFAULT_CUTOFF = 1024, is doubled, at most four
+    times (to 16384), while the error exceeds 2^(1 - prec) (1 + |value|),
+    that is while the certified remainders do not fit under one unit
+    2^-prec (1 + |value|).  Every error includes that unit, so where
+    they fit the error is within one unit of what any cutoff gives, that
+    of a cutoff of 10^4 with 4 terms included; most
+    supported indices stop at 1024.  A cutoff passed explicitly, 1024
+    included, is used as given.
     ``cutoff`` must lie in [64, MAX_CUTOFF] and ``prec`` must be at
     least MIN_PREC.
     """
@@ -473,15 +512,35 @@ def ze_eval(
         raise ValueError("cutoff below 64 leaves no room for certified tails")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds the supported {MAX_CUTOFF}")
-    return _ze_sum(idx, prec, cutoff, terms)
+    # the default doubles, at most four times, while the remainders exceed
+    # one unit 2^-prec (1 + |value|); a given cutoff is tried once
+    tries = 5 if isinstance(cutoff, _DefaultCutoff) else 1
+    for n in (int(cutoff) << k for k in range(tries)):
+        ev = _ze_sum(idx, prec, n,
+                     _default_terms(idx, prec, n) if terms is None else terms)
+        if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
+            break
+    return ev
+
+
+def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
+    """ze_eval's tail terms when the caller gives none: one more power per
+    5 bits past 53, capped by half the turns cutoff * |1 - z| of every
+    accumulated colour z other than 1 (but never below 4)."""
+    terms = 4 + max(0, prec - 53) // 5
+    for q in accumulate(idx.eps, lambda a, b: (a + b) % 1):
+        if q:
+            turns = cutoff * 2 * sin(pi * min(q, 1 - q))
+            terms = min(terms, max(4, int(turns) // 2))
+    return terms
 
 
 # Guard bits of the fixed-point prefix sums beyond the tail engine's
 # prec + 48.  The proved rounding term of the sums is a few units 2^-P
-# times cutoff * |inner sums| per level, at most about 2^-(prec + 29)
-# for supported indices at the default cutoff (2^-(prec + 25) at 10^5):
-# far under the ulp-scale cushion kept for the mpf arithmetic of the
-# tails.
+# times cutoff * |inner sums| per level, at most about 2^-(prec + 34)
+# for supported indices at the cutoff 1024 (2^-(prec + 29) at 16384, the
+# most the default doubles to, and 2^-(prec + 25) at 10^5): far under
+# the ulp-scale cushion kept for the mpf arithmetic of the tails.
 _FIX_GUARD = 8
 
 
@@ -810,7 +869,7 @@ def verify_relation(
     b: MzvIndex,
     prec: int = 53,
     modes: tuple = ("stuffle", "shuffle"),
-    cutoff: int = 10**4,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> RelationReport:
     """Check Ze(a) * Ze(b) against its stuffle and shuffle expansions.
 

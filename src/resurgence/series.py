@@ -266,18 +266,6 @@ class BorelSeries:
     def is_zero(self) -> bool:
         return self.delta.is_zero() and all(t.is_zero() for t in self.taylor)
 
-    def minor_eval(self, zeta, prec: int = 53):
-        """Numeric Taylor partial sum of the minor at zeta."""
-        with mpmath.workprec(prec + 16):
-            zv = mpmath.mpmathify(zeta)
-            total = mpmath.mpc(0)
-            power = mpmath.mpc(1)
-            for t in self.taylor:
-                total += t.evaluate(prec + 16) * power
-                power *= zv
-        with mpmath.workprec(prec):
-            return +total
-
     def __eq__(self, other):
         return (
             isinstance(other, BorelSeries)

@@ -456,6 +456,98 @@ def sum_invocations(draw):
     return argv
 
 
+# The alien grammar: both resurgent inputs and an unknown one; points on
+# and off the singular lattices, zero, and texts that do not parse; one,
+# none or two of the operator flags.
+OMEGAS = mostly(["2pii", "-2pii", "3*2pii", "1/2*2pii", "-1", "-2", "1",
+                 "0", "i", "1/2"],
+                ["1/0", "x", "2pii/0", "1/0*2pii", "", "2*2*pii"])
+OPERATORS = st.sampled_from([[], ["--derivation"], ["--plus"], ["--minus"],
+                             ["--plus", "--minus"]])
+
+
+@st.composite
+def alien_invocations(draw):
+    """argv lists over the alien grammar."""
+    argv = ["alien", f"--input={draw(mostly(['euler', 'stirling'], ['x']))}"]
+    if draw(mostly([True], [False])):
+        argv.append(f"--omega={draw(OMEGAS)}")
+    argv += draw(OPERATORS)
+    prec = draw(SUM_PRECS)
+    if prec is not None:
+        argv.append(f"--prec={prec}")
+    return argv
+
+
+# Letters and words: exact texts that parse (zero among them), and texts
+# that do not; orders inside and outside the ceilings, kept small enough
+# that an accepted mould or series stays cheap.
+LETTERS = mostly(["1", "1,2", "-1,1/2", "2pii", "1,2pii", "i"],
+                 ["0", "1/0", "x", "", ",", "1,,2"])
+WORDS = st.one_of(
+    st.lists(st.integers(-2, 3), max_size=3).map(
+        lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["x", "1,,2", "(1,2)", "1.5"]))
+ORDERS = mostly(["0", "2", "4"], ["-1", "101", "x"])
+SCALES = mostly(["1/2", "-1", "2pii"], ["1/0", "x"])
+L_WORDS = mostly(["1", "1,1", "1,2", "2,1", "-1"], ["0", "0,1", "", "x"])
+MOULD_FILES = ["exp", "missing", "directory", "not-json", "not-a-mould"]
+
+
+@st.composite
+def mould_invocations(draw):
+    """argv lists over the mould make and mould check grammar; check
+    names one of the MOULD_FILES, relative to their directory."""
+    if draw(st.booleans()):
+        argv = ["mould", "make"]
+        argv += draw(st.sampled_from([
+            [], ["--unit"], ["--identity"], ["--unit", "--identity"],
+            [f"--exp-scale={draw(SCALES)}"]]))
+        if draw(st.booleans()):
+            argv.append(f"--letters={draw(LETTERS)}")
+        if draw(st.booleans()):
+            argv.append(f"--order={draw(ORDERS)}")
+    else:
+        name = draw(st.sampled_from(MOULD_FILES))
+        argv = ["mould", "check", f"--file={name}"]
+        argv += draw(st.lists(st.sampled_from(
+            ["--symmetral", "--alternal", "--symmetrel", "--alternel"]),
+            max_size=4, unique=True))
+    return argv
+
+
+@st.composite
+def hyperlog_invocations(draw):
+    """argv lists over the hyperlog grammar: series coefficients for a
+    word, numeric L values, or neither or both of the two."""
+    argv = ["hyperlog"]
+    target = draw(st.sampled_from(["word", "L", "both", "neither"]))
+    if target in ("word", "both"):
+        argv.append(f"--word={draw(WORDS)}")
+        if draw(st.booleans()):
+            argv.append(f"--letters={draw(WORDS)}")
+        if draw(st.booleans()):
+            argv.append(f"--order={draw(ORDERS)}")
+    if target in ("L", "both"):
+        argv.append(f"--L={draw(L_WORDS)}")
+        prec = draw(SUM_PRECS)
+        if prec is not None:
+            argv.append(f"--prec={prec}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def mould_files(tmp_path_factory):
+    """The files that fuzzed mould check invocations read, by name."""
+    root = tmp_path_factory.mktemp("moulds")
+    m = exp_scale_mould(parse_scalar("1/2")).materialize(Alphabet([1]), 3)
+    (root / "exp").write_text(json.dumps(mould_to_json(m)))
+    (root / "directory").mkdir()
+    (root / "not-json").write_text("{")
+    (root / "not-a-mould").write_text(json.dumps({"alphabet": 3}))
+    return root
+
+
 def assert_contract(argv):
     """Exit 0, 1 or 2 with exactly one JSON object on standard output,
     nothing on standard error and no traceback."""
@@ -482,4 +574,20 @@ class TestFuzz:
     @settings(max_examples=30, deadline=None)
     @given(sum_invocations())
     def test_sum_grammar(self, argv):
+        assert_contract(argv)
+
+    @settings(max_examples=30, deadline=None)
+    @given(alien_invocations())
+    def test_alien_grammar(self, argv):
+        assert_contract(argv)
+
+    @settings(max_examples=30, deadline=None)
+    @given(mould_invocations())
+    def test_mould_grammar(self, mould_files, argv):
+        assert_contract([a.replace("--file=", f"--file={mould_files}/")
+                         for a in argv])
+
+    @settings(max_examples=30, deadline=None)
+    @given(hyperlog_invocations())
+    def test_hyperlog_grammar(self, argv):
         assert_contract(argv)

@@ -6,8 +6,8 @@ node.  The per-point code it replaced is kept below as the reference:
 the compiled evaluators must return the same numbers, bit for bit, at
 53 and 113 bits.  The Hankel contour integrates both rays as one
 difference integrand; its values must stay within their reported errors
-of the closed forms z^-sigma and -z^-sigma log z, and single-valued
-shapes must need fewer nodes than the two separate ray quadratures did.
+of the closed forms z^-sigma and -z^-sigma log z.  On single-valued
+shapes the two rays cancel identically, so only the circle is integrated.
 """
 
 from fractions import Fraction
@@ -278,9 +278,8 @@ def test_hankel_within_error_of_closed_form(sigma, with_log):
 def test_single_valued_pole_needs_fewer_nodes():
     # 2460 is the node count of the circle plus two separate ray
     # quadratures, and 1170 that of tanh-sinh on the one difference
-    # integrand plus eight circle arcs; the difference of the two sheets
-    # of a pole is at rounding level, so every ray panel passes on its
-    # first sampling
+    # integrand plus eight circle arcs; both sheets of a pole agree, so
+    # the rays cancel identically and no ray segment is integrated
     shape = RationalBF(RationalFunction.simple_pole(0, ExactScalar.tau(-1)))
     res = hankel_laplace(shape, 0, 3)
     assert abs(res.value - 1) <= res.error_estimate
@@ -288,4 +287,31 @@ def test_single_valued_pole_needs_fewer_nodes():
     diag = res.diagnostics
     assert diag["ray_nodes"] + diag["circle_nodes"] == res.nodes_used
     assert res.nodes_used < 1170
-    assert diag["segments"] >= 1
+    assert diag["segments"] == 0
+
+
+@pytest.mark.parametrize("theta,z", [
+    (0, 3), (0, Fraction(9, 4)), ("0.7", mpmath.mpc(2, 1))])
+def test_single_valued_hankel_is_its_circle(theta, z):
+    shape = RationalBF(RationalFunction.simple_pole(0, ExactScalar.tau(-1)))
+    res = hankel_laplace(shape, theta, z)
+    assert abs(res.value - 1) <= res.error_estimate
+    diag = res.diagnostics
+    assert diag["ray_nodes"] == 0
+    assert diag["segments"] == 0
+    assert diag["tail_bound"] == 0
+    assert res.nodes_used == diag["circle_nodes"] > 0
+    # the error is the circle's alone: 4 * its estimate + one unit
+    with mpmath.workprec(80):
+        unit = mpmath.ldexp(1 + abs(res.value), -53)
+        assert res.error_estimate <= 4 * diag["quadrature_error"] + 2 * unit
+
+
+def test_multivalued_hankel_still_integrates_the_ray():
+    for f in (PowerBF("1/2"), PowerBF("1/3", with_log=True)):
+        res = hankel_laplace(f, 0, 2)
+        diag = res.diagnostics
+        assert diag["ray_nodes"] > 0
+        assert diag["segments"] >= 1
+        assert diag["tail_bound"] > 0
+        assert diag["ray_nodes"] + diag["circle_nodes"] == res.nodes_used

@@ -1,0 +1,134 @@
+"""ze_eval's defaults against a cutoff of 10^4 with 4 tail terms.
+
+The default cutoff starts at DEFAULT_CUTOFF = 1024 and doubles only while
+the certified remainders exceed one unit 2^-prec (1 + |value|); the
+number of tail terms follows the precision.  Over the supported domain
+(colour denominators up to 12, depth up to 4, weight up to 12) the result
+must agree with that of cutoff 10^4 within the two errors, and its error
+may exceed theirs by at most that unit.  Indices whose partial colour
+sums come close to an integer are the hard cases: their tails are
+expansions in 1/(cutoff |1 - z|).  The tail engine's constants are exact
+rationals and are checked against mpmath at three times the bits.
+"""
+
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from resurgence.mzv import (
+    DEFAULT_CUTOFF,
+    MAX_COLOUR_DENOMINATOR,
+    MAX_DEPTH,
+    MAX_WEIGHT,
+    MzvIndex,
+    _binom_tail_bound,
+    _default_terms,
+    _em_weight,
+    ze_eval,
+)
+
+F = Fraction
+
+
+def sample(seed, count):
+    """Seeded indices over the supported domain; a quarter of the colours
+    are trivial, the rest uniform over the fractions p/d with d <= 12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        depth = rng.randint(1, MAX_DEPTH)
+        s = tuple(rng.randint(1, 4) for _ in range(depth))
+        if sum(s) > MAX_WEIGHT:
+            continue
+        eps = []
+        for _ in range(depth):
+            if rng.random() < 0.25:
+                eps.append(F(0))
+            else:
+                d = rng.randint(2, MAX_COLOUR_DENOMINATOR)
+                eps.append(F(rng.randint(1, d - 1), d))
+        if s[0] == 1 and eps[0] == 0:
+            continue
+        out.append(MzvIndex(s, tuple(eps)))
+    return out
+
+
+# partial colour sums within 1/56 .. 1/924 of an integer
+NEAR_INTEGER = [
+    MzvIndex((2, 1), (F(1, 11), F(11, 12))),
+    MzvIndex((1, 1), (F(6, 7), F(1, 8))),
+    MzvIndex((1, 2), (F(1, 9), F(9, 10))),
+    MzvIndex((1, 3, 2), (F(2, 9), F(4, 5), 0)),
+    MzvIndex((2, 1, 1, 2), (F(5, 11), F(5, 9), F(2, 3), F(1, 8))),
+    MzvIndex((1, 1, 1), (F(1, 7), F(3, 11), F(7, 12))),
+]
+INDICES = sample(7, 24) + NEAR_INTEGER
+
+
+@pytest.mark.parametrize("prec", [53, 120])
+@pytest.mark.parametrize("idx", INDICES, ids=str)
+def test_default_matches_cutoff_ten_thousand(idx, prec):
+    new = ze_eval(idx, prec=prec)
+    old = ze_eval(idx, prec=prec, cutoff=10**4, terms=4)
+    assert new.certified
+    with mpmath.workprec(3 * prec):
+        assert abs(new.value - old.value) <= new.error + old.error
+        unit = mpmath.ldexp(1 + abs(new.value), -prec)
+        assert new.error <= old.error + unit
+
+
+def test_explicit_cutoff_is_used_as_given():
+    hard = MzvIndex((2, 1), (F(1, 11), F(11, 12)))
+    given = ze_eval(hard, cutoff=1024)
+    sized = ze_eval(hard)
+    # the default doubles past 1024 here; a plain 1024 does not
+    assert sized.error < given.error
+    assert abs(sized.value - given.value) <= sized.error + given.error
+    easy = MzvIndex((2, 1))
+    assert ze_eval(easy) is ze_eval(easy, cutoff=1024)
+    assert DEFAULT_CUTOFF == 1024
+
+
+def test_default_terms_follow_the_precision():
+    real = MzvIndex((2, 1))
+    assert [_default_terms(real, p, 1024) for p in (53, 57, 58, 120)] == \
+        [4, 4, 5, 17]
+    # a partial colour sum 1/924 from an integer turns 1024 |1 - z| < 7
+    # times: the expansion keeps 4 terms at any precision
+    near = MzvIndex((1, 1, 1), (F(1, 7), F(3, 11), F(7, 12)))
+    assert _default_terms(near, 120, 1024) == 4
+    assert _default_terms(near, 120, 16384) == 17
+
+
+@pytest.mark.parametrize("x", [2, 3, 7, 12, 25, 40])
+def test_euler_maclaurin_weights_are_exact(x):
+    bits = 3 * 120
+    for j in range(1, 21):
+        weight = _em_weight(x, j)
+        with mpmath.workprec(bits):
+            want = (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                    * mpmath.rf(x, 2 * j - 1))
+            got = mpmath.mpf(weight.numerator) / weight.denominator
+            assert abs(got - want) <= mpmath.ldexp(abs(want), 16 - bits)
+
+
+@pytest.mark.parametrize("x,top,cutoff", [
+    (2, 0, 64), (3, 4, 64), (12, 9, 64), (20, 30, 1024), (40, 60, 64)])
+def test_binomial_tail_bound_holds(x, top, cutoff):
+    """sum_{l > top} C(x+l-1, l) n^-l <= B n^(-top-1) at n = cutoff + 1,
+    where the bound is tightest, with the series summed to convergence."""
+    bound = _binom_tail_bound(x, top, cutoff)
+    n = cutoff + 1
+    with mpmath.workprec(200):
+        total = mpmath.mpf(0)
+        term = mpmath.binomial(x + top, top + 1) / mpmath.mpf(n) ** (top + 1)
+        l = top + 1
+        while term > mpmath.ldexp(total, -190) or l < top + 3:
+            total += term
+            term = term * (x + l) / ((l + 1) * n)
+            l += 1
+        limit = mpmath.mpf(bound.numerator) / bound.denominator \
+            / mpmath.mpf(n) ** (top + 1)
+        assert total <= limit
