@@ -103,15 +103,15 @@ def _add_minors(f, g):
     return LogPoleBF(rational, terms)
 
 
-def _scale_minor(minor, c):
-    if minor is None:
-        return None
+def _map_minor(minor, f):
+    """Apply f to every rational part of a rational or log-pole minor;
+    None for any other shape (or no minor)."""
     if isinstance(minor, RationalBF):
-        return RationalBF(minor.rat.scale(c))
+        return RationalBF(f(minor.rat))
     if isinstance(minor, LogPoleBF):
         return LogPoleBF(
-            minor.rational_part.scale(c),
-            [(a, r.scale(c), k) for a, r, k in minor.log_terms],
+            f(minor.rational_part),
+            [(a, f(r), k) for a, r, k in minor.log_terms],
         )
     return None
 
@@ -175,7 +175,8 @@ class ResurgentSeries:
 
     def scale(self, c) -> "ResurgentSeries":
         c = ExactScalar.coerce(c)
-        return ResurgentSeries(self.series.scale(c), _scale_minor(self.minor, c))
+        return ResurgentSeries(self.series.scale(c),
+                               _map_minor(self.minor, lambda r: r.scale(c)))
 
     def __repr__(self):
         return f"<ResurgentSeries {self.series!r} minor={self.minor!r}>"
@@ -218,16 +219,20 @@ def lateral_operator(phi: ResurgentSeries, omega, signs) -> ResurgentSeries:
     return ResurgentSeries(_data_to_series(data, order), minor)
 
 
+def _one_sided(phi: ResurgentSeries, omega, sign: str) -> ResurgentSeries:
+    """The lateral operator detouring every crossed point on one side."""
+    crossed = points_between(phi.minor, omega) if phi.minor is not None else []
+    return lateral_operator(phi, omega, signs=(sign,) * len(crossed))
+
+
 def alien_plus(phi: ResurgentSeries, omega) -> ResurgentSeries:
     """The pointed alien operator: the all-"+" (always below) path."""
-    crossed = points_between(phi.minor, omega) if phi.minor is not None else []
-    return lateral_operator(phi, omega, signs=("+",) * len(crossed))
+    return _one_sided(phi, omega, "+")
 
 
 def alien_minus(phi: ResurgentSeries, omega) -> ResurgentSeries:
     """The all-"-" (always above) counterpart of alien_plus."""
-    crossed = points_between(phi.minor, omega) if phi.minor is not None else []
-    return lateral_operator(phi, omega, signs=("-",) * len(crossed))
+    return _one_sided(phi, omega, "-")
 
 
 def path_weights(r: int):
@@ -257,11 +262,8 @@ def alien_derivation(phi: ResurgentSeries, omega) -> ResurgentSeries:
     total_series = FormalSeries.zero(order)
     total_minor = _zero_minor()
     for eps, weight in path_weights(r).items():
-        data = lateral_data(phi, omega, eps)
-        piece = ResurgentSeries(
-            _data_to_series(data, order),
-            data.chi if data.chi is not None else _zero_minor(),
-        ).scale(ExactScalar.from_rational(weight))
+        piece = lateral_operator(phi, omega, eps).scale(
+            ExactScalar.from_rational(weight))
         total_series = total_series + piece.series
         total_minor = _add_minors(total_minor, piece.minor)
     return ResurgentSeries(total_series, total_minor)
@@ -270,27 +272,11 @@ def alien_derivation(phi: ResurgentSeries, omega) -> ResurgentSeries:
 # -- the derivation structure ---------------------------------------------------------
 
 
-def _multiply_minor_by_poly(minor, poly):
-    factor = RationalFunction(poly)
-    if isinstance(minor, RationalBF):
-        return RationalBF(minor.rat * factor)
-    if isinstance(minor, LogPoleBF):
-        return LogPoleBF(
-            minor.rational_part * factor,
-            [(a, r * factor, k) for a, r, k in minor.log_terms],
-        )
-    return None
-
-
 def z_derivative(phi: ResurgentSeries) -> ResurgentSeries:
     """d/dz on both layers: the minor is multiplied by -zeta."""
-    series = phi.series.differentiate()
-    minor = None
-    if phi.minor is not None:
-        minor = _multiply_minor_by_poly(
-            phi.minor, [ExactScalar(), ExactScalar.from_rational(-1)]
-        )
-    return ResurgentSeries(series, minor)
+    factor = RationalFunction([ExactScalar(), ExactScalar.from_rational(-1)])
+    return ResurgentSeries(phi.series.differentiate(),
+                           _map_minor(phi.minor, lambda r: r * factor))
 
 
 def _exp_series(phi: FormalSeries) -> FormalSeries:
@@ -367,6 +353,25 @@ def _normalize_actions(ts: Transseries, actions, pointed: bool):
     return _Exact()
 
 
+def _graded_image(ts: Transseries, up_to, gains) -> Transseries:
+    """Component k of the image is component k of ts plus every term
+    gains(j, psi) yields for 1 <= j <= k with psi = component k - j
+    nonzero; components beyond ``up_to`` are never materialized."""
+    if up_to is None:
+        up_to = ts.max_component() + 2
+    out = {}
+    for k in range(up_to + 1):
+        acc = ts.component(k)
+        for j in range(1, k + 1):
+            psi = ts.component(k - j)
+            if psi.is_zero():
+                continue
+            for term in gains(j, psi):
+                acc = acc + term
+        out[k] = acc
+    return Transseries(ts.omega, out)
+
+
 def apply_stokes(ts: Transseries, actions=None,
                  up_to: int | None = None) -> Transseries:
     """The symbolic Stokes automorphism: component k of the image is the
@@ -376,22 +381,14 @@ def apply_stokes(ts: Transseries, actions=None,
     (the Delta-plus action at j * omega); omitted actions are derived
     from the exact minors.  Components beyond ``up_to`` are never
     materialized."""
-    if up_to is None:
-        up_to = ts.max_component() + 2
     acts = _normalize_actions(ts, actions, pointed=True)
-    out = {}
-    for k in range(up_to + 1):
-        acc = ts.component(k)
-        for j in range(1, k + 1):
-            psi = ts.component(k - j)
-            if psi.is_zero():
-                continue
-            action = acts.get(j)
-            if action is None:
-                continue
-            acc = acc + action(psi)
-        out[k] = acc
-    return Transseries(ts.omega, out)
+
+    def gains(j, psi):
+        action = acts.get(j)
+        if action is not None:
+            yield action(psi)
+
+    return _graded_image(ts, up_to, gains)
 
 
 def stokes_power(ts: Transseries, w, actions=None,
@@ -406,33 +403,23 @@ def stokes_power(ts: Transseries, w, actions=None,
     where D_j is the grade-j alien derivation action (supplied like in
     apply_stokes, or derived from the minors)."""
     w = ExactScalar.coerce(w)
-    if up_to is None:
-        up_to = ts.max_component() + 2
     acts = _normalize_actions(ts, actions, pointed=False)
-    out = {}
-    for k in range(up_to + 1):
-        acc = ts.component(k)
-        for j in range(1, k + 1):
-            psi = ts.component(k - j)
-            if psi.is_zero():
-                continue
-            for comp in compositions(j):
+
+    def gains(j, psi):
+        for comp in compositions(j):
+            term = psi
+            for part in reversed(comp):
+                action = acts.get(part)
+                if action is None:
+                    break
+                term = action(term)
+                if term.series.is_zero():
+                    break
+            else:
                 r = len(comp)
-                term = psi
-                for part in reversed(comp):
-                    action = acts.get(part)
-                    if action is None:
-                        term = None
-                        break
-                    term = action(term)
-                    if term.series.is_zero():
-                        term = None
-                        break
-                if term is not None:
-                    weight = w**r * Fraction(1, math.factorial(r))
-                    acc = acc + term.scale(weight)
-        out[k] = acc
-    return Transseries(ts.omega, out)
+                yield term.scale(w**r * Fraction(1, math.factorial(r)))
+
+    return _graded_image(ts, up_to, gains)
 
 
 def transseries_product(a: Transseries, b: Transseries,
@@ -456,9 +443,11 @@ def transseries_product(a: Transseries, b: Transseries,
             piece_series = x.series * y.series
             piece_minor = None
             if _is_plain_constant(x):
-                piece_minor = _scale_minor(y.minor, x.series[0])
+                c = x.series[0]
+                piece_minor = _map_minor(y.minor, lambda r: r.scale(c))
             elif _is_plain_constant(y):
-                piece_minor = _scale_minor(x.minor, y.series[0])
+                c = y.series[0]
+                piece_minor = _map_minor(x.minor, lambda r: r.scale(c))
             piece = ResurgentSeries(piece_series, piece_minor)
             acc = piece if acc is None else acc + piece
         if acc is not None:

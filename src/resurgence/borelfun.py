@@ -44,7 +44,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import NotSimpleError, UnreachableBranchError
-from .scalars import ExactScalar, GaussianRational
+from .scalars import ExactScalar
 from .series import BorelSeries
 
 __all__ = [

@@ -34,15 +34,15 @@ Conventions shared by every subcommand:
   Every exit code prints one JSON object on standard output: the result,
   the refusal, or the usage mistake; standard error stays empty.
 * ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
-  ``ze_eval``, ``wa_eval`` and ``L_numeric`` enforce as well): the
+  ``ze_eval``, ``wa_eval``, ``L_numeric`` and the ray, jump and Hankel
+  sums of ``laplace`` enforce as well): the
   default error targets (1e-12 for ray sums, 1e-10 for nested sums) need
   double precision, and below it the reported errors would describe
   meaningless values.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test
-fixtures.  ``--seed`` reseeds Python's random module for replaying the
-randomized property tests; no subcommand below draws randomness itself.
+fixtures.  No subcommand draws randomness, so none takes a seed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -489,8 +488,6 @@ def _common(sub, order=None, prec=53, name=None):
                          help=f"truncation order, at most {ceiling}")
         sub.set_defaults(max_order=ceiling)
     sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reseed the random module (property-test replay)")
 
 
 def build_parser() -> _Parser:
@@ -602,8 +599,6 @@ def main(argv=None) -> int:
         if order is not None and not 0 <= order <= args.max_order:
             raise ValueError(f"--order {order} is outside 0 .. "
                              f"{args.max_order}")
-        if args.seed is not None:
-            random.seed(args.seed)
         payload = args.handler(args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}))

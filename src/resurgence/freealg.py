@@ -56,6 +56,15 @@ __all__ = [
 ]
 
 
+def _add_term(terms: dict, key, c) -> None:
+    """Add c to terms[key], dropping the key when the sum is zero."""
+    s = terms.get(key, ExactScalar()) + c
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 class FreeElement:
     """A finite scalar combination of words of symbols."""
 
@@ -75,11 +84,7 @@ class FreeElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ExactScalar()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(out, w, c)
         return FreeElement(out)
 
     def __neg__(self):
@@ -101,12 +106,7 @@ class FreeElement:
         out: dict[Word, ExactScalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1.concat(w2)
-                s = out.get(w, ExactScalar()) + c1 * c2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                _add_term(out, w1.concat(w2), c1 * c2)
         return FreeElement(out)
 
     def bracket(self, other) -> "FreeElement":
@@ -231,11 +231,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, ExactScalar()) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _add_term(out, e, c)
         return Polynomial(self.arity, out)
 
     def __neg__(self):
@@ -253,12 +249,7 @@ class Polynomial:
         out: dict[tuple, ExactScalar] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ExactScalar()) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.arity, out)
 
     def scale(self, c) -> "Polynomial":

@@ -98,7 +98,7 @@ from .borelfun import (
     RationalBF,
     StirlingBF,
 )
-from .errors import DecayMarginError, RayBlockedError
+from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
 from .series import FormalSeries
 
@@ -125,24 +125,22 @@ class RaySpec:
 
     ``theta`` is the ray angle in radians (it may leave (-pi, pi]; shapes
     with polar evaluation then continue onto the matching sheet).  ``z`` is
-    the evaluation point; the decay margin Re(z e^(i theta)) - growth must
-    be positive.  ``growth`` is the growth constant of the integrand along
-    the ray, zero for every bundled shape.  ``target_error`` drives both
-    the truncation point and the working precision (when ``prec`` is not
-    given explicitly).  ``max_nodes`` caps the integrand evaluations of
-    one sum: panels are bisected only while the sum stays within it
-    (the initial segments are always sampled, one panel each), and a
-    sum stopped by the cap reports the error estimates of its
-    unconverged panels, so its error may exceed ``target_error``.  Rays
-    whose kernel turns more than ``max_nodes`` times before the
-    truncation point are refused.
+    the evaluation point; the decay margin Re(z e^(i theta)) must be
+    positive.  ``target_error`` drives both the truncation point and the
+    working precision (when ``prec`` is not given explicitly; an explicit
+    ``prec`` below ``errors.MIN_PREC`` is refused with a ValueError).
+    ``max_nodes`` caps the integrand evaluations of one sum: panels are
+    bisected only while the sum stays within it (the initial segments
+    are always sampled, one panel each), and a sum stopped by the cap
+    reports the error estimates of its unconverged panels, so its error
+    may exceed ``target_error``.  Rays whose kernel turns more than
+    ``max_nodes`` times before the truncation point are refused.
     """
 
     theta: object
     z: object
     max_nodes: int = 4000
     target_error: float = 1e-12
-    growth: float = 0.0
     prec: int | None = None
 
     def __post_init__(self):
@@ -150,11 +148,13 @@ class RaySpec:
             raise ValueError("max_nodes must be at least 64")
         if not 0 < float(self.target_error) < math.inf:
             raise ValueError("target_error must be positive and finite")
+        if self.prec is not None:
+            check_prec(self.prec)
 
     def working_prec(self) -> int:
         if self.prec is not None:
-            return max(53, int(self.prec))
-        return max(53, int(-math.log2(float(self.target_error))) + 32)
+            return int(self.prec)
+        return max(MIN_PREC, int(-math.log2(float(self.target_error))) + 32)
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,22 @@ def _real_angle(theta, prec):
             raise TypeError("the ray angle must be real")
         t = t.real
     return mpmath.mpf(t)
+
+
+def _kernel(theta, z, prec):
+    """(theta, z, w, m) as numbers, with w = z e^(i theta) and the decay
+    margin m = Re w; refuses a margin that is not positive."""
+    theta = _real_angle(theta, prec)
+    z = _to_mp(z, prec)
+    w = z * mpmath.exp(mpmath.mpc(0, 1) * theta)
+    m = mpmath.mpc(w).real
+    if not m > 0:
+        raise DecayMarginError(
+            f"decay margin {mpmath.nstr(m, 8)} is not positive for z = "
+            f"{mpmath.nstr(z, 8)} along theta = {mpmath.nstr(theta, 8)}",
+            margin=float(m),
+        )
+    return theta, z, w, m
 
 
 # -- a Pade model of a minor --------------------------------------------------------
@@ -433,6 +449,12 @@ def _stirling_envelope(theta, T, prec):
     return (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
 
 
+def _moment_integral(order, m, T):
+    """integral over [T, inf) of e^(-m t) t^(order-1) dt = Gamma(order, m T)
+    / m^order."""
+    return mpmath.gammainc(order, m * T) / m ** order
+
+
 def _power_tail(f, m, T, theta, moment, prec):
     """Exact tail bound for power kernels via incomplete gamma moments.
 
@@ -442,17 +464,13 @@ def _power_tail(f, m, T, theta, moment, prec):
     + 2 pi (covering the Hankel sheet range) and ln t <= 2 sqrt(t).
     """
     s = mpmath.mpf(f.sigma.numerator) / f.sigma.denominator + moment
-
-    def moment_integral(order):
-        return mpmath.gammainc(order, m * T) / m ** order
-
     g = abs(f.g_value(prec))
-    base = moment_integral(s)
+    base = _moment_integral(s, m, T)
     if not f.with_log:
         return g * base
     A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
     gp = abs(f.g_prime_value(prec))
-    return g * (A * base + 2 * moment_integral(s + mpmath.mpf(1) / 2)) \
+    return g * (A * base + 2 * _moment_integral(s + mpmath.mpf(1) / 2, m, T)) \
         + gp * base
 
 
@@ -472,14 +490,10 @@ def _dilog_tail(f, m, T, theta, moment, prec):
     A = pi ** 2 / 3 + pi ** 2 / 2 + 2 * pi ** 2 * loops * (1 + 2 * sheet)
     B = 2 * pi + 4 * pi * loops
     C = mpmath.mpf(2)
-
-    def moment_integral(order):
-        return mpmath.gammainc(order, m * T) / m ** order
-
     half = mpmath.mpf(1) / 2
-    return A * moment_integral(moment + 1) \
-        + B * moment_integral(moment + 1 + half) \
-        + C * moment_integral(moment + 2)
+    return A * _moment_integral(moment + 1, m, T) \
+        + B * _moment_integral(moment + 1 + half, m, T) \
+        + C * _moment_integral(moment + 2, m, T)
 
 
 def _t_floor(f, sing, prec):
@@ -528,19 +542,28 @@ def _tail_bound(f, evalf, theta, m, T, moment, prec):
     if M is None:
         M = _sampled_envelope(evalf, T)
         sampled = True
-    tail = M * mpmath.gammainc(moment + 1, m * T) / m ** (moment + 1)
-    return abs(tail), sampled
+    return abs(M * _moment_integral(moment + 1, m, T)), sampled
 
 
-def _check_turns(w, m, T, max_nodes):
-    """Refuse a ray on which the kernel e^(-w t) turns more often over
-    [0, T] than ``max_nodes`` nodes could resolve.
+def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
+                       max_nodes):
+    """(T, tail bound, sampled?): the first point of the ladder T_floor,
+    3/2 T_floor, ... whose tail bound is within target / 4.
 
-    That happens when the decay margin m = Re w is tiny next to |w|: the
-    truncation point grows like 1/m while the kernel keeps turning at the
-    rate |Im w|, and the rule's own error estimate then no longer bounds
-    its error.
+    A ray on which the kernel e^(-w t) turns more often over [0, T] than
+    ``max_nodes`` nodes could resolve is refused.  That happens when the
+    decay margin m = Re w is tiny next to |w|: the truncation point
+    grows like 1/m while the kernel keeps turning at the rate |Im w|,
+    and the rule's own error estimate then no longer bounds its error.
     """
+    m = mpmath.mpc(w).real
+    T = _t_floor(f, sing, prec)
+    tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
+    for _ in range(400):
+        if tail <= target / 4:
+            break
+        T = T * 3 / 2
+        tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
     turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
     if turns > max_nodes:
         raise DecayMarginError(
@@ -551,16 +574,6 @@ def _check_turns(w, m, T, max_nodes):
             margin=float(m),
             turns=float(turns),
         )
-
-
-def _choose_truncation(f, evalf, sing, theta, m, target, moment, prec):
-    T = _t_floor(f, sing, prec)
-    tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
-    for _ in range(400):
-        if tail <= target / 4:
-            break
-        T = T * 3 / 2
-        tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
     return T, tail, sampled
 
 
@@ -715,8 +728,8 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     quadrature level (differentiation under the integral is exact for
     these absolutely convergent integrals).
 
-    Raises DecayMarginError when the margin Re(z e^(i theta)) - growth is
-    not positive, when it is so small next to |z| that the kernel turns
+    Raises DecayMarginError when the margin Re(z e^(i theta)) is not
+    positive, when it is so small next to |z| that the kernel turns
     more than ``max_nodes`` times before the truncation point (or when a
     power kernel is not integrable at the origin), and RayBlockedError when the ray passes too close to a
     singular point, naming the nearest one.
@@ -726,16 +739,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     prec = spec.working_prec()
     guard = prec + 24
     with mpmath.workprec(guard):
-        theta = _real_angle(spec.theta, guard)
-        z = _to_mp(spec.z, guard)
-        w = z * mpmath.exp(mpmath.mpc(0, 1) * theta)
-        m = mpmath.mpc(w).real - mpmath.mpf(spec.growth)
-        if not m > 0:
-            raise DecayMarginError(
-                f"decay margin {mpmath.nstr(m, 8)} is not positive for z = "
-                f"{mpmath.nstr(z, 8)} along theta = {mpmath.nstr(theta, 8)}",
-                margin=float(m),
-            )
+        theta, z, w, m = _kernel(spec.theta, spec.z, guard)
         if isinstance(f, PowerBF) and f.sigma <= 0:
             raise DecayMarginError(
                 f"the power kernel with sigma = {f.sigma} is not integrable "
@@ -747,8 +751,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         evalf = _ray_evaluator(f, theta, guard)
         target = mpmath.mpf(float(spec.target_error))
         T, tail, sampled = _choose_truncation(
-            f, evalf, sing, theta, m, target, moment, guard)
-        _check_turns(w, m, T, spec.max_nodes)
+            f, evalf, sing, theta, w, target, moment, guard, spec.max_nodes)
 
         def g(t):
             base = evalf(t)
@@ -803,15 +806,13 @@ def lateral_jump(f: BorelFunction, c0, theta_star, delta, z, *,
     delta = float(delta)
     if not 0 < delta < math.pi / 2:
         raise ValueError("delta must lie strictly between 0 and pi/2")
-    work = max(53, prec) if prec is not None else None
     half = mpmath.mpf(delta) / 2
-    theta_star = _real_angle(theta_star, (work or 53) + 24)
-    plus = laplace_ray(f, c0, RaySpec(
-        theta_star - half, z, max_nodes=max_nodes,
-        target_error=target_error, prec=work))
-    minus = laplace_ray(f, c0, RaySpec(
-        theta_star + half, z, max_nodes=max_nodes,
-        target_error=target_error, prec=work))
+    theta_star = _real_angle(theta_star, (prec or MIN_PREC) + 24)
+    plus, minus = (
+        laplace_ray(f, c0, RaySpec(theta_star + offset, z,
+                                   max_nodes=max_nodes,
+                                   target_error=target_error, prec=prec))
+        for offset in (-half, half))
     jump = plus.value - minus.value
     error = plus.error_estimate + minus.error_estimate
     return LateralPair(plus, minus, jump, error)
@@ -848,16 +849,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     out_prec = spec.working_prec()
     guard = out_prec + 24
     with mpmath.workprec(guard):
-        th = _real_angle(theta, guard)
-        zv = _to_mp(z, guard)
-        w = zv * mpmath.exp(mpmath.mpc(0, 1) * th)
-        m = mpmath.mpc(w).real
-        if not m > 0:
-            raise DecayMarginError(
-                f"decay margin {mpmath.nstr(m, 8)} is not positive for z = "
-                f"{mpmath.nstr(zv, 8)} along theta = {mpmath.nstr(th, 8)}",
-                margin=float(m),
-            )
+        th, zv, w, m = _kernel(theta, z, guard)
         polar = _polar_evaluator(f, guard)
         sing = _singular_values(f, guard)
         _check_ray(sing, th)
@@ -870,9 +862,8 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             T, tail, sampled, pts = rho, mpmath.mpf(0), False, [rho]
         else:
             T, tail, sampled = _choose_truncation(
-                f, lambda t: polar(t, th), sing, th, m, target, 0, guard)
-            T = max(T, 4 * rho)
-            _check_turns(w, m, T, max_nodes)
+                f, lambda t: polar(t, th), sing, th, w, target, 0, guard,
+                max_nodes)
             pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
 

@@ -42,6 +42,7 @@ symmetral).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import CarrierEscapeError, TruncationError
@@ -174,19 +175,18 @@ class Mould:
 
     # -- pointwise operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _pointwise(self, other, op):
         if not isinstance(other, Mould):
             return NotImplemented
         alphabet, L = self._binary_context(other)
-        entries = {w: self[w] + other[w] for w in alphabet.words(L)}
+        entries = {w: op(self[w], other[w]) for w in alphabet.words(L)}
         return Mould(alphabet, L, entries=entries, zero=self._zero)
 
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, Mould):
-            return NotImplemented
-        alphabet, L = self._binary_context(other)
-        entries = {w: self[w] - other[w] for w in alphabet.words(L)}
-        return Mould(alphabet, L, entries=entries, zero=self._zero)
+        return self._pointwise(other, operator.sub)
 
     def scale(self, c) -> "Mould":
         """Pointwise multiple by a coefficient (integer, Fraction, scalar)."""
@@ -212,19 +212,6 @@ class Mould:
                 acc = term if acc is None else acc + term
             entries[w] = acc
         return Mould(alphabet, L, entries=entries, zero=self._zero)
-
-    def power(self, k: int) -> "Mould":
-        """k-fold mould product; k = 0 gives the unit."""
-        if k < 0:
-            raise ValueError("negative mould powers go through mult_inverse")
-        alphabet, L = (self.alphabet, self.max_length)
-        if alphabet is None or L is None:
-            raise ValueError("materialize a rule-backed mould before power()")
-        out = unit_mould(alphabet).materialize(alphabet, L)
-        base = self
-        for _ in range(k):
-            out = out * base
-        return out
 
     def mult_inverse(self) -> "Mould":
         """Inverse for the mould product, solved order by order.
@@ -262,31 +249,7 @@ class Mould:
             L = self.max_length
         entries = {EMPTY: self[EMPTY]}
         for w in alphabet.words(L, min_length=1):
-            acc = None
-            for blocks in splittings(w):
-                prod = None
-                for block in blocks:
-                    v = inner[block]
-                    if _is_zero_value(v):
-                        prod = None
-                        break
-                    prod = v if prod is None else prod * v
-                if prod is None:
-                    continue
-                sums = Word(alphabet.word_sum(b) for b in blocks)
-                if self.entries is not None:
-                    for s in sums:
-                        if s not in self.alphabet:
-                            raise CarrierEscapeError(
-                                f"composition needs outer entry at letter {s!r},"
-                                f" which is outside the alphabet",
-                                letter=str(s),
-                            )
-                outer = self[sums]
-                if _is_zero_value(outer):
-                    continue
-                term = outer * prod
-                acc = term if acc is None else acc + term
+            acc = _composition_sum(self, inner.entries, alphabet, w)
             if acc is not None:
                 entries[Word(w)] = acc
         return Mould(alphabet, L, entries=entries, zero=inner._zero)
@@ -306,6 +269,34 @@ def _one_like(zero):
     if isinstance(zero, ExactScalar):
         return ExactScalar.from_rational(1)
     return zero.one()
+
+
+def _composition_sum(outer: Mould, inner: dict, alphabet: Alphabet, w,
+                     min_blocks: int = 1):
+    """sum over w = w1...ws with s >= min_blocks of
+    outer^(|w1|,...,|ws|) * inner[w1] ... inner[ws], or None when no term
+    is nonzero.  ``inner`` maps words to values, absent words are zero;
+    a block sum outside a stored outer mould's alphabet raises
+    CarrierEscapeError through the lookup."""
+    acc = None
+    for blocks in splittings(w):
+        if len(blocks) < min_blocks:
+            continue
+        prod = None
+        for block in blocks:
+            v = inner.get(block)
+            if v is None or _is_zero_value(v):
+                prod = None
+                break
+            prod = v if prod is None else prod * v
+        if prod is None:
+            continue
+        outer_value = outer[Word(alphabet.word_sum(b) for b in blocks)]
+        if _is_zero_value(outer_value):
+            continue
+        term = outer_value * prod
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # -- named moulds ---------------------------------------------------------------------
@@ -403,19 +394,26 @@ def passage_mould(alphabet: Alphabet, theta, theta_prime, prec: int = 80) -> Mou
 # -- exponential and logarithm ----------------------------------------------------------
 
 
+def _product_series(x: Mould, coeff) -> Mould:
+    """sum over 0 <= k <= L of coeff(k) x^k with mould products, x^0
+    the unit; the terms and the result keep x's zero."""
+    L = x.max_length
+    term = Mould(x.alphabet, L, entries={EMPTY: _one_like(x.zero)},
+                 zero=x.zero)
+    out = term.scale(coeff(0))
+    for k in range(1, L + 1):
+        term = term * x
+        out = out + term.scale(coeff(k))
+    return out
+
+
 def mould_exp(m: Mould) -> Mould:
     """exp for the mould product; requires a zero value on the empty word."""
     if m.entries is None:
         raise ValueError("materialize a rule-backed mould before mould_exp")
     if not _is_zero_value(m[EMPTY]):
         raise ValueError("mould_exp needs value 0 on the empty word")
-    L = m.max_length
-    out = unit_mould(m.alphabet).materialize(m.alphabet, L)
-    term = out
-    for k in range(1, L + 1):
-        term = term * m
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-    return out
+    return _product_series(m, lambda k: Fraction(1, math.factorial(k)))
 
 
 def mould_log(m: Mould) -> Mould:
@@ -425,14 +423,10 @@ def mould_log(m: Mould) -> Mould:
     one = _one_like(m.zero)
     if m[EMPTY] != one:
         raise ValueError("mould_log needs value 1 on the empty word")
-    L = m.max_length
-    rest = m - unit_mould(m.alphabet).materialize(m.alphabet, L)
-    out = Mould(m.alphabet, L, entries={}, zero=m.zero)
-    term = unit_mould(m.alphabet).materialize(m.alphabet, L)
-    for k in range(1, L + 1):
-        term = term * rest
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    rest = m - Mould(m.alphabet, m.max_length, entries={EMPTY: one},
+                     zero=m.zero)
+    return _product_series(
+        rest, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def comp_inverse(v: Mould, letters=None) -> Mould:
@@ -461,40 +455,15 @@ def comp_inverse(v: Mould, letters=None) -> Mould:
             entries[w] = one / val
             continue
         total = v.alphabet.word_sum(w)
-        if total not in v.alphabet:
-            raise CarrierEscapeError(
-                f"comp_inverse needs the outer mould at letter {total!r}, "
-                f"which is outside the alphabet",
-                letter=str(total),
-            )
         head = v[Word((total,))]
         if _is_zero_value(head):
             raise ValueError(
                 f"comp_inverse needs an invertible entry at ({total!r},)"
             )
         # (v o w_inv)^w = 0: isolate the single-block term
-        acc = None
-        for blocks in splittings(w):
-            if len(blocks) == 1:
-                continue
-            prod = None
-            for block in blocks:
-                val = entries.get(Word(block))
-                if val is None or _is_zero_value(val):
-                    prod = None
-                    break
-                prod = val if prod is None else prod * val
-            if prod is None:
-                continue
-            sums = Word(v.alphabet.word_sum(b) for b in blocks)
-            outer = v[sums]
-            if _is_zero_value(outer):
-                continue
-            term = outer * prod
-            acc = term if acc is None else acc + term
-        if acc is None:
-            continue
-        entries[Word(w)] = _scale(-1, acc / head)
+        acc = _composition_sum(v, entries, v.alphabet, w, min_blocks=2)
+        if acc is not None:
+            entries[Word(w)] = _scale(-1, acc / head)
     return Mould(support, L, entries=entries, zero=v.zero)
 
 
@@ -509,18 +478,21 @@ def _pairs(alphabet: Alphabet, max_total: int):
                     yield a, b
 
 
-def _pair_alphabet(m: Mould, letters):
-    if letters is not None:
-        return Alphabet(letters)
-    return m.alphabet
-
-
-def _combine(m: Mould, table: dict):
-    acc = None
-    for w, mult in table.items():
-        v = _scale(mult, m[w])
-        acc = v if acc is None else acc + v
-    return m.zero if acc is None else acc
+def _obeys_law(m: Mould, law, symmetral: bool, max_length, letters) -> bool:
+    """For every pair of nonempty words a, b over ``letters`` (default:
+    m's alphabet) with total length <= max_length (default: m's), the
+    sum of m over law(a, b), with multiplicities, vanishes (alternal
+    kind) or equals m^a m^b (symmetral kind)."""
+    L = max_length if max_length is not None else m.max_length
+    alphabet = Alphabet(letters) if letters is not None else m.alphabet
+    for a, b in _pairs(alphabet, L):
+        acc = None
+        for w, mult in law(a, b).items():
+            v = _scale(mult, m[w])
+            acc = v if acc is None else acc + v
+        if not (acc == m[a] * m[b] if symmetral else _is_zero_value(acc)):
+            return False
+    return True
 
 
 def is_alternal(m: Mould, max_length: int | None = None, letters=None) -> bool:
@@ -529,20 +501,12 @@ def is_alternal(m: Mould, max_length: int | None = None, letters=None) -> bool:
     ``letters`` restricts the enumerated pairs to a sub-alphabet; useful when
     the mould's own alphabet is a sum closure.
     """
-    L = max_length if max_length is not None else m.max_length
-    return all(
-        _is_zero_value(_combine(m, shuffle(a, b)))
-        for a, b in _pairs(_pair_alphabet(m, letters), L)
-    )
+    return _obeys_law(m, shuffle, False, max_length, letters)
 
 
 def is_symmetral(m: Mould, max_length: int | None = None, letters=None) -> bool:
     """sum over shuffles equals the product of the two values."""
-    L = max_length if max_length is not None else m.max_length
-    return all(
-        _combine(m, shuffle(a, b)) == m[a] * m[b]
-        for a, b in _pairs(_pair_alphabet(m, letters), L)
-    )
+    return _obeys_law(m, shuffle, True, max_length, letters)
 
 
 def is_alternel(m: Mould, max_length: int | None = None, letters=None) -> bool:
@@ -551,20 +515,12 @@ def is_alternel(m: Mould, max_length: int | None = None, letters=None) -> bool:
     Stuffle contractions must stay inside the mould's alphabet; restrict the
     enumerated ``letters`` so they do.
     """
-    L = max_length if max_length is not None else m.max_length
-    return all(
-        _is_zero_value(_combine(m, stuffle(a, b)))
-        for a, b in _pairs(_pair_alphabet(m, letters), L)
-    )
+    return _obeys_law(m, stuffle, False, max_length, letters)
 
 
 def is_symmetrel(m: Mould, max_length: int | None = None, letters=None) -> bool:
     """sum over stuffles equals the product of the two values."""
-    L = max_length if max_length is not None else m.max_length
-    return all(
-        _combine(m, stuffle(a, b)) == m[a] * m[b]
-        for a, b in _pairs(_pair_alphabet(m, letters), L)
-    )
+    return _obeys_law(m, stuffle, True, max_length, letters)
 
 
 # -- serialization ---------------------------------------------------------------------------

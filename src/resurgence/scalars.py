@@ -212,16 +212,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_GAUSS_RE = _re.compile(
-    r"""^\s*
-    (?P<first>[+-]?\s*(?:\d+(?:/\d+)?)?\s*(?P<firsti>i)?|[+-]?\s*\d+(?:/\d+)?)
-    \s*
-    (?P<second>[+-]\s*(?:\d+(?:/\d+)?)?\s*(?P<secondi>i))?
-    \s*$""",
-    _re.VERBOSE,
-)
-
-
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse ``a/b``, ``c/d*i``, ``a/b+c/d*i``, ``i``, ``-i`` and friends."""
     s = text.strip().replace(" ", "")
@@ -297,14 +287,11 @@ def _factor(n: int) -> dict:
     return out
 
 
-# A term key is (tau_exponent, logs) with logs a sorted tuple of (prime, exp).
-_Key = tuple
-
-
 class ExactScalar:
     """An element of Q(i)[T, T^-1] tensor Q[ln2, ln3, ...].
 
-    Internally a mapping from term keys to Gaussian-rational coefficients.
+    Internally a mapping from term keys (tau_exponent, logs), with logs a
+    sorted tuple of (prime, exp), to Gaussian-rational coefficients.
     Zero coefficients are dropped; the empty mapping is zero.
     """
 

@@ -395,7 +395,7 @@ def gevrey_bound(phi: FormalSeries, prec: int = 53, skip: int = 1):
     Returns (C, M, max_residual) as floats.  Zero coefficients are skipped;
     ``skip`` drops the first few coefficients from the fit.
     """
-    import numpy as np
+    import statistics
 
     xs, ys = [], []
     for n in range(skip, phi.order + 1):
@@ -407,7 +407,7 @@ def gevrey_bound(phi: FormalSeries, prec: int = 53, skip: int = 1):
         xs.append(n)
     if len(xs) < 2:
         raise ValueError("need at least two nonzero coefficients to fit")
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
+    slope, intercept = statistics.linear_regression(xs, ys)
     resid = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
     return float(math.exp(intercept)), float(math.exp(slope)), float(resid)
 

@@ -324,6 +324,22 @@ class TestStokesAction:
         # component 2 receives Delta_plus of component 1's copy of phi
         assert img.component(2).series == FormalSeries.constant(TAU, 6)
 
+    def test_omitted_grade_skips_its_compositions(self):
+        # grade 2 has no action, so every composition through it drops out:
+        # component 2 keeps (1,1) only and component 3 keeps (3), (1,1,1)
+        eu = euler_resurgent(order=4)
+        ts = Transseries(rat(-1), {0: eu})
+        actions = {1: lambda psi: psi.scale(2), 3: lambda psi: psi.scale(5)}
+        w = Fraction(1, 3)
+        img = stokes_power(ts, w, actions=actions, up_to=3)
+        expected = {1: w * 2, 2: w**2 / 2 * 2**2,
+                    3: w * 5 + w**3 / 6 * 2**3}
+        for k, c in expected.items():
+            assert img.component(k).series == eu.series.scale(c)
+        pointed = apply_stokes(ts, actions=actions, up_to=3)
+        assert pointed.component(2).series.is_zero()
+        assert pointed.component(3).series == eu.series.scale(5)
+
     def test_component_default_keeps_order(self):
         eu = euler_resurgent(order=9)
         ts = Transseries(rat(-1), {0: eu})

@@ -298,9 +298,12 @@ class TestUsage:
         assert err == ""
         assert "unknown input" in json.loads(out)["message"]
 
-    def test_seed_flag_accepted(self, capsys):
-        data = run_json(capsys, "mzv", "eval", "--s", "2", "--seed", "7")
-        assert data["certified"] is True
+    def test_seed_flag_is_usage_error(self, capsys):
+        # no subcommand draws randomness, so there is no --seed flag
+        code, out, err = run(capsys, "mzv", "eval", "--s", "2", "--seed", "7")
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["error"] == "usage"
 
 
 class TestRefusals:

@@ -63,7 +63,7 @@ from resurgence.borelfun import (
     power_minor,
     stirling_minor,
 )
-from resurgence.errors import DecayMarginError, RayBlockedError
+from resurgence.errors import MIN_PREC, DecayMarginError, RayBlockedError
 from resurgence.laplace import (
     AsymptoticsReport,
     LateralPair,
@@ -138,6 +138,18 @@ class TestRaySpec:
             RaySpec(0, 2, max_nodes=10)
         with pytest.raises(ValueError):
             RaySpec(0, 2, target_error=0.0)
+
+    def test_precision_below_floor_refused(self):
+        """An explicit precision below MIN_PREC is refused, not raised to
+        the floor; a target-driven precision still starts at the floor."""
+        assert RaySpec(0, 2, target_error=1e-3).working_prec() == MIN_PREC
+        assert RaySpec(0, 2, prec=MIN_PREC).working_prec() == MIN_PREC
+        with pytest.raises(ValueError, match="below the floor"):
+            laplace_ray(euler_minor(), 0, RaySpec(0, 2, prec=40))
+        with pytest.raises(ValueError, match="below the floor"):
+            lateral_jump(euler_minor(), 0, mpmath.pi, "0.2", -3, prec=40)
+        with pytest.raises(ValueError, match="below the floor"):
+            hankel_laplace(power_minor("1/2"), 0, 2, prec=40)
 
 
 class TestLaplaceRay:

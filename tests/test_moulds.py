@@ -30,6 +30,7 @@ from resurgence.moulds import (
     unit_mould,
 )
 from resurgence.scalars import ExactScalar, GaussianRational
+from resurgence.series import FormalSeries
 from resurgence.words import EMPTY, Alphabet, Word
 
 S = ExactScalar.from_rational
@@ -105,6 +106,21 @@ class TestProductGroup:
         g = random_mould(AB, 4, rng, empty_value=1)
         assert mould_exp(mould_log(g)).same_entries(g)
 
+    def test_exp_log_keep_series_zero(self):
+        # series-valued moulds: exp and log stay in the ring of series
+        rng = random.Random(6)
+        zero = FormalSeries.zero(3)
+        entries = {w: FormalSeries([S(Fraction(rng.randint(-3, 3), k + 1))
+                                    for k in range(4)], order=3)
+                   for w in AB.words(3, min_length=1)}
+        m = Mould(AB, 3, entries=entries, zero=zero)
+        e = mould_exp(m)
+        assert isinstance(e.zero, FormalSeries)
+        assert e[EMPTY] == zero.one()
+        back = mould_log(e)
+        assert isinstance(back.zero, FormalSeries)
+        assert back.same_entries(m)
+
     def test_exp_scale_group(self):
         # Exp_w * Exp_w' = Exp_{w+w'}, and w = 1/2, -1/2 cancel to the unit
         half = exp_scale_mould(Fraction(1, 2)).materialize(AB, 4)
@@ -157,6 +173,15 @@ class TestComposition:
         u = random_mould(AB, 3, rng, empty_value=0)
         with pytest.raises(CarrierEscapeError):
             m.compose(u)  # needs entries at letter sums 3 and 4
+
+    def test_comp_inverse_carrier_escape(self):
+        rng = random.Random(11)
+        v = random_mould(AB, 2, rng, empty_value=0)
+        for a in AB:
+            v.entries[Word((a,))] = S(a)
+        # the word (1, 2) needs the outer entry at its letter sum 3
+        with pytest.raises(CarrierEscapeError):
+            comp_inverse(v)
 
     def test_comp_inverse_right_inverse(self):
         rng = random.Random(10)
