@@ -15,6 +15,17 @@ closed shapes, each carried exactly:
   fractional-power monomials, evaluated in polar form so Hankel contours can
   track the argument continuously.
 
+Each shape also carries the summation rules that :mod:`.laplace` sums
+every shape through: ``singular_values``, ``ray_evaluator``,
+``polar_evaluator`` (with the ``single_valued`` flag), ``truncation_floor``,
+``tail_bound`` and ``origin_head``.  A shape need only implement
+``singular_points`` and ``numeric_evaluator``: the defaults of
+:class:`BorelFunction` take the principal sheet along a ray, a sampled
+tail envelope marked not proved, a floor from the singular moduli and no
+origin head, and refuse a Hankel contour unless the shape is
+single-valued.  Each bundled shape overrides what it knows: proved tail
+envelopes, and for power kernels an exact head series at the origin.
+
 Branch bookkeeping follows one convention throughout the package: the
 principal branch uses arg in (-pi, pi], a "+" detour passes *below* the
 singular point (to the right when traveling outward), and a full
@@ -43,7 +54,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import NotSimpleError, UnreachableBranchError
+from .errors import DecayMarginError, NotSimpleError, UnreachableBranchError
 from .scalars import ExactScalar
 from .series import BorelSeries
 
@@ -160,17 +171,16 @@ class RationalFunction:
     """
 
     def __init__(self, num, poles=None, lead=1):
-        self.num = _poly_trim([ExactScalar.coerce(c) if not isinstance(c, ExactScalar)
-                               else c for c in num])
+        self.num = _poly_trim([ExactScalar.coerce(c) for c in num])
         clean = {}
         for p, m in (poles or {}).items():
-            p = p if isinstance(p, ExactScalar) else ExactScalar.coerce(p)
+            p = ExactScalar.coerce(p)
             if m < 0:
                 raise ValueError("pole multiplicities must be >= 0")
             if m:
                 clean[p] = clean.get(p, 0) + m
         self.poles = clean
-        self.lead = lead if isinstance(lead, ExactScalar) else ExactScalar.coerce(lead)
+        self.lead = ExactScalar.coerce(lead)
         if self.lead.is_zero():
             raise ZeroDivisionError("zero leading denominator coefficient")
         if not self.num:
@@ -198,8 +208,7 @@ class RationalFunction:
     def denominator_poly(self):
         den = [self.lead]
         for p, m in self.poles.items():
-            lin = [-(p if isinstance(p, ExactScalar) else ExactScalar.coerce(p)),
-                   ExactScalar.from_rational(1)]
+            lin = [-ExactScalar.coerce(p), ExactScalar.from_rational(1)]
             for _ in range(m):
                 den = _poly_mul(den, lin)
         return den
@@ -258,7 +267,7 @@ class RationalFunction:
     def divide_linear(self, p) -> "RationalFunction":
         """Divide by (zeta - p)."""
         poles = dict(self.poles)
-        key = p if isinstance(p, ExactScalar) else ExactScalar.coerce(p)
+        key = ExactScalar.coerce(p)
         poles[key] = poles.get(key, 0) + 1
         return RationalFunction(self.num, poles=poles, lead=self.lead)
 
@@ -280,12 +289,12 @@ class RationalFunction:
         return num, m
 
     def pole_order(self, p) -> int:
-        p = p if isinstance(p, ExactScalar) else ExactScalar.coerce(p)
+        p = ExactScalar.coerce(p)
         return self._reduced_at(p)[1]
 
     def residue(self, p) -> ExactScalar:
         """Residue at a simple pole p (exact)."""
-        p = p if isinstance(p, ExactScalar) else ExactScalar.coerce(p)
+        p = ExactScalar.coerce(p)
         num, m = self._reduced_at(p)
         if m > 1:
             raise NotSimpleError(f"pole at {p} has order > 1", point=str(p))
@@ -298,7 +307,7 @@ class RationalFunction:
         return _poly_eval(num, p) / denom
 
     def exact_eval(self, x) -> ExactScalar:
-        x = x if isinstance(x, ExactScalar) else ExactScalar.coerce(x)
+        x = ExactScalar.coerce(x)
         denom = self.lead
         for p, m in self.poles.items():
             diff = x - p
@@ -339,8 +348,7 @@ class RationalFunction:
 
     def taylor_at(self, center, order: int):
         """Exact Taylor coefficients at a regular point, as a list."""
-        center = center if isinstance(center, ExactScalar) \
-            else ExactScalar.coerce(center)
+        center = ExactScalar.coerce(center)
         num_local = _poly_shift(self.num, center)
         num_local += [ExactScalar()] * max(0, order + 1 - len(num_local))
         series = num_local[: order + 1]
@@ -397,10 +405,6 @@ class PathSpec:
         return tuple(1 if s in ("+", 1) else -1 for s in self.signs)
 
 
-def _exact(x) -> ExactScalar:
-    return x if isinstance(x, ExactScalar) else ExactScalar.coerce(x)
-
-
 def _segment_ratio(point: ExactScalar, target: ExactScalar):
     """Exact ratio point/target when it is a rational in (0, 1), else None."""
     try:
@@ -419,18 +423,80 @@ def _intermediate_points(singular, target):
     """Singular points strictly inside the segment (0, target), in order."""
     found = []
     for s in singular:
-        r = _segment_ratio(_exact(s), _exact(target))
+        r = _segment_ratio(ExactScalar.coerce(s), ExactScalar.coerce(target))
         if r is not None:
-            found.append((r, _exact(s)))
+            found.append((r, ExactScalar.coerce(s)))
     found.sort(key=lambda t: t[0])
     return [s for _, s in found]
+
+
+# -- tail envelopes -------------------------------------------------------------------
+
+
+def _moment_integral(order, m, T):
+    """integral over [T, inf) of e^(-m t) t^(order-1) dt = Gamma(order, m T)
+    / m^order."""
+    return mpmath.gammainc(order, m * T) / m ** order
+
+
+def _pole_tail_distance(v, theta, T):
+    """min over t >= T of |t e^(i theta) - v|, by exact geometry."""
+    u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
+    if u.real >= T:
+        return abs(u.imag)
+    return abs(mpmath.mpf(T) - u)
+
+
+def _rational_envelope(rat, theta, T, prec):
+    """Constant M with |rat(t e^(i theta))| <= M for t >= T, or None.
+
+    Valid for proper rational functions with simple poles: the partial
+    fraction bound sum of |res_p| / dist(tail, p).  Anything else returns
+    None and the caller falls back to a sampled envelope.
+    """
+    if rat.is_zero():
+        return mpmath.mpf(0)
+    if len(rat.num) - 1 >= sum(rat.poles.values()):
+        return None
+    M = mpmath.mpf(0)
+    for p in rat.poles:
+        if rat.pole_order(p) > 1:
+            return None
+        d = _pole_tail_distance(p.evaluate(prec), theta, T)
+        if not d > 0:
+            return None
+        M += abs(rat.residue(p).evaluate(prec)) / d
+    return M
+
+
+def _envelope_tail(M, evalf, m, T, moment):
+    """(tail bound, proved?) from a constant envelope M of |f| beyond T.
+
+    M = None falls back to an envelope sampled from the ray evaluator
+    ``evalf``, honest only for decaying shapes, so it is not proved.
+    """
+    proved = M is not None
+    if not proved:
+        samples = [abs(evalf(T * c))
+                   for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
+        if samples[-1] > 2 * samples[0] + 1:
+            raise NotImplementedError(
+                "the integrand does not appear to decay along the ray, and "
+                "no proved envelope is available for this shape"
+            )
+        M = 4 * max(samples)
+    return abs(M * _moment_integral(moment + 1, m, T)), proved
 
 
 # -- the Borel function variants ------------------------------------------------------
 
 
 class BorelFunction:
-    """Base class; see module docstring for the shared conventions."""
+    """Base class; see module docstring for the shared conventions and for
+    what the summation defaults below assume."""
+
+    # one sheet: both rays of a Hankel contour see the same values
+    single_valued = False
 
     def singular_points(self):
         raise NotImplementedError
@@ -442,6 +508,55 @@ class BorelFunction:
 
     def numeric_eval(self, zeta, prec: int = 53):
         return self.numeric_evaluator(prec)(zeta)
+
+    def singular_values(self, prec: int):
+        """The nonzero singular points as numbers at ``prec`` bits."""
+        vals = [p.evaluate(prec) if hasattr(p, "evaluate")
+                else mpmath.mpmathify(p) for p in self.singular_points()]
+        return [v for v in vals if abs(v) > 0]
+
+    def ray_evaluator(self, theta, prec: int):
+        """t -> f(t e^(i theta)) on the principal sheet, with the shape's
+        evaluator built once."""
+        evaluate = self.numeric_evaluator(prec)
+        direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
+        return lambda t: evaluate(t * direction)
+
+    def polar_evaluator(self, prec: int = 53):
+        """(r, angle) -> f(r e^(i angle)) on the sheet the continuous angle
+        reaches.  Single-valued shapes have one sheet; any other shape
+        must override this to be summed on a Hankel contour."""
+        if not self.single_valued:
+            raise NotImplementedError(
+                "Hankel contours need a single-valued shape or one with "
+                "polar (continuous-angle) evaluation; got "
+                f"{type(self).__name__}"
+            )
+        evaluate = self.numeric_evaluator(prec)
+        return lambda r, ang: evaluate(
+            r * mpmath.exp(mpmath.mpc(0, 1) * ang))
+
+    def truncation_floor(self, sing, prec: int):
+        """Smallest ray truncation point at which ``tail_bound`` holds,
+        given the singular values ``sing``: past twice the farthest of
+        them (capped at 32) and at least 4."""
+        mods = [abs(v) for v in sing]
+        top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
+        return max(mpmath.mpf(4), 2 * top + 1)
+
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        """(bound, proved?) for the integral over t >= T of e^(-m t)
+        |f(t e^(i theta))| t^moment, with ``evalf`` the ray evaluator.
+        The default envelope is sampled, so it is not proved."""
+        return _envelope_tail(None, evalf, m, T, moment)
+
+    def origin_head(self, w, theta, moment, prec: int):
+        """A function T -> (h, head, error): the integral of e^(-w t)
+        f(t e^(i theta)) t^moment over [0, h], done exactly, once the
+        truncation point T is known; the quadrature covers [h, T].  The
+        default, for shapes regular at the origin, has h = 0.  A shape
+        whose origin no head covers raises here, before any sampling."""
+        return lambda T: (0, 0, 0)
 
     def _with_branch_updates(self, passed_with_signs, loops):
         """Return a copy continued past the given (point, sign) list."""
@@ -456,6 +571,8 @@ class BorelFunction:
 
 
 class RationalBF(BorelFunction):
+    single_valued = True
+
     def __init__(self, rat: RationalFunction):
         self.rat = rat
 
@@ -464,6 +581,13 @@ class RationalBF(BorelFunction):
 
     def numeric_evaluator(self, prec: int = 53):
         return self.rat.numeric_evaluator(prec)
+
+    def truncation_floor(self, sing, prec: int):
+        return mpmath.mpf(1)
+
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        M = _rational_envelope(self.rat, theta, T, prec)
+        return _envelope_tail(M, evalf, m, T, moment)
 
     def _with_branch_updates(self, passed_with_signs, loops):
         # meromorphic: any detour choice yields the same germ
@@ -479,6 +603,34 @@ class RationalBF(BorelFunction):
         return f"<RationalBF {self.rat!r}>"
 
 
+def _logpole_envelope(f, theta, T, prec):
+    """Constant envelope for a rational-plus-logs shape beyond T.
+
+    Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|)
+    + pi + 2 pi |k|, and its proper rational cofactor decays like
+    2 * (sum |res|) / t once T >= 2 max|pole| + 1 (enforced by the
+    truncation floor).  The product (B + ln(1 + t/|a|)) / t is decreasing,
+    so its value at T is a valid constant bound for the whole tail.
+    """
+    M = _rational_envelope(f.rational_part, theta, T, prec)
+    if M is None:
+        return None
+    for a, r, k in f.log_terms:
+        if r.is_zero():
+            continue
+        if not r.poles or len(r.num) - 1 >= sum(r.poles.values()):
+            return None
+        ressum = mpmath.mpf(0)
+        for p in r.poles:
+            if r.pole_order(p) > 1:
+                return None
+            ressum += abs(r.residue(p).evaluate(prec))
+        av = abs(a.evaluate(prec))
+        B = mpmath.pi * (1 + 2 * abs(k))
+        M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
+    return M
+
+
 class LogPoleBF(BorelFunction):
     """r_0(zeta) + sum of r_i(zeta) * [Log(1 - zeta/a_i) + 2*pi*i*k_i]."""
 
@@ -492,7 +644,7 @@ class LogPoleBF(BorelFunction):
                 k = 0
             else:
                 a, r, k = item
-            a = _exact(a)
+            a = ExactScalar.coerce(a)
             if a.is_zero():
                 raise ValueError("log branch point at the origin is not allowed")
             if a in seen:
@@ -530,6 +682,17 @@ class LogPoleBF(BorelFunction):
 
         return evaluate
 
+    def truncation_floor(self, sing, prec: int):
+        mods = [abs(p.evaluate(prec)) for p in self.rational_part.poles]
+        for _a, r, _k in self.log_terms:
+            mods.extend(abs(p.evaluate(prec)) for p in r.poles)
+        top = max(mods, default=mpmath.mpf(0))
+        return max(mpmath.mpf(4), 2 * top + 1)
+
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        M = _logpole_envelope(self, theta, T, prec)
+        return _envelope_tail(M, evalf, m, T, moment)
+
     def log_value_at(self, a: ExactScalar, point: ExactScalar) -> ExactScalar:
         """Exact branch value of Log(1 - zeta/a) + 2*pi*i*k at an exact point.
 
@@ -562,7 +725,7 @@ class LogPoleBF(BorelFunction):
                 if sign < 0:
                     ks[point] = ks[point] - 1
         for point, turns in loops:
-            point = _exact(point)
+            point = ExactScalar.coerce(point)
             if point in ks:
                 ks[point] = ks[point] + int(turns)
             elif point not in self.singular_points():
@@ -605,7 +768,10 @@ class StirlingBF(BorelFunction):
 
     ``singular_points`` lists the first ``count`` conjugate pairs; paths
     whose targets sit farther out on the lattice than that must raise the
-    count when building continuation data."""
+    count when building continuation data.  Ray sums check the first 48
+    pairs."""
+
+    single_valued = True
 
     def singular_points(self, count: int = 8):
         tau = ExactScalar.tau()
@@ -663,6 +829,33 @@ class StirlingBF(BorelFunction):
                 return +out
 
         return evaluate
+
+    def singular_values(self, prec: int):
+        return [p.evaluate(prec) for p in self.singular_points(count=48)]
+
+    def truncation_floor(self, sing, prec: int):
+        return mpmath.mpf(4)
+
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        """The envelope beyond T.
+
+        With w = zeta/2 the bound chain is |coth w| <= 1 + 1/|sinh w| and
+        |sinh w| >= 2 delta / pi where delta = min(dist(w, pi i Z), pi/2);
+        the lattice distance is computed exactly over the pole range that can
+        matter and capped there.  The minor itself is then bounded by
+        (|coth|/2)/t + 1/t^2.
+        """
+        tau = 2 * mpmath.pi
+        kmax = max(96, int(T / float(tau)) + 2)
+        d = mpmath.inf
+        for k in range(1, kmax + 1):
+            for sgn in (1, -1):
+                d = min(d, _pole_tail_distance(mpmath.mpc(0, sgn * tau * k),
+                                               theta, T))
+        delta = min(d / 2, mpmath.pi / 2)
+        coth_bound = 1 + mpmath.pi / (2 * delta)
+        M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
+        return _envelope_tail(M, evalf, m, T, moment)
 
     def _with_branch_updates(self, passed_with_signs, loops):
         # meromorphic: all lateral paths define the same germ
@@ -722,6 +915,36 @@ class DilogBF(BorelFunction):
 
         return evaluate
 
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        """Guaranteed tail bound beyond T >= 1.
+
+        The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
+        bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
+        |z| >= 1 (the series bounds |Li2(1/z)| by pi^2/6 there), and each
+        stored loop at 1 contributes |2 pi (Log z + 2 pi i m)| <= 2 pi
+        (ln t + pi (1 + 2 |m|)).  With ln t <= 2 sqrt(t) the whole envelope
+        is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas.
+        """
+        pi = mpmath.pi
+        loops = abs(self.n)
+        sheet = abs(self.m)
+        A = pi ** 2 / 3 + pi ** 2 / 2 + 2 * pi ** 2 * loops * (1 + 2 * sheet)
+        B = 2 * pi + 4 * pi * loops
+        C = mpmath.mpf(2)
+        half = mpmath.mpf(1) / 2
+        return abs(A * _moment_integral(moment + 1, m, T)
+                   + B * _moment_integral(moment + 1 + half, m, T)
+                   + C * _moment_integral(moment + 2, m, T)), True
+
+    def origin_head(self, w, theta, moment, prec: int):
+        if self.n:
+            raise NotImplementedError(
+                f"the dilogarithm minor after {self.n} loop(s) at 1 has a "
+                "log singularity at the origin, which ray sums do not "
+                "cover; only the sheet without loops (n = 0) is summed"
+            )
+        return super().origin_head(w, theta, moment, prec)
+
     def _with_branch_updates(self, passed_with_signs, loops):
         n, m = self.n, self.m
         one = ExactScalar.from_rational(1)
@@ -731,7 +954,7 @@ class DilogBF(BorelFunction):
                 # the plain logarithm
                 n -= 1
         for point, turns in loops:
-            point = _exact(point)
+            point = ExactScalar.coerce(point)
             if point == one:
                 n += int(turns)
             elif point.is_zero():
@@ -820,6 +1043,86 @@ class PowerBF(BorelFunction):
         """Value at zeta = radius * e^(i theta), theta a continuous angle."""
         return self.polar_evaluator(prec)(radius, theta)
 
+    def ray_evaluator(self, theta, prec: int):
+        # polar, so a ray angle outside (-pi, pi] continues onto its sheet
+        polar = self.polar_evaluator(prec)
+        return lambda t: polar(t, theta)
+
+    def truncation_floor(self, sing, prec: int):
+        return mpmath.mpf(1)
+
+    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+        """Exact tail bound via incomplete gamma moments.
+
+        |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral
+        integral over [T, inf) of e^(-m t) t^(s-1) dt equals
+        Gamma(s, m T) / m^s.  The log factor uses |log zeta| <= ln t + |theta|
+        + 2 pi (covering the Hankel sheet range) and ln t <= 2 sqrt(t).
+        """
+        s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator + moment
+        g = abs(self.g_value(prec))
+        base = _moment_integral(s, m, T)
+        if not self.with_log:
+            return g * base, True
+        A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
+        gp = abs(self.g_prime_value(prec))
+        return g * (A * base + 2 * _moment_integral(s + mpmath.mpf(1) / 2, m, T)) \
+            + gp * base, True
+
+    def origin_head(self, w, theta, moment, prec: int):
+        """Exact series for the integral over [0, h], with
+        h = min(1/2, T/4, 1/(2 max(|w|, 1))); sigma <= 0 is refused, as
+        the kernel is not integrable at the origin.
+
+        Expanding the exponential kernel termwise,
+
+            integral over [0, h] of e^(-w t) f(t e^(i theta)) t^moment dt
+            = e^(i theta (sigma - 1)) * sum over k of (-w)^k / k! *
+              [coefficients] * h^(s + k) / (s + k)   with s = sigma + moment,
+
+        where the log variant also needs integral of t^(s+k-1) log t dt =
+        h^(s+k) (log h / (s+k) - 1/(s+k)^2).  With h <= 1/(2|w|) the term
+        ratio stays below 1/2 past the first few terms, so the truncation
+        remainder is bounded by the last computed term.  This sidesteps the
+        quadrature entirely on the panel where the endpoint singularity
+        would otherwise cap its accuracy.
+        """
+        if self.sigma <= 0:
+            raise DecayMarginError(
+                f"the power kernel with sigma = {self.sigma} is not "
+                "integrable at the origin",
+                margin=float(self.sigma),
+            )
+
+        def head(T):
+            h = min(mpmath.mpf(1) / 2, T / 4, 1 / (2 * max(abs(w), 1)))
+            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator \
+                + moment
+            g = self.g_value(prec)
+            gp = self.g_prime_value(prec) if self.with_log else None
+            logh = mpmath.log(h)
+            total = mpmath.mpc(0)
+            ck = mpmath.mpc(1)
+            bound = mpmath.mpf(0)
+            floor = mpmath.ldexp(1, -(prec + 8))
+            for k in range(prec + 64):
+                base = h ** (s + k) / (s + k)
+                if self.with_log:
+                    logint = base * (logh - 1 / (s + k))
+                    term = ck * (g * logint
+                                 + (g * mpmath.mpc(0, 1) * theta + gp) * base)
+                else:
+                    term = ck * g * base
+                total += term
+                bound = abs(term)
+                if bound < floor * (1 + abs(total)) and k > 2:
+                    break
+                ck = ck * (-w) / (k + 1)
+            phase = mpmath.exp(mpmath.mpc(0, 1) * theta * (s - moment - 1))
+            return h, phase * total, bound
+
+        return head
+
     def numeric_evaluator(self, prec: int = 53):
         polar = self.polar_evaluator(prec)
 
@@ -845,12 +1148,12 @@ def points_between(f: BorelFunction, omega) -> list:
 
     Membership is decided exactly: a point s counts when s/omega is a
     rational number in (0, 1) in the scalar ring."""
-    return _intermediate_points(f.singular_points(), _exact(omega))
+    return _intermediate_points(f.singular_points(), ExactScalar.coerce(omega))
 
 
 def continue_along(f: BorelFunction, path: PathSpec) -> BorelFunction:
     """The branch of f reached along the path (see PathSpec)."""
-    target = _exact(path.target)
+    target = ExactScalar.coerce(path.target)
     inter = _intermediate_points(f.singular_points(), target)
     signs = path.sign_values()
     if len(signs) != len(inter):
@@ -861,7 +1164,7 @@ def continue_along(f: BorelFunction, path: PathSpec) -> BorelFunction:
             given=len(signs),
         )
     return f._with_branch_updates(list(zip(inter, signs)), tuple(
-        ( _exact(p), t) for p, t in path.loops
+        (ExactScalar.coerce(p), t) for p, t in path.loops
     ))
 
 
@@ -893,7 +1196,7 @@ class SingularityData:
 def extract_singularity(f: BorelFunction, omega, signs=(), order: int = 8,
                         loops=()) -> SingularityData:
     """Extract (a_0, chi) at omega along the path with the given detour signs."""
-    omega = _exact(omega)
+    omega = ExactScalar.coerce(omega)
     path = PathSpec(target=omega, signs=tuple(signs), loops=tuple(loops))
     g = continue_along(f, path)
     zero_series = BorelSeries(0, [ExactScalar()] * (order + 1))

@@ -103,18 +103,20 @@ class _Parser(argparse.ArgumentParser):
 # literal parsing
 
 
+def _literal_factor(head: str) -> Fraction:
+    """The rational factor written before a pi literal ('', '+' and '-'
+    stand for 1 and -1); raises ValueError or ZeroDivisionError."""
+    return {"": Fraction(1), "+": Fraction(1), "-": Fraction(-1)}.get(
+        head) or Fraction(head)
+
+
 def _parse_angle(text: str) -> float:
     """Parse an angle that may use pi literals: 'pi', '-pi/2', '3pi/4', '0.3'."""
     s = text.strip().replace(" ", "").replace("*", "")
     try:
         if "pi" in s:
             head, _, tail = s.partition("pi")
-            if head in ("", "+"):
-                mult = Fraction(1)
-            elif head == "-":
-                mult = Fraction(-1)
-            else:
-                mult = Fraction(head)
+            mult = _literal_factor(head)
             if tail:
                 if not tail.startswith("/"):
                     raise UsageError(f"cannot parse angle {text!r}")
@@ -133,16 +135,10 @@ def _parse_point(text: str) -> ExactScalar:
     """Parse a Borel-plane point: '2pii' literals or exact scalar text."""
     s = text.strip().replace(" ", "")
     if s.endswith("2pii"):
-        head = s[:-4].rstrip("*")
-        if head in ("", "+"):
-            mult = Fraction(1)
-        elif head == "-":
-            mult = Fraction(-1)
-        else:
-            try:
-                mult = Fraction(head)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"cannot parse point {text!r}") from None
+        try:
+            mult = _literal_factor(s[:-4].rstrip("*"))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"cannot parse point {text!r}") from None
         return ExactScalar.tau() * ExactScalar.from_rational(mult)
     try:
         return parse_scalar(s)
@@ -330,6 +326,9 @@ def _cmd_alien(args) -> dict:
 def _cmd_sum(args) -> dict:
     f, c0 = _borel_input(args.input)
     digits = _digits(args.prec)
+    if args.moment and (args.jump or args.hankel):
+        raise UsageError("--moment applies to ray sums only, not to "
+                         "--jump or --hankel")
     if args.jump:
         if args.theta_star is None:
             raise UsageError("--jump requires --theta-star")
@@ -386,7 +385,8 @@ def _cmd_mzv_relation(args) -> dict:
     report = verify_relation(_parse_index(args.a), _parse_index(args.b),
                              prec=args.prec, modes=modes,
                              cutoff=args.cutoff)
-    data = report.to_dict()
+    with mpmath.workprec(args.prec):
+        data = report.to_dict(digits=_digits(args.prec))
     data["ok"] = report.ok
     return data
 

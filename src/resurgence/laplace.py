@@ -12,35 +12,29 @@ decay margin m exceeds the growth constant of the integrand (zero for every
 shape shipped here, since they all grow at most polynomially along rays that
 stay away from their singular points).
 
+Nothing here knows a shape's type: every sum asks the shape, once each,
+for the summation rules of :class:`.borelfun.BorelFunction` (see
+:mod:`.borelfun` for what a shape implements and what the defaults do),
+so exact constants are evaluated once and each node only does the
+arithmetic of its point.
+
 The numeric scheme has two independent error sources and both are reported:
 
 * truncation: the ray is cut at a finite T, and the discarded tail is
-  bounded analytically.  For each shape we carry an explicit envelope
-  |f(t e^(i theta))| <= M valid for all t >= T (built from residues and
-  pole distances, from the coth lattice bound, or from the exact
-  incomplete-gamma moments of power kernels), so the tail bound
-  M * Gamma(moment+1, m T) / m^(moment+1) is a guaranteed inequality.
-  Shapes without a hand-proved envelope fall back to a sampled envelope
-  and the result is flagged as not rigorous in the diagnostics.
+  bounded by the shape's ``tail_bound``, a proved inequality for every
+  shape of :mod:`.borelfun` (Pade models take the sampled default).
 * quadrature: [0, T] is cut at a geometric ladder of segments, and each
   segment is integrated with adaptive nested Clenshaw-Curtis panels on
   the Chebyshev-Lobatto nodes of :mod:`._chebyshev`.  A panel is sampled
   once at 2n + 1 nodes; the (n + 1)-point rule on every other sample is
   compared with the full rule, and a panel whose difference exceeds its
   length's share of target_error / 16 is bisected.  Every panel
-  integrand is analytic on its panel (power kernels leave out [0, h],
-  which their exact head series covers), so the rule converges
-  geometrically.  The reported quadrature error is the sum of the panel
-  differences, taken with a safety factor of 4, never a wishful
-  constant.  ``max_nodes`` caps the bisection, and panels left
+  integrand is analytic on its panel (a shape with an ``origin_head``
+  leaves out [0, h], which its exact head series covers), so the rule
+  converges geometrically.  The reported quadrature error is the sum of
+  the panel differences, taken with a safety factor of 4, never a
+  wishful constant.  ``max_nodes`` caps the bisection, and panels left
   unconverged by it keep their differences in the error.
-
-Each sum builds the shape's evaluator once (``numeric_evaluator`` or, for
-power kernels, ``polar_evaluator`` of :mod:`.borelfun`): the exact
-constants of the shape are evaluated a single time and every quadrature
-node only does the arithmetic that depends on the point.  The singular
-points are likewise evaluated once per sum and shared by the ray check,
-the truncation floor and the segment ladder.
 
 Lateral sums and their jump follow the frozen orientation convention of the
 whole package: the "+" determination uses rays at angles just below the
@@ -61,11 +55,10 @@ the nearest nonzero singular point, or 1/4 when there is none), and leaves
 toward e^(i theta) * infinity.  The two rays live on different sheets, so
 the integrand is evaluated in polar form with a continuous angle.  They
 share their points and their kernel, so they are integrated as one
-difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)); for
-single-valued shapes that difference is at rounding level, every panel
-passes on its first sampling, and only the circle contributes.  The
-circle integrand is analytic in the angle, so the same panel rule takes
-the whole turn as one panel.
+difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)); on
+single-valued shapes that difference vanishes and only the circle is
+integrated.  The circle integrand is analytic in the angle, so the same
+panel rule takes the whole turn as one panel.
 
 `verify_asymptotics` compares ray sums against the partial sums of a
 divergent expansion and reports the rescaled remainders
@@ -90,14 +83,7 @@ from dataclasses import dataclass, field
 import mpmath
 
 from ._chebyshev import chebyshev_nodes, clenshaw_curtis
-from .borelfun import (
-    BorelFunction,
-    DilogBF,
-    LogPoleBF,
-    PowerBF,
-    RationalBF,
-    StirlingBF,
-)
+from .borelfun import BorelFunction
 from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
 from .series import FormalSeries
@@ -232,7 +218,7 @@ def _kernel(theta, z, prec):
 # -- a Pade model of a minor --------------------------------------------------------
 
 
-class PadeApproximant:
+class PadeApproximant(BorelFunction):
     """A rational stand-in for a Borel transform, fitted from coefficients.
 
     Given an asymptotic expansion sum of c_n z^-n, the Borel transform of
@@ -247,6 +233,8 @@ class PadeApproximant:
     checks use the numeric pole estimates), and every summation result
     computed through it is flagged as not rigorous.
     """
+
+    single_valued = True
 
     def __init__(self, num, den):
         self.num = tuple(num)
@@ -293,11 +281,11 @@ class PadeApproximant:
 
         return evaluate
 
-    def numeric_eval(self, zeta, prec: int = 53):
-        return self.numeric_evaluator(prec)(zeta)
-
     def singular_points(self):
         return []
+
+    def singular_values(self, prec: int):
+        return [v for v in self.poles_numeric(prec) if abs(v) > 0]
 
     def poles_numeric(self, prec: int = 53):
         coeffs = list(self.den)
@@ -322,22 +310,6 @@ def pade_minor(series: FormalSeries, degree: int | None = None,
 
 
 # -- ray admissibility ----------------------------------------------------------------
-
-
-def _singular_values(f, prec):
-    """Nonzero singular points of f as numbers (plus numeric pole guesses)."""
-    if isinstance(f, StirlingBF):
-        pts = f.singular_points(count=48)
-    else:
-        pts = f.singular_points()
-    vals = []
-    for p in pts:
-        vals.append(p.evaluate(prec) if hasattr(p, "evaluate")
-                    else mpmath.mpmathify(p))
-    poles_numeric = getattr(f, "poles_numeric", None)
-    if poles_numeric is not None:
-        vals.extend(poles_numeric(prec))
-    return [v for v in vals if abs(v) > 0]
 
 
 def _ray_distance(v, theta):
@@ -367,188 +339,14 @@ def _check_ray(sing, theta):
         )
 
 
-# -- tail envelopes -------------------------------------------------------------------
-
-
-def _pole_tail_distance(v, theta, T):
-    """min over t >= T of |t e^(i theta) - v|, by exact geometry."""
-    u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
-    if u.real >= T:
-        return abs(u.imag)
-    return abs(mpmath.mpf(T) - u)
-
-
-def _rational_envelope(rat, theta, T, prec):
-    """Constant M with |rat(t e^(i theta))| <= M for t >= T, or None.
-
-    Valid for proper rational functions with simple poles: the partial
-    fraction bound sum of |res_p| / dist(tail, p).  Anything else returns
-    None and the caller falls back to a sampled envelope.
-    """
-    if rat.is_zero():
-        return mpmath.mpf(0)
-    if len(rat.num) - 1 >= sum(rat.poles.values()):
-        return None
-    M = mpmath.mpf(0)
-    for p in rat.poles:
-        if rat.pole_order(p) > 1:
-            return None
-        d = _pole_tail_distance(p.evaluate(prec), theta, T)
-        if not d > 0:
-            return None
-        M += abs(rat.residue(p).evaluate(prec)) / d
-    return M
-
-
-def _logpole_envelope(f, theta, T, prec):
-    """Constant envelope for a rational-plus-logs shape beyond T.
-
-    Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|)
-    + pi + 2 pi |k|, and its proper rational cofactor decays like
-    2 * (sum |res|) / t once T >= 2 max|pole| + 1 (enforced by the
-    truncation floor).  The product (B + ln(1 + t/|a|)) / t is decreasing,
-    so its value at T is a valid constant bound for the whole tail.
-    """
-    M = _rational_envelope(f.rational_part, theta, T, prec)
-    if M is None:
-        return None
-    for a, r, k in f.log_terms:
-        if r.is_zero():
-            continue
-        if not r.poles or len(r.num) - 1 >= sum(r.poles.values()):
-            return None
-        ressum = mpmath.mpf(0)
-        for p in r.poles:
-            if r.pole_order(p) > 1:
-                return None
-            ressum += abs(r.residue(p).evaluate(prec))
-        av = abs(a.evaluate(prec))
-        B = mpmath.pi * (1 + 2 * abs(k))
-        M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
-    return M
-
-
-def _stirling_envelope(theta, T, prec):
-    """Envelope for the factorial-correction minor beyond T.
-
-    With w = zeta/2 the bound chain is |coth w| <= 1 + 1/|sinh w| and
-    |sinh w| >= 2 delta / pi where delta = min(dist(w, pi i Z), pi/2);
-    the lattice distance is computed exactly over the pole range that can
-    matter and capped there.  The minor itself is then bounded by
-    (|coth|/2)/t + 1/t^2.
-    """
-    tau = 2 * mpmath.pi
-    kmax = max(96, int(T / float(tau)) + 2)
-    d = mpmath.inf
-    for k in range(1, kmax + 1):
-        for sgn in (1, -1):
-            d = min(d, _pole_tail_distance(mpmath.mpc(0, sgn * tau * k),
-                                           theta, T))
-    delta = min(d / 2, mpmath.pi / 2)
-    coth_bound = 1 + mpmath.pi / (2 * delta)
-    return (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-
-
-def _moment_integral(order, m, T):
-    """integral over [T, inf) of e^(-m t) t^(order-1) dt = Gamma(order, m T)
-    / m^order."""
-    return mpmath.gammainc(order, m * T) / m ** order
-
-
-def _power_tail(f, m, T, theta, moment, prec):
-    """Exact tail bound for power kernels via incomplete gamma moments.
-
-    |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral
-    integral over [T, inf) of e^(-m t) t^(s-1) dt equals
-    Gamma(s, m T) / m^s.  The log factor uses |log zeta| <= ln t + |theta|
-    + 2 pi (covering the Hankel sheet range) and ln t <= 2 sqrt(t).
-    """
-    s = mpmath.mpf(f.sigma.numerator) / f.sigma.denominator + moment
-    g = abs(f.g_value(prec))
-    base = _moment_integral(s, m, T)
-    if not f.with_log:
-        return g * base
-    A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
-    gp = abs(f.g_prime_value(prec))
-    return g * (A * base + 2 * _moment_integral(s + mpmath.mpf(1) / 2, m, T)) \
-        + gp * base
-
-
-def _dilog_tail(f, m, T, theta, moment, prec):
-    """Guaranteed tail bound for the dilogarithm minor beyond T >= 1.
-
-    The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
-    bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
-    |z| >= 1 (the series bounds |Li2(1/z)| by pi^2/6 there), and each
-    stored loop at 1 contributes |2 pi (Log z + 2 pi i m)| <= 2 pi
-    (ln t + pi (1 + 2 |m|)).  With ln t <= 2 sqrt(t) the whole envelope
-    is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas.
-    """
-    pi = mpmath.pi
-    loops = abs(f.n)
-    sheet = abs(f.m)
-    A = pi ** 2 / 3 + pi ** 2 / 2 + 2 * pi ** 2 * loops * (1 + 2 * sheet)
-    B = 2 * pi + 4 * pi * loops
-    C = mpmath.mpf(2)
-    half = mpmath.mpf(1) / 2
-    return A * _moment_integral(moment + 1, m, T) \
-        + B * _moment_integral(moment + 1 + half, m, T) \
-        + C * _moment_integral(moment + 2, m, T)
-
-
-def _t_floor(f, sing, prec):
-    """Smallest truncation point at which the shape's envelope is valid."""
-    if isinstance(f, (RationalBF, PowerBF)):
-        return mpmath.mpf(1)
-    if isinstance(f, StirlingBF):
-        return mpmath.mpf(4)
-    if isinstance(f, LogPoleBF):
-        mods = [abs(p.evaluate(prec)) for p in f.rational_part.poles]
-        for _a, r, _k in f.log_terms:
-            mods.extend(abs(p.evaluate(prec)) for p in r.poles)
-        top = max(mods, default=mpmath.mpf(0))
-        return max(mpmath.mpf(4), 2 * top + 1)
-    mods = [abs(v) for v in sing]
-    top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
-    return max(mpmath.mpf(4), 2 * top + 1)
-
-
-def _sampled_envelope(evalf, T):
-    """Fallback envelope from samples; honest only for decaying shapes."""
-    samples = [abs(evalf(T * c)) for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
-    if samples[-1] > 2 * samples[0] + 1:
-        raise NotImplementedError(
-            "the integrand does not appear to decay along the ray, and no "
-            "proved envelope is available for this shape"
-        )
-    return 4 * max(samples)
-
-
-def _tail_bound(f, evalf, theta, m, T, moment, prec):
-    """(tail bound, sampled?) for the discarded integral beyond T."""
-    if isinstance(f, PowerBF):
-        return _power_tail(f, m, T, theta, moment, prec), False
-    if isinstance(f, DilogBF):
-        return abs(_dilog_tail(f, m, T, theta, moment, prec)), False
-    if isinstance(f, RationalBF):
-        M = _rational_envelope(f.rat, theta, T, prec)
-    elif isinstance(f, LogPoleBF):
-        M = _logpole_envelope(f, theta, T, prec)
-    elif isinstance(f, StirlingBF):
-        M = _stirling_envelope(theta, T, prec)
-    else:
-        M = None
-    sampled = False
-    if M is None:
-        M = _sampled_envelope(evalf, T)
-        sampled = True
-    return abs(M * _moment_integral(moment + 1, m, T)), sampled
+# -- truncation -----------------------------------------------------------------------
 
 
 def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
                        max_nodes):
-    """(T, tail bound, sampled?): the first point of the ladder T_floor,
-    3/2 T_floor, ... whose tail bound is within target / 4.
+    """(T, tail bound, proved?): the first point of the ladder T_floor,
+    3/2 T_floor, ... whose tail bound is within target / 4, with the
+    floor and the bounds from the shape.
 
     A ray on which the kernel e^(-w t) turns more often over [0, T] than
     ``max_nodes`` nodes could resolve is refused.  That happens when the
@@ -557,13 +355,13 @@ def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
     and the rule's own error estimate then no longer bounds its error.
     """
     m = mpmath.mpc(w).real
-    T = _t_floor(f, sing, prec)
-    tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
+    T = f.truncation_floor(sing, prec)
+    tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
     for _ in range(400):
         if tail <= target / 4:
             break
         T = T * 3 / 2
-        tail, sampled = _tail_bound(f, evalf, theta, m, T, moment, prec)
+        tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
     turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
     if turns > max_nodes:
         raise DecayMarginError(
@@ -574,80 +372,10 @@ def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
             margin=float(m),
             turns=float(turns),
         )
-    return T, tail, sampled
+    return T, tail, proved
 
 
 # -- quadrature -----------------------------------------------------------------------
-
-
-def _ray_evaluator(f, theta, prec):
-    """t -> f(t e^(i theta)), with f's evaluator built once per sum."""
-    if isinstance(f, PowerBF):
-        polar = f.polar_evaluator(prec)
-        return lambda t: polar(t, theta)
-    evaluate = f.numeric_evaluator(prec)
-    direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
-    return lambda t: evaluate(t * direction)
-
-
-# shapes with one sheet: a Hankel contour reduces to its circle on them
-_SINGLE_VALUED = (RationalBF, StirlingBF, PadeApproximant)
-
-
-def _polar_evaluator(f, prec):
-    """(r, angle) -> f(r e^(i angle)) on the sheet the continuous angle
-    reaches, with f's evaluator built once per sum."""
-    if isinstance(f, PowerBF):
-        return f.polar_evaluator(prec)
-    if isinstance(f, _SINGLE_VALUED):
-        evaluate = f.numeric_evaluator(prec)
-        return lambda r, ang: evaluate(
-            r * mpmath.exp(mpmath.mpc(0, 1) * ang))
-    raise NotImplementedError(
-        "Hankel contours need a single-valued shape or one with polar "
-        f"(continuous-angle) evaluation; got {type(f).__name__}"
-    )
-
-
-def _power_head(f, w, theta, h, moment, prec):
-    """Exact series for the power-kernel integral over [0, h].
-
-    Expanding the exponential kernel termwise,
-
-        integral over [0, h] of e^(-w t) f(t e^(i theta)) t^moment dt
-        = e^(i theta (sigma - 1)) * sum over k of (-w)^k / k! *
-          [coefficients] * h^(s + k) / (s + k)   with s = sigma + moment,
-
-    where the log variant also needs integral of t^(s+k-1) log t dt =
-    h^(s+k) (log h / (s+k) - 1/(s+k)^2).  With h <= 1/(2|w|) the term
-    ratio stays below 1/2 past the first few terms, so the truncation
-    remainder is bounded by the last computed term.  This sidesteps the
-    quadrature entirely on the panel where the endpoint singularity
-    would otherwise cap its accuracy.
-    """
-    s = mpmath.mpf(f.sigma.numerator) / f.sigma.denominator + moment
-    g = f.g_value(prec)
-    gp = f.g_prime_value(prec) if f.with_log else None
-    logh = mpmath.log(h)
-    total = mpmath.mpc(0)
-    ck = mpmath.mpc(1)
-    bound = mpmath.mpf(0)
-    floor = mpmath.ldexp(1, -(prec + 8))
-    for k in range(prec + 64):
-        base = h ** (s + k) / (s + k)
-        if f.with_log:
-            logint = base * (logh - 1 / (s + k))
-            term = ck * (g * logint
-                         + (g * mpmath.mpc(0, 1) * theta + gp) * base)
-        else:
-            term = ck * g * base
-        total += term
-        bound = abs(term)
-        if bound < floor * (1 + abs(total)) and k > 2:
-            break
-        ck = ck * (-w) / (k + 1)
-    phase = mpmath.exp(mpmath.mpc(0, 1) * theta * (s - moment - 1))
-    return phase * total, bound
 
 
 def _segments(lo, T, sing, theta):
@@ -729,10 +457,12 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     these absolutely convergent integrals).
 
     Raises DecayMarginError when the margin Re(z e^(i theta)) is not
-    positive, when it is so small next to |z| that the kernel turns
-    more than ``max_nodes`` times before the truncation point (or when a
-    power kernel is not integrable at the origin), and RayBlockedError when the ray passes too close to a
-    singular point, naming the nearest one.
+    positive or so small next to |z| that the kernel turns more than
+    ``max_nodes`` times before the truncation point, RayBlockedError when
+    the ray passes too close to a singular point, naming the nearest one,
+    and whatever the shape's ``origin_head`` raises for an origin no head
+    covers (DecayMarginError for a power kernel that is not integrable
+    there, NotImplementedError for a dilogarithm sheet looped around 1).
     """
     if moment < 0:
         raise ValueError("moment must be >= 0")
@@ -740,17 +470,12 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     guard = prec + 24
     with mpmath.workprec(guard):
         theta, z, w, m = _kernel(spec.theta, spec.z, guard)
-        if isinstance(f, PowerBF) and f.sigma <= 0:
-            raise DecayMarginError(
-                f"the power kernel with sigma = {f.sigma} is not integrable "
-                "at the origin",
-                margin=float(f.sigma),
-            )
-        sing = _singular_values(f, guard)
+        origin = f.origin_head(w, theta, moment, guard)
+        sing = f.singular_values(guard)
         _check_ray(sing, theta)
-        evalf = _ray_evaluator(f, theta, guard)
+        evalf = f.ray_evaluator(theta, guard)
         target = mpmath.mpf(float(spec.target_error))
-        T, tail, sampled = _choose_truncation(
+        T, tail, proved = _choose_truncation(
             f, evalf, sing, theta, w, target, moment, guard, spec.max_nodes)
 
         def g(t):
@@ -759,12 +484,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
                 base = base * t ** moment
             return mpmath.exp(-w * t) * base
 
-        head = mpmath.mpc(0)
-        head_err = mpmath.mpf(0)
-        lo = mpmath.mpf(0)
-        if isinstance(f, PowerBF):
-            lo = min(mpmath.mpf(1) / 2, T / 4, 1 / (2 * max(abs(w), 1)))
-            head, head_err = _power_head(f, w, theta, lo, moment, guard)
+        lo, head, head_err = origin(T)
         pts = _segments(lo, T, sing, theta)
         val, errq, nodes, panels = _panels(g, pts, target / 16,
                                            spec.max_nodes)
@@ -780,7 +500,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
             "quadrature_error": float(errq),
             "segments": len(pts) - 1,
             "panels": panels,
-            "rigorous_tail": not sampled,
+            "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(prec):
@@ -823,26 +543,17 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
                    prec: int | None = None) -> SummationResult:
     """Laplace sum over a Hankel contour winding once around the origin.
 
-    The contour comes in from e^(i (theta - 2 pi)) * infinity, circles the
-    origin counterclockwise at radius rho = (nearest nonzero singular
-    distance)/4 (or 1/4 when f is singular only at the origin), and goes
-    back out toward e^(i theta) * infinity.  The in-ray lives one full
-    turn below the out-ray, so multivalued shapes are evaluated in polar
-    form with a continuous angle.  Both rays share the points t e^(i theta)
-    and the kernel e^(-w t), so they are integrated as one integrand
-
-        e^(-w t) * (f(t, theta) - f(t, theta - 2 pi))    over [rho, T],
-
-    with f in polar form.  On single-valued shapes (rational, Stirling
-    and Pade) the two sheets agree, the rays cancel identically, and only
-    the circle is integrated: the diagnostics then report no segments,
-    ``ray_nodes`` 0 and a zero tail bound.  The circle is one
+    The contour and its one ray integrand over [rho, T] are described in
+    the module docstring; f is evaluated through its ``polar_evaluator``,
+    built once for the ray and the circle.  On ``single_valued`` shapes
+    only the circle is integrated: the diagnostics then report no
+    segments, ``ray_nodes`` 0 and a zero tail bound.  The circle is one
     Clenshaw-Curtis panel over the whole turn (bisected like any other
     panel); it and the ray share the quadrature budget target_error / 16
-    and the ``max_nodes`` cap.  The shape's evaluator is built once for
-    both pieces.  The error is 4 * (ray + circle quadrature errors) +
-    2 * tail (one tail bound per ray) + one unit of the result's last
-    place, which is 4 * circle + one unit on single-valued shapes.
+    and the ``max_nodes`` cap.  The error is 4 * (ray + circle quadrature
+    errors) + 2 * tail (one tail bound per ray) + one unit of the result's
+    last place.  Shapes with neither one sheet nor a polar evaluator
+    (``LogPoleBF``, ``DilogBF``) raise NotImplementedError.
     """
     spec = RaySpec(theta, z, max_nodes=max_nodes,
                    target_error=target_error, prec=prec)
@@ -850,18 +561,18 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     guard = out_prec + 24
     with mpmath.workprec(guard):
         th, zv, w, m = _kernel(theta, z, guard)
-        polar = _polar_evaluator(f, guard)
-        sing = _singular_values(f, guard)
+        polar = f.polar_evaluator(guard)
+        sing = f.singular_values(guard)
         _check_ray(sing, th)
         rho = min(abs(v) for v in sing) / 4 if sing \
             else mpmath.mpf(1) / 4
         target = mpmath.mpf(float(target_error))
-        if isinstance(f, _SINGLE_VALUED):
+        if f.single_valued:
             # no ray segments: the contour that is integrated ends on the
             # circle, and neither ray has a tail
-            T, tail, sampled, pts = rho, mpmath.mpf(0), False, [rho]
+            T, tail, proved, pts = rho, mpmath.mpf(0), True, [rho]
         else:
-            T, tail, sampled = _choose_truncation(
+            T, tail, proved = _choose_truncation(
                 f, lambda t: polar(t, th), sing, th, w, target, 0, guard,
                 max_nodes)
             pts = _segments(rho, T, sing, th)
@@ -893,7 +604,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             "panels": ray_panels + circ_panels,
             "ray_nodes": ray_n,
             "circle_nodes": circ_n,
-            "rigorous_tail": not sampled,
+            "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(out_prec):

@@ -318,7 +318,7 @@ def identity_mould(alphabet: Alphabet | None = None) -> Mould:
 
 def exp_scale_mould(w, alphabet: Alphabet | None = None) -> Mould:
     """The symmetral mould with value w^r / r! on words of length r."""
-    w = ExactScalar.coerce(w) if not isinstance(w, ExactScalar) else w
+    w = ExactScalar.coerce(w)
 
     def rule(word):
         r = len(word)
@@ -339,11 +339,7 @@ def passage_mould(alphabet: Alphabet, theta, theta_prime, prec: int = 80) -> Mou
     """
     import mpmath
 
-    letters = []
-    for a in alphabet:
-        if not isinstance(a, ExactScalar):
-            a = ExactScalar.coerce(a)
-        letters.append(a)
+    letters = [ExactScalar.coerce(a) for a in alphabet]
     with mpmath.workprec(prec):
         lo = mpmath.mpf(theta)
         hi = mpmath.mpf(theta_prime)
@@ -363,8 +359,7 @@ def passage_mould(alphabet: Alphabet, theta, theta_prime, prec: int = 80) -> Mou
 
     def rule(word):
         zero = ExactScalar()
-        scalars = [a if isinstance(a, ExactScalar) else ExactScalar.coerce(a)
-                   for a in word]
+        scalars = [ExactScalar.coerce(a) for a in word]
         if not scalars:
             return ExactScalar.from_rational(1)
         for a in scalars:

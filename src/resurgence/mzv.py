@@ -831,12 +831,14 @@ class RelationReport:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, digits: int = 17) -> dict:
+        """The report as JSON-ready data: values rounded to the working
+        precision and printed to ``digits`` significant digits."""
         def num(x):
             x = mpmath.mpc(x)
             if x.imag == 0:
-                return mpmath.nstr(x.real, 17)
-            return mpmath.nstr(x, 17)
+                return mpmath.nstr(x.real, digits)
+            return mpmath.nstr(x, digits)
 
         return {
             "left": str(self.left),
@@ -920,10 +922,11 @@ def verify_relation(
                     ok=bool(residual <= budget),
                 )
             )
-    return RelationReport(
-        left=a,
-        right=b,
-        product_value=+product,
-        product_error=+product_err,
-        checks=tuple(checks),
-    )
+    with mpmath.workprec(prec):
+        return RelationReport(
+            left=a,
+            right=b,
+            product_value=+product,
+            product_error=+product_err,
+            checks=tuple(checks),
+        )

@@ -59,17 +59,11 @@ __all__ = [
 ]
 
 
-def _coerce_coeff(c) -> ExactScalar:
-    if isinstance(c, ExactScalar):
-        return c
-    return ExactScalar.coerce(c)
-
-
 class FormalSeries:
     """Exact truncated series in z^-1 (see module docstring)."""
 
     def __init__(self, coeffs, order: int | None = None, var: str = "z"):
-        coeffs = [_coerce_coeff(c) for c in coeffs]
+        coeffs = [ExactScalar.coerce(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -93,7 +87,7 @@ class FormalSeries:
         """value * z^-n as a series of the given order."""
         if n < 0:
             raise ValueError("only inverse powers are representable")
-        coeffs = [ExactScalar()] * n + [_coerce_coeff(value)]
+        coeffs = [ExactScalar()] * n + [ExactScalar.coerce(value)]
         return cls(coeffs, order=order)
 
     def one(self) -> "FormalSeries":
@@ -130,7 +124,7 @@ class FormalSeries:
                 var=self.var,
             )
         try:
-            c = _coerce_coeff(other)
+            c = ExactScalar.coerce(other)
         except TypeError:
             return NotImplemented
         coeffs = list(self.coeffs)
@@ -146,11 +140,11 @@ class FormalSeries:
     def __sub__(self, other):
         if isinstance(other, (FormalSeries, int, Fraction, ExactScalar)):
             return self + (-other if isinstance(other, FormalSeries)
-                           else -_coerce_coeff(other))
+                           else -ExactScalar.coerce(other))
         return NotImplemented
 
     def scale(self, c) -> "FormalSeries":
-        c = _coerce_coeff(c)
+        c = ExactScalar.coerce(c)
         return FormalSeries([v * c for v in self.coeffs], order=self.order,
                             var=self.var)
 
@@ -255,8 +249,8 @@ class BorelSeries:
     """delta coefficient plus the Taylor coefficients of the minor."""
 
     def __init__(self, delta, taylor, var: str = "zeta"):
-        self.delta = _coerce_coeff(delta)
-        self.taylor = [_coerce_coeff(t) for t in taylor]
+        self.delta = ExactScalar.coerce(delta)
+        self.taylor = [ExactScalar.coerce(t) for t in taylor]
         self.var = var
 
     @property
@@ -372,13 +366,8 @@ def predict_coefficients(singularities, n_values) -> list[ExactScalar]:
     coefficient of the singularity.  Returns the predicted c_{n+1} for each
     n in ``n_values``, exactly.
     """
-    pairs = []
-    for omega, weight in singularities:
-        omega = ExactScalar.coerce(omega) if not isinstance(omega, ExactScalar) \
-            else omega
-        weight = ExactScalar.coerce(weight) if not isinstance(weight, ExactScalar) \
-            else weight
-        pairs.append((omega, weight))
+    pairs = [(ExactScalar.coerce(omega), ExactScalar.coerce(weight))
+             for omega, weight in singularities]
     out = []
     tau = ExactScalar.tau()
     for n in n_values:

@@ -224,26 +224,18 @@ def shuffle_coefficient(a, b, w) -> int:
 
 def shuffle(a, b) -> dict:
     """All interleavings of ``a`` and ``b`` as a dict {word: multiplicity}."""
-    a, b = Word(a), Word(b)
-    out: dict[Word, int] = {}
-
-    def rec(i, j, acc):
-        if i == len(a) and j == len(b):
-            w = Word(acc)
-            out[w] = out.get(w, 0) + 1
-            return
-        if i < len(a):
-            rec(i + 1, j, acc + [a[i]])
-        if j < len(b):
-            rec(i, j + 1, acc + [b[j]])
-
-    rec(0, 0, [])
-    return out
+    return _interleave(a, b, None)
 
 
 def stuffle(a, b, add=add_letters) -> dict:
     """Quasi-shuffle of ``a`` and ``b``: interleavings where aligned letters
     may merge via ``add``.  Returns {word: multiplicity}."""
+    return _interleave(a, b, add)
+
+
+def _interleave(a, b, add):
+    """{word: multiplicity} over the interleavings of ``a`` and ``b``, and,
+    unless ``add`` is None, those where aligned letters merge via ``add``."""
     a, b = Word(a), Word(b)
     out: dict[Word, int] = {}
 
@@ -256,7 +248,7 @@ def stuffle(a, b, add=add_letters) -> dict:
             rec(i + 1, j, acc + [a[i]])
         if j < len(b):
             rec(i, j + 1, acc + [b[j]])
-        if i < len(a) and j < len(b):
+        if add is not None and i < len(a) and j < len(b):
             rec(i + 1, j + 1, acc + [add(a[i], b[j])])
 
     rec(0, 0, [])

@@ -157,6 +157,22 @@ class TestSum:
         assert err == ""
         assert json.loads(out)["error"] == "usage"
 
+    @pytest.mark.parametrize("argv", [
+        ("--hankel", "--input", "I_sigma:1/2", "--theta", "0", "--z", "2",
+         "--moment", "2"),
+        ("--jump", "--input", "euler", "--theta-star", "pi", "--z", "-3",
+         "--moment", "1"),
+    ], ids=["hankel", "jump"])
+    def test_moment_off_the_ray_is_usage_error(self, capsys, argv):
+        # only ray sums take a moment; dropping it would print the
+        # moment-0 value
+        code, out, err = run(capsys, "sum", *argv)
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert "--moment" in payload["message"]
+
 
 class TestMzv:
     def test_eval_depth_one(self, capsys):
@@ -181,6 +197,16 @@ class TestMzv:
         stuffle_terms = {term["index"]: term["multiplicity"]
                          for term in data["checks"][0]["terms"]}
         assert stuffle_terms["Ze(2, 2)"] == 2
+
+    def test_relation_prints_at_prec(self, capsys):
+        data = run_json(capsys, "mzv", "relation", "--a", "2", "--b", "3",
+                        "--prec", "200")
+        product = data["product"]
+        error = mpmath.mpf(product["error"])
+        assert error < 1e-55
+        with mpmath.workprec(260):
+            exact = mpmath.zeta(2) * mpmath.zeta(3)
+            assert abs(mpmath.mpf(product["value"]) - exact) <= error
 
     def test_unknown_mode_is_usage_error(self, capsys):
         code, out, err = run(capsys, "mzv", "relation", "--a", "2",

@@ -55,6 +55,7 @@ import pytest
 
 from resurgence.alien import alien_plus, euler_resurgent, stirling_resurgent
 from resurgence.borelfun import (
+    DilogBF,
     LogPoleBF,
     RationalBF,
     RationalFunction,
@@ -280,6 +281,19 @@ class TestLaplaceRay:
     def test_negative_moment_rejected(self):
         with pytest.raises(ValueError):
             laplace_ray(euler_minor(), 0, RaySpec(0, 2), moment=-1)
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (-1, 0)])
+    def test_looped_dilog_refused_before_sampling(self, monkeypatch, n, m):
+        # after a loop at 1 the minor carries -n 2 pi i log(zeta), which is
+        # infinite at the endpoint t = 0 of the first panel
+        def no_sampling(self, prec=53):
+            raise AssertionError("the refused shape was sampled")
+
+        monkeypatch.setattr(DilogBF, "numeric_evaluator", no_sampling)
+        with pytest.raises(NotImplementedError,
+                           match="log singularity at the origin"):
+            laplace_ray(DilogBF(n, m), 0,
+                        RaySpec("-0.5", 3, target_error=1e-6))
 
 
 class TestLateralJump:
