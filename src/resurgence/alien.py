@@ -37,10 +37,9 @@ from fractions import Fraction
 
 from .borelfun import (
     BorelFunction,
-    LogPoleBF,
-    RationalBF,
     RationalFunction,
     extract_singularity,
+    log_shape,
     points_between,
     euler_minor,
     stirling_minor,
@@ -68,8 +67,12 @@ __all__ = [
 ]
 
 
-def _zero_minor() -> RationalBF:
-    return RationalBF(RationalFunction.zero())
+def _zero_minor() -> BorelFunction:
+    return log_shape(RationalFunction.zero(), [])
+
+
+def _log_form(minor):
+    return None if minor is None else minor.log_form()
 
 
 def _add_minors(f, g):
@@ -78,42 +81,29 @@ def _add_minors(f, g):
     Log terms at the same branch point merge after moving the constant
     2*pi*i*k offsets into the rational part (the relative offsets stay
     constant under any further continuation, so this loses nothing)."""
-    if f is None or g is None:
+    forms = [_log_form(f), _log_form(g)]
+    if any(form is None for form in forms):
         return None
-    parts = []
-    for h in (f, g):
-        if isinstance(h, RationalBF):
-            parts.append((h.rat, []))
-        elif isinstance(h, LogPoleBF):
-            parts.append((h.rational_part, h.log_terms))
-        else:
-            return None
     tau = ExactScalar.tau()
     rational = RationalFunction.zero()
     merged = {}
-    for rpart, terms in parts:
+    for rpart, terms in forms:
         rational = rational + rpart
         for a, r, k in terms:
             if k:
                 rational = rational + r.scale(tau * k)
             merged[a] = merged.get(a, RationalFunction.zero()) + r
-    terms = [(a, r, 0) for a, r in merged.items() if not r.is_zero()]
-    if not terms:
-        return RationalBF(rational)
-    return LogPoleBF(rational, terms)
+    return log_shape(rational, [(a, r, 0) for a, r in merged.items()])
 
 
 def _map_minor(minor, f):
-    """Apply f to every rational part of a rational or log-pole minor;
-    None for any other shape (or no minor)."""
-    if isinstance(minor, RationalBF):
-        return RationalBF(f(minor.rat))
-    if isinstance(minor, LogPoleBF):
-        return LogPoleBF(
-            f(minor.rational_part),
-            [(a, f(r), k) for a, r, k in minor.log_terms],
-        )
-    return None
+    """Apply f to every rational part of a minor with a log form; None
+    for any other shape (or no minor)."""
+    form = _log_form(minor)
+    if form is None:
+        return None
+    rational, terms = form
+    return log_shape(f(rational), [(a, f(r), k) for a, r, k in terms])
 
 
 class ResurgentSeries:
@@ -253,10 +243,7 @@ def path_weights(r: int):
 
 def alien_derivation(phi: ResurgentSeries, omega) -> ResurgentSeries:
     """The alien derivation: the weighted average over all lateral paths."""
-    if phi.minor is None:
-        raise ValueError("alien operators need the exact minor, which this "
-                         "resurgent series does not carry")
-    crossed = points_between(phi.minor, omega)
+    crossed = points_between(phi.minor, omega) if phi.minor is not None else []
     r = len(crossed) + 1
     order = max(phi.series.order, 1)
     total_series = FormalSeries.zero(order)
@@ -337,20 +324,13 @@ class Transseries:
 
 
 def _normalize_actions(ts: Transseries, actions, pointed: bool):
-    """Turn user-supplied (k, map) pairs into a lookup, or derive the
-    exact actions from the minors."""
+    """A lookup j -> the grade-j action, or None when none is given:
+    the user-supplied (j, map) pairs, or else the exact actions derived
+    from the minors."""
     if actions is not None:
-        return dict(actions)
+        return dict(actions).get
     op = alien_plus if pointed else alien_derivation
-
-    class _Exact:
-        def __getitem__(self, j):
-            return lambda psi: op(psi, ts.omega * j)
-
-        def get(self, j, default=None):
-            return self[j]
-
-    return _Exact()
+    return lambda j: lambda psi: op(psi, ts.omega * j)
 
 
 def _graded_image(ts: Transseries, up_to, gains) -> Transseries:
@@ -384,7 +364,7 @@ def apply_stokes(ts: Transseries, actions=None,
     acts = _normalize_actions(ts, actions, pointed=True)
 
     def gains(j, psi):
-        action = acts.get(j)
+        action = acts(j)
         if action is not None:
             yield action(psi)
 
@@ -409,7 +389,7 @@ def stokes_power(ts: Transseries, w, actions=None,
         for comp in compositions(j):
             term = psi
             for part in reversed(comp):
-                action = acts.get(part)
+                action = acts(part)
                 if action is None:
                     break
                 term = action(term)
@@ -458,4 +438,5 @@ def transseries_product(a: Transseries, b: Transseries,
 def _is_plain_constant(phi: ResurgentSeries) -> bool:
     if any(not phi.series[n].is_zero() for n in range(1, phi.series.order + 1)):
         return False
-    return isinstance(phi.minor, RationalBF) and phi.minor.rat.is_zero()
+    form = _log_form(phi.minor)
+    return form is not None and form[0].is_zero() and not form[1]

@@ -15,16 +15,33 @@ closed shapes, each carried exactly:
   fractional-power monomials, evaluated in polar form so Hankel contours can
   track the argument continuously.
 
-Each shape also carries the summation rules that :mod:`.laplace` sums
+Each shape carries two interfaces, each with defaults in
+:class:`BorelFunction`.  The *exact* one is what extraction and the alien
+operators read:
+
+* ``log_form()`` gives (rational, [(a, r, k), ...]) for a shape that is a
+  rational function plus rational multiples r of Log(1 - zeta/a) +
+  2*pi*i*k, and None otherwise;
+* ``singularity_at(omega)`` gives (a_0, chi) at omega on the current
+  branch, ``taylor(order)`` the Taylor coefficients at the origin, and
+  ``divide_linear(p)`` the shape divided by (zeta - p).  The defaults read
+  all three off ``log_form`` and normalise through :func:`log_shape`; a
+  shape without a log form refuses them with NotImplementedError unless
+  it overrides them, as Stirling and the dilogarithm do for the first two;
+* ``_with_branch_updates`` continues the shape past detours and loops.  The
+  default returns the shape itself when it is ``single_valued`` or the
+  path crosses nothing, and refuses any other path.
+
+The *numeric* one holds the summation rules that :mod:`.laplace` sums
 every shape through: ``singular_values``, ``ray_evaluator``,
 ``polar_evaluator`` (with the ``single_valued`` flag), ``truncation_floor``,
 ``tail_bound`` and ``origin_head``.  A shape need only implement
-``singular_points`` and ``numeric_evaluator``: the defaults of
-:class:`BorelFunction` take the principal sheet along a ray, a sampled
-tail envelope marked not proved, a floor from the singular moduli and no
-origin head, and refuse a Hankel contour unless the shape is
-single-valued.  Each bundled shape overrides what it knows: proved tail
-envelopes, and for power kernels an exact head series at the origin.
+``singular_points`` and ``numeric_evaluator``: the defaults take the
+principal sheet along a ray, a sampled tail envelope marked not proved, a
+floor from the singular moduli and no origin head, and refuse a Hankel
+contour unless the shape is single-valued.  Each bundled shape overrides
+what it knows: proved tail envelopes, and for power kernels an exact head
+series at the origin.
 
 Branch bookkeeping follows one convention throughout the package: the
 principal branch uses arg in (-pi, pi], a "+" detour passes *below* the
@@ -34,9 +51,9 @@ being  principal + 2*pi*i*k.  With that convention a "+" detour at a point
 leaves k unchanged (the on-cut principal value is already the lower-side
 limit continued through), while a "-" detour subtracts one.
 
-``extract_singularity`` computes the simple-singularity data at a point
-omega reached along a path: the polar weight a_0 and the log coefficient
-chi with
+``extract_singularity`` continues a shape along a path to omega and asks
+the branch reached for its simple-singularity data there: the polar
+weight a_0 and the log coefficient chi with
 
     f(omega + xi) = a_0 / (2*pi*i*xi) + chi(xi) log(xi) / (2*pi*i) + F(xi),
 
@@ -68,6 +85,7 @@ __all__ = [
     "PowerBF",
     "PathSpec",
     "SingularityData",
+    "log_shape",
     "points_between",
     "continue_along",
     "continue_eval",
@@ -297,7 +315,8 @@ class RationalFunction:
         p = ExactScalar.coerce(p)
         num, m = self._reduced_at(p)
         if m > 1:
-            raise NotSimpleError(f"pole at {p} has order > 1", point=str(p))
+            raise NotSimpleError(f"pole of order {m} at {p}", point=str(p),
+                                 order=m)
         if m == 0:
             return ExactScalar()
         denom = self.lead
@@ -492,8 +511,10 @@ def _envelope_tail(M, evalf, m, T, moment):
 
 
 class BorelFunction:
-    """Base class; see module docstring for the shared conventions and for
-    what the summation defaults below assume."""
+    """Base class of the Borel shapes.  A shape implements
+    ``singular_points`` and ``numeric_evaluator``, plus ``log_form`` when it
+    has one; the module docstring says what the exact and the numeric
+    defaults below do with them."""
 
     # one sheet: both rays of a Hankel contour see the same values
     single_valued = False
@@ -559,15 +580,104 @@ class BorelFunction:
         return lambda T: (0, 0, 0)
 
     def _with_branch_updates(self, passed_with_signs, loops):
-        """Return a copy continued past the given (point, sign) list."""
-        if passed_with_signs or loops:
-            raise UnreachableBranchError(
-                f"{type(self).__name__} carries no branch state for this path"
-            )
-        return self
+        """Return a copy continued past the given (point, sign) list and
+        loops; a single-valued shape is its own continuation."""
+        if self.single_valued or not (passed_with_signs or loops):
+            return self
+        raise UnreachableBranchError(
+            f"{type(self).__name__} carries no branch state for this path"
+        )
+
+    # -- the exact interface -------------------------------------------------
+
+    def log_form(self):
+        """(rational, [(a, r, k), ...]) when the shape is rational(zeta) plus
+        the sum of r(zeta) [Log(1 - zeta/a) + 2*pi*i*k], else None."""
+        return None
+
+    def _exact_form(self, rule: str):
+        form = self.log_form()
+        if form is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no exact {rule} rule")
+        return form
+
+    def singularity_at(self, omega: ExactScalar):
+        """(a_0, chi) at omega on this branch: the polar weight and the log
+        coefficient as a shape, or None when it vanishes."""
+        rational, terms = self._exact_form("extraction")
+        tau = ExactScalar.tau()
+        a0 = tau * rational.residue(omega)
+        chi = RationalFunction.zero()
+        for a, r, k in terms:
+            if a == omega:
+                if r.pole_order(omega) > 0:
+                    raise NotSimpleError(
+                        f"log coefficient at {omega} is itself singular there",
+                        point=str(omega),
+                    )
+                # r(omega + xi) log(-xi/omega): the log(xi) part feeds chi,
+                # the branch constant multiplies an analytic factor (-> F)
+                shifted = RationalFunction(
+                    _poly_shift(r.num, omega),
+                    poles={p - omega: m for p, m in r.poles.items()},
+                    lead=r.lead,
+                )
+                chi = chi + shifted.scale(tau)
+            else:
+                rho = r.residue(omega)
+                if not rho.is_zero():
+                    a0 = a0 + tau * rho * _log_value(a, k, omega)
+        return a0, (None if chi.is_zero() else RationalBF(chi))
 
     def taylor(self, order: int) -> BorelSeries:
-        raise NotImplementedError
+        """Exact Taylor coefficients at the origin through ``order``."""
+        rational, terms = self._exact_form("Taylor")
+        coeffs = rational.taylor_at(ExactScalar(), order)
+        for a, r, k in terms:
+            # Log(1 - zeta/a) = - sum over m >= 1 of (zeta/a)^m / m
+            logs = [ExactScalar.tau() * k]
+            for m in range(1, order + 1):
+                logs.append(a ** (-m) * Fraction(-1, m))
+            rloc = r.taylor_at(ExactScalar(), order)
+            prod = _series_mul(rloc, logs, order)
+            coeffs = [c + p for c, p in zip(coeffs, prod)]
+        return BorelSeries(0, coeffs)
+
+    def divide_linear(self, p) -> "BorelFunction":
+        """The shape divided by (zeta - p)."""
+        rational, terms = self._exact_form("division")
+        return log_shape(rational.divide_linear(p),
+                         [(a, r.divide_linear(p), k) for a, r, k in terms])
+
+
+def _log_value(a: ExactScalar, k: int, point: ExactScalar) -> ExactScalar:
+    """Exact branch value of Log(1 - point/a) + 2*pi*i*k.
+
+    Supported when w = 1 - point/a is a nonzero rational: the value is
+    log|w| (+ i*pi if w < 0) + 2*pi*i*k.  Other configurations are not
+    representable in the scalar ring and raise ValueError.
+    """
+    w = ExactScalar.from_rational(1) - point / a
+    if not w.is_rational() or w.is_zero():
+        raise ValueError(
+            f"branch value of log at {point} (base point {a}) is "
+            f"not representable in the scalar ring"
+        )
+    q = w.as_fraction()
+    if q > 0:
+        val = ExactScalar.log_rational(q)
+    else:
+        val = ExactScalar.log_rational(-q) + ExactScalar.i_pi()
+    return val + ExactScalar.tau() * k
+
+
+def log_shape(rational: RationalFunction, log_terms) -> BorelFunction:
+    """rational + the sum of r [Log(1 - zeta/a) + 2*pi*i*k] over the
+    (a, r, k) terms: a LogPoleBF, or a RationalBF when no nonzero log term
+    is left."""
+    shape = LogPoleBF(rational, log_terms)
+    return shape if shape.log_terms else RationalBF(rational)
 
 
 class RationalBF(BorelFunction):
@@ -589,15 +699,8 @@ class RationalBF(BorelFunction):
         M = _rational_envelope(self.rat, theta, T, prec)
         return _envelope_tail(M, evalf, m, T, moment)
 
-    def _with_branch_updates(self, passed_with_signs, loops):
-        # meromorphic: any detour choice yields the same germ
-        return self
-
-    def divide_linear(self, p) -> "RationalBF":
-        return RationalBF(self.rat.divide_linear(p))
-
-    def taylor(self, order: int) -> BorelSeries:
-        return BorelSeries(0, self.rat.taylor_at(ExactScalar(), order))
+    def log_form(self):
+        return self.rat, []
 
     def __repr__(self):
         return f"<RationalBF {self.rat!r}>"
@@ -693,28 +796,8 @@ class LogPoleBF(BorelFunction):
         M = _logpole_envelope(self, theta, T, prec)
         return _envelope_tail(M, evalf, m, T, moment)
 
-    def log_value_at(self, a: ExactScalar, point: ExactScalar) -> ExactScalar:
-        """Exact branch value of Log(1 - zeta/a) + 2*pi*i*k at an exact point.
-
-        Supported when w = 1 - point/a is a nonzero rational: the value is
-        log|w| (+ i*pi if w < 0) + 2*pi*i*k.  Other configurations are not
-        representable in the scalar ring and raise ValueError.
-        """
-        for ai, r, k in self.log_terms:
-            if ai == a:
-                w = ExactScalar.from_rational(1) - point / ai
-                if not w.is_rational() or w.is_zero():
-                    raise ValueError(
-                        f"branch value of log at {point} (base point {a}) is "
-                        f"not representable in the scalar ring"
-                    )
-                q = w.as_fraction()
-                if q > 0:
-                    val = ExactScalar.log_rational(q)
-                else:
-                    val = ExactScalar.log_rational(-q) + ExactScalar.i_pi()
-                return val + ExactScalar.tau() * k
-        raise ValueError(f"no log term with branch point {a}")
+    def log_form(self):
+        return self.rational_part, self.log_terms
 
     def _with_branch_updates(self, passed_with_signs, loops):
         ks = {a: k for a, _r, k in self.log_terms}
@@ -737,25 +820,6 @@ class LogPoleBF(BorelFunction):
             self.rational_part,
             [(a, r, ks[a]) for a, r, _k in self.log_terms],
         )
-
-    def divide_linear(self, p) -> "LogPoleBF":
-        return LogPoleBF(
-            self.rational_part.divide_linear(p),
-            [(a, r.divide_linear(p), k) for a, r, k in self.log_terms],
-        )
-
-    def taylor(self, order: int) -> BorelSeries:
-        coeffs = self.rational_part.taylor_at(ExactScalar(), order)
-        coeffs += [ExactScalar()] * (order + 1 - len(coeffs))
-        for a, r, k in self.log_terms:
-            # Log(1 - zeta/a) = - sum over m >= 1 of (zeta/a)^m / m
-            logs = [ExactScalar.tau() * k]
-            for m in range(1, order + 1):
-                logs.append(a ** (-m) * Fraction(-1, m))
-            rloc = r.taylor_at(ExactScalar(), order)
-            prod = _series_mul(rloc, logs, order)
-            coeffs = [c + p for c, p in zip(coeffs, prod)]
-        return BorelSeries(0, coeffs)
 
     def __repr__(self):
         pts = ", ".join(f"{a}(k={k})" for a, _r, k in self.log_terms)
@@ -780,11 +844,6 @@ class StirlingBF(BorelFunction):
             out.append(tau * k)
             out.append(tau * (-k))
         return out
-
-    def residue_at(self, k: int) -> ExactScalar:
-        if k == 0:
-            raise ValueError("the origin is a regular point")
-        return ExactScalar.tau(-1) / k
 
     def numeric_evaluator(self, prec: int = 53):
         work = prec + 24
@@ -857,9 +916,14 @@ class StirlingBF(BorelFunction):
         M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
         return _envelope_tail(M, evalf, m, T, moment)
 
-    def _with_branch_updates(self, passed_with_signs, loops):
-        # meromorphic: all lateral paths define the same germ
-        return self
+    def singularity_at(self, omega: ExactScalar):
+        # a simple pole at omega = 2*pi*i*k, k != 0, residue 1/(2*pi*i*k)
+        tau = ExactScalar.tau()
+        q = omega / tau
+        k = q.as_fraction() if q.is_rational() else Fraction(0)
+        if k == 0 or k.denominator != 1:
+            return ExactScalar(), None
+        return tau * (ExactScalar.tau(-1) / int(k)), None
 
     def taylor(self, order: int) -> BorelSeries:
         coeffs = []
@@ -965,6 +1029,22 @@ class DilogBF(BorelFunction):
                     point=str(point),
                 )
         return DilogBF(n, m)
+
+    def singularity_at(self, omega: ExactScalar):
+        tau = ExactScalar.tau()
+        if omega == ExactScalar.from_rational(1):
+            # Li2(1 + xi) = pi^2/6 - log(1 + xi) log(-xi) - Li2(-xi):
+            # chi / (2 pi i) = -log(1 + xi), no polar part
+            return ExactScalar(), LogPoleBF(
+                RationalFunction.zero(),
+                [(-1, RationalFunction.constant(-tau), 0)],
+            )
+        if omega.is_zero() and self.n:
+            # after n loops the germ at the origin is -n * 2*pi*i * log(zeta),
+            # so chi = -n * (2*pi*i)^2 as a constant
+            return ExactScalar(), RationalBF(
+                RationalFunction.constant(tau * tau * (-self.n)))
+        return ExactScalar(), None
 
     def taylor(self, order: int) -> BorelSeries:
         if self.n:
@@ -1198,85 +1278,10 @@ def extract_singularity(f: BorelFunction, omega, signs=(), order: int = 8,
     """Extract (a_0, chi) at omega along the path with the given detour signs."""
     omega = ExactScalar.coerce(omega)
     path = PathSpec(target=omega, signs=tuple(signs), loops=tuple(loops))
-    g = continue_along(f, path)
-    zero_series = BorelSeries(0, [ExactScalar()] * (order + 1))
-    tau = ExactScalar.tau()
-
-    if isinstance(g, RationalBF):
-        m = g.rat.pole_order(omega)
-        if m > 1:
-            raise NotSimpleError(f"pole of order {m} at {omega}",
-                                 point=str(omega), order=m)
-        a0 = tau * g.rat.residue(omega) if m == 1 else ExactScalar()
-        return SingularityData(omega, a0, None, zero_series, path)
-
-    if isinstance(g, StirlingBF):
-        # omega = 2*pi*i*k
-        q = omega / tau
-        if not q.is_rational() or q.as_fraction().denominator != 1:
-            return SingularityData(omega, ExactScalar(), None, zero_series, path)
-        k = int(q.as_fraction())
-        a0 = tau * g.residue_at(k) if k != 0 else ExactScalar()
-        return SingularityData(omega, a0, None, zero_series, path)
-
-    if isinstance(g, LogPoleBF):
-        a0 = ExactScalar()
-        if g.rational_part.pole_order(omega) > 1:
-            raise NotSimpleError(f"pole of order > 1 at {omega}", point=str(omega))
-        a0 = a0 + tau * g.rational_part.residue(omega)
-        chi_rat = RationalFunction.zero()
-        for a, r, k in g.log_terms:
-            if a == omega:
-                if r.pole_order(omega) > 0:
-                    raise NotSimpleError(
-                        f"log coefficient at {omega} is itself singular there",
-                        point=str(omega),
-                    )
-                # r(omega + xi) log(-xi/omega): the log(xi) part feeds chi,
-                # the branch constant multiplies an analytic factor (-> F)
-                shifted = RationalFunction(
-                    _poly_shift(r.num, omega),
-                    poles={p - omega: m for p, m in r.poles.items()},
-                    lead=r.lead,
-                )
-                chi_rat = chi_rat + shifted.scale(tau)
-            else:
-                if r.pole_order(omega) > 1:
-                    raise NotSimpleError(
-                        f"pole of order > 1 at {omega}", point=str(omega)
-                    )
-                rho = r.residue(omega)
-                if not rho.is_zero():
-                    a0 = a0 + tau * rho * g.log_value_at(a, omega)
-        if chi_rat.is_zero():
-            return SingularityData(omega, a0, None, zero_series, path)
-        chi = RationalBF(chi_rat)
-        return SingularityData(omega, a0, chi, chi.taylor(order), path)
-
-    if isinstance(g, DilogBF):
-        if omega == ExactScalar.from_rational(1):
-            # Li2(1 + xi) = pi^2/6 - log(1 + xi) log(-xi) - Li2(-xi):
-            # chi / (2 pi i) = -log(1 + xi), no polar part
-            chi_rat_bf = LogPoleBF(
-                RationalFunction.zero(),
-                [(ExactScalar.from_rational(-1),
-                  RationalFunction.constant(-tau), 0)],
-            )
-            return SingularityData(
-                omega, ExactScalar(), chi_rat_bf, chi_rat_bf.taylor(order), path
-            )
-        if omega.is_zero() and g.n:
-            # after n loops the germ at the origin is -n * 2*pi*i * log(zeta),
-            # so chi = -n * (2*pi*i)^2 as a constant
-            chi_const = RationalBF(
-                RationalFunction.constant(tau * tau * (-g.n))
-            )
-            chi_series = chi_const.taylor(order)
-            return SingularityData(omega, ExactScalar(), chi_const,
-                                   chi_series, path)
-        return SingularityData(omega, ExactScalar(), None, zero_series, path)
-
-    raise TypeError(f"no extraction rule for {type(g).__name__}")
+    a0, chi = continue_along(f, path).singularity_at(omega)
+    series = (chi.taylor(order) if chi is not None
+              else BorelSeries(0, [ExactScalar()] * (order + 1)))
+    return SingularityData(omega, a0, chi, series, path)
 
 
 # -- convolution --------------------------------------------------------------------

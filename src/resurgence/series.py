@@ -62,7 +62,7 @@ __all__ = [
 class FormalSeries:
     """Exact truncated series in z^-1 (see module docstring)."""
 
-    def __init__(self, coeffs, order: int | None = None, var: str = "z"):
+    def __init__(self, coeffs, order: int | None = None):
         coeffs = [ExactScalar.coerce(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
@@ -72,7 +72,6 @@ class FormalSeries:
             coeffs = coeffs + [ExactScalar()] * (order + 1 - len(coeffs))
         self.coeffs = coeffs[: order + 1]
         self.order = order
-        self.var = var
 
     @classmethod
     def zero(cls, order: int) -> "FormalSeries":
@@ -108,7 +107,7 @@ class FormalSeries:
     def truncate(self, order: int) -> "FormalSeries":
         if order >= self.order:
             return self
-        return FormalSeries(self.coeffs[: order + 1], order=order, var=self.var)
+        return FormalSeries(self.coeffs[: order + 1], order=order)
 
     def agrees_with(self, other: "FormalSeries", order: int | None = None) -> bool:
         n = min(self.order, other.order) if order is None else order
@@ -121,7 +120,6 @@ class FormalSeries:
             order = min(self.order, other.order)
             return FormalSeries(
                 [self[n] + other[n] for n in range(order + 1)], order=order,
-                var=self.var,
             )
         try:
             c = ExactScalar.coerce(other)
@@ -129,13 +127,12 @@ class FormalSeries:
             return NotImplemented
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + c
-        return FormalSeries(coeffs, order=self.order, var=self.var)
+        return FormalSeries(coeffs, order=self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSeries([-c for c in self.coeffs], order=self.order,
-                            var=self.var)
+        return FormalSeries([-c for c in self.coeffs], order=self.order)
 
     def __sub__(self, other):
         if isinstance(other, (FormalSeries, int, Fraction, ExactScalar)):
@@ -145,8 +142,7 @@ class FormalSeries:
 
     def scale(self, c) -> "FormalSeries":
         c = ExactScalar.coerce(c)
-        return FormalSeries([v * c for v in self.coeffs], order=self.order,
-                            var=self.var)
+        return FormalSeries([v * c for v in self.coeffs], order=self.order)
 
     def __mul__(self, other):
         if isinstance(other, FormalSeries):
@@ -158,7 +154,7 @@ class FormalSeries:
                     continue
                 for j in range(min(other.order, order - i) + 1):
                     out[i + j] = out[i + j] + ci * other[j]
-            return FormalSeries(out, order=order, var=self.var)
+            return FormalSeries(out, order=order)
         try:
             return self.scale(other)
         except TypeError:
@@ -173,20 +169,20 @@ class FormalSeries:
         out = [ExactScalar()] * (self.order + 2)
         for n in range(1, self.order + 1):
             out[n + 1] = self[n] * (-n)
-        return FormalSeries(out, order=self.order + 1, var=self.var)
+        return FormalSeries(out, order=self.order + 1)
 
     def shift(self, k: int) -> "FormalSeries":
         """Multiply by z^-k (k >= 0), or by z^|k| when the leading
         coefficients vanish."""
         if k >= 0:
             coeffs = [ExactScalar()] * k + list(self.coeffs)
-            return FormalSeries(coeffs, order=self.order + k, var=self.var)
+            return FormalSeries(coeffs, order=self.order + k)
         m = -k
         if any(not c.is_zero() for c in self.coeffs[:m]):
             raise ValueError(
                 f"multiplying by z^{m} needs the first {m} coefficients to vanish"
             )
-        return FormalSeries(self.coeffs[m:], order=self.order - m, var=self.var)
+        return FormalSeries(self.coeffs[m:], order=self.order - m)
 
     # -- numerics ----------------------------------------------------------------
 
@@ -223,16 +219,15 @@ class FormalSeries:
             if n == 0:
                 bits.append(f"({c})")
             elif n == 1:
-                bits.append(f"({c})/{self.var}")
+                bits.append(f"({c})/z")
             else:
-                bits.append(f"({c})/{self.var}^{n}")
+                bits.append(f"({c})/z^{n}")
         body = " + ".join(bits) if bits else "0"
-        return f"<FormalSeries {body} + O(1/{self.var}^{self.order + 1})>"
+        return f"<FormalSeries {body} + O(1/z^{self.order + 1})>"
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
-            "var": self.var,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
 
@@ -241,17 +236,15 @@ class FormalSeries:
         return cls(
             [ExactScalar.from_json(c) for c in data["coeffs"]],
             order=data["order"],
-            var=data.get("var", "z"),
         )
 
 
 class BorelSeries:
     """delta coefficient plus the Taylor coefficients of the minor."""
 
-    def __init__(self, delta, taylor, var: str = "zeta"):
+    def __init__(self, delta, taylor):
         self.delta = ExactScalar.coerce(delta)
         self.taylor = [ExactScalar.coerce(t) for t in taylor]
-        self.var = var
 
     @property
     def order(self) -> int:

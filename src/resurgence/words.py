@@ -12,7 +12,7 @@ to coincide:
 
 ``shuffle_coefficient(a, b, w)`` counts the interleavings of ``a`` and ``b``
 equal to ``w``; ``shuffle(a, b)`` enumerates them with multiplicity, and
-``stuffle(a, b, add)`` enumerates the quasi-shuffle terms where any aligned
+``stuffle(a, b)`` enumerates the quasi-shuffle terms where any aligned
 pair of letters may also merge.  All counts are exact integers.
 """
 
@@ -169,34 +169,20 @@ def compositions(k: int):
             yield (first,) + rest
 
 
-def splittings(word, parts: int | None = None):
+def splittings(word):
     """Iterate the decompositions of ``word`` into consecutive nonempty
-    blocks.  With ``parts`` set, only decompositions into that many blocks.
+    blocks.
 
     Yields tuples of Words.  The empty word has exactly one decomposition,
     the empty tuple.
     """
     word = Word(word)
-    n = len(word)
-    if n == 0:
-        if parts is None or parts == 0:
-            yield ()
+    if not word:
+        yield ()
         return
-
-    def rec(start, remaining):
-        if start == n:
-            if remaining is None or remaining == 0:
-                yield ()
-            return
-        if remaining == 0:
-            return
-        max_end = n if remaining is None else n - (remaining - 1) + 1
-        for end in range(start + 1, max_end + 1 if remaining is not None else n + 1):
-            head = word[start:end]
-            for rest in rec(end, None if remaining is None else remaining - 1):
-                yield (head,) + rest
-
-    yield from rec(0, parts)
+    for end in range(1, len(word) + 1):
+        for rest in splittings(word[end:]):
+            yield (word[:end],) + rest
 
 
 def shuffle_coefficient(a, b, w) -> int:
@@ -227,10 +213,10 @@ def shuffle(a, b) -> dict:
     return _interleave(a, b, None)
 
 
-def stuffle(a, b, add=add_letters) -> dict:
+def stuffle(a, b) -> dict:
     """Quasi-shuffle of ``a`` and ``b``: interleavings where aligned letters
-    may merge via ``add``.  Returns {word: multiplicity}."""
-    return _interleave(a, b, add)
+    may merge via ``add_letters``.  Returns {word: multiplicity}."""
+    return _interleave(a, b, add_letters)
 
 
 def _interleave(a, b, add):

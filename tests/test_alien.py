@@ -45,8 +45,10 @@ from resurgence.borelfun import (
     convolve,
     euler_minor,
 )
+from resurgence.laplace import pade_minor
 from resurgence.scalars import ExactScalar
-from resurgence.series import FormalSeries, inverse_borel, predict_coefficients
+from resurgence.series import (FormalSeries, euler_series, inverse_borel,
+                               predict_coefficients)
 
 TAU = ExactScalar.tau()
 ONE = ExactScalar.from_rational(1)
@@ -251,6 +253,12 @@ class TestResurgentSeriesAlgebra:
         phi = ResurgentSeries(FormalSeries([0, 1], order=4), None)
         with pytest.raises(ValueError):
             alien_derivation(phi, 1)
+
+    def test_minor_without_exact_rules_is_unsupported(self):
+        phi = ResurgentSeries(FormalSeries.zero(4),
+                              pade_minor(euler_series(12)))
+        with pytest.raises(NotImplementedError, match="PadeApproximant"):
+            alien_plus(phi, 1)
 
     def test_unsupported_minor_sum_degrades_to_none(self):
         eu = euler_resurgent(order=4)

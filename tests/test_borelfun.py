@@ -32,6 +32,7 @@ from resurgence.borelfun import (
     dilog_minor,
     power_minor,
 )
+from resurgence.laplace import pade_minor
 
 ONE = ExactScalar.from_rational(1)
 TAU = ExactScalar.tau()
@@ -297,6 +298,10 @@ class TestContinuation:
         with pytest.raises(UnreachableBranchError):
             continue_along(lp, PathSpec(2, signs=("+",), loops=((7, 1),)))
 
+    def test_single_valued_model_is_its_own_continuation(self):
+        model = pade_minor(euler_series(12))
+        assert continue_along(model, PathSpec(1, loops=((2, 1),))) is model
+
     def test_points_between_is_exact(self):
         lp = _vmodel()
         pts = points_between(lp, 2)
@@ -386,6 +391,21 @@ class TestExtraction:
                        [(1, RationalFunction.simple_pole(1, 1), 0)])
         with pytest.raises(NotSimpleError):
             extract_singularity(lp, 1)
+
+    def test_log_shape_double_pole_reports_its_order(self):
+        lp = LogPoleBF(rat(1, poles={2: 2}), [(3, rat(1), 0)])
+        with pytest.raises(NotSimpleError, match="pole of order 2 at") as info:
+            extract_singularity(lp, 2)
+        assert info.value.details["order"] == 2
+
+    def test_shape_without_exact_rules_is_unsupported(self):
+        p = power_minor(Fraction(1, 2))
+        with pytest.raises(NotImplementedError, match="PowerBF"):
+            extract_singularity(p, 1)
+        with pytest.raises(NotImplementedError, match="PowerBF"):
+            p.taylor(3)
+        with pytest.raises(NotImplementedError, match="PowerBF"):
+            p.divide_linear(1)
 
     def test_extraction_linearity_over_signs(self):
         # difference of lateral branch values is tau times the k-step

@@ -61,6 +61,13 @@ class TestFormalSeries:
         a = FormalSeries([ExactScalar.tau(), S(Fraction(1, 3))], order=3)
         assert FormalSeries.from_json(a.to_json()) == a
 
+    def test_json_without_variable_name(self):
+        a = FormalSeries([1, 2], order=2)
+        assert set(a.to_json()) == {"order", "coeffs"}
+        # JSON written with the former "var" key still loads
+        assert FormalSeries.from_json(dict(a.to_json(), var="z")) == a
+        assert repr(a) == "<FormalSeries ((1)) + ((2))/z + O(1/z^3)>"
+
 
 class TestBorel:
     def test_euler_minor_is_geometric(self):

@@ -128,14 +128,8 @@ class TestSplittings:
         }
         assert got == want
 
-    def test_fixed_parts(self):
-        w = (1, 2, 3, 4)
-        two = list(splittings(w, parts=2))
-        assert len(two) == 3
-        assert all(len(t) == 2 for t in two)
-        assert list(splittings(w, parts=1)) == [(Word(w),)]
-        assert list(splittings((), parts=0)) == [()]
-        assert list(splittings((1,), parts=2)) == []
+    def test_empty_word_has_one_splitting(self):
+        assert list(splittings(())) == [()]
 
     def test_count_is_composition_number(self):
         w = tuple(range(6))
