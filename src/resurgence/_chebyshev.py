@@ -8,47 +8,74 @@ error decays geometrically in n, so iterated integrals can be built level
 by level: the cumulative values of one level are exact polynomial data for
 the next.
 
-The three linear maps (type-I cosine transform, antiderivative, evaluation
-at the nodes) compose to one (n+1) x (n+1) integration matrix.  It is
-built once per (n, precision), in integer arithmetic from the 2n distinct
-values cos(pi m / n), and stored as integers scaled by 2^(prec + GUARD).
-A call applies it in block floating point: the real parts of the samples,
-and separately their imaginary parts, become one vector of integer
-mantissas sharing one exponent, taken from the largest component so that
-it keeps GUARD bits beyond the working precision.  The products are exact,
-so the only roundings are that shared scaling, the matrix entries and the
-final conversion back to the caller's precision.
+The integration matrix.  The three linear maps (type-I cosine transform,
+antiderivative, evaluation at the nodes) compose to one (n+1) x (n+1)
+matrix, the classic Chebyshev spectral-integration matrix (Clenshaw and
+Curtis, Numer. Math. 2, 1960; Greengard, SIAM J. Numer. Anal. 28, 1991).
+It is built once per (n, precision) in O(n^2) from a closed form and
+stored as integers scaled by 2^(prec + GUARD).  With theta_j = pi j / n,
+alpha_j = 1 at the edges and 2 inside, and the 2n distinct sums
+S(m) = sum_{k=1}^{n+1} sin(pi m k / n) / k, the entry for output node i and
+transform sample j is
 
-:func:`iterated_integral` is the one iterated-integral engine on top of
-the kernel.  It integrates a stack of kernels dz / (a - z) cumulatively
-over chained panels and serves both the simplex integrals of
-:mod:`resurgence.mzv` and the contour integrals of
-:mod:`resurgence.hyperlog`.
+    alpha_j sin(theta_j) / n * [(S(j+n-i) + S(j-n+i)) / 2 - S(j+n)],
 
-:func:`clenshaw_curtis` applies only the last row of that map, the
-Clenshaw-Curtis weights, built once per (n, precision) in O(n^2) from
-the same cosines and applied in the same block floating point.  The
-Laplace rays, lateral jumps and Hankel contours of
-:mod:`resurgence.laplace` integrate their panels with it: the Lobatto
-nodes of degree n are every other node of degree 2n, so one set of
-samples gives two nested rules.
+the antiderivative coefficients b_k = (c_{k-1} - c_{k+1}) / (2k) of the
+unhalved cosine series, plus the corrections that the halved c_n and the
+truncation after c_n make to b_{n-1}, b_n and b_{n+1}, each times
+(-1)^k (cos(pi i k / n) - 1).  Everything is integer arithmetic on sines,
+cosines and S values rounded with _BUILD_GUARD extra bits, then rounded
+once to the stored scale.
+
+The folded apply.  Integrating the reversed samples from the other end
+gives the reflection M[n-i][j] = W_j - M[i][n-j], where W, the last row,
+holds the Clenshaw-Curtis weights.  So only the rows i <= n/2 are applied,
+each split into its symmetric and antisymmetric halves: one dot product
+with g_j + g_{n-j} and one with g_j - g_{n-j}, both exact in integers.
+That halves the multiply-adds of the plain product.
+
+Block fixed point.  A vector is a list of Python-int mantissas per real
+part (the real parts, and for complex data the imaginary parts) sharing
+one exponent, taken from the largest component so that it keeps
+prec + GUARD bits.  Products of mantissas and the matrix apply are exact;
+a shift back to prec + GUARD bits after each step is the only rounding.
+
+:func:`iterated_integral` is the one iterated-integral engine.  It
+integrates a stack of kernels dz / (a - z) cumulatively over chained
+panels (straight :func:`segment` panels and circular :func:`arc`
+panels) and serves both the simplex integrals of :mod:`resurgence.mzv`
+and the contour integrals of :mod:`resurgence.hyperlog`.  Every level
+stays in block fixed point from the kernel samples to the running
+totals: the only roundings are the shared-exponent shifts with GUARD
+bits, the kernel divisions and the final conversion of the total.
+:func:`chebyshev_cumulative` is the same integer apply between one
+conversion in and one conversion out.
+
+:func:`clenshaw_curtis` applies only the Clenshaw-Curtis weights, built
+once per (n, precision) in O(n^2) from the same cosines and applied in
+the same block floating point.  The Laplace rays, lateral jumps and
+Hankel contours of :mod:`resurgence.laplace` integrate their panels with
+it: the Lobatto nodes of degree n are every other node of degree 2n, so
+one set of samples gives two nested rules.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import mul
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import (from_man_exp, fzero, mpc_div, mpc_sub, mpf_div,
+                          mpf_sub)
 
 GUARD = 32
-# extra bits carried while composing the matrix, dropped by its final rounding
+# extra bits carried while building the matrix, dropped by its final rounding
 _BUILD_GUARD = 24
 
 
 def _round_div(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer, for b > 0."""
+    """a / b rounded to the nearest integer, for b != 0."""
     return (2 * a + b) // (2 * b)
 
 
@@ -61,6 +88,16 @@ def _cosines(n: int, bits: int):
                 for m in range(n + 1)]
     # cos(pi m / n) = cos(pi (2n - m) / n)
     return tuple(half + half[n - 1:0:-1])
+
+
+def _sines(n: int, bits: int):
+    """sin(pi m / n) * 2^bits rounded to integers, for m = 0 .. 2n - 1."""
+    with mpmath.workprec(bits + 16):
+        half = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(m) / n),
+                                             bits)))
+                for m in range(n + 1)]
+    # sin(pi (2n - m) / n) = -sin(pi m / n)
+    return half + [-s for s in half[n - 1:0:-1]]
 
 
 @lru_cache(maxsize=32)
@@ -79,48 +116,163 @@ def chebyshev_nodes(n: int):
 @lru_cache(maxsize=16)
 def _matrix(n: int, prec: int):
     """The cumulative-integration matrix, rows indexed by output node and
-    columns by input node, as integers scaled by 2^(prec + GUARD)."""
+    columns by input node, as integers scaled by 2^(prec + GUARD), built
+    from the closed form of the module docstring."""
     bits = prec + GUARD + _BUILD_GUARD
     one = 1 << bits
-    cos = _cosines(n, bits)
     two_n = 2 * n
-    # Chebyshev coefficients c_k = sum_j C[k][j] g_j of the samples
-    # g_j = f(cos(pi j / n)) by the type-I cosine transform,
-    # (2/n) sum'' g_j cos(pi j k / n), with c_0 and c_n halved.
-    edge = (0, n)
-    C = [[_round_div(cos[j * k % two_n]
-                     * (1 if j in edge else 2) * (1 if k in edge else 2),
-                     2 * n)
-          for j in range(n + 1)]
-         for k in range(n + 1)]
-    zero = [0] * (n + 1)
-    C += [zero, zero]
-    # antiderivative sum b_k T_k: b_1 = c_0 - c_2/2 and, for k >= 2,
-    # b_k = (c_{k-1} - c_{k+1}) / (2k), from int T_k = (T_{k+1}/(k+1)
-    # - T_{k-1}/(k-1)) / 2
-    B = [[a - _round_div(b, 2) for a, b in zip(C[0], C[2])]]
-    for k in range(2, n + 2):
-        B.append([_round_div(a - b, 2 * k) for a, b in zip(C[k - 1], C[k + 1])])
-    columns = list(zip(*B))
-    # F(x_i) = sum_k b_k (T_k(x_i) - T_k(-1)), and on Lobatto nodes
-    # x_i = -cos(pi i / n) one has T_k(x_i) = (-1)^k cos(pi i k / n)
-    shift = 2 * bits - (prec + GUARD)
+    cos = _cosines(n, bits)
+    sin = _sines(n, bits)
+    # S(m) * 2^bits over the common denominator lcm(1 .. n + 1), and
+    # S(2n - m) = -S(m)
+    lcm = math.lcm(*range(1, n + 2))
+    inverse = [lcm // k for k in range(1, n + 2)]
+    S = [_round_div(sum(map(mul, [sin[m * k % two_n] for k in range(1, n + 2)],
+                            inverse)), lcm)
+         for m in range(n + 1)]
+    S += [-v for v in S[n - 1:0:-1]]
+    # (-1)^k (T_k(x_i) - T_k(-1)) on the Lobatto nodes x_i = -cos(pi i / n),
+    # for the k whose coefficient b_k the uniform formula misses
+    ks = [k for k in (n - 1, n, n + 1) if k >= 1]
+    edge = [[(-1) ** k * (cos[i * k % two_n] - one) for k in ks]
+            for i in range(n + 1)]
+    # every entry times 2n, at scale 2^(2 bits), rounded once
+    den = two_n << (2 * bits - (prec + GUARD))
+    columns = []
+    for j in range(n + 1):
+        alpha = 1 if j in (0, n) else 2
+        a = alpha * sin[j]
+        c = 2 * S[(j + n) % two_n]
+        # 2n (b_k - uniform b_k) * 2^bits for k = n, n + 1 and n - 1, with
+        # gamma_m = alpha cos(m theta_j) / n: b_n gains gamma_{n+1} / (2n),
+        # b_{n+1} gains (gamma_{n+2} - gamma_n / 2) / (2(n+1)) and b_{n-1}
+        # gains gamma_n / (4(n-1))
+        weights = [_round_div(alpha * cos[(n + 1) * j % two_n], n),
+                   _round_div(alpha * (2 * cos[(n + 2) * j % two_n]
+                                       - cos[n * j % two_n]), 2 * (n + 1))]
+        if n > 1:
+            weights.insert(0, _round_div(alpha * cos[n * j % two_n],
+                                         2 * (n - 1)))
+        columns.append([
+            _round_div(a * (S[(j + n - i) % two_n] + S[(j - n + i) % two_n]
+                            - c)
+                       + sum(map(mul, weights, edge[i])), den)
+            for i in range(n + 1)])
+    # the transform reads the samples in decreasing x order: column j of
+    # the transform is input node n - j
+    columns.reverse()
+    return tuple(zip(*columns))
+
+
+@lru_cache(maxsize=16)
+def _folded(n: int, prec: int):
+    """The matrix as the rows applied by :func:`_cumulate`: the doubled
+    symmetric half of the last row, and for each row i = 1 .. n // 2 its
+    doubled symmetric and antisymmetric halves, (M[i][j] + M[i][n-j],
+    M[i][j] - M[i][n-j]) for j < n / 2, with 2 M[i][n/2] for even n."""
+    rows = _matrix(n, prec)
+    half = (n + 1) // 2
+    middle = [] if n % 2 else [n // 2]
+
+    def even(row):
+        return tuple([row[j] + row[n - j] for j in range(half)]
+                     + [2 * row[j] for j in middle])
+
+    def odd(row):
+        return tuple(row[j] - row[n - j] for j in range(half))
+
+    return even(rows[n]), tuple((even(rows[i]), odd(rows[i]))
+                                for i in range(1, n // 2 + 1))
+
+
+def _fold(g):
+    """(g_j + g_{n-j}, g_j - g_{n-j}) for j < n / 2, and g_{n/2} appended to
+    the sums for even n."""
+    n = len(g) - 1
+    half = (n + 1) // 2
+    plus = [g[j] + g[n - j] for j in range(half)]
+    minus = [g[j] - g[n - j] for j in range(half)]
+    if n % 2 == 0:
+        plus.append(g[half])
+    return plus, minus
+
+
+def _cumulate(folded, g):
+    """Twice the matrix applied to one list of integer mantissas, exactly,
+    by the reflection M[n-i][j] = W_j - M[i][n-j]."""
+    last, pairs = folded
+    n = len(g) - 1
+    plus, minus = _fold(g)
+    total = sum(map(mul, last, plus))
+    out = [0] * (n + 1)
+    out[n] = total
+    for i, (even, odd) in enumerate(pairs, 1):
+        a = sum(map(mul, even, plus))
+        b = sum(map(mul, odd, minus))
+        out[i] = a + b
+        if 2 * i != n:
+            out[n - i] = total - a + b
+    return out
+
+
+# -- block fixed point: (parts, exp), mantissa lists per real part -----------
+
+
+def _normalized(parts, exp: int, bits: int):
+    """The vector rounded so that its largest mantissa has at most
+    ``bits`` bits, keeping one shared exponent."""
+    top = max(max(map(abs, p)) for p in parts).bit_length()
+    shift = top - bits
+    if shift <= 0:
+        return parts, exp
     half = 1 << (shift - 1)
-    rows = []
-    for i in range(n + 1):
-        weights = [(cos[i * k % two_n] - one) * (-1 if k % 2 else 1)
-                   for k in range(1, n + 2)]
-        row = [(sum(map(mul, weights, col)) + half) >> shift
-               for col in columns]
-        # the transform reads the samples in decreasing x order
-        row.reverse()
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple([(m + half) >> shift for m in p] for p in parts), exp + shift
 
 
-def _apply(rows, parts, prec: int):
-    """The matrix applied to one real vector of mpf tuples in block
-    floating point, rounded back to mpf tuples at ``prec`` bits."""
+def _plus(vector, scalar, bits: int):
+    """Each entry of the vector plus the one-entry vector ``scalar``,
+    summed exactly at the smaller exponent and then normalised; complex
+    when either is."""
+    (parts, exp), (tparts, texp) = vector, scalar
+    if len(parts) < len(tparts):
+        parts += ([0] * len(parts[0]),)
+    tparts += ([0],) * (len(parts) - len(tparts))
+    low = min(exp, texp)
+    up, tup = exp - low, texp - low
+    return _normalized(tuple([(m << up) + (t[0] << tup) for m in p]
+                             for p, t in zip(parts, tparts)), low, bits)
+
+
+def _product(x, y, bits: int):
+    """The entrywise product of two vectors, complex when either is."""
+    (xp, xe), (yp, ye) = x, y
+    if len(xp) < len(yp):
+        xp, yp = yp, xp
+    if len(yp) == 1:
+        parts = tuple([a * b for a, b in zip(p, yp[0])] for p in xp)
+    else:
+        (ar, ai), (br, bi) = xp, yp
+        parts = ([a * c - b * d for a, b, c, d in zip(ar, ai, br, bi)],
+                 [a * d + b * c for a, b, c, d in zip(ar, ai, br, bi)])
+    return _normalized(parts, xe + ye, bits)
+
+
+def _quotients(nums, dens, bits: int):
+    """The entrywise quotients of integer parts by positive integers,
+    rounded at one scale 2^s chosen so that the largest has about ``bits``
+    bits; returns (parts, s)."""
+    top = max(max(map(abs, p)) for p in nums).bit_length()
+    s = bits + min(dens).bit_length() - top
+    # _round_div(m << s, d) or _round_div(m, d << -s), inlined
+    up, down = max(s, 0) + 1, max(-s, 0)
+    dens = [d << down for d in dens]
+    return tuple([((m << up) + d) // (2 * d) for m, d in zip(p, dens)]
+                 for p in nums), s
+
+
+def _top(parts):
+    """The largest exp + bc of finite nonzero mpf tuples, None when all are
+    zero; raises on a non-finite value."""
     top = None
     for sign, man, exp, bc in parts:
         if man:
@@ -128,15 +280,63 @@ def _apply(rows, parts, prec: int):
                 top = exp + bc
         elif bc:
             raise ValueError("cannot integrate non-finite samples")
+    return top
+
+
+def _mantissas(parts, base: int):
+    """Signed integer mantissas of mpf tuples at the exponent ``base``,
+    truncated toward zero."""
+    out = []
+    for sign, man, exp, bc in parts:
+        shift = exp - base
+        m = man << shift if shift >= 0 else man >> -shift
+        out.append(-m if sign else m)
+    return out
+
+
+def _parts(values):
+    """The real parts of mpmath values as mpf tuples and, when any value is
+    complex, their imaginary parts."""
+    ctx = mpmath.mp
+    values = [ctx.convert(v) for v in values]
+    if any(type(v) is ctx.mpc for v in values):
+        return list(zip(*(v._mpc_ if type(v) is ctx.mpc else (v._mpf_, fzero)
+                          for v in values)))
+    return [[v._mpf_ for v in values]]
+
+
+def _fixed(values, bits: int):
+    """mpmath values as one vector, at the exponent that gives the largest
+    component ``bits`` bits."""
+    parts = _parts(values)
+    tops = [t for t in map(_top, parts) if t is not None]
+    base = max(tops) - bits if tops else 0
+    return tuple(_mantissas(p, base) for p in parts), base
+
+
+def _numbers(parts):
+    """Lists of mpf tuples as mpf values, or as mpc values for two parts."""
+    ctx = mpmath.mp
+    if len(parts) == 1:
+        return [ctx.make_mpf(v) for v in parts[0]]
+    return [ctx.make_mpc(pair) for pair in zip(*parts)]
+
+
+def _values(parts, exp: int, prec: int):
+    """A vector back as mpf or mpc values rounded to ``prec`` bits."""
+    return _numbers([[from_man_exp(m, exp, prec, "n") for m in p]
+                     for p in parts])
+
+
+def _apply(rows, parts, prec: int):
+    """The matrix applied to one real vector of mpf tuples in block
+    floating point, rounded back to mpf tuples at ``prec`` bits."""
+    top = _top(parts)
     if top is None:
         return [fzero] * len(rows)
     # mantissas at one shared exponent, the largest with prec + GUARD bits
     base = top - (prec + GUARD)
-    mantissas = []
-    for sign, man, exp, bc in parts:
-        shift = exp - base
-        m = man << shift if shift >= 0 else man >> -shift
-        mantissas.append(-m if sign else m)
+    mantissas = _mantissas(parts, base)
     exp = base - (prec + GUARD)
     return [from_man_exp(sum(map(mul, row, mantissas)), exp, prec, "n")
             for row in rows]
@@ -171,16 +371,8 @@ def _weights(n: int, prec: int):
 
 def _applied(rows, values, prec: int):
     """The integer rows applied to real or complex samples, as mpf or mpc
-    values at ``prec`` bits."""
-    ctx = mpmath.mp
-    values = [ctx.convert(v) for v in values]
-    if any(type(v) is ctx.mpc for v in values):
-        pairs = [v._mpc_ if type(v) is ctx.mpc else (v._mpf_, fzero)
-                 for v in values]
-        re, im = (_apply(rows, part, prec) for part in zip(*pairs))
-        return [ctx.make_mpc(pair) for pair in zip(re, im)]
-    return [ctx.make_mpf(v)
-            for v in _apply(rows, [v._mpf_ for v in values], prec)]
+    values at ``prec`` bits, with one shared exponent per real part."""
+    return _numbers([_apply(rows, p, prec) for p in _parts(values)])
 
 
 def chebyshev_cumulative(values):
@@ -195,7 +387,11 @@ def chebyshev_cumulative(values):
     if n < 1:
         raise ValueError("need at least two samples")
     prec = mpmath.mp.prec
-    return _applied(_matrix(n, prec), values, prec)
+    bits = prec + GUARD
+    parts, exp = _fixed(values, bits)
+    folded = _folded(n, prec)
+    return _values([_cumulate(folded, p) for p in parts], exp - bits - 1,
+                   prec)
 
 
 def clenshaw_curtis(values):
@@ -213,41 +409,170 @@ def clenshaw_curtis(values):
     return _applied((_weights(n, prec),), values, prec)[0]
 
 
+# -- panels ------------------------------------------------------------------
+
+
+def _complex_tuple(z):
+    """A number as an mpc tuple (real part, imaginary part)."""
+    z = mpmath.mpmathify(z)
+    return z._mpc_ if type(z) is mpmath.mpc else (z._mpf_, fzero)
+
+
+def _ratio(a, b, c, bits: int):
+    """(a - b) / c for mpc tuples, as its real and imaginary parts times
+    2^bits, truncated to integers."""
+    if a[1] == b[1] == c[1] == fzero:
+        ratio = (mpf_div(mpf_sub(a[0], b[0], bits, "n"), c[0], bits, "n"),
+                 fzero)
+    else:
+        ratio = mpc_div(mpc_sub(a, b, bits, "n"), c, bits, "n")
+    return _mantissas(ratio, -bits)
+
+
+class _Segment:
+    """The straight panel z = mid + half * u."""
+
+    def __init__(self, z0, z1):
+        self.mid = (z0 + z1) / 2
+        self.half = (z1 - z0) / 2
+        self._mid = _complex_tuple(self.mid)
+        self._half = _complex_tuple(self.half)
+
+    def position(self, u):
+        return self.mid + self.half * u
+
+    def velocity(self, u):
+        return self.half
+
+    def kernel(self, a, n: int, bits: int):
+        """dz / (a - z) at the nodes, (parts, exp): 1 / (c - u_j) with the
+        one constant c = (a - mid) / half, divided in integers."""
+        cr, ci = _ratio(a, self._mid, self._half, bits)
+        # c - u_j = c + cos(pi j / n), at scale 2^bits
+        ds = [cr + x for x in _cosines(n, bits)[:n + 1]]
+        if ci:
+            parts, s = _quotients((ds, [-ci] * len(ds)),
+                                  [d * d + ci * ci for d in ds], bits)
+            return parts, bits - s
+        # 2^t / d_j, with t chosen to give the largest about ``bits`` bits
+        t = bits + min(map(abs, ds)).bit_length()
+        two = 2 << t
+        # _round_div(1 << t, d), inlined
+        return ([(two + d) // (2 * d) for d in ds],), bits - t
+
+
+class _Arc:
+    """The circular panel z = center + radius * exp(i phi), with
+    phi = mid + half * u running from t0 to t1."""
+
+    def __init__(self, center, radius, t0, t1):
+        self.center = center
+        self.radius = radius
+        self.mid = (t0 + t1) / 2
+        self.half = (t1 - t0) / 2
+        self._center = _complex_tuple(center)
+        self._radius = _complex_tuple(radius)
+
+    def position(self, u):
+        return (self.center
+                + self.radius * mpmath.expj(self.mid + self.half * u))
+
+    def velocity(self, u):
+        return (mpmath.mpc(0, 1) * self.radius * self.half
+                * mpmath.expj(self.mid + self.half * u))
+
+    def kernel(self, a, n: int, bits: int):
+        """dz / (a - z) at the nodes, (parts, exp): i half w_j / (c - w_j)
+        with w_j = exp(i phi_j) and c = (a - center) / radius, in
+        integers."""
+        cr, ci = _ratio(a, self._center, self._radius, bits)
+        wr, wi, half = _unit_points(self.mid, self.half, n, bits)
+        dr = [cr - x for x in wr]
+        di = [ci - y for y in wi]
+        # i w conj(d) times half, at scale 2^(3 bits), over |d|^2 at 2^(2 bits)
+        parts, s = _quotients(
+            ([half * (x * q - y * p) for x, y, p, q in zip(wr, wi, dr, di)],
+             [half * (x * p + y * q) for x, y, p, q in zip(wr, wi, dr, di)]),
+            [p * p + q * q for p, q in zip(dr, di)], bits)
+        return parts, -s - bits
+
+
+@lru_cache(maxsize=16)
+def _unit_points(mid, half, n: int, bits: int):
+    """exp(i (mid + half u_j)) at the nodes as real and imaginary parts,
+    and half, all times 2^bits: one exponential per node, shared by every
+    arc with the same angles."""
+    with mpmath.workprec(bits + 16):
+        # u_j = -cos(pi j / n), exactly as the scaled integers give it
+        us = [mpmath.mpf((-c, -bits)) for c in _cosines(n, bits)[:n + 1]]
+        points = [_complex_tuple(mpmath.expj(mid + half * u)) for u in us]
+    re, im = (_mantissas(p, -bits) for p in zip(*points))
+    return re, im, _mantissas([_complex_tuple(half)[0]], -bits)[0]
+
+
 def segment(z0, z1):
-    """The straight panel from z0 to z1 as (position, velocity) maps of
-    the node variable u in [-1, 1]."""
-    mid = (z0 + z1) / 2
-    half = (z1 - z0) / 2
-    return (lambda u: mid + half * u, lambda u: half)
+    """The straight panel from z0 to z1."""
+    return _Segment(z0, z1)
+
+
+def arc(center, radius, t0, t1):
+    """The circular panel of the given radius about ``center``, from angle
+    t0 to angle t1."""
+    return _Arc(center, radius, t0, t1)
 
 
 def iterated_integral(poles, panels, n: int):
     """The iterated integral of dz_k / (a_k - z_k) over z_1 < ... < z_r
     along a path, with a_1 = poles[0] attached to the earliest variable.
 
-    ``panels`` chains the path as (position, velocity) maps of u in
-    [-1, 1], in order of travel; each panel is sampled at the n + 1
-    Chebyshev-Lobatto nodes, and the velocity multiplies the kernel.  On
-    each panel, level k is the cumulative integral of level k - 1 times
-    the k-th kernel, offset by level k's value at the end of the previous
-    panel, so only one panel's samples are held at a time.  An empty
-    stack of poles gives the constant 1.
+    ``panels`` chains the path as :func:`segment` and :func:`arc` panels
+    in order of travel; each is sampled at the n + 1 Chebyshev-Lobatto
+    nodes.  On each panel, level k is the cumulative integral of level
+    k - 1 times the k-th kernel, offset by the running total of level k
+    over the previous panels, so only one panel's samples are held at a
+    time; the last level needs only its total, the Clenshaw-Curtis row.
+
+    Everything between the kernels and the result is block fixed point
+    (see the module docstring): each kernel dz / (a - z) is formed once
+    per panel and distinct letter, by integer divisions at the nodes, and
+    the level products, the folded matrix apply and the running totals are
+    exact integer arithmetic followed by a shift back to prec + GUARD
+    bits at one shared exponent per vector.  Those shifts, the kernel
+    divisions and the final conversion of the total to the working
+    precision are the only roundings.  The result is real when every
+    panel and letter is.  An empty stack of poles gives the constant 1.
     """
-    nodes = chebyshev_nodes(n)
     depth = len(poles)
-    totals = [0] * depth
-    for position, velocity in panels:
-        zs = [position(u) for u in nodes]
-        dzs = [velocity(u) for u in nodes]
-        kernels = {}
+    if not depth:
+        return mpmath.mpf(1)
+    prec = mpmath.mp.prec
+    bits = prec + GUARD
+    folded = _folded(n, prec)
+    # each level's letter as an index into the distinct letters
+    letters = []
+    slots = []
+    for a in map(_complex_tuple, poles):
+        if a not in letters:
+            letters.append(a)
+        slots.append(letters.index(a))
+    totals = [(([0],), 0)] * depth
+    for panel in panels:
+        kernels = [None] * len(letters)
         level = None
-        for k, a in enumerate(poles):
-            if a not in kernels:
-                kernels[a] = [dz / (a - z) for z, dz in zip(zs, dzs)]
-            integrand = (kernels[a] if level is None
-                         else [g * w for g, w in zip(level, kernels[a])])
-            cumulative = chebyshev_cumulative(integrand)
+        for k, slot in enumerate(slots):
+            if kernels[slot] is None:
+                kernels[slot] = panel.kernel(letters[slot], n, bits)
+            g = kernels[slot] if level is None else _product(
+                level, kernels[slot], bits)
+            parts, exp = g
+            exp -= bits + 1
             if k + 1 < depth:
-                level = [totals[k] + f for f in cumulative]
-            totals[k] = totals[k] + cumulative[-1]
-    return totals[-1] if depth else mpmath.mpf(1)
+                cumulative = [_cumulate(folded, p) for p in parts]
+                level = _plus((cumulative, exp), totals[k], bits)
+                end = tuple([p[-1]] for p in cumulative)
+            else:
+                end = tuple([sum(map(mul, folded[0], _fold(p)[0]))]
+                            for p in parts)
+            totals[k] = _plus((end, exp), totals[k], bits)
+    parts, exp = totals[-1]
+    return _values(parts, exp, prec)[0]

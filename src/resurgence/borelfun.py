@@ -522,6 +522,11 @@ class BorelFunction:
     def singular_points(self):
         raise NotImplementedError
 
+    def points_within(self, radius):
+        """The singular points, at least all those of modulus up to
+        ``radius``: every shape but Stirling's lattice lists all of them."""
+        return self.singular_points()
+
     def numeric_evaluator(self, prec: int = 53):
         """A closure zeta -> value at ``prec`` bits, with every exact
         constant of the shape evaluated once when it is built."""
@@ -830,10 +835,9 @@ class StirlingBF(BorelFunction):
     """zeta^-2 (zeta/2 coth(zeta/2) - 1): simple poles at 2*pi*i*k, k != 0,
     with residue 1/(2*pi*i*k); single-valued.
 
-    ``singular_points`` lists the first ``count`` conjugate pairs; paths
-    whose targets sit farther out on the lattice than that must raise the
-    count when building continuation data.  Ray sums check the first 48
-    pairs."""
+    ``singular_points`` lists the first ``count`` conjugate pairs, and
+    ``points_within`` as many as a path to a given modulus can cross.  Ray
+    sums check the first 48 pairs."""
 
     single_valued = True
 
@@ -844,6 +848,9 @@ class StirlingBF(BorelFunction):
             out.append(tau * k)
             out.append(tau * (-k))
         return out
+
+    def points_within(self, radius):
+        return self.singular_points(count=int(radius / (2 * math.pi)) + 1)
 
     def numeric_evaluator(self, prec: int = 53):
         work = prec + 24
@@ -1228,13 +1235,15 @@ def points_between(f: BorelFunction, omega) -> list:
 
     Membership is decided exactly: a point s counts when s/omega is a
     rational number in (0, 1) in the scalar ring."""
-    return _intermediate_points(f.singular_points(), ExactScalar.coerce(omega))
+    omega = ExactScalar.coerce(omega)
+    return _intermediate_points(f.points_within(abs(omega.evaluate(53))),
+                                omega)
 
 
 def continue_along(f: BorelFunction, path: PathSpec) -> BorelFunction:
     """The branch of f reached along the path (see PathSpec)."""
     target = ExactScalar.coerce(path.target)
-    inter = _intermediate_points(f.singular_points(), target)
+    inter = points_between(f, target)
     signs = path.sign_values()
     if len(signs) != len(inter):
         raise UnreachableBranchError(

@@ -41,7 +41,7 @@ from math import factorial
 
 import mpmath
 
-from ._chebyshev import iterated_integral, segment
+from ._chebyshev import arc, iterated_integral, segment
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
 from .errors import ResonanceError, check_prec
@@ -382,7 +382,7 @@ class IteratedIntegral:
 
 
 def _contour_segments(endpoint: int):
-    """Panels (position, velocity) over [-1, 1] of the standard path.
+    """Segment and arc panels of the standard path, in order of travel.
 
     Straight runs along the real axis from 0 to the endpoint, with
     semicircular detours of radius 1/4 around every integer strictly
@@ -391,32 +391,17 @@ def _contour_segments(endpoint: int):
     """
     quarter = mpmath.mpf(1) / 4
     pi = +mpmath.pi
-    eye = mpmath.mpc(0, 1)
     segs = []
-
-    def arc(center, t0, t1):
-        c = mpmath.mpc(center)
-        mid = (t0 + t1) / 2
-        half = (t1 - t0) / 2
-
-        def position(u, c=c, mid=mid, half=half):
-            return c + quarter * mpmath.exp(eye * (mid + half * u))
-
-        def velocity(u, mid=mid, half=half):
-            return quarter * half * eye * mpmath.exp(eye * (mid + half * u))
-
-        return (position, velocity)
-
     prev = mpmath.mpf(0)
     if endpoint > 0:
         for m in range(1, endpoint):
             segs.append(segment(prev, m - quarter))
-            segs.append(arc(m, pi, 2 * pi))
+            segs.append(arc(m, quarter, pi, 2 * pi))
             prev = m + quarter
     else:
         for m in range(-1, endpoint, -1):
             segs.append(segment(prev, m + quarter))
-            segs.append(arc(m, mpmath.mpf(0), pi))
+            segs.append(arc(m, quarter, mpmath.mpf(0), pi))
             prev = m - quarter
     segs.append(segment(prev, endpoint))
     return segs

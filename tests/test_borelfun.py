@@ -347,6 +347,19 @@ class TestExtraction:
             data = extract_singularity(s, TAU * (-k), signs=("-",) * (k - 1))
             assert data.a0 == ExactScalar.from_rational(Fraction(-1, k))
 
+    @pytest.mark.parametrize("signs", ["+" * 11, "-" * 11, "+-" * 5 + "+"])
+    def test_stirling_past_eight_crossed_points(self, signs):
+        """A path to 12 * 2 pi i crosses the 11 lattice poles below it, and
+        the one-sheet shape gives its principal-sheet data there."""
+        s = stirling_minor()
+        assert len(points_between(s, TAU * 12)) == 11
+        data = extract_singularity(s, TAU * 12, signs=signs)
+        a0, chi = s.singularity_at(TAU * 12)
+        assert (data.a0, data.chi) == (a0, chi)
+        assert data.a0 == ExactScalar.from_rational(Fraction(1, 12))
+        assert data.chi_series.is_zero()
+        assert data.path.signs == tuple(signs)
+
     def test_far_log_branch_dependent_weight(self):
         lp = _vmodel()
         plus = extract_singularity(lp, 3, signs=("+",))

@@ -6,17 +6,29 @@ antiderivative of the Chebyshev series, and its evaluation back at the
 nodes, each as an O(n^2) loop in mpmath arithmetic.  Run at three times
 the working precision it is the reference the kernel must match to a few
 units in the last place.
+
+``reference_matrix`` composes the same three maps in integer arithmetic,
+an O(n^3) product, and is the reference for the closed-form build of
+``_matrix``.  ``reference_iterated`` is the level-by-level iterated
+integral in plain mpmath: kernels dz / (a - z) from each panel's position
+and velocity, products, cumulative integrals and running totals, all at
+the caller's precision.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import mpmath
 import pytest
 
-from resurgence._chebyshev import (GUARD, _matrix, chebyshev_cumulative,
+from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _matrix,
+                                   _round_div, chebyshev_cumulative,
                                    chebyshev_nodes, clenshaw_curtis,
                                    iterated_integral, segment)
+from resurgence.hyperlog import _contour_segments
+from resurgence.mzv import _simplex_panels
 
 
 def reference_cumulative(values):
@@ -39,6 +51,74 @@ def reference_cumulative(values):
         b.append((c[k - 1] - c[k + 1]) / (2 * k))
     return [sum(b[k] * (-1) ** k * (cos[j][k] - 1) for k in range(1, n + 2))
             for j in range(n + 1)]
+
+
+def reference_matrix(n, prec):
+    """The integration matrix as integers scaled by 2^(prec + GUARD),
+    composed from the cosine transform C, the antiderivative B and the
+    evaluation at the nodes, with _BUILD_GUARD extra bits throughout."""
+    bits = prec + GUARD + _BUILD_GUARD
+    one = 1 << bits
+    cos = _cosines(n, bits)
+    two_n = 2 * n
+    # c_k = sum_j C[k][j] g_j with g_j = f(cos(pi j / n)): (2/n) sum'' of
+    # g_j cos(pi j k / n), with c_0 and c_n halved
+    edge = (0, n)
+    C = [[_round_div(cos[j * k % two_n]
+                     * (1 if j in edge else 2) * (1 if k in edge else 2),
+                     2 * n)
+          for j in range(n + 1)]
+         for k in range(n + 1)]
+    zero = [0] * (n + 1)
+    C += [zero, zero]
+    # b_1 = c_0 - c_2/2 and b_k = (c_{k-1} - c_{k+1}) / (2k) for k >= 2
+    B = [[a - _round_div(b, 2) for a, b in zip(C[0], C[2])]]
+    for k in range(2, n + 2):
+        B.append([_round_div(a - b, 2 * k) for a, b in zip(C[k - 1], C[k + 1])])
+    columns = list(zip(*B))
+    # F(x_i) = sum_k b_k (T_k(x_i) - T_k(-1)), T_k(x_i) = (-1)^k cos(pi i k/n)
+    shift = 2 * bits - (prec + GUARD)
+    half = 1 << (shift - 1)
+    rows = []
+    for i in range(n + 1):
+        weights = [(cos[i * k % two_n] - one) * (-1 if k % 2 else 1)
+                   for k in range(1, n + 2)]
+        row = [(sum(map(mul, weights, col)) + half) >> shift
+               for col in columns]
+        # the transform reads the samples in decreasing x order
+        row.reverse()
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def reference_map(n, prec):
+    """The nodes and the rows of the cumulative map in mpmath: column j is
+    ``reference_cumulative`` of the j-th unit vector."""
+    with mpmath.workprec(prec):
+        pi = +mpmath.pi
+        nodes = [-mpmath.cos(pi * j / n) for j in range(n + 1)]
+        unit = [[mpmath.mpf(int(i == j)) for i in range(n + 1)]
+                for j in range(n + 1)]
+        return nodes, list(zip(*(reference_cumulative(e) for e in unit)))
+
+
+def reference_iterated(poles, panels, n):
+    """The iterated integral of dz_k / (a_k - z_k), level by level in mpmath
+    at the current precision."""
+    nodes, matrix = reference_map(n, mpmath.mp.prec)
+    totals = [0] * len(poles)
+    for panel in panels:
+        zs = [panel.position(u) for u in nodes]
+        dzs = [panel.velocity(u) for u in nodes]
+        level = None
+        for k, a in enumerate(poles):
+            kernel = [dz / (a - z) for z, dz in zip(zs, dzs)]
+            g = kernel if level is None else [x * y for x, y in zip(level, kernel)]
+            cumulative = [mpmath.fsum(map(mul, row, g)) for row in matrix]
+            level = [totals[k] + f for f in cumulative]
+            totals[k] = totals[k] + cumulative[-1]
+    return totals[-1]
 
 
 def ulps(got, want, prec, scale=None):
@@ -189,3 +269,54 @@ def test_iterated_integral_of_one_kernel():
         got = iterated_integral([2], panels, 24)
         assert abs(got - mpmath.log(2)) < mpmath.mpf(2) ** -70
         assert iterated_integral([], panels, 24) == 1
+
+
+@pytest.mark.parametrize("n", list(range(1, 25)) + [53, 80])
+@pytest.mark.parametrize("prec", [77, 104])
+def test_closed_form_matrix_matches_composition(n, prec):
+    """The O(n^2) closed-form build gives the O(n^3) composition's entries
+    to within one unit."""
+    got, want = _matrix(n, prec), reference_matrix(n, prec)
+    assert len(got) == len(want) == n + 1
+    assert max(abs(g - w) for grow, wrow in zip(got, want)
+               for g, w in zip(grow, wrow)) <= 1
+
+
+REAL_WORDS = [(1,), (0, 1), (-1, 0, 1), (1, 0, 0, -1)]
+PHASE = mpmath.expjpi(mpmath.mpf(2) / 3)
+
+
+@pytest.mark.parametrize("letters", REAL_WORDS + [("w",), (0, "w"),
+                                                  ("w", -1, 0),
+                                                  (1, "w", 0, "w")])
+@pytest.mark.parametrize("n", [16, 24])
+def test_simplex_iterated_matches_reference(letters, n):
+    """Block-fixed-point levels on simplex panels against the plain
+    mpmath loop at three times the precision, real and complex letters,
+    depth 1 to 4: the result is the reference to within one unit in the
+    last place."""
+    prec = 77
+    with mpmath.workprec(prec):
+        poles = [+PHASE if a == "w" else mpmath.mpf(a) for a in letters]
+        panels = _simplex_panels(8)
+        got = iterated_integral(poles, panels, n)
+    assert isinstance(got, mpmath.mpc) == ("w" in letters)
+    with mpmath.workprec(3 * prec):
+        want = reference_iterated(poles, panels, n)
+    assert ulps([got], [want], prec) <= 1
+
+
+@pytest.mark.parametrize("poles,endpoint", [([1], 3), ([2, 1], 3),
+                                            ([-1, -2, -1], -3),
+                                            ([1, 2, 1, 3], 4)])
+def test_contour_iterated_matches_reference(poles, endpoint):
+    """The same on the contour of hyperlog: straight runs and the arcs
+    around the integers, depth 1 to 4."""
+    prec, n = 77, 24
+    with mpmath.workprec(prec):
+        panels = _contour_segments(endpoint)
+        got = iterated_integral(poles, panels, n)
+    assert isinstance(got, mpmath.mpc)
+    with mpmath.workprec(3 * prec):
+        want = reference_iterated(poles, panels, n)
+    assert ulps([got], [want], prec) <= 1
