@@ -12,8 +12,9 @@ The integration matrix.  The three linear maps (type-I cosine transform,
 antiderivative, evaluation at the nodes) compose to one (n+1) x (n+1)
 matrix, the classic Chebyshev spectral-integration matrix (Clenshaw and
 Curtis, Numer. Math. 2, 1960; Greengard, SIAM J. Numer. Anal. 28, 1991).
-It is built once per (n, precision) in O(n^2) from a closed form and
-stored as integers scaled by 2^(prec + GUARD).  With theta_j = pi j / n,
+It is built in O(n^2) from a closed form, as integers scaled by
+2^(prec + GUARD), and kept once per (n, precision) in the folded form
+below.  With theta_j = pi j / n,
 alpha_j = 1 at the edges and 2 inside, and the 2n distinct sums
 S(m) = sum_{k=1}^{n+1} sin(pi m k / n) / k, the entry for output node i and
 transform sample j is
@@ -113,11 +114,11 @@ def chebyshev_nodes(n: int):
     return _nodes(n, mpmath.mp.prec)
 
 
-@lru_cache(maxsize=16)
 def _matrix(n: int, prec: int):
     """The cumulative-integration matrix, rows indexed by output node and
     columns by input node, as integers scaled by 2^(prec + GUARD), built
-    from the closed form of the module docstring."""
+    from the closed form of the module docstring.  Only its folded rows
+    are kept (:func:`_folded`)."""
     bits = prec + GUARD + _BUILD_GUARD
     one = 1 << bits
     two_n = 2 * n
@@ -506,7 +507,7 @@ def _unit_points(mid, half, n: int, bits: int):
         # u_j = -cos(pi j / n), exactly as the scaled integers give it
         us = [mpmath.mpf((-c, -bits)) for c in _cosines(n, bits)[:n + 1]]
         points = [_complex_tuple(mpmath.expj(mid + half * u)) for u in us]
-    re, im = (_mantissas(p, -bits) for p in zip(*points))
+    re, im = (tuple(_mantissas(p, -bits)) for p in zip(*points))
     return re, im, _mantissas([_complex_tuple(half)[0]], -bits)[0]
 
 
