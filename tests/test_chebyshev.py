@@ -114,7 +114,8 @@ def reference_iterated(poles, panels, n):
         level = None
         for k, a in enumerate(poles):
             kernel = [dz / (a - z) for z, dz in zip(zs, dzs)]
-            g = kernel if level is None else [x * y for x, y in zip(level, kernel)]
+            g = (kernel if level is None
+                 else [x * y for x, y in zip(level, kernel)])
             cumulative = [mpmath.fsum(map(mul, row, g)) for row in matrix]
             level = [totals[k] + f for f in cumulative]
             totals[k] = totals[k] + cumulative[-1]
