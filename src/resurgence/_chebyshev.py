@@ -33,7 +33,10 @@ gives the reflection M[n-i][j] = W_j - M[i][n-j], where W, the last row,
 holds the Clenshaw-Curtis weights.  So only the rows i <= n/2 are applied,
 each split into its symmetric and antisymmetric halves: one dot product
 with g_j + g_{n-j} and one with g_j - g_{n-j}, both exact in integers.
-That halves the multiply-adds of the plain product.
+That halves the multiply-adds of the plain product.  W is symmetric, so
+its antisymmetric half vanishes and its folded form is 2 W_j for
+j <= n/2; :func:`_weights` builds that folded row directly from the
+cosines, in O(n^2), and it is the one source of W.
 
 Block fixed point.  A vector is a list of Python-int mantissas per real
 part (the real parts, and for complex data the imaginary parts) sharing
@@ -52,12 +55,13 @@ bits, the kernel divisions and the final conversion of the total.
 :func:`chebyshev_cumulative` is the same integer apply between one
 conversion in and one conversion out.
 
-:func:`clenshaw_curtis` applies only the Clenshaw-Curtis weights, built
-once per (n, precision) in O(n^2) from the same cosines and applied in
-the same block floating point.  The Laplace rays, lateral jumps and
-Hankel contours of :mod:`resurgence.laplace` integrate their panels with
-it: the Lobatto nodes of degree n are every other node of degree 2n, so
-one set of samples gives two nested rules.
+:func:`clenshaw_curtis` is the same path with only the folded weights
+row: the samples become one block-fixed-point vector, the row is applied
+exactly, and the total is converted once, so it equals the last value
+of :func:`chebyshev_cumulative` bit for bit.  The Laplace rays, lateral
+jumps and Hankel contours of :mod:`resurgence.laplace` integrate their
+panels with it: the Lobatto nodes of degree n are every other node of
+degree 2n, so one set of samples gives two nested rules.
 """
 
 from __future__ import annotations
@@ -166,9 +170,37 @@ def _matrix(n: int, prec: int):
 
 
 @lru_cache(maxsize=16)
+def _weights(n: int, prec: int):
+    """The Clenshaw-Curtis weights of the n + 1 nodes, the last row W of the
+    integration matrix, folded as :func:`_cumulate` applies it: 2 W_j for
+    j = 0 .. n // 2, as integers scaled by 2^(prec + GUARD).
+
+    The interpolant integrates to the sum over even k of
+    c_k * 2 / (1 - k^2), so the weight of sample j is that combination of
+    column j of the cosine transform.  The weights are symmetric,
+    W_j = W_{n-j}, so the order in which the transform reads the samples
+    does not matter and folding the row only doubles its first half.
+    """
+    bits = prec + GUARD + _BUILD_GUARD
+    cos = _cosines(n, bits)
+    two_n = 2 * n
+    row = []
+    for j in range(n // 2 + 1):
+        # W_j = (e_j / n) * sum over even k of e_k cos(pi j k / n) / (1 - k^2),
+        # with e = 1 at the edges 0 and n and 2 elsewhere
+        total = cos[0]
+        for k in range(2, n + 1, 2):
+            total -= _round_div(cos[j * k % two_n] * (1 if k == n else 2),
+                                k * k - 1)
+        row.append(2 * _round_div(total * (1 if j == 0 else 2),
+                                  n << _BUILD_GUARD))
+    return tuple(row)
+
+
+@lru_cache(maxsize=16)
 def _folded(n: int, prec: int):
-    """The matrix as the rows applied by :func:`_cumulate`: the doubled
-    symmetric half of the last row, and for each row i = 1 .. n // 2 its
+    """The matrix as the rows applied by :func:`_cumulate`: the folded
+    weights row of :func:`_weights`, and for each row i = 1 .. n // 2 its
     doubled symmetric and antisymmetric halves, (M[i][j] + M[i][n-j],
     M[i][j] - M[i][n-j]) for j < n / 2, with 2 M[i][n/2] for even n."""
     rows = _matrix(n, prec)
@@ -182,8 +214,8 @@ def _folded(n: int, prec: int):
     def odd(row):
         return tuple(row[j] - row[n - j] for j in range(half))
 
-    return even(rows[n]), tuple((even(rows[i]), odd(rows[i]))
-                                for i in range(1, n // 2 + 1))
+    return _weights(n, prec), tuple((even(rows[i]), odd(rows[i]))
+                                    for i in range(1, n // 2 + 1))
 
 
 def _fold(g):
@@ -214,6 +246,12 @@ def _cumulate(folded, g):
         if 2 * i != n:
             out[n - i] = total - a + b
     return out
+
+
+def _total(last, g):
+    """Twice the weights row applied to one list of integer mantissas: the
+    last entry of :func:`_cumulate` without the other rows."""
+    return sum(map(mul, last, _fold(g)[0]))
 
 
 # -- block fixed point: (parts, exp), mantissa lists per real part -----------
@@ -315,65 +353,14 @@ def _fixed(values, bits: int):
     return tuple(_mantissas(p, base) for p in parts), base
 
 
-def _numbers(parts):
-    """Lists of mpf tuples as mpf values, or as mpc values for two parts."""
-    ctx = mpmath.mp
-    if len(parts) == 1:
-        return [ctx.make_mpf(v) for v in parts[0]]
-    return [ctx.make_mpc(pair) for pair in zip(*parts)]
-
-
 def _values(parts, exp: int, prec: int):
-    """A vector back as mpf or mpc values rounded to ``prec`` bits."""
-    return _numbers([[from_man_exp(m, exp, prec, "n") for m in p]
-                     for p in parts])
-
-
-def _apply(rows, parts, prec: int):
-    """The matrix applied to one real vector of mpf tuples in block
-    floating point, rounded back to mpf tuples at ``prec`` bits."""
-    top = _top(parts)
-    if top is None:
-        return [fzero] * len(rows)
-    # mantissas at one shared exponent, the largest with prec + GUARD bits
-    base = top - (prec + GUARD)
-    mantissas = _mantissas(parts, base)
-    exp = base - (prec + GUARD)
-    return [from_man_exp(sum(map(mul, row, mantissas)), exp, prec, "n")
-            for row in rows]
-
-
-@lru_cache(maxsize=16)
-def _weights(n: int, prec: int):
-    """The Clenshaw-Curtis weights of the n + 1 nodes, as integers scaled
-    by 2^(prec + GUARD): the last row of the integration matrix.
-
-    The interpolant integrates to the sum over even k of
-    c_k * 2 / (1 - k^2), so the weight of sample j is that combination of
-    column j of the cosine transform.  The weights are symmetric, so the
-    order in which the transform reads the samples does not matter.
-    """
-    bits = prec + GUARD + _BUILD_GUARD
-    cos = _cosines(n, bits)
-    two_n = 2 * n
-    edge = (0, n)
-    row = []
-    for j in range(n + 1):
-        # w_j = (e_j / n) * sum over even k of e_k cos(pi j k / n) / (1 - k^2),
-        # with e = 1 at the edges 0 and n and 2 elsewhere
-        total = cos[0]
-        for k in range(2, n + 1, 2):
-            total -= _round_div(cos[j * k % two_n] * (1 if k == n else 2),
-                                k * k - 1)
-        row.append(_round_div(total * (1 if j in edge else 2),
-                              n << _BUILD_GUARD))
-    return tuple(row)
-
-
-def _applied(rows, values, prec: int):
-    """The integer rows applied to real or complex samples, as mpf or mpc
-    values at ``prec`` bits, with one shared exponent per real part."""
-    return _numbers([_apply(rows, p, prec) for p in _parts(values)])
+    """A vector back as mpf values rounded to ``prec`` bits, or as mpc
+    values for two parts."""
+    ctx = mpmath.mp
+    values = [[from_man_exp(m, exp, prec, "n") for m in p] for p in parts]
+    if len(values) == 1:
+        return [ctx.make_mpf(v) for v in values[0]]
+    return [ctx.make_mpc(pair) for pair in zip(*values)]
 
 
 def chebyshev_cumulative(values):
@@ -400,14 +387,18 @@ def clenshaw_curtis(values):
 
     ``values`` are the integrand at ``chebyshev_nodes(n)`` with
     n = len(values) - 1; the result equals ``chebyshev_cumulative(values)
-    [-1]`` without building or applying the matrix.  It is complex when
-    any sample is.
+    [-1]`` without building or applying the matrix, only its weights row.
+    It is complex when any sample is.
     """
     n = len(values) - 1
     if n < 1:
         raise ValueError("need at least two samples")
     prec = mpmath.mp.prec
-    return _applied((_weights(n, prec),), values, prec)[0]
+    bits = prec + GUARD
+    parts, exp = _fixed(values, bits)
+    last = _weights(n, prec)
+    return _values([[_total(last, p)] for p in parts], exp - bits - 1,
+                   prec)[0]
 
 
 # -- panels ------------------------------------------------------------------
@@ -572,8 +563,7 @@ def iterated_integral(poles, panels, n: int):
                 level = _plus((cumulative, exp), totals[k], bits)
                 end = tuple([p[-1]] for p in cumulative)
             else:
-                end = tuple([sum(map(mul, folded[0], _fold(p)[0]))]
-                            for p in parts)
+                end = tuple([_total(folded[0], p)] for p in parts)
             totals[k] = _plus((end, exp), totals[k], bits)
     parts, exp = totals[-1]
     return _values(parts, exp, prec)[0]

@@ -242,13 +242,20 @@ def path_weights(r: int):
 
 
 def alien_derivation(phi: ResurgentSeries, omega) -> ResurgentSeries:
-    """The alien derivation: the weighted average over all lateral paths."""
+    """The alien derivation: the weighted average over all lateral paths.
+
+    On a single-valued minor every path reaches the same germ and the
+    weights sum to 1, so the one all-"+" path stands for the average."""
     crossed = points_between(phi.minor, omega) if phi.minor is not None else []
     r = len(crossed) + 1
+    if r > 1 and phi.minor.single_valued:
+        weights = {("+",) * (r - 1): Fraction(1)}
+    else:
+        weights = path_weights(r)
     order = max(phi.series.order, 1)
     total_series = FormalSeries.zero(order)
     total_minor = _zero_minor()
-    for eps, weight in path_weights(r).items():
+    for eps, weight in weights.items():
         piece = lateral_operator(phi, omega, eps).scale(
             ExactScalar.from_rational(weight))
         total_series = total_series + piece.series

@@ -1325,7 +1325,8 @@ def convolve(f: BorelFunction, g: BorelFunction) -> BorelFunction:
 
     Supported pairs: polynomial x polynomial, and simple-pole rational x
     polynomial (the shape needed by the monomial recursion); the latter
-    produces a LogPoleBF.  Everything stays exact.
+    produces a LogPoleBF, or a RationalBF when every residue is zero
+    (:func:`log_shape`).  Everything stays exact.
     """
     if not isinstance(f, RationalBF) or not isinstance(g, RationalBF):
         raise TypeError("convolve supports rational shapes only")
@@ -1355,9 +1356,9 @@ def convolve(f: BorelFunction, g: BorelFunction) -> BorelFunction:
             continue
         # (rho/(u - p)) * g = rho g(zeta - p) Log(1 - zeta/p) + polynomial
         g_shift = _poly_shift(gpoly, -p)
-        log_terms.append((p, RationalFunction(_poly_scale(g_shift, rho))))
+        log_terms.append((p, RationalFunction(_poly_scale(g_shift, rho)), 0))
         out_poly = _poly_add(out_poly, _pole_convolve_poly_part(p, rho, gpoly))
-    return LogPoleBF(RationalFunction(out_poly), log_terms)
+    return log_shape(RationalFunction(out_poly), log_terms)
 
 
 def _pole_convolve_poly_part(p: ExactScalar, rho: ExactScalar, gpoly):

@@ -16,6 +16,7 @@ the product must equal (Delta phi) * psi to every order.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from resurgence.borelfun import (
     RationalFunction,
     convolve,
     euler_minor,
+    points_between,
 )
 from resurgence.laplace import pade_minor
 from resurgence.scalars import ExactScalar
@@ -109,6 +111,30 @@ class TestStirlingDelta:
     def test_off_lattice_vanishes(self):
         st_fn = stirling_resurgent(order=4)
         assert alien_derivation(st_fn, 3).series.is_zero()
+
+    @pytest.mark.parametrize("phi,omega", [
+        *((stirling_resurgent(order=4), TAU * r) for r in range(1, 9)),
+        (euler_resurgent(order=4), -1),
+    ])
+    def test_single_valued_equals_path_average(self, phi, omega):
+        # the explicit path_weights average of every lateral operator
+        crossed = points_between(phi.minor, omega)
+        want = ResurgentSeries.zero(phi.series.order)
+        for eps, weight in path_weights(len(crossed) + 1).items():
+            want = want + lateral_operator(phi, omega, eps).scale(
+                ExactScalar.from_rational(weight))
+        got = alien_derivation(phi, omega)
+        assert got.series == want.series
+        assert type(got.minor) is type(want.minor)
+        assert got.minor.log_form() == want.minor.log_form()
+
+    def test_single_valued_skips_the_path_average(self):
+        # 11 crossed poles: 2048 lateral paths reach one germ
+        st_fn = stirling_resurgent()
+        start = time.perf_counter()
+        d = alien_derivation(st_fn, TAU * 12)
+        assert time.perf_counter() - start < 0.5
+        assert d.series == FormalSeries.constant(ONE / rat(12), 12)
 
 
 class TestEulerDelta:

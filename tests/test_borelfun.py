@@ -32,7 +32,7 @@ from resurgence.borelfun import (
     dilog_minor,
     power_minor,
 )
-from resurgence.laplace import pade_minor
+from resurgence.laplace import hankel_laplace, pade_minor
 
 ONE = ExactScalar.from_rational(1)
 TAU = ExactScalar.tau()
@@ -186,6 +186,15 @@ class TestConvolution:
         val = h.numeric_eval(z, 80)
         with mpmath.workprec(80):
             assert abs(val - mpmath.log(1 - z)) < mpmath.mpf(2) ** -70
+
+    def test_cancelled_pole_gives_rational_shape(self):
+        # (zeta - 1)/(zeta - 1) * 1 = zeta: no residue, so no log term, and
+        # the shape is single-valued, so a Hankel sum accepts it
+        h = convolve(RationalBF(rat(-1, 1, poles={1: 1})), RationalBF(rat(1)))
+        assert isinstance(h, RationalBF)
+        assert h.rat == rat(0, 1)
+        summed = hankel_laplace(h, 0, 3)
+        assert abs(summed.value) <= summed.error_estimate
 
     @pytest.mark.parametrize("numer,poles,gcoeffs", [
         ((1,), {1: 1}, (0, 0, 1)),

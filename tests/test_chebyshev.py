@@ -24,7 +24,7 @@ import mpmath
 import pytest
 
 from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _matrix,
-                                   _round_div, chebyshev_cumulative,
+                                   _round_div, _weights, chebyshev_cumulative,
                                    chebyshev_nodes, clenshaw_curtis,
                                    iterated_integral, segment)
 from resurgence.hyperlog import _contour_segments
@@ -215,11 +215,28 @@ def test_clenshaw_curtis_is_the_full_integral(n, prec):
         assert isinstance(got[0], mpmath.mpc)
         assert isinstance(got[1], mpmath.mpf)
         assert clenshaw_curtis([mpmath.mpf(1)] * (n + 1)) == 2
+        # the same block-fixed-point path as the last cumulative value, also
+        # when the imaginary parts lie far below the real ones
+        near_real = [mpmath.mpc(v.real, mpmath.ldexp(v.imag, -60))
+                     for v in values]
+        for samples in (values, reals, near_real):
+            assert clenshaw_curtis(samples) == chebyshev_cumulative(
+                samples)[-1]
     with mpmath.workprec(3 * prec):
         want = [reference_cumulative(values)[-1],
                 reference_cumulative(reals)[-1]]
     assert ulps(got[:1], want[:1], prec) <= 2
     assert ulps(got[1:], want[1:], prec) <= 2
+
+
+@pytest.mark.parametrize("prec", [53, 77, 104, 119])
+def test_weights_are_the_folded_last_row(prec):
+    """_weights builds the last matrix row directly, as the doubled
+    symmetric half that _cumulate applies."""
+    for n in range(1, 81):
+        last = _matrix(n, prec)[n]
+        assert _weights(n, prec) == tuple(last[j] + last[n - j]
+                                          for j in range(n // 2 + 1))
 
 
 @pytest.mark.parametrize("n", [3, 24])

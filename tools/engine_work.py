@@ -15,12 +15,12 @@ and prints one JSON object:
 * ``matrix_build_s``: per (n, prec), the seconds spent building the matrix;
 * ``round_s``: the wall seconds of the round, counting included.
 
-It counts through whichever engine the checkout has: ``_chebyshev._apply``
-applying every row to one real part ((n + 1)^2 multiply-adds), or the
-folded ``_chebyshev._cumulate`` and ``_chebyshev._fold``, where an
-application of all rows costs the symmetric half of the last row plus the
-two halves of rows 1 .. n // 2, and the weights row alone its symmetric
-half.
+It counts through the folded ``_chebyshev._cumulate`` and
+``_chebyshev._fold``: an application of all rows costs the symmetric half
+of the last row plus the two halves of rows 1 .. n // 2, and the weights
+row alone (``_chebyshev._total``, which folds its samples) its symmetric
+half.  Only ``_folded`` caches the matrix, so every ``_matrix`` call is a
+build.
 """
 
 from __future__ import annotations
@@ -44,51 +44,32 @@ def instrument():
     build = defaultdict(float)
 
     matrix = cheb._matrix
-    # a build is a cache miss where the matrix is cached, every call elsewhere
-    misses = getattr(matrix, "cache_info", lambda: None)
 
     def timed_matrix(n, prec):
-        before = misses()
         start = time.perf_counter()
         rows = matrix(n, prec)
-        if before is None or misses().misses > before.misses:
-            build[f"{n},{prec}"] += time.perf_counter() - start
+        build[f"{n},{prec}"] += time.perf_counter() - start
         return rows
 
     cheb._matrix = timed_matrix
+    cumulate, fold = cheb._cumulate, cheb._fold
 
-    if hasattr(cheb, "_cumulate"):
-        cumulate, fold = cheb._cumulate, cheb._fold
+    def counted_cumulate(folded, g):
+        n = len(g) - 1
+        last, pairs = folded
+        full[n] += 1
+        # _fold counts this application's weights row; add the rest
+        madds[n] += sum(len(e) + len(o) for e, o in pairs)
+        total_only[n] -= 1
+        return cumulate(folded, g)
 
-        def counted_cumulate(folded, g):
-            n = len(g) - 1
-            last, pairs = folded
-            full[n] += 1
-            # _fold counts this application's weights row; add the rest
-            madds[n] += sum(len(e) + len(o) for e, o in pairs)
-            total_only[n] -= 1
-            return cumulate(folded, g)
+    def counted_fold(g):
+        n = len(g) - 1
+        total_only[n] += 1
+        madds[n] += n // 2 + 1
+        return fold(g)
 
-        def counted_fold(g):
-            n = len(g) - 1
-            total_only[n] += 1
-            madds[n] += n // 2 + 1
-            return fold(g)
-
-        cheb._cumulate, cheb._fold = counted_cumulate, counted_fold
-    else:
-        apply = cheb._apply
-
-        def counted_apply(rows, parts, prec):
-            n = len(parts) - 1
-            if len(rows) == 1:
-                total_only[n] += 1
-            else:
-                full[n] += 1
-            madds[n] += len(rows) * len(parts)
-            return apply(rows, parts, prec)
-
-        cheb._apply = counted_apply
+    cheb._cumulate, cheb._fold = counted_cumulate, counted_fold
     return full, total_only, madds, build
 
 
