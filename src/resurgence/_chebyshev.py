@@ -58,10 +58,16 @@ conversion in and one conversion out.
 :func:`clenshaw_curtis` is the same path with only the folded weights
 row: the samples become one block-fixed-point vector, the row is applied
 exactly, and the total is converted once, so it equals the last value
-of :func:`chebyshev_cumulative` bit for bit.  The Laplace rays, lateral
-jumps and Hankel contours of :mod:`resurgence.laplace` integrate their
-panels with it: the Lobatto nodes of degree n are every other node of
-degree 2n, so one set of samples gives two nested rules.
+of :func:`chebyshev_cumulative` bit for bit.
+
+The Laplace rays, lateral jumps and Hankel contours of
+:mod:`resurgence.laplace` apply the same rows to vectors they build
+themselves, never converting a sample to mpmath: :func:`_exponentials`
+gives the kernel e^(u x_j) at the nodes, one libmp exponential per node
+x_j >= 0 and its reflection in integers at the others, and the shape's
+``panel_sampler`` gives its samples.  The Lobatto nodes of degree n are
+every other node of degree 2n, so one vector gives two nested rules,
+each one integer dot product with its folded weights row.
 """
 
 from __future__ import annotations
@@ -71,8 +77,8 @@ from functools import lru_cache
 from operator import mul
 
 import mpmath
-from mpmath.libmp import (from_man_exp, fzero, mpc_div, mpc_sub, mpf_div,
-                          mpf_sub)
+from mpmath.libmp import (from_man_exp, fzero, mpc_div, mpc_sub, mpf_cos_sin,
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub)
 
 GUARD = 32
 # extra bits carried while building the matrix, dropped by its final rounding
@@ -299,9 +305,13 @@ def _product(x, y, bits: int):
 def _quotients(nums, dens, bits: int):
     """The entrywise quotients of integer parts by positive integers,
     rounded at one scale 2^s chosen so that the largest has about ``bits``
-    bits; returns (parts, s)."""
+    bits; returns (parts, s).  A zero divisor, a sample at a pole, is
+    refused."""
+    low = min(dens)
+    if not low:
+        raise ValueError("cannot integrate non-finite samples")
     top = max(max(map(abs, p)) for p in nums).bit_length()
-    s = bits + min(dens).bit_length() - top
+    s = bits + low.bit_length() - top
     # _round_div(m << s, d) or _round_div(m, d << -s), inlined
     up, down = max(s, 0) + 1, max(-s, 0)
     dens = [d << down for d in dens]
@@ -344,13 +354,51 @@ def _parts(values):
     return [[v._mpf_ for v in values]]
 
 
-def _fixed(values, bits: int):
-    """mpmath values as one vector, at the exponent that gives the largest
+def _vector(parts, bits: int):
+    """Lists of mpf tuples (the real parts, and for complex data the
+    imaginary parts) as one vector, at the exponent that gives the largest
     component ``bits`` bits."""
-    parts = _parts(values)
     tops = [t for t in map(_top, parts) if t is not None]
     base = max(tops) - bits if tops else 0
     return tuple(_mantissas(p, base) for p in parts), base
+
+
+def _fixed(values, bits: int):
+    """mpmath values as one vector (see :func:`_vector`)."""
+    return _vector(_parts(values), bits)
+
+
+def _exponentials(u, n: int, bits: int):
+    """e^(u x_j) at the nodes x_j = -cos(pi j / n) as one vector, for an
+    mpc tuple u.
+
+    Each node x_j > 0 costs one ``mpf_exp``, and one ``mpf_cos_sin`` when
+    u is complex; its mirror -x_j takes the reflection
+    e^(-u x) = conj(e^(u x)) / |e^(u x)|^2, one integer division, and the
+    middle node of an even n is 1.  Every entry is rounded once, relative
+    to itself, before the vector shares one exponent."""
+    ur, ui = u
+    cos = _cosines(n, bits)
+    real = ui == fzero
+    one = (0, 1, 0, 1)
+    re = [one] * (n + 1)
+    im = [fzero] * (n + 1)
+    for j in range(n // 2 + 1, n + 1):
+        x = from_man_exp(-cos[j], -bits)
+        e = mpf_exp(mpf_mul(ur, x, bits), bits)
+        _sign, man, exp, bc = e
+        # 1 / e = 2^shift / man * 2^(-exp - shift), rounded to bits bits
+        shift = bc + bits
+        inv = ((2 << shift) + man) // (2 * man)
+        inverse = (0, inv, -exp - shift, inv.bit_length())
+        if real:
+            re[j], re[n - j] = e, inverse
+            continue
+        c, s = mpf_cos_sin(mpf_mul(ui, x, bits), bits)
+        re[j], im[j] = mpf_mul(e, c), mpf_mul(e, s)
+        re[n - j] = mpf_mul(inverse, c)
+        im[n - j] = mpf_neg(mpf_mul(inverse, s))
+    return _vector((re,) if real else (re, im), bits)
 
 
 def _values(parts, exp: int, prec: int):

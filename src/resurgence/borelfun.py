@@ -34,14 +34,16 @@ operators read:
 
 The *numeric* one holds the summation rules that :mod:`.laplace` sums
 every shape through: ``singular_values``, ``ray_evaluator``,
-``polar_evaluator`` (with the ``single_valued`` flag), ``truncation_floor``,
-``tail_bound`` and ``origin_head``.  A shape need only implement
-``singular_points`` and ``numeric_evaluator``: the defaults take the
-principal sheet along a ray, a sampled tail envelope marked not proved, a
-floor from the singular moduli and no origin head, and refuse a Hankel
-contour unless the shape is single-valued.  Each bundled shape overrides
-what it knows: proved tail envelopes, and for power kernels an exact head
-series at the origin.
+``polar_evaluator`` (with the ``single_valued`` flag), ``panel_sampler``,
+``truncation_floor``, ``tail_bound`` and ``origin_head``.  A shape need
+only implement ``singular_points`` and ``numeric_evaluator``: the
+defaults take the principal sheet along a ray, sample a panel by mapping
+that evaluator over its nodes, take a sampled tail envelope marked not
+proved, a floor from the singular moduli and no origin head, and refuse
+a Hankel contour unless the shape is single-valued.  Each bundled shape
+overrides what it knows: proved tail envelopes, for power kernels an
+exact head series at the origin, and for rational shapes, the Stirling
+minor and power kernels panel samples computed in integers and libmp.
 
 Branch bookkeeping follows one convention throughout the package: the
 principal branch uses arg in (-pi, pi], a "+" detour passes *below* the
@@ -68,16 +70,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
+                          mpc_mul, mpf_add, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_log, mpf_mul, mpf_pi, mpf_pos, mpf_shift,
+                          mpf_sub)
 
-from .errors import DecayMarginError, NotSimpleError, UnreachableBranchError
+from ._chebyshev import (GUARD, _complex_tuple, _cosines, _fixed, _mantissas,
+                         _nodes, _quotients, _unit_points, _vector)
+from .errors import (DecayMarginError, NotSimpleError, UnreachableBranchError,
+                     UnsupportedDivisionError)
 from .scalars import ExactScalar
 from .series import BorelSeries
 
 __all__ = [
     "RationalFunction",
     "BorelFunction",
+    "Contour",
     "RationalBF",
     "LogPoleBF",
     "StirlingBF",
@@ -466,17 +478,35 @@ def _pole_tail_distance(v, theta, T):
     return abs(mpmath.mpf(T) - u)
 
 
-def _rational_envelope(rat, theta, T, prec):
-    """Constant M with |rat(t e^(i theta))| <= M for t >= T, or None.
-
-    Valid for proper rational functions with simple poles: the partial
-    fraction bound sum of |res_p| / dist(tail, p).  Anything else returns
-    None and the caller falls back to a sampled envelope.
-    """
-    if rat.is_zero():
-        return mpmath.mpf(0)
-    if len(rat.num) - 1 >= sum(rat.poles.values()):
+def _split_polynomial(rat, prec):
+    """(moduli of the polynomial part's coefficients, proper remainder), or
+    None when the division is not exact in the scalar ring (a leading
+    coefficient that is not a monomial)."""
+    if len(rat.num) - 1 < sum(rat.poles.values()):
+        return [], rat
+    try:
+        quot, rem = _poly_divmod(rat.num, rat.denominator_poly())
+    except UnsupportedDivisionError:
         return None
+    return ([abs(c.evaluate(prec)) for c in quot],
+            RationalFunction(rem, poles=rat.poles, lead=rat.lead))
+
+
+def _rational_envelope(rat, theta, T, prec):
+    """(M, poly) with |rat(t e^(i theta))| <= M + sum of poly[j] t^j for
+    t >= T, or None.
+
+    The polynomial part is bounded by the moduli of its coefficients, and
+    the proper part, when its poles are simple, by the partial fraction
+    bound sum of |res_p| / dist(tail, p).  Anything else returns None and
+    the caller falls back to a sampled envelope.
+    """
+    split = _split_polynomial(rat, prec)
+    if split is None:
+        return None
+    poly, rat = split
+    if rat.is_zero():
+        return mpmath.mpf(0), poly
     M = mpmath.mpf(0)
     for p in rat.poles:
         if rat.pole_order(p) > 1:
@@ -485,17 +515,21 @@ def _rational_envelope(rat, theta, T, prec):
         if not d > 0:
             return None
         M += abs(rat.residue(p).evaluate(prec)) / d
-    return M
+    return M, poly
 
 
-def _envelope_tail(M, evalf, m, T, moment):
-    """(tail bound, proved?) from a constant envelope M of |f| beyond T.
+def _envelope_tail(envelope, evalf, m, T, moment):
+    """(tail bound, proved?) from an envelope (M, poly) of |f| beyond T,
+    M + sum of poly[j] t^j, each term integrated by :func:`_moment_integral`.
 
-    M = None falls back to an envelope sampled from the ray evaluator
-    ``evalf``, honest only for decaying shapes, so it is not proved.
+    envelope = None falls back to a constant envelope sampled from the ray
+    evaluator ``evalf``, honest only for decaying shapes, so it is not
+    proved.
     """
-    proved = M is not None
-    if not proved:
+    proved = envelope is not None
+    if proved:
+        M, poly = envelope
+    else:
         samples = [abs(evalf(T * c))
                    for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
         if samples[-1] > 2 * samples[0] + 1:
@@ -503,8 +537,51 @@ def _envelope_tail(M, evalf, m, T, moment):
                 "the integrand does not appear to decay along the ray, and "
                 "no proved envelope is available for this shape"
             )
-        M = 4 * max(samples)
-    return abs(M * _moment_integral(moment + 1, m, T)), proved
+        M, poly = 4 * max(samples), ()
+    tail = M * _moment_integral(moment + 1, m, T)
+    for j, c in enumerate(poly):
+        tail += c * _moment_integral(moment + 1 + j, m, T)
+    return abs(tail), proved
+
+
+class Contour(NamedTuple):
+    """Where a Laplace sum samples a shape, in polar form zeta = r e^(i phi).
+
+    A ray (``radius`` None) is parametrised by r = t at the continuous
+    angle ``theta``; with ``hankel`` its samples are the difference of the
+    two sheets, f(t, theta) - f(t, theta - 2 pi).  A circle of radius
+    ``radius`` is parametrised by the continuous angle phi.  A panel is the
+    parameter interval mid + half x for x in [-1, 1], sampled at the
+    Chebyshev-Lobatto nodes x_j = -cos(pi j / n).
+    """
+
+    theta: object
+    radius: object = None
+    hankel: bool = False
+
+    def parameters(self, mid, half, n: int, bits: int):
+        """mid + half x_j at the nodes, as mpf tuples rounded to ``bits``."""
+        m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
+        return [mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits)), bits)
+                for c in _cosines(n, bits)[:n + 1]]
+
+    def points(self, mid, half, n: int, bits: int):
+        """The points zeta_j at the nodes as integer real and imaginary
+        parts times 2^bits; the imaginary parts are None on the ray
+        theta = 0.  A circle's points come from the cached unit points of
+        :func:`._chebyshev._unit_points`."""
+        if self.radius is None:
+            m, h = (_mantissas([mpmath.mpmathify(v)._mpf_], -bits)[0]
+                    for v in (mid, half))
+            ts = [m - (h * c >> bits) for c in _cosines(n, bits)[:n + 1]]
+            if self.theta == 0:
+                return ts, None
+            c, s = _mantissas(mpf_cos_sin(mpmath.mpf(self.theta)._mpf_, bits),
+                              -bits)
+            return [t * c >> bits for t in ts], [t * s >> bits for t in ts]
+        wr, wi, _half = _unit_points(mid, half, n, bits)
+        r = _mantissas([mpmath.mpf(self.radius)._mpf_], -bits)[0]
+        return [r * x >> bits for x in wr], [r * y >> bits for y in wi]
 
 
 # -- the Borel function variants ------------------------------------------------------
@@ -583,6 +660,21 @@ class BorelFunction:
         default, for shapes regular at the origin, has h = 0.  A shape
         whose origin no head covers raises here, before any sampling."""
         return lambda T: (0, 0, 0)
+
+    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+        """A function (mid, half, n) -> the shape's samples on one panel of
+        ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
+        block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
+        bits.  ``evaluate`` is the scalar evaluator of the contour's
+        parameter that the sum has built; the default maps it over the
+        nodes and converts the values once."""
+        bits = prec + GUARD
+
+        def sample(mid, half, n):
+            return _fixed([evaluate(mid + half * x) for x in _nodes(n, prec)],
+                          bits)
+
+        return sample
 
     def _with_branch_updates(self, passed_with_signs, loops):
         """Return a copy continued past the given (point, sign) list and
@@ -701,8 +793,61 @@ class RationalBF(BorelFunction):
         return mpmath.mpf(1)
 
     def tail_bound(self, evalf, theta, m, T, moment, prec: int):
-        M = _rational_envelope(self.rat, theta, T, prec)
-        return _envelope_tail(M, evalf, m, T, moment)
+        return _envelope_tail(_rational_envelope(self.rat, theta, T, prec),
+                              evalf, m, T, moment)
+
+    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+        """Exact integer Horner evaluation of the numerator and the factored
+        denominator at the contour's points, then one rounded division per
+        node (:func:`._chebyshev._quotients`); a real vector on the real
+        ray when every coefficient and pole is real."""
+        if contour.hankel or self.rat.is_zero():
+            return super().panel_sampler(evaluate, contour, prec)
+        bits = prec + GUARD
+        work = bits + 16
+        rat = self.rat
+        with mpmath.workprec(work):
+            lead = rat.lead.evaluate(work)
+            coeffs = [c.evaluate(work) / lead for c in reversed(rat.num)]
+        # the coefficients over the lead, highest degree first, at one
+        # exponent; the poles times 2^bits
+        (cr, ci), exp = _fixed(coeffs, bits)
+        poles = [(_mantissas(_complex_tuple(p.evaluate(work)), -bits), m)
+                 for p, m in rat.poles.items()]
+        real = not any(ci) and not any(pi for (_pr, pi), _m in poles)
+        degree = len(coeffs) - 1
+        # the numerator comes out times 2^(bits degree - exp) and the
+        # denominator times 2^(bits order)
+        exp += bits * (sum(m for _p, m in poles) - degree)
+
+        def sample(mid, half, n):
+            zr, zi = contour.points(mid, half, n, bits)
+            parts = 1 if zi is None and real else 2
+            if zi is None:
+                zi = [0] * len(zr)
+            nr, ni = [cr[0]] * len(zr), [ci[0]] * len(zr)
+            for k in range(1, degree + 1):
+                ar, ai = cr[k] << bits * k, ci[k] << bits * k
+                nr, ni = ([a * x - b * y + ar
+                           for a, b, x, y in zip(nr, ni, zr, zi)],
+                          [a * y + b * x + ai
+                           for a, b, x, y in zip(nr, ni, zr, zi)])
+            dr, di = [1] * len(zr), [0] * len(zr)
+            for (pr, pi), m in poles:
+                for _ in range(m):
+                    dr, di = ([a * (x - pr) - b * (y - pi)
+                               for a, b, x, y in zip(dr, di, zr, zi)],
+                              [a * (y - pi) + b * (x - pr)
+                               for a, b, x, y in zip(dr, di, zr, zi)])
+            # num / den = num conj(den) / |den|^2, with a zero imaginary
+            # part on the real ray of a real shape
+            quotients, s = _quotients(
+                ([a * c + b * d for a, b, c, d in zip(nr, ni, dr, di)],
+                 [b * c - a * d for a, b, c, d in zip(nr, ni, dr, di)]),
+                [c * c + d * d for c, d in zip(dr, di)], bits)
+            return quotients[:parts], exp - s
+
+        return sample
 
     def log_form(self):
         return self.rat, []
@@ -712,31 +857,46 @@ class RationalBF(BorelFunction):
 
 
 def _logpole_envelope(f, theta, T, prec):
-    """Constant envelope for a rational-plus-logs shape beyond T.
+    """Envelope (M, poly) of a rational-plus-logs shape beyond T, or None.
 
-    Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|)
-    + pi + 2 pi |k|, and its proper rational cofactor decays like
-    2 * (sum |res|) / t once T >= 2 max|pole| + 1 (enforced by the
-    truncation floor).  The product (B + ln(1 + t/|a|)) / t is decreasing,
-    so its value at T is a valid constant bound for the whole tail.
+    Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|) + B
+    with B = pi (1 + 2 |k|).  A proper cofactor with simple poles decays
+    like 2 * (sum |res|) / t once T >= 2 max|pole| + 1 (enforced by the
+    truncation floor); the product (B + ln(1 + t/|a|)) / t is decreasing,
+    so its value at T is a constant bound for the whole tail.  A
+    polynomial part sum q_j t^j of the cofactor is bounded by
+    sum |q_j| t^j, and the log by its tangent at T, ln(1 + t/|a|) <=
+    ln(1 + T/|a|) + (t - T) / (|a| + T), so it adds that polynomial times
+    alpha + beta t.
     """
-    M = _rational_envelope(f.rational_part, theta, T, prec)
-    if M is None:
+    envelope = _rational_envelope(f.rational_part, theta, T, prec)
+    if envelope is None:
         return None
+    M, poly = envelope
+    poly = list(poly)
     for a, r, k in f.log_terms:
+        split = _split_polynomial(r, prec)
+        if split is None:
+            return None
+        q, r = split
+        av = abs(a.evaluate(prec))
+        B = mpmath.pi * (1 + 2 * abs(k))
+        if q:
+            beta = 1 / (av + T)
+            alpha = mpmath.log(1 + T / av) + B - T * beta
+            poly += [mpmath.mpf(0)] * (len(q) + 1 - len(poly))
+            for j, c in enumerate(q):
+                poly[j] += c * alpha
+                poly[j + 1] += c * beta
         if r.is_zero():
             continue
-        if not r.poles or len(r.num) - 1 >= sum(r.poles.values()):
-            return None
         ressum = mpmath.mpf(0)
         for p in r.poles:
             if r.pole_order(p) > 1:
                 return None
             ressum += abs(r.residue(p).evaluate(prec))
-        av = abs(a.evaluate(prec))
-        B = mpmath.pi * (1 + 2 * abs(k))
         M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
-    return M
+    return M, poly
 
 
 class LogPoleBF(BorelFunction):
@@ -798,8 +958,8 @@ class LogPoleBF(BorelFunction):
         return max(mpmath.mpf(4), 2 * top + 1)
 
     def tail_bound(self, evalf, theta, m, T, moment, prec: int):
-        M = _logpole_envelope(self, theta, T, prec)
-        return _envelope_tail(M, evalf, m, T, moment)
+        return _envelope_tail(_logpole_envelope(self, theta, T, prec), evalf,
+                              m, T, moment)
 
     def log_form(self):
         return self.rational_part, self.log_terms
@@ -829,6 +989,17 @@ class LogPoleBF(BorelFunction):
     def __repr__(self):
         pts = ", ".join(f"{a}(k={k})" for a, _r, k in self.log_terms)
         return f"<LogPoleBF logs at [{pts}]>"
+
+
+@lru_cache(maxsize=8)
+def _stirling_lattice(prec: int):
+    """2 pi i k for k = 1, -1, 2, -2, ..., 48, -48 at ``prec`` bits, rounded
+    as ``ExactScalar.evaluate`` rounds tau k: the product k (2 pi) at
+    prec + 16 bits, then rounded to prec."""
+    two_pi = mpf_shift(mpf_pi(prec + 16, "n"), 1)
+    return tuple(mpmath.mp.make_mpc((fzero, mpf_pos(
+        mpf_mul(from_int(k), two_pi, prec + 16, "n"), prec, "n")))
+        for j in range(1, 49) for k in (j, -j))
 
 
 class StirlingBF(BorelFunction):
@@ -897,7 +1068,7 @@ class StirlingBF(BorelFunction):
         return evaluate
 
     def singular_values(self, prec: int):
-        return [p.evaluate(prec) for p in self.singular_points(count=48)]
+        return list(_stirling_lattice(prec))
 
     def truncation_floor(self, sing, prec: int):
         return mpmath.mpf(4)
@@ -908,20 +1079,85 @@ class StirlingBF(BorelFunction):
         With w = zeta/2 the bound chain is |coth w| <= 1 + 1/|sinh w| and
         |sinh w| >= 2 delta / pi where delta = min(dist(w, pi i Z), pi/2);
         the lattice distance is computed exactly over the pole range that can
-        matter and capped there.  The minor itself is then bounded by
-        (|coth|/2)/t + 1/t^2.
+        matter (0 < |k| <= kmax) and capped there.  The minor itself is then
+        bounded by (|coth|/2)/t + 1/t^2.
+
+        The distance from the tail to 2 pi i k is |T - 2 pi k (sin theta +
+        i cos theta)|, convex in k, while 2 pi k sin theta < T, and
+        |2 pi k cos theta|, growing with |k|, beyond.  So it is taken only
+        at the points that can be nearest: k = +-1, the integers next to
+        T sin theta / 2 pi, and the first k with 2 pi k sin theta >= T (and
+        the one before it), each clamped to the range.
         """
         tau = 2 * mpmath.pi
         kmax = max(96, int(T / float(tau)) + 2)
+        sin = mpmath.sin(theta)
+        centre = T * sin / tau
+        ks = [1, -1, int(mpmath.floor(centre)), int(mpmath.ceil(centre))]
+        if sin and T <= kmax * tau * abs(sin):
+            first = int(mpmath.ceil(T / (tau * abs(sin))))
+            ks += [first, first - 1] if sin > 0 else [-first, 1 - first]
         d = mpmath.inf
-        for k in range(1, kmax + 1):
-            for sgn in (1, -1):
-                d = min(d, _pole_tail_distance(mpmath.mpc(0, sgn * tau * k),
-                                               theta, T))
+        for k in sorted({max(-kmax, min(kmax, k)) for k in ks} - {0}):
+            d = min(d, _pole_tail_distance(mpmath.mpc(0, tau * k), theta, T))
         delta = min(d / 2, mpmath.pi / 2)
         coth_bound = 1 + mpmath.pi / (2 * delta)
         M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-        return _envelope_tail(M, evalf, m, T, moment)
+        return _envelope_tail((M, ()), evalf, m, T, moment)
+
+    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+        """One exponential per node: (zeta/2 - 1 + zeta / (e^zeta - 1))
+        / zeta^2 for |zeta| >= 1/2, with libmp on tuples, and inside the
+        Taylor series of ``numeric_evaluator`` summed in integers."""
+        bits = prec + GUARD
+        work = bits + 8
+        # B_{2k+2} / (2k+2)! times 2^bits; the term ratio is at most
+        # (1 / 4 pi)^2 < 2^-7 on |zeta| < 1/2
+        taylor = []
+        for k in range(bits // 7 + 2):
+            p, q = mpmath.bernfrac(2 * k + 2)
+            taylor.append(round(Fraction(int(p) << bits,
+                                         int(q) * math.factorial(2 * k + 2))))
+        taylor.reverse()
+        quarter = 1 << (2 * bits - 2)
+        one = (fone, fzero)
+
+        def sample(mid, half, n):
+            zr, zi = contour.points(mid, half, n, bits)
+            real = zi is None
+            re, im = [], []
+            for x, y in zip(zr, [0] * len(zr) if real else zi):
+                if x * x + y * y < quarter:
+                    sr, si = (x * x - y * y) >> bits, (2 * x * y) >> bits
+                    ar, ai = 0, 0
+                    for c in taylor:
+                        ar, ai = (((ar * sr - ai * si) >> bits) + c,
+                                  (ar * si + ai * sr) >> bits)
+                    re.append(from_man_exp(ar, -bits))
+                    im.append(from_man_exp(ai, -bits))
+                    continue
+                if real:
+                    z = from_man_exp(x, -bits)
+                    q = mpf_div(z, mpf_sub(mpf_exp(z, work), fone, work),
+                                work)
+                    h = mpf_add(mpf_sub(mpf_shift(z, -1), fone, work), q,
+                                work)
+                    re.append(mpf_div(h, mpf_mul(z, z), work))
+                    continue
+                z = (from_man_exp(x, -bits), from_man_exp(y, -bits))
+                e = mpf_exp(z[0], work)
+                c, s = mpf_cos_sin(z[1], work)
+                q = mpc_div(z, (mpf_sub(mpf_mul(e, c), fone, work),
+                                mpf_mul(e, s)), work)
+                h = (mpf_add(mpf_sub(mpf_shift(z[0], -1), fone, work), q[0],
+                             work),
+                     mpf_add(mpf_shift(z[1], -1), q[1], work))
+                f = mpc_div(h, mpc_mul(z, z, work), work)
+                re.append(f[0])
+                im.append(f[1])
+            return _vector((re,) if real else (re, im), bits)
+
+        return sample
 
     def singularity_at(self, omega: ExactScalar):
         # a simple pole at omega = 2*pi*i*k, k != 0, residue 1/(2*pi*i*k)
@@ -1134,6 +1370,63 @@ class PowerBF(BorelFunction):
         # polar, so a ray angle outside (-pi, pi] continues onto its sheet
         polar = self.polar_evaluator(prec)
         return lambda t: polar(t, theta)
+
+    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+        """With s1 = sigma - 1: on a ray, t^s1 (A + B log t) with A and B
+        summed once over the sheets, so both Hankel sheets share one
+        ``mpf_log`` and one ``mpf_exp`` per node; on the circle,
+        e^(i s1 phi) (A + B phi) with rho^s1 folded into A and B, one
+        ``mpf_cos_sin`` per node."""
+        bits = prec + GUARD
+        work = bits + 8
+        with_log = self.with_log
+        g = self.g_value(work)
+        gp = self.g_prime_value(work) if with_log else 0
+        on_ray = contour.radius is None
+        with mpmath.workprec(work):
+            i = mpmath.mpc(0, 1)
+            s1 = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator - 1
+            if on_ray:
+                theta = mpmath.mpf(contour.theta)
+                sheets = [(theta, 1)]
+                if contour.hankel:
+                    sheets.append((theta - 2 * mpmath.pi, -1))
+                phases = [(sign * g * mpmath.expj(s1 * a), a)
+                          for a, sign in sheets]
+                # g e^(i s1 a) (log t + i a) + g' e^(i s1 a) per sheet
+                A = sum(c * (i * a + gp / g) if with_log else c
+                        for c, a in phases)
+                B = sum(c for c, _a in phases) if with_log else 0
+            else:
+                rho = mpmath.mpf(contour.radius)
+                power = g * rho ** s1
+                # g rho^s1 e^(i s1 phi) (log rho + i phi) + g' rho^s1 ...
+                A = power * (mpmath.log(rho) + gp / g) if with_log else power
+                B = power * i if with_log else 0
+        (ar, ai), (br, bi) = _complex_tuple(A), _complex_tuple(B)
+        s1 = s1._mpf_
+
+        def sample(mid, half, n):
+            re, im = [], []
+            for p in contour.parameters(mid, half, n, bits):
+                if on_ray:
+                    log = mpf_log(p, work)
+                    c = mpf_exp(mpf_mul(s1, log, work), work)
+                    s = fzero
+                else:
+                    c, s = mpf_cos_sin(mpf_mul(s1, p, work), work)
+                if with_log:
+                    # (c + i s) times (A + B log t) or (A + B phi)
+                    x = log if on_ray else p
+                    fr = mpf_add(ar, mpf_mul(br, x), work)
+                    fi = mpf_add(ai, mpf_mul(bi, x), work)
+                else:
+                    fr, fi = ar, ai
+                re.append(mpf_sub(mpf_mul(c, fr), mpf_mul(s, fi), work))
+                im.append(mpf_add(mpf_mul(c, fi), mpf_mul(s, fr), work))
+            return _vector((re, im), bits)
+
+        return sample
 
     def truncation_floor(self, sing, prec: int):
         return mpmath.mpf(1)

@@ -36,6 +36,21 @@ The numeric scheme has two independent error sources and both are reported:
   wishful constant.  ``max_nodes`` caps the bisection, and panels left
   unconverged by it keep their differences in the error.
 
+How a panel is sampled.  On the ray panel t = mid + half x, the kernel
+is e^(-w mid) e^(-w half x): the first factor is one scalar of the
+panel's total, and the second comes from ``_chebyshev._exponentials`` as
+one block-fixed-point vector (integer mantissas sharing one exponent),
+one libmp exponential per node x >= 0 and the reflection
+e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the others.  The
+shape's ``panel_sampler`` gives its samples as a vector too (the
+default maps its scalar evaluator over the nodes and converts once;
+rational shapes, the Stirling minor and power kernels compute theirs in
+integers and libmp), and the two, times t^moment, are multiplied in
+integers.  A Hankel circle takes e^(-z rho e^(i phi)) with one complex
+exponential per node at the cached unit points e^(i phi_j).  Both
+Clenshaw-Curtis rules are integer dot products of the one vector with
+their folded weights rows, and each panel converts to mpmath once.
+
 Lateral sums and their jump follow the frozen orientation convention of the
 whole package: the "+" determination uses rays at angles just below the
 singular direction theta_star.  Collapsing the two rays onto the singular
@@ -81,9 +96,12 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 
-from ._chebyshev import chebyshev_nodes, clenshaw_curtis
-from .borelfun import BorelFunction
+from ._chebyshev import (GUARD, _complex_tuple, _exponentials, _mantissas,
+                         _product, _total, _unit_points, _values, _vector,
+                         _weights)
+from .borelfun import BorelFunction, Contour
 from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
 from .series import FormalSeries
@@ -396,52 +414,103 @@ def _segments(lo, T, sing, theta):
 
 # degree n of the coarse Clenshaw-Curtis rule; the fine rule has degree 2n
 _PANEL_DEGREE = 24
+_FINE = 2 * _PANEL_DEGREE
 
 
-def _panels(g, pts, budget, max_nodes):
-    """Integral of g over [pts[0], pts[-1]] by adaptive nested
-    Clenshaw-Curtis panels, as (value, error, nodes, panels).
+def _panels(sample, pts, budget, max_nodes):
+    """Integral over [pts[0], pts[-1]] by adaptive nested Clenshaw-Curtis
+    panels, as (value, error, nodes, panels).
 
-    Each panel is sampled once, at the 2n + 1 Chebyshev-Lobatto nodes of
-    the fine rule; the (n + 1)-point rule reuses every other sample, and
-    the difference of the two rules is the panel's error estimate (the
-    value is the fine rule's).  A panel whose estimate exceeds its
-    length's share of ``budget`` is bisected, the largest estimate first,
-    while the two halves keep the node count within ``max_nodes``.  Every
-    segment between consecutive breakpoints is sampled, one panel each,
-    and panels still unconverged when the cap binds keep their estimates
-    in the returned error.
+    ``sample(mid, half)`` returns the integrand on the panel mid + half x
+    at the 2n + 1 Chebyshev-Lobatto nodes of the fine rule, as one
+    block-fixed-point vector, and a scalar factor of the panel's total.
+    Both rules are applied to that one vector in integers, the fine rule's
+    weights row to every sample and the (n + 1)-point rule's to every
+    other one; the panel's value (the fine rule's) and the difference of
+    the two, its error estimate, are converted once.  A panel whose
+    estimate exceeds its length's share of ``budget`` is bisected, the
+    largest estimate first, while the two halves keep the node count
+    within ``max_nodes``.  Every segment between consecutive breakpoints
+    is sampled, one panel each, and panels still unconverged when the cap
+    binds keep their estimates in the returned error.
     """
-    nodes = chebyshev_nodes(2 * _PANEL_DEGREE)
+    prec = mpmath.mp.prec
+    fine_row, coarse_row = _weights(_FINE, prec), _weights(_PANEL_DEGREE, prec)
     length = pts[-1] - pts[0]
     count = 0
     accepted = []
     pending = []
 
-    def sample(a, b):
+    def run(a, b):
         nonlocal count
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        values = [g(mid + half * x) for x in nodes]
-        count += len(values)
-        fine = clenshaw_curtis(values)
-        err = abs(half * (fine - clenshaw_curtis(values[::2])))
-        panel = (a, b, half * fine, err)
+        (parts, exp), factor = sample((a + b) / 2, (b - a) / 2)
+        count += _FINE + 1
+        totals = []
+        for p in parts:
+            fine = _total(fine_row, p)
+            totals.append([fine, fine - _total(coarse_row, p[::2])])
+        value, difference = _values(totals, exp - (prec + GUARD + 1), prec)
+        err = abs(factor * difference)
+        panel = (a, b, factor * value, err)
         if err <= budget * (b - a) / length:
             accepted.append(panel)
         else:
             heapq.heappush(pending, (-float(err), count, panel))
 
     for a, b in zip(pts, pts[1:]):
-        sample(a, b)
-    while pending and count + 2 * len(nodes) <= max_nodes:
+        run(a, b)
+    while pending and count + 2 * (_FINE + 1) <= max_nodes:
         a, b, _val, _err = heapq.heappop(pending)[2]
-        sample(a, (a + b) / 2)
-        sample((a + b) / 2, b)
+        run(a, (a + b) / 2)
+        run((a + b) / 2, b)
     final = accepted + [entry[2] for entry in pending]
     value = mpmath.fsum(panel[2] for panel in final)
     error = mpmath.fsum(panel[3] for panel in final)
     return value, error, count, len(final)
+
+
+def _ray_sampler(shape, w, contour, moment=0):
+    """The panel sampler of a ray: e^(-w t) t^moment times the shape's
+    samples, with e^(-w mid) half kept as the panel's scalar factor."""
+    prec = mpmath.mp.prec
+    bits = prec + GUARD
+
+    def sample(mid, half):
+        g = _product(_exponentials(_complex_tuple(-w * half), _FINE, bits),
+                     shape(mid, half, _FINE), bits)
+        if moment:
+            t = _vector([contour.parameters(mid, half, _FINE, bits)], bits)
+            for _ in range(moment):
+                g = _product(g, t, bits)
+        return g, half * mpmath.exp(-w * mid)
+
+    return sample
+
+
+def _circle_sampler(shape, z, rho):
+    """The panel sampler of the circle zeta = rho e^(i phi):
+    e^(-z zeta) e^(i phi) times the shape's samples, one exponential per
+    node at the cached unit points, with i rho half as the scalar
+    factor."""
+    prec = mpmath.mp.prec
+    bits = prec + GUARD
+    cr, ci = _mantissas(_complex_tuple(-z * rho), -bits)
+
+    def sample(mid, half):
+        wr, wi, _half = _unit_points(mid, half, _FINE, bits)
+        re, im = [], []
+        for x, y in zip(wr, wi):
+            # e^(-z rho w) = e^a (cos b + i sin b), a + i b = -z rho w
+            e = mpf_exp(from_man_exp((cr * x - ci * y) >> bits, -bits), bits)
+            c, s = mpf_cos_sin(from_man_exp((cr * y + ci * x) >> bits, -bits),
+                               bits)
+            re.append(mpf_mul(e, c))
+            im.append(mpf_mul(e, s))
+        kernel = _product(_vector((re, im), bits), ((wr, wi), -bits), bits)
+        return (_product(kernel, shape(mid, half, _FINE), bits),
+                mpmath.mpc(0, 1) * rho * half)
+
+    return sample
 
 
 # -- the operations -------------------------------------------------------------------
@@ -478,16 +547,13 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         T, tail, proved = _choose_truncation(
             f, evalf, sing, theta, w, target, moment, guard, spec.max_nodes)
 
-        def g(t):
-            base = evalf(t)
-            if moment:
-                base = base * t ** moment
-            return mpmath.exp(-w * t) * base
-
+        contour = Contour(theta)
+        shape = f.panel_sampler(evalf, contour, guard)
         lo, head, head_err = origin(T)
         pts = _segments(lo, T, sing, theta)
-        val, errq, nodes, panels = _panels(g, pts, target / 16,
-                                           spec.max_nodes)
+        val, errq, nodes, panels = _panels(
+            _ray_sampler(shape, w, contour, moment), pts, target / 16,
+            spec.max_nodes)
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
         weight = (-phase) ** moment * phase
         value = _to_mp(c0, guard) + weight * (head + val)
@@ -577,18 +643,19 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
                 max_nodes)
             pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
-
-        def on_circle(phi):
-            pos = rho * mpmath.exp(mpmath.mpc(0, 1) * phi)
-            return mpmath.exp(-zv * pos) * polar(rho, phi) \
-                * mpmath.mpc(0, 1) * pos
+        circle = f.panel_sampler(lambda phi: polar(rho, phi),
+                                 Contour(th, radius=rho), guard)
+        ray = Contour(th, hankel=True)
+        difference = f.panel_sampler(
+            lambda t: polar(t, th) - polar(t, below), ray, guard)
 
         # the circle and the ray share the quadrature budget and the cap
         circ_val, circ_err, circ_n, circ_panels = _panels(
-            on_circle, [below, th], target / 32, max_nodes)
+            _circle_sampler(circle, zv, rho), [below, th], target / 32,
+            max_nodes)
         ray_val, ray_err, ray_n, ray_panels = _panels(
-            lambda t: mpmath.exp(-w * t) * (polar(t, th) - polar(t, below)),
-            pts, target / 32, max_nodes - circ_n)
+            _ray_sampler(difference, w, ray), pts, target / 32,
+            max_nodes - circ_n)
 
         phase = mpmath.exp(mpmath.mpc(0, 1) * th)
         value = phase * ray_val + circ_val

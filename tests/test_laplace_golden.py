@@ -94,34 +94,34 @@ GOLDEN = {
     "euler": (
         ("mpc(real='0.3613286168882225458438618465473873841986574007023591"
          "5482044219970703125', imag='0.0')"),
-        ("mpf('0.000000000000000079800479786265690774785521017589622109335"
-         "02407825873183607467839994695224525856')"),
+        ("mpf('0.000000000000000079800479786252497186529321114760197097376"
+         "90526988520558833145043331827594990102')"),
         343,
         ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 3.989993"
-         "8826816937e-17, 'quadrature_error': 6.396884135650283e-24, 'segm"
+         "8826816937e-17, 'quadrature_error': 6.396880837253215e-24, 'segm"
          "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),
     "euler-moment-1": (
         ("mpc(real='-0.071249593078016464275318674753689762724206957500427"
-         "9613494873046875', imag='0.0000000000000012394436340968369795640"
-         "77239004710285382907374943250406276219754975187470336095')"),
-        ("mpf('0.000000000000004404901353799894779251165359659033590854993"
-         "819428025211143440387218106479849666')"),
+         "9613494873046875', imag='0.0000000000000012394436340968106562906"
+         "35094532836990561184264109022908247059735487027865019627')"),
+        ("mpf('0.000000000000004404901353800071220626718474129581119995834"
+         "617925414833372599332506069913506508')"),
         294,
         ("{'margin': 2.866009467376818, 'truncation': 11.390625, 'tail_bou"
-         "nd': 2.202436150494595e-15, 'quadrature_error': 4.13307557418257"
-         "4e-24, 'segments': 6, 'panels': 6, 'rigorous_tail': True, 'metho"
+         "nd': 2.202436150494595e-15, 'quadrature_error': 4.13311968456543"
+         "5e-24, 'segments': 6, 'panels': 6, 'rigorous_tail': True, 'metho"
          "d': 'clenshaw-curtis'}"),
     ),
     "euler-prec-90": (
         ("mpc(real='1.2620837402553184583545895237155576658940086458380452"
          "90510365248337620869278908', imag='0.0')"),
-        ("mpf('0.000000000000000077653106802083670834737682607330349155742"
-         "0455887432535293905950302489925139225')"),
+        ("mpf('0.000000000000000077653106802083670820046728332780521635189"
+         "9325340807247897174408211173135227905')"),
         294,
         ("{'margin': 3.0, 'truncation': 11.390625, 'tail_bound': 3.8826548"
-         "29091266e-17, 'quadrature_error': 2.554607764949878e-24, 'segmen"
+         "29091266e-17, 'quadrature_error': 2.554607764946205e-24, 'segmen"
          "ts': 6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-"
          "curtis'}"),
     ),
@@ -140,33 +140,33 @@ GOLDEN = {
     "double-pole": (
         ("mpc(real='0.2773427662231689606983815743479482307520811446011066"
          "436767578125', imag='0.0')"),
-        ("mpf('0.000000000003327380011245238383791563434337113505946542770"
-         "04020778707449323974287835881114')"),
+        ("mpf('0.000000000003327380011245237327704026569707559010994925997"
+         "710142812069378237538330722600222')"),
         294,
         ("{'margin': 2.0, 'truncation': 11.390625, 'tail_bound': 1.6636899"
-         "883070707e-12, 'quadrature_error': 2.163008096449108e-24, 'segme"
-         "nts': 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clensha"
-         "w-curtis'}"),
+         "883070707e-12, 'quadrature_error': 2.1627440820107033e-24, 'segm"
+         "ents': 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clensh"
+         "aw-curtis'}"),
     ),
     "logpole": (
         ("mpc(real='0.2360678546143881373819885943765584102038701530545949"
          "9359130859375', imag='0.0')"),
-        ("mpf('0.000000000000016867413736848548165902761971540514375439022"
-         "12239392470610743757220006955321878')"),
+        ("mpf('0.000000000000016867413736848611656109308641157646218807877"
+         "37710790763316637264068731383304112')"),
         294,
         ("{'margin': 3.0, 'truncation': 10.5, 'tail_bound': 8.433690116510"
-         "378e-15, 'quadrature_error': 3.5365374011316434e-26, 'segments':"
-         " 6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-curt"
-         "is'}"),
+         "378e-15, 'quadrature_error': 3.538124646222448e-26, 'segments': "
+         "6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-curti"
+         "s'}"),
     ),
     "stirling": (
         ("mpc(real='0.0083305634333628712281896681467359411232820320947212"
          "167084217071533203125', imag='0.0')"),
-        ("mpf('0.000000000000000000265949917444959023959613913064434072903"
-         "307522551385363107783496409985968256251')"),
+        ("mpf('0.000000000000000000265949917445272986920078809542804762286"
+         "0234268094600674053907553562168435482005')"),
         196,
         ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.327610704778"
-         "6215e-19, 'quadrature_error': 1.8297118973411347e-25, 'segments'"
+         "6215e-19, 'quadrature_error': 1.8297126822485364e-25, 'segments'"
          ": 4, 'panels': 4, 'rigorous_tail': True, 'method': 'clenshaw-cur"
          "tis'}"),
     ),
@@ -174,11 +174,11 @@ GOLDEN = {
         ("mpc(real='0.1408215195985190182348389953403966501355171203613281"
          "25', imag='-0.01366423262967624875641181603214135975576937198638"
          "916015625')"),
-        ("mpf('0.000000001798853117591406692354844922053600658751193464013"
-         "3404172956943511962890625')"),
+        ("mpf('0.000000001798853117591405865174232369025925787342501394050"
+         "4868514835834503173828125')"),
         343,
         ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': "
-         "8.994264954080265e-10, 'quadrature_error': 1.1323413127233321e-2"
+         "8.994264954080265e-10, 'quadrature_error': 1.1323178974853957e-2"
          "0, 'segments': 7, 'panels': 7, 'rigorous_tail': True, 'method': "
          "'clenshaw-curtis'}"),
     ),
@@ -186,24 +186,24 @@ GOLDEN = {
         ("mpc(real='-0.245064535867137032448663004624567207656582468189299"
          "106597900390625', imag='1.11072073453959140922064907641697573126"
          "293718814849853515625')"),
-        ("mpf('0.000000000000001784292964586272393778197776978387138241089"
-         "302118020157566363748102844510867726')"),
+        ("mpf('0.000000000000001784292964585930306923691307907228177896563"
+         "762062571344363740011296215470792959')"),
         343,
         ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.921174"
-         "742282032e-16, 'quadrature_error': 2.0213106021365377e-23, 'segm"
+         "742282032e-16, 'quadrature_error': 2.0213020499661305e-23, 'segm"
          "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),
     "pade": (
         ("mpc(real='0.3613286168881598681666689198976882835268042981624603"
          "271484375', imag='0.0')"),
-        ("mpf('0.000000000000518490744913769849969305813079081895827953192"
-         "0824807419978519362757651833817363')"),
+        ("mpf('0.000000000000518490744913769206899756638225520771754473380"
+         "6211811402708811158390744822099805')"),
         294,
         ("{'margin': 2.0, 'truncation': 13.5, 'tail_bound': 2.592453540053"
-         "908e-13, 'quadrature_error': 1.025538497972305e-24, 'segments': "
-         "6, 'panels': 6, 'rigorous_tail': False, 'method': 'clenshaw-curt"
-         "is'}"),
+         "908e-13, 'quadrature_error': 1.0253777286708721e-24, 'segments':"
+         " 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clenshaw-cur"
+         "tis'}"),
     ),
     "euler-jump": (
         ("mpc(real='0.0', imag='0.3128213764630997095750331027375068515539"
@@ -212,48 +212,47 @@ GOLDEN = {
             ("mpc(real='-0.49457640134141358378852895705257708414137596264"
              "48154449462890625', imag='0.15641068823154986621907320751279"
              "08018430389347486197948455810546875')"),
-            ("mpf('0.00000000001726672929308764920841201242237387204463291"
-             "111300460300981285399757325649261475')"),
+            ("mpf('0.00000000001726672929308764851027011130177842425525313"
+             "083773878974902515892608789727091789')"),
             392,
             ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_b"
              "ound': 8.416386018421449e-12, 'quadrature_error': 1.08489303"
-             "7699429e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': Tr"
-             "ue, 'method': 'clenshaw-curtis'}"),
+             "76994273e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': T"
+             "rue, 'method': 'clenshaw-curtis'}"),
         ),
         (
             ("mpc(real='-0.49457640134141358378852895705257708414137596264"
              "48154449462890625', imag='-0.1564106882315498662190732075127"
              "908018430389347486197948455810546875')"),
-            ("mpf('0.00000000001726672929308764129850371577128849918123058"
-             "702250707807657192915939958766102791')"),
+            ("mpf('0.00000000001726672929308764287228122168720705097762907"
+             "476166560627461876720190048217773438')"),
             392,
             ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_b"
              "ound': 8.416386018421441e-12, 'quadrature_error': 1.08489303"
-             "76994457e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': T"
+             "76994496e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': T"
              "rue, 'method': 'clenshaw-curtis'}"),
         ),
     ),
     "hankel-pole": (
-        ("mpc(real='1.0', imag='6.3108872417680944432938285222622898373856"
-         "514808721840381622314453125e-30')"),
-        ("mpf('0.000000000000000127853549842529843488964648372646094185438"
-         "0166023869995781608128668227486457454')"),
+        ("mpc(real='1.0', imag='0.0')"),
+        ("mpf('0.000000000000000127853549842541073504844042623805619039472"
+         "1641688686553811434205331354352352946')"),
         147,
         ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound"
-         "': 0.0, 'quadrature_error': 3.196317570239565e-17, 'segments': 0"
-         ", 'panels': 2, 'ray_nodes': 0, 'circle_nodes': 147, 'rigorous_ta"
-         "il': True, 'method': 'clenshaw-curtis'}"),
+         "': 0.0, 'quadrature_error': 3.1963175702398454e-17, 'segments': "
+         "0, 'panels': 2, 'ray_nodes': 0, 'circle_nodes': 147, 'rigorous_t"
+         "ail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "hankel-power": (
         ("mpc(real='0.6933612743417572977307379578082446869302657432854175"
-         "567626953125', imag='0.00000000000662791072950139389910147112891"
-         "6510566937703163858941479702480137348175048828125')"),
-        ("mpf('0.000000000013363127118193188003611093172047524989446290000"
-         "30351329009192795638227835297585')"),
+         "567626953125', imag='0.00000000000662791072950139309130790418260"
+         "04218253276523142858422943390905857086181640625')"),
+        ("mpf('0.000000000013363127118193185713942315768060759781904129267"
+         "01648166361025005244300700724125')"),
         392,
         ("{'margin': 2.866009467376818, 'truncation': 7.59375, 'radius': 0"
          ".25, 'tail_bound': 6.67998323632414e-12, 'quadrature_error': 7.9"
-         "01499115643456e-16, 'segments': 5, 'panels': 7, 'ray_nodes': 245"
+         "01499115637731e-16, 'segments': 5, 'panels': 7, 'ray_nodes': 245"
          ", 'circle_nodes': 147, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),

@@ -1,11 +1,13 @@
-"""Work counts of the iterated-integral engine on one benchmark round.
+"""Work counts of the spectral engine on two benchmark rounds.
 
     PYTHONPATH=src python3 tools/engine_work.py --seed N
 
 Run from the root of a source checkout.  It builds the seeded inputs of the
 iterated-integrals workload (``bench/inputs.py``, ``bench/worker.py``), runs
 every operation of one round once in this process, with every cache cold,
-and prints one JSON object:
+then does the same for one certified-sums round with the caches of
+``_chebyshev`` and ``borelfun`` cleared, and prints one JSON object.  For
+the iterated-integrals round:
 
 * ``applications``: per node count n, how many times the integration
   matrix was applied to one real part of a sample vector (``full``) and
@@ -14,6 +16,13 @@ and prints one JSON object:
 * ``madds``: per n, the integer multiply-adds of those applications;
 * ``matrix_build_s``: per (n, prec), the seconds spent building the matrix;
 * ``round_s``: the wall seconds of the round, counting included.
+
+Under ``laplace``, for the certified-sums round: per Laplace operation
+(rays, the lateral jump, Hankel contours) the ``nodes`` and ``panels``
+its results report, and the libmp ``exp``, ``cos_sin`` and ``log`` calls
+its panel sampling made (``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` as
+``_chebyshev``, ``borelfun`` and ``laplace`` call them); their ``total``;
+and the wall seconds of the whole round (``round_s``).
 
 It counts through the folded ``_chebyshev._cumulate`` and
 ``_chebyshev._fold``: an application of all rows costs the symmetric half
@@ -37,6 +46,9 @@ sys.path.insert(0, str(ROOT))
 
 from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
+from resurgence import borelfun, laplace  # noqa: E402
+
+LIBMP = {"exp": "mpf_exp", "cos_sin": "mpf_cos_sin", "log": "mpf_log"}
 
 
 def instrument():
@@ -73,6 +85,47 @@ def instrument():
     return full, total_only, madds, build
 
 
+def count_libmp():
+    """Count the libmp transcendental calls of the sampling modules."""
+    calls = Counter()
+    for module in (cheb, borelfun, laplace):
+        for key, name in LIBMP.items():
+            if hasattr(module, name):
+                def counted(*args, _key=key, _f=getattr(module, name)):
+                    calls[_key] += 1
+                    return _f(*args)
+                setattr(module, name, counted)
+    return calls
+
+
+def laplace_work(seed):
+    """Nodes, panels and libmp calls per Laplace operation of one
+    certified-sums round, with the sampling caches cold."""
+    for module in (cheb, borelfun):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    calls = count_libmp()
+    ops = worker.certified_sums(inputs.certified_sums(seed), {})
+    work = {}
+    start = time.perf_counter()
+    for name, call, _serialize in ops:
+        before = Counter(calls)
+        result = call()
+        if not name.startswith(("ray", "jump", "hankel")):
+            continue
+        sums = [result.plus, result.minus] if hasattr(result, "plus") \
+            else [result]
+        work[name] = {"nodes": sum(r.nodes_used for r in sums),
+                      "panels": sum(r.diagnostics["panels"] for r in sums),
+                      **{key: calls[key] - before[key] for key in LIBMP}}
+    elapsed = time.perf_counter() - start
+    return {"operations": work,
+            "total": {key: sum(w[key] for w in work.values())
+                      for key in ("nodes", "panels", *LIBMP)},
+            "round_s": round(elapsed, 5)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -84,7 +137,7 @@ def main(argv=None):
         call()
     elapsed = time.perf_counter() - start
     keys = sorted(set(full) | set(total_only))
-    print(json.dumps({
+    out = {
         "seed": args.seed,
         "applications": {n: {"full": full[n], "total_only": total_only[n]}
                          for n in keys},
@@ -92,7 +145,9 @@ def main(argv=None):
         "madds_total": sum(madds.values()),
         "matrix_build_s": {k: round(v, 5) for k, v in build.items()},
         "round_s": round(elapsed, 5),
-    }))
+    }
+    out["laplace"] = laplace_work(args.seed)
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":
