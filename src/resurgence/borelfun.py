@@ -595,6 +595,9 @@ class BorelFunction:
 
     # one sheet: both rays of a Hankel contour see the same values
     single_valued = False
+    # a proved ``tail_bound`` that decreases as the truncation point T
+    # grows, so the first T of a ladder within a target can be searched for
+    tail_decreasing = False
 
     def singular_points(self):
         raise NotImplementedError
@@ -779,6 +782,8 @@ def log_shape(rational: RationalFunction, log_terms) -> BorelFunction:
 
 class RationalBF(BorelFunction):
     single_valued = True
+    # the pole distances grow with T and the polynomial bound is fixed
+    tail_decreasing = True
 
     def __init__(self, rat: RationalFunction):
         self.rat = rat
@@ -960,6 +965,14 @@ class LogPoleBF(BorelFunction):
     def tail_bound(self, evalf, theta, m, T, moment, prec: int):
         return _envelope_tail(_logpole_envelope(self, theta, T, prec), evalf,
                               m, T, moment)
+
+    @property
+    def tail_decreasing(self):
+        """The rational envelope and (B + ln(1 + T/|a|)) / T decrease in T,
+        but the tangent bound of a log whose cofactor has a polynomial
+        part grows with T, so such shapes do not qualify."""
+        return all(len(r.num) - 1 < sum(r.poles.values())
+                   for _a, r, _k in self.log_terms)
 
     def log_form(self):
         return self.rational_part, self.log_terms
@@ -1301,6 +1314,30 @@ class DilogBF(BorelFunction):
         return f"<DilogBF loops={self.n}, origin branch={self.m}>"
 
 
+@lru_cache(maxsize=64)
+def _power_g(sigma: Fraction, prec: int):
+    """g(sigma) = e^(i pi sigma) Gamma(1 - sigma) / (2 pi i) at ``prec``
+    bits, once per (sigma, prec)."""
+    with mpmath.workprec(prec + 16):
+        s = mpmath.mpf(sigma.numerator) / sigma.denominator
+        g = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * s) \
+            * mpmath.gamma(1 - s) / (2 * mpmath.pi * mpmath.mpc(0, 1))
+    with mpmath.workprec(prec):
+        return +g
+
+
+@lru_cache(maxsize=64)
+def _power_g_prime(sigma: Fraction, prec: int):
+    """g'(sigma) = g(sigma) (i pi - digamma(1 - sigma)) at ``prec`` bits,
+    once per (sigma, prec)."""
+    with mpmath.workprec(prec + 16):
+        s = mpmath.mpf(sigma.numerator) / sigma.denominator
+        gp = _power_g(sigma, prec + 16) \
+            * (mpmath.mpc(0, 1) * mpmath.pi - mpmath.digamma(1 - s))
+    with mpmath.workprec(prec):
+        return +gp
+
+
 class PowerBF(BorelFunction):
     """g(sigma) zeta^(sigma-1), optionally times log(zeta), with
 
@@ -1312,6 +1349,9 @@ class PowerBF(BorelFunction):
     the right branch by construction.
     """
 
+    # incomplete gamma moments, each decreasing in T
+    tail_decreasing = True
+
     def __init__(self, sigma, with_log: bool = False):
         self.sigma = Fraction(sigma)
         if self.sigma.denominator == 1:
@@ -1320,20 +1360,10 @@ class PowerBF(BorelFunction):
         self.with_log = bool(with_log)
 
     def g_value(self, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator
-            g = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * s) \
-                * mpmath.gamma(1 - s) / (2 * mpmath.pi * mpmath.mpc(0, 1))
-        with mpmath.workprec(prec):
-            return +g
+        return _power_g(self.sigma, prec)
 
     def g_prime_value(self, prec: int = 53):
-        with mpmath.workprec(prec + 16):
-            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator
-            g = self.g_value(prec + 16)
-            gp = g * (mpmath.mpc(0, 1) * mpmath.pi - mpmath.digamma(1 - s))
-        with mpmath.workprec(prec):
-            return +gp
+        return _power_g_prime(self.sigma, prec)
 
     def polar_evaluator(self, prec: int = 53):
         """A closure (radius, theta) -> value at zeta = radius * e^(i theta),

@@ -360,11 +360,22 @@ def _check_ray(sing, theta):
 # -- truncation -----------------------------------------------------------------------
 
 
+# steps of the truncation ladder T_floor (3/2)^k, k = 0 .. _LADDER_STEPS
+_LADDER_STEPS = 400
+
+
 def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
                        max_nodes):
     """(T, tail bound, proved?): the first point of the ladder T_floor,
     3/2 T_floor, ... whose tail bound is within target / 4, with the
     floor and the bounds from the shape.
+
+    The ladder is walked from the floor, except for a proved bound that
+    decreases in T (the shape's ``tail_decreasing``): there the search
+    starts at the step where a bound decaying like e^(-m T) from its
+    value at the floor meets the goal, and steps down while the step
+    before is within it, or up while it is not.  By monotony that is the
+    step the walk finds, with the same T and bound, in a few evaluations.
 
     A ray on which the kernel e^(-w t) turns more often over [0, T] than
     ``max_nodes`` nodes could resolve is refused.  That happens when the
@@ -373,13 +384,29 @@ def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
     and the rule's own error estimate then no longer bounds its error.
     """
     m = mpmath.mpc(w).real
-    T = f.truncation_floor(sing, prec)
-    tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
-    for _ in range(400):
-        if tail <= target / 4:
-            break
-        T = T * 3 / 2
-        tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
+    goal = target / 4
+    ladder = [f.truncation_floor(sing, prec)]
+    bounds = {}
+
+    def bound(k):
+        while len(ladder) <= k:
+            ladder.append(ladder[-1] * 3 / 2)
+        if k not in bounds:
+            bounds[k] = f.tail_bound(evalf, theta, m, ladder[k], moment,
+                                     prec)
+        return bounds[k][0]
+
+    k = 0
+    if bound(0) > goal and bounds[0][1] and f.tail_decreasing:
+        span = mpmath.log(bound(0) / goal) / m
+        steps = mpmath.ceil(mpmath.log(1 + span / ladder[0]) / mpmath.log(1.5))
+        k = int(min(_LADDER_STEPS, max(1, steps)))
+        if bound(k) <= goal:
+            while bound(k - 1) <= goal:
+                k -= 1
+    while k < _LADDER_STEPS and bound(k) > goal:
+        k += 1
+    T, (tail, proved) = ladder[k], bounds[k]
     turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
     if turns > max_nodes:
         raise DecayMarginError(

@@ -20,13 +20,14 @@ inputs are rejected rather than regularised.
 Two independent evaluators are provided.
 
 * :func:`ze_eval` sums the series directly below a cutoff, as
-  fixed-point integer prefix sums with a proved rounding term, and
-  completes every level's tail with certified asymptotic expansions.
+  fixed-point integer prefix sums, and completes every level's tail
+  with certified asymptotic expansions, in the same fixed point.
   Levels whose accumulated phase is trivial use the Euler-Maclaurin
   expansion of the Hurwitz tail; levels with a nontrivial root-of-unity
   phase use iterated summation by parts.  Truncation remainders are
-  tracked through every algebraic step with explicit inequalities, so
-  the reported error is a guaranteed bound.  By default the direct sum
+  tracked through every algebraic step with explicit inequalities, and
+  a proved rounding term bounds every floor of the integer arithmetic,
+  so the reported error is a guaranteed bound.  By default the direct sum
   stops at DEFAULT_CUTOFF = 1024, doubled for indices whose partial
   colour sums come close to an integer, and the tails keep
   4 + max(0, prec - 53) // 5 correction terms; the reported error is
@@ -59,9 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import comb, factorial, pi, prod, sin
+from math import comb, factorial, isqrt, pi, prod, sin
+from operator import mul
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from ._chebyshev import iterated_integral, segment
 from .errors import DivergentIndexError, check_prec
@@ -100,11 +103,12 @@ class _DefaultCutoff(int):
 
 # The cutoff ze_eval and verify_relation start from unless told otherwise.
 # At 1024 the certified tails of most supported indices already sit under
-# the ulp-scale cushion of the reported error.  A level whose accumulated
-# colour z is close to 1 has a tail expanded in 1/(cutoff |1 - z|), so an
-# index whose partial colour sums come near an integer needs more: there
-# ze_eval doubles the default until the remainders fall under that
-# cushion, up to 16 * 1024, which is past 10^4.
+# the unit 2^-prec (1 + |value|) of the reported error, which the proved
+# rounding term stays far below.  A level whose accumulated colour z is
+# close to 1 has a tail expanded in 1/(cutoff |1 - z|), so an index whose
+# partial colour sums come near an integer needs more: there ze_eval
+# doubles the default until the remainders fit under that unit, up to
+# 16 * 1024, which is past 10^4.
 DEFAULT_CUTOFF = _DefaultCutoff(1024)
 
 
@@ -272,7 +276,7 @@ class Evaluation:
 
 
 # ---------------------------------------------------------------------------
-# Certified asymptotic tails.
+# Certified asymptotic tails, in fixed point.
 #
 # A _TailForm represents a function of an integer argument n > cutoff:
 #
@@ -281,44 +285,89 @@ class Evaluation:
 # with Z = exp(2 pi i q) and a remainder certified by |d(n)| <= R n^{-t-K-1}.
 # The engine below closes this class of forms under the operation
 # "sum the tail":  W(m) = sum over n > m of f(n), for m >= cutoff.
+#
+# Numbers are Python ints in units u = 2^-P.  The coefficients are lanes
+# (real, imaginary or None) and R an int rounded up.  Beside each
+# coefficient c~[k] the form keeps an int err[k] with |c~[k] - c[k]| <=
+# err[k] u, where c[k] is what exact arithmetic would give: a linear step
+# carries err by the moduli of its weights, and each floor adds one unit
+# per lane.  Remainders are bounded from the moduli of the computed
+# coefficients plus err, so they also bound the exact ones.
 # ---------------------------------------------------------------------------
+
+
+def _ceil_div(a: int, b: int) -> int:
+    """The ceiling of a / b for b > 0."""
+    return -(-a // b)
+
+
+def _size(re: int, im) -> int:
+    """An int at least |re + i im|, an im of None standing for zero."""
+    if im is None:
+        return abs(re)
+    return isqrt(re * re + im * im) + 1
+
+
+def _modulus(c, k: int) -> int:
+    """An int at least the modulus of entry k of the lanes c."""
+    re, im = c
+    return _size(re[k], None if im is None else im[k])
+
+
+@lru_cache(maxsize=1024)
+def _unit_root(q: Fraction, P: int):
+    """exp(2 pi i q) for a reduced phase q as (nint(2^P re), nint(2^P im)),
+    each part within one unit 2^-P, so within 2 units in modulus."""
+    with mpmath.workprec(P + 16):
+        z = mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
+        return int(mpmath.nint(mpmath.ldexp(z.real, P))), \
+            int(mpmath.nint(mpmath.ldexp(z.imag, P)))
 
 
 @dataclass
 class _TailForm:
     q: Fraction
     t: int
-    c: list
-    R: object
+    c: tuple
+    err: list
+    R: int
     cutoff: int
+    P: int
 
     @property
     def order(self) -> int:
-        return len(self.c) - 1
+        return len(self.err) - 1
 
     def value_at(self, m: int):
-        inv = mpmath.mpf(1) / m
-        acc = mpmath.mpf(0)
-        for coeff in reversed(self.c):
-            acc = acc * inv + coeff
-        acc = acc * inv ** self.t
-        if self.q != 0:
-            acc = acc * _phase_power(self.q, m)
-        return acc
+        """((real, imaginary or None), err): the expansion at n = m in
+        units u, Horner's rule with one floor per lane and step, times the
+        phase Z^m from :func:`_unit_root`; err bounds its distance in
+        units from the value of the exact coefficients."""
+        width = 1 if self.c[1] is None else 2
+        scale = m ** self.t
+        out = []
+        for lane in self.c:
+            if lane is not None:
+                acc = 0
+                for x in reversed(lane):
+                    acc = acc // m + x
+                lane = acc // scale
+            out.append(lane)
+        err = 0
+        for e in reversed(self.err):
+            err = _ceil_div(err, m) + e + width
+        err = _ceil_div(err, scale) + width
+        if self.q:
+            zr, zi = _unit_root(self.q * m % 1, self.P)
+            re, im = out[0], out[1] or 0
+            out = [(re * zr - im * zi) >> self.P, (re * zi + im * zr) >> self.P]
+            # |Z - Z~| <= 2 units, and the product adds one floor per lane
+            err += _ceil_div(2 * _size(re, im), 1 << self.P) + 2
+        return tuple(out), err
 
-    def error_at(self, m: int):
-        return self.R * mpmath.mpf(m) ** (-(self.t + self.order + 1))
-
-
-def _phase_power(q: Fraction, n: int):
-    """exp(2 pi i q n) computed from the exact reduced phase."""
-    qn = (q * n) % 1
-    return mpmath.expjpi(2 * mpmath.mpf(qn.numerator) / qn.denominator)
-
-
-def _scale(x, q: Fraction):
-    """x * q for an mpf x and an exact rational q, rounded twice."""
-    return x * q.numerator / q.denominator
+    def error_at(self, m: int) -> int:
+        """R m^-(t + K + 1) in units, rounded up."""
+        return _ceil_div(self.R, m ** (self.t + self.order + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -333,59 +382,80 @@ def _binom_tail_bound(x: int, top: int, cutoff: int) -> Fraction:
     return comb(x + top, top + 1) / (1 - ratio)
 
 
-def _shift_down(c, t: int, R, cutoff: int):
+@lru_cache(maxsize=256)
+def _shift_rows(t: int, K: int):
+    """Row i holds the weights (-1)^(i-j) C(t+i-1, i-j), j = 0 .. i, of
+    (m+1)^(-t-j) in the coefficient of m^(-t-i)."""
+    return tuple(tuple((-1) ** (i - j) * comb(t + i - 1, i - j)
+                       for j in range(i + 1)) for i in range(K + 1))
+
+
+def _remainder(c, err, t: int, cutoff: int) -> int:
+    """sum over j of |c[j]| B(t + j, K - j, cutoff) in units, rounded up:
+    the binomial truncation tails of re-expanding c in powers of m."""
+    K = len(err) - 1
+    rem = 0
+    for j in range(K + 1):
+        b = _binom_tail_bound(t + j, K - j, cutoff)
+        rem += _ceil_div((_modulus(c, j) + err[j]) * b.numerator,
+                         b.denominator)
+    return rem
+
+
+def _shift_down(c, err, t: int, R: int, cutoff: int):
     """Re-expand  sum_k c[k] (m+1)^{-t-k} + d(m+1)  in powers of m.
 
-    Valid for m >= cutoff.  Returns (c', R') in the same slot convention:
-    the new remainder R' covers both the binomial truncation tails and
-    the transported input remainder, at exponent -(t + K + 1).
+    Valid for m >= cutoff.  Returns (c', err', R') in the same slot
+    convention: the binomial weights are integers, so c' is exact and err'
+    carries err by their moduli; R' covers both the binomial truncation
+    tails and the transported input remainder, at exponent -(t + K + 1).
     """
-    K = len(c) - 1
-    out = [mpmath.mpf(0)] * (K + 1)
-    for i in range(K + 1):
-        acc = mpmath.mpf(0)
-        for j in range(i + 1):
-            term = c[j] * comb(t + i - 1, i - j)
-            if (i - j) % 2:
-                acc -= term
-            else:
-                acc += term
-        out[i] = acc
-    rem = mpmath.mpf(R)
-    for j in range(K + 1):
-        rem += _scale(abs(c[j]), _binom_tail_bound(t + j, K - j, cutoff))
-    return out, rem
+    rows = _shift_rows(t, len(err) - 1)
+    out = tuple(None if lane is None else [sum(map(mul, row, lane)) for row in rows]
+                for lane in c)
+    err_out = [sum(abs(w) * e for w, e in zip(row, err)) for row in rows]
+    return out, err_out, R + _remainder(c, err, t, cutoff)
 
 
 def _tail_abel(form: _TailForm) -> _TailForm:
     """Sum the tail of a form with nontrivial phase, by the exact
     first-order recurrence v(a) - Z v(a+1) = g(a) solved order by order.
 
-    Output slots shrink by one: the recurrence's certified remainder
-    lives one power higher than the input's."""
-    K = form.order
-    t, N0 = form.t, form.cutoff
-    Z = mpmath.expjpi(2 * mpmath.mpf(form.q.numerator) / form.q.denominator)
-    one_minus = 1 - Z
-    v = [mpmath.mpc(0)] * (K + 1)
-    for i in range(K + 1):
-        acc = mpmath.mpc(form.c[i])
-        inner = mpmath.mpc(0)
-        for j in range(i):
-            term = v[j] * comb(t + i - 1, i - j)
-            if (i - j) % 2:
-                inner -= term
-            else:
-                inner += term
-        v[i] = (acc + Z * inner) / one_minus
-    eta = mpmath.mpf(0)
-    for j in range(K + 1):
-        eta += _scale(abs(v[j]), _binom_tail_bound(t + j, K - j, N0))
-    unrolled = (mpmath.mpf(form.R) + eta) / (t + K)
-    shifted, rem_shift = _shift_down([Z * x for x in v], t, 0, N0)
-    c_out = shifted[:K]
-    R_out = unrolled + abs(shifted[K]) + rem_shift / N0
-    return _TailForm(form.q, t, c_out, R_out, N0)
+    Each order is one complex integer division by 1 - Z~, with Z~ from
+    :func:`_unit_root`.  Output slots shrink by one: the recurrence's
+    certified remainder lives one power higher than the input's."""
+    K, t, N0, P = form.order, form.t, form.cutoff, form.P
+    zr, zi = _unit_root(form.q, P)
+    dr, di = (1 << P) - zr, -zi
+    norm = dr * dr + di * di
+    # |1 - Z| and |1 - Z~| are both at least low units
+    low = isqrt(norm) - 2
+    cr, ci = form.c[0], form.c[1] or [0] * (K + 1)
+    vr, vi, verr = [], [], []
+    for i, row in enumerate(_shift_rows(t, K)):
+        w = row[:i]
+        ir, ii = sum(map(mul, w, vr)), sum(map(mul, w, vi))
+        # a = c[i] + Z inner in units u^2, exactly
+        ar = (cr[i] << P) + zr * ir - zi * ii
+        ai = (ci[i] << P) + zr * ii + zi * ir
+        vr.append((ar * dr + ai * di) // norm)
+        vi.append((ai * dr - ar * di) // norm)
+        # |a - a~| <= err[i] + |inner - inner~| + |Z - Z~| |inner~|, and
+        # a / (1 - Z) - a~ / (1 - Z~) adds |a~| |Z - Z~| / (low u)^2
+        aerr = (form.err[i] + sum(abs(x) * e for x, e in zip(w, verr))
+                + _ceil_div(2 * _size(ir, ii), 1 << P))
+        verr.append(_ceil_div(aerr << P, low)
+                    + _ceil_div(2 * _size(ar, ai), low * low) + 2)
+    unrolled = _ceil_div(form.R + _remainder((vr, vi), verr, t, N0), t + K)
+    zv = ([(zr * a - zi * b) >> P for a, b in zip(vr, vi)],
+          [(zr * b + zi * a) >> P for a, b in zip(vr, vi)])
+    zerr = [e + _ceil_div(2 * _modulus((vr, vi), j), 1 << P) + 2
+            for j, e in enumerate(verr)]
+    shifted, serr, rem_shift = _shift_down(zv, zerr, t, 0, N0)
+    R_out = (unrolled + _modulus(shifted, K) + serr[K]
+             + _ceil_div(rem_shift, N0))
+    return _TailForm(form.q, t, tuple(lane[:K] for lane in shifted), serr[:K],
+                     R_out, N0, P)
 
 
 @lru_cache(maxsize=4096)
@@ -396,44 +466,51 @@ def _em_weight(x: int, j: int) -> Fraction:
     return Fraction(p * prod(range(x, x + 2 * j - 1)), q * factorial(2 * j))
 
 
+@lru_cache(maxsize=1024)
+def _em_terms(x: int, room: int):
+    """(slot offset, numerator, denominator) of the Euler-Maclaurin
+    weights of n^-x: 1/(x-1) at offset 0, 1/2 at 1, then the Bernoulli
+    weights at offsets 2j up to the first one past ``room``."""
+    terms = [(0, 1, x - 1), (1, 1, 2)]
+    for j in count(1):
+        w = _em_weight(x, j)
+        terms.append((2 * j, w.numerator, w.denominator))
+        if 2 * j > room:
+            return tuple(terms)
+
+
 def _tail_em(form: _TailForm) -> _TailForm:
     """Sum the tail of a phase-free form by the Euler-Maclaurin expansion
     of the Hurwitz tails  sum_{n > m} n^{-x} = zeta(x, m+1).
 
     Requires x = t >= 2.  Each Hurwitz expansion's remainder is bounded
     in absolute value by its first omitted Bernoulli term, the classical
-    envelope for completely monotone integrands; the Bernoulli weights are
-    exact rationals, rounded once per use."""
-    K = form.order
-    t, N0 = form.t, form.cutoff
+    envelope for completely monotone integrands; the weights are exact
+    rationals, each applied as one integer multiply and floor division."""
+    K, t, N0 = form.order, form.t, form.cutoff
     if t < 2:
         raise ValueError("phase-free tail needs exponent at least 2")
-    tau = t - 1
-    out = [mpmath.mpf(0)] * (K + 1)
-    rem = mpmath.mpf(0)
-
-    def fold(amount, slot):
-        nonlocal rem
-        rem += amount * mpmath.mpf(N0 + 1) ** (K + 1 - slot)
-
+    width = 1 if form.c[1] is None else 2
+    out = tuple(None if lane is None else [0] * (K + 1) for lane in form.c)
+    out_err = [0] * (K + 1)
+    rem = 0
     for k in range(K + 1):
-        x = t + k
-        ck = form.c[k]
-        out[k] += ck / (x - 1)
-        if k + 1 <= K:
-            out[k + 1] += ck / mpmath.mpf(2)
-        else:
-            fold(abs(ck) / 2, k + 1)
-        for j in count(1):
-            slot = k + 2 * j
-            term = _scale(ck, _em_weight(x, j))
+        size = _modulus(form.c, k) + form.err[k]
+        for offset, num, den in _em_terms(t + k, K - k):
+            slot = k + offset
             if slot > K:
-                fold(abs(term), slot)
-                break
-            out[slot] += term
-    shifted, rem_shift = _shift_down(out, tau, rem, N0)
-    R_out = rem_shift + mpmath.mpf(form.R) / (t + K)
-    return _TailForm(form.q, tau, shifted, R_out, N0)
+                # fold the term into the remainder: for n > N0,
+                # n^-(slot) <= (N0 + 1)^(K + 1 - slot) n^-(K + 1)
+                rem += _ceil_div(size * abs(num),
+                                 den * (N0 + 1) ** (slot - K - 1))
+                continue
+            for lane, src in zip(out, form.c):
+                if lane is not None:
+                    lane[slot] += src[k] * num // den
+            out_err[slot] += _ceil_div(form.err[k] * abs(num), den) + width
+    shifted, serr, rem_shift = _shift_down(out, out_err, t - 1, rem, N0)
+    R_out = rem_shift + _ceil_div(form.R, t + K)
+    return _TailForm(form.q, t - 1, shifted, serr, R_out, N0, form.P)
 
 
 def _tail_sum(form: _TailForm) -> _TailForm:
@@ -447,21 +524,17 @@ def _compose_level(q_level: Fraction, s_level: int, prev: _TailForm) -> _TailFor
     return _TailForm(
         (q_level + prev.q) % 1,
         s_level + prev.t,
-        list(prev.c),
+        prev.c,
+        prev.err,
         prev.R,
         prev.cutoff,
+        prev.P,
     )
 
 
 # ---------------------------------------------------------------------------
 # Nested-sum evaluation.
 # ---------------------------------------------------------------------------
-
-
-def _colour_row(q: Fraction):
-    """exp(2 pi i q n) for n = 0 .. denominator-1, indexable by n mod d."""
-    d = q.denominator
-    return [_phase_power(q, n) for n in range(d)]
 
 
 def ze_eval(
@@ -472,16 +545,17 @@ def ze_eval(
 ) -> Evaluation:
     """Evaluate a nested harmonic sum with a guaranteed error bound.
 
-    The simplex below ``cutoff`` is summed by cumulative prefix sums in
-    fixed point (Python ints scaled by 2^(prec + 56)), whose rounding
-    is bounded by a proved term carried through the levels; the part
-    where at least one variable exceeds the cutoff is split by the
+    The simplex below ``cutoff`` is summed by cumulative prefix sums; the
+    part where at least one variable exceeds the cutoff is split by the
     deepest such variable, which factors it into a computed partial sum
     times a pure tail.  Pure tails are completed by the certified
     expansion engine with ``terms`` retained correction powers beyond
-    the leading ones.  The returned error adds every certified remainder
-    and the proved rounding term to an ulp-scale allowance for the
-    tails' floating-point arithmetic.
+    the leading ones.  Both run in fixed point (Python ints scaled by
+    2^(prec + 56)), and a proved rounding term, carried through the
+    levels, bounds every floor of the sums, the tails and their products.
+    The returned error adds every certified remainder, that rounding term
+    and one unit 2^-prec (1 + |value|) for the final rounding to ``prec``
+    bits.
 
     By default ``terms`` is 4 + max(0, prec - 53) // 5, one more power
     per 5 bits, but at most half of cutoff * |1 - z| (and at least 4),
@@ -493,8 +567,9 @@ def ze_eval(
     that is while the certified remainders do not fit under one unit
     2^-prec (1 + |value|).  Every error includes that unit, so where
     they fit the error is within one unit of what any cutoff gives, that
-    of a cutoff of 10^4 with 4 terms included; most
-    supported indices stop at 1024.  A cutoff passed explicitly, 1024
+    of a cutoff of 10^4 with 4 terms included; most supported indices
+    stop at 1024.  The retries reuse the fixed-point powers n^-s and
+    colours of the shorter tries.  A cutoff passed explicitly, 1024
     included, is used as given.
     ``cutoff`` must lie in [64, MAX_CUTOFF] and ``prec`` must be at
     least MIN_PREC.
@@ -535,13 +610,15 @@ def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
     return terms
 
 
-# Guard bits of the fixed-point prefix sums beyond the tail engine's
-# prec + 48.  The proved rounding term of the sums is a few units 2^-P
-# times cutoff * |inner sums| per level, at most about 2^-(prec + 34)
-# for supported indices at the cutoff 1024 (2^-(prec + 29) at 16384, the
-# most the default doubles to, and 2^-(prec + 25) at 10^5): far under
-# the ulp-scale cushion kept for the mpf arithmetic of the tails.
-_FIX_GUARD = 8
+# Guard bits of ze_eval's fixed point: it computes in units 2^-P with
+# P = prec + _FIX_GUARD.  The proved rounding term of the prefix sums is a
+# few units times cutoff * |inner sums| per level, at most about
+# 2^-(prec + 34) for supported indices at the cutoff 1024 (2^-(prec + 29)
+# at 16384, the most the default doubles to, and 2^-(prec + 25) at 10^5);
+# that of the tails and of their products with the sums at most about
+# 2^-(prec + 46).  Both stay far under the unit 2^-prec (1 + |value|) of
+# the reported error.
+_FIX_GUARD = 56
 
 
 def _fixed_mul(xr, xi, yr, yi, P: int):
@@ -559,15 +636,37 @@ def _fixed_mul(xr, xi, yr, yi, P: int):
             [(a * d + b * c) >> P for a, b, c, d in zip(xr, xi, yr, yi)])
 
 
+# ze_eval's retries at 2N, 4N, ... reuse what the shorter tries built: the
+# powers keep the longest list built per (s, P) and extend it, and the
+# colours are repeats of one cached row per (q, P).
+@lru_cache(maxsize=4)
+def _power_store(s: int, P: int) -> list:
+    return []
+
+
+def _powers(s: int, P: int, N: int) -> list:
+    """floor(2^P n^-s) for n = 1 .. N."""
+    a = _power_store(s, P)
+    if len(a) < N:
+        one = 1 << P
+        a.extend(one // n**s for n in range(len(a) + 1, N + 1))
+    return a[:N]
+
+
+@lru_cache(maxsize=64)
+def _colour_row(q: Fraction, P: int):
+    """exp(2 pi i q n) for n = 1 .. d, d the denominator of q, as (real,
+    imaginary) lanes of :func:`_unit_root`."""
+    row = [_unit_root(q * n % 1, P) for n in range(1, q.denominator + 1)]
+    return [z[0] for z in row], [z[1] for z in row]
+
+
 def _fixed_colour(q: Fraction, P: int, N: int):
     """The colour exp(2 pi i q n) for n = 1 .. N as lanes of nint(2^P x),
     each part within one unit 2^-P; no imaginary lane for q = 1/2."""
-    with mpmath.workprec(P + 16):
-        row = _colour_row(q)
-        re = [int(mpmath.nint(mpmath.ldexp(z.real, P))) for z in row]
-        im = [int(mpmath.nint(mpmath.ldexp(z.imag, P))) for z in row]
-    reps = N // len(row) + 2
-    return (re * reps)[1:N + 1], (im * reps)[1:N + 1] if any(im) else None
+    re, im = _colour_row(q, P)
+    reps = N // len(re) + 1
+    return (re * reps)[:N], (im * reps)[:N] if any(im) else None
 
 
 def _prefix_sums(idx: MzvIndex, N: int, P: int):
@@ -586,16 +685,13 @@ def _prefix_sums(idx: MzvIndex, N: int, P: int):
     true value, and prefix sums of ints add no rounding."""
     r = idx.depth
     one = 1 << P
-    powers = {}
     tops = [None] * (r + 2)
     err = [0] * (r + 2)
     tops[r + 1] = (one, None)
     inner = None
     for j in range(r, 0, -1):
         s_j, e_j = idx.s[j - 1], idx.eps[j - 1]
-        if s_j not in powers:
-            powers[s_j] = [one // n**s_j for n in range(1, N + 1)]
-        a = powers[s_j]
+        a = _powers(s_j, P, N)
         if e_j == 0:
             lanes, slack = (a, None), 1
         else:
@@ -616,56 +712,58 @@ def _prefix_sums(idx: MzvIndex, N: int, P: int):
     return tops, err
 
 
+def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
+    """The nested sum in units u = 2^-P: (value, rounding, remainder) with
+    value a (real, imaginary or None) pair of ints, rounding an int
+    bounding its distance from the same prefix sums and tail expansions
+    in exact arithmetic, and remainder an int bounding the tails'
+    certified remainders.
+
+    The tails are telescoped: the sum over the deepest level j still
+    above the cutoff of (pure j-tail at N) times (prefix sum below N).
+    Each product adds one floor per lane, and the errors of both factors
+    carry into it, the prefix sums' err as rounding and the tails'
+    remainders, times the prefix sums, as remainder."""
+    r = idx.depth
+    tops, err = _prefix_sums(idx, N, P)
+    (vr, vi), rounding, remainder = tops[1], err[1], 0
+    K0 = terms + r + 2
+    W = None
+    for j in range(1, r + 1):
+        if W is None:
+            W = _TailForm(idx.eps[0], idx.s[0], ([1 << P] + [0] * K0, None),
+                          [0] * (K0 + 1), 0, N, P)
+        else:
+            W = _compose_level(idx.eps[j - 1], idx.s[j - 1], W)
+        W = _tail_sum(W)
+        ((tr, ti), tail_err), (wr, wi) = W.value_at(N), tops[j + 1]
+        vr += (tr * wr - (ti or 0) * (wi or 0)) >> P
+        if ti is not None or wi is not None:
+            vi = (vi or 0) + ((tr * (wi or 0) + (ti or 0) * wr) >> P)
+        # |T W - T~ W~| <= |T - T~| (|W~| + err) + |T~| err, plus the floors
+        w_size = _size(wr, wi) + err[j + 1]
+        rounding += (_ceil_div(tail_err * w_size + _size(tr, ti) * err[j + 1],
+                               1 << P) + (1 if vi is None else 2))
+        remainder += _ceil_div(W.error_at(N) * w_size, 1 << P)
+    return (vr, vi), rounding, remainder
+
+
 @lru_cache(maxsize=512)
 def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
     """The body of :func:`ze_eval` for a validated index, memoised: a
-    repeated call returns the identical Evaluation."""
-    r = idx.depth
-    N = cutoff
-    P = prec + 48 + _FIX_GUARD
-    tops, err = _prefix_sums(idx, N, P)
-    with mpmath.workprec(prec + 48):
-
-        def top(j):
-            re, im = tops[j]
-            if idx.is_real():
-                return mpmath.mpf((re, -P))
-            return mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im or 0, -P)))
-
-        # Tail telescope: sum over the deepest level j still above the
-        # cutoff of (pure j-tail at N) times (fixed-point partial below N).
-        one = mpmath.mpf(1)
-        K0 = terms + r + 2
-        value = top(1)
-        bound = mpmath.ldexp(err[1], -P)
-        prev = None
-        for j in range(1, r + 1):
-            if prev is None:
-                base = _TailForm(
-                    idx.eps[0], idx.s[0], [one] + [mpmath.mpf(0)] * K0, mpmath.mpf(0), N
-                )
-            else:
-                base = _compose_level(idx.eps[j - 1], idx.s[j - 1], prev)
-            W = _tail_sum(base)
-            weight_factor = top(j + 1)
-            tail, tail_err = W.value_at(N), W.error_at(N)
-            value = value + tail * weight_factor
-            bound = (bound + tail_err * abs(weight_factor)
-                     + (abs(tail) + tail_err) * mpmath.ldexp(err[j + 1], -P))
-            prev = W
-
-        # The prefix sums' rounding is proved above; the tail engine's mpf
-        # arithmetic at 48 guard bits and the conversions of the sums sit
-        # far below the analytic remainders, and a single ulp-scale
-        # cushion keeps the reported bound honest.
-        bound = bound + mpmath.ldexp(1 + abs(value), -(prec + 16))
-        value = +value
-        bound = +bound
-
+    repeated call returns the identical Evaluation.  Value and bound
+    convert to mpmath once, the bound rounded up, and the bound gains one
+    unit 2^-prec (1 + |value|) for the value's rounding to ``prec`` bits."""
+    P = prec + _FIX_GUARD
+    (re, im), rounding, remainder = _ze_fixed(idx, cutoff, P, terms)
     with mpmath.workprec(prec):
-        value = +value
-        bound = bound + mpmath.ldexp(1 + abs(value), -prec)
-        return Evaluation(value, +bound, certified=True)
+        value = mpmath.mpf((re, -P))
+        if not idx.is_real():
+            value = mpmath.mpc(value, mpmath.mpf((im or 0, -P)))
+        unit = mpmath.ldexp(1 + abs(value), -prec)._mpf_
+        bound = mpf_add(from_man_exp(rounding + remainder, -P, prec, round_ceiling),
+                        unit, prec, round_ceiling)
+        return Evaluation(value, mpmath.mpf(bound), certified=True)
 
 
 # ---------------------------------------------------------------------------

@@ -169,23 +169,34 @@ class TestWordValidation:
 
 
 class TestTailEngine:
+    N, P = 200, 120
+
+    def base(self, q, t):
+        """n^-t times the colour q as a tail form with 7 correction slots."""
+        return _TailForm(q, t, ([1 << self.P] + [0] * 7, None), [0] * 8, 0,
+                         self.N, self.P)
+
+    def within(self, tail, exact):
+        """The tail at N against ``exact``, within its certified remainder
+        and its rounding term; the remainder is below 1e-18."""
+        (re, im), rounding = tail.value_at(self.N)
+        with mpmath.workprec(3 * self.P):
+            got = mpmath.mpc(mpmath.mpf((re, -self.P)),
+                             mpmath.mpf((im or 0, -self.P)))
+            budget = mpmath.ldexp(tail.error_at(self.N) + rounding, -self.P)
+            assert abs(got - exact) <= budget
+        assert mpmath.ldexp(tail.error_at(self.N), -self.P) < 1e-18
+
     def test_phase_free_tail_is_hurwitz(self):
-        N = 200
-        form = _TailForm(Fraction(0), 3, [mpmath.mpf(1)] + [mpmath.mpf(0)] * 7,
-                         mpmath.mpf(0), N)
-        tail = _tail_sum(form)
-        exact = mpmath.zeta(3, N + 1)
-        assert abs(tail.value_at(N) - exact) <= tail.error_at(N)
-        assert tail.error_at(N) < 1e-18
+        with mpmath.workprec(3 * self.P):
+            self.within(_tail_sum(self.base(Fraction(0), 3)),
+                        mpmath.zeta(3, self.N + 1))
 
     def test_alternating_tail_is_lerch(self):
-        N = 200
-        form = _TailForm(HALF, 2, [mpmath.mpf(1)] + [mpmath.mpf(0)] * 7,
-                         mpmath.mpf(0), N)
-        tail = _tail_sum(form)
-        exact = (-1) ** (N + 1) * mpmath.lerchphi(-1, 2, N + 1)
-        assert abs(tail.value_at(N) - exact) <= tail.error_at(N)
-        assert tail.error_at(N) < 1e-18
+        with mpmath.workprec(3 * self.P):
+            self.within(_tail_sum(self.base(HALF, 2)),
+                        (-1) ** (self.N + 1)
+                        * mpmath.lerchphi(-1, 2, self.N + 1))
 
 
 class TestZeEval:

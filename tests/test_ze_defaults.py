@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from resurgence import mzv
 from resurgence.mzv import (
     DEFAULT_CUTOFF,
     MAX_COLOUR_DENOMINATOR,
@@ -26,6 +27,7 @@ from resurgence.mzv import (
     _binom_tail_bound,
     _default_terms,
     _em_weight,
+    _ze_sum,
     ze_eval,
 )
 
@@ -89,6 +91,27 @@ def test_explicit_cutoff_is_used_as_given():
     easy = MzvIndex((2, 1))
     assert ze_eval(easy) is ze_eval(easy, cutoff=1024)
     assert DEFAULT_CUTOFF == 1024
+
+
+def cold_caches():
+    for cache in (mzv._ze_sum, mzv._power_store, mzv._colour_row,
+                  mzv._unit_root):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("idx", NEAR_INTEGER[-2:], ids=str)
+def test_retries_equal_a_cold_start(idx):
+    """The doubling tries extend the powers and reuse the colours that the
+    shorter tries built; each cutoff's result equals (==) that of a start
+    with every cache cold."""
+    cold_caches()
+    cutoffs = [DEFAULT_CUTOFF << k for k in range(5)]
+    warm = [_ze_sum(idx, 53, n, _default_terms(idx, 53, n)) for n in cutoffs]
+    for n, ev in zip(cutoffs, warm):
+        cold_caches()
+        cold = _ze_sum(idx, 53, n, _default_terms(idx, 53, n))
+        assert (cold.value, cold.error) == (ev.value, ev.error)
+    assert ze_eval(idx) in warm
 
 
 def test_default_terms_follow_the_precision():

@@ -6,7 +6,8 @@ Run from the root of a source checkout.  It builds the seeded inputs of the
 iterated-integrals workload (``bench/inputs.py``, ``bench/worker.py``), runs
 every operation of one round once in this process, with every cache cold,
 then does the same for one certified-sums round with the caches of
-``_chebyshev`` and ``borelfun`` cleared, and prints one JSON object.  For
+``_chebyshev``, ``borelfun`` and ``mzv`` cleared, and prints one JSON
+object.  For
 the iterated-integrals round:
 
 * ``applications``: per node count n, how many times the integration
@@ -17,12 +18,21 @@ the iterated-integrals round:
 * ``matrix_build_s``: per (n, prec), the seconds spent building the matrix;
 * ``round_s``: the wall seconds of the round, counting included.
 
-Under ``laplace``, for the certified-sums round: per Laplace operation
-(rays, the lateral jump, Hankel contours) the ``nodes`` and ``panels``
-its results report, and the libmp ``exp``, ``cos_sin`` and ``log`` calls
-its panel sampling made (``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` as
-``_chebyshev``, ``borelfun`` and ``laplace`` call them); their ``total``;
-and the wall seconds of the whole round (``round_s``).
+Under ``ze``, for the certified-sums round (its caches of ``mzv`` cold
+too): per operation that calls ``ze_eval`` (the nested sums and the
+relation checks) the ``cutoffs`` its sums tried, in order, and the
+``prefix_terms`` summed below them (depth times cutoff per try), the
+``tail_levels`` summed by the tail engine and the wall ``seconds``; and
+their ``total``.
+
+Under ``laplace``, for the same round: per Laplace operation (rays, the
+lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
+report, the libmp ``exp``, ``cos_sin`` and ``log`` calls its panel
+sampling made (``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` as
+``_chebyshev``, ``borelfun`` and ``laplace`` call them), the seconds of
+its truncation searches (``truncation_s``) and their ``mpmath.gammainc``
+calls (``gammainc``); their ``total``, with the seconds of those calls
+(``gammainc_s``); and the wall seconds of the whole round (``round_s``).
 
 It counts through the folded ``_chebyshev._cumulate`` and
 ``_chebyshev._fold``: an application of all rows costs the symmetric half
@@ -41,14 +51,18 @@ import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
+import mpmath
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
-from resurgence import borelfun, laplace  # noqa: E402
+from resurgence import borelfun, laplace, mzv  # noqa: E402
 
 LIBMP = {"exp": "mpf_exp", "cos_sin": "mpf_cos_sin", "log": "mpf_log"}
+# the certified-sums operations that call ze_eval
+ZE_OPERATIONS = ("coloured", "closed", "dual", "deep", "relation")
 
 
 def instrument():
@@ -98,32 +112,77 @@ def count_libmp():
     return calls
 
 
-def laplace_work(seed):
-    """Nodes, panels and libmp calls per Laplace operation of one
-    certified-sums round, with the sampling caches cold."""
-    for module in (cheb, borelfun):
+def certified_work(seed):
+    """The ze_eval and Laplace work of one certified-sums round, with the
+    caches of ``_chebyshev``, ``borelfun`` and ``mzv`` cold: (ze, laplace)
+    as described in the module docstring."""
+    for module in (cheb, borelfun, mzv):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     calls = count_libmp()
-    ops = worker.certified_sums(inputs.certified_sums(seed), {})
-    work = {}
+    sums = Counter()
+    cutoffs = []
+
+    def counted(key, f, record=None):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return f(*args)
+            finally:
+                sums[key + "_s"] += time.perf_counter() - start
+                sums[key] += 1
+                if record:
+                    record(*args)
+        return call
+
+    saved = (mzv._prefix_sums, mzv._tail_sum, laplace._choose_truncation,
+             mpmath.gammainc)
+    mzv._prefix_sums = counted(
+        "prefix", saved[0], lambda idx, N, P: cutoffs.append((N, idx.depth)))
+    mzv._tail_sum = counted("levels", saved[1])
+    laplace._choose_truncation = counted("truncation", saved[2])
+    mpmath.gammainc = counted("gammainc", saved[3])
+    ze, work = {}, {}
     start = time.perf_counter()
-    for name, call, _serialize in ops:
-        before = Counter(calls)
-        result = call()
-        if not name.startswith(("ray", "jump", "hankel")):
-            continue
-        sums = [result.plus, result.minus] if hasattr(result, "plus") \
-            else [result]
-        work[name] = {"nodes": sum(r.nodes_used for r in sums),
-                      "panels": sum(r.diagnostics["panels"] for r in sums),
-                      **{key: calls[key] - before[key] for key in LIBMP}}
+    try:
+        for name, call, _serialize in worker.certified_sums(
+                inputs.certified_sums(seed), {}):
+            before, tried, lapse = Counter(calls), len(cutoffs), Counter(sums)
+            began = time.perf_counter()
+            result = call()
+            seconds = round(time.perf_counter() - began, 5)
+            if name.startswith(ZE_OPERATIONS):
+                ze[name] = {
+                    "cutoffs": [n for n, _depth in cutoffs[tried:]],
+                    "prefix_terms": sum(n * depth
+                                        for n, depth in cutoffs[tried:]),
+                    "tail_levels": sums["levels"] - lapse["levels"],
+                    "seconds": seconds}
+            if not name.startswith(("ray", "jump", "hankel")):
+                continue
+            results = [result.plus, result.minus] \
+                if hasattr(result, "plus") else [result]
+            work[name] = {
+                "nodes": sum(r.nodes_used for r in results),
+                "panels": sum(r.diagnostics["panels"] for r in results),
+                **{key: calls[key] - before[key] for key in LIBMP},
+                "truncation_s": round(sums["truncation_s"]
+                                      - lapse["truncation_s"], 5),
+                "gammainc": sums["gammainc"] - lapse["gammainc"]}
+    finally:
+        (mzv._prefix_sums, mzv._tail_sum, laplace._choose_truncation,
+         mpmath.gammainc) = saved
     elapsed = time.perf_counter() - start
-    return {"operations": work,
-            "total": {key: sum(w[key] for w in work.values())
-                      for key in ("nodes", "panels", *LIBMP)},
-            "round_s": round(elapsed, 5)}
+    ze_total = {key: sum(w[key] for w in ze.values())
+                for key in ("prefix_terms", "tail_levels")}
+    ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
+    total = {key: sum(w[key] for w in work.values())
+             for key in ("nodes", "panels", *LIBMP, "gammainc")}
+    total["truncation_s"] = round(sums["truncation_s"], 5)
+    total["gammainc_s"] = round(sums["gammainc_s"], 5)
+    return ({"operations": ze, "total": ze_total},
+            {"operations": work, "total": total, "round_s": round(elapsed, 5)})
 
 
 def main(argv=None):
@@ -146,7 +205,7 @@ def main(argv=None):
         "matrix_build_s": {k: round(v, 5) for k, v in build.items()},
         "round_s": round(elapsed, 5),
     }
-    out["laplace"] = laplace_work(args.seed)
+    out["ze"], out["laplace"] = certified_work(args.seed)
     print(json.dumps(out))
 
 
