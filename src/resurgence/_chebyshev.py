@@ -44,14 +44,19 @@ one exponent, taken from the largest component so that it keeps
 prec + GUARD bits.  Products of mantissas and the matrix apply are exact;
 a shift back to prec + GUARD bits after each step is the only rounding.
 
-:func:`iterated_integral` is the one iterated-integral engine.  It
+:func:`iterated_levels` is the one iterated-integral engine.  It
 integrates a stack of kernels dz / (a - z) cumulatively over chained
 panels (straight :func:`segment` panels and circular :func:`arc`
-panels) and serves both the simplex integrals of :mod:`resurgence.mzv`
+panels), from running totals that start at zero or at given values, and
+returns every level's total; :func:`iterated_integral` is its last level
+from zero.  It serves both the simplex integrals of :mod:`resurgence.mzv`
 and the contour integrals of :mod:`resurgence.hyperlog`.  Every level
 stays in block fixed point from the kernel samples to the running
 totals: the only roundings are the shared-exponent shifts with GUARD
-bits, the kernel divisions and the final conversion of the total.
+bits, the kernel divisions and the final conversion of the totals.
+:func:`endpoint_series` gives the start values at a point h near 0: every
+prefix of the word summed as a Taylor series, in the same integers, with
+a proved bound.
 :func:`chebyshev_cumulative` is the same integer apply between one
 conversion in and one conversion out.
 
@@ -563,7 +568,18 @@ def arc(center, radius, t0, t1):
 
 def iterated_integral(poles, panels, n: int):
     """The iterated integral of dz_k / (a_k - z_k) over z_1 < ... < z_r
-    along a path, with a_1 = poles[0] attached to the earliest variable.
+    along a path, with a_1 = poles[0] attached to the earliest variable:
+    the last of :func:`iterated_levels`, and the constant 1 for an empty
+    stack of poles."""
+    if not poles:
+        return mpmath.mpf(1)
+    return iterated_levels(poles, panels, n)[-1]
+
+
+def iterated_levels(poles, panels, n: int, start=()):
+    """Every level's iterated integral at the end of a path: F_k, the
+    integral of dz_1 / (a_1 - z_1) ... dz_k / (a_k - z_k) over
+    z_1 < ... < z_k, for k = 1 .. r, with a_1 = poles[0].
 
     ``panels`` chains the path as :func:`segment` and :func:`arc` panels
     in order of travel; each is sampled at the n + 1 Chebyshev-Lobatto
@@ -571,6 +587,10 @@ def iterated_integral(poles, panels, n: int):
     k - 1 times the k-th kernel, offset by the running total of level k
     over the previous panels, so only one panel's samples are held at a
     time; the last level needs only its total, the Clenshaw-Curtis row.
+    The running totals start at zero, or at ``start``: the values F_k at
+    the path's start for k = 1 .. len(start), one-entry vectors as
+    :func:`endpoint_series` gives them, so that the levels continue
+    integrals begun before the path (Chen's identity).
 
     Everything between the kernels and the result is block fixed point
     (see the module docstring): each kernel dz / (a - z) is formed once
@@ -578,13 +598,11 @@ def iterated_integral(poles, panels, n: int):
     the level products, the folded matrix apply and the running totals are
     exact integer arithmetic followed by a shift back to prec + GUARD
     bits at one shared exponent per vector.  Those shifts, the kernel
-    divisions and the final conversion of the total to the working
-    precision are the only roundings.  The result is real when every
-    panel and letter is.  An empty stack of poles gives the constant 1.
+    divisions and the final conversion of the totals to the working
+    precision are the only roundings.  The results are real when every
+    panel, letter and start value is.
     """
     depth = len(poles)
-    if not depth:
-        return mpmath.mpf(1)
     prec = mpmath.mp.prec
     bits = prec + GUARD
     folded = _folded(n, prec)
@@ -595,7 +613,7 @@ def iterated_integral(poles, panels, n: int):
         if a not in letters:
             letters.append(a)
         slots.append(letters.index(a))
-    totals = [(([0],), 0)] * depth
+    totals = list(start) + [(([0],), 0)] * (depth - len(start))
     for panel in panels:
         kernels = [None] * len(letters)
         level = None
@@ -613,5 +631,110 @@ def iterated_integral(poles, panels, n: int):
             else:
                 end = tuple([_total(folded[0], p)] for p in parts)
             totals[k] = _plus((end, exp), totals[k], bits)
-    parts, exp = totals[-1]
-    return _values(parts, exp, prec)[0]
+    return [_values(parts, exp, prec)[0] for parts, exp in totals]
+
+
+# -- endpoint series ---------------------------------------------------------
+
+
+def endpoint_series(poles, h_exp: int):
+    """The prefix integrals F_k(h) = integral of dz_1 / (a_1 - z_1) ...
+    dz_k / (a_k - z_k) over 0 < z_1 < ... < z_k < h, for k = 0 .. l and
+    h = 2^-h_exp, summed as Taylor series at 0 in integer fixed point.
+
+    Returns (values, bound, terms): ``values[k]`` is F_k(h) as a one-entry
+    block-fixed-point vector at the exponent -(prec + GUARD) (the form
+    :func:`iterated_levels` takes as start values), ``bound`` an mpf
+    bounding |values[k] - F_k(h)| for every k, and ``terms`` the N + 1
+    coefficients kept per level.  The first letter must be nonzero, and
+    h at most r / 4, where r is the least modulus of the nonzero letters.
+
+    The series.  With the first letter nonzero each F_k is a power series
+    at 0 without logarithms, F_0 = 1 and F_k(0) = 0 for k >= 1.  From
+    F_k' = F_{k-1} / (a_k - z), the coefficients e_n = d_n h^n of
+    F_k(z h) follow from those g_n of F_{k-1}(z h) in O(N):
+    e_{n+1} = (h / a_k) (g_n + n e_n) / (n + 1) with e_0 = 0 for a_k != 0,
+    and e_n = -g_n / n for a_k = 0.  F_k(h) is the sum of the e_n.
+
+    Truncation.  Replacing each a != 0 by r and dropping the signs gives
+    a majorant: nonnegative coefficients D_n >= |d_n| of the series Phi_k,
+    Phi_0 = 1, where Phi_k(s) is the integral from 0 to s of
+    Phi_{k-1}(x) dx / (r - x) for a_k != 0 and of Phi_{k-1}(x) dx / x for
+    a_k = 0.  If Phi_{k-1}(s) <= A s^m on [0, rho], then Phi_k(s) is at
+    most A s^(m+1) / ((m + 1) (r - rho)) for a_k != 0 and A s^m / m for
+    a_k = 0.  At rho = r / 2 the factor rho / (r - rho) is 1, so
+    Phi_k(r / 2) is at most 1 over a product of integers, at most 1.
+    Then D_n (r / 2)^n <= 1, and with q = 2 h / r <= 1 / 2 the terms past
+    N add at most the sum over n > N of q^n, q^(N+1) / (1 - q).  N is the
+    least for which that is at most 2^-(prec + GUARD), one unit.  r is
+    rounded down to a multiple of 2^-32, so q is rounded up.
+
+    Rounding.  Every step rounds to the nearest unit u = 2^-(prec + GUARD)
+    per real part, so within u in modulus, and so does h / a.  Let E_k be
+    the sum over n <= N of |computed e_n - exact e_n| at level k, in
+    units; the exact e_n for n <= N need only the exact g_n for n < N.
+    For a_k = 0, E_k <= E_{k-1} + N.  For a_k != 0, |h / a_k| <= 1 / 4,
+    and the error of h / a_k adds at most u |g_n + n e_n| / (n + 1),
+    whose sum over n is at most Phi_{k-1}(h) + Phi_k(h) <= 2 (3 with the
+    computed values); so E_k <= (E_{k-1} + E_k) / 4 + N + 3, and
+    E_k <= E_{k-1} + 2 (N + 3).  Each level k is therefore within
+    2 k (N + 3) units of its exact truncated series, and ``bound`` is
+    2 l (N + 3) + 1 units, for a word of l letters.
+    """
+    prec = mpmath.mp.prec
+    bits = prec + GUARD
+    depth = len(poles)
+    nonzero = [a for a in poles if a != 0]
+    if not poles or poles[0] == 0:
+        raise ValueError("the first letter must be nonzero")
+    # r, rounded down to a multiple of 2^-32
+    radius = min(int(mpmath.floor(mpmath.ldexp(abs(a), 32)))
+                 for a in nonzero) - 1
+    if radius << h_exp < 4 << 32:
+        raise ValueError("h must be at most a quarter of the least letter")
+    # q = num / den; the fewest N with 2^bits q^(N+1) <= 1 - q
+    num, den = 2 << 32, radius << h_exp
+    terms, top, bottom = 1, num << bits, den - num
+    while top > bottom:
+        terms += 1
+        top *= num
+        bottom *= den
+    one = 1 << bits
+    real = all(_complex_tuple(a)[1] == fzero for a in poles)
+    lanes = ([one] + [0] * (terms - 1),)
+    if not real:
+        lanes += ([0] * terms,)
+    values = [(tuple([sum(p)] for p in lanes), -bits)]
+    for a in poles:
+        if a == 0:
+            # z F_k' = -F_{k-1}
+            lanes = tuple([0] + [_round_div(-g, n)
+                                 for n, g in enumerate(p[1:], 1)]
+                          for p in lanes)
+        else:
+            # (a - z) F_k' = F_{k-1}, with h / a at scale 2^bits
+            with mpmath.workprec(bits + 16):
+                ratio = mpmath.ldexp(1, bits - h_exp) / a
+                lr, li = (int(mpmath.nint(x)) for x in (mpmath.re(ratio),
+                                                        mpmath.im(ratio)))
+            if real:
+                (g,) = lanes
+                e, out = 0, [0]
+                for n in range(terms - 1):
+                    e = _round_div(lr * (g[n] + n * e), (n + 1) << bits)
+                    out.append(e)
+                lanes = (out,)
+            else:
+                gr, gi = lanes
+                er = ei = 0
+                re, im = [0], [0]
+                for n in range(terms - 1):
+                    sr, si = gr[n] + n * er, gi[n] + n * ei
+                    scale = (n + 1) << bits
+                    er = _round_div(lr * sr - li * si, scale)
+                    ei = _round_div(lr * si + li * sr, scale)
+                    re.append(er)
+                    im.append(ei)
+                lanes = (re, im)
+        values.append((tuple([sum(p)] for p in lanes), -bits))
+    return values, mpmath.ldexp(2 * depth * (terms + 2) + 1, -bits), terms

@@ -33,10 +33,13 @@ Two independent evaluators are provided.
   4 + max(0, prec - 53) // 5 correction terms; the reported error is
   within one unit 2^-prec (1 + |value|) of that at a cutoff of 10^4.
 
-* :func:`wa_eval` integrates over the simplex with spectral panels
-  refined geometrically toward both endpoints, where the kernels
-  1/(0 - z) and 1/(1 - z) make the integrand singular.  Its reported
-  error is a resolution-comparison estimate, not a certified bound.
+* :func:`wa_eval` sums the two endpoint slivers [0, 1/8] and
+  [1 - h_1, 1], where the kernels 1/(0 - z) and 1/(1 - z) make the
+  integrand singular, exactly as Taylor series with proved bounds, and
+  integrates between them on four spectral panels graded by factors of
+  2 (more when a letter lies within 1/2 of 1, off the supported
+  colours).  Its panel term is a resolution-comparison estimate, so the
+  reported error is not a certified bound.
 
 The two sides are linked by the dictionary :func:`ze_to_wa`, which spells
 an index as the letter word (e_r, 0^{s_r - 1}, ..., e_1, 0^{s_1 - 1})
@@ -60,13 +63,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import comb, factorial, isqrt, pi, prod, sin
+from math import ceil, comb, factorial, isqrt, log2, pi, prod, sin
 from operator import mul
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
-from ._chebyshev import iterated_integral, segment
+from ._chebyshev import _values, endpoint_series, iterated_levels, segment
 from .errors import DivergentIndexError, check_prec
 from .words import Word, shuffle, stuffle
 
@@ -771,14 +774,6 @@ def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_panels(edge: int):
-    """Straight panels of [h, 1-h], h = 2^-edge, refined geometrically
-    toward both endpoints so endpoint singularities stay spectral."""
-    left = [mpmath.ldexp(1, -edge + k) for k in range(edge)]
-    points = left + [1 - x for x in reversed(left[:-1])]
-    return [segment(a, b) for a, b in zip(points[:-1], points[1:])]
-
-
 def _decode_word(w: WaWord) -> MzvIndex:
     """Invert the dictionary: split the word into blocks, one nonzero
     letter plus its following zeros each, negate the phases back to
@@ -800,28 +795,58 @@ def _decode_word(w: WaWord) -> MzvIndex:
     return MzvIndex(s, tuple(eps))
 
 
+def _right_exponent(w: WaWord) -> int:
+    """e with h_1 = 2^-e the largest power of two at most min(1/8, d / 4),
+    d the least |1 - a| = 2 sin(pi q) over the letters a = exp(2 pi i q)
+    other than 0 and 1."""
+    d = min((2 * sin(pi * min(p, 1 - p)) for p in w.phases if p),
+            default=1)
+    return max(3, ceil(log2(4 / d)))
+
+
 def wa_eval(
     w: WaWord,
     prec: int = 53,
     nodes: int = 24,
-    edge: int = 52,
 ) -> Evaluation:
     """Evaluate an iterated simplex integral with an error estimate.
 
-    ``nodes`` sets the spectral order per panel and ``edge`` the number
-    of geometric halvings toward each endpoint.  The reported error is
-    twice the difference against a coarser node count, plus an allowance
-    for the two omitted endpoint slivers of width 2^-edge; at the
-    defaults it sits well below the 1e-6 target for supported words.
-    Words outside the dictionary image are evaluated with the same sign
-    convention and marked ``flagged``.  ``prec`` must be at least MIN_PREC.
+    The path [0, 1] is split at h_0 = 1/8 and 1 - h_1, where h_1 is the
+    largest power of two at most min(1/8, d / 4) and d the least distance
+    |1 - a| of a letter a other than 0 and 1 (h_1 = 1/8 for every colour
+    of denominator up to 12).  The two endpoint slivers are summed exactly
+    as Taylor series (:func:`~resurgence._chebyshev.endpoint_series`):
+    every prefix F_j(h_0) of the word at 0, and every suffix G_j at 1,
+    which with z = 1 - u is (-1)^(l - j) times the prefix integral of the
+    reversed word of letters 1 - a over [0, h_1].  The middle runs on
+    straight spectral panels graded by factors of 2, [1/8, 1/4, 1/2,
+    3/4, ..., 1 - h_1], four for real words, seeded with the F_j(h_0)
+    and returning every F_j(1 - h_1); the value is the sum over j of
+    F_j(1 - h_1) G_j (Chen's identity).
+
+    The reported error is the sum of three terms:
+
+    * the panel term 2 |fine - coarse|, against a rerun at
+      max(8, 2 nodes / 3) nodes per panel, an estimate;
+    * the series bounds, proved: the bound b_1 of each G_j times |F_j|,
+      and the bound b_0 of the prefixes carried to 1 - h_1 times
+      |G_j| + b_1.  Carried, b_0 grows at most to 2 b_0 / h_1: on
+      [h_0, 1 - h_1] every kernel is at most max(1 / z, 1 / (1 - z)),
+      which integrates to log(2 / h_1), so each integral over the middle
+      of k letters is at most log(2 / h_1)^k / k!;
+    * the unit 2^-prec (1 + |value|).
+
+    So ``certified`` stays False.  ``nodes`` sets the spectral order per
+    panel.  Words outside the dictionary image are evaluated with the
+    same sign convention and marked ``flagged``.  ``prec`` must be at
+    least MIN_PREC, and a word at most MAX_WEIGHT letters long.
     """
     check_prec(prec)
     if not isinstance(w, WaWord):
         w = WaWord(tuple(w))
-    if w.length > MAX_DEPTH:
+    if w.length > MAX_WEIGHT:
         raise NotImplementedError(
-            f"words longer than {MAX_DEPTH} letters are out of scope"
+            f"words longer than {MAX_WEIGHT} letters are out of scope"
         )
     try:
         _decode_word(w)
@@ -829,16 +854,31 @@ def wa_eval(
     except ValueError:
         flagged = True
 
+    right = _right_exponent(w)
     with mpmath.workprec(prec + 24):
         alphas = w.letter_values()
-        panels = _simplex_panels(edge)
-        fine = iterated_integral(alphas, panels, nodes)
-        coarse = iterated_integral(alphas, panels, max(8, (2 * nodes) // 3))
-        h = mpmath.ldexp(1, -edge)
-        ends = 8 * h * (1 + mpmath.log(1 / h)) ** w.length
+        length = w.length
+        start, left_bound, _ = endpoint_series(alphas, 3)
+        ends, right_bound, _ = endpoint_series([1 - a for a in alphas[::-1]],
+                                               right)
+        # G_j, the integral of the letters after the j-th, at index j
+        suffixes = [(-1) ** (length - j)
+                    * _values(*ends[length - j], mpmath.mp.prec)[0]
+                    for j in range(length + 1)]
+        points = ([mpmath.mpf(1) / 8, mpmath.mpf(1) / 4]
+                  + [1 - mpmath.ldexp(1, -k) for k in range(1, right + 1)])
+        panels = [segment(a, b) for a, b in zip(points[:-1], points[1:])]
+        fine, coarse = ([1] + iterated_levels(alphas, panels, n, start[1:])
+                        for n in (nodes, max(8, (2 * nodes) // 3)))
         sign = -1 if w.zero_count % 2 else 1
-        value = sign * fine
-        error = 2 * abs(fine - coarse) + ends + mpmath.ldexp(1 + abs(value), -prec)
+        value = sign * mpmath.fsum(map(mul, fine, suffixes))
+        panel = 2 * abs(mpmath.fsum(
+            (f - c) * g for f, c, g in zip(fine, coarse, suffixes)))
+        carried = mpmath.ldexp(left_bound, right + 1)
+        series = mpmath.fsum(abs(f) * right_bound
+                             + (abs(g) + right_bound) * carried
+                             for f, g in zip(fine, suffixes))
+        error = panel + series + mpmath.ldexp(1 + abs(value), -prec)
 
     with mpmath.workprec(prec):
         # real letters (0, 1, -1) keep the whole integration real

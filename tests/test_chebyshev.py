@@ -12,7 +12,9 @@ an O(n^3) product, and is the reference for the closed-form build of
 ``_matrix``.  ``reference_iterated`` is the level-by-level iterated
 integral in plain mpmath: kernels dz / (a - z) from each panel's position
 and velocity, products, cumulative integrals and running totals, all at
-the caller's precision.
+the caller's precision.  ``reference_series`` sums the endpoint Taylor
+series of ``endpoint_series`` in plain mpmath, with as many terms as the
+caller asks.
 """
 
 import random
@@ -26,9 +28,9 @@ import pytest
 from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _matrix,
                                    _round_div, _weights, chebyshev_cumulative,
                                    chebyshev_nodes, clenshaw_curtis,
-                                   iterated_integral, segment)
+                                   endpoint_series, iterated_integral,
+                                   iterated_levels, segment)
 from resurgence.hyperlog import _contour_segments
-from resurgence.mzv import _simplex_panels
 
 
 def reference_cumulative(values):
@@ -300,6 +302,14 @@ def test_closed_form_matrix_matches_composition(n, prec):
                for g, w in zip(grow, wrow)) <= 1
 
 
+def simplex_panels(edge):
+    """Straight panels of [h, 1 - h], h = 2^-edge, graded geometrically
+    toward both endpoints."""
+    left = [mpmath.ldexp(1, -edge + k) for k in range(edge)]
+    points = left + [1 - x for x in reversed(left[:-1])]
+    return [segment(a, b) for a, b in zip(points[:-1], points[1:])]
+
+
 REAL_WORDS = [(1,), (0, 1), (-1, 0, 1), (1, 0, 0, -1)]
 PHASE = mpmath.expjpi(mpmath.mpf(2) / 3)
 
@@ -316,7 +326,7 @@ def test_simplex_iterated_matches_reference(letters, n):
     prec = 77
     with mpmath.workprec(prec):
         poles = [+PHASE if a == "w" else mpmath.mpf(a) for a in letters]
-        panels = _simplex_panels(8)
+        panels = simplex_panels(8)
         got = iterated_integral(poles, panels, n)
     assert isinstance(got, mpmath.mpc) == ("w" in letters)
     with mpmath.workprec(3 * prec):
@@ -338,3 +348,124 @@ def test_contour_iterated_matches_reference(poles, endpoint):
     with mpmath.workprec(3 * prec):
         want = reference_iterated(poles, panels, n)
     assert ulps([got], [want], prec) <= 1
+
+
+# -- endpoint series ---------------------------------------------------------
+
+
+def series_value(vector):
+    """A one-entry vector of ``endpoint_series`` as an mpmath number."""
+    parts, exp = vector
+    values = [mpmath.ldexp(p[0], exp) for p in parts]
+    return values[0] if len(values) == 1 else mpmath.mpc(*values)
+
+
+def reference_series(poles, h, terms):
+    """F_0 .. F_r at h from ``terms`` Taylor coefficients at 0, in mpmath:
+    (a - z) F_k' = F_{k-1}, and z F_k' = -F_{k-1} for a = 0."""
+    c = [mpmath.mpf(1)] + [0] * (terms - 1)
+    out = [mpmath.mpf(1)]
+    for a in poles:
+        d = [0] * terms
+        for n in range(1, terms):
+            d[n] = -c[n] / n if a == 0 else (c[n - 1] + (n - 1) * d[n - 1]) / (
+                a * n)
+        c = d
+        out.append(mpmath.fsum(x * h**n for n, x in enumerate(c)))
+    return out
+
+
+def check_series(poles, h_exp, prec, exact):
+    """Every prefix within the helper's bound of ``exact(k, h)``, computed
+    at three times the precision."""
+    with mpmath.workprec(prec):
+        poles = [mpmath.mpmathify(a) for a in poles]
+        values, bound, _ = endpoint_series(poles, h_exp)
+    assert len(values) == len(poles) + 1
+    with mpmath.workprec(3 * prec):
+        h = mpmath.ldexp(1, -h_exp)
+        for k, v in enumerate(values):
+            assert abs(series_value(v) - exact(k, h)) <= bound, k
+    return bound
+
+
+@pytest.mark.parametrize("prec", [53, 113])
+@pytest.mark.parametrize("a,h_exp", [(1, 3), (-1, 3), (1, 7), (PHASE, 3),
+                                     (1 - mpmath.expjpi(mpmath.mpf(1) / 6), 4)])
+def test_endpoint_series_one_letter(a, h_exp, prec):
+    """F_1(h) = log(a / (a - h)), real and complex letters, and a letter
+    1 - exp(i pi / 6) of modulus 0.52 as at the right end of a word."""
+    with mpmath.workprec(3 * prec):
+        a = mpmath.mpmathify(a)
+    bound = check_series([a], h_exp, prec,
+                         lambda k, h: mpmath.log(a / (a - h)) if k else 1)
+    assert bound < mpmath.ldexp(1, -prec - GUARD + 8)
+
+
+@pytest.mark.parametrize("prec", [53, 113])
+@pytest.mark.parametrize("a", [1, PHASE])
+def test_endpoint_series_polylogs(a, prec):
+    """The word (a, 0, ..., 0) gives F_k(h) = (-1)^(k-1) Li_k(h / a), the
+    signed polylogarithms, to depth 8."""
+    with mpmath.workprec(3 * prec):
+        a = mpmath.mpmathify(a)
+    check_series([a] + [0] * 7, 3, prec,
+                 lambda k, h: (-1) ** (k - 1) * mpmath.polylog(k, h / a)
+                 if k else 1)
+
+
+@pytest.mark.parametrize("prec", [53, 113])
+@pytest.mark.parametrize("letters,h_exp", [
+    ((1, 0, 1, 0, 0, -1, 1, 0, 0, 0, -1, 0), 3),
+    (("w", 0, -1, "w", 0, 0, 1, "v", 0, 0, 0, 1), 3),
+    ((2, 0, 2, 1 - PHASE, 0, 1), 4)])
+def test_endpoint_series_bound_covers_truncation(letters, h_exp, prec):
+    """The bound covers the distance to the same series summed with four
+    times the terms at three times the precision, for words of length 12
+    with zeros, real and complex letters."""
+    poles = [PHASE if a == "w" else mpmath.conj(PHASE) if a == "v" else a
+             for a in letters]
+    with mpmath.workprec(prec):
+        terms = endpoint_series([mpmath.mpmathify(a) for a in poles],
+                                h_exp)[2]
+    with mpmath.workprec(3 * prec):
+        want = reference_series([mpmath.mpmathify(a) for a in poles],
+                                mpmath.ldexp(1, -h_exp), 4 * terms)
+    check_series(poles, h_exp, prec, lambda k, h: want[k])
+
+
+def test_endpoint_series_refuses_outside_its_proof():
+    with pytest.raises(ValueError, match="first letter"):
+        endpoint_series([mpmath.mpf(0), mpmath.mpf(1)], 3)
+    with pytest.raises(ValueError, match="quarter"):
+        endpoint_series([mpmath.mpf(1) / 4], 3)
+
+
+@pytest.mark.parametrize("letters", [(1, 0), (1, 1, 0, 0), (-1, 0, -1),
+                                     (1, 0, 0, -1), ("w", 0, 1, "v")])
+def test_series_seeded_run_matches_geometric_panels(letters):
+    """Chen's identity: the run over [1/8, 7/8] on four panels, seeded with
+    the series at 0 and joined to the series at 1, gives the 102 panels
+    graded to width 2^-52 at both ends within the error they report: twice
+    their distance to a 16-node run, plus 8 h (1 + log(1 / h))^l for the
+    slivers of width h = 2^-52, plus one unit."""
+    prec = 53
+    with mpmath.workprec(prec + 24):
+        poles = [+PHASE if a == "w" else mpmath.conj(PHASE) if a == "v"
+                 else mpmath.mpf(a) for a in letters]
+        length = len(poles)
+        start, _, _ = endpoint_series(poles, 3)
+        ends, _, _ = endpoint_series([1 - a for a in poles[::-1]], 3)
+        points = [mpmath.mpf(k) / 8 for k in (1, 2, 4, 6, 7)]
+        panels = [segment(a, b) for a, b in zip(points[:-1], points[1:])]
+        levels = [1] + iterated_levels(poles, panels, 24, start[1:])
+        got = mpmath.fsum((-1) ** (length - j) * f
+                          * series_value(ends[length - j])
+                          for j, f in enumerate(levels))
+        old = simplex_panels(52)
+        fine = iterated_integral(poles, old, 24)
+        coarse = iterated_integral(poles, old, 16)
+        h = mpmath.ldexp(1, -52)
+        error = (2 * abs(fine - coarse) + 8 * h * (1 + mpmath.log(1 / h))
+                 ** length + mpmath.ldexp(1 + abs(fine), -prec))
+        assert abs(got - fine) <= error

@@ -35,8 +35,10 @@ closed-form comparison also asserts that the true deviation stays
 within the reported bound.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import mpmath
 import pytest
@@ -422,12 +424,57 @@ class TestWaEval:
         assert isinstance(wa_values(1, 0).value, mpmath.mpf)
 
     def test_coarse_parameters_stay_honest(self):
-        ev = wa_eval(WaWord((1, 0)), nodes=10, edge=20)
+        ev = wa_eval(WaWord((1, 0)), nodes=10)
         assert abs(ev.value - mpmath.pi**2 / 6) <= ev.error
 
     def test_length_cap(self):
+        """A word's length is its weight: up to MAX_WEIGHT letters."""
         with pytest.raises(NotImplementedError):
-            wa_eval(WaWord((1, 0, 0, 0, 0)))
+            wa_eval(WaWord((1,) + (0,) * 12))
+
+    def test_endpoint_series_leave_the_unit(self):
+        """With the endpoint slivers summed as series, (4, 1) reports
+        about one unit at 53 bits, not an endpoint allowance."""
+        idx = MzvIndex((4, 1))
+        wa = wa_eval(ze_to_wa(idx))
+        assert wa.error < 1e-14
+        assert abs(wa.value - ze_eval(idx).value) <= wa.error
+
+    # (4, 1), (4, 3, 2, 1) and a weight-12 coloured word, then a seeded
+    # sample of the supported domain
+    NAMED = [((4, 1), (0, 0)), ((4, 3, 2, 1), (0, 0, 0, 0)),
+             ((5, 4, 2, 1), (Fraction(1, 5), Fraction(2, 7),
+                             Fraction(3, 11), Fraction(5, 12)))]
+
+    @staticmethod
+    def domain_sample(seed, count):
+        """Indices of depth 1 to 4 and weight up to 12, with colours of
+        denominator up to 12 and a convergent head."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            depth = rng.randint(1, 4)
+            weight = rng.randint(depth, 12)
+            cuts = sorted(rng.sample(range(1, weight), depth - 1))
+            s = tuple(b - a for a, b in zip([0] + cuts, cuts + [weight]))
+            eps = []
+            for _ in s:
+                d = rng.randint(1, MAX_COLOUR_DENOMINATOR)
+                eps.append(Fraction(rng.choice(
+                    [k for k in range(d) if gcd(k, d) == 1]), d))
+            if (s[0], eps[0]) != (1, 0):
+                out.append((s, tuple(eps)))
+        return out
+
+    @pytest.mark.parametrize("prec,sample", [(53, 60), (113, 20)])
+    def test_domain_sample_agrees(self, prec, sample):
+        """Sum and integral agree within their summed errors over the
+        whole supported domain, at 53 bits, where the unit dominates, and
+        at 113, where the panel estimate does."""
+        for s, eps in self.NAMED + self.domain_sample(prec, sample):
+            idx = MzvIndex(s, eps)
+            ze, wa = ze_eval(idx, prec=prec), wa_eval(ze_to_wa(idx), prec=prec)
+            assert abs(ze.value - wa.value) <= ze.error + wa.error, (s, eps)
 
     def test_non_integrable_words_rejected(self):
         with pytest.raises(DivergentIndexError):
@@ -437,11 +484,11 @@ class TestWaEval:
         """Cumulative phases 1/11 and 1/12 difference to a colour of
         denominator 132, outside the supported set, so no nested sum
         anchors this word's sign convention."""
-        ev = wa_eval(WaWord((Fraction(1, 11), Fraction(1, 12))), nodes=10, edge=20)
+        ev = wa_eval(WaWord((Fraction(1, 11), Fraction(1, 12))), nodes=10)
         assert ev.flagged
 
     def test_small_denominators_not_flagged(self):
-        ev = wa_eval(WaWord((THIRD, 0)), nodes=10, edge=20)
+        ev = wa_eval(WaWord((THIRD, 0)), nodes=10)
         assert not ev.flagged
 
 

@@ -16,7 +16,12 @@ the iterated-integrals round:
   (``total_only``);
 * ``madds``: per n, the integer multiply-adds of those applications;
 * ``matrix_build_s``: per (n, prec), the seconds spent building the matrix;
-* ``round_s``: the wall seconds of the round, counting included.
+* ``round_s``: the wall seconds of the round, counting included;
+* ``wa``: per ``wa_eval`` operation, the straight ``panels`` between its
+  endpoint slivers, the ``nodes`` per panel of each engine run (the
+  estimate and its coarse rerun), the ``series_terms`` of its endpoint
+  Taylor series at 0 and at 1, and the wall ``seconds``; and their
+  ``total``.
 
 Under ``ze``, for the certified-sums round (its caches of ``mzv`` cold
 too): per operation that calls ``ze_eval`` (the nested sums and the
@@ -97,6 +102,25 @@ def instrument():
 
     cheb._cumulate, cheb._fold = counted_cumulate, counted_fold
     return full, total_only, madds, build
+
+
+def instrument_wa():
+    """Record the engine runs (panels, nodes) and the endpoint series
+    terms that ``wa_eval`` asks for."""
+    runs, terms = [], []
+    levels, series = mzv.iterated_levels, mzv.endpoint_series
+
+    def counted_levels(poles, panels, n, start=()):
+        runs.append((len(panels), n))
+        return levels(poles, panels, n, start)
+
+    def counted_series(poles, h_exp):
+        out = series(poles, h_exp)
+        terms.append(out[2])
+        return out
+
+    mzv.iterated_levels, mzv.endpoint_series = counted_levels, counted_series
+    return runs, terms
 
 
 def count_libmp():
@@ -190,11 +214,24 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     full, total_only, madds, build = instrument()
+    runs, terms = instrument_wa()
     ops = worker.iterated_integrals(inputs.iterated_integrals(args.seed), {})
+    wa = {}
     start = time.perf_counter()
-    for _name, call, _serialize in ops:
+    for name, call, _serialize in ops:
+        ran, summed = len(runs), len(terms)
+        began = time.perf_counter()
         call()
+        if name.startswith("wa"):
+            wa[name] = {"panels": runs[ran][0],
+                        "nodes": [n for _panels, n in runs[ran:]],
+                        "series_terms": terms[summed:],
+                        "seconds": round(time.perf_counter() - began, 5)}
     elapsed = time.perf_counter() - start
+    wa_total = {"panels": sum(w["panels"] for w in wa.values()),
+                "series_terms": sum(sum(w["series_terms"])
+                                    for w in wa.values()),
+                "seconds": round(sum(w["seconds"] for w in wa.values()), 5)}
     keys = sorted(set(full) | set(total_only))
     out = {
         "seed": args.seed,
@@ -204,6 +241,7 @@ def main(argv=None):
         "madds_total": sum(madds.values()),
         "matrix_build_s": {k: round(v, 5) for k, v in build.items()},
         "round_s": round(elapsed, 5),
+        "wa": {"operations": wa, "total": wa_total},
     }
     out["ze"], out["laplace"] = certified_work(args.seed)
     print(json.dumps(out))
