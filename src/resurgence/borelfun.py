@@ -33,17 +33,21 @@ operators read:
   path crosses nothing, and refuses any other path.
 
 The *numeric* one holds the summation rules that :mod:`.laplace` sums
-every shape through: ``singular_values``, ``ray_evaluator``,
-``polar_evaluator`` (with the ``single_valued`` flag), ``panel_sampler``,
-``truncation_floor``, ``tail_bound`` and ``origin_head``.  A shape need
-only implement ``singular_points`` and ``numeric_evaluator``: the
-defaults take the principal sheet along a ray, sample a panel by mapping
-that evaluator over its nodes, take a sampled tail envelope marked not
-proved, a floor from the singular moduli and no origin head, and refuse
-a Hankel contour unless the shape is single-valued.  Each bundled shape
-overrides what it knows: proved tail envelopes, for power kernels an
-exact head series at the origin, and for rational shapes, the Stirling
-minor and power kernels panel samples computed in integers and libmp.
+every shape through: ``singular_values`` (with the ``single_valued``
+flag), ``panel_sampler``, ``truncation_floor``, ``tail_bound`` and
+``origin_head``; how a shape is evaluated on a contour is decided here,
+not in the sums.  A shape need only implement ``singular_points`` and
+``numeric_evaluator``: the default sampler builds a scalar evaluator for
+the :class:`Contour` (the principal sheet along a ray,
+``polar_evaluator`` on a circle, the difference of two polar sheets on a
+Hankel ray) and maps it over the nodes; the other defaults take a tail
+envelope sampled on the principal sheet and marked not proved, a floor
+from the singular moduli and no origin head, and ``polar_evaluator``
+refuses a shape that is not single-valued.  Each bundled shape overrides
+what it knows: proved tail envelopes, for power kernels polar evaluation
+and an exact head series at the origin, and for rational shapes, the
+Stirling minor and power kernels panel samples computed in integers and
+libmp.
 
 Branch bookkeeping follows one convention throughout the package: the
 principal branch uses arg in (-pi, pi], a "+" detour passes *below* the
@@ -518,19 +522,22 @@ def _rational_envelope(rat, theta, T, prec):
     return M, poly
 
 
-def _envelope_tail(envelope, evalf, m, T, moment):
+def _envelope_tail(envelope, f, theta, m, T, moment, prec):
     """(tail bound, proved?) from an envelope (M, poly) of |f| beyond T,
     M + sum of poly[j] t^j, each term integrated by :func:`_moment_integral`.
 
-    envelope = None falls back to a constant envelope sampled from the ray
-    evaluator ``evalf``, honest only for decaying shapes, so it is not
-    proved.
+    envelope = None falls back to a constant envelope sampled from the
+    shape's ``numeric_evaluator`` at ``prec`` bits on the principal sheet
+    of the ray at angle ``theta``, honest only for decaying shapes, so it
+    is not proved.
     """
     proved = envelope is not None
     if proved:
         M, poly = envelope
     else:
-        samples = [abs(evalf(T * c))
+        evaluate = f.numeric_evaluator(prec)
+        direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
+        samples = [abs(evaluate(T * c * direction))
                    for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
         if samples[-1] > 2 * samples[0] + 1:
             raise NotImplementedError(
@@ -621,13 +628,6 @@ class BorelFunction:
                 else mpmath.mpmathify(p) for p in self.singular_points()]
         return [v for v in vals if abs(v) > 0]
 
-    def ray_evaluator(self, theta, prec: int):
-        """t -> f(t e^(i theta)) on the principal sheet, with the shape's
-        evaluator built once."""
-        evaluate = self.numeric_evaluator(prec)
-        direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
-        return lambda t: evaluate(t * direction)
-
     def polar_evaluator(self, prec: int = 53):
         """(r, angle) -> f(r e^(i angle)) on the sheet the continuous angle
         reaches.  Single-valued shapes have one sheet; any other shape
@@ -650,11 +650,11 @@ class BorelFunction:
         top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
         return max(mpmath.mpf(4), 2 * top + 1)
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+    def tail_bound(self, theta, m, T, moment, prec: int):
         """(bound, proved?) for the integral over t >= T of e^(-m t)
-        |f(t e^(i theta))| t^moment, with ``evalf`` the ray evaluator.
-        The default envelope is sampled, so it is not proved."""
-        return _envelope_tail(None, evalf, m, T, moment)
+        |f(t e^(i theta))| t^moment.  The default envelope is sampled on
+        the principal sheet, so it is not proved."""
+        return _envelope_tail(None, self, theta, m, T, moment, prec)
 
     def origin_head(self, w, theta, moment, prec: int):
         """A function T -> (h, head, error): the integral of e^(-w t)
@@ -664,13 +664,33 @@ class BorelFunction:
         whose origin no head covers raises here, before any sampling."""
         return lambda T: (0, 0, 0)
 
-    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+    def panel_sampler(self, contour: Contour, prec: int):
         """A function (mid, half, n) -> the shape's samples on one panel of
         ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
         block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
-        bits.  ``evaluate`` is the scalar evaluator of the contour's
-        parameter that the sum has built; the default maps it over the
-        nodes and converts the values once."""
+        bits.  The default builds one scalar evaluator of the contour's
+        parameter at ``prec`` bits, maps it over the nodes and converts
+        the values once: f(t e^(i theta)) on the principal sheet along a
+        ray, ``polar_evaluator`` at (radius, phi) on a circle, and
+        polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray (asked
+        only of shapes that are not single-valued)."""
+        if contour.radius is not None:
+            polar, rho = self.polar_evaluator(prec), contour.radius
+
+            def evaluate(phi):
+                return polar(rho, phi)
+        elif contour.hankel:
+            polar, theta = self.polar_evaluator(prec), contour.theta
+            below = theta - 2 * mpmath.pi
+
+            def evaluate(t):
+                return polar(t, theta) - polar(t, below)
+        else:
+            point = self.numeric_evaluator(prec)
+            direction = mpmath.exp(mpmath.mpc(0, 1) * contour.theta)
+
+            def evaluate(t):
+                return point(t * direction)
         bits = prec + GUARD
 
         def sample(mid, half, n):
@@ -797,17 +817,17 @@ class RationalBF(BorelFunction):
     def truncation_floor(self, sing, prec: int):
         return mpmath.mpf(1)
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+    def tail_bound(self, theta, m, T, moment, prec: int):
         return _envelope_tail(_rational_envelope(self.rat, theta, T, prec),
-                              evalf, m, T, moment)
+                              self, theta, m, T, moment, prec)
 
-    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+    def panel_sampler(self, contour: Contour, prec: int):
         """Exact integer Horner evaluation of the numerator and the factored
         denominator at the contour's points, then one rounded division per
         node (:func:`._chebyshev._quotients`); a real vector on the real
         ray when every coefficient and pole is real."""
-        if contour.hankel or self.rat.is_zero():
-            return super().panel_sampler(evaluate, contour, prec)
+        if self.rat.is_zero():
+            return super().panel_sampler(contour, prec)
         bits = prec + GUARD
         work = bits + 16
         rat = self.rat
@@ -962,9 +982,9 @@ class LogPoleBF(BorelFunction):
         top = max(mods, default=mpmath.mpf(0))
         return max(mpmath.mpf(4), 2 * top + 1)
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
-        return _envelope_tail(_logpole_envelope(self, theta, T, prec), evalf,
-                              m, T, moment)
+    def tail_bound(self, theta, m, T, moment, prec: int):
+        return _envelope_tail(_logpole_envelope(self, theta, T, prec), self,
+                              theta, m, T, moment, prec)
 
     @property
     def tail_decreasing(self):
@@ -1086,7 +1106,7 @@ class StirlingBF(BorelFunction):
     def truncation_floor(self, sing, prec: int):
         return mpmath.mpf(4)
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+    def tail_bound(self, theta, m, T, moment, prec: int):
         """The envelope beyond T.
 
         With w = zeta/2 the bound chain is |coth w| <= 1 + 1/|sinh w| and
@@ -1116,9 +1136,9 @@ class StirlingBF(BorelFunction):
         delta = min(d / 2, mpmath.pi / 2)
         coth_bound = 1 + mpmath.pi / (2 * delta)
         M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-        return _envelope_tail((M, ()), evalf, m, T, moment)
+        return _envelope_tail((M, ()), self, theta, m, T, moment, prec)
 
-    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+    def panel_sampler(self, contour: Contour, prec: int):
         """One exponential per node: (zeta/2 - 1 + zeta / (e^zeta - 1))
         / zeta^2 for |zeta| >= 1/2, with libmp on tuples, and inside the
         Taylor series of ``numeric_evaluator`` summed in integers."""
@@ -1235,7 +1255,7 @@ class DilogBF(BorelFunction):
 
         return evaluate
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+    def tail_bound(self, theta, m, T, moment, prec: int):
         """Guaranteed tail bound beyond T >= 1.
 
         The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
@@ -1392,16 +1412,7 @@ class PowerBF(BorelFunction):
 
         return evaluate
 
-    def eval_polar(self, radius, theta, prec: int = 53):
-        """Value at zeta = radius * e^(i theta), theta a continuous angle."""
-        return self.polar_evaluator(prec)(radius, theta)
-
-    def ray_evaluator(self, theta, prec: int):
-        # polar, so a ray angle outside (-pi, pi] continues onto its sheet
-        polar = self.polar_evaluator(prec)
-        return lambda t: polar(t, theta)
-
-    def panel_sampler(self, evaluate, contour: Contour, prec: int):
+    def panel_sampler(self, contour: Contour, prec: int):
         """With s1 = sigma - 1: on a ray, t^s1 (A + B log t) with A and B
         summed once over the sheets, so both Hankel sheets share one
         ``mpf_log`` and one ``mpf_exp`` per node; on the circle,
@@ -1461,7 +1472,7 @@ class PowerBF(BorelFunction):
     def truncation_floor(self, sing, prec: int):
         return mpmath.mpf(1)
 
-    def tail_bound(self, evalf, theta, m, T, moment, prec: int):
+    def tail_bound(self, theta, m, T, moment, prec: int):
         """Exact tail bound via incomplete gamma moments.
 
         |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral

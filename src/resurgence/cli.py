@@ -29,8 +29,9 @@ Conventions shared by every subcommand:
   domain error taxonomy) or a value is out of the supported range (an
   index above the weight cap, a cutoff outside [64, MAX_CUTOFF], an
   order outside [0, MAX_ORDER[subcommand]], a mould of more than
-  MAX_MOULD_WORDS words, a precision below MIN_PREC), 1 for usage errors
-  (unknown flags, malformed literals, a file that cannot be read).
+  MAX_MOULD_WORDS words, a precision outside [MIN_PREC, MAX_PREC]), 1
+  for usage errors (unknown flags, malformed literals, a file that
+  cannot be read).
   Every exit code prints one JSON object on standard output: the result,
   the refusal, or the usage mistake; standard error stays empty.
 * ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
@@ -38,7 +39,11 @@ Conventions shared by every subcommand:
   sums of ``laplace`` enforce as well): the
   default error targets (1e-12 for ray sums, 1e-10 for nested sums) need
   double precision, and below it the reported errors would describe
-  meaningless values.
+  meaningless values.  It is at most MAX_PREC = 1024 bits: the cost of
+  the nested sums and iterated integrals grows steeply with the
+  precision (``mzv eval --s 2,1`` takes about a second at 1024 bits and
+  over a minute at 4096), so a larger value would only make the command
+  hang.  The library functions keep only the floor.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test
@@ -81,6 +86,9 @@ class UsageError(Exception):
 MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
 # the largest number of words mould make materialises (about 4 s)
 MAX_MOULD_WORDS = 4096
+# the largest --prec: mzv eval --s 2,1 takes about a second at 1024 bits
+# and over a minute at 4096, hyperlog --L 1,2 over two minutes at 4096
+MAX_PREC = 1024
 CUTOFF_HELP = (
     "direct-sum cutoff in [64, MAX_CUTOFF]; by default mzv.DEFAULT_CUTOFF "
     f"= {DEFAULT_CUTOFF}, which ze_eval doubles where the index's colours "
@@ -595,6 +603,9 @@ def main(argv=None) -> int:
         if args.prec < MIN_PREC:
             raise ValueError(f"--prec {args.prec} is below the floor of "
                              f"{MIN_PREC} bits")
+        if args.prec > MAX_PREC:
+            raise ValueError(f"--prec {args.prec} is above the ceiling of "
+                             f"{MAX_PREC} bits")
         order = getattr(args, "order", None)
         if order is not None and not 0 <= order <= args.max_order:
             raise ValueError(f"--order {order} is outside 0 .. "

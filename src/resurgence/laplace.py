@@ -42,11 +42,11 @@ panel's total, and the second comes from ``_chebyshev._exponentials`` as
 one block-fixed-point vector (integer mantissas sharing one exponent),
 one libmp exponential per node x >= 0 and the reflection
 e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the others.  The
-shape's ``panel_sampler`` gives its samples as a vector too (the
-default maps its scalar evaluator over the nodes and converts once;
-rational shapes, the Stirling minor and power kernels compute theirs in
-integers and libmp), and the two, times t^moment, are multiplied in
-integers.  A Hankel circle takes e^(-z rho e^(i phi)) with one complex
+shape's ``panel_sampler`` for the contour gives its samples as a vector
+too (the default builds the shape's scalar evaluator for the contour,
+maps it over the nodes and converts once; rational shapes, the Stirling
+minor and power kernels compute theirs in integers and libmp), and the
+two, times t^moment, are multiplied in integers.  A Hankel circle takes e^(-z rho e^(i phi)) with one complex
 exponential per node at the cached unit points e^(i phi_j).  Both
 Clenshaw-Curtis rules are integer dot products of the one vector with
 their folded weights rows, and each panel converts to mpmath once.
@@ -67,10 +67,10 @@ Hankel contours serve the shapes that are singular at the origin itself.
 The contour comes in from e^(i (theta - 2 pi)) * infinity, circles the
 origin once counterclockwise at radius rho (a quarter of the distance to
 the nearest nonzero singular point, or 1/4 when there is none), and leaves
-toward e^(i theta) * infinity.  The two rays live on different sheets, so
-the integrand is evaluated in polar form with a continuous angle.  They
-share their points and their kernel, so they are integrated as one
-difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)); on
+toward e^(i theta) * infinity.  The two rays live on different sheets.
+They share their points and their kernel, so they are integrated as one
+difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)), whose
+samples the shape gives for a Hankel :class:`.borelfun.Contour`; on
 single-valued shapes that difference vanishes and only the circle is
 integrated.  The circle integrand is analytic in the angle, so the same
 panel rule takes the whole turn as one panel.
@@ -101,7 +101,7 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 from ._chebyshev import (GUARD, _complex_tuple, _exponentials, _mantissas,
                          _product, _total, _unit_points, _values, _vector,
                          _weights)
-from .borelfun import BorelFunction, Contour
+from .borelfun import BorelFunction, Contour, _pole_tail_distance
 from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
 from .series import FormalSeries
@@ -330,19 +330,11 @@ def pade_minor(series: FormalSeries, degree: int | None = None,
 # -- ray admissibility ----------------------------------------------------------------
 
 
-def _ray_distance(v, theta):
-    """Distance from the point v to the ray {t e^(i theta) : t >= 0}."""
-    u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
-    if u.real >= 0:
-        return abs(u.imag)
-    return abs(u)
-
-
 def _check_ray(sing, theta):
     """Raise RayBlockedError when the ray hugs one of the singular values."""
     worst = None
     for v in sing:
-        d = _ray_distance(v, theta)
+        d = _pole_tail_distance(v, theta, 0)
         if d < min(mpmath.mpf(1), abs(v)) / 64:
             if worst is None or d < worst[1]:
                 worst = (v, d)
@@ -364,8 +356,7 @@ def _check_ray(sing, theta):
 _LADDER_STEPS = 400
 
 
-def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
-                       max_nodes):
+def _choose_truncation(f, sing, theta, w, target, moment, prec, max_nodes):
     """(T, tail bound, proved?): the first point of the ladder T_floor,
     3/2 T_floor, ... whose tail bound is within target / 4, with the
     floor and the bounds from the shape.
@@ -392,8 +383,7 @@ def _choose_truncation(f, evalf, sing, theta, w, target, moment, prec,
         while len(ladder) <= k:
             ladder.append(ladder[-1] * 3 / 2)
         if k not in bounds:
-            bounds[k] = f.tail_bound(evalf, theta, m, ladder[k], moment,
-                                     prec)
+            bounds[k] = f.tail_bound(theta, m, ladder[k], moment, prec)
         return bounds[k][0]
 
     k = 0
@@ -569,13 +559,12 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         origin = f.origin_head(w, theta, moment, guard)
         sing = f.singular_values(guard)
         _check_ray(sing, theta)
-        evalf = f.ray_evaluator(theta, guard)
         target = mpmath.mpf(float(spec.target_error))
         T, tail, proved = _choose_truncation(
-            f, evalf, sing, theta, w, target, moment, guard, spec.max_nodes)
+            f, sing, theta, w, target, moment, guard, spec.max_nodes)
 
         contour = Contour(theta)
-        shape = f.panel_sampler(evalf, contour, guard)
+        shape = f.panel_sampler(contour, guard)
         lo, head, head_err = origin(T)
         pts = _segments(lo, T, sing, theta)
         val, errq, nodes, panels = _panels(
@@ -637,16 +626,18 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     """Laplace sum over a Hankel contour winding once around the origin.
 
     The contour and its one ray integrand over [rho, T] are described in
-    the module docstring; f is evaluated through its ``polar_evaluator``,
-    built once for the ray and the circle.  On ``single_valued`` shapes
-    only the circle is integrated: the diagnostics then report no
-    segments, ``ray_nodes`` 0 and a zero tail bound.  The circle is one
+    the module docstring; f gives its samples through ``panel_sampler``,
+    once for the circle and, unless it is ``single_valued``, once for the
+    ray's difference of sheets.  On ``single_valued`` shapes only the
+    circle is integrated: the diagnostics then report no segments,
+    ``ray_nodes`` 0 and a zero tail bound.  The circle is one
     Clenshaw-Curtis panel over the whole turn (bisected like any other
     panel); it and the ray share the quadrature budget target_error / 16
     and the ``max_nodes`` cap.  The error is 4 * (ray + circle quadrature
     errors) + 2 * tail (one tail bound per ray) + one unit of the result's
     last place.  Shapes with neither one sheet nor a polar evaluator
-    (``LogPoleBF``, ``DilogBF``) raise NotImplementedError.
+    (``LogPoleBF``, ``DilogBF``) raise NotImplementedError, before any
+    ray check.
     """
     spec = RaySpec(theta, z, max_nodes=max_nodes,
                    target_error=target_error, prec=prec)
@@ -654,7 +645,11 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     guard = out_prec + 24
     with mpmath.workprec(guard):
         th, zv, w, m = _kernel(theta, z, guard)
-        polar = f.polar_evaluator(guard)
+        ray = Contour(th, hankel=True)
+        # the difference of sheets, built first: a shape that cannot give
+        # it is refused before any ray check
+        difference = None if f.single_valued \
+            else f.panel_sampler(ray, guard)
         sing = f.singular_values(guard)
         _check_ray(sing, th)
         rho = min(abs(v) for v in sing) / 4 if sing \
@@ -666,15 +661,10 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             T, tail, proved, pts = rho, mpmath.mpf(0), True, [rho]
         else:
             T, tail, proved = _choose_truncation(
-                f, lambda t: polar(t, th), sing, th, w, target, 0, guard,
-                max_nodes)
+                f, sing, th, w, target, 0, guard, max_nodes)
             pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
-        circle = f.panel_sampler(lambda phi: polar(rho, phi),
-                                 Contour(th, radius=rho), guard)
-        ray = Contour(th, hankel=True)
-        difference = f.panel_sampler(
-            lambda t: polar(t, th) - polar(t, below), ray, guard)
+        circle = f.panel_sampler(Contour(th, radius=rho), guard)
 
         # the circle and the ray share the quadrature budget and the cap
         circ_val, circ_err, circ_n, circ_panels = _panels(

@@ -516,8 +516,9 @@ class TestPowerShape:
     def test_polar_evaluation_tracks_argument(self):
         p = power_minor(Fraction(1, 2))
         with mpmath.workdps(30):
-            v0 = p.eval_polar(mpmath.mpf("0.7"), 0, 100)
-            v2 = p.eval_polar(mpmath.mpf("0.7"), 2 * mpmath.pi, 100)
+            polar = p.polar_evaluator(100)
+            v0 = polar(mpmath.mpf("0.7"), 0)
+            v2 = polar(mpmath.mpf("0.7"), 2 * mpmath.pi)
             # one full turn multiplies zeta^(sigma-1) by e^(2 pi i (sigma-1))
             phase = mpmath.exp(2j * mpmath.pi * (mpmath.mpf("0.5") - 1))
             assert abs(v2 - v0 * phase) < mpmath.mpf(10) ** -25

@@ -14,6 +14,8 @@ object), 1 on usage mistakes.
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -341,6 +343,7 @@ class TestRefusals:
         (("mzv", "eval", "--s", "2", "--cutoff", "10"), "cutoff"),
         (("series", "--input", "euler", "--order", "-1"), "order"),
         (("mzv", "eval", "--s", "2", "--prec", "0"), "--prec 0"),
+        (("mzv", "eval", "--s", "2", "--prec", "1025"), "--prec 1025"),
         (("mzv", "eval", "--s", "2", "--cutoff", "1000000000"), "cutoff"),
         (("mould", "make", "--exp-scale", "1/2", "--letters", "1",
           "--order", "-1"), "--order -1"),
@@ -350,6 +353,7 @@ class TestRefusals:
         (("mould", "make", "--unit", "--letters", "1,2", "--order", "12"),
          f"ceiling of {MAX_MOULD_WORDS}"),
     ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor",
+            "prec-ceiling",
             "cutoff-ceiling", "negative-mould-order", "series-order-ceiling",
             "hyperlog-order-ceiling", "mould-word-ceiling"])
     def test_refused_with_json(self, capsys, argv, needle):
@@ -360,6 +364,28 @@ class TestRefusals:
         assert payload["error"] == "usage"
         assert needle in payload["message"]
         assert "certified" not in payload
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    """README's ```sh block of ``resurgence`` commands, line by line in
+    one directory as a shell runs it: each exits 0 with one JSON object on
+    standard output, and ``> file`` writes that output where the later
+    lines read it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [block.splitlines()
+              for block in re.findall(r"```sh\n(.*?)```", text, re.S)]
+    lines = [line for block in blocks
+             if all(line.startswith("resurgence ") for line in block)
+             for line in block]
+    assert lines, "README has no block of resurgence commands"
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, target = line[len("resurgence "):].partition(" > ")
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, ""), line
+        assert isinstance(json.loads(out), dict), line
+        if target:
+            (tmp_path / target).write_text(out)
 
 
 class TestMalformedLiterals:

@@ -1,10 +1,13 @@
 """Compiled shape evaluators and the one-integrand Hankel contour.
 
-Each shape builds its evaluator once (``numeric_evaluator``, and
-``polar_evaluator`` for power kernels) and the sums call it at every
-node.  The per-point code it replaced is kept below as the reference:
-the compiled evaluators must return the same numbers, bit for bit, at
-53 and 113 bits.  The Hankel contour integrates both rays as one
+Each shape compiles its evaluator (``numeric_evaluator``, and
+``polar_evaluator`` for power kernels) with its exact constants
+evaluated once.  The per-point code it replaced is kept below as the
+reference: the compiled evaluators must return the same numbers, bit for
+bit, at 53 and 113 bits.  A sum builds an evaluator only through the
+default panel sampler, once per contour it samples, or a sampled tail;
+shapes that sample in integers and prove their tails build none.  The
+Hankel contour integrates both rays as one
 difference integrand; its values must stay within their reported errors
 of the closed forms z^-sigma and -z^-sigma log z.  On single-valued
 shapes the two rays cancel identically, so only the circle is integrated.
@@ -16,6 +19,7 @@ import mpmath
 import pytest
 
 from resurgence.borelfun import (
+    BorelFunction,
     DilogBF,
     LogPoleBF,
     PowerBF,
@@ -24,7 +28,14 @@ from resurgence.borelfun import (
     StirlingBF,
     euler_minor,
 )
-from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray, pade_minor
+from resurgence.laplace import (
+    PadeApproximant,
+    RaySpec,
+    hankel_laplace,
+    laplace_ray,
+    lateral_jump,
+    pade_minor,
+)
 from resurgence.scalars import ExactScalar, GaussianRational
 from resurgence.series import euler_series
 
@@ -205,7 +216,8 @@ class TestCompiledEvaluators:
             for th in (mpmath.mpf(0), mpmath.mpf("0.3"), -mpmath.mpf(2)):
                 for sheet in (th, th - tau):
                     assert polar(r, sheet) == old_polar(f, r, sheet, prec)
-                    assert f.eval_polar(r, sheet, prec) == polar(r, sheet)
+                    assert f.polar_evaluator(prec)(r, sheet) \
+                        == polar(r, sheet)
         evaluate = f.numeric_evaluator(prec)
         for z in POINTS:
             assert evaluate(z) == old_power(f, z, prec)
@@ -219,33 +231,61 @@ class TestCompiledEvaluators:
             assert model.numeric_eval(z, prec) == evaluate(z)
 
 
-class TestOncePerSum:
-    """The evaluator and the singular values are built once per sum."""
+class TestEvaluatorsBuilt:
+    """A sum asks a shape only for panel samplers and tail bounds.  Shapes
+    that sample in integers and prove their tails build no scalar
+    evaluator; a shape on the default sampler builds one per contour it
+    samples; each sum builds the singular values once."""
 
-    def count_calls(self, monkeypatch, owner, name):
+    @pytest.fixture
+    def built(self, monkeypatch):
         calls = []
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+        for owner in (BorelFunction, RationalFunction, RationalBF, LogPoleBF,
+                      StirlingBF, PowerBF, PadeApproximant):
+            for name in ("numeric_evaluator", "polar_evaluator",
+                         "singular_values"):
+                if name in vars(owner):
+                    monkeypatch.setattr(owner, name,
+                                        self.counted(calls, name,
+                                                     vars(owner)[name]))
         return calls
 
-    def test_ray_builds_once(self, monkeypatch):
-        built = self.count_calls(monkeypatch, StirlingBF, "numeric_evaluator")
-        sing = self.count_calls(monkeypatch, StirlingBF, "singular_values")
-        res = laplace_ray(StirlingBF(), 0, RaySpec(0, 10, target_error=1e-10))
-        assert res.nodes_used > 100
-        assert (len(built), len(sing)) == (1, 1)
+    @staticmethod
+    def counted(calls, name, original):
+        def method(self, *args, **kwargs):
+            calls.append((type(self).__name__, name))
+            return original(self, *args, **kwargs)
 
-    def test_hankel_builds_once(self, monkeypatch):
-        built = self.count_calls(monkeypatch, PowerBF, "polar_evaluator")
-        sing = self.count_calls(monkeypatch, PowerBF, "singular_values")
-        res = hankel_laplace(PowerBF("1/2"), 0, 2)
-        assert res.nodes_used > 100
-        assert (len(built), len(sing)) == (1, 1)
+        return method
+
+    def test_integer_samplers_build_no_evaluator(self, built):
+        ray = laplace_ray(StirlingBF(), 0, RaySpec(0, 10, target_error=1e-10))
+        assert ray.nodes_used > 100
+        assert built == [("StirlingBF", "singular_values")]
+        built.clear()
+        lateral_jump(euler_minor(), 0, mpmath.pi, "0.5", -3)
+        assert built == [("RationalBF", "singular_values")] * 2
+        built.clear()
+        hankel = hankel_laplace(PowerBF("1/2"), 0, 2)
+        assert hankel.nodes_used > 100
+        assert built == [("PowerBF", "singular_values")]
+
+    def test_default_sampler_builds_once_per_contour(self, built):
+        # a proved log envelope, so only the two rays' samplers evaluate
+        f = LogPoleBF(RationalFunction.simple_pole(-3, 2),
+                      [(-1, RationalFunction.simple_pole(-2, 1), 0)])
+        pair = lateral_jump(f, 0, 0, "0.5", 2)
+        assert pair.plus.diagnostics["rigorous_tail"]
+        own = [name for owner, name in built if owner == "LogPoleBF"]
+        assert sorted(own) == ["numeric_evaluator"] * 2 \
+            + ["singular_values"] * 2
+        built.clear()
+        # a single-valued model on a Hankel contour: its circle alone
+        res = hankel_laplace(pade_minor(euler_series(12)), 0, 2)
+        assert res.diagnostics["ray_nodes"] == 0
+        assert sorted(built) == [("PadeApproximant", "numeric_evaluator"),
+                                 ("PadeApproximant", "polar_evaluator"),
+                                 ("PadeApproximant", "singular_values")]
 
 
 # -- the Hankel contour as one ray integrand plus the circle ------------------------

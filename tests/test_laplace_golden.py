@@ -1,7 +1,7 @@
 """Recorded results of scripted Laplace sums, and the shape contract.
 
 Every call below sums through the shape's own summation rules (its
-singular values, evaluators, truncation floor, tail bound and origin
+singular values, panel samplers, truncation floor, tail bound and origin
 head), one call per bundled shape plus moment 1, an explicit precision,
 a node-capped sum, a lateral jump and Hankel contours on a pole and on a
 power kernel.  The reprs of the value, the error estimate, the node count
@@ -12,9 +12,10 @@ the package reports, and must say so.
 
 The contract test defines a shape here, 1/(1 + zeta)^2, with nothing but
 ``singular_points`` and ``numeric_evaluator``: the defaults of
-``BorelFunction`` must sum it along a ray to within its reported error of
-the closed form 1 - z e^z E1(z), flag its sampled tail as not rigorous,
-and refuse it on a Hankel contour.
+``BorelFunction``, whose panel sampler and sampled tail build the
+shape's evaluator themselves, must sum it along a ray to within its
+reported error of the closed form 1 - z e^z E1(z), flag its sampled
+tail as not rigorous, and refuse it on a Hankel contour.
 """
 
 from fractions import Fraction

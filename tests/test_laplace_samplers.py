@@ -6,7 +6,9 @@ A Laplace panel is sampled as one block-fixed-point vector of
 at the others, times e^(-w mid) as a scalar), and the shape's samples
 from its ``panel_sampler``.  Each vector is checked here against mpmath
 at the same nodes, entry by entry, within a few units of the working
-precision relative to the vector's largest entry, at 53 and 113 bits.
+precision relative to the vector's largest entry, at 53 and 113 bits;
+so is the default sampler, which builds the shape's evaluator for a ray,
+a circle or a Hankel ray itself, on a power kernel.
 Also here: the Stirling lattice and its tail distance, which must equal
 the values of the full scan they replace, and the proved tail of a log
 shape with polynomial parts.
@@ -24,7 +26,7 @@ from resurgence.borelfun import (BorelFunction, Contour, PowerBF, RationalBF,
                                  RationalFunction, StirlingBF,
                                  _moment_integral, _pole_tail_distance,
                                  _stirling_lattice, convolve, euler_minor)
-from resurgence.laplace import RaySpec, laplace_ray
+from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray
 from resurgence.scalars import ExactScalar, GaussianRational
 
 PRECS = (53, 113)
@@ -84,10 +86,10 @@ def test_real_kernel_is_a_real_vector():
 # -- the shapes' panel samples ------------------------------------------------
 
 
-def sampled(f, contour, mid, half, prec, evaluate=None):
+def sampled(f, contour, mid, half, prec):
     with mpmath.workprec(prec):
         mid, half = mpmath.mpf(mid), mpmath.mpf(half)
-        sample = f.panel_sampler(evaluate, contour, prec)
+        sample = f.panel_sampler(contour, prec)
         return as_values(sample(mid, half, N), prec), mid, half
 
 
@@ -147,10 +149,11 @@ def test_power_samples_match_the_evaluator(prec, sigma, with_log, contour,
                                           mid, half):
     f = PowerBF(sigma, with_log=with_log)
     if contour.radius is None and not contour.hankel:
-        # a ray at any angle continues on its sheet, as ray_evaluator does
-        evaluate = f.ray_evaluator(contour.theta, prec + 64)
+        # a ray at any angle continues on its sheet, as polar evaluation
+        # at the ray's angle does
+        polar = f.polar_evaluator(prec + 64)
         with mpmath.workprec(prec + 64):
-            expected = [evaluate(t) for t in parameters(
+            expected = [polar(t, contour.theta) for t in parameters(
                 mpmath.mpf(mid), mpmath.mpf(half), prec)]
         got, *_ = sampled(f, contour, mid, half, prec)
         assert_close(got, expected, prec)
@@ -172,11 +175,38 @@ def test_stirling_samples_match_the_evaluator(prec, contour, mid, half):
     assert_close(got, reference(f, contour, mid, half, prec), prec)
 
 
+class DefaultSampledPower(PowerBF):
+    """A power kernel on the default panel sampler, which builds the
+    shape's evaluator for each kind of contour itself."""
+
+    panel_sampler = BorelFunction.panel_sampler
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("contour,mid,half", [
+    (Contour(mpmath.mpf("0.3")), 3, 1),
+    (Contour(mpmath.mpf("-0.7"), hankel=True), 12, 4),
+    (Contour(mpmath.mpf("0.3"), radius="0.25"), "-2.1", "1.2")])
+def test_default_samples_match_the_evaluator(prec, contour, mid, half):
+    f = DefaultSampledPower("1/3", with_log=True)
+    got, mid, half = sampled(f, contour, mid, half, prec)
+    assert_close(got, reference(f, contour, mid, half, prec), prec)
+
+
+def test_default_sampler_sums_a_hankel_contour():
+    res = hankel_laplace(DefaultSampledPower("1/2"), 0, 2)
+    assert res.diagnostics["ray_nodes"] > 0
+    with mpmath.workprec(120):
+        exact = mpmath.mpf(2) ** (-mpmath.mpf(1) / 2)
+        assert abs(res.value - exact) <= res.error_estimate
+    assert res.error_estimate < 1e-10
+
+
 @pytest.mark.parametrize("f", [euler_minor(), StirlingBF(),
                                RATIONALS["double-pole"]])
 def test_real_ray_of_a_real_shape_is_a_real_vector(f):
     with mpmath.workprec(77):
-        parts, _exp = f.panel_sampler(None, Contour(mpmath.mpf(0)), 77)(
+        parts, _exp = f.panel_sampler(Contour(mpmath.mpf(0)), 77)(
             mpmath.mpf(3), mpmath.mpf(1), N)
     assert len(parts) == 1
     res = laplace_ray(f, 0, RaySpec(0, 3, target_error=1e-10))
@@ -187,7 +217,7 @@ def test_real_ray_of_a_real_shape_is_a_real_vector(f):
 def test_a_sample_at_a_pole_is_refused():
     f = RationalBF(RationalFunction.simple_pole(1, 1))
     with mpmath.workprec(53):
-        sample = f.panel_sampler(None, Contour(mpmath.mpf(0)), 53)
+        sample = f.panel_sampler(Contour(mpmath.mpf(0)), 53)
         with pytest.raises(ValueError, match="non-finite"):
             sample(mpmath.mpf(2), mpmath.mpf(1), N)
 
@@ -246,8 +276,8 @@ def full_scan_tail(theta, m, T, moment):
 def test_tail_distance_needs_only_the_nearest_points(theta, T):
     with mpmath.workprec(89):
         theta, T = mpmath.mpf(theta), mpmath.mpf(T)
-        tail, proved = StirlingBF().tail_bound(None, theta, mpmath.mpf(2), T,
-                                               0, 89)
+        tail, proved = StirlingBF().tail_bound(theta, mpmath.mpf(2), T, 0,
+                                               89)
         assert proved
         assert tail == full_scan_tail(theta, mpmath.mpf(2), T, 0)
 

@@ -30,15 +30,15 @@ from resurgence.laplace import RaySpec, _choose_truncation, _kernel
 from resurgence.scalars import ExactScalar
 
 
-def walk(f, evalf, sing, theta, w, target, moment, prec, max_nodes):
+def walk(f, sing, theta, w, target, moment, prec, max_nodes):
     m = mpmath.mpc(w).real
     T = f.truncation_floor(sing, prec)
-    tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
+    tail, proved = f.tail_bound(theta, m, T, moment, prec)
     for _ in range(400):
         if tail <= target / 4:
             break
         T = T * 3 / 2
-        tail, proved = f.tail_bound(evalf, theta, m, T, moment, prec)
+        tail, proved = f.tail_bound(theta, m, T, moment, prec)
     return T, tail, proved
 
 
@@ -118,8 +118,8 @@ def test_grid_matches_the_walk(name, theta, z, target, moment):
     guard = spec.working_prec() + 24
     with mpmath.workprec(guard):
         theta, _z, w, _m = _kernel(spec.theta, spec.z, guard)
-        args = (f, f.ray_evaluator(theta, guard), f.singular_values(guard),
-                theta, w, mpmath.mpf(target), moment, guard, 10**9)
+        args = (f, f.singular_values(guard), theta, w, mpmath.mpf(target),
+                moment, guard, 10**9)
         proved, searched, walked = compare(args)
     if proved and f.tail_decreasing and walked > 3:
         assert searched < walked
