@@ -231,11 +231,11 @@ class TestCompiledEvaluators:
             assert model.numeric_eval(z, prec) == evaluate(z)
 
 
-class TestEvaluatorsBuilt:
-    """A sum asks a shape only for panel samplers and tail bounds.  Shapes
-    that sample in integers and prove their tails build no scalar
-    evaluator; a shape on the default sampler builds one per contour it
-    samples; each sum builds the singular values once."""
+class TestOncePerSum:
+    """Each sum builds the singular values once.  A sum asks a shape only
+    for panel samplers and tail bounds: shapes that sample in integers and
+    prove their tails build no scalar evaluator, and a shape on the default
+    sampler builds one per contour it samples."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -258,14 +258,16 @@ class TestEvaluatorsBuilt:
 
         return method
 
-    def test_integer_samplers_build_no_evaluator(self, built):
+    def test_ray_builds_once(self, built):
+        # integer samplers with proved tails: no evaluator on either ray
         ray = laplace_ray(StirlingBF(), 0, RaySpec(0, 10, target_error=1e-10))
         assert ray.nodes_used > 100
         assert built == [("StirlingBF", "singular_values")]
         built.clear()
         lateral_jump(euler_minor(), 0, mpmath.pi, "0.5", -3)
         assert built == [("RationalBF", "singular_values")] * 2
-        built.clear()
+
+    def test_hankel_builds_once(self, built):
         hankel = hankel_laplace(PowerBF("1/2"), 0, 2)
         assert hankel.nodes_used > 100
         assert built == [("PowerBF", "singular_values")]
