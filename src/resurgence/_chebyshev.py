@@ -58,12 +58,9 @@ bits, the kernel divisions and the final conversion of the totals.
 prefix of the word summed as a Taylor series, in the same integers, with
 a proved bound.
 :func:`chebyshev_cumulative` is the same integer apply between one
-conversion in and one conversion out.
-
-:func:`clenshaw_curtis` is the same path with only the folded weights
-row: the samples become one block-fixed-point vector, the row is applied
-exactly, and the total is converted once, so it equals the last value
-of :func:`chebyshev_cumulative` bit for bit.
+conversion in and one conversion out; its last value, the full integral,
+is the folded weights row applied to the samples' block-fixed-point
+vector, bit for bit.
 
 The Laplace rays, lateral jumps and Hankel contours of
 :mod:`resurgence.laplace` apply the same rows to vectors they build
@@ -433,25 +430,6 @@ def chebyshev_cumulative(values):
     folded = _folded(n, prec)
     return _values([_cumulate(folded, p) for p in parts], exp - bits - 1,
                    prec)
-
-
-def clenshaw_curtis(values):
-    """Integral over [-1, 1] of the interpolant of a sampled integrand.
-
-    ``values`` are the integrand at ``chebyshev_nodes(n)`` with
-    n = len(values) - 1; the result equals ``chebyshev_cumulative(values)
-    [-1]`` without building or applying the matrix, only its weights row.
-    It is complex when any sample is.
-    """
-    n = len(values) - 1
-    if n < 1:
-        raise ValueError("need at least two samples")
-    prec = mpmath.mp.prec
-    bits = prec + GUARD
-    parts, exp = _fixed(values, bits)
-    last = _weights(n, prec)
-    return _values([[_total(last, p)] for p in parts], exp - bits - 1,
-                   prec)[0]
 
 
 # -- panels ------------------------------------------------------------------

@@ -33,8 +33,8 @@ operators read:
   path crosses nothing, and refuses any other path.
 
 The *numeric* one holds the summation rules that :mod:`.laplace` sums
-every shape through: ``singular_values`` (with the ``single_valued``
-flag), ``panel_sampler``, ``truncation_floor``, ``tail_bound`` and
+every shape through, each built once per sum: ``singular_values`` (with
+the ``single_valued`` flag), ``panel_sampler``, ``tail_rule`` and
 ``origin_head``; how a shape is evaluated on a contour is decided here,
 not in the sums.  A shape need only implement ``singular_points`` and
 ``numeric_evaluator``: the default sampler builds a scalar evaluator for
@@ -43,9 +43,10 @@ the :class:`Contour` (the principal sheet along a ray,
 Hankel ray) and maps it over the nodes; the other defaults take a tail
 envelope sampled on the principal sheet and marked not proved, a floor
 from the singular moduli and no origin head, and ``polar_evaluator``
-refuses a shape that is not single-valued.  Each bundled shape overrides
-what it knows: proved tail envelopes, for power kernels polar evaluation
-and an exact head series at the origin, and for rational shapes, the
+refuses a shape that is not single-valued.  Every sampler refuses the
+Hankel ray of a single-valued shape.  Each bundled shape overrides what
+it knows: proved tail envelopes, for power kernels polar evaluation and
+an exact head series at the origin, and for rational shapes, the
 Stirling minor and power kernels panel samples computed in integers and
 libmp.
 
@@ -465,7 +466,7 @@ def _intermediate_points(singular, target):
     return [s for _, s in found]
 
 
-# -- tail envelopes -------------------------------------------------------------------
+# -- tail rules -----------------------------------------------------------------------
 
 
 def _moment_integral(order, m, T):
@@ -482,61 +483,64 @@ def _pole_tail_distance(v, theta, T):
     return abs(mpmath.mpf(T) - u)
 
 
-def _split_polynomial(rat, prec):
-    """(moduli of the polynomial part's coefficients, proper remainder), or
-    None when the division is not exact in the scalar ring (a leading
-    coefficient that is not a monomial)."""
-    if len(rat.num) - 1 < sum(rat.poles.values()):
-        return [], rat
+def _partial_fractions(rat, prec):
+    """(moduli of the polynomial part's coefficients, [(pole, |residue|),
+    ...] of the proper part) at ``prec`` bits, or None when the division
+    is not exact in the scalar ring (a leading coefficient that is not a
+    monomial) or a pole is not simple."""
     try:
         quot, rem = _poly_divmod(rat.num, rat.denominator_poly())
     except UnsupportedDivisionError:
         return None
+    rat = RationalFunction(rem, poles=rat.poles, lead=rat.lead)
+    if any(rat.pole_order(p) > 1 for p in rat.poles):
+        return None
     return ([abs(c.evaluate(prec)) for c in quot],
-            RationalFunction(rem, poles=rat.poles, lead=rat.lead))
+            [(p.evaluate(prec), abs(rat.residue(p).evaluate(prec)))
+             for p in rat.poles])
 
 
-def _rational_envelope(rat, theta, T, prec):
-    """(M, poly) with |rat(t e^(i theta))| <= M + sum of poly[j] t^j for
-    t >= T, or None.
+def _rational_envelope(rat, theta, prec):
+    """A function T -> (M, poly) with |rat(t e^(i theta))| <= M + sum of
+    poly[j] t^j for t >= T, or None.
 
     The polynomial part is bounded by the moduli of its coefficients, and
-    the proper part, when its poles are simple, by the partial fraction
-    bound sum of |res_p| / dist(tail, p).  Anything else returns None and
-    the caller falls back to a sampled envelope.
+    the proper part by the partial fraction bound sum of |res_p| /
+    dist(tail, p); where :func:`_partial_fractions` gives None the caller
+    falls back to a sampled envelope.
     """
-    split = _split_polynomial(rat, prec)
-    if split is None:
+    parts = _partial_fractions(rat, prec)
+    if parts is None:
         return None
-    poly, rat = split
-    if rat.is_zero():
-        return mpmath.mpf(0), poly
-    M = mpmath.mpf(0)
-    for p in rat.poles:
-        if rat.pole_order(p) > 1:
-            return None
-        d = _pole_tail_distance(p.evaluate(prec), theta, T)
-        if not d > 0:
-            return None
-        M += abs(rat.residue(p).evaluate(prec)) / d
-    return M, poly
+    poly, poles = parts
+
+    def envelope(T):
+        M = mpmath.mpf(0)
+        for v, r in poles:
+            M += r / _pole_tail_distance(v, theta, T)
+        return M, poly
+
+    return envelope
 
 
-def _envelope_tail(envelope, f, theta, m, T, moment, prec):
-    """(tail bound, proved?) from an envelope (M, poly) of |f| beyond T,
-    M + sum of poly[j] t^j, each term integrated by :func:`_moment_integral`.
+def _moment_tail(m, moment, T, M, poly=()):
+    """The integral over t >= T of e^(-m t) t^moment (M + sum of poly[j]
+    t^j), each term by :func:`_moment_integral`."""
+    tail = M * _moment_integral(moment + 1, m, T)
+    for j, c in enumerate(poly):
+        tail += c * _moment_integral(moment + 1 + j, m, T)
+    return abs(tail)
 
-    envelope = None falls back to a constant envelope sampled from the
-    shape's ``numeric_evaluator`` at ``prec`` bits on the principal sheet
-    of the ray at angle ``theta``, honest only for decaying shapes, so it
-    is not proved.
-    """
-    proved = envelope is not None
-    if proved:
-        M, poly = envelope
-    else:
-        evaluate = f.numeric_evaluator(prec)
-        direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
+
+def _sampled_tail(f, theta, m, moment, prec):
+    """A bound T -> (tail bound, False) from a constant envelope sampled
+    from the shape's ``numeric_evaluator`` at ``prec`` bits on the
+    principal sheet of the ray at angle ``theta``: honest only for
+    decaying shapes, so it is not proved."""
+    evaluate = f.numeric_evaluator(prec)
+    direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
+
+    def bound(T):
         samples = [abs(evaluate(T * c * direction))
                    for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
         if samples[-1] > 2 * samples[0] + 1:
@@ -544,11 +548,17 @@ def _envelope_tail(envelope, f, theta, m, T, moment, prec):
                 "the integrand does not appear to decay along the ray, and "
                 "no proved envelope is available for this shape"
             )
-        M, poly = 4 * max(samples), ()
-    tail = M * _moment_integral(moment + 1, m, T)
-    for j, c in enumerate(poly):
-        tail += c * _moment_integral(moment + 1 + j, m, T)
-    return abs(tail), proved
+        return _moment_tail(m, moment, T, 4 * max(samples)), False
+
+    return bound
+
+
+def _envelope_tail(envelope, f, theta, m, moment, prec):
+    """A bound T -> (tail bound, True) from ``envelope(T)`` = (M, poly),
+    or the sampled bound when ``envelope`` is None."""
+    if envelope is None:
+        return _sampled_tail(f, theta, m, moment, prec)
+    return lambda T: (_moment_tail(m, moment, T, *envelope(T)), True)
 
 
 class Contour(NamedTuple):
@@ -591,6 +601,15 @@ class Contour(NamedTuple):
         return [r * x >> bits for x in wr], [r * y >> bits for y in wi]
 
 
+def _one_sheet(f, contour: Contour):
+    """Refuse the Hankel ray of a single-valued shape: its sheets agree."""
+    if contour.hankel and f.single_valued:
+        raise ValueError(
+            f"{type(f).__name__} is single-valued: hankel_laplace integrates "
+            "only the circle of a single-valued shape, never its Hankel ray"
+        )
+
+
 # -- the Borel function variants ------------------------------------------------------
 
 
@@ -602,9 +621,6 @@ class BorelFunction:
 
     # one sheet: both rays of a Hankel contour see the same values
     single_valued = False
-    # a proved ``tail_bound`` that decreases as the truncation point T
-    # grows, so the first T of a ladder within a target can be searched for
-    tail_decreasing = False
 
     def singular_points(self):
         raise NotImplementedError
@@ -642,19 +658,17 @@ class BorelFunction:
         return lambda r, ang: evaluate(
             r * mpmath.exp(mpmath.mpc(0, 1) * ang))
 
-    def truncation_floor(self, sing, prec: int):
-        """Smallest ray truncation point at which ``tail_bound`` holds,
-        given the singular values ``sing``: past twice the farthest of
-        them (capped at 32) and at least 4."""
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """(floor, bound, decreasing) on the ray at angle ``theta``: the
+        least truncation point, T -> (bound, proved?) for the integral over
+        t >= T of e^(-m t) |f(t e^(i theta))| t^moment, and whether a
+        proved bound decreases in T; what does not depend on T is computed
+        once.  The default floor is past twice the farthest value of
+        ``sing`` (capped at 32) and at least 4, and the bound sampled."""
         mods = [abs(v) for v in sing]
         top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
-        return max(mpmath.mpf(4), 2 * top + 1)
-
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        """(bound, proved?) for the integral over t >= T of e^(-m t)
-        |f(t e^(i theta))| t^moment.  The default envelope is sampled on
-        the principal sheet, so it is not proved."""
-        return _envelope_tail(None, self, theta, m, T, moment, prec)
+        return (max(mpmath.mpf(4), 2 * top + 1),
+                _sampled_tail(self, theta, m, moment, prec), False)
 
     def origin_head(self, w, theta, moment, prec: int):
         """A function T -> (h, head, error): the integral of e^(-w t)
@@ -672,8 +686,9 @@ class BorelFunction:
         parameter at ``prec`` bits, maps it over the nodes and converts
         the values once: f(t e^(i theta)) on the principal sheet along a
         ray, ``polar_evaluator`` at (radius, phi) on a circle, and
-        polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray (asked
-        only of shapes that are not single-valued)."""
+        polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray, which
+        a single-valued shape refuses (see :func:`_one_sheet`)."""
+        _one_sheet(self, contour)
         if contour.radius is not None:
             polar, rho = self.polar_evaluator(prec), contour.radius
 
@@ -802,8 +817,6 @@ def log_shape(rational: RationalFunction, log_terms) -> BorelFunction:
 
 class RationalBF(BorelFunction):
     single_valued = True
-    # the pole distances grow with T and the polynomial bound is fixed
-    tail_decreasing = True
 
     def __init__(self, rat: RationalFunction):
         self.rat = rat
@@ -814,18 +827,19 @@ class RationalBF(BorelFunction):
     def numeric_evaluator(self, prec: int = 53):
         return self.rat.numeric_evaluator(prec)
 
-    def truncation_floor(self, sing, prec: int):
-        return mpmath.mpf(1)
-
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        return _envelope_tail(_rational_envelope(self.rat, theta, T, prec),
-                              self, theta, m, T, moment, prec)
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """The rational envelope from T = 1; the pole distances grow with T
+        and the polynomial bound is fixed, so a proved bound decreases."""
+        envelope = _rational_envelope(self.rat, theta, prec)
+        return (mpmath.mpf(1),
+                _envelope_tail(envelope, self, theta, m, moment, prec), True)
 
     def panel_sampler(self, contour: Contour, prec: int):
         """Exact integer Horner evaluation of the numerator and the factored
         denominator at the contour's points, then one rounded division per
         node (:func:`._chebyshev._quotients`); a real vector on the real
         ray when every coefficient and pole is real."""
+        _one_sheet(self, contour)
         if self.rat.is_zero():
             return super().panel_sampler(contour, prec)
         bits = prec + GUARD
@@ -881,8 +895,9 @@ class RationalBF(BorelFunction):
         return f"<RationalBF {self.rat!r}>"
 
 
-def _logpole_envelope(f, theta, T, prec):
-    """Envelope (M, poly) of a rational-plus-logs shape beyond T, or None.
+def _logpole_envelope(f, theta, prec):
+    """A function T -> envelope (M, poly) of a rational-plus-logs shape
+    beyond T, or None.
 
     Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|) + B
     with B = pi (1 + 2 |k|).  A proper cofactor with simple poles decays
@@ -894,34 +909,35 @@ def _logpole_envelope(f, theta, T, prec):
     ln(1 + T/|a|) + (t - T) / (|a| + T), so it adds that polynomial times
     alpha + beta t.
     """
-    envelope = _rational_envelope(f.rational_part, theta, T, prec)
-    if envelope is None:
+    rational = _rational_envelope(f.rational_part, theta, prec)
+    if rational is None:
         return None
-    M, poly = envelope
-    poly = list(poly)
+    logs = []
     for a, r, k in f.log_terms:
-        split = _split_polynomial(r, prec)
-        if split is None:
+        parts = _partial_fractions(r, prec)
+        if parts is None:
             return None
-        q, r = split
-        av = abs(a.evaluate(prec))
-        B = mpmath.pi * (1 + 2 * abs(k))
-        if q:
-            beta = 1 / (av + T)
-            alpha = mpmath.log(1 + T / av) + B - T * beta
-            poly += [mpmath.mpf(0)] * (len(q) + 1 - len(poly))
-            for j, c in enumerate(q):
-                poly[j] += c * alpha
-                poly[j + 1] += c * beta
-        if r.is_zero():
-            continue
-        ressum = mpmath.mpf(0)
-        for p in r.poles:
-            if r.pole_order(p) > 1:
-                return None
-            ressum += abs(r.residue(p).evaluate(prec))
-        M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
-    return M, poly
+        q, poles = parts
+        ressum = sum((res for _v, res in poles), mpmath.mpf(0))
+        logs.append((q, abs(a.evaluate(prec)), mpmath.pi * (1 + 2 * abs(k)),
+                     ressum))
+
+    def envelope(T):
+        M, poly = rational(T)
+        poly = list(poly)
+        for q, av, B, ressum in logs:
+            if q:
+                beta = 1 / (av + T)
+                alpha = mpmath.log(1 + T / av) + B - T * beta
+                poly += [mpmath.mpf(0)] * (len(q) + 1 - len(poly))
+                for j, c in enumerate(q):
+                    poly[j] += c * alpha
+                    poly[j + 1] += c * beta
+            if ressum:
+                M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
+        return M, poly
+
+    return envelope
 
 
 class LogPoleBF(BorelFunction):
@@ -975,24 +991,19 @@ class LogPoleBF(BorelFunction):
 
         return evaluate
 
-    def truncation_floor(self, sing, prec: int):
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """:func:`_logpole_envelope` from past twice the farthest pole (and
+        at least 4); the tangent bound of a log whose cofactor has a
+        polynomial part grows with T, the rest decreases."""
         mods = [abs(p.evaluate(prec)) for p in self.rational_part.poles]
         for _a, r, _k in self.log_terms:
             mods.extend(abs(p.evaluate(prec)) for p in r.poles)
         top = max(mods, default=mpmath.mpf(0))
-        return max(mpmath.mpf(4), 2 * top + 1)
-
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        return _envelope_tail(_logpole_envelope(self, theta, T, prec), self,
-                              theta, m, T, moment, prec)
-
-    @property
-    def tail_decreasing(self):
-        """The rational envelope and (B + ln(1 + T/|a|)) / T decrease in T,
-        but the tangent bound of a log whose cofactor has a polynomial
-        part grows with T, so such shapes do not qualify."""
-        return all(len(r.num) - 1 < sum(r.poles.values())
-                   for _a, r, _k in self.log_terms)
+        envelope = _logpole_envelope(self, theta, prec)
+        return (max(mpmath.mpf(4), 2 * top + 1),
+                _envelope_tail(envelope, self, theta, m, moment, prec),
+                all(len(r.num) - 1 < sum(r.poles.values())
+                    for _a, r, _k in self.log_terms))
 
     def log_form(self):
         return self.rational_part, self.log_terms
@@ -1103,11 +1114,8 @@ class StirlingBF(BorelFunction):
     def singular_values(self, prec: int):
         return list(_stirling_lattice(prec))
 
-    def truncation_floor(self, sing, prec: int):
-        return mpmath.mpf(4)
-
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        """The envelope beyond T.
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """The envelope beyond T, from T = 4.
 
         With w = zeta/2 the bound chain is |coth w| <= 1 + 1/|sinh w| and
         |sinh w| >= 2 delta / pi where delta = min(dist(w, pi i Z), pi/2);
@@ -1123,25 +1131,31 @@ class StirlingBF(BorelFunction):
         the one before it), each clamped to the range.
         """
         tau = 2 * mpmath.pi
-        kmax = max(96, int(T / float(tau)) + 2)
         sin = mpmath.sin(theta)
-        centre = T * sin / tau
-        ks = [1, -1, int(mpmath.floor(centre)), int(mpmath.ceil(centre))]
-        if sin and T <= kmax * tau * abs(sin):
-            first = int(mpmath.ceil(T / (tau * abs(sin))))
-            ks += [first, first - 1] if sin > 0 else [-first, 1 - first]
-        d = mpmath.inf
-        for k in sorted({max(-kmax, min(kmax, k)) for k in ks} - {0}):
-            d = min(d, _pole_tail_distance(mpmath.mpc(0, tau * k), theta, T))
-        delta = min(d / 2, mpmath.pi / 2)
-        coth_bound = 1 + mpmath.pi / (2 * delta)
-        M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-        return _envelope_tail((M, ()), self, theta, m, T, moment, prec)
+
+        def bound(T):
+            kmax = max(96, int(T / float(tau)) + 2)
+            centre = T * sin / tau
+            ks = [1, -1, int(mpmath.floor(centre)), int(mpmath.ceil(centre))]
+            if sin and T <= kmax * tau * abs(sin):
+                first = int(mpmath.ceil(T / (tau * abs(sin))))
+                ks += [first, first - 1] if sin > 0 else [-first, 1 - first]
+            d = mpmath.inf
+            for k in sorted({max(-kmax, min(kmax, k)) for k in ks} - {0}):
+                d = min(d, _pole_tail_distance(mpmath.mpc(0, tau * k), theta,
+                                               T))
+            delta = min(d / 2, mpmath.pi / 2)
+            coth_bound = 1 + mpmath.pi / (2 * delta)
+            M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
+            return _moment_tail(m, moment, T, M), True
+
+        return mpmath.mpf(4), bound, False
 
     def panel_sampler(self, contour: Contour, prec: int):
         """One exponential per node: (zeta/2 - 1 + zeta / (e^zeta - 1))
         / zeta^2 for |zeta| >= 1/2, with libmp on tuples, and inside the
         Taylor series of ``numeric_evaluator`` summed in integers."""
+        _one_sheet(self, contour)
         bits = prec + GUARD
         work = bits + 8
         # B_{2k+2} / (2k+2)! times 2^bits; the term ratio is at most
@@ -1255,8 +1269,8 @@ class DilogBF(BorelFunction):
 
         return evaluate
 
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        """Guaranteed tail bound beyond T >= 1.
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """Guaranteed tail bound beyond T >= 1, walked from T = 4.
 
         The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
         bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
@@ -1272,9 +1286,13 @@ class DilogBF(BorelFunction):
         B = 2 * pi + 4 * pi * loops
         C = mpmath.mpf(2)
         half = mpmath.mpf(1) / 2
-        return abs(A * _moment_integral(moment + 1, m, T)
-                   + B * _moment_integral(moment + 1 + half, m, T)
-                   + C * _moment_integral(moment + 2, m, T)), True
+
+        def bound(T):
+            return abs(A * _moment_integral(moment + 1, m, T)
+                       + B * _moment_integral(moment + 1 + half, m, T)
+                       + C * _moment_integral(moment + 2, m, T)), True
+
+        return mpmath.mpf(4), bound, False
 
     def origin_head(self, w, theta, moment, prec: int):
         if self.n:
@@ -1368,9 +1386,6 @@ class PowerBF(BorelFunction):
     *continuous* argument, so contours that wind around the origin stay on
     the right branch by construction.
     """
-
-    # incomplete gamma moments, each decreasing in T
-    tail_decreasing = True
 
     def __init__(self, sigma, with_log: bool = False):
         self.sigma = Fraction(sigma)
@@ -1469,11 +1484,9 @@ class PowerBF(BorelFunction):
 
         return sample
 
-    def truncation_floor(self, sing, prec: int):
-        return mpmath.mpf(1)
-
-    def tail_bound(self, theta, m, T, moment, prec: int):
-        """Exact tail bound via incomplete gamma moments.
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """Exact tail bound via incomplete gamma moments, from T = 1, each
+        decreasing in T.
 
         |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral
         integral over [T, inf) of e^(-m t) t^(s-1) dt equals
@@ -1482,13 +1495,19 @@ class PowerBF(BorelFunction):
         """
         s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator + moment
         g = abs(self.g_value(prec))
-        base = _moment_integral(s, m, T)
         if not self.with_log:
-            return g * base, True
+            return mpmath.mpf(1), lambda T: (g * _moment_integral(s, m, T),
+                                             True), True
         A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
         gp = abs(self.g_prime_value(prec))
-        return g * (A * base + 2 * _moment_integral(s + mpmath.mpf(1) / 2, m, T)) \
-            + gp * base, True
+        root = s + mpmath.mpf(1) / 2
+
+        def bound(T):
+            base = _moment_integral(s, m, T)
+            return g * (A * base + 2 * _moment_integral(root, m, T)) \
+                + gp * base, True
+
+        return mpmath.mpf(1), bound, True
 
     def origin_head(self, w, theta, moment, prec: int):
         """Exact series for the integral over [0, h], with

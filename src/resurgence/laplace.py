@@ -21,7 +21,7 @@ arithmetic of its point.
 The numeric scheme has two independent error sources and both are reported:
 
 * truncation: the ray is cut at a finite T, and the discarded tail is
-  bounded by the shape's ``tail_bound``, a proved inequality for every
+  bounded by the shape's ``tail_rule``, a proved inequality for every
   shape of :mod:`.borelfun` (Pade models take the sampled default).
 * quadrature: [0, T] is cut at a geometric ladder of segments, and each
   segment is integrated with adaptive nested Clenshaw-Curtis panels on
@@ -356,13 +356,13 @@ def _check_ray(sing, theta):
 _LADDER_STEPS = 400
 
 
-def _choose_truncation(f, sing, theta, w, target, moment, prec, max_nodes):
+def _choose_truncation(rule, w, target, max_nodes):
     """(T, tail bound, proved?): the first point of the ladder T_floor,
     3/2 T_floor, ... whose tail bound is within target / 4, with the
-    floor and the bounds from the shape.
+    floor and the bounds from the shape's ``tail_rule``.
 
     The ladder is walked from the floor, except for a proved bound that
-    decreases in T (the shape's ``tail_decreasing``): there the search
+    decreases in T (the rule says so): there the search
     starts at the step where a bound decaying like e^(-m T) from its
     value at the floor meets the goal, and steps down while the step
     before is within it, or up while it is not.  By monotony that is the
@@ -374,20 +374,21 @@ def _choose_truncation(f, sing, theta, w, target, moment, prec, max_nodes):
     grows like 1/m while the kernel keeps turning at the rate |Im w|,
     and the rule's own error estimate then no longer bounds its error.
     """
+    floor, bound_at, decreasing = rule
     m = mpmath.mpc(w).real
     goal = target / 4
-    ladder = [f.truncation_floor(sing, prec)]
+    ladder = [floor]
     bounds = {}
 
     def bound(k):
         while len(ladder) <= k:
             ladder.append(ladder[-1] * 3 / 2)
         if k not in bounds:
-            bounds[k] = f.tail_bound(theta, m, ladder[k], moment, prec)
+            bounds[k] = bound_at(ladder[k])
         return bounds[k][0]
 
     k = 0
-    if bound(0) > goal and bounds[0][1] and f.tail_decreasing:
+    if bound(0) > goal and bounds[0][1] and decreasing:
         span = mpmath.log(bound(0) / goal) / m
         steps = mpmath.ceil(mpmath.log(1 + span / ladder[0]) / mpmath.log(1.5))
         k = int(min(_LADDER_STEPS, max(1, steps)))
@@ -561,7 +562,8 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         _check_ray(sing, theta)
         target = mpmath.mpf(float(spec.target_error))
         T, tail, proved = _choose_truncation(
-            f, sing, theta, w, target, moment, guard, spec.max_nodes)
+            f.tail_rule(theta, m, moment, sing, guard), w, target,
+            spec.max_nodes)
 
         contour = Contour(theta)
         shape = f.panel_sampler(contour, guard)
@@ -661,7 +663,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             T, tail, proved, pts = rho, mpmath.mpf(0), True, [rho]
         else:
             T, tail, proved = _choose_truncation(
-                f, sing, th, w, target, 0, guard, max_nodes)
+                f.tail_rule(th, m, 0, sing, guard), w, target, max_nodes)
             pts = _segments(rho, T, sing, th)
         below = th - 2 * mpmath.pi
         circle = f.panel_sampler(Contour(th, radius=rho), guard)

@@ -544,7 +544,6 @@ def ze_eval(
     idx: MzvIndex,
     prec: int = 53,
     cutoff: int = DEFAULT_CUTOFF,
-    terms: int | None = None,
 ) -> Evaluation:
     """Evaluate a nested harmonic sum with a guaranteed error bound.
 
@@ -552,7 +551,7 @@ def ze_eval(
     part where at least one variable exceeds the cutoff is split by the
     deepest such variable, which factors it into a computed partial sum
     times a pure tail.  Pure tails are completed by the certified
-    expansion engine with ``terms`` retained correction powers beyond
+    expansion engine with a number of retained correction powers beyond
     the leading ones.  Both run in fixed point (Python ints scaled by
     2^(prec + 56)), and a proved rounding term, carried through the
     levels, bounds every floor of the sums, the tails and their products.
@@ -560,8 +559,8 @@ def ze_eval(
     and one unit 2^-prec (1 + |value|) for the final rounding to ``prec``
     bits.
 
-    By default ``terms`` is 4 + max(0, prec - 53) // 5, one more power
-    per 5 bits, but at most half of cutoff * |1 - z| (and at least 4),
+    That number is 4 + max(0, prec - 53) // 5, one more power per 5
+    bits, but at most half of cutoff * |1 - z| (and at least 4),
     where z runs over the levels' accumulated colours exp(2 pi i (eps_1 +
     ... + eps_j)) other than 1: the tails of those levels are expansions
     in 1/(cutoff |1 - z|), which diverge past about that order.  The
@@ -594,17 +593,16 @@ def ze_eval(
     # one unit 2^-prec (1 + |value|); a given cutoff is tried once
     tries = 5 if isinstance(cutoff, _DefaultCutoff) else 1
     for n in (int(cutoff) << k for k in range(tries)):
-        ev = _ze_sum(idx, prec, n,
-                     _default_terms(idx, prec, n) if terms is None else terms)
+        ev = _ze_sum(idx, prec, n, _default_terms(idx, prec, n))
         if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
             break
     return ev
 
 
 def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
-    """ze_eval's tail terms when the caller gives none: one more power per
-    5 bits past 53, capped by half the turns cutoff * |1 - z| of every
-    accumulated colour z other than 1 (but never below 4)."""
+    """ze_eval's tail terms: one more power per 5 bits past 53, capped by
+    half the turns cutoff * |1 - z| of every accumulated colour z other
+    than 1 (but never below 4)."""
     terms = 4 + max(0, prec - 53) // 5
     for q in accumulate(idx.eps, lambda a, b: (a + b) % 1):
         if q:
@@ -804,11 +802,12 @@ def _right_exponent(w: WaWord) -> int:
     return max(3, ceil(log2(4 / d)))
 
 
-def wa_eval(
-    w: WaWord,
-    prec: int = 53,
-    nodes: int = 24,
-) -> Evaluation:
+# spectral order per panel of wa_eval, and of its coarse rerun
+_WA_NODES = 24
+_WA_COARSE = 16
+
+
+def wa_eval(w: WaWord, prec: int = 53) -> Evaluation:
     """Evaluate an iterated simplex integral with an error estimate.
 
     The path [0, 1] is split at h_0 = 1/8 and 1 - h_1, where h_1 is the
@@ -826,8 +825,8 @@ def wa_eval(
 
     The reported error is the sum of three terms:
 
-    * the panel term 2 |fine - coarse|, against a rerun at
-      max(8, 2 nodes / 3) nodes per panel, an estimate;
+    * the panel term 2 |fine - coarse|, the 24-node run against a rerun
+      at 16 nodes per panel, an estimate;
     * the series bounds, proved: the bound b_1 of each G_j times |F_j|,
       and the bound b_0 of the prefixes carried to 1 - h_1 times
       |G_j| + b_1.  Carried, b_0 grows at most to 2 b_0 / h_1: on
@@ -836,10 +835,10 @@ def wa_eval(
       of k letters is at most log(2 / h_1)^k / k!;
     * the unit 2^-prec (1 + |value|).
 
-    So ``certified`` stays False.  ``nodes`` sets the spectral order per
-    panel.  Words outside the dictionary image are evaluated with the
-    same sign convention and marked ``flagged``.  ``prec`` must be at
-    least MIN_PREC, and a word at most MAX_WEIGHT letters long.
+    So ``certified`` stays False.  Words outside the dictionary image are
+    evaluated with the same sign convention and marked ``flagged``.
+    ``prec`` must be at least MIN_PREC, and a word at most MAX_WEIGHT
+    letters long.
     """
     check_prec(prec)
     if not isinstance(w, WaWord):
@@ -869,7 +868,7 @@ def wa_eval(
                   + [1 - mpmath.ldexp(1, -k) for k in range(1, right + 1)])
         panels = [segment(a, b) for a, b in zip(points[:-1], points[1:])]
         fine, coarse = ([1] + iterated_levels(alphas, panels, n, start[1:])
-                        for n in (nodes, max(8, (2 * nodes) // 3)))
+                        for n in (_WA_NODES, _WA_COARSE))
         sign = -1 if w.zero_count % 2 else 1
         value = sign * mpmath.fsum(map(mul, fine, suffixes))
         panel = 2 * abs(mpmath.fsum(

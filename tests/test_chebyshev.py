@@ -25,11 +25,12 @@ from operator import mul
 import mpmath
 import pytest
 
-from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _matrix,
-                                   _round_div, _weights, chebyshev_cumulative,
-                                   chebyshev_nodes, clenshaw_curtis,
-                                   endpoint_series, iterated_integral,
-                                   iterated_levels, segment)
+from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
+                                   _matrix, _round_div, _total, _values,
+                                   _weights, chebyshev_cumulative,
+                                   chebyshev_nodes, endpoint_series,
+                                   iterated_integral, iterated_levels,
+                                   segment)
 from resurgence.hyperlog import _contour_segments
 
 
@@ -204,26 +205,39 @@ def test_shared_exponent_spans_magnitudes():
     assert ulps(got, want, prec) <= 2
 
 
+def weights_total(values):
+    """The folded weights row applied to the samples' block-fixed-point
+    vector and converted once, as the Laplace panels apply it."""
+    prec = mpmath.mp.prec
+    bits = prec + GUARD
+    parts, exp = _fixed(values, bits)
+    last = _weights(len(values) - 1, prec)
+    return _values([[_total(last, p)] for p in parts], exp - bits - 1,
+                   prec)[0]
+
+
 @pytest.mark.parametrize("n,prec", [(1, 77), (2, 77), (24, 77), (48, 77),
                                     (48, 119)])
-def test_clenshaw_curtis_is_the_full_integral(n, prec):
-    """The weights row gives the reference's last cumulative value."""
+def test_weights_row_is_the_full_integral(n, prec):
+    """The last cumulative value is the reference's, and the weights row
+    alone gives it bit for bit."""
     with mpmath.workprec(prec):
         xs = chebyshev_nodes(n)
         pole = mpmath.mpc(0.5, 0.75)
         values = [mpmath.exp(x) / (pole - x) for x in xs]
         reals = [v.real for v in values]
-        got = [clenshaw_curtis(values), clenshaw_curtis(reals)]
+        got = [chebyshev_cumulative(values)[-1],
+               chebyshev_cumulative(reals)[-1]]
         assert isinstance(got[0], mpmath.mpc)
         assert isinstance(got[1], mpmath.mpf)
-        assert clenshaw_curtis([mpmath.mpf(1)] * (n + 1)) == 2
-        # the same block-fixed-point path as the last cumulative value, also
-        # when the imaginary parts lie far below the real ones
+        assert chebyshev_cumulative([mpmath.mpf(1)] * (n + 1))[-1] == 2
+        # the same block-fixed-point path as the weights row, also when the
+        # imaginary parts lie far below the real ones
         near_real = [mpmath.mpc(v.real, mpmath.ldexp(v.imag, -60))
                      for v in values]
         for samples in (values, reals, near_real):
-            assert clenshaw_curtis(samples) == chebyshev_cumulative(
-                samples)[-1]
+            assert chebyshev_cumulative(samples)[-1] \
+                == weights_total(samples)
     with mpmath.workprec(3 * prec):
         want = [reference_cumulative(values)[-1],
                 reference_cumulative(reals)[-1]]
@@ -264,9 +278,7 @@ def test_invalid_samples_rejected():
     with pytest.raises(ValueError):
         chebyshev_cumulative([mpmath.mpf(1), mpmath.nan, mpmath.mpf(1)])
     with pytest.raises(ValueError):
-        clenshaw_curtis([mpmath.mpf(1)])
-    with pytest.raises(ValueError):
-        clenshaw_curtis([mpmath.mpf(1), mpmath.inf, mpmath.mpf(1)])
+        chebyshev_cumulative([mpmath.mpf(1), mpmath.inf, mpmath.mpf(1)])
 
 
 @pytest.mark.parametrize("n", [16, 24, 53])

@@ -232,10 +232,11 @@ class TestCompiledEvaluators:
 
 
 class TestOncePerSum:
-    """Each sum builds the singular values once.  A sum asks a shape only
-    for panel samplers and tail bounds: shapes that sample in integers and
-    prove their tails build no scalar evaluator, and a shape on the default
-    sampler builds one per contour it samples."""
+    """Each sum builds the singular values once, and each ray its tail
+    rule once.  A sum asks a shape only for panel samplers and tail rules:
+    shapes that sample in integers and prove their tails build no scalar
+    evaluator, a shape on the default sampler builds one per contour it
+    samples, and a sampled tail builds one per rule."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -271,6 +272,36 @@ class TestOncePerSum:
         hankel = hankel_laplace(PowerBF("1/2"), 0, 2)
         assert hankel.nodes_used > 100
         assert built == [("PowerBF", "singular_values")]
+
+    def test_each_ray_builds_its_tail_rule_once(self, monkeypatch):
+        rules = []
+        for owner in (BorelFunction, RationalBF, LogPoleBF, StirlingBF,
+                      DilogBF, PowerBF):
+            monkeypatch.setattr(owner, "tail_rule", self.counted(
+                rules, "tail_rule", vars(owner)["tail_rule"]))
+        shapes = [euler_minor(), StirlingBF(), DilogBF(), PowerBF("1/2"),
+                  pade_minor(euler_series(12)),
+                  LogPoleBF(RationalFunction.simple_pole(-3, 2),
+                            [(-1, RationalFunction.simple_pole(-2, 1), 0)])]
+        for f in shapes:
+            rules.clear()
+            laplace_ray(f, 0, RaySpec("0.5", 2, target_error=1e-6))
+            assert rules == [(type(f).__name__, "tail_rule")]
+        rules.clear()
+        lateral_jump(euler_minor(), 0, mpmath.pi, "0.5", -3)
+        assert rules == [("RationalBF", "tail_rule")] * 2
+        rules.clear()
+        hankel_laplace(PowerBF("1/2"), 0, 2)
+        assert rules == [("PowerBF", "tail_rule")]
+
+    @pytest.mark.parametrize("target", [1e-10, 1e-30])
+    def test_sampled_tail_builds_one_evaluator(self, built, target):
+        # one evaluator for the tail rule and one for the ray's panels,
+        # however many steps the truncation ladder takes
+        laplace_ray(pade_minor(euler_series(12)), 0,
+                    RaySpec(0, 2, target_error=target))
+        own = [name for _owner, name in built]
+        assert sorted(own) == ["numeric_evaluator"] * 2 + ["singular_values"]
 
     def test_default_sampler_builds_once_per_contour(self, built):
         # a proved log envelope, so only the two rays' samplers evaluate

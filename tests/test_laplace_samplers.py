@@ -8,10 +8,11 @@ from its ``panel_sampler``.  Each vector is checked here against mpmath
 at the same nodes, entry by entry, within a few units of the working
 precision relative to the vector's largest entry, at 53 and 113 bits;
 so is the default sampler, which builds the shape's evaluator for a ray,
-a circle or a Hankel ray itself, on a power kernel.
-Also here: the Stirling lattice and its tail distance, which must equal
-the values of the full scan they replace, and the proved tail of a log
-shape with polynomial parts.
+a circle or a Hankel ray itself, on a power kernel.  Every sampler
+refuses the Hankel ray of a single-valued shape.  Also here: the
+Stirling lattice and its tail distance, which must equal the values of
+the full scan they replace, and the proved tail of a log shape with
+polynomial parts.
 """
 
 import math
@@ -26,8 +27,9 @@ from resurgence.borelfun import (BorelFunction, Contour, PowerBF, RationalBF,
                                  RationalFunction, StirlingBF,
                                  _moment_integral, _pole_tail_distance,
                                  _stirling_lattice, convolve, euler_minor)
-from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray
+from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray, pade_minor
 from resurgence.scalars import ExactScalar, GaussianRational
+from resurgence.series import euler_series
 
 PRECS = (53, 113)
 N = 48
@@ -214,6 +216,18 @@ def test_real_ray_of_a_real_shape_is_a_real_vector(f):
     assert isinstance(res.error_estimate, mpmath.mpf)
 
 
+@pytest.mark.parametrize("f", [euler_minor(), StirlingBF(),
+                               pade_minor(euler_series(12))],
+                         ids=["euler", "stirling", "pade"])
+def test_single_valued_shapes_refuse_a_hankel_ray(f):
+    # both sheets agree, so hankel_laplace integrates only the circle; a
+    # sampler asked for the ray refuses instead of returning one sheet or
+    # a difference that is rounding noise
+    with mpmath.workprec(77):
+        with pytest.raises(ValueError, match="only the circle"):
+            f.panel_sampler(Contour(mpmath.mpf(0), hankel=True), 77)
+
+
 def test_a_sample_at_a_pole_is_refused():
     f = RationalBF(RationalFunction.simple_pole(1, 1))
     with mpmath.workprec(53):
@@ -276,9 +290,10 @@ def full_scan_tail(theta, m, T, moment):
 def test_tail_distance_needs_only_the_nearest_points(theta, T):
     with mpmath.workprec(89):
         theta, T = mpmath.mpf(theta), mpmath.mpf(T)
-        tail, proved = StirlingBF().tail_bound(theta, mpmath.mpf(2), T, 0,
-                                               89)
-        assert proved
+        floor, bound, decreasing = StirlingBF().tail_rule(
+            theta, mpmath.mpf(2), 0, [], 89)
+        tail, proved = bound(T)
+        assert (floor, proved, decreasing) == (4, True, False)
         assert tail == full_scan_tail(theta, mpmath.mpf(2), T, 0)
 
 

@@ -1,8 +1,8 @@
 """The truncation search of the Laplace sums against the ladder walk.
 
-``walk`` is the search as a plain walk: the shape's tail bound at
-T_floor, 3/2 T_floor, ... until it is within target / 4, at most 400
-steps.  ``_choose_truncation`` starts shapes whose proved bound
+``walk`` is the search as a plain walk: the bound of the shape's tail
+rule at T_floor, 3/2 T_floor, ... until it is within target / 4, at most
+400 steps.  ``_choose_truncation`` starts rules whose proved bound
 decreases in T at a predicted step; it must return the same T, bound and
 proved flag (``==``) as the walk on every ray the recorded sums of
 ``test_laplace_golden`` take, and on a seeded grid of shapes, angles,
@@ -30,40 +30,36 @@ from resurgence.laplace import RaySpec, _choose_truncation, _kernel
 from resurgence.scalars import ExactScalar
 
 
-def walk(f, sing, theta, w, target, moment, prec, max_nodes):
-    m = mpmath.mpc(w).real
-    T = f.truncation_floor(sing, prec)
-    tail, proved = f.tail_bound(theta, m, T, moment, prec)
+def walk(rule, w, target, max_nodes):
+    T, bound, _decreasing = rule
+    tail, proved = bound(T)
     for _ in range(400):
         if tail <= target / 4:
             break
         T = T * 3 / 2
-        tail, proved = f.tail_bound(theta, m, T, moment, prec)
+        tail, proved = bound(T)
     return T, tail, proved
 
 
-class Counted:
-    """A shape whose tail bound evaluations are counted."""
+def counted(rule, calls):
+    """The tail rule with its bound evaluations appended to ``calls``."""
+    floor, bound, decreasing = rule
 
-    def __init__(self, f):
-        self.f, self.calls = f, 0
+    def count(T):
+        calls.append(T)
+        return bound(T)
 
-    def __getattr__(self, name):
-        return getattr(self.f, name)
-
-    def tail_bound(self, *args):
-        self.calls += 1
-        return self.f.tail_bound(*args)
+    return floor, count, decreasing
 
 
 def compare(args):
     """The search and the walk on one set of arguments: (proved?, search's
     bound evaluations, walk's), after checking that their results are
     equal."""
-    search, plain = Counted(args[0]), Counted(args[0])
-    got = _choose_truncation(search, *args[1:])
-    assert got == walk(plain, *args[1:])
-    return got[2], search.calls, plain.calls
+    searched, walked = [], []
+    got = _choose_truncation(counted(args[0], searched), *args[1:])
+    assert got == walk(counted(args[0], walked), *args[1:])
+    return got[2], len(searched), len(walked)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -117,9 +113,9 @@ def test_grid_matches_the_walk(name, theta, z, target, moment):
     spec = RaySpec(theta, z, target_error=target)
     guard = spec.working_prec() + 24
     with mpmath.workprec(guard):
-        theta, _z, w, _m = _kernel(spec.theta, spec.z, guard)
-        args = (f, f.singular_values(guard), theta, w, mpmath.mpf(target),
-                moment, guard, 10**9)
-        proved, searched, walked = compare(args)
-    if proved and f.tail_decreasing and walked > 3:
+        theta, _z, w, m = _kernel(spec.theta, spec.z, guard)
+        rule = f.tail_rule(theta, m, moment, f.singular_values(guard), guard)
+        proved, searched, walked = compare(
+            (rule, w, mpmath.mpf(target), 10**9))
+    if proved and rule[2] and walked > 3:
         assert searched < walked

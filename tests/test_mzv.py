@@ -423,10 +423,6 @@ class TestWaEval:
     def test_real_word_returns_real_value(self, wa_values):
         assert isinstance(wa_values(1, 0).value, mpmath.mpf)
 
-    def test_coarse_parameters_stay_honest(self):
-        ev = wa_eval(WaWord((1, 0)), nodes=10)
-        assert abs(ev.value - mpmath.pi**2 / 6) <= ev.error
-
     def test_length_cap(self):
         """A word's length is its weight: up to MAX_WEIGHT letters."""
         with pytest.raises(NotImplementedError):
@@ -484,11 +480,11 @@ class TestWaEval:
         """Cumulative phases 1/11 and 1/12 difference to a colour of
         denominator 132, outside the supported set, so no nested sum
         anchors this word's sign convention."""
-        ev = wa_eval(WaWord((Fraction(1, 11), Fraction(1, 12))), nodes=10)
+        ev = wa_eval(WaWord((Fraction(1, 11), Fraction(1, 12))))
         assert ev.flagged
 
     def test_small_denominators_not_flagged(self):
-        ev = wa_eval(WaWord((THIRD, 0)), nodes=10)
+        ev = wa_eval(WaWord((THIRD, 0)))
         assert not ev.flagged
 
 

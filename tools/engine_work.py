@@ -35,9 +35,11 @@ lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
 report, the libmp ``exp``, ``cos_sin`` and ``log`` calls its panel
 sampling made (``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` as
 ``_chebyshev``, ``borelfun`` and ``laplace`` call them), the seconds of
-its truncation searches (``truncation_s``) and their ``mpmath.gammainc``
-calls (``gammainc``); their ``total``, with the seconds of those calls
-(``gammainc_s``); and the wall seconds of the whole round (``round_s``).
+its truncation searches (``truncation_s``), the tail bounds they
+evaluated (``tail_bounds``, calls of the bound of each shape's
+``tail_rule``) and their ``mpmath.gammainc`` calls (``gammainc``); their
+``total``, with the seconds of those calls (``gammainc_s``); and the
+wall seconds of the whole round (``round_s``).
 
 It counts through the folded ``_chebyshev._cumulate`` and
 ``_chebyshev._fold``: an application of all rows costs the symmetric half
@@ -165,7 +167,17 @@ def certified_work(seed):
     mzv._prefix_sums = counted(
         "prefix", saved[0], lambda idx, N, P: cutoffs.append((N, idx.depth)))
     mzv._tail_sum = counted("levels", saved[1])
-    laplace._choose_truncation = counted("truncation", saved[2])
+
+    def choose(rule, *args):
+        floor, bound, decreasing = rule
+
+        def counted_bound(T):
+            sums["tail_bounds"] += 1
+            return bound(T)
+
+        return saved[2]((floor, counted_bound, decreasing), *args)
+
+    laplace._choose_truncation = counted("truncation", choose)
     mpmath.gammainc = counted("gammainc", saved[3])
     ze, work = {}, {}
     start = time.perf_counter()
@@ -193,6 +205,7 @@ def certified_work(seed):
                 **{key: calls[key] - before[key] for key in LIBMP},
                 "truncation_s": round(sums["truncation_s"]
                                       - lapse["truncation_s"], 5),
+                "tail_bounds": sums["tail_bounds"] - lapse["tail_bounds"],
                 "gammainc": sums["gammainc"] - lapse["gammainc"]}
     finally:
         (mzv._prefix_sums, mzv._tail_sum, laplace._choose_truncation,
@@ -202,7 +215,8 @@ def certified_work(seed):
                 for key in ("prefix_terms", "tail_levels")}
     ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
     total = {key: sum(w[key] for w in work.values())
-             for key in ("nodes", "panels", *LIBMP, "gammainc")}
+             for key in ("nodes", "panels", *LIBMP, "tail_bounds",
+                         "gammainc")}
     total["truncation_s"] = round(sums["truncation_s"], 5)
     total["gammainc_s"] = round(sums["gammainc_s"], 5)
     return ({"operations": ze, "total": ze_total},
