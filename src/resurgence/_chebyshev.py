@@ -26,7 +26,13 @@ unhalved cosine series, plus the corrections that the halved c_n and the
 truncation after c_n make to b_{n-1}, b_n and b_{n+1}, each times
 (-1)^k (cos(pi i k / n) - 1).  Everything is integer arithmetic on sines,
 cosines and S values rounded with _BUILD_GUARD extra bits, then rounded
-once to the stored scale.
+once to the stored scale.  The sines and cosines of degree n, at either
+scale, are read from one quarter wave, cos(pi k / (2n)) for k = 0 .. n
+(:func:`_quarter`): cos(pi m / n) is entry 2m, or minus entry 2n - 2m
+past the quarter, and sin(pi m / n) is entry |n - 2m|, so a table costs
+n + 1 libmp cosines.  The folded apply below needs only the rows
+i = 1 .. n // 2 and the weights row, so :func:`_matrix` builds only the
+rows it is asked for, and :func:`_folded` asks for those.
 
 The folded apply.  Integrating the reversed samples from the other end
 gives the reflection M[n-i][j] = W_j - M[i][n-j], where W, the last row,
@@ -79,8 +85,9 @@ from functools import lru_cache
 from operator import mul
 
 import mpmath
-from mpmath.libmp import (from_man_exp, fzero, mpc_div, mpc_sub, mpf_cos_sin,
-                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_div, mpc_sub,
+                          mpf_add, mpf_cos_pi, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
 
 GUARD = 32
 # extra bits carried while building the matrix, dropped by its final rounding
@@ -93,22 +100,36 @@ def _round_div(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=32)
+def _quarter(n: int, bits: int):
+    """cos(pi k / (2n)) * 2^bits rounded to integers, for k = 0 .. n: the
+    quarter wave that the cosine and sine tables of degree n read.
+
+    Each entry is libmp's cos(pi x) at x = k / (2n), both rounded to
+    nearest at bits + 16 bits, then scaled and rounded to the nearest
+    integer, ties to even."""
+    wp = bits + 16
+    two_n = from_int(2 * n)
+    return tuple(to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), two_n, wp,
+                                                     "n"), wp, "n"), bits),
+                        "n")
+                 for k in range(n + 1))
+
+
+@lru_cache(maxsize=32)
 def _cosines(n: int, bits: int):
     """cos(pi m / n) * 2^bits rounded to integers, for m = 0 .. 2n - 1."""
-    with mpmath.workprec(bits + 16):
-        half = [int(mpmath.nint(mpmath.ldexp(mpmath.cospi(mpmath.mpf(m) / n),
-                                             bits)))
-                for m in range(n + 1)]
+    q = _quarter(n, bits)
+    # cos(pi m / n) = -cos(pi (n - m) / n) past the quarter wave
+    half = [q[2 * m] if 2 * m <= n else -q[2 * (n - m)] for m in range(n + 1)]
     # cos(pi m / n) = cos(pi (2n - m) / n)
     return tuple(half + half[n - 1:0:-1])
 
 
 def _sines(n: int, bits: int):
     """sin(pi m / n) * 2^bits rounded to integers, for m = 0 .. 2n - 1."""
-    with mpmath.workprec(bits + 16):
-        half = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(m) / n),
-                                             bits)))
-                for m in range(n + 1)]
+    q = _quarter(n, bits)
+    # sin(pi m / n) = cos(pi (n - 2m) / (2n))
+    half = [q[abs(n - 2 * m)] for m in range(n + 1)]
     # sin(pi (2n - m) / n) = -sin(pi m / n)
     return half + [-s for s in half[n - 1:0:-1]]
 
@@ -126,11 +147,11 @@ def chebyshev_nodes(n: int):
     return _nodes(n, mpmath.mp.prec)
 
 
-def _matrix(n: int, prec: int):
-    """The cumulative-integration matrix, rows indexed by output node and
-    columns by input node, as integers scaled by 2^(prec + GUARD), built
-    from the closed form of the module docstring.  Only its folded rows
-    are kept (:func:`_folded`)."""
+def _matrix(n: int, prec: int, rows):
+    """The given rows of the cumulative-integration matrix, rows indexed by
+    output node and columns by input node, as integers scaled by
+    2^(prec + GUARD), built from the closed form of the module docstring.
+    Only its folded rows 1 .. n // 2 are kept (:func:`_folded`)."""
     bits = prec + GUARD + _BUILD_GUARD
     one = 1 << bits
     two_n = 2 * n
@@ -144,37 +165,47 @@ def _matrix(n: int, prec: int):
                             inverse)), lcm)
          for m in range(n + 1)]
     S += [-v for v in S[n - 1:0:-1]]
-    # (-1)^k (T_k(x_i) - T_k(-1)) on the Lobatto nodes x_i = -cos(pi i / n),
-    # for the k whose coefficient b_k the uniform formula misses
-    ks = [k for k in (n - 1, n, n + 1) if k >= 1]
-    edge = [[(-1) ** k * (cos[i * k % two_n] - one) for k in ks]
-            for i in range(n + 1)]
-    # every entry times 2n, at scale 2^(2 bits), rounded once
+    # S(t) at wrap[t + n] for t = -n .. 3n, S having period 2n
+    wrap = S[n:] + S + S[:n + 1]
+    # every entry x times 2n, at scale 2^(2 bits), rounded once, as
+    # _round_div(x, den) = (2 x + den) // (2 den), with
+    # x = a_j (S(j + n - i) + S(j - n + i) - c_j) + sum_k w_jk e_ik
     den = two_n << (2 * bits - (prec + GUARD))
+    # per column j, the terms of 2 x + den: 2 a_j, den - 2 a_j c_j and the
+    # 2 w_jk, where a_j = alpha_j sin(theta_j), alpha_j = 1 at the edges
+    # and 2 inside, c_j = 2 S(j + n), and w_jk = 2n (b_k - uniform b_k) *
+    # 2^bits for k = n - 1, n and n + 1, with
+    # gamma_m = alpha cos(m theta_j) / n: b_{n-1} gains gamma_n / (4(n-1))
+    # (nothing at n = 1), b_n gains gamma_{n+1} / (2n) and b_{n+1} gains
+    # (gamma_{n+2} - gamma_n / 2) / (2(n+1))
     columns = []
     for j in range(n + 1):
         alpha = 1 if j in (0, n) else 2
         a = alpha * sin[j]
-        c = 2 * S[(j + n) % two_n]
-        # 2n (b_k - uniform b_k) * 2^bits for k = n, n + 1 and n - 1, with
-        # gamma_m = alpha cos(m theta_j) / n: b_n gains gamma_{n+1} / (2n),
-        # b_{n+1} gains (gamma_{n+2} - gamma_n / 2) / (2(n+1)) and b_{n-1}
-        # gains gamma_n / (4(n-1))
-        weights = [_round_div(alpha * cos[(n + 1) * j % two_n], n),
-                   _round_div(alpha * (2 * cos[(n + 2) * j % two_n]
-                                       - cos[n * j % two_n]), 2 * (n + 1))]
-        if n > 1:
-            weights.insert(0, _round_div(alpha * cos[n * j % two_n],
-                                         2 * (n - 1)))
-        columns.append([
-            _round_div(a * (S[(j + n - i) % two_n] + S[(j - n + i) % two_n]
-                            - c)
-                       + sum(map(mul, weights, edge[i])), den)
-            for i in range(n + 1)])
-    # the transform reads the samples in decreasing x order: column j of
-    # the transform is input node n - j
-    columns.reverse()
-    return tuple(zip(*columns))
+        cn = cos[n * j % two_n]
+        columns.append((
+            2 * a, den - 4 * a * wrap[j + 2 * n],
+            2 * _round_div(alpha * cn, 2 * (n - 1)) if n > 1 else 0,
+            2 * _round_div(alpha * cos[(n + 1) * j % two_n], n),
+            2 * _round_div(alpha * (2 * cos[(n + 2) * j % two_n] - cn),
+                           2 * (n + 1))))
+    scale = 2 * den
+    out = []
+    for i in rows:
+        # e_ik = (-1)^k (T_k(x_i) - T_k(-1)) on the Lobatto nodes
+        # x_i = -cos(pi i / n), for the k whose b_k the uniform formula
+        # misses
+        e0, e1, e2 = ((-1) ** k * (cos[i * k % two_n] - one)
+                      for k in (n - 1, n, n + 1))
+        entries = [(a2 * (p + q) + c2 + v0 * e0 + v1 * e1 + v2 * e2) // scale
+                   for (a2, c2, v0, v1, v2), p, q in zip(
+                       columns, wrap[2 * n - i:3 * n - i + 1],
+                       wrap[i:i + n + 1])]
+        # the transform reads the samples in decreasing x order: column j
+        # of the transform is input node n - j
+        entries.reverse()
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 @lru_cache(maxsize=16)
@@ -211,7 +242,7 @@ def _folded(n: int, prec: int):
     weights row of :func:`_weights`, and for each row i = 1 .. n // 2 its
     doubled symmetric and antisymmetric halves, (M[i][j] + M[i][n-j],
     M[i][j] - M[i][n-j]) for j < n / 2, with 2 M[i][n/2] for even n."""
-    rows = _matrix(n, prec)
+    rows = _matrix(n, prec, range(1, n // 2 + 1))
     half = (n + 1) // 2
     middle = [] if n % 2 else [n // 2]
 
@@ -222,8 +253,7 @@ def _folded(n: int, prec: int):
     def odd(row):
         return tuple(row[j] - row[n - j] for j in range(half))
 
-    return _weights(n, prec), tuple((even(rows[i]), odd(rows[i]))
-                                    for i in range(1, n // 2 + 1))
+    return _weights(n, prec), tuple((even(row), odd(row)) for row in rows)
 
 
 def _fold(g):
@@ -523,14 +553,17 @@ class _Arc:
 @lru_cache(maxsize=16)
 def _unit_points(mid, half, n: int, bits: int):
     """exp(i (mid + half u_j)) at the nodes as real and imaginary parts,
-    and half, all times 2^bits: one exponential per node, shared by every
-    arc with the same angles."""
-    with mpmath.workprec(bits + 16):
-        # u_j = -cos(pi j / n), exactly as the scaled integers give it
-        us = [mpmath.mpf((-c, -bits)) for c in _cosines(n, bits)[:n + 1]]
-        points = [_complex_tuple(mpmath.expj(mid + half * u)) for u in us]
+    and half, all times 2^bits: one libmp cosine and sine per node, shared
+    by every arc with the same angles."""
+    wp = bits + 16
+    m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
+    # u_j = -cos(pi j / n), exactly as the scaled integers give it, and the
+    # angle and its cosine and sine each rounded to nearest at wp bits
+    points = [mpf_cos_sin(mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits), wp,
+                                             "n"), wp, "n"), wp, "n")
+              for c in _cosines(n, bits)[:n + 1]]
     re, im = (tuple(_mantissas(p, -bits)) for p in zip(*points))
-    return re, im, _mantissas([_complex_tuple(half)[0]], -bits)[0]
+    return re, im, _mantissas([h], -bits)[0]
 
 
 def segment(z0, z1):

@@ -1270,7 +1270,7 @@ class DilogBF(BorelFunction):
         return evaluate
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """Guaranteed tail bound beyond T >= 1, walked from T = 4.
+        """Guaranteed tail bound beyond T >= 1, from T = 4, decreasing in T.
 
         The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
         bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
@@ -1278,6 +1278,9 @@ class DilogBF(BorelFunction):
         stored loop at 1 contributes |2 pi (Log z + 2 pi i m)| <= 2 pi
         (ln t + pi (1 + 2 |m|)).  With ln t <= 2 sqrt(t) the whole envelope
         is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas.
+        A, B and C are nonnegative and each incomplete-gamma moment is the
+        integral of a positive function over [T, inf), so the bound
+        decreases in T.
         """
         pi = mpmath.pi
         loops = abs(self.n)
@@ -1292,7 +1295,7 @@ class DilogBF(BorelFunction):
                        + B * _moment_integral(moment + 1 + half, m, T)
                        + C * _moment_integral(moment + 2, m, T)), True
 
-        return mpmath.mpf(4), bound, False
+        return mpmath.mpf(4), bound, True
 
     def origin_head(self, w, theta, moment, prec: int):
         if self.n:

@@ -9,10 +9,13 @@ units in the last place.
 
 ``reference_matrix`` composes the same three maps in integer arithmetic,
 an O(n^3) product, and is the reference for the closed-form build of
-``_matrix``.  ``reference_iterated`` is the level-by-level iterated
-integral in plain mpmath: kernels dz / (a - z) from each panel's position
-and velocity, products, cumulative integrals and running totals, all at
-the caller's precision.  ``reference_series`` sums the endpoint Taylor
+``_matrix``.  ``reference_trig`` and ``reference_unit_points`` round
+every node's cosine, sine and unit point one by one through mpmath, the
+references for the tables built from the quarter wave and from libmp.
+``reference_iterated`` is the level-by-level iterated integral in plain
+mpmath: kernels dz / (a - z) from each panel's position and velocity,
+products, cumulative integrals and running totals, all at the caller's
+precision.  ``reference_series`` sums the endpoint Taylor
 series of ``endpoint_series`` in plain mpmath, with as many terms as the
 caller asks.
 """
@@ -26,11 +29,11 @@ import mpmath
 import pytest
 
 from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
-                                   _matrix, _round_div, _total, _values,
-                                   _weights, chebyshev_cumulative,
-                                   chebyshev_nodes, endpoint_series,
-                                   iterated_integral, iterated_levels,
-                                   segment)
+                                   _folded, _matrix, _round_div, _sines,
+                                   _total, _unit_points, _values, _weights,
+                                   chebyshev_cumulative, chebyshev_nodes,
+                                   endpoint_series, iterated_integral,
+                                   iterated_levels, segment)
 from resurgence.hyperlog import _contour_segments
 
 
@@ -92,6 +95,33 @@ def reference_matrix(n, prec):
         row.reverse()
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def reference_trig(n, bits):
+    """cos(pi m / n) and sin(pi m / n) times 2^bits for m = 0 .. 2n - 1,
+    each of m = 0 .. n rounded by mpmath at bits + 16 bits and then to the
+    nearest integer, the rest by the symmetries about m = n."""
+    with mpmath.workprec(bits + 16):
+        cos = [int(mpmath.nint(mpmath.ldexp(mpmath.cospi(mpmath.mpf(m) / n),
+                                            bits)))
+               for m in range(n + 1)]
+        sin = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(m) / n),
+                                            bits)))
+               for m in range(n + 1)]
+    return (tuple(cos + cos[n - 1:0:-1]),
+            sin + [-v for v in sin[n - 1:0:-1]])
+
+
+def reference_unit_points(mid, half, n, bits):
+    """exp(i (mid + half u_j)) at the nodes u_j of ``_cosines`` by
+    mpmath.expj at bits + 16 bits, and half, times 2^bits and truncated
+    toward zero."""
+    with mpmath.workprec(bits + 16):
+        us = [mpmath.mpf((-c, -bits)) for c in _cosines(n, bits)[:n + 1]]
+        points = [mpmath.expj(mid + half * u) for u in us]
+        return (tuple(int(mpmath.ldexp(p.real, bits)) for p in points),
+                tuple(int(mpmath.ldexp(p.imag, bits)) for p in points),
+                int(mpmath.ldexp(half, bits)))
 
 
 @lru_cache(maxsize=None)
@@ -250,9 +280,50 @@ def test_weights_are_the_folded_last_row(prec):
     """_weights builds the last matrix row directly, as the doubled
     symmetric half that _cumulate applies."""
     for n in range(1, 81):
-        last = _matrix(n, prec)[n]
+        last = _matrix(n, prec, range(n + 1))[n]
         assert _weights(n, prec) == tuple(last[j] + last[n - j]
                                           for j in range(n // 2 + 1))
+
+
+@pytest.mark.parametrize("prec", [53, 77, 104])
+def test_trig_tables_match_per_node_rounding(prec):
+    """The cosine and sine tables read from one quarter-wave table are
+    each node's own mpmath rounding, at both scales the kernel uses."""
+    for n in list(range(1, 65)) + [80, 96, 128]:
+        for bits in (prec + GUARD, prec + GUARD + _BUILD_GUARD):
+            cos, sin = reference_trig(n, bits)
+            assert _cosines(n, bits) == cos, (n, bits)
+            assert _sines(n, bits) == sin, (n, bits)
+
+
+@pytest.mark.parametrize("mid,half,n,prec", [
+    (mpmath.pi * 3 / 2, mpmath.pi / 2, 24, 77),
+    (mpmath.pi / 2, -mpmath.pi / 2, 53, 77),
+    (mpmath.mpf(-5) / 3, mpmath.mpf(7) / 9, 80, 104),
+    (0, 1, 16, 53),
+    (0.5, 0.25, 26, 113)])
+def test_unit_points_match_expj(mid, half, n, prec):
+    """The libmp unit points are mpmath.expj's, entry for entry."""
+    with mpmath.workprec(prec):
+        mid, half = +mpmath.mpmathify(mid), +mpmath.mpmathify(half)
+    bits = prec + GUARD
+    assert _unit_points(mid, half, n, bits) \
+        == reference_unit_points(mid, half, n, bits)
+
+
+@pytest.mark.parametrize("prec", [53, 77, 104])
+def test_folded_rows_are_the_fold_of_all_rows(prec):
+    """_folded builds only rows 1 .. n // 2; folded, they are those rows of
+    the whole matrix."""
+    for n in list(range(1, 41)) + [53, 80]:
+        rows = _matrix(n, prec, range(n + 1))
+        half = (n + 1) // 2
+        middle = [] if n % 2 else [n // 2]
+        want = tuple((tuple([row[j] + row[n - j] for j in range(half)]
+                            + [2 * row[j] for j in middle]),
+                      tuple(row[j] - row[n - j] for j in range(half)))
+                     for row in rows[1:n // 2 + 1])
+        assert _folded(n, prec)[1] == want, n
 
 
 @pytest.mark.parametrize("n", [3, 24])
@@ -283,7 +354,7 @@ def test_invalid_samples_rejected():
 
 @pytest.mark.parametrize("n", [16, 24, 53])
 def test_matrix_consistent_across_precisions(n):
-    fine, coarse = _matrix(n, 104), _matrix(n, 77)
+    fine, coarse = (_matrix(n, p, range(n + 1)) for p in (104, 77))
     drop = 104 - 77
     half = 1 << (drop - 1)
     assert max(abs(((f + half) >> drop) - c)
@@ -308,7 +379,7 @@ def test_iterated_integral_of_one_kernel():
 def test_closed_form_matrix_matches_composition(n, prec):
     """The O(n^2) closed-form build gives the O(n^3) composition's entries
     to within one unit."""
-    got, want = _matrix(n, prec), reference_matrix(n, prec)
+    got, want = _matrix(n, prec, range(n + 1)), reference_matrix(n, prec)
     assert len(got) == len(want) == n + 1
     assert max(abs(g - w) for grow, wrow in zip(got, want)
                for g, w in zip(grow, wrow)) <= 1

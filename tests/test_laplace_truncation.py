@@ -6,7 +6,9 @@ rule at T_floor, 3/2 T_floor, ... until it is within target / 4, at most
 decreases in T at a predicted step; it must return the same T, bound and
 proved flag (``==``) as the walk on every ray the recorded sums of
 ``test_laplace_golden`` take, and on a seeded grid of shapes, angles,
-points, targets and moments, and it must evaluate fewer bounds.
+points, targets and moments, and it must evaluate fewer bounds.  The
+dilogarithm, whose bound costs three incomplete gammas, has a seeded grid
+of its own.
 """
 
 import cmath
@@ -19,6 +21,7 @@ from test_laplace_golden import CALLS
 
 from resurgence import laplace
 from resurgence.borelfun import (
+    DilogBF,
     LogPoleBF,
     PowerBF,
     RationalBF,
@@ -107,15 +110,55 @@ def grid(seed, count):
         yield name, theta, z, 10.0 ** -rng.randint(4, 24), rng.randint(0, 2)
 
 
-@pytest.mark.parametrize("name,theta,z,target,moment", list(grid(14, 60)))
-def test_grid_matches_the_walk(name, theta, z, target, moment):
-    f = SHAPES[name]
+def search(f, theta, z, target, moment):
+    """The tail rule of one ray of ``f``, and compare() on it."""
     spec = RaySpec(theta, z, target_error=target)
     guard = spec.working_prec() + 24
     with mpmath.workprec(guard):
         theta, _z, w, m = _kernel(spec.theta, spec.z, guard)
         rule = f.tail_rule(theta, m, moment, f.singular_values(guard), guard)
-        proved, searched, walked = compare(
-            (rule, w, mpmath.mpf(target), 10**9))
+        return rule, compare((rule, w, mpmath.mpf(target), 10**9))
+
+
+@pytest.mark.parametrize("name,theta,z,target,moment", list(grid(14, 60)))
+def test_grid_matches_the_walk(name, theta, z, target, moment):
+    rule, (proved, searched, walked) = search(SHAPES[name], theta, z, target,
+                                              moment)
     if proved and rule[2] and walked > 3:
         assert searched < walked
+
+
+def dilog_grid(seed, count):
+    """Seeded rays of the dilogarithm's sheets, with a decay margin of at
+    least 1/8."""
+    rng = random.Random(seed)
+    while count:
+        loops, sheet = rng.randint(-2, 2), rng.randint(-1, 1)
+        theta = Fraction(rng.randint(-40, 40), 100)
+        z = complex(rng.randint(2, 40) / 8, rng.randint(-16, 16) / 8)
+        if (z * cmath.exp(1j * theta)).real < 1 / 8:
+            continue
+        count -= 1
+        yield loops, sheet, theta, z, 10.0 ** -rng.randint(4, 24), \
+            rng.randint(0, 2)
+
+
+@pytest.mark.parametrize("loops,sheet,theta,z,target,moment",
+                         list(dilog_grid(18, 12)))
+def test_dilog_grid_matches_the_walk(loops, sheet, theta, z, target, moment):
+    rule, (proved, searched, walked) = search(DilogBF(loops, sheet), theta,
+                                              z, target, moment)
+    assert proved and rule[2]
+    if walked > 3:
+        assert searched < walked
+
+
+@pytest.mark.parametrize("target,steps", [(1e-6, 4), (1e-10, 5),
+                                          (1e-20, 6)])
+def test_dilog_ray_searches_fewer_bounds(target, steps):
+    """The ray at angle 0.5 through z = 2, which the walk takes 4, 5 and 6
+    bound evaluations to truncate."""
+    _rule, (_proved, searched, walked) = search(DilogBF(), Fraction(1, 2), 2,
+                                                target, 0)
+    assert walked == steps
+    assert searched < walked

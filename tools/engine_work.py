@@ -15,7 +15,14 @@ the iterated-integrals round:
   how many times only its last row, the Clenshaw-Curtis weights, was
   (``total_only``);
 * ``madds``: per n, the integer multiply-adds of those applications;
-* ``matrix_build_s``: per (n, prec), the seconds spent building the matrix;
+* ``tables``: the first-use tables the round built: per (n, bits) under
+  ``trig``, the libmp ``mpf_cos_pi`` evaluations of the quarter-wave
+  table ``_quarter`` (n + 1 per table, the only trigonometry of the
+  cosine and sine tables); per (n, prec) under ``matrix``, the integration
+  matrix ``entries`` built (only the rows ``_folded`` keeps) and the build
+  ``seconds``, counting its cosine and sine tables; ``unit_points_cos_sin``,
+  the ``mpf_cos_sin`` calls of the arc tables ``_unit_points`` (one per
+  node of each arc); and their ``total``;
 * ``round_s``: the wall seconds of the round, counting included;
 * ``wa``: per ``wa_eval`` operation, the straight ``panels`` between its
   endpoint slivers, the ``nodes`` per panel of each engine run (the
@@ -46,7 +53,8 @@ It counts through the folded ``_chebyshev._cumulate`` and
 of the last row plus the two halves of rows 1 .. n // 2, and the weights
 row alone (``_chebyshev._total``, which folds its samples) its symmetric
 half.  Only ``_folded`` caches the matrix, so every ``_matrix`` call is a
-build.
+build; the quarter-wave and arc tables are counted only when their caches
+miss, since only then do they evaluate anything.
 """
 
 from __future__ import annotations
@@ -74,17 +82,6 @@ ZE_OPERATIONS = ("coloured", "closed", "dual", "deep", "relation")
 
 def instrument():
     full, total_only, madds = Counter(), Counter(), Counter()
-    build = defaultdict(float)
-
-    matrix = cheb._matrix
-
-    def timed_matrix(n, prec):
-        start = time.perf_counter()
-        rows = matrix(n, prec)
-        build[f"{n},{prec}"] += time.perf_counter() - start
-        return rows
-
-    cheb._matrix = timed_matrix
     cumulate, fold = cheb._cumulate, cheb._fold
 
     def counted_cumulate(folded, g):
@@ -103,7 +100,66 @@ def instrument():
         return fold(g)
 
     cheb._cumulate, cheb._fold = counted_cumulate, counted_fold
-    return full, total_only, madds, build
+    return full, total_only, madds
+
+
+def instrument_tables():
+    """Count the trigonometry and the matrix entries of the table builds
+    (``tables`` in the module docstring); returns a function giving the
+    counts and one that undoes the counting."""
+    calls, trig, entries = Counter(), Counter(), Counter()
+    build = defaultdict(float)
+    saved = {name: getattr(cheb, name) for name in
+             ("mpf_cos_pi", "mpf_cos_sin", "_quarter", "_matrix",
+              "_unit_points")}
+
+    def counted(key, f):
+        def call(*args):
+            calls[key] += 1
+            return f(*args)
+        return call
+
+    def quarter(n, bits):
+        before = calls["cos_pi"]
+        out = saved["_quarter"](n, bits)
+        trig[f"{n},{bits}"] += calls["cos_pi"] - before
+        return out
+
+    def unit_points(*args):
+        before = calls["cos_sin"]
+        out = saved["_unit_points"](*args)
+        calls["unit_points_cos_sin"] += calls["cos_sin"] - before
+        return out
+
+    def matrix(n, prec, rows):
+        rows = list(rows)
+        start = time.perf_counter()
+        out = saved["_matrix"](n, prec, rows)
+        build[f"{n},{prec}"] += time.perf_counter() - start
+        entries[f"{n},{prec}"] += len(rows) * (n + 1)
+        return out
+
+    cheb.mpf_cos_pi = counted("cos_pi", saved["mpf_cos_pi"])
+    cheb.mpf_cos_sin = counted("cos_sin", saved["mpf_cos_sin"])
+    cheb._quarter, cheb._unit_points, cheb._matrix = (quarter, unit_points,
+                                                      matrix)
+
+    def restore():
+        for name, value in saved.items():
+            setattr(cheb, name, value)
+
+    def tables():
+        return {
+            "trig": dict(trig),
+            "matrix": {key: {"entries": entries[key],
+                             "seconds": round(build[key], 5)}
+                       for key in entries},
+            "unit_points_cos_sin": calls["unit_points_cos_sin"],
+            "total": {"trig": sum(trig.values()),
+                      "entries": sum(entries.values()),
+                      "seconds": round(sum(build.values()), 5)}}
+
+    return tables, restore
 
 
 def instrument_wa():
@@ -227,7 +283,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    full, total_only, madds, build = instrument()
+    full, total_only, madds = instrument()
+    tables, restore = instrument_tables()
     runs, terms = instrument_wa()
     ops = worker.iterated_integrals(inputs.iterated_integrals(args.seed), {})
     wa = {}
@@ -242,6 +299,7 @@ def main(argv=None):
                         "series_terms": terms[summed:],
                         "seconds": round(time.perf_counter() - began, 5)}
     elapsed = time.perf_counter() - start
+    restore()
     wa_total = {"panels": sum(w["panels"] for w in wa.values()),
                 "series_terms": sum(sum(w["series_terms"])
                                     for w in wa.values()),
@@ -253,7 +311,7 @@ def main(argv=None):
                          for n in keys},
         "madds": {n: madds[n] for n in keys},
         "madds_total": sum(madds.values()),
-        "matrix_build_s": {k: round(v, 5) for k, v in build.items()},
+        "tables": tables(),
         "round_s": round(elapsed, 5),
         "wa": {"operations": wa, "total": wa_total},
     }
