@@ -11,71 +11,63 @@ The package has two layers that check each other:
   exact layer's predictions at tight tolerances.
 
 The flat namespace re-exports the working vocabulary; each submodule's
-docstring explains its corner of the theory.
+docstring explains its corner of the theory.  It is lazy (PEP 562): a
+name is imported from its submodule the first time it is read, so
+``import resurgence`` loads no submodule, and mpmath only comes in with
+the numeric layer.
 """
 
-from .alien import (ResurgentSeries, Transseries, alien_derivation,
-                    alien_exp, alien_minus, alien_plus, euler_resurgent,
-                    lateral_operator, stirling_resurgent)
-from .borelfun import (BorelFunction, DilogBF, LogPoleBF, PathSpec, PowerBF,
-                       RationalBF, RationalFunction, SingularityData,
-                       StirlingBF, continue_eval, convolve, dilog_minor,
-                       euler_minor, extract_singularity, power_minor,
-                       stirling_minor)
-from .errors import (CarrierEscapeError, DecayMarginError,
-                     DivergentIndexError, NotSimpleError, RayBlockedError,
-                     ResonanceError, ResurgenceError, TruncationError,
-                     UnreachableBranchError, UnsupportedDivisionError)
-from .freealg import (Derivation, FreeElement, Polynomial, apply_element,
-                      lie_expand, mould_expand, stokes_components)
-from .hyperlog import (IteratedIntegral, L_numeric, MonomialFamily, build_U,
-                       default_U, extract_L, extract_V, gu_mould,
-                       gu_resurgent, v_borel, v_mould, v_resurgent, v_series)
-from .laplace import (AsymptoticsReport, LateralPair, PadeApproximant,
-                      RaySpec, SummationResult, hankel_laplace, laplace_ray,
-                      lateral_jump, pade_minor, verify_asymptotics)
-from .moulds import (Mould, comp_inverse, exp_scale_mould, identity_mould,
-                     is_alternal, is_alternel, is_symmetral, is_symmetrel,
-                     mould_exp, mould_from_json, mould_log, mould_to_json,
-                     passage_mould, unit_mould)
-from .mzv import (Evaluation, MzvIndex, RelationReport, WaWord,
-                  stuffle_product, verify_relation, wa_eval, ze_eval,
-                  ze_to_wa)
-from .scalars import ExactScalar, GaussianRational, parse_scalar
-from .series import (BorelSeries, FormalSeries, borel, cauchy_product,
-                     euler_series, gevrey_bound, group_inverse,
-                     inverse_borel, predict_coefficients, stirling_series,
-                     substitute)
-from .words import Alphabet, Word, shuffle, stuffle
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "AsymptoticsReport", "BorelFunction", "BorelSeries",
-    "CarrierEscapeError", "DecayMarginError", "Derivation", "DilogBF",
-    "DivergentIndexError", "Evaluation", "ExactScalar", "FormalSeries",
-    "FreeElement", "GaussianRational", "IteratedIntegral", "L_numeric",
-    "LateralPair", "LogPoleBF", "MonomialFamily", "Mould", "MzvIndex",
-    "NotSimpleError", "PadeApproximant", "PathSpec", "Polynomial",
-    "PowerBF", "RationalBF", "RationalFunction", "RayBlockedError",
-    "RaySpec", "RelationReport", "ResonanceError", "ResurgenceError",
-    "ResurgentSeries", "SingularityData", "StirlingBF", "SummationResult",
-    "Transseries", "TruncationError", "UnreachableBranchError",
-    "UnsupportedDivisionError", "WaWord", "Word", "alien_derivation",
-    "alien_exp", "alien_minus", "alien_plus", "apply_element", "borel",
-    "build_U", "cauchy_product", "comp_inverse", "continue_eval",
-    "convolve", "default_U", "dilog_minor", "euler_minor",
-    "euler_resurgent", "euler_series", "exp_scale_mould",
-    "extract_L", "extract_V", "extract_singularity", "gevrey_bound",
-    "group_inverse", "gu_mould", "gu_resurgent", "hankel_laplace",
-    "identity_mould", "inverse_borel", "is_alternal", "is_alternel",
-    "is_symmetral", "is_symmetrel", "laplace_ray", "lateral_jump",
-    "lateral_operator", "lie_expand", "mould_exp", "mould_expand",
-    "mould_from_json", "mould_log", "mould_to_json", "pade_minor",
-    "parse_scalar", "passage_mould", "power_minor", "predict_coefficients",
-    "shuffle", "stirling_minor", "stirling_resurgent", "stirling_series",
-    "stokes_components", "stuffle", "stuffle_product", "substitute",
-    "unit_mould", "v_borel", "v_mould", "v_resurgent", "v_series",
-    "verify_asymptotics", "verify_relation", "wa_eval", "ze_eval",
-    "ze_to_wa", "__version__",
-]
+# each submodule and the names the flat namespace takes from it
+_EXPORTS = {
+    "alien": """ResurgentSeries Transseries alien_derivation alien_exp
+        alien_minus alien_plus euler_resurgent lateral_operator
+        stirling_resurgent""",
+    "borelfun": """BorelFunction DilogBF LogPoleBF PathSpec PowerBF
+        RationalBF RationalFunction SingularityData StirlingBF continue_eval
+        convolve dilog_minor euler_minor extract_singularity power_minor
+        stirling_minor""",
+    "errors": """CarrierEscapeError DecayMarginError DivergentIndexError
+        NotSimpleError RayBlockedError ResonanceError ResurgenceError
+        TruncationError UnreachableBranchError UnsupportedDivisionError""",
+    "freealg": """Derivation FreeElement Polynomial apply_element lie_expand
+        mould_expand stokes_components""",
+    "hyperlog": """IteratedIntegral L_numeric MonomialFamily build_U default_U
+        extract_L extract_V gu_mould gu_resurgent v_borel v_mould
+        v_resurgent v_series""",
+    "laplace": """AsymptoticsReport LateralPair PadeApproximant RaySpec
+        SummationResult hankel_laplace laplace_ray lateral_jump pade_minor
+        verify_asymptotics""",
+    "moulds": """Mould comp_inverse exp_scale_mould identity_mould
+        is_alternal is_alternel is_symmetral is_symmetrel mould_exp
+        mould_from_json mould_log mould_to_json passage_mould unit_mould""",
+    "mzv": """Evaluation MzvIndex RelationReport WaWord stuffle_product
+        verify_relation wa_eval ze_eval ze_to_wa""",
+    "scalars": "ExactScalar GaussianRational parse_scalar",
+    "series": """BorelSeries FormalSeries borel cauchy_product euler_series
+        gevrey_bound group_inverse inverse_borel predict_coefficients
+        stirling_series substitute""",
+    "words": "Alphabet Word shuffle stuffle",
+}
+# name -> the submodule it is read from
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names.split()}
+
+__all__ = [*sorted(_SOURCE), "__version__"]
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    # bound once, so later reads skip this hook
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

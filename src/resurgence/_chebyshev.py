@@ -29,10 +29,13 @@ cosines and S values rounded with _BUILD_GUARD extra bits, then rounded
 once to the stored scale.  The sines and cosines of degree n, at either
 scale, are read from one quarter wave, cos(pi k / (2n)) for k = 0 .. n
 (:func:`_quarter`): cos(pi m / n) is entry 2m, or minus entry 2n - 2m
-past the quarter, and sin(pi m / n) is entry |n - 2m|, so a table costs
-n + 1 libmp cosines.  The folded apply below needs only the rows
-i = 1 .. n // 2 and the weights row, so :func:`_matrix` builds only the
-rows it is asked for, and :func:`_folded` asks for those.
+past the quarter, and sin(pi m / n) is entry |n - 2m|.  So the cosines
+read only the even entries and the sines only those of n's parity, and
+each half is evaluated alone, at n // 2 + 1 libmp cosines or fewer: one
+half serves both tables at even n, and the nodes and weights, which need
+only cosines, never evaluate the odd half.  The folded apply below needs
+only the rows i = 1 .. n // 2 and the weights row, so :func:`_matrix`
+builds only the rows it is asked for, and :func:`_folded` asks for those.
 
 The folded apply.  Integrating the reversed samples from the other end
 gives the reflection M[n-i][j] = W_j - M[i][n-j], where W, the last row,
@@ -99,10 +102,12 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-@lru_cache(maxsize=32)
-def _quarter(n: int, bits: int):
-    """cos(pi k / (2n)) * 2^bits rounded to integers, for k = 0 .. n: the
-    quarter wave that the cosine and sine tables of degree n read.
+@lru_cache(maxsize=64)
+def _quarter(n: int, bits: int, parity: int):
+    """cos(pi k / (2n)) * 2^bits rounded to integers, for the k = 0 .. n
+    with k % 2 == parity, entry k at index k // 2: the half of the quarter
+    wave that a cosine (parity 0) or sine (parity n % 2) table of degree n
+    reads.
 
     Each entry is libmp's cos(pi x) at x = k / (2n), both rounded to
     nearest at bits + 16 bits, then scaled and rounded to the nearest
@@ -112,24 +117,25 @@ def _quarter(n: int, bits: int):
     return tuple(to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), two_n, wp,
                                                      "n"), wp, "n"), bits),
                         "n")
-                 for k in range(n + 1))
+                 for k in range(parity, n + 1, 2))
 
 
 @lru_cache(maxsize=32)
 def _cosines(n: int, bits: int):
     """cos(pi m / n) * 2^bits rounded to integers, for m = 0 .. 2n - 1."""
-    q = _quarter(n, bits)
+    # cos(pi m / n) is quarter-wave entry 2m, even
+    q = _quarter(n, bits, 0)
     # cos(pi m / n) = -cos(pi (n - m) / n) past the quarter wave
-    half = [q[2 * m] if 2 * m <= n else -q[2 * (n - m)] for m in range(n + 1)]
+    half = [q[m] if 2 * m <= n else -q[n - m] for m in range(n + 1)]
     # cos(pi m / n) = cos(pi (2n - m) / n)
     return tuple(half + half[n - 1:0:-1])
 
 
 def _sines(n: int, bits: int):
     """sin(pi m / n) * 2^bits rounded to integers, for m = 0 .. 2n - 1."""
-    q = _quarter(n, bits)
-    # sin(pi m / n) = cos(pi (n - 2m) / (2n))
-    half = [q[abs(n - 2 * m)] for m in range(n + 1)]
+    # sin(pi m / n) = cos(pi (n - 2m) / (2n)), an entry of n's parity
+    q = _quarter(n, bits, n % 2)
+    half = [q[abs(n - 2 * m) // 2] for m in range(n + 1)]
     # sin(pi (2n - m) / n) = -sin(pi m / n)
     return half + [-s for s in half[n - 1:0:-1]]
 

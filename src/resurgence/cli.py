@@ -45,6 +45,16 @@ Conventions shared by every subcommand:
   over a minute at 4096), so a larger value would only make the command
   hang.  The library functions keep only the floor.
 
+Imports.  Loading this module imports only the standard library and
+:mod:`resurgence.errors` (the exit-code taxonomy, MIN_PREC and the
+``--cutoff`` default), so building the parser loads no layer.  mpmath and
+each package module are imported inside the handler or helper that uses
+them: ``mould make``, ``mould check`` and ``series`` (of the Euler series)
+run on the exact layer without mpmath, ``alien`` and ``hyperlog --word``
+load the exact Borel-plane shapes they read, ``sum`` loads the Laplace
+layer and ``mzv`` the nested sums and the spectral kernel, never the
+other's.
+
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test
 fixtures.  No subcommand draws randomness, so none takes a seed.
@@ -58,21 +68,7 @@ import math
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from .alien import (ResurgentSeries, alien_derivation, alien_minus,
-                    alien_plus, euler_resurgent, stirling_resurgent)
-from .borelfun import dilog_minor, euler_minor, power_minor, stirling_minor
-from .errors import MIN_PREC, ResurgenceError
-from .hyperlog import L_numeric, MonomialFamily, v_series
-from .laplace import RaySpec, hankel_laplace, laplace_ray, lateral_jump
-from .moulds import (exp_scale_mould, identity_mould, is_alternal,
-                     is_alternel, is_symmetral, is_symmetrel,
-                     mould_from_json, mould_to_json, unit_mould)
-from .mzv import DEFAULT_CUTOFF, MzvIndex, verify_relation, ze_eval
-from .scalars import ExactScalar, parse_scalar
-from .series import borel, euler_series, stirling_series
-from .words import Alphabet
+from .errors import DEFAULT_CUTOFF, MIN_PREC, ResurgenceError
 
 
 class UsageError(Exception):
@@ -129,7 +125,7 @@ def _parse_angle(text: str) -> float:
                 if not tail.startswith("/"):
                     raise UsageError(f"cannot parse angle {text!r}")
                 mult /= Fraction(tail[1:])
-            angle = float(mult) * float(mpmath.pi)
+            angle = float(mult) * math.pi
         else:
             angle = float(s)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -139,8 +135,10 @@ def _parse_angle(text: str) -> float:
     return angle
 
 
-def _parse_point(text: str) -> ExactScalar:
+def _parse_point(text: str):
     """Parse a Borel-plane point: '2pii' literals or exact scalar text."""
+    from .scalars import ExactScalar, parse_scalar
+
     s = text.strip().replace(" ", "")
     if s.endswith("2pii"):
         try:
@@ -156,6 +154,10 @@ def _parse_point(text: str) -> ExactScalar:
 
 def _parse_z(text: str, prec: int):
     """Parse the summation variable: exact text preferred, floats accepted."""
+    import mpmath
+
+    from .scalars import parse_scalar
+
     s = text.strip()
     try:
         return parse_scalar(s).evaluate(prec)
@@ -183,7 +185,9 @@ def _parse_word(text: str) -> tuple:
         raise UsageError(f"cannot parse word {text!r}") from None
 
 
-def _parse_index(text: str) -> MzvIndex:
+def _parse_index(text: str):
+    from .mzv import MzvIndex
+
     parts = [p for p in text.strip().strip("[]()").split(",") if p]
     try:
         return MzvIndex(tuple(int(p) for p in parts))
@@ -192,6 +196,8 @@ def _parse_index(text: str) -> MzvIndex:
 
 
 def _parse_letters(text: str) -> list:
+    from .scalars import parse_scalar
+
     try:
         return [parse_scalar(part) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
@@ -202,7 +208,7 @@ def _parse_letters(text: str) -> list:
 # output shaping
 
 
-def _scalar_text(s: ExactScalar) -> str:
+def _scalar_text(s) -> str:
     """Canonical exact text: plain Gaussian form when possible."""
     return str(s.as_gaussian()) if s.is_gaussian() else str(s)
 
@@ -213,6 +219,8 @@ def _digits(prec: int) -> int:
 
 def _num(x, digits: int):
     """A numeric value as JSON: string for reals, {re, im} for complex."""
+    import mpmath
+
     x = mpmath.mpmathify(x)
     if isinstance(x, mpmath.mpc):
         if x.imag == 0:
@@ -234,7 +242,7 @@ def _series_text(fs) -> str:
     return text
 
 
-def _resurgent_payload(out: ResurgentSeries) -> dict:
+def _resurgent_payload(out) -> dict:
     data = _series_payload(out.series)
     tail_zero = all(out.series[n].is_zero()
                     for n in range(1, out.series.order + 1))
@@ -281,6 +289,9 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _borel_input(name: str):
     """Resolve a builtin Borel-plane input name to (function, constant)."""
+    from .borelfun import dilog_minor, euler_minor, power_minor, stirling_minor
+    from .scalars import ExactScalar
+
     zero = ExactScalar()
     if name == "euler":
         return euler_minor(), zero
@@ -303,7 +314,9 @@ def _borel_input(name: str):
         "or I_sigma:<rational>")
 
 
-def _resurgent_input(name: str) -> ResurgentSeries:
+def _resurgent_input(name: str):
+    from .alien import euler_resurgent, stirling_resurgent
+
     if name == "euler":
         return euler_resurgent()
     if name == "stirling":
@@ -317,6 +330,8 @@ def _resurgent_input(name: str) -> ResurgentSeries:
 
 
 def _cmd_alien(args) -> dict:
+    from .alien import alien_derivation, alien_minus, alien_plus
+
     phi = _resurgent_input(args.input)
     omega = _parse_point(args.omega)
     if args.plus:
@@ -332,6 +347,8 @@ def _cmd_alien(args) -> dict:
 
 
 def _cmd_sum(args) -> dict:
+    from .laplace import RaySpec, hankel_laplace, laplace_ray, lateral_jump
+
     f, c0 = _borel_input(args.input)
     digits = _digits(args.prec)
     if args.moment and (args.jump or args.hankel):
@@ -373,6 +390,8 @@ def _cmd_sum(args) -> dict:
 
 
 def _cmd_mzv_eval(args) -> dict:
+    from .mzv import ze_eval
+
     idx = _parse_index(args.s)
     ev = ze_eval(idx, prec=args.prec, cutoff=args.cutoff)
     digits = _digits(args.prec)
@@ -386,7 +405,15 @@ def _cmd_mzv_eval(args) -> dict:
 
 
 def _cmd_mzv_relation(args) -> dict:
+    import mpmath
+
+    from .mzv import verify_relation
+
     modes = tuple(m.strip() for m in args.mode.split(",") if m.strip())
+    if not modes:
+        # a relation report with no checks would pass vacuously
+        raise UsageError(f"--mode {args.mode!r} names no mode; expected "
+                         "stuffle, shuffle or both")
     for mode in modes:
         if mode not in ("stuffle", "shuffle"):
             raise UsageError(f"unknown mode {mode!r}")
@@ -400,6 +427,11 @@ def _cmd_mzv_relation(args) -> dict:
 
 
 def _cmd_mould_make(args) -> dict:
+    from .moulds import (exp_scale_mould, identity_mould, mould_to_json,
+                         unit_mould)
+    from .scalars import parse_scalar
+    from .words import Alphabet
+
     letters = _parse_letters(args.letters)
     alphabet = Alphabet(letters)
     words = sum(len(alphabet) ** k for k in range(args.order + 1))
@@ -421,6 +453,9 @@ def _cmd_mould_make(args) -> dict:
 
 
 def _cmd_mould_check(args) -> dict:
+    from .moulds import (is_alternal, is_alternel, is_symmetral,
+                         is_symmetrel, mould_from_json)
+
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -448,6 +483,8 @@ def _cmd_mould_check(args) -> dict:
 
 
 def _cmd_hyperlog(args) -> dict:
+    from .hyperlog import L_numeric, MonomialFamily, v_series
+
     if args.L is not None:
         w = _parse_word(args.L)
         ii = L_numeric(w, prec=args.prec)
@@ -470,6 +507,8 @@ def _cmd_hyperlog(args) -> dict:
 
 
 def _cmd_series(args) -> dict:
+    from .series import borel, euler_series, stirling_series
+
     fs = (euler_series if args.input == "euler" else stirling_series)(
         args.order)
     data = _series_payload(fs)

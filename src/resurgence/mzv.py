@@ -70,7 +70,8 @@ import mpmath
 from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from ._chebyshev import _values, endpoint_series, iterated_levels, segment
-from .errors import DivergentIndexError, check_prec
+from .errors import (DEFAULT_CUTOFF, DivergentIndexError, _DefaultCutoff,
+                     check_prec)
 from .words import Word, shuffle, stuffle
 
 __all__ = [
@@ -97,22 +98,8 @@ MAX_COLOUR_DENOMINATOR = 12
 # The largest cutoff ze_eval accepts: its prefix sums hold depth lists of
 # cutoff entries, so a larger one would take minutes and gigabytes.
 MAX_CUTOFF = 10**6
-
-
-class _DefaultCutoff(int):
-    """The int DEFAULT_CUTOFF, marked so that ze_eval may raise it for the
-    index at hand; a cutoff given as any other int is used as it stands."""
-
-
-# The cutoff ze_eval and verify_relation start from unless told otherwise.
-# At 1024 the certified tails of most supported indices already sit under
-# the unit 2^-prec (1 + |value|) of the reported error, which the proved
-# rounding term stays far below.  A level whose accumulated colour z is
-# close to 1 has a tail expanded in 1/(cutoff |1 - z|), so an index whose
-# partial colour sums come near an integer needs more: there ze_eval
-# doubles the default until the remainders fit under that unit, up to
-# 16 * 1024, which is past 10^4.
-DEFAULT_CUTOFF = _DefaultCutoff(1024)
+# DEFAULT_CUTOFF, the marked cutoff that ze_eval may double, is defined in
+# errors, so that the command line's parser can read it without this layer.
 
 
 def _as_colour(value) -> Fraction:
@@ -1015,7 +1002,14 @@ def verify_relation(
     Every value on both sides comes from the certified nested-sum
     evaluator, so each check's budget is a guaranteed bound and a
     failing check would be a genuine contradiction.  Failures are
-    recorded in the report rather than raised."""
+    recorded in the report rather than raised.  ``modes`` must name at
+    least one of "stuffle" and "shuffle": a report with no checks would
+    pass vacuously."""
+    if not modes:
+        raise ValueError("modes must name at least one of stuffle, shuffle")
+    for mode in modes:
+        if mode not in ("stuffle", "shuffle"):
+            raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(a, MzvIndex):
         a = MzvIndex(tuple(a))
     if not isinstance(b, MzvIndex):
@@ -1033,10 +1027,8 @@ def verify_relation(
         for mode in modes:
             if mode == "stuffle":
                 decomposition = stuffle_product(a, b)
-            elif mode == "shuffle":
-                decomposition = _shuffle_terms(a, b)
             else:
-                raise ValueError(f"unknown mode {mode!r}")
+                decomposition = _shuffle_terms(a, b)
             total = mpmath.mpf(0)
             side_err = mpmath.mpf(0)
             terms = tuple(

@@ -24,7 +24,8 @@ supported calculus needs it, and refusing keeps the exactness guarantees
 honest.
 
 ``ExactScalar.evaluate(prec)`` maps the symbols to numbers with mpmath at a
-requested binary precision: T -> 2*pi*i and ln p -> log(p).
+requested binary precision: T -> 2*pi*i and ln p -> log(p).  mpmath is
+imported there and in ``arg`` only, so exact arithmetic never loads it.
 
 The text form is built from Gaussian rationals printed like ``1/2+2/3*i``
 and monomial factors ``T^k`` and ``lnp^e``, for example::
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-
-import mpmath
 
 from .errors import UnsupportedDivisionError
 
@@ -184,6 +183,8 @@ class GaussianRational:
 
     def evaluate(self, prec: int = 53):
         """Return an mpmath mpc at binary precision ``prec``."""
+        import mpmath
+
         with mpmath.workprec(prec):
             return mpmath.mpc(
                 mpmath.mpf(self.re.numerator) / self.re.denominator,
@@ -579,6 +580,8 @@ class ExactScalar:
 
     def arg(self, prec: int = 53):
         """Numeric principal argument in (-pi, pi], as an mpmath mpf."""
+        import mpmath
+
         val = self.evaluate(prec)
         if val == 0:
             raise ValueError("argument of zero")
@@ -589,6 +592,8 @@ class ExactScalar:
 
     def evaluate(self, prec: int = 53):
         """Numeric value as an mpmath mpc at binary precision ``prec``."""
+        import mpmath
+
         with mpmath.workprec(prec + 16):
             tau_val = 2 * mpmath.pi * mpmath.mpc(0, 1)
             total = mpmath.mpc(0)

@@ -33,14 +33,15 @@ into the classical large-order prediction
 
 exactly in the scalar ring (omega^(-n-1) is a monomial inversion), and
 ``gevrey_bound`` fits the 1-Gevrey envelope |c_n| <= C M^n n! numerically.
+mpmath is imported only by the functions that need it (``partial_sum``,
+``gevrey_bound`` and the Bernoulli numbers of ``stirling_series``), so the
+exact series start without it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath
 
 from .scalars import ExactScalar
 
@@ -188,6 +189,8 @@ class FormalSeries:
 
     def partial_sum(self, z, terms: int | None = None, prec: int = 53):
         """Numeric partial sum at z, using the first ``terms`` coefficients."""
+        import mpmath
+
         n_terms = self.order + 1 if terms is None else min(terms, self.order + 1)
         with mpmath.workprec(prec + 16):
             zv = mpmath.mpmathify(z)
@@ -379,6 +382,8 @@ def gevrey_bound(phi: FormalSeries, prec: int = 53, skip: int = 1):
     """
     import statistics
 
+    import mpmath
+
     xs, ys = [], []
     for n in range(skip, phi.order + 1):
         c = phi[n]
@@ -410,6 +415,8 @@ def stirling_series(order: int) -> FormalSeries:
 
     c_{2k+1} = B_{2k+2} / ((2k+1)(2k+2)), even coefficients vanish.
     """
+    import mpmath
+
     coeffs = [ExactScalar()] * (order + 1)
     for k in range(0, (order - 1) // 2 + 1):
         n = 2 * k + 1

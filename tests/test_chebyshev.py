@@ -11,7 +11,9 @@ units in the last place.
 an O(n^3) product, and is the reference for the closed-form build of
 ``_matrix``.  ``reference_trig`` and ``reference_unit_points`` round
 every node's cosine, sine and unit point one by one through mpmath, the
-references for the tables built from the quarter wave and from libmp.
+references for the tables built from the quarter wave and from libmp;
+``reference_quarter_tables`` reads both tables from the whole quarter
+wave, every k = 0 .. n, the reference for the halves of ``_quarter``.
 ``reference_iterated`` is the level-by-level iterated integral in plain
 mpmath: kernels dz / (a - z) from each panel's position and velocity,
 products, cumulative integrals and running totals, all at the caller's
@@ -27,6 +29,7 @@ from operator import mul
 
 import mpmath
 import pytest
+from mpmath.libmp import from_int, mpf_cos_pi, mpf_div, mpf_shift, to_int
 
 from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
                                    _folded, _matrix, _round_div, _sines,
@@ -108,6 +111,20 @@ def reference_trig(n, bits):
         sin = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(m) / n),
                                             bits)))
                for m in range(n + 1)]
+    return (tuple(cos + cos[n - 1:0:-1]),
+            sin + [-v for v in sin[n - 1:0:-1]])
+
+
+def reference_quarter_tables(n, bits):
+    """The cosine and sine tables of degree n read from the whole quarter
+    wave cos(pi k / (2n)) * 2^bits, k = 0 .. n, each entry libmp's cos(pi x)
+    at bits + 16 bits, rounded to the nearest integer."""
+    wp = bits + 16
+    q = [to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), from_int(2 * n),
+                                             wp, "n"), wp, "n"), bits), "n")
+         for k in range(n + 1)]
+    cos = [q[2 * m] if 2 * m <= n else -q[2 * (n - m)] for m in range(n + 1)]
+    sin = [q[abs(n - 2 * m)] for m in range(n + 1)]
     return (tuple(cos + cos[n - 1:0:-1]),
             sin + [-v for v in sin[n - 1:0:-1]])
 
@@ -292,6 +309,17 @@ def test_trig_tables_match_per_node_rounding(prec):
     for n in list(range(1, 65)) + [80, 96, 128]:
         for bits in (prec + GUARD, prec + GUARD + _BUILD_GUARD):
             cos, sin = reference_trig(n, bits)
+            assert _cosines(n, bits) == cos, (n, bits)
+            assert _sines(n, bits) == sin, (n, bits)
+
+
+@pytest.mark.parametrize("prec", [53, 104])
+def test_trig_tables_match_whole_quarter_wave(prec):
+    """Evaluating only the half of the quarter wave that each table reads
+    leaves every entry as the whole quarter wave gives it."""
+    for n in range(1, 130):
+        for bits in (prec + GUARD, prec + GUARD + _BUILD_GUARD):
+            cos, sin = reference_quarter_tables(n, bits)
             assert _cosines(n, bits) == cos, (n, bits)
             assert _sines(n, bits) == sin, (n, bits)
 

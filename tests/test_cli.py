@@ -14,7 +14,11 @@ object), 1 on usage mistakes.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -22,11 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resurgence.cli import MAX_MOULD_WORDS, MAX_ORDER, main
+from resurgence import errors, mzv
+from resurgence.cli import MAX_MOULD_WORDS, MAX_ORDER, build_parser, main
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
 from resurgence.moulds import exp_scale_mould, mould_from_json, mould_to_json
-from resurgence.mzv import MAX_CUTOFF
+from resurgence.mzv import MAX_CUTOFF, MzvIndex
 from resurgence.scalars import ExactScalar, parse_scalar
 from resurgence.series import euler_series
 from resurgence.words import Alphabet
@@ -217,6 +222,53 @@ class TestMzv:
         assert err == ""
         assert json.loads(out)["error"] == "usage"
 
+    @pytest.mark.parametrize("mode", [["--mode", ","], ["--mode="]])
+    def test_empty_mode_list_is_usage_error(self, capsys, mode):
+        """No mode would leave no check, and a report that passes
+        vacuously."""
+        code, out, err = run(capsys, "mzv", "relation", "--a", "2",
+                             "--b", "2", *mode)
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert "names no mode" in payload["message"]
+
+    @pytest.mark.parametrize("sub", ["eval", "relation"])
+    def test_cutoff_default_is_the_marked_default(self, capsys, sub):
+        """The parser offers the DEFAULT_CUTOFF of errors, the object mzv
+        re-exports, so ze_eval still recognises the default; the help
+        names its value."""
+        index = ["--s", "2"] if sub == "eval" else ["--a", "2", "--b", "2"]
+        args = build_parser().parse_args(["mzv", sub, *index])
+        assert args.cutoff is mzv.DEFAULT_CUTOFF is errors.DEFAULT_CUTOFF
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mzv", sub, "--help"])
+        assert "DEFAULT_CUTOFF = 1024" in " ".join(capsys.readouterr().out
+                                                   .split())
+
+    def test_eval_keeps_the_cutoff_rule(self, capsys, monkeypatch):
+        """mzv eval hands ze_eval the marked default, which doubles where
+        the tails need it, and an explicit --cutoff 1024 as a plain int,
+        which is used as it stands."""
+        received = []
+        ze_eval = mzv.ze_eval
+
+        def record(idx, prec=53, cutoff=mzv.DEFAULT_CUTOFF):
+            received.append(cutoff)
+            return ze_eval(idx, prec=prec, cutoff=cutoff)
+
+        monkeypatch.setattr(mzv, "ze_eval", record)
+        run_json(capsys, "mzv", "eval", "--s", "2,1")
+        run_json(capsys, "mzv", "eval", "--s", "2,1", "--cutoff", "1024")
+        default, explicit = received
+        assert default is mzv.DEFAULT_CUTOFF
+        assert explicit == 1024 and type(explicit) is int
+        # partial colour sums near an integer: only the default doubles
+        hard = MzvIndex((2, 1), (Fraction(1, 11), Fraction(11, 12)))
+        assert ze_eval(hard, cutoff=default).error \
+            < ze_eval(hard, cutoff=explicit).error
+
 
 class TestMould:
     def test_make_check_roundtrip(self, capsys, tmp_path):
@@ -366,26 +418,109 @@ class TestRefusals:
         assert "certified" not in payload
 
 
-def test_readme_commands_run(capsys, tmp_path, monkeypatch):
-    """README's ```sh block of ``resurgence`` commands, line by line in
-    one directory as a shell runs it: each exits 0 with one JSON object on
-    standard output, and ``> file`` writes that output where the later
-    lines read it."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
+ROOT = Path(__file__).parents[1]
+
+
+def readme_commands():
+    """README's ```sh block of ``resurgence`` commands: per line, the line,
+    its arguments and the file that ``> file`` sends its output to."""
+    text = (ROOT / "README.md").read_text()
     blocks = [block.splitlines()
               for block in re.findall(r"```sh\n(.*?)```", text, re.S)]
     lines = [line for block in blocks
              if all(line.startswith("resurgence ") for line in block)
              for line in block]
     assert lines, "README has no block of resurgence commands"
-    monkeypatch.chdir(tmp_path)
+    out = []
     for line in lines:
         command, _, target = line[len("resurgence "):].partition(" > ")
-        code, out, err = run(capsys, *command.split())
+        out.append((line, command.split(), target))
+    return out
+
+
+def run_readme_in_process(capsys, directory, monkeypatch):
+    """Each README command through main(), in order, in one directory as a
+    shell runs it; returns each line's standard output."""
+    monkeypatch.chdir(directory)
+    outputs = []
+    for line, argv, target in readme_commands():
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), line
         assert isinstance(json.loads(out), dict), line
         if target:
-            (tmp_path / target).write_text(out)
+            (directory / target).write_text(out)
+        outputs.append(out)
+    return outputs
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    """README's ```sh block of ``resurgence`` commands, line by line in
+    one directory as a shell runs it: each exits 0 with one JSON object on
+    standard output, and ``> file`` writes that output where the later
+    lines read it."""
+    run_readme_in_process(capsys, tmp_path, monkeypatch)
+
+
+# the entry point of the console script, in a child that then records the
+# modules it loaded in the file named by its first argument
+CHILD = ("import json, sys; from resurgence.cli import main; "
+         "modules, argv = sys.argv[1], sys.argv[2:]; code = main(argv); "
+         "open(modules, 'w').write(json.dumps(sorted(sys.modules))); "
+         "sys.exit(code)")
+# per README subcommand, the modules its process must not load
+NOT_LOADED = {
+    "mould make": {"mpmath"},
+    "mould check": {"mpmath"},
+    "series": {"mpmath"},
+    "mzv": {"resurgence.laplace", "resurgence.borelfun"},
+    "sum": {"resurgence.mzv", "resurgence.hyperlog"},
+    "alien": {"resurgence.mzv", "resurgence.hyperlog"},
+}
+
+
+def child_env():
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def test_readme_commands_in_fresh_processes(capsys, tmp_path, monkeypatch):
+    """Each README command in a fresh interpreter, where nothing is
+    imported before the command line is: it exits 0 with the in-process
+    output byte for byte, and loads only its own layer (NOT_LOADED), so an
+    import that a handler forgets fails here."""
+    inside = tmp_path / "in-process"
+    fresh = tmp_path / "fresh"
+    inside.mkdir()
+    fresh.mkdir()
+    expected = run_readme_in_process(capsys, inside, monkeypatch)
+    checked = set()
+    for (line, argv, target), want in zip(readme_commands(), expected):
+        modules = tmp_path / "modules.json"
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, str(modules), *argv], cwd=fresh,
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), line
+        assert done.stdout == want, line
+        if target:
+            (fresh / target).write_text(done.stdout)
+        loaded = set(json.loads(modules.read_text()))
+        for prefix, banned in NOT_LOADED.items():
+            if " ".join(argv).startswith(prefix):
+                assert not loaded & banned, (line, loaded & banned)
+                checked.add(prefix)
+    assert checked == set(NOT_LOADED)
+
+
+def test_bare_cli_import_loads_no_mpmath():
+    """Importing the command line, as the console script does before it
+    parses anything, loads no numeric layer."""
+    code = ("import sys, resurgence.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'mpmath' or m.startswith('resurgence')))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == str(
+        ["resurgence", "resurgence.cli", "resurgence.errors"])
 
 
 class TestMalformedLiterals:

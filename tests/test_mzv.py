@@ -558,6 +558,11 @@ class TestVerifyRelation:
         with pytest.raises(ValueError):
             verify_relation(MzvIndex((2,)), MzvIndex((2,)), modes=("cyclic",))
 
+    def test_empty_modes_rejected(self):
+        """A report with no checks would be ok vacuously."""
+        with pytest.raises(ValueError, match="at least one"):
+            verify_relation(MzvIndex((2,)), MzvIndex((2,)), modes=())
+
     def test_report_serialises(self):
         report = verify_relation(MzvIndex((2,)), MzvIndex((2,)))
         data = report.to_dict()

@@ -17,8 +17,13 @@ the iterated-integrals round:
 * ``madds``: per n, the integer multiply-adds of those applications;
 * ``tables``: the first-use tables the round built: per (n, bits) under
   ``trig``, the libmp ``mpf_cos_pi`` evaluations of the quarter-wave
-  table ``_quarter`` (n + 1 per table, the only trigonometry of the
-  cosine and sine tables); per (n, prec) under ``matrix``, the integration
+  halves ``_quarter``, the only trigonometry of the cosine and sine
+  tables: n // 2 + 1 for the even half, which the cosines read and the
+  sines too at even n, and (n + 1) // 2 for the odd half, which only the
+  sines of an odd n read, so a scale that builds no sines (the nodes and
+  weights at prec + GUARD) evaluates the even half alone.  On seed 3 the
+  total is 277, where evaluating every k = 0 .. n per table took 490; per
+  (n, prec) under ``matrix``, the integration
   matrix ``entries`` built (only the rows ``_folded`` keeps) and the build
   ``seconds``, counting its cosine and sine tables; ``unit_points_cos_sin``,
   the ``mpf_cos_sin`` calls of the arc tables ``_unit_points`` (one per
@@ -119,9 +124,9 @@ def instrument_tables():
             return f(*args)
         return call
 
-    def quarter(n, bits):
+    def quarter(n, bits, parity):
         before = calls["cos_pi"]
-        out = saved["_quarter"](n, bits)
+        out = saved["_quarter"](n, bits, parity)
         trig[f"{n},{bits}"] += calls["cos_pi"] - before
         return out
 
