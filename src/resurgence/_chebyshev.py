@@ -75,7 +75,9 @@ The Laplace rays, lateral jumps and Hankel contours of
 :mod:`resurgence.laplace` apply the same rows to vectors they build
 themselves, never converting a sample to mpmath: :func:`_exponentials`
 gives the kernel e^(u x_j) at the nodes, one libmp exponential per node
-x_j >= 0 and its reflection in integers at the others, and the shape's
+x_j >= 0 and its reflection in integers at the others, cached per
+(u, n, bits) so that every panel of one width, within a sum and across
+sums with the same kernel, shares one vector, and the shape's
 ``panel_sampler`` gives its samples.  The Lobatto nodes of degree n are
 every other node of degree 2n, so one vector gives two nested rules,
 each one integer dot product with its folded weights row.
@@ -326,6 +328,15 @@ def _plus(vector, scalar, bits: int):
                              for p, t in zip(parts, tparts)), low, bits)
 
 
+def _scaled(vector, scalar, bits: int):
+    """Each entry of the vector times the one-entry vector ``scalar``,
+    exactly and then normalised; complex when either is."""
+    parts, exp = scalar
+    count = len(vector[0][0])
+    return _product(vector, (tuple([p[0]] * count for p in parts), exp),
+                    bits)
+
+
 def _product(x, y, bits: int):
     """The entrywise product of two vectors, complex when either is."""
     (xp, xe), (yp, ye) = x, y
@@ -406,9 +417,12 @@ def _fixed(values, bits: int):
     return _vector(_parts(values), bits)
 
 
+@lru_cache(maxsize=64)
 def _exponentials(u, n: int, bits: int):
-    """e^(u x_j) at the nodes x_j = -cos(pi j / n) as one vector, for an
-    mpc tuple u.
+    """e^(u x_j) at the nodes x_j = -cos(pi j / n) as one vector of
+    mantissa tuples, for an mpc tuple u, once per (u, n, bits): the ray
+    panels of one width share it, within a sum (the two halves of a
+    bisected panel) and across sums with the same kernel.
 
     Each node x_j > 0 costs one ``mpf_exp``, and one ``mpf_cos_sin`` when
     u is complex; its mirror -x_j takes the reflection
@@ -436,7 +450,8 @@ def _exponentials(u, n: int, bits: int):
         re[j], im[j] = mpf_mul(e, c), mpf_mul(e, s)
         re[n - j] = mpf_mul(inverse, c)
         im[n - j] = mpf_neg(mpf_mul(inverse, s))
-    return _vector((re,) if real else (re, im), bits)
+    parts, exp = _vector((re,) if real else (re, im), bits)
+    return tuple(map(tuple, parts)), exp
 
 
 def _values(parts, exp: int, prec: int):

@@ -48,7 +48,13 @@ Hankel ray of a single-valued shape.  Each bundled shape overrides what
 it knows: proved tail envelopes, for power kernels polar evaluation and
 an exact head series at the origin, and for rational shapes, the
 Stirling minor and power kernels panel samples computed in integers and
-libmp.
+libmp.  A power kernel computes one real lane per node, t^(sigma-1) on a
+ray or e^(i (sigma-1) phi) on a circle and the lane of log t or phi when
+it carries a log, and applies its sheet constants to the lanes as
+integer products.  The tail envelopes integrate to incomplete-gamma
+moments, Gamma(s, m T) / m^s, which :func:`_moment_integral` bounds in
+closed form at a non-integer order and takes from ``mpmath.gammainc``
+at an integer one.
 
 Branch bookkeeping follows one convention throughout the package: the
 principal branch uses arg in (-pi, pi], a "+" detour passes *below* the
@@ -85,11 +91,12 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpf_sub)
 
 from ._chebyshev import (GUARD, _complex_tuple, _cosines, _fixed, _mantissas,
-                         _nodes, _quotients, _unit_points, _vector)
+                         _nodes, _plus, _product, _quotients, _scaled,
+                         _unit_points, _vector)
 from .errors import (DecayMarginError, NotSimpleError, UnreachableBranchError,
                      UnsupportedDivisionError)
 from .scalars import ExactScalar
-from .series import BorelSeries
+from .series import BorelSeries, _bernoulli
 
 __all__ = [
     "RationalFunction",
@@ -470,14 +477,53 @@ def _intermediate_points(singular, target):
 
 
 def _moment_integral(order, m, T):
-    """integral over [T, inf) of e^(-m t) t^(order-1) dt = Gamma(order, m T)
-    / m^order."""
-    return mpmath.gammainc(order, m * T) / m ** order
+    """A bound >= the integral over [T, inf) of e^(-m t) t^(order-1) dt,
+    which is Gamma(s, x) / m^s with s = order and x = m T: exact, from
+    ``mpmath.gammainc``, at an integer order, and in closed form at any
+    other, non-increasing in T:
+
+    * s < 1: Gamma(s, x) <= x^(s-1) e^(-x), since t^(s-1) <= x^(s-1) for
+      t >= x, and the integral of e^(-t) over [x, inf) is e^(-x);
+    * s > 1 and x > s - 1: Gamma(s, x) <= x^(s-1) e^(-x) / (1 - (s-1)/x),
+      since log is concave, log(t / x) <= (t - x) / x, so
+      t^(s-1) <= x^(s-1) e^((s-1)(t-x)/x) for t >= x, and the integral of
+      e^(-x - (1 - (s-1)/x)(t - x)) over [x, inf) is
+      e^(-x) / (1 - (s-1)/x); that bound, x^s e^(-x) / (x - s + 1),
+      decreases in x (its log has derivative (1 - y)/(s - 1 + y) - 1/y
+      < 0 at y = x - s + 1 > 0, as y (1 - y) < s - 1 + y);
+    * and Gamma(s, x) <= Gamma(s), the whole integral, taken as the bound
+      for s > 1 up to x = s - 1 and as the min with the bound above past
+      it, so the bound never increases with T."""
+    x = m * T
+    if mpmath.isint(order):
+        return mpmath.gammainc(order, x) / m ** order
+    s1 = order - 1
+    if s1 < 0:
+        bound = mpmath.exp(s1 * mpmath.log(x) - x)
+    else:
+        bound = mpmath.gamma(order)
+        if x > s1:
+            bound = min(bound, mpmath.exp(s1 * mpmath.log(x) - x)
+                        / (1 - s1 / x))
+    return bound / m ** order
 
 
-def _pole_tail_distance(v, theta, T):
-    """min over t >= T of |t e^(i theta) - v|, by exact geometry."""
-    u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
+def _rotation(theta):
+    """e^(-i theta), which turns the ray at angle ``theta`` onto the
+    positive axis."""
+    return mpmath.exp(mpmath.mpc(0, -1) * theta)
+
+
+def _rotated(values, theta):
+    """The points u = v e^(-i theta) of ``values``: one rotation per sum or
+    tail rule, which every distance to the ray then reads."""
+    rotation = _rotation(theta)
+    return [v * rotation for v in values]
+
+
+def _pole_tail_distance(u, T):
+    """min over t >= T of |t e^(i theta) - v|, by exact geometry, for the
+    rotated point u = v e^(-i theta) (:func:`_rotated`)."""
     if u.real >= T:
         return abs(u.imag)
     return abs(mpmath.mpf(T) - u)
@@ -513,11 +559,13 @@ def _rational_envelope(rat, theta, prec):
     if parts is None:
         return None
     poly, poles = parts
+    rotation = _rotation(theta)
+    poles = [(v * rotation, r) for v, r in poles]
 
     def envelope(T):
         M = mpmath.mpf(0)
-        for v, r in poles:
-            M += r / _pole_tail_distance(v, theta, T)
+        for u, r in poles:
+            M += r / _pole_tail_distance(u, T)
         return M, poly
 
     return envelope
@@ -1079,9 +1127,9 @@ class StirlingBF(BorelFunction):
         def term(k):
             while len(terms) <= k:
                 j = 2 * len(terms) + 2
-                p, q = mpmath.bernfrac(j)
+                b = _bernoulli(j)
                 with mpmath.workprec(work):
-                    terms.append(mpmath.mpf(int(p)) / int(q)
+                    terms.append(mpmath.mpf(b.numerator) / b.denominator
                                  / mpmath.factorial(j))
             return terms[k]
 
@@ -1132,6 +1180,7 @@ class StirlingBF(BorelFunction):
         """
         tau = 2 * mpmath.pi
         sin = mpmath.sin(theta)
+        rotation = _rotation(theta)
 
         def bound(T):
             kmax = max(96, int(T / float(tau)) + 2)
@@ -1142,8 +1191,8 @@ class StirlingBF(BorelFunction):
                 ks += [first, first - 1] if sin > 0 else [-first, 1 - first]
             d = mpmath.inf
             for k in sorted({max(-kmax, min(kmax, k)) for k in ks} - {0}):
-                d = min(d, _pole_tail_distance(mpmath.mpc(0, tau * k), theta,
-                                               T))
+                d = min(d, _pole_tail_distance(
+                    mpmath.mpc(0, tau * k) * rotation, T))
             delta = min(d / 2, mpmath.pi / 2)
             coth_bound = 1 + mpmath.pi / (2 * delta)
             M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
@@ -1162,9 +1211,8 @@ class StirlingBF(BorelFunction):
         # (1 / 4 pi)^2 < 2^-7 on |zeta| < 1/2
         taylor = []
         for k in range(bits // 7 + 2):
-            p, q = mpmath.bernfrac(2 * k + 2)
-            taylor.append(round(Fraction(int(p) << bits,
-                                         int(q) * math.factorial(2 * k + 2))))
+            taylor.append(round(_bernoulli(2 * k + 2) * (1 << bits)
+                                / math.factorial(2 * k + 2)))
         taylor.reverse()
         quarter = 1 << (2 * bits - 2)
         one = (fone, fzero)
@@ -1222,10 +1270,8 @@ class StirlingBF(BorelFunction):
                 coeffs.append(ExactScalar())
             else:
                 k = n // 2
-                p, q = mpmath.bernfrac(2 * k + 2)
                 coeffs.append(ExactScalar.from_rational(
-                    Fraction(int(p), int(q) * math.factorial(2 * k + 2))
-                ))
+                    _bernoulli(2 * k + 2) / math.factorial(2 * k + 2)))
         return BorelSeries(0, coeffs)
 
     def __repr__(self):
@@ -1270,7 +1316,8 @@ class DilogBF(BorelFunction):
         return evaluate
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """Guaranteed tail bound beyond T >= 1, from T = 4, decreasing in T.
+        """Guaranteed tail bound beyond T >= 1, from T = 4, non-increasing
+        in T.
 
         The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
         bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
@@ -1278,9 +1325,9 @@ class DilogBF(BorelFunction):
         stored loop at 1 contributes |2 pi (Log z + 2 pi i m)| <= 2 pi
         (ln t + pi (1 + 2 |m|)).  With ln t <= 2 sqrt(t) the whole envelope
         is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas.
-        A, B and C are nonnegative and each incomplete-gamma moment is the
-        integral of a positive function over [T, inf), so the bound
-        decreases in T.
+        A, B and C are nonnegative and the bound of each incomplete-gamma
+        moment (:func:`_moment_integral`) never increases in T, so neither
+        does their sum.
         """
         pi = mpmath.pi
         loops = abs(self.n)
@@ -1431,11 +1478,13 @@ class PowerBF(BorelFunction):
         return evaluate
 
     def panel_sampler(self, contour: Contour, prec: int):
-        """With s1 = sigma - 1: on a ray, t^s1 (A + B log t) with A and B
-        summed once over the sheets, so both Hankel sheets share one
-        ``mpf_log`` and one ``mpf_exp`` per node; on the circle,
-        e^(i s1 phi) (A + B phi) with rho^s1 folded into A and B, one
-        ``mpf_cos_sin`` per node."""
+        """With s1 = sigma - 1, one real lane per node: t^s1 on a ray, one
+        ``mpf_log`` and one ``mpf_exp`` shared by both Hankel sheets, or
+        e^(i s1 phi) on the circle, one ``mpf_cos_sin``; and with a log,
+        the lane of log t or of phi.  The samples t^s1 (A + B log t) and
+        e^(i s1 phi) (A + B phi), with the constants A and B summed once
+        over the sheets and rho^s1 folded into them on the circle, are
+        integer products of those lanes and constants."""
         bits = prec + GUARD
         work = bits + 8
         with_log = self.with_log
@@ -1462,39 +1511,37 @@ class PowerBF(BorelFunction):
                 # g rho^s1 e^(i s1 phi) (log rho + i phi) + g' rho^s1 ...
                 A = power * (mpmath.log(rho) + gp / g) if with_log else power
                 B = power * i if with_log else 0
-        (ar, ai), (br, bi) = _complex_tuple(A), _complex_tuple(B)
+            A, B = _fixed([A], bits), _fixed([B], bits)
         s1 = s1._mpf_
 
         def sample(mid, half, n):
-            re, im = [], []
-            for p in contour.parameters(mid, half, n, bits):
-                if on_ray:
-                    log = mpf_log(p, work)
-                    c = mpf_exp(mpf_mul(s1, log, work), work)
-                    s = fzero
-                else:
-                    c, s = mpf_cos_sin(mpf_mul(s1, p, work), work)
-                if with_log:
-                    # (c + i s) times (A + B log t) or (A + B phi)
-                    x = log if on_ray else p
-                    fr = mpf_add(ar, mpf_mul(br, x), work)
-                    fi = mpf_add(ai, mpf_mul(bi, x), work)
-                else:
-                    fr, fi = ar, ai
-                re.append(mpf_sub(mpf_mul(c, fr), mpf_mul(s, fi), work))
-                im.append(mpf_add(mpf_mul(c, fi), mpf_mul(s, fr), work))
-            return _vector((re, im), bits)
+            params = contour.parameters(mid, half, n, bits)
+            if on_ray:
+                lane = [mpf_log(p, work) for p in params]
+                power = _vector(([mpf_exp(mpf_mul(s1, x, work), work)
+                                  for x in lane],), bits)
+            else:
+                lane = params
+                turns = [mpf_cos_sin(mpf_mul(s1, p, work), work)
+                         for p in params]
+                power = _vector(([c for c, _s in turns],
+                                 [s for _c, s in turns]), bits)
+            if not with_log:
+                return _scaled(power, A, bits)
+            return _product(power, _plus(_scaled(_vector((lane,), bits), B,
+                                                 bits), A, bits), bits)
 
         return sample
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """Exact tail bound via incomplete gamma moments, from T = 1, each
-        decreasing in T.
+        """Proved tail bound via incomplete gamma moments, from T = 1,
+        each non-increasing in T (:func:`_moment_integral`).
 
         |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral
-        integral over [T, inf) of e^(-m t) t^(s-1) dt equals
-        Gamma(s, m T) / m^s.  The log factor uses |log zeta| <= ln t + |theta|
-        + 2 pi (covering the Hankel sheet range) and ln t <= 2 sqrt(t).
+        integral over [T, inf) of e^(-m t) t^(s-1) dt is Gamma(s, m T) /
+        m^s, bounded in closed form by :func:`_moment_integral`.  The log
+        factor uses |log zeta| <= ln t + |theta| + 2 pi (covering the
+        Hankel sheet range) and ln t <= 2 sqrt(t).
         """
         s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator + moment
         g = abs(self.g_value(prec))

@@ -45,11 +45,23 @@ e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the others.  The
 shape's ``panel_sampler`` for the contour gives its samples as a vector
 too (the default builds the shape's scalar evaluator for the contour,
 maps it over the nodes and converts once; rational shapes, the Stirling
-minor and power kernels compute theirs in integers and libmp), and the
-two, times t^moment, are multiplied in integers.  A Hankel circle takes e^(-z rho e^(i phi)) with one complex
-exponential per node at the cached unit points e^(i phi_j).  Both
+minor and power kernels compute theirs in integers and libmp, a power
+kernel as one real lane per node times its sheet constants), and the
+two, times t^moment, are multiplied in integers.  A Hankel circle takes
+e^(-z rho e^(i phi)) e^(i phi) with one complex exponential per node at
+the cached unit points e^(i phi_j) (:func:`_circle_kernel`).  Both
 Clenshaw-Curtis rules are integer dot products of the one vector with
 their folded weights rows, and each panel converts to mpmath once.
+
+What does not depend on the shape is computed once per point and shared.
+The ray kernel depends only on w, the panel's width and the precision,
+so the two halves of a bisected panel, and every sum with the same w
+and ladder (the Hankel sums of one z and theta), read one cached vector;
+the circle kernel depends only on z rho, the panel and the precision,
+and is cached likewise; and the singular values are rotated onto the
+ray once per sum, for the ray check and the segment breakpoints, and
+once per tail rule for its distances.  The caches are bounded, and a
+cached vector is the one a fresh computation gives.
 
 Lateral sums and their jump follow the frozen orientation convention of the
 whole package: the "+" determination uses rays at angles just below the
@@ -94,6 +106,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
@@ -101,7 +114,7 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 from ._chebyshev import (GUARD, _complex_tuple, _exponentials, _mantissas,
                          _product, _total, _unit_points, _values, _vector,
                          _weights)
-from .borelfun import BorelFunction, Contour, _pole_tail_distance
+from .borelfun import BorelFunction, Contour, _pole_tail_distance, _rotated
 from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
 from .series import FormalSeries
@@ -330,11 +343,12 @@ def pade_minor(series: FormalSeries, degree: int | None = None,
 # -- ray admissibility ----------------------------------------------------------------
 
 
-def _check_ray(sing, theta):
-    """Raise RayBlockedError when the ray hugs one of the singular values."""
+def _check_ray(sing, rotated, theta):
+    """Raise RayBlockedError when the ray hugs one of the singular values,
+    given with their ``rotated`` points v e^(-i theta)."""
     worst = None
-    for v in sing:
-        d = _pole_tail_distance(v, theta, 0)
+    for v, u in zip(sing, rotated):
+        d = _pole_tail_distance(u, 0)
         if d < min(mpmath.mpf(1), abs(v)) / 64:
             if worst is None or d < worst[1]:
                 worst = (v, d)
@@ -414,8 +428,10 @@ def _choose_truncation(rule, w, target, max_nodes):
 # -- quadrature -----------------------------------------------------------------------
 
 
-def _segments(lo, T, sing, theta):
-    """Subdivision points: a geometric ladder plus near-pole projections."""
+def _segments(lo, T, rotated):
+    """Subdivision points: a geometric ladder plus the projections of the
+    singular values near the ray, given as their ``rotated`` points
+    v e^(-i theta)."""
     lo = mpmath.mpf(lo)
     pts = {lo, mpmath.mpf(T)}
     t = mpmath.mpf(1) / 2 if lo == 0 else 2 * lo
@@ -423,8 +439,7 @@ def _segments(lo, T, sing, theta):
         if t > lo:
             pts.add(t)
         t *= 2
-    for v in sing:
-        u = v * mpmath.exp(mpmath.mpc(0, -1) * theta)
+    for u in rotated:
         if abs(u.imag) < 1 and lo < u.real < T:
             pts.add(u.real)
     return sorted(pts)
@@ -505,27 +520,37 @@ def _ray_sampler(shape, w, contour, moment=0):
     return sample
 
 
+@lru_cache(maxsize=16)
+def _circle_kernel(cr, ci, mid, half, bits: int):
+    """e^(-z rho w_j) w_j at the unit points w_j = e^(i phi_j) of the panel
+    mid + half x, for -z rho = (cr + i ci) 2^-bits, as one vector of
+    mantissa tuples: one exponential and one cosine and sine per node,
+    once per (z rho, panel, bits), shared by every Hankel sum with that
+    circle."""
+    wr, wi, _half = _unit_points(mid, half, _FINE, bits)
+    re, im = [], []
+    for x, y in zip(wr, wi):
+        # e^(-z rho w) = e^a (cos b + i sin b), a + i b = -z rho w
+        e = mpf_exp(from_man_exp((cr * x - ci * y) >> bits, -bits), bits)
+        c, s = mpf_cos_sin(from_man_exp((cr * y + ci * x) >> bits, -bits),
+                           bits)
+        re.append(mpf_mul(e, c))
+        im.append(mpf_mul(e, s))
+    parts, exp = _product(_vector((re, im), bits), ((wr, wi), -bits), bits)
+    return tuple(map(tuple, parts)), exp
+
+
 def _circle_sampler(shape, z, rho):
     """The panel sampler of the circle zeta = rho e^(i phi):
-    e^(-z zeta) e^(i phi) times the shape's samples, one exponential per
-    node at the cached unit points, with i rho half as the scalar
-    factor."""
+    e^(-z zeta) e^(i phi) from :func:`_circle_kernel` times the shape's
+    samples, with i rho half as the scalar factor."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
     cr, ci = _mantissas(_complex_tuple(-z * rho), -bits)
 
     def sample(mid, half):
-        wr, wi, _half = _unit_points(mid, half, _FINE, bits)
-        re, im = [], []
-        for x, y in zip(wr, wi):
-            # e^(-z rho w) = e^a (cos b + i sin b), a + i b = -z rho w
-            e = mpf_exp(from_man_exp((cr * x - ci * y) >> bits, -bits), bits)
-            c, s = mpf_cos_sin(from_man_exp((cr * y + ci * x) >> bits, -bits),
-                               bits)
-            re.append(mpf_mul(e, c))
-            im.append(mpf_mul(e, s))
-        kernel = _product(_vector((re, im), bits), ((wr, wi), -bits), bits)
-        return (_product(kernel, shape(mid, half, _FINE), bits),
+        return (_product(_circle_kernel(cr, ci, mid, half, bits),
+                         shape(mid, half, _FINE), bits),
                 mpmath.mpc(0, 1) * rho * half)
 
     return sample
@@ -559,7 +584,8 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         theta, z, w, m = _kernel(spec.theta, spec.z, guard)
         origin = f.origin_head(w, theta, moment, guard)
         sing = f.singular_values(guard)
-        _check_ray(sing, theta)
+        rotated = _rotated(sing, theta)
+        _check_ray(sing, rotated, theta)
         target = mpmath.mpf(float(spec.target_error))
         T, tail, proved = _choose_truncation(
             f.tail_rule(theta, m, moment, sing, guard), w, target,
@@ -568,7 +594,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         contour = Contour(theta)
         shape = f.panel_sampler(contour, guard)
         lo, head, head_err = origin(T)
-        pts = _segments(lo, T, sing, theta)
+        pts = _segments(lo, T, rotated)
         val, errq, nodes, panels = _panels(
             _ray_sampler(shape, w, contour, moment), pts, target / 16,
             spec.max_nodes)
@@ -653,7 +679,8 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         difference = None if f.single_valued \
             else f.panel_sampler(ray, guard)
         sing = f.singular_values(guard)
-        _check_ray(sing, th)
+        rotated = _rotated(sing, th)
+        _check_ray(sing, rotated, th)
         rho = min(abs(v) for v in sing) / 4 if sing \
             else mpmath.mpf(1) / 4
         target = mpmath.mpf(float(target_error))
@@ -664,7 +691,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         else:
             T, tail, proved = _choose_truncation(
                 f.tail_rule(th, m, 0, sing, guard), w, target, max_nodes)
-            pts = _segments(rho, T, sing, th)
+            pts = _segments(rho, T, rotated)
         below = th - 2 * mpmath.pi
         circle = f.panel_sampler(Contour(th, radius=rho), guard)
 

@@ -72,6 +72,7 @@ from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 from ._chebyshev import _values, endpoint_series, iterated_levels, segment
 from .errors import (DEFAULT_CUTOFF, DivergentIndexError, _DefaultCutoff,
                      check_prec)
+from .series import _bernoulli
 from .words import Word, shuffle, stuffle
 
 __all__ = [
@@ -452,8 +453,8 @@ def _tail_abel(form: _TailForm) -> _TailForm:
 def _em_weight(x: int, j: int) -> Fraction:
     """B_2j / (2j)! * x (x + 1) ... (x + 2j - 2), exactly: the coefficient
     of n^(-x-2j+1) in the Euler-Maclaurin expansion of sum_{n > m} n^{-x}."""
-    p, q = mpmath.bernfrac(2 * j)
-    return Fraction(p * prod(range(x, x + 2 * j - 1)), q * factorial(2 * j))
+    return _bernoulli(2 * j) * prod(range(x, x + 2 * j - 1)) \
+        / factorial(2 * j)
 
 
 @lru_cache(maxsize=1024)

@@ -33,15 +33,18 @@ into the classical large-order prediction
 
 exactly in the scalar ring (omega^(-n-1) is a monomial inversion), and
 ``gevrey_bound`` fits the 1-Gevrey envelope |c_n| <= C M^n n! numerically.
-mpmath is imported only by the functions that need it (``partial_sum``,
-``gevrey_bound`` and the Bernoulli numbers of ``stirling_series``), so the
-exact series start without it.
+mpmath is imported only by the functions that need it (``partial_sum``
+and ``gevrey_bound``), so the exact series start without it: the
+Bernoulli numbers of ``stirling_series`` (and of the Euler-Maclaurin
+weights of :mod:`.mzv` and the Stirling minor of :mod:`.borelfun`) are
+the exact fractions of :func:`_bernoulli`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ExactScalar
 
@@ -410,20 +413,55 @@ def euler_series(order: int) -> FormalSeries:
     return FormalSeries(coeffs, order=order)
 
 
+@lru_cache(maxsize=8)
+def _tangent_numbers(count: int):
+    """The tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), the
+    integers with tan x = sum of T_k x^(2k-1) / (2k-1)!, by the
+    recurrence of Brent and Harvey (Fast computation of Bernoulli, tangent
+    and secant numbers, 2011): integer products and sums only."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
+@lru_cache(maxsize=512)
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n as an exact fraction, with B_1 = -1/2 (the
+    convention of ``mpmath.bernfrac``): B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)) from the tangent numbers, which are computed for the
+    power of two k rounds up to, so that a growing n rebuilds them only
+    a logarithmic number of times."""
+    if n < 0:
+        raise ValueError("the Bernoulli numbers start at n = 0")
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    count = 16
+    while count < k:
+        count *= 2
+    four = 4 ** k
+    return Fraction((-1) ** (k - 1) * n * _tangent_numbers(count)[k - 1],
+                    four * (four - 1))
+
+
 def stirling_series(order: int) -> FormalSeries:
     """The Stirling tail: log Gamma(z) minus its elementary part.
 
     c_{2k+1} = B_{2k+2} / ((2k+1)(2k+2)), even coefficients vanish.
     """
-    import mpmath
-
     coeffs = [ExactScalar()] * (order + 1)
     for k in range(0, (order - 1) // 2 + 1):
         n = 2 * k + 1
         if n > order:
             break
-        p, q = mpmath.bernfrac(2 * k + 2)
         coeffs[n] = ExactScalar.from_rational(
-            Fraction(int(p), int(q)) / ((2 * k + 1) * (2 * k + 2))
-        )
+            _bernoulli(2 * k + 2) / ((2 * k + 1) * (2 * k + 2)))
     return FormalSeries(coeffs, order=order)

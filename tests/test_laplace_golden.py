@@ -175,11 +175,11 @@ GOLDEN = {
         ("mpc(real='0.1408215195985190182348389953403966501355171203613281"
          "25', imag='-0.01366423262967624875641181603214135975576937198638"
          "916015625')"),
-        ("mpf('0.000000001798853117591405865174232369025925787342501394050"
-         "4868514835834503173828125')"),
+        ("mpf('0.000000001799494668619396139258315305648958104534074209368"
+         "55487525463104248046875')"),
         343,
         ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': "
-         "8.994264954080265e-10, 'quadrature_error': 1.1323178974853957e-2"
+         "8.997472709220217e-10, 'quadrature_error': 1.1323178974853957e-2"
          "0, 'segments': 7, 'panels': 7, 'rigorous_tail': True, 'method': "
          "'clenshaw-curtis'}"),
     ),
@@ -187,11 +187,11 @@ GOLDEN = {
         ("mpc(real='-0.245064535867137032448663004624567207656582468189299"
          "106597900390625', imag='1.11072073453959140922064907641697573126"
          "293718814849853515625')"),
-        ("mpf('0.000000000000001784292964585930306923691307907228177896563"
-         "762062571344363740011296215470792959')"),
+        ("mpf('0.000000000000001798097577180943345329406237030881658769542"
+         "099371116663066375029877974611736136')"),
         343,
-        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.921174"
-         "742282032e-16, 'quadrature_error': 2.0213020499661305e-23, 'segm"
+        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.990197"
+         "805257097e-16, 'quadrature_error': 2.0213020499661296e-23, 'segm"
          "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),
@@ -248,14 +248,14 @@ GOLDEN = {
         ("mpc(real='0.6933612743417572977307379578082446869302657432854175"
          "567626953125', imag='0.00000000000662791072950139309130790418260"
          "04218253276523142858422943390905857086181640625')"),
-        ("mpf('0.000000000013363127118193185713942315768060759781904129267"
-         "01648166361025005244300700724125')"),
+        ("mpf('0.000000000013755529907528399650846055025323229238427879731"
+         "31192302833625262792338617146015')"),
         392,
         ("{'margin': 2.866009467376818, 'truncation': 7.59375, 'radius': 0"
-         ".25, 'tail_bound': 6.67998323632414e-12, 'quadrature_error': 7.9"
-         "01499115637731e-16, 'segments': 5, 'panels': 7, 'ray_nodes': 245"
-         ", 'circle_nodes': 147, 'rigorous_tail': True, 'method': 'clensha"
-         "w-curtis'}"),
+         ".25, 'tail_bound': 6.8761846309917475e-12, 'quadrature_error': 7"
+         ".901499115637731e-16, 'segments': 5, 'panels': 7, 'ray_nodes': 2"
+         "45, 'circle_nodes': 147, 'rigorous_tail': True, 'method': 'clens"
+         "haw-curtis'}"),
     ),
 }
 

@@ -26,7 +26,8 @@ from resurgence._chebyshev import (GUARD, _complex_tuple, _exponentials,
 from resurgence.borelfun import (BorelFunction, Contour, PowerBF, RationalBF,
                                  RationalFunction, StirlingBF,
                                  _moment_integral, _pole_tail_distance,
-                                 _stirling_lattice, convolve, euler_minor)
+                                 _rotated, _stirling_lattice, convolve,
+                                 euler_minor)
 from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray, pade_minor
 from resurgence.scalars import ExactScalar, GaussianRational
 from resurgence.series import euler_series
@@ -275,8 +276,8 @@ def full_scan_tail(theta, m, T, moment):
     d = mpmath.inf
     for k in range(1, kmax + 1):
         for sgn in (1, -1):
-            d = min(d, _pole_tail_distance(mpmath.mpc(0, sgn * tau * k),
-                                           theta, T))
+            (u,) = _rotated([mpmath.mpc(0, sgn * tau * k)], theta)
+            d = min(d, _pole_tail_distance(u, T))
     delta = min(d / 2, mpmath.pi / 2)
     M = ((1 + mpmath.pi / (2 * delta)) / 2) / T + 1 / mpmath.mpf(T) ** 2
     return abs(M * _moment_integral(moment + 1, m, T))

@@ -3,7 +3,11 @@ coefficient prediction.  Frozen values come from hand derivations noted
 inline; numeric checks use mpmath reference functions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from resurgence.scalars import ExactScalar
 from resurgence.series import (
     BorelSeries,
+    _bernoulli,
     FormalSeries,
     borel,
     cauchy_product,
@@ -214,3 +219,26 @@ class TestNamedSeries:
             )
             # the optimally truncated tail is below 1e-10 at z = 10
             assert abs(got - expect) < mpmath.mpf("1e-10")
+
+
+class TestBernoulli:
+    def test_matches_mpmath_bernfrac(self):
+        for n in range(101):
+            p, q = mpmath.bernfrac(n)
+            assert _bernoulli(n) == Fraction(int(p), int(q)), n
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError):
+            _bernoulli(-2)
+
+    def test_stirling_series_starts_without_mpmath(self):
+        # the command, in a fresh interpreter, never loads mpmath
+        code = ("import sys; from resurgence.cli import main; "
+                "code = main(['series', '--input', 'stirling', '--order', "
+                "'12']); print('mpmath' in sys.modules); sys.exit(code)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[-2] == "False"

@@ -6,9 +6,8 @@ Run from the root of a source checkout.  It builds the seeded inputs of the
 iterated-integrals workload (``bench/inputs.py``, ``bench/worker.py``), runs
 every operation of one round once in this process, with every cache cold,
 then does the same for one certified-sums round with the caches of
-``_chebyshev``, ``borelfun`` and ``mzv`` cleared, and prints one JSON
-object.  For
-the iterated-integrals round:
+``_chebyshev``, ``borelfun``, ``laplace``, ``mzv`` and ``series`` cleared,
+and prints one JSON object.  For the iterated-integrals round:
 
 * ``applications``: per node count n, how many times the integration
   matrix was applied to one real part of a sample vector (``full``) and
@@ -46,12 +45,22 @@ Under ``laplace``, for the same round: per Laplace operation (rays, the
 lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
 report, the libmp ``exp``, ``cos_sin`` and ``log`` calls its panel
 sampling made (``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` as
-``_chebyshev``, ``borelfun`` and ``laplace`` call them), the seconds of
-its truncation searches (``truncation_s``), the tail bounds they
-evaluated (``tail_bounds``, calls of the bound of each shape's
-``tail_rule``) and their ``mpmath.gammainc`` calls (``gammainc``); their
-``total``, with the seconds of those calls (``gammainc_s``); and the
-wall seconds of the whole round (``round_s``).
+``_chebyshev``, ``borelfun`` and ``laplace`` call them), the kernel
+vectors it ``computed`` and ``reused`` from the caches of the ray kernel
+``_chebyshev._exponentials`` (``ray_kernels``) and of the circle kernel
+``laplace._circle_kernel`` (``circle_kernels``), the seconds of its
+truncation searches (``truncation_s``), the tail bounds they evaluated
+(``tail_bounds``, calls of the bound of each shape's ``tail_rule``), and
+the incomplete-gamma moments of those bounds, as ``mpmath.gammainc``
+calls (``gammainc``, integer orders) and as moments bounded in closed
+form (``closed_form``, the other orders, by
+``borelfun._moment_integral``); their ``total``, with the seconds of the
+``gammainc`` calls (``gammainc_s``); and the wall seconds of the whole
+round (``round_s``).  On seed 3 the round computes 36 ray kernels and
+reuses 21, computes 3 circle kernels and reuses 9, and bounds 10 moments
+in closed form beside 15 ``gammainc`` calls, where every one of the 25
+was a ``gammainc`` call before the closed form; its nodes (3381) and
+panels (63) are those of the sums without the caches.
 
 It counts through the folded ``_chebyshev._cumulate`` and
 ``_chebyshev._fold``: an application of all rows costs the symmetric half
@@ -78,7 +87,7 @@ sys.path.insert(0, str(ROOT))
 
 from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
-from resurgence import borelfun, laplace, mzv  # noqa: E402
+from resurgence import borelfun, laplace, mzv, series  # noqa: E402
 
 LIBMP = {"exp": "mpf_exp", "cos_sin": "mpf_cos_sin", "log": "mpf_log"}
 # the certified-sums operations that call ze_eval
@@ -201,15 +210,20 @@ def count_libmp():
 
 def certified_work(seed):
     """The ze_eval and Laplace work of one certified-sums round, with the
-    caches of ``_chebyshev``, ``borelfun`` and ``mzv`` cold: (ze, laplace)
-    as described in the module docstring."""
-    for module in (cheb, borelfun, mzv):
+    caches of ``_chebyshev``, ``borelfun``, ``laplace``, ``mzv`` and
+    ``series`` cold: (ze, laplace) as described in the module docstring."""
+    for module in (cheb, borelfun, laplace, mzv, series):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     calls = count_libmp()
     sums = Counter()
     cutoffs = []
+    kernels = {"ray_kernels": cheb._exponentials,
+               "circle_kernels": laplace._circle_kernel}
+
+    def kernel_counts():
+        return {key: cache.cache_info() for key, cache in kernels.items()}
 
     def counted(key, f, record=None):
         def call(*args):
@@ -224,7 +238,7 @@ def certified_work(seed):
         return call
 
     saved = (mzv._prefix_sums, mzv._tail_sum, laplace._choose_truncation,
-             mpmath.gammainc)
+             mpmath.gammainc, borelfun._moment_integral)
     mzv._prefix_sums = counted(
         "prefix", saved[0], lambda idx, N, P: cutoffs.append((N, idx.depth)))
     mzv._tail_sum = counted("levels", saved[1])
@@ -240,12 +254,20 @@ def certified_work(seed):
 
     laplace._choose_truncation = counted("truncation", choose)
     mpmath.gammainc = counted("gammainc", saved[3])
+
+    def moment(order, m, T):
+        if not mpmath.isint(order):
+            sums["closed_form"] += 1
+        return saved[4](order, m, T)
+
+    borelfun._moment_integral = moment
     ze, work = {}, {}
     start = time.perf_counter()
     try:
         for name, call, _serialize in worker.certified_sums(
                 inputs.certified_sums(seed), {}):
             before, tried, lapse = Counter(calls), len(cutoffs), Counter(sums)
+            cached = kernel_counts()
             began = time.perf_counter()
             result = call()
             seconds = round(time.perf_counter() - began, 5)
@@ -267,17 +289,24 @@ def certified_work(seed):
                 "truncation_s": round(sums["truncation_s"]
                                       - lapse["truncation_s"], 5),
                 "tail_bounds": sums["tail_bounds"] - lapse["tail_bounds"],
-                "gammainc": sums["gammainc"] - lapse["gammainc"]}
+                "gammainc": sums["gammainc"] - lapse["gammainc"],
+                "closed_form": sums["closed_form"] - lapse["closed_form"],
+                **{key: {"computed": info.misses - cached[key].misses,
+                         "reused": info.hits - cached[key].hits}
+                   for key, info in kernel_counts().items()}}
     finally:
         (mzv._prefix_sums, mzv._tail_sum, laplace._choose_truncation,
-         mpmath.gammainc) = saved
+         mpmath.gammainc, borelfun._moment_integral) = saved
     elapsed = time.perf_counter() - start
     ze_total = {key: sum(w[key] for w in ze.values())
                 for key in ("prefix_terms", "tail_levels")}
     ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
     total = {key: sum(w[key] for w in work.values())
              for key in ("nodes", "panels", *LIBMP, "tail_bounds",
-                         "gammainc")}
+                         "gammainc", "closed_form")}
+    for key in kernels:
+        total[key] = {part: sum(w[key][part] for w in work.values())
+                      for part in ("computed", "reused")}
     total["truncation_s"] = round(sums["truncation_s"], 5)
     total["gammainc_s"] = round(sums["gammainc_s"], 5)
     return ({"operations": ze, "total": ze_total},
