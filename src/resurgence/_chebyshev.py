@@ -94,6 +94,8 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_div, mpc_sub,
                           mpf_add, mpf_cos_pi, mpf_cos_sin, mpf_div, mpf_exp,
                           mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
 
+from . import _work
+
 GUARD = 32
 # extra bits carried while building the matrix, dropped by its final rounding
 _BUILD_GUARD = 24
@@ -116,10 +118,12 @@ def _quarter(n: int, bits: int, parity: int):
     integer, ties to even."""
     wp = bits + 16
     two_n = from_int(2 * n)
+    ks = range(parity, n + 1, 2)
+    _work.add(("cos_pi", n, bits), len(ks))
     return tuple(to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), two_n, wp,
                                                      "n"), wp, "n"), bits),
                         "n")
-                 for k in range(parity, n + 1, 2))
+                 for k in ks)
 
 
 @lru_cache(maxsize=32)
@@ -160,6 +164,7 @@ def _matrix(n: int, prec: int, rows):
     output node and columns by input node, as integers scaled by
     2^(prec + GUARD), built from the closed form of the module docstring.
     Only its folded rows 1 .. n // 2 are kept (:func:`_folded`)."""
+    _work.add(("entries", n, prec), len(rows) * (n + 1))
     bits = prec + GUARD + _BUILD_GUARD
     one = 1 << bits
     two_n = 2 * n
@@ -250,7 +255,8 @@ def _folded(n: int, prec: int):
     weights row of :func:`_weights`, and for each row i = 1 .. n // 2 its
     doubled symmetric and antisymmetric halves, (M[i][j] + M[i][n-j],
     M[i][j] - M[i][n-j]) for j < n / 2, with 2 M[i][n/2] for even n."""
-    rows = _matrix(n, prec, range(1, n // 2 + 1))
+    with _work.timing(("matrix_s", n, prec)):
+        rows = _matrix(n, prec, range(1, n // 2 + 1))
     half = (n + 1) // 2
     middle = [] if n % 2 else [n // 2]
 
@@ -281,6 +287,8 @@ def _cumulate(folded, g):
     by the reflection M[n-i][j] = W_j - M[i][n-j]."""
     last, pairs = folded
     n = len(g) - 1
+    _work.add(("cumulate", n))
+    _work.add(("madds", n), len(last) + len(pairs) * (n + 1))
     plus, minus = _fold(g)
     total = sum(map(mul, last, plus))
     out = [0] * (n + 1)
@@ -297,6 +305,8 @@ def _cumulate(folded, g):
 def _total(last, g):
     """Twice the weights row applied to one list of integer mantissas: the
     last entry of :func:`_cumulate` without the other rows."""
+    _work.add(("total", len(g) - 1))
+    _work.add(("madds", len(g) - 1), len(last))
     return sum(map(mul, last, _fold(g)[0]))
 
 
@@ -435,6 +445,9 @@ def _exponentials(u, n: int, bits: int):
     one = (0, 1, 0, 1)
     re = [one] * (n + 1)
     im = [fzero] * (n + 1)
+    _work.add("exp", n - n // 2)
+    if not real:
+        _work.add("cos_sin", n - n // 2)
     for j in range(n // 2 + 1, n + 1):
         x = from_man_exp(-cos[j], -bits)
         e = mpf_exp(mpf_mul(ur, x, bits), bits)
@@ -577,6 +590,7 @@ def _unit_points(mid, half, n: int, bits: int):
     and half, all times 2^bits: one libmp cosine and sine per node, shared
     by every arc with the same angles."""
     wp = bits + 16
+    _work.add("cos_sin", n + 1)
     m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
     # u_j = -cos(pi j / n), exactly as the scaled integers give it, and the
     # angle and its cosine and sine each rounded to nearest at wp bits
@@ -635,6 +649,7 @@ def iterated_levels(poles, panels, n: int, start=()):
     panel, letter and start value is.
     """
     depth = len(poles)
+    _work.add(("iterated_levels", len(panels), n))
     prec = mpmath.mp.prec
     bits = prec + GUARD
     folded = _folded(n, prec)
@@ -731,6 +746,7 @@ def endpoint_series(poles, h_exp: int):
         terms += 1
         top *= num
         bottom *= den
+    _work.add(("series_terms", terms))
     one = 1 << bits
     real = all(_complex_tuple(a)[1] == fzero for a in poles)
     lanes = ([one] + [0] * (terms - 1),)

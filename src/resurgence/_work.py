@@ -1,0 +1,80 @@
+"""Work counts of the numeric layer, added where the work is done.
+
+    with _work.counting() as counts:
+        ze_eval(MzvIndex((2, 1)))
+    counts["tail_levels"]
+
+:func:`counting` opens a scope and yields its :class:`collections.Counter`,
+which gets every count added in its thread or task until it closes.  A
+nested scope starts empty, and the enclosing one resumes when it closes.
+With no scope open, :func:`add` costs one context-variable lookup and
+:func:`timing` reads no clock.  Cached functions count only on a miss.
+
+A key is a string, or a tuple of a name and the integers it is counted
+per.  In ``_chebyshev``: ``("cumulate", n)`` and ``("total", n)``, the
+applications of the folded integration matrix (``_cumulate``) and of its
+weights row alone (``_total``) to one real part of n + 1 samples, and
+``("madds", n)`` their integer multiply-adds; ``("cos_pi", n, bits)``,
+the libmp cosines of ``_quarter``; ``("entries", n, prec)``, the matrix
+entries ``_matrix`` builds, and ``("matrix_s", n, prec)`` the seconds of
+those builds; ``("iterated_levels", panels, n)``, the runs of
+``iterated_levels``; ``("series_terms", terms)``, the calls of
+``endpoint_series`` that keep that many terms per level.
+
+``"exp"``, ``"cos_sin"`` and ``"log"``: libmp calls, counted per vector
+by the ray kernel ``_chebyshev._exponentials``, the unit points
+``_chebyshev._unit_points``, the circle kernel ``laplace._circle_kernel``,
+the ``StirlingBF`` and ``PowerBF`` panel samplers and ``Contour.points``.
+
+``"tail_bounds"``: tail bounds evaluated by ``laplace._choose_truncation``,
+and ``"truncation_s"`` the seconds of its searches; ``"gammainc"``:
+``mpmath.gammainc`` calls of ``borelfun._moment_integral``, at integer
+orders, ``"gammainc_s"`` their seconds, and ``"closed_form"`` the moments
+it bounds in closed form.  In ``mzv``: ``("cutoff", N)``, the prefix sums
+(``_prefix_sums``) up to N, and ``"prefix_terms"`` their terms, depth
+times N; ``"tail_levels"``, the levels of the tail engine (``_tail_sum``).
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+_scope: ContextVar[Counter | None] = ContextVar("resurgence_work",
+                                                default=None)
+
+
+def add(key, k=1):
+    """Add k to ``key`` in the open scope; nothing when none is open."""
+    counts = _scope.get()
+    if counts is not None:
+        counts[key] += k
+
+
+@contextmanager
+def counting():
+    """A scope of its own: yields the Counter that every count added until
+    it closes goes to."""
+    counts = Counter()
+    token = _scope.set(counts)
+    try:
+        yield counts
+    finally:
+        _scope.reset(token)
+
+
+@contextmanager
+def timing(key):
+    """Add the seconds of the block, or of each call of the function it
+    decorates, to ``key`` in the open scope."""
+    counts = _scope.get()
+    if counts is None:
+        yield
+        return
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        counts[key] += time.perf_counter() - start

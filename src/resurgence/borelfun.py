@@ -90,6 +90,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpf_log, mpf_mul, mpf_pi, mpf_pos, mpf_shift,
                           mpf_sub)
 
+from . import _work
 from ._chebyshev import (GUARD, _complex_tuple, _cosines, _fixed, _mantissas,
                          _nodes, _plus, _product, _quotients, _scaled,
                          _unit_points, _vector)
@@ -496,7 +497,10 @@ def _moment_integral(order, m, T):
       it, so the bound never increases with T."""
     x = m * T
     if mpmath.isint(order):
-        return mpmath.gammainc(order, x) / m ** order
+        _work.add("gammainc")
+        with _work.timing("gammainc_s"):
+            return mpmath.gammainc(order, x) / m ** order
+    _work.add("closed_form")
     s1 = order - 1
     if s1 < 0:
         bound = mpmath.exp(s1 * mpmath.log(x) - x)
@@ -641,6 +645,7 @@ class Contour(NamedTuple):
             ts = [m - (h * c >> bits) for c in _cosines(n, bits)[:n + 1]]
             if self.theta == 0:
                 return ts, None
+            _work.add("cos_sin")
             c, s = _mantissas(mpf_cos_sin(mpmath.mpf(self.theta)._mpf_, bits),
                               -bits)
             return [t * c >> bits for t in ts], [t * s >> bits for t in ts]
@@ -1221,6 +1226,7 @@ class StirlingBF(BorelFunction):
             zr, zi = contour.points(mid, half, n, bits)
             real = zi is None
             re, im = [], []
+            far = 0
             for x, y in zip(zr, [0] * len(zr) if real else zi):
                 if x * x + y * y < quarter:
                     sr, si = (x * x - y * y) >> bits, (2 * x * y) >> bits
@@ -1231,6 +1237,7 @@ class StirlingBF(BorelFunction):
                     re.append(from_man_exp(ar, -bits))
                     im.append(from_man_exp(ai, -bits))
                     continue
+                far += 1
                 if real:
                     z = from_man_exp(x, -bits)
                     q = mpf_div(z, mpf_sub(mpf_exp(z, work), fone, work),
@@ -1250,6 +1257,9 @@ class StirlingBF(BorelFunction):
                 f = mpc_div(h, mpc_mul(z, z, work), work)
                 re.append(f[0])
                 im.append(f[1])
+            _work.add("exp", far)
+            if not real:
+                _work.add("cos_sin", far)
             return _vector((re,) if real else (re, im), bits)
 
         return sample
@@ -1517,11 +1527,14 @@ class PowerBF(BorelFunction):
         def sample(mid, half, n):
             params = contour.parameters(mid, half, n, bits)
             if on_ray:
+                _work.add("log", len(params))
+                _work.add("exp", len(params))
                 lane = [mpf_log(p, work) for p in params]
                 power = _vector(([mpf_exp(mpf_mul(s1, x, work), work)
                                   for x in lane],), bits)
             else:
                 lane = params
+                _work.add("cos_sin", len(params))
                 turns = [mpf_cos_sin(mpf_mul(s1, p, work), work)
                          for p in params]
                 power = _vector(([c for c, _s in turns],

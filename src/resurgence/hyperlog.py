@@ -372,9 +372,10 @@ def gu_resurgent(fam: MonomialFamily, w, u: Mould | None = None) -> ResurgentSer
 # -- iterated contour integrals ----------------------------------------------------------------
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class IteratedIntegral:
-    """A numeric contour integral with its convergence diagnostics."""
+    """A numeric contour integral with its convergence diagnostics: the
+    spectral ``nodes`` per panel, 0 when nothing was sampled."""
 
     value: object
     error_estimate: object
@@ -414,10 +415,10 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     value is 2*pi*i times the (r-1)-fold iterated integral of the kernels
     1/(zeta - s_k), k < r, along the right-circumventing path from 0 to
     s_r.  Depth one has an empty integrand and returns 2*pi*i, the
-    convention consistent with the depth-1 extraction.  Depth is capped
-    at 3.  The error estimate compares two spectral resolutions and adds
-    one unit in the last place of the returned value for its rounding.
-    ``prec`` must be at least MIN_PREC.
+    convention consistent with the depth-1 extraction, from no nodes.
+    Depth is capped at 3.  The error estimate compares two spectral
+    resolutions and adds one unit in the last place of the returned value
+    for its rounding.  ``prec`` must be at least MIN_PREC.
     """
     check_prec(prec)
     word = Word(w)
@@ -452,12 +453,12 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
             word=tuple(word),
             endpoint=endpoint,
         )
-    n = max(48, prec)
     if not kernels:
         # no integrand: the constant 2*pi*i, correctly rounded by mpmath
         with mpmath.workprec(prec):
             return IteratedIntegral(value=mpmath.mpc(0, 2 * mpmath.pi),
-                                    error_estimate=mpmath.mpf(0), nodes=n)
+                                    error_estimate=mpmath.mpf(0), nodes=0)
+    n = max(48, prec)
     with mpmath.workprec(prec + 24):
         tau = mpmath.mpc(0, 2 * mpmath.pi)
         segments = _contour_segments(endpoint)

@@ -111,6 +111,7 @@ from functools import lru_cache
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 
+from . import _work
 from ._chebyshev import (GUARD, _complex_tuple, _exponentials, _mantissas,
                          _product, _total, _unit_points, _values, _vector,
                          _weights)
@@ -370,6 +371,7 @@ def _check_ray(sing, rotated, theta):
 _LADDER_STEPS = 400
 
 
+@_work.timing("truncation_s")
 def _choose_truncation(rule, w, target, max_nodes):
     """(T, tail bound, proved?): the first point of the ladder T_floor,
     3/2 T_floor, ... whose tail bound is within target / 4, with the
@@ -398,6 +400,7 @@ def _choose_truncation(rule, w, target, max_nodes):
         while len(ladder) <= k:
             ladder.append(ladder[-1] * 3 / 2)
         if k not in bounds:
+            _work.add("tail_bounds")
             bounds[k] = bound_at(ladder[k])
         return bounds[k][0]
 
@@ -528,6 +531,8 @@ def _circle_kernel(cr, ci, mid, half, bits: int):
     once per (z rho, panel, bits), shared by every Hankel sum with that
     circle."""
     wr, wi, _half = _unit_points(mid, half, _FINE, bits)
+    _work.add("exp", len(wr))
+    _work.add("cos_sin", len(wr))
     re, im = [], []
     for x, y in zip(wr, wi):
         # e^(-z rho w) = e^a (cos b + i sin b), a + i b = -z rho w

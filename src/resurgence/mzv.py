@@ -69,6 +69,7 @@ from operator import mul
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
+from . import _work
 from ._chebyshev import _values, endpoint_series, iterated_levels, segment
 from .errors import (DEFAULT_CUTOFF, DivergentIndexError, _DefaultCutoff,
                      check_prec)
@@ -505,6 +506,7 @@ def _tail_em(form: _TailForm) -> _TailForm:
 
 
 def _tail_sum(form: _TailForm) -> _TailForm:
+    _work.add("tail_levels")
     if form.q == 0:
         return _tail_em(form)
     return _tail_abel(form)
@@ -673,6 +675,8 @@ def _prefix_sums(idx: MzvIndex, N: int, P: int):
     within  L u + 6u |S~_{j+1}(n)| + a |S~_{j+1}(n) - S_{j+1}(n)|  of its
     true value, and prefix sums of ints add no rounding."""
     r = idx.depth
+    _work.add(("cutoff", N))
+    _work.add("prefix_terms", r * N)
     one = 1 << P
     tops = [None] * (r + 2)
     err = [0] * (r + 2)

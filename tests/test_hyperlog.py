@@ -17,6 +17,7 @@ Frozen oracle values used below, all independently derivable by hand:
   2*pi*i * i*pi = -2*pi^2, and shuffle relations fix depth 3.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -374,6 +375,7 @@ class TestIteratedIntegrals:
         for w in [(5,), (-4,)]:
             got = L_numeric(w)
             assert got.error_estimate == 0
+            assert got.nodes == 0
             with mpmath.workprec(60):
                 assert abs(got.value - 2j * mpmath.pi) < mpmath.mpf(2) ** -45
 
@@ -468,6 +470,11 @@ class TestIteratedIntegrals:
         assert isinstance(got, IteratedIntegral)
         assert got.nodes >= 48
         assert got.error_estimate >= 0
+
+    def test_result_is_frozen(self):
+        got = L_numeric((1, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.nodes = 0
 
 
 class TestSpectralCumulative:

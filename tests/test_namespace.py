@@ -67,3 +67,15 @@ def test_bare_import_loads_no_submodule():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[0] == "['resurgence']"
+
+
+def test_cli_import_loads_no_work_counts():
+    """The command line's first import leaves the work counts, like the
+    numeric layer that adds to them, unloaded."""
+    code = ("import sys, resurgence.cli; "
+            "print('resurgence._work' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "False"

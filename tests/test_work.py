@@ -1,0 +1,121 @@
+"""The work counts of ``resurgence._work``: scopes, pinned counts at the
+sites where the work is done, and the totals of ``tools/engine_work.py``.
+
+A count site lost in a refactor reads 0.  The pinned counts catch that
+for the sites they reach, and the tool's totals for every count it
+prints, since each of them is nonzero on a benchmark round.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import mpmath
+import pytest
+
+from resurgence import _work
+from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
+                                   _exponentials, _folded, _quarter,
+                                   iterated_levels, segment)
+
+ROOT = Path(__file__).parents[1]
+
+
+class TestScopes:
+    def test_no_scope_counts_nothing(self, monkeypatch):
+        """Outside every scope a count goes nowhere, opens no scope, and
+        no clock is read."""
+        def clock():
+            raise AssertionError("timing read the clock with no scope open")
+
+        monkeypatch.setattr(_work.time, "perf_counter", clock)
+        _work.add("exp", 5)
+        with _work.timing("truncation_s"):
+            iterated_levels([2], [segment(0, 1)], 8)
+        assert _work._scope.get() is None
+
+    def test_nested_scopes_are_isolated_and_restored(self):
+        with _work.counting() as outer:
+            _work.add("exp")
+            with _work.counting() as inner:
+                _work.add("exp", 2)
+                _work.add(("cutoff", 1024))
+            _work.add("log")
+            with _work.timing("truncation_s"):
+                pass
+        _work.add("exp")
+        assert inner == {"exp": 2, ("cutoff", 1024): 1}
+        assert outer["exp"] == 1 and outer["log"] == 1
+        assert set(outer) == {"exp", "log", "truncation_s"}
+        assert outer["truncation_s"] >= 0
+
+    def test_a_scope_closes_on_an_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with _work.counting() as counts:
+                _work.add("exp")
+                1 / 0
+        _work.add("exp")
+        assert counts == {"exp": 1}
+
+
+class TestPinnedCounts:
+    def test_cold_ray_panel_at_complex_w(self):
+        """A 49-node ray kernel evaluates e^(u x_j) at the 24 nodes
+        x_j > 0 alone; a warm one evaluates nothing."""
+        _exponentials.cache_clear()
+        bits = 53 + GUARD
+        u = _complex_tuple(mpmath.mpc("-0.75", "1.5"))
+        with _work.counting() as cold:
+            _exponentials(u, 48, bits)
+        with _work.counting() as warm:
+            _exponentials(u, 48, bits)
+        assert (cold["exp"], cold["cos_sin"]) == (24, 24)
+        assert warm == Counter()
+
+    def test_cold_folded_matrix_entries(self):
+        """_folded keeps the rows 1 .. n // 2: 12 rows of 25 at n = 24."""
+        _folded.cache_clear()
+        with _work.counting() as counts:
+            _folded(24, 53)
+        assert counts["entries", 24, 53] == 300
+        assert counts[("cumulate", 24)] == counts[("total", 24)] == 0
+
+    @pytest.mark.parametrize("n", [16, 24, 53, 80])
+    def test_quarter_wave_cosines(self, n):
+        """The cosines of degree n read the even quarter-wave entries:
+        n // 2 + 1 libmp cosines."""
+        _quarter.cache_clear()
+        _cosines.cache_clear()
+        bits = 53 + GUARD
+        with _work.counting() as counts:
+            _cosines(n, bits)
+        assert counts == {("cos_pi", n, bits): n // 2 + 1}
+
+
+def test_engine_work_totals_are_nonzero():
+    """Every total that ``tools/engine_work.py`` reports is nonzero on a
+    benchmark round, so none of its count sites has gone missing."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "engine_work.py"), "--seed",
+         "1"], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+
+    def leaves(value, path):
+        if isinstance(value, dict):
+            for key, inner in value.items():
+                yield from leaves(inner, f"{path}.{key}")
+        else:
+            yield path, value
+
+    totals = {"madds_total": out["madds_total"],
+              "unit_points_cos_sin": out["tables"]["unit_points_cos_sin"]}
+    for name in ("tables", "wa", "ze", "laplace"):
+        totals.update(leaves(out[name]["total"], name))
+    zero = [path for path, value in totals.items() if not value]
+    assert len(totals) > 20
+    assert not zero, zero
