@@ -57,9 +57,9 @@ a shift back to prec + GUARD bits after each step is the only rounding.
 integrates a stack of kernels dz / (a - z) cumulatively over chained
 panels (straight :func:`segment` panels and circular :func:`arc`
 panels), from running totals that start at zero or at given values, and
-returns every level's total; :func:`iterated_integral` is its last level
-from zero.  It serves both the simplex integrals of :mod:`resurgence.mzv`
-and the contour integrals of :mod:`resurgence.hyperlog`.  Every level
+returns every level's total.  It serves both the simplex integrals of
+:mod:`resurgence.mzv` and the contour integrals of
+:mod:`resurgence.hyperlog`.  Every level
 stays in block fixed point from the kernel samples to the running
 totals: the only roundings are the shared-exponent shifts with GUARD
 bits, the kernel divisions and the final conversion of the totals.
@@ -610,16 +610,6 @@ def arc(center, radius, t0, t1):
     """The circular panel of the given radius about ``center``, from angle
     t0 to angle t1."""
     return _Arc(center, radius, t0, t1)
-
-
-def iterated_integral(poles, panels, n: int):
-    """The iterated integral of dz_k / (a_k - z_k) over z_1 < ... < z_r
-    along a path, with a_1 = poles[0] attached to the earliest variable:
-    the last of :func:`iterated_levels`, and the constant 1 for an empty
-    stack of poles."""
-    if not poles:
-        return mpmath.mpf(1)
-    return iterated_levels(poles, panels, n)[-1]
 
 
 def iterated_levels(poles, panels, n: int, start=()):

@@ -27,11 +27,11 @@ Conventions shared by every subcommand:
 * Exit codes: 0 on success, 2 when the mathematics refuses (resonant
   words, blocked rays, non-simple singularities, and the rest of the
   domain error taxonomy) or a value is out of the supported range (an
-  index above the weight cap, a cutoff outside [64, MAX_CUTOFF], an
-  order outside [0, MAX_ORDER[subcommand]], a mould of more than
-  MAX_MOULD_WORDS words, a precision outside [MIN_PREC, MAX_PREC]), 1
-  for usage errors (unknown flags, malformed literals, a file that
-  cannot be read).
+  index above the weight cap, an order outside [0, MAX_ORDER[subcommand]],
+  a mould of more than MAX_MOULD_WORDS words, a precision outside
+  [MIN_PREC, MAX_PREC], a moment above MAX_MOMENT, a z whose modulus
+  overflows or underflows a double), 1 for usage errors (unknown flags,
+  malformed literals, a file that cannot be read or is not JSON).
   Every exit code prints one JSON object on standard output: the result,
   the refusal, or the usage mistake; standard error stays empty.
 * ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
@@ -46,8 +46,8 @@ Conventions shared by every subcommand:
   hang.  The library functions keep only the floor.
 
 Imports.  Loading this module imports only the standard library and
-:mod:`resurgence.errors` (the exit-code taxonomy, MIN_PREC and the
-``--cutoff`` default), so building the parser loads no layer.  mpmath and
+:mod:`resurgence.errors` (the exit-code taxonomy and MIN_PREC), so
+building the parser loads no layer.  mpmath and
 each package module are imported inside the handler or helper that uses
 them: ``mould make``, ``mould check`` and ``series`` (of the Euler series)
 run on the exact layer without mpmath, ``alien`` and ``hyperlog --word``
@@ -68,7 +68,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DEFAULT_CUTOFF, MIN_PREC, ResurgenceError
+from .errors import MIN_PREC, ResurgenceError
 
 
 class UsageError(Exception):
@@ -85,10 +85,9 @@ MAX_MOULD_WORDS = 4096
 # the largest --prec: mzv eval --s 2,1 takes about a second at 1024 bits
 # and over a minute at 4096, hyperlog --L 1,2 over two minutes at 4096
 MAX_PREC = 1024
-CUTOFF_HELP = (
-    "direct-sum cutoff in [64, MAX_CUTOFF]; by default mzv.DEFAULT_CUTOFF "
-    f"= {DEFAULT_CUTOFF}, which ze_eval doubles where the index's colours "
-    "need it; a given value is used as it stands")
+# the largest sum --moment: the ray sampler multiplies each panel's vector
+# by t once per unit of moment (10^3 takes about 2 s, 10^4 about 13 s)
+MAX_MOMENT = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,18 +159,21 @@ def _parse_z(text: str, prec: int):
 
     s = text.strip()
     try:
-        return parse_scalar(s).evaluate(prec)
+        z = parse_scalar(s).evaluate(prec)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        with mpmath.workprec(prec):
-            z = mpmath.mpmathify(s.replace("i", "j"))
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError):
-        # mpmath's string parser fails with AttributeError on some text
-        # and with ZeroDivisionError on a zero denominator
-        raise UsageError(f"cannot parse z value {text!r}") from None
-    if not mpmath.isfinite(z):
-        raise UsageError(f"the z value {text!r} is not finite")
+        try:
+            with mpmath.workprec(prec):
+                z = mpmath.mpmathify(s.replace("i", "j"))
+        except (ValueError, TypeError, AttributeError, ZeroDivisionError):
+            # mpmath's string parser fails with AttributeError on some
+            # text and with ZeroDivisionError on a zero denominator
+            raise UsageError(f"cannot parse z value {text!r}") from None
+        if not mpmath.isfinite(z):
+            raise UsageError(f"the z value {text!r} is not finite")
+    # the decay margin and the tail bounds are reported as doubles
+    modulus = float(abs(z))
+    if math.isinf(modulus) or (z and not modulus):
+        raise ValueError(f"|z| of {text!r} is outside the range of a double")
     return z
 
 
@@ -354,6 +356,9 @@ def _cmd_sum(args) -> dict:
     if args.moment and (args.jump or args.hankel):
         raise UsageError("--moment applies to ray sums only, not to "
                          "--jump or --hankel")
+    if args.moment > MAX_MOMENT:
+        raise ValueError(f"--moment {args.moment} is above the ceiling of "
+                         f"{MAX_MOMENT}")
     if args.jump:
         if args.theta_star is None:
             raise UsageError("--jump requires --theta-star")
@@ -393,7 +398,7 @@ def _cmd_mzv_eval(args) -> dict:
     from .mzv import ze_eval
 
     idx = _parse_index(args.s)
-    ev = ze_eval(idx, prec=args.prec, cutoff=args.cutoff)
+    ev = ze_eval(idx, prec=args.prec)
     digits = _digits(args.prec)
     return {
         "s": list(idx.s),
@@ -418,8 +423,7 @@ def _cmd_mzv_relation(args) -> dict:
         if mode not in ("stuffle", "shuffle"):
             raise UsageError(f"unknown mode {mode!r}")
     report = verify_relation(_parse_index(args.a), _parse_index(args.b),
-                             prec=args.prec, modes=modes,
-                             cutoff=args.cutoff)
+                             prec=args.prec, modes=modes)
     with mpmath.workprec(args.prec):
         data = report.to_dict(digits=_digits(args.prec))
     data["ok"] = report.ok
@@ -462,6 +466,10 @@ def _cmd_mould_check(args) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read --file {args.file!r}: "
                          f"{exc.strerror}") from None
+    except ValueError as exc:
+        # json's decode error and the codec's UnicodeDecodeError
+        raise UsageError(f"--file {args.file!r} is not UTF-8 JSON: "
+                         f"{exc}") from None
     try:
         m = mould_from_json(data)
     except (KeyError, TypeError) as exc:
@@ -570,7 +578,8 @@ def build_parser() -> _Parser:
                    help="cap on the integrand evaluations of one sum: "
                         "panels stop bisecting there and the error of "
                         "the unconverged ones is reported")
-    p.add_argument("--moment", type=int, default=0)
+    p.add_argument("--moment", type=int, default=0,
+                   help=f"power of t in the integrand, at most {MAX_MOMENT}")
     _common(p)
     p.set_defaults(handler=_cmd_sum)
 
@@ -578,16 +587,12 @@ def build_parser() -> _Parser:
     mzv_subs = p.add_subparsers(dest="mzv_command", parser_class=_Parser)
     q = mzv_subs.add_parser("eval")
     q.add_argument("--s", required=True, help="index, e.g. 2 or 2,1")
-    q.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
-                   help=CUTOFF_HELP)
     _common(q)
     q.set_defaults(handler=_cmd_mzv_eval)
     q = mzv_subs.add_parser("relation")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--mode", default="stuffle,shuffle")
-    q.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
-                   help=CUTOFF_HELP)
     _common(q)
     q.set_defaults(handler=_cmd_mzv_relation)
 

@@ -4,6 +4,10 @@ Every error that reflects a mathematical obstruction (rather than a plain
 usage mistake) derives from :class:`ResurgenceError` and carries a short
 machine-readable ``code`` plus a ``details`` dict, so the command line tool
 can emit structured error objects and map them to exit status 2.
+
+It also holds the precision floor MIN_PREC and its check, which every
+numeric evaluator and the command line share: the command line reads them
+here without loading a numeric layer.
 """
 
 from __future__ import annotations
@@ -13,24 +17,6 @@ from __future__ import annotations
 # for nested sums) need double precision, and below it the reported
 # errors would describe meaningless values.
 MIN_PREC = 53
-
-
-class _DefaultCutoff(int):
-    """The int DEFAULT_CUTOFF, marked so that ze_eval may raise it for the
-    index at hand; a cutoff given as any other int is used as it stands."""
-
-
-# The cutoff ze_eval and verify_relation start from unless told otherwise.
-# At 1024 the certified tails of most supported indices already sit under
-# the unit 2^-prec (1 + |value|) of the reported error, which the proved
-# rounding term stays far below.  A level whose accumulated colour z is
-# close to 1 has a tail expanded in 1/(cutoff |1 - z|), so an index whose
-# partial colour sums come near an integer needs more: there ze_eval
-# doubles the default until the remainders fit under that unit, up to
-# 16 * 1024, which is past 10^4.  It lives here, beside MIN_PREC, so that
-# the command line can offer it as the --cutoff default without loading
-# the nested-sum layer; mzv re-exports this same object.
-DEFAULT_CUTOFF = _DefaultCutoff(1024)
 
 
 def check_prec(prec) -> None:

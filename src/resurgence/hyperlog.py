@@ -41,7 +41,7 @@ from math import factorial
 
 import mpmath
 
-from ._chebyshev import arc, iterated_integral, segment
+from ._chebyshev import arc, iterated_levels, segment
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
 from .errors import ResonanceError, check_prec
@@ -464,8 +464,9 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
         segments = _contour_segments(endpoint)
         # the engine's kernels are 1/(a - zeta), these are 1/(zeta - a)
         sign = (-1) ** len(kernels)
-        fine = sign * iterated_integral(kernels, segments, n)
-        coarse = sign * iterated_integral(kernels, segments, max(24, n // 2))
+        fine = sign * iterated_levels(kernels, segments, n)[-1]
+        coarse = sign * iterated_levels(kernels, segments,
+                                        max(24, n // 2))[-1]
         value = tau * fine
         err = abs(tau) * abs(fine - coarse)
     with mpmath.workprec(prec):

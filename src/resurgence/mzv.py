@@ -27,11 +27,12 @@ Two independent evaluators are provided.
   phase use iterated summation by parts.  Truncation remainders are
   tracked through every algebraic step with explicit inequalities, and
   a proved rounding term bounds every floor of the integer arithmetic,
-  so the reported error is a guaranteed bound.  By default the direct sum
-  stops at DEFAULT_CUTOFF = 1024, doubled for indices whose partial
-  colour sums come close to an integer, and the tails keep
-  4 + max(0, prec - 53) // 5 correction terms; the reported error is
-  within one unit 2^-prec (1 + |value|) of that at a cutoff of 10^4.
+  so the reported error is a guaranteed bound.  The direct sum starts at
+  a cutoff of DEFAULT_CUTOFF = 1024, doubled, at most four times and
+  never past MAX_CUTOFF, while the certified remainders exceed one unit
+  2^-prec (1 + |value|), and the tails keep 4 + max(0, prec - 53) // 5
+  correction terms; the reported error is within one unit of that at a
+  cutoff of 10^4.
 
 * :func:`wa_eval` sums the two endpoint slivers [0, 1/8] and
   [1 - h_1, 1], where the kernels 1/(0 - z) and 1/(1 - z) make the
@@ -71,8 +72,7 @@ from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from . import _work
 from ._chebyshev import _values, endpoint_series, iterated_levels, segment
-from .errors import (DEFAULT_CUTOFF, DivergentIndexError, _DefaultCutoff,
-                     check_prec)
+from .errors import DivergentIndexError, check_prec
 from .series import _bernoulli
 from .words import Word, shuffle, stuffle
 
@@ -100,8 +100,9 @@ MAX_COLOUR_DENOMINATOR = 12
 # The largest cutoff ze_eval accepts: its prefix sums hold depth lists of
 # cutoff entries, so a larger one would take minutes and gigabytes.
 MAX_CUTOFF = 10**6
-# DEFAULT_CUTOFF, the marked cutoff that ze_eval may double, is defined in
-# errors, so that the command line's parser can read it without this layer.
+# The cutoff ze_eval starts from: there the certified tails of most
+# supported indices already fit under the unit 2^-prec (1 + |value|).
+DEFAULT_CUTOFF = 1024
 
 
 def _as_colour(value) -> Fraction:
@@ -553,16 +554,15 @@ def ze_eval(
     bits, but at most half of cutoff * |1 - z| (and at least 4),
     where z runs over the levels' accumulated colours exp(2 pi i (eps_1 +
     ... + eps_j)) other than 1: the tails of those levels are expansions
-    in 1/(cutoff |1 - z|), which diverge past about that order.  The
-    default ``cutoff``, DEFAULT_CUTOFF = 1024, is doubled, at most four
-    times (to 16384), while the error exceeds 2^(1 - prec) (1 + |value|),
-    that is while the certified remainders do not fit under one unit
-    2^-prec (1 + |value|).  Every error includes that unit, so where
-    they fit the error is within one unit of what any cutoff gives, that
-    of a cutoff of 10^4 with 4 terms included; most supported indices
-    stop at 1024.  The retries reuse the fixed-point powers n^-s and
-    colours of the shorter tries.  A cutoff passed explicitly, 1024
-    included, is used as given.
+    in 1/(cutoff |1 - z|), which diverge past about that order.  Every
+    call starts at ``cutoff`` (DEFAULT_CUTOFF = 1024 by default) and
+    doubles it, at most four times and never past MAX_CUTOFF, while the
+    error exceeds 2^(1 - prec) (1 + |value|), that is while the certified
+    remainders do not fit under one unit 2^-prec (1 + |value|).  Every
+    error includes that unit, so where they fit the error is within one
+    unit of what any cutoff gives, that of a cutoff of 10^4 with 4 terms
+    included; most supported indices stop at the first try.  The retries
+    reuse the fixed-point powers n^-s and colours of the shorter tries.
     ``cutoff`` must lie in [64, MAX_CUTOFF] and ``prec`` must be at
     least MIN_PREC.
     """
@@ -579,10 +579,11 @@ def ze_eval(
         raise ValueError("cutoff below 64 leaves no room for certified tails")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds the supported {MAX_CUTOFF}")
-    # the default doubles, at most four times, while the remainders exceed
-    # one unit 2^-prec (1 + |value|); a given cutoff is tried once
-    tries = 5 if isinstance(cutoff, _DefaultCutoff) else 1
-    for n in (int(cutoff) << k for k in range(tries)):
+    # double, at most four times and never past MAX_CUTOFF, while the
+    # remainders exceed one unit 2^-prec (1 + |value|)
+    for n in (int(cutoff) << k for k in range(5)):
+        if n > MAX_CUTOFF:
+            break
         ev = _ze_sum(idx, prec, n, _default_terms(idx, prec, n))
         if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
             break
@@ -605,7 +606,7 @@ def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
 # P = prec + _FIX_GUARD.  The proved rounding term of the prefix sums is a
 # few units times cutoff * |inner sums| per level, at most about
 # 2^-(prec + 34) for supported indices at the cutoff 1024 (2^-(prec + 29)
-# at 16384, the most the default doubles to, and 2^-(prec + 25) at 10^5);
+# at 16384, the most 1024 doubles to, and 2^-(prec + 25) at 10^5);
 # that of the tails and of their products with the sums at most about
 # 2^-(prec + 46).  Both stay far under the unit 2^-prec (1 + |value|) of
 # the reported error.
@@ -1000,7 +1001,6 @@ def verify_relation(
     b: MzvIndex,
     prec: int = 53,
     modes: tuple = ("stuffle", "shuffle"),
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> RelationReport:
     """Check Ze(a) * Ze(b) against its stuffle and shuffle expansions.
 
@@ -1019,8 +1019,8 @@ def verify_relation(
         a = MzvIndex(tuple(a))
     if not isinstance(b, MzvIndex):
         b = MzvIndex(tuple(b))
-    ev_a = ze_eval(a, prec=prec, cutoff=cutoff)
-    ev_b = ze_eval(b, prec=prec, cutoff=cutoff)
+    ev_a = ze_eval(a, prec=prec)
+    ev_b = ze_eval(b, prec=prec)
     with mpmath.workprec(prec + 16):
         product = ev_a.value * ev_b.value
         product_err = (
@@ -1040,7 +1040,7 @@ def verify_relation(
                 sorted(decomposition.items(), key=lambda kv: (kv[0].s, kv[0].eps))
             )
             for term, mult in terms:
-                ev = ze_eval(term, prec=prec, cutoff=cutoff)
+                ev = ze_eval(term, prec=prec)
                 total = total + mult * ev.value
                 side_err = side_err + abs(mult) * ev.error
             residual = abs(total - product)

@@ -35,8 +35,8 @@ from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
                                    _folded, _matrix, _round_div, _sines,
                                    _total, _unit_points, _values, _weights,
                                    chebyshev_cumulative, chebyshev_nodes,
-                                   endpoint_series, iterated_integral,
-                                   iterated_levels, segment)
+                                   endpoint_series, iterated_levels,
+                                   segment)
 from resurgence.hyperlog import _contour_segments
 
 
@@ -397,9 +397,8 @@ def test_iterated_integral_of_one_kernel():
     with mpmath.workprec(77):
         panels = [segment(mpmath.mpf(0), mpmath.mpf(1) / 2),
                   segment(mpmath.mpf(1) / 2, mpmath.mpf(1))]
-        got = iterated_integral([2], panels, 24)
+        got, = iterated_levels([2], panels, 24)
         assert abs(got - mpmath.log(2)) < mpmath.mpf(2) ** -70
-        assert iterated_integral([], panels, 24) == 1
 
 
 @pytest.mark.parametrize("n", list(range(1, 25)) + [53, 80])
@@ -438,7 +437,7 @@ def test_simplex_iterated_matches_reference(letters, n):
     with mpmath.workprec(prec):
         poles = [+PHASE if a == "w" else mpmath.mpf(a) for a in letters]
         panels = simplex_panels(8)
-        got = iterated_integral(poles, panels, n)
+        got = iterated_levels(poles, panels, n)[-1]
     assert isinstance(got, mpmath.mpc) == ("w" in letters)
     with mpmath.workprec(3 * prec):
         want = reference_iterated(poles, panels, n)
@@ -454,7 +453,7 @@ def test_contour_iterated_matches_reference(poles, endpoint):
     prec, n = 77, 24
     with mpmath.workprec(prec):
         panels = _contour_segments(endpoint)
-        got = iterated_integral(poles, panels, n)
+        got = iterated_levels(poles, panels, n)[-1]
     assert isinstance(got, mpmath.mpc)
     with mpmath.workprec(3 * prec):
         want = reference_iterated(poles, panels, n)
@@ -574,8 +573,8 @@ def test_series_seeded_run_matches_geometric_panels(letters):
                           * series_value(ends[length - j])
                           for j, f in enumerate(levels))
         old = simplex_panels(52)
-        fine = iterated_integral(poles, old, 24)
-        coarse = iterated_integral(poles, old, 16)
+        fine = iterated_levels(poles, old, 24)[-1]
+        coarse = iterated_levels(poles, old, 16)[-1]
         h = mpmath.ldexp(1, -52)
         error = (2 * abs(fine - coarse) + 8 * h * (1 + mpmath.log(1 / h))
                  ** length + mpmath.ldexp(1 + abs(fine), -prec))

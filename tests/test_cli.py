@@ -18,7 +18,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -26,12 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resurgence import errors, mzv
-from resurgence.cli import MAX_MOULD_WORDS, MAX_ORDER, build_parser, main
+from resurgence import mzv
+from resurgence.cli import MAX_MOMENT, MAX_MOULD_WORDS, MAX_ORDER, main
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
 from resurgence.moulds import exp_scale_mould, mould_from_json, mould_to_json
-from resurgence.mzv import MAX_CUTOFF, MzvIndex
+from resurgence.mzv import MzvIndex
 from resurgence.scalars import ExactScalar, parse_scalar
 from resurgence.series import euler_series
 from resurgence.words import Alphabet
@@ -43,10 +42,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON under
+    RFC 8259."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err or out
-    return json.loads(out)
+    return strict_json(out)
 
 
 def as_mpc(value):
@@ -235,39 +243,30 @@ class TestMzv:
         assert "names no mode" in payload["message"]
 
     @pytest.mark.parametrize("sub", ["eval", "relation"])
-    def test_cutoff_default_is_the_marked_default(self, capsys, sub):
-        """The parser offers the DEFAULT_CUTOFF of errors, the object mzv
-        re-exports, so ze_eval still recognises the default; the help
-        names its value."""
+    def test_cutoff_is_an_unknown_flag(self, capsys, sub):
+        """ze_eval chooses its own cutoff, so the command line offers
+        none: --cutoff is a usage error."""
         index = ["--s", "2"] if sub == "eval" else ["--a", "2", "--b", "2"]
-        args = build_parser().parse_args(["mzv", sub, *index])
-        assert args.cutoff is mzv.DEFAULT_CUTOFF is errors.DEFAULT_CUTOFF
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["mzv", sub, "--help"])
-        assert "DEFAULT_CUTOFF = 1024" in " ".join(capsys.readouterr().out
-                                                   .split())
+        code, out, err = run(capsys, "mzv", sub, *index, "--cutoff", "1024")
+        assert code == 1
+        assert err == ""
+        assert "--cutoff" in strict_json(out)["message"]
 
     def test_eval_keeps_the_cutoff_rule(self, capsys, monkeypatch):
-        """mzv eval hands ze_eval the marked default, which doubles where
-        the tails need it, and an explicit --cutoff 1024 as a plain int,
-        which is used as it stands."""
+        """mzv eval leaves the cutoff to ze_eval, which doubles it where
+        the tails need it."""
         received = []
         ze_eval = mzv.ze_eval
 
-        def record(idx, prec=53, cutoff=mzv.DEFAULT_CUTOFF):
-            received.append(cutoff)
-            return ze_eval(idx, prec=prec, cutoff=cutoff)
+        def record(idx, prec=53, **kwargs):
+            received.append(kwargs)
+            return ze_eval(idx, prec=prec, **kwargs)
 
         monkeypatch.setattr(mzv, "ze_eval", record)
-        run_json(capsys, "mzv", "eval", "--s", "2,1")
-        run_json(capsys, "mzv", "eval", "--s", "2,1", "--cutoff", "1024")
-        default, explicit = received
-        assert default is mzv.DEFAULT_CUTOFF
-        assert explicit == 1024 and type(explicit) is int
-        # partial colour sums near an integer: only the default doubles
-        hard = MzvIndex((2, 1), (Fraction(1, 11), Fraction(11, 12)))
-        assert ze_eval(hard, cutoff=default).error \
-            < ze_eval(hard, cutoff=explicit).error
+        data = run_json(capsys, "mzv", "eval", "--s", "2,1")
+        assert received == [{}]
+        assert data["error"] == mpmath.nstr(ze_eval(MzvIndex((2, 1))).error,
+                                            17)
 
 
 class TestMould:
@@ -300,14 +299,15 @@ class TestMould:
         assert json.loads(out)["error"] == "usage"
 
     @pytest.mark.parametrize("content,needle", [
-        (None, "cannot read"), ("{}", "not a serialized mould"),
-        ("[1]", "not a serialized mould")],
-        ids=["missing", "no-keys", "not-an-object"])
+        (None, "cannot read"), (b"{}", "not a serialized mould"),
+        (b"[1]", "not a serialized mould"), (b"{", "is not UTF-8 JSON"),
+        (b"\xff\xfe", "is not UTF-8 JSON")],
+        ids=["missing", "no-keys", "not-an-object", "not-json", "not-utf-8"])
     def test_check_unreadable_file_is_usage_error(self, capsys, tmp_path,
                                                   content, needle):
         path = tmp_path / "m.json"
         if content is not None:
-            path.write_text(content, encoding="utf-8")
+            path.write_bytes(content)
         code, out, err = run(capsys, "mould", "check", "--file", str(path),
                              "--symmetral")
         assert code == 1
@@ -315,6 +315,7 @@ class TestMould:
         payload = json.loads(out)
         assert payload["error"] == "usage"
         assert needle in payload["message"]
+        assert str(path) in payload["message"]
 
 
 class TestHyperlog:
@@ -392,11 +393,18 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv,needle", [
         (("mzv", "eval", "--s", "13"), "weight 13"),
-        (("mzv", "eval", "--s", "2", "--cutoff", "10"), "cutoff"),
         (("series", "--input", "euler", "--order", "-1"), "order"),
         (("mzv", "eval", "--s", "2", "--prec", "0"), "--prec 0"),
         (("mzv", "eval", "--s", "2", "--prec", "1025"), "--prec 1025"),
-        (("mzv", "eval", "--s", "2", "--cutoff", "1000000000"), "cutoff"),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "2",
+          "--moment", str(MAX_MOMENT + 1)),
+         f"--moment {MAX_MOMENT + 1} is above the ceiling of {MAX_MOMENT}"),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "1e400"),
+         "outside the range of a double"),
+        (("sum", "--input", "euler", "--theta", "0", "--z=-1e400"),
+         "outside the range of a double"),
+        (("sum", "--input", "euler", "--theta", "0", "--z", "1e-400"),
+         "outside the range of a double"),
         (("mould", "make", "--exp-scale", "1/2", "--letters", "1",
           "--order", "-1"), "--order -1"),
         (("series", "--input", "euler", "--order", "20000", "--borel"),
@@ -404,9 +412,9 @@ class TestRefusals:
         (("hyperlog", "--word", "1,2", "--order", "101"), "--order 101"),
         (("mould", "make", "--unit", "--letters", "1,2", "--order", "12"),
          f"ceiling of {MAX_MOULD_WORDS}"),
-    ], ids=["weight-cap", "cutoff-floor", "negative-order", "prec-floor",
-            "prec-ceiling",
-            "cutoff-ceiling", "negative-mould-order", "series-order-ceiling",
+    ], ids=["weight-cap", "negative-order", "prec-floor", "prec-ceiling",
+            "moment-ceiling", "z-overflow", "negative-z-overflow",
+            "z-underflow", "negative-mould-order", "series-order-ceiling",
             "hyperlog-order-ceiling", "mould-word-ceiling"])
     def test_refused_with_json(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
@@ -551,10 +559,6 @@ class TestMalformedLiterals:
         assert json.loads(out)["error"] == "usage"
 
 
-# Cutoffs from three bands: refused below 64, cheap in 64..2000, and
-# refused above MAX_CUTOFF before anything is allocated.
-CUTOFFS = st.one_of(st.integers(-5, 63), st.integers(64, 2000),
-                    st.integers(MAX_CUTOFF + 1, 10**12))
 PRECS = st.sampled_from([None, 0, 52, 53, 64, 80])
 
 
@@ -585,8 +589,6 @@ def invocations(draw):
             argv += ["--order", str(draw(st.integers(-3, 20)))]
         if draw(st.booleans()):
             argv.append("--borel")
-    if command != "series" and draw(st.booleans()):
-        argv += ["--cutoff", str(draw(CUTOFFS))]
     prec = draw(PRECS)
     if prec is not None:
         argv += ["--prec", str(prec)]
@@ -610,7 +612,7 @@ SUM_INPUTS = mostly(
 ANGLES = mostly(["0", "pi/4", "0.3", "-pi/2", "3pi/4", "pi"],
                 ["pi/0", "2xpi", "x", "inf", "nan"])
 POINTS = mostly(["2", "10", "3+i", "1-2i", "4", "i", "0", "-2"],
-                ["1/0", "x", "inf", "nan"])
+                ["1/0", "x", "inf", "nan", "1e400", "1e-400"])
 TARGETS = mostly([None, "1e-3", "1e-6"], ["0", "-1e-6", "inf", "nan"])
 SUM_PRECS = mostly([None, "53", "64"], ["0", "52", "x"])
 
@@ -748,7 +750,7 @@ def assert_contract(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert err == ""
-    assert isinstance(json.loads(out), dict)
+    assert isinstance(strict_json(out), dict)
 
 
 class TestFuzz:

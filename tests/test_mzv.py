@@ -604,5 +604,5 @@ class TestStuffleSymmetryProperty:
     @given(st.sampled_from(PAIRS))
     def test_product_matches_stuffle(self, pair):
         a, b = pair
-        report = verify_relation(a, b, modes=("stuffle",), cutoff=1500)
+        report = verify_relation(a, b, modes=("stuffle",))
         assert report.ok

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from resurgence import mzv
+from resurgence import _work, mzv
 from resurgence.mzv import (
     DEFAULT_CUTOFF,
     MAX_COLOUR_DENOMINATOR,
@@ -81,22 +81,46 @@ def test_default_matches_cutoff_ten_thousand(idx, prec):
         assert new.error <= old.error + unit
 
 
-def test_explicit_cutoff_is_used_as_given():
-    hard = MzvIndex((2, 1), (F(1, 11), F(11, 12)))
-    given = ze_eval(hard, cutoff=1024)
-    sized = ze_eval(hard)
-    # the default doubles past 1024 here; a plain 1024 does not
-    assert sized.error < given.error
-    assert abs(sized.value - given.value) <= sized.error + given.error
+def test_every_start_follows_one_rule():
+    """A cutoff given as 1024 doubles where the tails need it, exactly as
+    the default does; the default is a plain int."""
+    hard = NEAR_INTEGER[-1]
+    given, default = ze_eval(hard, cutoff=1024), ze_eval(hard)
+    assert (given.value, given.error) == (default.value, default.error)
+    assert given.error < 1.7e-16
+    # one try at 1024 leaves remainders far above the unit 2^-53
+    assert _ze_sum(hard, 53, 1024, _default_terms(hard, 53, 1024)).error \
+        > 1e-8
     easy = MzvIndex((2, 1))
     assert ze_eval(easy) is ze_eval(easy, cutoff=1024)
-    assert DEFAULT_CUTOFF == 1024
+    assert type(DEFAULT_CUTOFF) is int and DEFAULT_CUTOFF == 1024
 
 
 def cold_caches():
     for cache in (mzv._ze_sum, mzv._power_store, mzv._colour_row,
                   mzv._unit_root):
         cache.cache_clear()
+
+
+def test_doubling_stops_at_max_cutoff(monkeypatch):
+    """The doubling never passes MAX_CUTOFF: a start at the ceiling sums
+    once, and with the ceiling lowered to 4096 the hard index, which the
+    default takes to 8192, stops at 4096."""
+    def cutoffs(idx, start=DEFAULT_CUTOFF):
+        cold_caches()
+        with _work.counting() as counts:
+            ev = ze_eval(idx, cutoff=start)
+        return ev, sorted(key[1] for key in counts
+                          if isinstance(key, tuple) and key[0] == "cutoff")
+
+    assert cutoffs(MzvIndex((2,)), mzv.MAX_CUTOFF)[1] == [mzv.MAX_CUTOFF]
+    hard = NEAR_INTEGER[-1]
+    assert cutoffs(hard)[1] == [1024, 2048, 4096, 8192]
+    monkeypatch.setattr(mzv, "MAX_CUTOFF", 4096)
+    ev, tried = cutoffs(hard)
+    assert tried == [1024, 2048, 4096]
+    assert ev is _ze_sum(hard, 53, 4096, _default_terms(hard, 53, 4096))
+    assert cutoffs(hard, 4096)[1] == [4096]
 
 
 @pytest.mark.parametrize("idx", NEAR_INTEGER[-2:], ids=str)

@@ -35,6 +35,7 @@ from resurgence.mzv import (
     _em_weight,
     _prefix_sums,
     _ze_fixed,
+    _ze_sum,
     ze_eval,
 )
 
@@ -268,12 +269,12 @@ def test_value_within_both_errors(idx, prec):
 def check_against_reference(idx, prec, cutoff):
     """The fixed-point engine's value lies within its proved rounding term
     of the mpf engine run at three times the bits, its remainder is no
-    smaller than that engine's, and ze_eval's error covers the distance
-    of its value from that engine's."""
+    smaller than that engine's, and the error of the evaluation at that
+    one cutoff covers the distance of its value from that engine's."""
     P = prec + _FIX_GUARD
     terms = _default_terms(idx, prec, cutoff)
     (re, im), rounding, remainder = _ze_fixed(idx, cutoff, P, terms)
-    ev = ze_eval(idx, prec=prec, cutoff=cutoff)
+    ev = _ze_sum(idx, prec, cutoff, terms)
     with mpmath.workprec(3 * P):
         want, bound = reference_sum(idx, cutoff, terms)
         got = mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im or 0, -P)))
