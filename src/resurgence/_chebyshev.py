@@ -74,13 +74,17 @@ vector, bit for bit.
 The Laplace rays, lateral jumps and Hankel contours of
 :mod:`resurgence.laplace` apply the same rows to vectors they build
 themselves, never converting a sample to mpmath: :func:`_exponentials`
-gives the kernel e^(u x_j) at the nodes, one libmp exponential per node
-x_j >= 0 and its reflection in integers at the others, cached per
-(u, n, bits) so that every panel of one width, within a sum and across
-sums with the same kernel, shares one vector, and the shape's
-``panel_sampler`` gives its samples.  The Lobatto nodes of degree n are
-every other node of degree 2n, so one vector gives two nested rules,
-each one integer dot product with its folded weights row.
+gives the kernel e^(u x_j) at the nodes, cached per (u, n, bits) so that
+every panel of one width, within a sum and across sums with the same
+kernel, shares one vector, and the shape's ``panel_sampler`` gives its
+samples.  For 1 < |u| <= 2^16 the kernel is the kernel of u / 2 squared
+in integers, so the widths of a doubling ladder and the halves of a
+bisected panel share one base; the base, and any kernel outside that
+range, costs one libmp exponential per node x_j > 0 and its reflection
+in integers at the others (:func:`_node_exponentials`), carried with
+_KERNEL_GUARD extra bits that the squarings use up.  The Lobatto nodes
+of degree n are every other node of degree 2n, so one vector gives two
+nested rules, each one integer dot product with its folded weights row.
 """
 
 from __future__ import annotations
@@ -90,9 +94,10 @@ from functools import lru_cache
 from operator import mul
 
 import mpmath
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_div, mpc_sub,
-                          mpf_add, mpf_cos_pi, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
+                          mpc_sub, mpf_add, mpf_cmp, mpf_cos_pi, mpf_cos_sin,
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift,
+                          mpf_sub, to_int)
 
 from . import _work
 
@@ -427,25 +432,56 @@ def _fixed(values, bits: int):
     return _vector(_parts(values), bits)
 
 
+# |u|^2 above which _exponentials computes e^(u x_j) node by node again
+_MAX_DOUBLED = from_int(1 << 32)
+# extra bits of the ray kernels, more than the 16 squarings of a ladder lose
+_KERNEL_GUARD = 20
+
+
 @lru_cache(maxsize=64)
 def _exponentials(u, n: int, bits: int):
     """e^(u x_j) at the nodes x_j = -cos(pi j / n) as one vector of
-    mantissa tuples, for an mpc tuple u, once per (u, n, bits): the ray
-    panels of one width share it, within a sum (the two halves of a
-    bisected panel) and across sums with the same kernel.
+    mantissa tuples with b = bits + _KERNEL_GUARD bits, for an mpc tuple
+    u, once per (u, n, bits): the ray panels of one width share it,
+    within a sum (the two halves of a bisected panel) and across sums
+    with the same kernel.
 
-    Each node x_j > 0 costs one ``mpf_exp``, and one ``mpf_cos_sin`` when
-    u is complex; its mirror -x_j takes the reflection
+    For 1 < |u| <= 2^16 it is the kernel of u / 2 squared in integers, so
+    a ladder of widths doubling from one panel to the next, and the halves
+    of a bisected panel, share one base and pay one integer square per
+    kernel; otherwise it is :func:`_node_exponentials` at b bits.
+    Measured against the largest modulus, a square doubles the error of
+    its base and adds one rounding, 2^(1/2 - b): k squarings of a base
+    within eps give a vector within 2^k (eps + 2^(1/2 - b)) to first
+    order.  The base is within 2^(3 - b) (its argument, its exponential
+    and its cosine and sine each rounded once, and the shared exponent),
+    so after the k <= 16 squarings of the range the kernel is within
+    2^-bits of the exact e^(u x_j) at its nodes, against the largest
+    modulus."""
+    ur, ui = u
+    size = mpf_add(mpf_mul(ur, ur), mpf_mul(ui, ui))
+    if mpf_cmp(size, fone) <= 0 or mpf_cmp(size, _MAX_DOUBLED) > 0:
+        return _node_exponentials(u, n, bits + _KERNEL_GUARD)
+    _work.add("squared")
+    base = _exponentials((mpf_shift(ur, -1), mpf_shift(ui, -1)), n, bits)
+    parts, exp = _product(base, base, bits + _KERNEL_GUARD)
+    return tuple(map(tuple, parts)), exp
+
+
+def _node_exponentials(u, n: int, bits: int):
+    """e^(u x_j) at the nodes, node by node: each node x_j > 0 costs one
+    ``mpf_exp`` when u has a real part, and one ``mpf_cos_sin`` when it
+    has an imaginary part; its mirror -x_j takes the reflection
     e^(-u x) = conj(e^(u x)) / |e^(u x)|^2, one integer division, and the
     middle node of an even n is 1.  Every entry is rounded once, relative
     to itself, before the vector shares one exponent."""
     ur, ui = u
     cos = _cosines(n, bits)
     real = ui == fzero
-    one = (0, 1, 0, 1)
-    re = [one] * (n + 1)
+    re = [fone] * (n + 1)
     im = [fzero] * (n + 1)
-    _work.add("exp", n - n // 2)
+    if ur != fzero:
+        _work.add("exp", n - n // 2)
     if not real:
         _work.add("cos_sin", n - n // 2)
     for j in range(n // 2 + 1, n + 1):

@@ -22,9 +22,14 @@ those builds; ``("iterated_levels", panels, n)``, the runs of
 ``endpoint_series`` that keep that many terms per level.
 
 ``"exp"``, ``"cos_sin"`` and ``"log"``: libmp calls, counted per vector
-by the ray kernel ``_chebyshev._exponentials``, the unit points
-``_chebyshev._unit_points``, the circle kernel ``laplace._circle_kernel``,
-the ``StirlingBF`` and ``PowerBF`` panel samplers and ``Contour.points``.
+by the ray kernel at its nodes ``_chebyshev._node_exponentials``, the
+unit points ``_chebyshev._unit_points``, the circle kernel
+``laplace._circle_kernel``, the power lanes ``borelfun._log_nodes`` and
+``borelfun._power_nodes``, the ``StirlingBF`` panel sampler and
+``Contour.points``, and per panel by the ``PowerBF`` panel sampler, for
+its scalar mid^(sigma - 1) or e^(i (sigma - 1) mid); ``"squared"``, the
+ray kernels ``_chebyshev._exponentials`` builds by squaring the kernel
+of half the width.
 
 ``"tail_bounds"``: tail bounds evaluated by ``laplace._choose_truncation``,
 and ``"truncation_s"`` the seconds of its searches; ``"gammainc"``:

@@ -48,10 +48,12 @@ Hankel ray of a single-valued shape.  Each bundled shape overrides what
 it knows: proved tail envelopes, for power kernels polar evaluation and
 an exact head series at the origin, and for rational shapes, the
 Stirling minor and power kernels panel samples computed in integers and
-libmp.  A power kernel computes one real lane per node, t^(sigma-1) on a
-ray or e^(i (sigma-1) phi) on a circle and the lane of log t or phi when
-it carries a log, and applies its sheet constants to the lanes as
-integer products.  The tail envelopes integrate to incomplete-gamma
+libmp.  A power kernel takes t^(sigma-1) on a ray or e^(i (sigma-1) phi)
+on a circle, and the lane of log t or phi when it carries a log, as a
+scalar of the panel times vectors that depend only on the panel's shape
+(cached per half / mid on a ray, the ray kernel at i (sigma-1) half on a
+circle), and applies its sheet constants to the lanes as integer
+products.  The tail envelopes integrate to incomplete-gamma
 moments, Gamma(s, m T) / m^s, which :func:`_moment_integral` bounds in
 closed form at a non-integer order and takes from ``mpmath.gammainc``
 at an integer one.
@@ -91,9 +93,9 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpf_sub)
 
 from . import _work
-from ._chebyshev import (GUARD, _complex_tuple, _cosines, _fixed, _mantissas,
-                         _nodes, _plus, _product, _quotients, _scaled,
-                         _unit_points, _vector)
+from ._chebyshev import (GUARD, _complex_tuple, _cosines, _exponentials,
+                         _fixed, _mantissas, _nodes, _plus, _product,
+                         _quotients, _scaled, _unit_points, _vector)
 from .errors import (DecayMarginError, NotSimpleError, UnreachableBranchError,
                      UnsupportedDivisionError)
 from .scalars import ExactScalar
@@ -1436,6 +1438,49 @@ def _power_g_prime(sigma: Fraction, prec: int):
         return +gp
 
 
+@lru_cache(maxsize=32)
+def _log_nodes(r, n: int, bits: int):
+    """log(1 + r x_j) at the nodes x_j = -cos(pi j / n), for an mpf tuple
+    0 < r < 1, as mpf tuples at bits + 8 bits: one ``mpf_log`` per node,
+    shared by every ray panel with half = r mid."""
+    work = bits + 8
+    _work.add("log", n + 1)
+    return tuple(mpf_log(mpf_add(fone, mpf_mul(r, from_man_exp(-c, -bits)),
+                                 work), work)
+                 for c in _cosines(n, bits)[:n + 1])
+
+
+@lru_cache(maxsize=32)
+def _power_nodes(r, s1, n: int, bits: int):
+    """(1 + r x_j)^s1 at the nodes as one vector of mantissa tuples, from
+    :func:`_log_nodes`: one ``mpf_exp`` per node at bits + 8 bits, shared
+    by every ray panel with half = r mid and every sum with that s1."""
+    work = bits + 8
+    _work.add("exp", n + 1)
+    parts, exp = _vector(([mpf_exp(mpf_mul(s1, x, work), work)
+                           for x in _log_nodes(r, n, bits)],), bits)
+    return tuple(map(tuple, parts)), exp
+
+
+def _ray_lanes(m, h, s1, n: int, bits: int, with_log: bool):
+    """t^s1 and, ``with_log``, log t at the nodes t_j = mid + half x_j of
+    a ray panel, for the mpf tuples m = mid > h = half, as vectors (the
+    second None without a log): with r = half / mid, mid^s1 times
+    :func:`_power_nodes` and log mid plus :func:`_log_nodes`.  The panel
+    pays one ``mpf_log`` and one ``mpf_exp``, for mid^s1."""
+    work = bits + 8
+    _work.add("log")
+    _work.add("exp")
+    r = mpf_div(h, m, work)
+    log_mid = mpf_log(m, work)
+    scale = _vector(([mpf_exp(mpf_mul(s1, log_mid, work), work)],), bits)
+    power = _scaled(_power_nodes(r, s1, n, bits), scale, bits)
+    if not with_log:
+        return power, None
+    return power, _plus(_vector((_log_nodes(r, n, bits),), bits),
+                        _vector(([log_mid],), bits), bits)
+
+
 class PowerBF(BorelFunction):
     """g(sigma) zeta^(sigma-1), optionally times log(zeta), with
 
@@ -1488,10 +1533,18 @@ class PowerBF(BorelFunction):
         return evaluate
 
     def panel_sampler(self, contour: Contour, prec: int):
-        """With s1 = sigma - 1, one real lane per node: t^s1 on a ray, one
-        ``mpf_log`` and one ``mpf_exp`` shared by both Hankel sheets, or
-        e^(i s1 phi) on the circle, one ``mpf_cos_sin``; and with a log,
-        the lane of log t or of phi.  The samples t^s1 (A + B log t) and
+        """With s1 = sigma - 1, the power lane: t^s1 on a ray, shared by
+        both Hankel sheets, or e^(i s1 phi) on the circle; and with a log,
+        the lane of log t or of phi.  Each power lane is a scalar of the
+        panel times a vector that depends only on the panel's shape.  On
+        the ray t = mid (1 + r x) with r = half / mid, so t^s1 is
+        mid^s1 times :func:`_power_nodes` and log t is log mid plus
+        :func:`_log_nodes`, both cached per r: every panel of the
+        doubling ladder [2^k h, 2^(k+1) h] has r = 1/3.  On the circle
+        e^(i s1 phi) is e^(i s1 mid) times the ray kernel
+        ``_chebyshev._exponentials`` at i s1 half.  So a panel pays one
+        ``mpf_log`` and one ``mpf_exp`` on a ray, or one ``mpf_cos_sin``
+        on the circle.  The samples t^s1 (A + B log t) and
         e^(i s1 phi) (A + B phi), with the constants A and B summed once
         over the sheets and rho^s1 folded into them on the circle, are
         integer products of those lanes and constants."""
@@ -1525,24 +1578,22 @@ class PowerBF(BorelFunction):
         s1 = s1._mpf_
 
         def sample(mid, half, n):
-            params = contour.parameters(mid, half, n, bits)
+            m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
             if on_ray:
-                _work.add("log", len(params))
-                _work.add("exp", len(params))
-                lane = [mpf_log(p, work) for p in params]
-                power = _vector(([mpf_exp(mpf_mul(s1, x, work), work)
-                                  for x in lane],), bits)
+                power, lane = _ray_lanes(m, h, s1, n, bits, with_log)
             else:
-                lane = params
-                _work.add("cos_sin", len(params))
-                turns = [mpf_cos_sin(mpf_mul(s1, p, work), work)
-                         for p in params]
-                power = _vector(([c for c, _s in turns],
-                                 [s for _c, s in turns]), bits)
+                _work.add("cos_sin")
+                c, s = mpf_cos_sin(mpf_mul(s1, m, work), work)
+                power = _scaled(_exponentials((fzero, mpf_mul(s1, h, work)),
+                                              n, bits),
+                                _vector(([c], [s]), bits), bits)
+                if with_log:
+                    lane = _vector((contour.parameters(mid, half, n, bits),),
+                                   bits)
             if not with_log:
                 return _scaled(power, A, bits)
-            return _product(power, _plus(_scaled(_vector((lane,), bits), B,
-                                                 bits), A, bits), bits)
+            return _product(power, _plus(_scaled(lane, B, bits), A, bits),
+                            bits)
 
         return sample
 

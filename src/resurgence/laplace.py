@@ -39,15 +39,19 @@ The numeric scheme has two independent error sources and both are reported:
 How a panel is sampled.  On the ray panel t = mid + half x, the kernel
 is e^(-w mid) e^(-w half x): the first factor is one scalar of the
 panel's total, and the second comes from ``_chebyshev._exponentials`` as
-one block-fixed-point vector (integer mantissas sharing one exponent),
-one libmp exponential per node x >= 0 and the reflection
-e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the others.  The
-shape's ``panel_sampler`` for the contour gives its samples as a vector
-too (the default builds the shape's scalar evaluator for the contour,
-maps it over the nodes and converts once; rational shapes, the Stirling
-minor and power kernels compute theirs in integers and libmp, a power
-kernel as one real lane per node times its sheet constants), and the
-two, times t^moment, are multiplied in integers.  A Hankel circle takes
+one block-fixed-point vector (integer mantissas sharing one exponent):
+for 1 < |u| <= 2^16, u = -w half, the vector of u / 2 squared in
+integers, and otherwise one libmp exponential per node x >= 0 and the
+reflection e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the
+others.  The segment ladder doubles the width from one segment to the
+next, and bisection halves it, so the kernels of a ray share one base.
+The shape's ``panel_sampler`` for the contour gives its samples as a
+vector too (the default builds the shape's scalar evaluator for the
+contour, maps it over the nodes and converts once; rational shapes, the
+Stirling minor and power kernels compute theirs in integers and libmp,
+a power kernel as a scalar of the panel times vectors that depend only
+on the panel's shape, then times its sheet constants), and the two,
+times t^moment, are multiplied in integers.  A Hankel circle takes
 e^(-z rho e^(i phi)) e^(i phi) with one complex exponential per node at
 the cached unit points e^(i phi_j) (:func:`_circle_kernel`).  Both
 Clenshaw-Curtis rules are integer dot products of the one vector with
@@ -184,7 +188,9 @@ class SummationResult:
     ``diagnostics`` mapping records the truncation point, the decay
     margin, both error components, the ``method``, the initial
     ``segments`` and the ``panels`` left after bisection, and whether the
-    tail envelope was proved (``rigorous_tail``) or merely sampled.
+    tail envelope was proved (``rigorous_tail``) or merely sampled.  Each
+    figure is a float, or its 17 digits as a string when a double would
+    read it as infinite or as zero.
     """
 
     value: object
@@ -245,6 +251,16 @@ def _kernel(theta, z, prec):
             margin=float(m),
         )
     return theta, z, w, m
+
+
+def _figure(x):
+    """A diagnostics figure: a float when x converts to a finite double
+    that is nonzero whenever x is, otherwise x to 17 digits as a string,
+    so that no figure reads as infinite or as zero when it is neither."""
+    value = float(x)
+    if math.isfinite(value) and (value or not x):
+        return value
+    return mpmath.nstr(x, 17)
 
 
 # -- a Pade model of a minor --------------------------------------------------------
@@ -609,10 +625,10 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         error = 4 * errq + 2 * tail + head_err \
             + mpmath.ldexp(1 + abs(value), -prec)
         diagnostics = {
-            "margin": float(m),
-            "truncation": float(T),
-            "tail_bound": float(tail),
-            "quadrature_error": float(errq),
+            "margin": _figure(m),
+            "truncation": _figure(T),
+            "tail_bound": _figure(tail),
+            "quadrature_error": _figure(errq),
             "segments": len(pts) - 1,
             "panels": panels,
             "rigorous_tail": proved,
@@ -713,11 +729,11 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         error = 4 * (ray_err + circ_err) + 2 * tail \
             + mpmath.ldexp(1 + abs(value), -out_prec)
         diagnostics = {
-            "margin": float(m),
-            "truncation": float(T),
-            "radius": float(rho),
-            "tail_bound": float(tail),
-            "quadrature_error": float(ray_err + circ_err),
+            "margin": _figure(m),
+            "truncation": _figure(T),
+            "radius": _figure(rho),
+            "tail_bound": _figure(tail),
+            "quadrature_error": _figure(ray_err + circ_err),
             "segments": len(pts) - 1,
             "panels": ray_panels + circ_panels,
             "ray_nodes": ray_n,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resurgence import mzv
@@ -750,7 +750,13 @@ def assert_contract(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert err == ""
-    assert isinstance(strict_json(out), dict)
+    parsed = strict_json(out)
+    assert isinstance(parsed, dict)
+    return parsed
+
+
+# a positive decay margin below the least double, about 6e-325
+TINY_MARGIN = ["sum", "--input=euler", "--theta=pi/2", "--z=1e-308"]
 
 
 class TestFuzz:
@@ -765,8 +771,16 @@ class TestFuzz:
 
     @settings(max_examples=30, deadline=None)
     @given(sum_invocations())
+    # diagnostics figures beyond the double range: a quadrature error
+    # above it and a tail bound below it, and a margin below it
+    @example(["sum", "--input=euler", "--theta=0", "--z=2", "--moment=300"])
+    @example(["sum", "--input=euler", "--theta=0", "--z=0.01",
+              "--moment=100"])
+    @example(TINY_MARGIN)
     def test_sum_grammar(self, argv):
-        assert_contract(argv)
+        out = assert_contract(argv)
+        if argv == TINY_MARGIN:
+            assert mpmath.mpf(out["diagnostics"]["margin"]) > 0
 
     @settings(max_examples=30, deadline=None)
     @given(alien_invocations())

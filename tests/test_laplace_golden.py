@@ -99,7 +99,7 @@ GOLDEN = {
          "90526988520558833145043331827594990102')"),
         343,
         ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 3.989993"
-         "8826816937e-17, 'quadrature_error': 6.396880837253215e-24, 'segm"
+         "8826816937e-17, 'quadrature_error': 6.3968808372532156e-24, 'segm"
          "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),
@@ -112,14 +112,14 @@ GOLDEN = {
         294,
         ("{'margin': 2.866009467376818, 'truncation': 11.390625, 'tail_bou"
          "nd': 2.202436150494595e-15, 'quadrature_error': 4.13311968456543"
-         "5e-24, 'segments': 6, 'panels': 6, 'rigorous_tail': True, 'metho"
+         "e-24, 'segments': 6, 'panels': 6, 'rigorous_tail': True, 'metho"
          "d': 'clenshaw-curtis'}"),
     ),
     "euler-prec-90": (
         ("mpc(real='1.2620837402553184583545895237155576658940086458380452"
          "90510365248337620869278908', imag='0.0')"),
-        ("mpf('0.000000000000000077653106802083670820046728332780521635189"
-         "9325340807247897174408211173135227905')"),
+        ("mpf('0.000000000000000077653106802083670820046728243097419918401"
+         "63999496203145916280841918054924269349')"),
         294,
         ("{'margin': 3.0, 'truncation': 11.390625, 'tail_bound': 3.8826548"
          "29091266e-17, 'quadrature_error': 2.554607764946205e-24, 'segmen"
@@ -145,7 +145,7 @@ GOLDEN = {
          "710142812069378237538330722600222')"),
         294,
         ("{'margin': 2.0, 'truncation': 11.390625, 'tail_bound': 1.6636899"
-         "883070707e-12, 'quadrature_error': 2.1627440820107033e-24, 'segm"
+         "883070707e-12, 'quadrature_error': 2.162744082010686e-24, 'segm"
          "ents': 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clensh"
          "aw-curtis'}"),
     ),
@@ -156,7 +156,7 @@ GOLDEN = {
          "37710790763316637264068731383304112')"),
         294,
         ("{'margin': 3.0, 'truncation': 10.5, 'tail_bound': 8.433690116510"
-         "378e-15, 'quadrature_error': 3.538124646222448e-26, 'segments': "
+         "378e-15, 'quadrature_error': 3.538124646225712e-26, 'segments': "
          "6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-curti"
          "s'}"),
     ),
@@ -167,7 +167,7 @@ GOLDEN = {
          "0234268094600674053907553562168435482005')"),
         196,
         ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.327610704778"
-         "6215e-19, 'quadrature_error': 1.8297126822485364e-25, 'segments'"
+         "6215e-19, 'quadrature_error': 1.829712682248536e-25, 'segments'"
          ": 4, 'panels': 4, 'rigorous_tail': True, 'method': 'clenshaw-cur"
          "tis'}"),
     ),
@@ -179,7 +179,7 @@ GOLDEN = {
          "55487525463104248046875')"),
         343,
         ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': "
-         "8.997472709220217e-10, 'quadrature_error': 1.1323178974853957e-2"
+         "8.997472709220217e-10, 'quadrature_error': 1.1323178974853932e-2"
          "0, 'segments': 7, 'panels': 7, 'rigorous_tail': True, 'method': "
          "'clenshaw-curtis'}"),
     ),
@@ -202,7 +202,7 @@ GOLDEN = {
          "6211811402708811158390744822099805')"),
         294,
         ("{'margin': 2.0, 'truncation': 13.5, 'tail_bound': 2.592453540053"
-         "908e-13, 'quadrature_error': 1.0253777286708721e-24, 'segments':"
+         "908e-13, 'quadrature_error': 1.0253777286708833e-24, 'segments':"
          " 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clenshaw-cur"
          "tis'}"),
     ),

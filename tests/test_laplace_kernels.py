@@ -5,7 +5,12 @@ The ray kernel ``_chebyshev._exponentials`` and the circle kernel
 ``laplace._circle_kernel`` are cached: a cached vector must equal a fresh
 computation, and every recorded sum of ``test_laplace_golden`` must give
 its recorded result with the caches cleared and warm, the calls run in
-either order.  ``borelfun._moment_integral`` bounds Gamma(s, x) / m^s in
+either order.  The vectors shared by the panels of one shape are as
+accurate as a libmp call per node: a ray kernel built by k squarings is
+within 2^(k+2) units of the kernel computed node by node, and a power
+kernel's ray lanes t^(sigma-1) and log t, from their vectors cached per
+half / mid, within 8 units of ``mpf_exp`` and ``mpf_log`` at each node.
+``borelfun._moment_integral`` bounds Gamma(s, x) / m^s in
 closed form at a non-integer order s: on a seeded grid the bound is at
 least ``mpmath.gammainc`` at 120 bits and never increases along the
 truncation ladder, and at an integer order it is ``gammainc`` itself.
@@ -16,11 +21,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, mpf_log, mpf_mul
 from test_laplace_golden import CALLS, GOLDEN, record
 
-from resurgence import _chebyshev, borelfun, laplace
-from resurgence._chebyshev import GUARD, _complex_tuple, _exponentials
-from resurgence.borelfun import _moment_integral
+from resurgence import _chebyshev, _work, borelfun, laplace
+from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
+                                   _exponentials, _node_exponentials)
+from resurgence.borelfun import _moment_integral, _ray_lanes
 from resurgence.laplace import _circle_kernel
 
 
@@ -71,6 +78,64 @@ def test_cached_circle_kernel_equals_a_fresh_one(prec, z, mid, half):
     first = _circle_kernel(cr, ci, mid, half, bits)
     assert _circle_kernel(cr, ci, mid, half, bits) is first
     assert first == _circle_kernel.__wrapped__(cr, ci, mid, half, bits)
+
+
+# -- the shared vectors --------------------------------------------------------
+
+
+def units_apart(vector, reference):
+    """The largest difference of two vectors, part by part, in units of
+    the reference's shared exponent: a Fraction."""
+    (parts, exp), (ref_parts, ref_exp) = vector, reference
+    assert len(parts) == len(ref_parts)
+    worst = Fraction(0)
+    for p, q in zip(parts, ref_parts):
+        for m, r in zip(p, q):
+            worst = max(worst, abs(Fraction(m) * Fraction(2) ** (exp - ref_exp)
+                                   - r))
+    return worst
+
+
+@pytest.mark.parametrize("bits", [85, 145])
+@pytest.mark.parametrize("u,k", [
+    (-3, 2), ("1.5", 1), ("-777.77", 10), (-65536, 16), (65536, 16),
+    (mpmath.mpc(-2, 1), 2), (mpmath.mpc("0.5", -7), 3),
+    (mpmath.mpc("-3.7", "1234.5"), 11), (mpmath.mpc(-40000, 50000), 16),
+    (mpmath.mpc(0, 5), 3), (mpmath.mpc(0, -65536), 16)])
+def test_doubled_kernel_is_within_its_rounding_bound(bits, u, k):
+    """k squarings, and within 2^(k+2) units of the kernel computed node
+    by node at ``bits`` bits."""
+    with mpmath.workprec(bits):
+        u = _complex_tuple(mpmath.mpmathify(u))
+    _exponentials.cache_clear()
+    with _work.counting() as counts:
+        doubled = _exponentials(u, 48, bits)
+    assert counts["squared"] == k
+    assert units_apart(doubled, _node_exponentials(u, 48, bits)) \
+        <= 2 ** (k + 2)
+
+
+@pytest.mark.parametrize("bits", [85, 145])
+@pytest.mark.parametrize("mid,half", [
+    (3, 1), ("0.625", "0.375"), (1536, 512), ("1e-3", "3e-4"),
+    ("1e6", "1e5")])
+@pytest.mark.parametrize("sigma", ["1/3", "1/2", "3/4", "7/2", "-3/4"])
+def test_ray_lanes_match_a_log_and_an_exp_per_node(bits, mid, half, sigma):
+    """t^s1 and log t from the vectors cached per r = half / mid, against
+    ``mpf_log`` and ``mpf_exp`` at each node t_j = mid + half x_j, at the
+    sampler's bits + 8 bits."""
+    work = bits + 8
+    with mpmath.workprec(work):
+        m, h = mpmath.mpf(mid)._mpf_, mpmath.mpf(half)._mpf_
+        s1 = (mpmath.mpf(Fraction(sigma).numerator)
+              / Fraction(sigma).denominator - 1)._mpf_
+    logs = [mpf_log(mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits))), work)
+            for c in _cosines(48, bits)[:49]]
+    powers = [mpf_exp(mpf_mul(s1, x, work), work) for x in logs]
+    power, lane = _ray_lanes(m, h, s1, 48, bits, True)
+    assert _ray_lanes(m, h, s1, 48, bits, False) == (power, None)
+    for vector, reference in ((power, powers), (lane, logs)):
+        assert units_apart(vector, _chebyshev._vector([reference], bits)) <= 8
 
 
 # -- the closed-form moment bound ---------------------------------------------

@@ -2,8 +2,9 @@
 
 A Laplace panel is sampled as one block-fixed-point vector of
 :mod:`resurgence._chebyshev`: the kernel e^(-w t) comes from
-``_exponentials`` (one exponential per node x_j >= 0 and the reflection
-at the others, times e^(-w mid) as a scalar), and the shape's samples
+``_exponentials`` (the kernel of half the width squared, or one
+exponential per node x_j >= 0 and the reflection at the others, times
+e^(-w mid) as a scalar), and the shape's samples
 from its ``panel_sampler``.  Each vector is checked here against mpmath
 at the same nodes, entry by entry, within a few units of the working
 precision relative to the vector's largest entry, at 53 and 113 bits;

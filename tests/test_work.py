@@ -63,8 +63,9 @@ class TestScopes:
 
 class TestPinnedCounts:
     def test_cold_ray_panel_at_complex_w(self):
-        """A 49-node ray kernel evaluates e^(u x_j) at the 24 nodes
-        x_j > 0 alone; a warm one evaluates nothing."""
+        """A 49-node ray kernel at 1 < |u| <= 2 squares the kernel of
+        u / 2, which evaluates e^(u x_j / 2) at the 24 nodes x_j > 0
+        alone; a warm one evaluates nothing."""
         _exponentials.cache_clear()
         bits = 53 + GUARD
         u = _complex_tuple(mpmath.mpc("-0.75", "1.5"))
@@ -72,7 +73,8 @@ class TestPinnedCounts:
             _exponentials(u, 48, bits)
         with _work.counting() as warm:
             _exponentials(u, 48, bits)
-        assert (cold["exp"], cold["cos_sin"]) == (24, 24)
+        assert (cold["exp"], cold["cos_sin"], cold["squared"]) \
+            == (24, 24, 1)
         assert warm == Counter()
 
     def test_cold_folded_matrix_entries(self):
@@ -95,15 +97,21 @@ class TestPinnedCounts:
         assert counts == {("cos_pi", n, bits): n // 2 + 1}
 
 
+def engine_work(seed):
+    """The JSON object ``tools/engine_work.py`` prints for ``seed``."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "engine_work.py"), "--seed",
+         str(seed)], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def test_engine_work_totals_are_nonzero():
     """Every total that ``tools/engine_work.py`` reports is nonzero on a
     benchmark round, so none of its count sites has gone missing."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "engine_work.py"), "--seed",
-         "1"], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
+    out = engine_work(1)
 
     def leaves(value, path):
         if isinstance(value, dict):
@@ -119,3 +127,16 @@ def test_engine_work_totals_are_nonzero():
     zero = [path for path, value in totals.items() if not value]
     assert len(totals) > 20
     assert not zero, zero
+
+
+def test_laplace_round_pays_each_transcendental_once_per_panel_shape():
+    """A seed-3 certified-sums round samples the same nodes and panels as
+    with a libmp call per node, and the cached shape vectors (kernels by
+    doubling, ray power lanes per r, circle lanes through the ray kernel)
+    keep its libmp calls within the pinned ceilings: per node they were
+    980 logs, 2336 exponentials and 1257 cosine-sine pairs."""
+    total = engine_work(3)["laplace"]["total"]
+    assert (total["nodes"], total["panels"]) == (3381, 63)
+    assert total["log"] <= 300
+    assert total["exp"] <= 1300
+    assert total["cos_sin"] <= 700

@@ -41,16 +41,20 @@ the wall ``seconds``; and their ``total``.
 Under ``laplace``, for the same round: per Laplace operation (rays, the
 lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
 report, the libmp ``exp``, ``cos_sin`` and ``log`` calls of its panel
-sampling, the kernel vectors it ``computed`` and ``reused`` from the
-caches of the ray kernel ``_chebyshev._exponentials`` (``ray_kernels``)
-and of the circle kernel ``laplace._circle_kernel`` (``circle_kernels``),
-read from their ``cache_info()``, the seconds of its truncation searches
-(``truncation_s``), the tail bounds they evaluated (``tail_bounds``), and
-the incomplete-gamma moments of those bounds, as ``mpmath.gammainc``
-calls (``gammainc``, integer orders) and as moments bounded in closed
-form (``closed_form``, the other orders); their ``total``, with the
-seconds of the ``gammainc`` calls (``gammainc_s``); and the wall seconds
-of the whole round (``round_s``).
+sampling, the ray kernels built by squaring the kernel of half the width
+(``squared``), the vectors it ``computed`` and ``reused`` from the
+caches of the ray kernel ``_chebyshev._exponentials`` (``ray_kernels``,
+the squared kernels and their bases included), of the circle kernel
+``laplace._circle_kernel`` (``circle_kernels``) and of the power
+kernel's ray lanes log(1 + r x) and (1 + r x)^(sigma - 1),
+``borelfun._log_nodes`` (``log_lanes``) and ``borelfun._power_nodes``
+(``power_lanes``), read from their ``cache_info()``, the seconds of its
+truncation searches (``truncation_s``), the tail bounds they evaluated
+(``tail_bounds``), and the incomplete-gamma moments of those bounds, as
+``mpmath.gammainc`` calls (``gammainc``, integer orders) and as moments
+bounded in closed form (``closed_form``, the other orders); their
+``total``, with the seconds of the ``gammainc`` calls (``gammainc_s``);
+and the wall seconds of the whole round (``round_s``).
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ LIBMP = ("exp", "cos_sin", "log")
 # the certified-sums operations that call ze_eval
 ZE_OPERATIONS = ("coloured", "closed", "dual", "deep", "relation")
 KERNELS = {"ray_kernels": cheb._exponentials,
-           "circle_kernels": laplace._circle_kernel}
+           "circle_kernels": laplace._circle_kernel,
+           "log_lanes": borelfun._log_nodes,
+           "power_lanes": borelfun._power_nodes}
 
 
 def clear_caches():
@@ -186,7 +192,7 @@ def certified_work(seed):
         work[name] = {
             "nodes": sum(r.nodes_used for r in results),
             "panels": sum(r.diagnostics["panels"] for r in results),
-            **{key: op[key] for key in LIBMP},
+            **{key: op[key] for key in (*LIBMP, "squared")},
             "truncation_s": round(op["truncation_s"], 5),
             **{key: op[key] for key in ("tail_bounds", "gammainc",
                                         "closed_form")},
@@ -195,8 +201,8 @@ def certified_work(seed):
                 for key in ("prefix_terms", "tail_levels")}
     ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
     total = {key: sum(w[key] for w in work.values())
-             for key in ("nodes", "panels", *LIBMP, "tail_bounds",
-                         "gammainc", "closed_form")}
+             for key in ("nodes", "panels", *LIBMP, "squared",
+                         "tail_bounds", "gammainc", "closed_form")}
     for key in KERNELS:
         total[key] = {part: sum(w[key][part] for w in work.values())
                       for part in ("computed", "reused")}
