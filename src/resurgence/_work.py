@@ -36,8 +36,13 @@ and ``"truncation_s"`` the seconds of its searches; ``"gammainc"``:
 ``mpmath.gammainc`` calls of ``borelfun._moment_integral``, at integer
 orders, ``"gammainc_s"`` their seconds, and ``"closed_form"`` the moments
 it bounds in closed form.  In ``mzv``: ``("cutoff", N)``, the prefix sums
-(``_prefix_sums``) up to N, and ``"prefix_terms"`` their terms, depth
-times N; ``"tail_levels"``, the levels of the tail engine (``_tail_sum``).
+(``_prefix_sums``) up to N, one per ``ze_eval`` call, at the cutoff its
+ladder chose, and ``"prefix_terms"`` their terms, depth times N;
+``("remainder", N, P, predicted, reported)``, per ``ze_eval`` call, that
+cutoff and the tails' remainder there in units 2^-P, predicted before
+the prefix sums (``_choose_cutoff``) and reported after them;
+``"tail_levels"``, the levels whose coefficients the tail engine built
+(``_sum_level``), once per number of tail terms a call tried.
 """
 
 from __future__ import annotations

@@ -405,6 +405,8 @@ def _choose_truncation(rule, w, target, max_nodes):
     decay margin m = Re w is tiny next to |w|: the truncation point
     grows like 1/m while the kernel keeps turning at the rate |Im w|,
     and the rule's own error estimate then no longer bounds its error.
+    So is a margin so small that the bound at the last step of the
+    ladder is still above target / 4.
     """
     floor, bound_at, decreasing = rule
     m = mpmath.mpc(w).real
@@ -431,6 +433,14 @@ def _choose_truncation(rule, w, target, max_nodes):
     while k < _LADDER_STEPS and bound(k) > goal:
         k += 1
     T, (tail, proved) = ladder[k], bounds[k]
+    if tail > goal:
+        raise DecayMarginError(
+            f"decay margin {mpmath.nstr(m, 8)} is too small: the tail bound "
+            f"at T = {mpmath.nstr(T, 4)}, the last step of the truncation "
+            f"ladder, is {mpmath.nstr(tail, 4)}, above target / 4",
+            margin=_figure(m),
+            tail_bound=_figure(tail),
+        )
     turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
     if turns > max_nodes:
         raise DecayMarginError(
@@ -590,12 +600,14 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     these absolutely convergent integrals).
 
     Raises DecayMarginError when the margin Re(z e^(i theta)) is not
-    positive or so small next to |z| that the kernel turns more than
-    ``max_nodes`` times before the truncation point, RayBlockedError when
-    the ray passes too close to a singular point, naming the nearest one,
-    and whatever the shape's ``origin_head`` raises for an origin no head
-    covers (DecayMarginError for a power kernel that is not integrable
-    there, NotImplementedError for a dilogarithm sheet looped around 1).
+    positive, so small next to |z| that the kernel turns more than
+    ``max_nodes`` times before the truncation point, or so small that no
+    truncation point of the ladder brings the tail within target / 4,
+    RayBlockedError when the ray passes too close to a singular point,
+    naming the nearest one, and whatever the shape's ``origin_head``
+    raises for an origin no head covers (DecayMarginError for a power
+    kernel that is not integrable there, NotImplementedError for a
+    dilogarithm sheet looped around 1).
     """
     if moment < 0:
         raise ValueError("moment must be >= 0")

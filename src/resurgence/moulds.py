@@ -317,12 +317,16 @@ def identity_mould(alphabet: Alphabet | None = None) -> Mould:
 
 
 def exp_scale_mould(w, alphabet: Alphabet | None = None) -> Mould:
-    """The symmetral mould with value w^r / r! on words of length r."""
+    """The symmetral mould with value w^r / r! on words of length r,
+    computed once per length."""
     w = ExactScalar.coerce(w)
+    by_length = {}
 
     def rule(word):
         r = len(word)
-        return w**r / math.factorial(r)
+        if r not in by_length:
+            by_length[r] = w**r / math.factorial(r)
+        return by_length[r]
 
     return Mould(alphabet, None, rule=rule)
 

@@ -27,12 +27,12 @@ Two independent evaluators are provided.
   phase use iterated summation by parts.  Truncation remainders are
   tracked through every algebraic step with explicit inequalities, and
   a proved rounding term bounds every floor of the integer arithmetic,
-  so the reported error is a guaranteed bound.  The direct sum starts at
-  a cutoff of DEFAULT_CUTOFF = 1024, doubled, at most four times and
-  never past MAX_CUTOFF, while the certified remainders exceed one unit
-  2^-prec (1 + |value|), and the tails keep 4 + max(0, prec - 53) // 5
-  correction terms; the reported error is within one unit of that at a
-  cutoff of 10^4.
+  so the reported error is a guaranteed bound.  The cutoff is chosen
+  before anything is summed: the first of DEFAULT_CUTOFF = 64, 128, ...
+  (never past MAX_CUTOFF) where the tails' remainders, predicted with a
+  proved bound on the partial sums they multiply, fit under half a unit
+  2^-prec; the tails keep 4 + max(0, prec - 53) // 5 correction
+  terms, and the direct sum runs once, at that cutoff.
 
 * :func:`wa_eval` sums the two endpoint slivers [0, 1/8] and
   [1 - h_1, 1], where the kernels 1/(0 - z) and 1/(1 - z) make the
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import ceil, comb, factorial, isqrt, log2, pi, prod, sin
+from math import ceil, comb, factorial, isqrt, log, log2, pi, prod, sin
 from operator import mul
 
 import mpmath
@@ -100,9 +100,10 @@ MAX_COLOUR_DENOMINATOR = 12
 # The largest cutoff ze_eval accepts: its prefix sums hold depth lists of
 # cutoff entries, so a larger one would take minutes and gigabytes.
 MAX_CUTOFF = 10**6
-# The cutoff ze_eval starts from: there the certified tails of most
-# supported indices already fit under the unit 2^-prec (1 + |value|).
-DEFAULT_CUTOFF = 1024
+# The cutoff ze_eval's ladder starts from, the smallest it accepts: the
+# ladder doubles it until the predicted remainders fit, paying only the
+# tails at each rejected step.
+DEFAULT_CUTOFF = 64
 
 
 def _as_colour(value) -> Fraction:
@@ -383,47 +384,70 @@ def _shift_rows(t: int, K: int):
                        for j in range(i + 1)) for i in range(K + 1))
 
 
-def _remainder(c, err, t: int, cutoff: int) -> int:
-    """sum over j of |c[j]| B(t + j, K - j, cutoff) in units, rounded up:
-    the binomial truncation tails of re-expanding c in powers of m."""
-    K = len(err) - 1
+def _sizes(c, err) -> list:
+    """Ints at least |c[k]| + err[k]: the moduli of the exact coefficients
+    that the lanes c approximate within err."""
+    return [_modulus(c, k) + e for k, e in enumerate(err)]
+
+
+def _remainder(sizes, t: int, cutoff: int) -> int:
+    """sum over j of sizes[j] B(t + j, K - j, cutoff) in units, rounded
+    up: the binomial truncation tails of re-expanding coefficients of
+    moduli at most sizes in powers of m."""
+    K = len(sizes) - 1
     rem = 0
-    for j in range(K + 1):
+    for j, size in enumerate(sizes):
         b = _binom_tail_bound(t + j, K - j, cutoff)
-        rem += _ceil_div((_modulus(c, j) + err[j]) * b.numerator,
-                         b.denominator)
+        rem += _ceil_div(size * b.numerator, b.denominator)
     return rem
 
 
-def _shift_down(c, err, t: int, R: int, cutoff: int):
-    """Re-expand  sum_k c[k] (m+1)^{-t-k} + d(m+1)  in powers of m.
+def _shift_down(c, err, t: int):
+    """Re-expand  sum_k c[k] (m+1)^{-t-k}  in powers of m.
 
-    Valid for m >= cutoff.  Returns (c', err', R') in the same slot
-    convention: the binomial weights are integers, so c' is exact and err'
-    carries err by their moduli; R' covers both the binomial truncation
-    tails and the transported input remainder, at exponent -(t + K + 1).
+    Returns (c', err') in the same slot convention: the binomial weights
+    are integers, so c' is exact and err' carries err by their moduli.
+    For m >= cutoff the truncation tails, at exponent -(t + K + 1), are
+    at most :func:`_remainder` of ``_sizes(c, err)``.
     """
     rows = _shift_rows(t, len(err) - 1)
     out = tuple(None if lane is None else [sum(map(mul, row, lane)) for row in rows]
                 for lane in c)
     err_out = [sum(abs(w) * e for w, e in zip(row, err)) for row in rows]
-    return out, err_out, R + _remainder(c, err, t, cutoff)
+    return out, err_out
 
 
-def _tail_abel(form: _TailForm) -> _TailForm:
+@dataclass
+class _TailLevel:
+    """One summed level: the coefficients of its tail form, which do not
+    depend on the cutoff, and ``remainder(R, N)``, the certified remainder
+    of the sum at the cutoff N of a summand whose own remainder is R."""
+    q: Fraction
+    t: int
+    c: tuple
+    err: list
+    P: int
+    remainder: object
+
+    def at(self, R: int, N: int) -> _TailForm:
+        return _TailForm(self.q, self.t, self.c, self.err,
+                         self.remainder(R, N), N, self.P)
+
+
+def _tail_abel(q: Fraction, t: int, c, err, P: int) -> _TailLevel:
     """Sum the tail of a form with nontrivial phase, by the exact
     first-order recurrence v(a) - Z v(a+1) = g(a) solved order by order.
 
     Each order is one complex integer division by 1 - Z~, with Z~ from
     :func:`_unit_root`.  Output slots shrink by one: the recurrence's
     certified remainder lives one power higher than the input's."""
-    K, t, N0, P = form.order, form.t, form.cutoff, form.P
-    zr, zi = _unit_root(form.q, P)
+    K = len(err) - 1
+    zr, zi = _unit_root(q, P)
     dr, di = (1 << P) - zr, -zi
     norm = dr * dr + di * di
     # |1 - Z| and |1 - Z~| are both at least low units
     low = isqrt(norm) - 2
-    cr, ci = form.c[0], form.c[1] or [0] * (K + 1)
+    cr, ci = c[0], c[1] or [0] * (K + 1)
     vr, vi, verr = [], [], []
     for i, row in enumerate(_shift_rows(t, K)):
         w = row[:i]
@@ -435,20 +459,24 @@ def _tail_abel(form: _TailForm) -> _TailForm:
         vi.append((ai * dr - ar * di) // norm)
         # |a - a~| <= err[i] + |inner - inner~| + |Z - Z~| |inner~|, and
         # a / (1 - Z) - a~ / (1 - Z~) adds |a~| |Z - Z~| / (low u)^2
-        aerr = (form.err[i] + sum(abs(x) * e for x, e in zip(w, verr))
+        aerr = (err[i] + sum(abs(x) * e for x, e in zip(w, verr))
                 + _ceil_div(2 * _size(ir, ii), 1 << P))
         verr.append(_ceil_div(aerr << P, low)
                     + _ceil_div(2 * _size(ar, ai), low * low) + 2)
-    unrolled = _ceil_div(form.R + _remainder((vr, vi), verr, t, N0), t + K)
     zv = ([(zr * a - zi * b) >> P for a, b in zip(vr, vi)],
           [(zr * b + zi * a) >> P for a, b in zip(vr, vi)])
     zerr = [e + _ceil_div(2 * _modulus((vr, vi), j), 1 << P) + 2
             for j, e in enumerate(verr)]
-    shifted, serr, rem_shift = _shift_down(zv, zerr, t, 0, N0)
-    R_out = (unrolled + _modulus(shifted, K) + serr[K]
-             + _ceil_div(rem_shift, N0))
-    return _TailForm(form.q, t, tuple(lane[:K] for lane in shifted), serr[:K],
-                     R_out, N0, P)
+    shifted, serr = _shift_down(zv, zerr, t)
+    v_sizes, z_sizes = _sizes((vr, vi), verr), _sizes(zv, zerr)
+    last = _modulus(shifted, K) + serr[K]
+
+    def remainder(R, N):
+        unrolled = _ceil_div(R + _remainder(v_sizes, t, N), t + K)
+        return unrolled + last + _ceil_div(_remainder(z_sizes, t, N), N)
+
+    return _TailLevel(q, t, tuple(lane[:K] for lane in shifted), serr[:K],
+                      P, remainder)
 
 
 @lru_cache(maxsize=4096)
@@ -472,7 +500,7 @@ def _em_terms(x: int, room: int):
             return tuple(terms)
 
 
-def _tail_em(form: _TailForm) -> _TailForm:
+def _tail_em(q: Fraction, t: int, c, err, P: int) -> _TailLevel:
     """Sum the tail of a phase-free form by the Euler-Maclaurin expansion
     of the Hurwitz tails  sum_{n > m} n^{-x} = zeta(x, m+1).
 
@@ -480,50 +508,48 @@ def _tail_em(form: _TailForm) -> _TailForm:
     in absolute value by its first omitted Bernoulli term, the classical
     envelope for completely monotone integrands; the weights are exact
     rationals, each applied as one integer multiply and floor division."""
-    K, t, N0 = form.order, form.t, form.cutoff
+    K = len(err) - 1
     if t < 2:
         raise ValueError("phase-free tail needs exponent at least 2")
-    width = 1 if form.c[1] is None else 2
-    out = tuple(None if lane is None else [0] * (K + 1) for lane in form.c)
+    width = 1 if c[1] is None else 2
+    out = tuple(None if lane is None else [0] * (K + 1) for lane in c)
     out_err = [0] * (K + 1)
-    rem = 0
+    folded = []
     for k in range(K + 1):
-        size = _modulus(form.c, k) + form.err[k]
+        size = _modulus(c, k) + err[k]
         for offset, num, den in _em_terms(t + k, K - k):
             slot = k + offset
             if slot > K:
-                # fold the term into the remainder: for n > N0,
-                # n^-(slot) <= (N0 + 1)^(K + 1 - slot) n^-(K + 1)
-                rem += _ceil_div(size * abs(num),
-                                 den * (N0 + 1) ** (slot - K - 1))
+                folded.append((size * abs(num), den, slot - K - 1))
                 continue
-            for lane, src in zip(out, form.c):
+            for lane, src in zip(out, c):
                 if lane is not None:
                     lane[slot] += src[k] * num // den
-            out_err[slot] += _ceil_div(form.err[k] * abs(num), den) + width
-    shifted, serr, rem_shift = _shift_down(out, out_err, t - 1, rem, N0)
-    R_out = rem_shift + _ceil_div(form.R, t + K)
-    return _TailForm(form.q, t - 1, shifted, serr, R_out, N0, form.P)
+            out_err[slot] += _ceil_div(err[k] * abs(num), den) + width
+    shifted, serr = _shift_down(out, out_err, t - 1)
+    sizes = _sizes(out, out_err)
+
+    def remainder(R, N):
+        # the terms past slot K fold into the remainder: for n > N,
+        # n^-(slot) <= (N + 1)^(K + 1 - slot) n^-(K + 1)
+        rem = sum(_ceil_div(x, den * (N + 1) ** p) for x, den, p in folded)
+        return rem + _remainder(sizes, t - 1, N) + _ceil_div(R, t + K)
+
+    return _TailLevel(q, t - 1, shifted, serr, P, remainder)
+
+
+def _sum_level(q: Fraction, t: int, c, err, P: int) -> _TailLevel:
+    """The tail W(m) = sum over n > m of the form (q, t, c, err)."""
+    _work.add("tail_levels")
+    if q == 0:
+        return _tail_em(q, t, c, err, P)
+    return _tail_abel(q, t, c, err, P)
 
 
 def _tail_sum(form: _TailForm) -> _TailForm:
-    _work.add("tail_levels")
-    if form.q == 0:
-        return _tail_em(form)
-    return _tail_abel(form)
-
-
-def _compose_level(q_level: Fraction, s_level: int, prev: _TailForm) -> _TailForm:
-    """The next level's summand  z^n n^{-s} W_prev(n)  as a tail form."""
-    return _TailForm(
-        (q_level + prev.q) % 1,
-        s_level + prev.t,
-        prev.c,
-        prev.err,
-        prev.R,
-        prev.cutoff,
-        prev.P,
-    )
+    """The tail W(m) = sum over n > m of ``form``, at its cutoff."""
+    return _sum_level(form.q, form.t, form.c, form.err, form.P).at(
+        form.R, form.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +564,12 @@ def ze_eval(
 ) -> Evaluation:
     """Evaluate a nested harmonic sum with a guaranteed error bound.
 
-    The simplex below ``cutoff`` is summed by cumulative prefix sums; the
-    part where at least one variable exceeds the cutoff is split by the
-    deepest such variable, which factors it into a computed partial sum
-    times a pure tail.  Pure tails are completed by the certified
-    expansion engine with a number of retained correction powers beyond
-    the leading ones.  Both run in fixed point (Python ints scaled by
+    The simplex below a cutoff N is summed by cumulative prefix sums; the
+    part where at least one variable exceeds N is split by the deepest
+    such variable, which factors it into a computed partial sum times a
+    pure tail.  Pure tails are completed by the certified expansion
+    engine with a number of retained correction powers beyond the
+    leading ones.  Both run in fixed point (Python ints scaled by
     2^(prec + 56)), and a proved rounding term, carried through the
     levels, bounds every floor of the sums, the tails and their products.
     The returned error adds every certified remainder, that rounding term
@@ -551,20 +577,22 @@ def ze_eval(
     bits.
 
     That number is 4 + max(0, prec - 53) // 5, one more power per 5
-    bits, but at most half of cutoff * |1 - z| (and at least 4),
-    where z runs over the levels' accumulated colours exp(2 pi i (eps_1 +
-    ... + eps_j)) other than 1: the tails of those levels are expansions
-    in 1/(cutoff |1 - z|), which diverge past about that order.  Every
-    call starts at ``cutoff`` (DEFAULT_CUTOFF = 1024 by default) and
-    doubles it, at most four times and never past MAX_CUTOFF, while the
-    error exceeds 2^(1 - prec) (1 + |value|), that is while the certified
-    remainders do not fit under one unit 2^-prec (1 + |value|).  Every
-    error includes that unit, so where they fit the error is within one
-    unit of what any cutoff gives, that of a cutoff of 10^4 with 4 terms
-    included; most supported indices stop at the first try.  The retries
-    reuse the fixed-point powers n^-s and colours of the shorter tries.
-    ``cutoff`` must lie in [64, MAX_CUTOFF] and ``prec`` must be at
-    least MIN_PREC.
+    bits, but at most half of N * |1 - z| (and at least 4), where z runs
+    over the levels' accumulated colours exp(2 pi i (eps_1 + ... +
+    eps_j)) other than 1: the tails of those levels are expansions in
+    1/(N |1 - z|), which diverge past about that order.
+
+    N is chosen before anything is summed.  At each N of the ladder
+    ``cutoff``, 2 ``cutoff``, ... (DEFAULT_CUTOFF = 64 by default, never
+    past MAX_CUTOFF) the tails are built, and their remainders are
+    predicted with a proved bound on the partial sums they multiply; the
+    first N whose predicted remainder fits under half a unit 2^-prec is
+    summed, once (the last one when none fits).  The prediction bounds
+    the remainder reported, so where it fits the error is under
+    2^(1 - prec) (1 + |value|), within one unit of what any cutoff gives,
+    that of 10^4 with 4 terms included.  ``cutoff`` must lie in
+    [64, MAX_CUTOFF] and ``prec`` must be at least MIN_PREC.  A repeated
+    call returns the identical Evaluation.
     """
     check_prec(prec)
     if not isinstance(idx, MzvIndex):
@@ -579,15 +607,7 @@ def ze_eval(
         raise ValueError("cutoff below 64 leaves no room for certified tails")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds the supported {MAX_CUTOFF}")
-    # double, at most four times and never past MAX_CUTOFF, while the
-    # remainders exceed one unit 2^-prec (1 + |value|)
-    for n in (int(cutoff) << k for k in range(5)):
-        if n > MAX_CUTOFF:
-            break
-        ev = _ze_sum(idx, prec, n, _default_terms(idx, prec, n))
-        if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
-            break
-    return ev
+    return _ze_chosen(idx, prec, int(cutoff))
 
 
 def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
@@ -606,10 +626,10 @@ def _default_terms(idx: MzvIndex, prec: int, cutoff: int) -> int:
 # P = prec + _FIX_GUARD.  The proved rounding term of the prefix sums is a
 # few units times cutoff * |inner sums| per level, at most about
 # 2^-(prec + 34) for supported indices at the cutoff 1024 (2^-(prec + 29)
-# at 16384, the most 1024 doubles to, and 2^-(prec + 25) at 10^5);
-# that of the tails and of their products with the sums at most about
-# 2^-(prec + 46).  Both stay far under the unit 2^-prec (1 + |value|) of
-# the reported error.
+# at 16384 and 2^-(prec + 22) at 2^19, the largest cutoff of ze_eval's
+# ladder); that of the tails and of their products with the sums at most
+# about 2^-(prec + 46).  Both stay far under the half unit 2^-(prec + 1)
+# that the ladder leaves them.
 _FIX_GUARD = 56
 
 
@@ -628,9 +648,9 @@ def _fixed_mul(xr, xi, yr, yi, P: int):
             [(a * d + b * c) >> P for a, b, c, d in zip(xr, xi, yr, yi)])
 
 
-# ze_eval's retries at 2N, 4N, ... reuse what the shorter tries built: the
-# powers keep the longest list built per (s, P) and extend it, and the
-# colours are repeats of one cached row per (q, P).
+# Sums of the same exponent and precision share their powers: the longest
+# list built per (s, P) is kept and extended, and the colours are repeats
+# of one cached row per (q, P).
 @lru_cache(maxsize=4)
 def _power_store(s: int, P: int) -> list:
     return []
@@ -706,8 +726,85 @@ def _prefix_sums(idx: MzvIndex, N: int, P: int):
     return tops, err
 
 
-def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
-    """The nested sum in units u = 2^-P: (value, rounding, remainder) with
+def _tail_chain(idx: MzvIndex, P: int, terms: int) -> list:
+    """The pure tails' levels, whose coefficients do not depend on the
+    cutoff: level j - 1 sums W_j(m), the sum over n_1 > ... > n_j > m of
+    the first j levels' summands, with ``terms`` correction powers and
+    the depth plus 2 more, so that each summed level keeps ``terms`` past
+    its leading ones."""
+    K0 = terms + idx.depth + 2
+    q, t, c, err = Fraction(0), 0, ([1 << P] + [0] * K0, None), [0] * (K0 + 1)
+    chain = []
+    for s_j, q_j in zip(idx.s, idx.eps):
+        level = _sum_level((q_j + q) % 1, s_j + t, c, err, P)
+        chain.append(level)
+        q, t, c, err = level.q, level.t, level.c, level.err
+    return chain
+
+
+def _tail_forms(chain: list, N: int) -> list:
+    """The tail forms of :func:`_tail_chain` at the cutoff N, each level's
+    remainder carried into the next."""
+    R, forms = 0, []
+    for level in chain:
+        forms.append(level.at(R, N))
+        R = forms[-1].R
+    return forms
+
+
+def _predicted_remainder(idx: MzvIndex, N: int, P: int, forms: list) -> int:
+    """An int at least the remainder that :func:`_telescope` reports at N
+    with these forms, in units 2^-P, known before any prefix sum.
+
+    Form j's certified remainder multiplies |S~_{j+1}(N + 1)| plus its
+    rounding term; |S_{j+1}(N + 1)| is at most the product over the
+    levels i > j of the partial sums of n^-s_i up to N, each at most
+    1 + ln N for s_i = 1 and zeta(s_i) <= 2 otherwise.  Both exceed those
+    sums by more than 1/3 at N >= 64 (H_N <= ln N + 0.59), far more than
+    the rounding terms and the float ln N can take, so the product, taken
+    up to units, bounds what the prefix sums will give."""
+    one = 1 << P
+    size, predicted = one, 0
+    for j in range(idx.depth, 0, -1):
+        predicted += _ceil_div(forms[j - 1].error_at(N) * size, one)
+        b = Fraction(2 if idx.s[j - 1] > 1 else 1 + log(N))
+        size = _ceil_div(size * b.numerator, b.denominator)
+    return predicted
+
+
+def _choose_cutoff(idx: MzvIndex, prec: int, cutoff: int):
+    """(N, forms, predicted): the first N of the ladder cutoff, 2 cutoff,
+    ... whose predicted remainder fits under half a unit 2^-prec, or the
+    last one not past MAX_CUTOFF, with its tail forms and that prediction
+    in units 2^-(prec + _FIX_GUARD).  A rejected N costs only its tails'
+    remainders, or their coefficients too where it keeps fewer terms
+    than the next.
+
+    Half a unit leaves the rounding term the other half: an error that
+    adds one unit 2^-prec (1 + |value|) stays under 2^(1 - prec) (1 +
+    |value|)."""
+    P = prec + _FIX_GUARD
+    goal = 1 << (_FIX_GUARD - 1)
+    N, built = cutoff, None
+    while True:
+        terms = _default_terms(idx, prec, N)
+        if terms != built:
+            chain, built = _tail_chain(idx, P, terms), terms
+        try:
+            forms = _tail_forms(chain, N)
+        except ValueError:
+            # the binomial re-expansions of this many terms need a larger N
+            N *= 2
+            continue
+        predicted = _predicted_remainder(idx, N, P, forms)
+        if predicted <= goal or 2 * N > MAX_CUTOFF:
+            return N, forms, predicted
+        N *= 2
+
+
+def _telescope(idx: MzvIndex, N: int, P: int, forms: list):
+    """The nested sum in units u = 2^-P from the prefix sums below N and
+    the pure tails ``forms`` at N: (value, rounding, remainder) with
     value a (real, imaginary or None) pair of ints, rounding an int
     bounding its distance from the same prefix sums and tail expansions
     in exact arithmetic, and remainder an int bounding the tails'
@@ -718,18 +815,9 @@ def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
     Each product adds one floor per lane, and the errors of both factors
     carry into it, the prefix sums' err as rounding and the tails'
     remainders, times the prefix sums, as remainder."""
-    r = idx.depth
     tops, err = _prefix_sums(idx, N, P)
     (vr, vi), rounding, remainder = tops[1], err[1], 0
-    K0 = terms + r + 2
-    W = None
-    for j in range(1, r + 1):
-        if W is None:
-            W = _TailForm(idx.eps[0], idx.s[0], ([1 << P] + [0] * K0, None),
-                          [0] * (K0 + 1), 0, N, P)
-        else:
-            W = _compose_level(idx.eps[j - 1], idx.s[j - 1], W)
-        W = _tail_sum(W)
+    for j, W in enumerate(forms, 1):
         ((tr, ti), tail_err), (wr, wi) = W.value_at(N), tops[j + 1]
         vr += (tr * wr - (ti or 0) * (wi or 0)) >> P
         if ti is not None or wi is not None:
@@ -742,14 +830,18 @@ def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
     return (vr, vi), rounding, remainder
 
 
-@lru_cache(maxsize=512)
-def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
-    """The body of :func:`ze_eval` for a validated index, memoised: a
-    repeated call returns the identical Evaluation.  Value and bound
-    convert to mpmath once, the bound rounded up, and the bound gains one
-    unit 2^-prec (1 + |value|) for the value's rounding to ``prec`` bits."""
+def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
+    """:func:`_telescope` at the cutoff N with ``terms`` tail terms."""
+    return _telescope(idx, N, P, _tail_forms(_tail_chain(idx, P, terms), N))
+
+
+def _evaluation(idx: MzvIndex, prec: int, fixed) -> Evaluation:
+    """The Evaluation of a result of :func:`_telescope` at P = prec +
+    _FIX_GUARD: value and bound convert to mpmath once, the bound rounded
+    up, and the bound gains one unit 2^-prec (1 + |value|) for the
+    value's rounding to ``prec`` bits."""
     P = prec + _FIX_GUARD
-    (re, im), rounding, remainder = _ze_fixed(idx, cutoff, P, terms)
+    (re, im), rounding, remainder = fixed
     with mpmath.workprec(prec):
         value = mpmath.mpf((re, -P))
         if not idx.is_real():
@@ -758,6 +850,24 @@ def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
         bound = mpf_add(from_man_exp(rounding + remainder, -P, prec, round_ceiling),
                         unit, prec, round_ceiling)
         return Evaluation(value, mpmath.mpf(bound), certified=True)
+
+
+@lru_cache(maxsize=512)
+def _ze_chosen(idx: MzvIndex, prec: int, cutoff: int) -> Evaluation:
+    """The body of :func:`ze_eval` for a validated index, memoised: the
+    cutoff from :func:`_choose_cutoff` and one telescoped sum there."""
+    P = prec + _FIX_GUARD
+    N, forms, predicted = _choose_cutoff(idx, prec, cutoff)
+    fixed = _telescope(idx, N, P, forms)
+    _work.add(("remainder", N, P, predicted, fixed[2]))
+    return _evaluation(idx, prec, fixed)
+
+
+def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
+    """The nested sum at one cutoff and number of tail terms, the rule of
+    :func:`ze_eval` left out."""
+    return _evaluation(idx, prec,
+                       _ze_fixed(idx, cutoff, prec + _FIX_GUARD, terms))
 
 
 # ---------------------------------------------------------------------------

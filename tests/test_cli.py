@@ -159,6 +159,17 @@ class TestSum:
         assert code == 2
         assert json.loads(out)["error"] == "decay-margin"
 
+    def test_margin_below_the_ladder_is_domain_error(self, capsys):
+        """A margin of about 6e-325 leaves the tail bound above the target
+        at the last step of the truncation ladder: refused, before any
+        node is sampled, with the margin named."""
+        code, out, _ = run(capsys, "sum", "--input", "euler",
+                           "--theta", "pi/2", "--z", "1e-308")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "decay-margin"
+        assert 0 < mpmath.mpf(payload["details"]["margin"]) < 1e-300
+
     def test_hankel_unsupported_shape_is_domain_error(self, capsys):
         code, out, _ = run(capsys, "sum", "--input", "dilog", "--hankel",
                            "--theta", "-0.5", "--z", "4")
@@ -780,7 +791,7 @@ class TestFuzz:
     def test_sum_grammar(self, argv):
         out = assert_contract(argv)
         if argv == TINY_MARGIN:
-            assert mpmath.mpf(out["diagnostics"]["margin"]) > 0
+            assert mpmath.mpf(out["details"]["margin"]) > 0
 
     @settings(max_examples=30, deadline=None)
     @given(alien_invocations())

@@ -7,6 +7,7 @@ itself asserted separately.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +131,17 @@ class TestProductGroup:
         third = exp_scale_mould(Fraction(1, 3)).materialize(AB, 4)
         sixth = exp_scale_mould(Fraction(5, 6)).materialize(AB, 4)
         assert (half * third).same_entries(sixth)
+
+    @pytest.mark.parametrize("alphabet", [Alphabet([1]), AB], ids=str)
+    def test_exp_scale_entries_follow_the_formula(self, alphabet):
+        """The entries computed once per length equal (==) w^r / r! taken
+        afresh for every word, to length 6."""
+        w = ExactScalar.coerce(Fraction(-2, 3))
+        m = exp_scale_mould(w).materialize(alphabet, 6)
+        words = list(alphabet.words(6))
+        assert len(m.entries) == len(words)
+        for word in words:
+            assert m[word] == w**len(word) / math.factorial(len(word))
 
     def test_log_of_exp_scale_is_scaled_identity(self):
         e = exp_scale_mould(2).materialize(AB, 4)

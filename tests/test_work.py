@@ -15,11 +15,13 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from test_ze_defaults import INDICES, NEAR_INTEGER
 
-from resurgence import _work
+from resurgence import _work, mzv
 from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
                                    _exponentials, _folded, _quarter,
                                    iterated_levels, segment)
+from resurgence.mzv import _default_terms, _ze_sum, ze_eval
 
 ROOT = Path(__file__).parents[1]
 
@@ -140,3 +142,60 @@ def test_laplace_round_pays_each_transcendental_once_per_panel_shape():
     assert total["log"] <= 300
     assert total["exp"] <= 1300
     assert total["cos_sin"] <= 700
+
+
+def test_certified_round_sums_a_quarter_of_the_old_prefix():
+    """Each ze_eval call picks its cutoff before it sums: a seed-3
+    certified-sums round sums at most a quarter of the 65536 prefix terms
+    of the doubling from 1024 that the cutoff rule replaced."""
+    assert engine_work(3)["ze"]["total"]["prefix_terms"] <= 65536 // 4
+
+
+def doubling_from_1024(idx, prec):
+    """(prefix terms, fits) of the rule ze_eval replaced: sums from the
+    cutoff 1024, doubled at most four times while the error exceeded
+    2^(1 - prec) (1 + |value|); fits tells whether it stopped within it."""
+    terms = 0
+    for n in (1024 << k for k in range(5)):
+        ev = _ze_sum(idx, prec, n, _default_terms(idx, prec, n))
+        terms += idx.depth * n
+        if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
+            return terms, True
+    return terms, False
+
+
+# (prec, index) -> (doubling's, chosen cutoff's prefix terms) where the
+# chosen cutoff sums more: the hard index at 120 bits, where the doubling
+# stopped at 16384 with a remainder of 2.6e-31 and the least cutoff of the
+# ladder that fits is 32768, and at 53 bits an index whose remainder the
+# prediction puts at 2.4e-16 at 1024, bounding |S_3| by 15.9 where it is
+# 0.34, against 6.5e-18 reported there: the proved bound costs it one
+# doubling.
+MORE_THAN_THE_DOUBLING = {(120, NEAR_INTEGER[-1]): (95232, 98304),
+                          (53, NEAR_INTEGER[-2]): (4096, 8192)}
+
+
+@pytest.mark.parametrize("prec", [53, 120])
+def test_no_index_sums_more_than_the_doubling(prec):
+    """No index of the defaults' sample sums more prefix terms than the
+    doubling from 1024 did, except the two pinned ones, and the sample
+    sums fewer in all; every error fits 2^(1 - prec)
+    (1 + |value|).  The hard index sums 24576 terms against 46080 at 53
+    bits."""
+    old_total = new_total = 0
+    for idx in INDICES:
+        old, _fits = doubling_from_1024(idx, prec)
+        mzv._ze_chosen.cache_clear()
+        with _work.counting() as counts:
+            ev = ze_eval(idx, prec=prec)
+        new = counts["prefix_terms"]
+        assert ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec)
+        if (prec, idx) in MORE_THAN_THE_DOUBLING:
+            assert (old, new) == MORE_THAN_THE_DOUBLING[prec, idx]
+        else:
+            assert new <= old
+        if (prec, idx) == (53, NEAR_INTEGER[-1]):
+            assert (old, new) == (46080, 24576)
+        old_total += old
+        new_total += new
+    assert new_total < old_total

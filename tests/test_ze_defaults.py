@@ -1,8 +1,8 @@
 """ze_eval's defaults against a cutoff of 10^4 with 4 tail terms.
 
-The default cutoff starts at DEFAULT_CUTOFF = 1024 and doubles only while
-the certified remainders exceed one unit 2^-prec (1 + |value|); the
-number of tail terms follows the precision.  Over the supported domain
+The default cutoff is the first of DEFAULT_CUTOFF = 64, 128, ... whose
+tails' predicted remainders fit under half a unit 2^-prec; the number of
+tail terms follows the precision.  Over the supported domain
 (colour denominators up to 12, depth up to 4, weight up to 12) the result
 must agree with that of cutoff 10^4 within the two errors, and its error
 may exceed theirs by at most that unit.  Indices whose partial colour
@@ -81,61 +81,84 @@ def test_default_matches_cutoff_ten_thousand(idx, prec):
         assert new.error <= old.error + unit
 
 
-def test_every_start_follows_one_rule():
-    """A cutoff given as 1024 doubles where the tails need it, exactly as
-    the default does; the default is a plain int."""
-    hard = NEAR_INTEGER[-1]
-    given, default = ze_eval(hard, cutoff=1024), ze_eval(hard)
-    assert (given.value, given.error) == (default.value, default.error)
-    assert given.error < 1.7e-16
-    # one try at 1024 leaves remainders far above the unit 2^-53
-    assert _ze_sum(hard, 53, 1024, _default_terms(hard, 53, 1024)).error \
-        > 1e-8
-    easy = MzvIndex((2, 1))
-    assert ze_eval(easy) is ze_eval(easy, cutoff=1024)
-    assert type(DEFAULT_CUTOFF) is int and DEFAULT_CUTOFF == 1024
-
-
 def cold_caches():
-    for cache in (mzv._ze_sum, mzv._power_store, mzv._colour_row,
+    for cache in (mzv._ze_chosen, mzv._power_store, mzv._colour_row,
                   mzv._unit_root):
         cache.cache_clear()
 
 
-def test_doubling_stops_at_max_cutoff(monkeypatch):
-    """The doubling never passes MAX_CUTOFF: a start at the ceiling sums
-    once, and with the ceiling lowered to 4096 the hard index, which the
-    default takes to 8192, stops at 4096."""
-    def cutoffs(idx, start=DEFAULT_CUTOFF):
-        cold_caches()
-        with _work.counting() as counts:
-            ev = ze_eval(idx, cutoff=start)
-        return ev, sorted(key[1] for key in counts
-                          if isinstance(key, tuple) and key[0] == "cutoff")
+def chosen(idx, prec=53, start=DEFAULT_CUTOFF):
+    """ze_eval from cold caches: (evaluation, [cutoffs summed], [(P,
+    predicted, reported remainder)])."""
+    cold_caches()
+    with _work.counting() as counts:
+        ev = ze_eval(idx, prec=prec, cutoff=start)
+    keys = [key for key in counts for _ in range(counts[key])
+            if isinstance(key, tuple)]
+    return (ev, [key[1] for key in keys if key[0] == "cutoff"],
+            [key[2:] for key in keys if key[0] == "remainder"])
 
-    assert cutoffs(MzvIndex((2,)), mzv.MAX_CUTOFF)[1] == [mzv.MAX_CUTOFF]
+
+def test_every_start_follows_one_rule():
+    """A cutoff given as 1024 climbs the same ladder as the default from
+    64 does: the hard index sums once, at 8192, with an error below
+    1.7e-16; an index that fits at the start sums there.  The default is
+    a plain int."""
     hard = NEAR_INTEGER[-1]
-    assert cutoffs(hard)[1] == [1024, 2048, 4096, 8192]
+    given, tried = chosen(hard, start=1024)[:2]
+    default = ze_eval(hard)
+    assert tried == [8192]
+    assert (given.value, given.error) == (default.value, default.error)
+    assert given.error < 1.7e-16
+    # the one sum at 1024 leaves remainders far above the unit 2^-53
+    assert _ze_sum(hard, 53, 1024, _default_terms(hard, 53, 1024)).error \
+        > 1e-8
+    easy = MzvIndex((2, 1))
+    assert chosen(easy, start=1024)[1] == [1024]
+    assert ze_eval(easy) is ze_eval(easy, cutoff=DEFAULT_CUTOFF)
+    assert type(DEFAULT_CUTOFF) is int and DEFAULT_CUTOFF == 64
+
+
+def test_doubling_stops_at_max_cutoff(monkeypatch):
+    """The ladder never passes MAX_CUTOFF: a start at the ceiling sums
+    once, there, and with the ceiling lowered to 4096 the hard index,
+    whose remainders fit at 8192, sums at 4096."""
+    assert chosen(MzvIndex((2,)), start=mzv.MAX_CUTOFF)[1] == [mzv.MAX_CUTOFF]
+    hard = NEAR_INTEGER[-1]
     monkeypatch.setattr(mzv, "MAX_CUTOFF", 4096)
-    ev, tried = cutoffs(hard)
-    assert tried == [1024, 2048, 4096]
-    assert ev is _ze_sum(hard, 53, 4096, _default_terms(hard, 53, 4096))
-    assert cutoffs(hard, 4096)[1] == [4096]
+    ev, tried, [(P, predicted, reported)] = chosen(hard)
+    assert tried == [4096]
+    assert predicted >= reported > 1 << (P - 54)
+    fixed = _ze_sum(hard, 53, 4096, _default_terms(hard, 53, 4096))
+    assert (ev.value, ev.error) == (fixed.value, fixed.error)
+    assert chosen(hard, start=4096)[1] == [4096]
+
+
+@pytest.mark.parametrize("prec", [53, 120])
+def test_one_cutoff_per_call(prec):
+    """Every call sums its prefix once, at a cutoff of the ladder 64,
+    128, ... not past MAX_CUTOFF, and the remainder predicted before that
+    sum bounds the one reported after it; it fits under half a unit
+    2^-prec wherever the sum stops before the ceiling."""
+    ladder = [DEFAULT_CUTOFF << k for k in range(15)]
+    for idx in INDICES:
+        ev, tried, [(P, predicted, reported)] = chosen(idx, prec)
+        assert len(tried) == 1 and tried[0] in ladder
+        assert tried[0] <= mzv.MAX_CUTOFF
+        assert predicted >= reported
+        assert predicted <= 1 << (P - prec - 1)
+        assert ev.certified
 
 
 @pytest.mark.parametrize("idx", NEAR_INTEGER[-2:], ids=str)
-def test_retries_equal_a_cold_start(idx):
-    """The doubling tries extend the powers and reuse the colours that the
-    shorter tries built; each cutoff's result equals (==) that of a start
-    with every cache cold."""
+def test_chosen_cutoff_equals_a_cold_sum(idx):
+    """The ladder reuses the tails' coefficients while the number of tail
+    terms stays the same; the chosen cutoff's result equals (==) that of
+    one sum there with every cache cold."""
+    ev, [N] = chosen(idx)[:2]
     cold_caches()
-    cutoffs = [DEFAULT_CUTOFF << k for k in range(5)]
-    warm = [_ze_sum(idx, 53, n, _default_terms(idx, 53, n)) for n in cutoffs]
-    for n, ev in zip(cutoffs, warm):
-        cold_caches()
-        cold = _ze_sum(idx, 53, n, _default_terms(idx, 53, n))
-        assert (cold.value, cold.error) == (ev.value, ev.error)
-    assert ze_eval(idx) in warm
+    cold = _ze_sum(idx, 53, N, _default_terms(idx, 53, N))
+    assert (cold.value, cold.error) == (ev.value, ev.error)
 
 
 def test_default_terms_follow_the_precision():

@@ -33,10 +33,14 @@ For the iterated-integrals round:
   ``total``.
 
 Under ``ze``, for the certified-sums round: per operation that calls
-``ze_eval`` (the nested sums and the relation checks) the ``cutoffs`` its
-sums tried, in order, and the ``prefix_terms`` summed below them (depth
-times cutoff per try), the ``tail_levels`` summed by the tail engine and
-the wall ``seconds``; and their ``total``.
+``ze_eval`` (the nested sums and the relation checks) its ``calls``, one
+per sum, in order, each with the one ``cutoff`` it summed below and the
+tails' remainder there as ``predicted`` before the prefix sums and as
+``reported`` after them, in units 2^-53; the ``prefix_terms`` summed
+(depth times cutoff per call), the ``tail_levels`` whose coefficients
+the tail engine built (once per number of tail terms a call tried), and
+the wall ``seconds``; and their ``total``, with ``loose``, the calls
+whose predicted remainder is more than twice the reported one.
 
 Under ``laplace``, for the same round: per Laplace operation (rays, the
 lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
@@ -181,7 +185,10 @@ def certified_work(seed):
     ze, work = {}, {}
     for name, (result, op, seconds, kernels) in runs.items():
         if name.startswith(ZE_OPERATIONS):
-            ze[name] = {"cutoffs": listed(op, "cutoff"),
+            calls = [{"cutoff": n, "predicted": predicted / 2 ** (P - 53),
+                      "reported": reported / 2 ** (P - 53)}
+                     for n, P, predicted, reported in listed(op, "remainder")]
+            ze[name] = {"calls": calls,
                         "prefix_terms": op["prefix_terms"],
                         "tail_levels": op["tail_levels"],
                         "seconds": seconds}
@@ -199,6 +206,8 @@ def certified_work(seed):
             **kernels}
     ze_total = {key: sum(w[key] for w in ze.values())
                 for key in ("prefix_terms", "tail_levels")}
+    ze_total["loose"] = sum(c["predicted"] > 2 * c["reported"]
+                            for w in ze.values() for c in w["calls"])
     ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
     total = {key: sum(w[key] for w in work.values())
              for key in ("nodes", "panels", *LIBMP, "squared",
