@@ -65,11 +65,87 @@ totals: the only roundings are the shared-exponent shifts with GUARD
 bits, the kernel divisions and the final conversion of the totals.
 :func:`endpoint_series` gives the start values at a point h near 0: every
 prefix of the word summed as a Taylor series, in the same integers, with
-a proved bound.
+a proved bound, and :func:`panel_bound` the degree and a proved bound of
+everything in between ("Panel bound" below).
 :func:`chebyshev_cumulative` is the same integer apply between one
 conversion in and one conversion out; its last value, the full integral,
 is the folded weights row applied to the samples' block-fixed-point
 vector, bit for bit.
+
+Panel bound.  :func:`panel_bound` proves the error of
+:func:`iterated_levels` before it runs and picks the degree it runs at.
+On a panel z(u), u in [-1, 1], level k integrates g_k = F_(k-1) K_k with
+the kernel K_k = z'(u) / (a_k - z(u)); E_rho is the closed Bernstein
+ellipse with foci -1 and 1 and semi-axes (rho +- 1 / rho) / 2, the image
+of |w| <= rho under J(w) = (w + 1 / w) / 2.
+
+* rho.  A segment's kernel 1 / (c - u) has its pole at
+  c = (a - mid) / half; an arc's kernel i half w / (c - w), with
+  w = exp(i (mid + half u)) and c = (a - center) / radius, has its poles
+  at u = (arg c + 2 pi j - i log|c| - mid) / half, and the letter at the
+  centre gives the constant -i half.  rho_a is the least parameter of the
+  ellipses through these poles, and a panel tries rho = 1 + t (top - 1)
+  for t = 1 - 2^-k, k = 1 .. 8, with top the least rho_a, at most 64.
+* Kernel majorants on E_rho.  With c = J(w_c), |w_c| = rho_c, and
+  z = J(w), |w| <= rho, |c - z| = |w_c - w| |1 - 1 / (w_c w)| / 2 is at
+  least (rho_c - rho) (1 - 1 / (rho_c rho)) / 2, the clearance: it bounds
+  a segment's kernel.  On an arc, |K| = half / |c / w - 1| with
+  |Im phi| <= half beta, beta = (rho - 1 / rho) / 2, so |c / w| lies
+  within a factor s = e^(half beta) of |c| (the ring bound
+  half / (|c| / s - 1) or half / (1 - |c| s)); and with psi the distance
+  of phi from a pole, |c / w - 1| = 2 |sin(psi / 2)| e^(Im psi / 2), where
+  |sin z| >= sin d when z is at least d <= pi / 2 from every multiple of
+  pi, and |psi| >= half times the clearance.  kappa_k is the bound at
+  rho = 1, on the panel itself.
+* Level majorants.  On the panel, |F_k| <= |F_k(start)| + Phi_(k-1) times
+  the integral of |K_k| (in closed form on a segment, 2 kappa_k on an
+  arc).  On E_rho, every point is J(r e^(i theta)) for some r <= rho, and
+  along the ray from cos theta, |dJ / dr| <= (1 + r^-2) / 2, so
+  Phi_k(rho) <= Phi_k(1) plus the integral over r of
+  Phi_(k-1)(r) kappa_k(r) (1 + r^-2) / 2, summed at the upper end of each
+  step between the rho tried.  M_k(rho) = Phi_(k-1)(rho) kappa_k(rho)
+  bounds g_k on E_rho.
+* Tails.  The Chebyshev coefficients of g_k obey |a_j| <= 2 M rho^-j
+  (Trefethen, *Approximation Theory and Approximation Practice*, Thm
+  8.1), and the interpolant at the n + 1 nodes differs from g_k by the sum
+  over j > n of a_j (T_j - T_j'), with j' the alias of j in [0, n] (Thm
+  4.2, as in the proof of Thm 8.2).  Each integral from -1 of T_j is at
+  most 2 j / (j^2 - 1), and over [-1, 1] it is 0 for odd j and
+  2 / (j^2 - 1) for even j, whose alias is even too.  So for n >= 4 the
+  node values of the integral are within
+  (2 M / (rho - 1)) rho^-n (6 / (n - 2) + 3 rho^-(n // 2)), and the
+  panel's total, the weights row, within the same with 10 / (n^2 - 4)
+  for 6 / (n - 2).
+* Carrying.  The samples of g_k err by the error N_(k-1) of level k - 1's
+  node values times kappa_k + eta_k (below); the matrix carries them with
+  its largest row sum (:func:`_row_sum`, exact for the integer matrix as
+  applied, 2 for the weights row).  So on each panel the node values of
+  level k are within E_k + |M| N_(k-1) (kappa_k + eta_k) plus the
+  cumulative tail, and its total within the same with the quadrature
+  tail, E_k being the total's error where the panel starts.  The panel
+  term is the sum of weights times E after the last panel.
+* Rounding count.  The same recursion carries, as sources: each kernel
+  sample within eta of the exact one, from the letter within
+  8 (1 + |a|) 2^-p of the letter meant (p the working precision; exact
+  letters and roots of unity rounded once are), the ratio c rounded and
+  truncated, the nodes and unit points within 2^(2 - bits) and one
+  rounding of the quotient; each product and normalisation within
+  2^-bits of its vector's largest modulus; each integer matrix entry
+  within 2 units 2^-bits of the exact one (built with _BUILD_GUARD extra
+  bits and rounded once, 2 units on the rows reflected through the
+  weights row), so n + 1 entries add 2 (n + 1) units times the samples'
+  bound; the conversion of each total to p bits; and the gaps between
+  consecutive panels' ends, whose mid, half and angles are rounded at p
+  bits, across which the exact F_k change by at most the gap times
+  |F_(k-1)| / |a_k - z|.
+* The degree.  The least n >= 4 at which the panel term, with every row
+  sum at 2 (no less than the weights row's) and each term at the best of
+  the rho tried near a first estimate of n, meets the target, raised to
+  the next degree of the form 2^k or 3 2^(k - 1), so that calls whose
+  least degrees lie close share one matrix, and raised along those while
+  the term with the exact row sums does not meet it.  The bound is
+  evaluated in doubles, every figure rounded up by 2^-30 relative, far
+  more than the rounding of its few hundred operations.
 
 The Laplace rays, lateral jumps and Hankel contours of
 :mod:`resurgence.laplace` apply the same rows to vectors they build
@@ -89,6 +165,7 @@ nested rules, each one integer dot product with its folded weights row.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from operator import mul
@@ -97,7 +174,7 @@ import mpmath
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpc_sub, mpf_add, mpf_cmp, mpf_cos_pi, mpf_cos_sin,
                           mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift,
-                          mpf_sub, to_int)
+                          mpf_sub, round_ceiling, to_int)
 
 from . import _work
 
@@ -552,6 +629,46 @@ def _ratio(a, b, c, bits: int):
     return _mantissas(ratio, -bits)
 
 
+def _bernstein(c: complex) -> float:
+    """The parameter rho >= 1 of the Bernstein ellipse through the point c:
+    c = (w + 1 / w) / 2 with |w| = rho."""
+    root = cmath.sqrt(c - 1) * cmath.sqrt(c + 1)
+    return max(abs(c + root), abs(c - root))
+
+
+def _clearance(rho_c: float, rho: float) -> float:
+    """A lower bound of the distance from a point on the ellipse of
+    parameter rho_c to the closed ellipse E_rho, rho < rho_c: with
+    c = (w_c + 1 / w_c) / 2 and z = (w + 1 / w) / 2,
+    |c - z| = |w_c - w| |1 - 1 / (w_c w)| / 2.  A pole on the panel,
+    rho_c = 1, is refused."""
+    if not rho < rho_c:
+        raise ValueError("a letter lies on the path")
+    return (rho_c - rho) * (1 - 1 / (rho_c * rho)) / 2
+
+
+def _letter_error(a: complex) -> float:
+    """How far a letter given at the working precision p may lie from the
+    letter meant, in units 2^-p: 8 (1 + |a|), for an exact letter or a
+    root of unity whose angle and exponential are each rounded once."""
+    return 8 * (1 + abs(a))
+
+
+def _sample_error(kappa_d: float, scale: float, d_num: float, sigma: float,
+                  p: int) -> float:
+    """A bound, in units 2^-p, of the error of a kernel sample N / D
+    computed from inputs with |N| <= scale, |N~ - N| <= d_num 2^-p,
+    |D~ - D| <= sigma 2^-p and 1 / |D| <= kappa_d, and rounded once within
+    2^(2 - p - GUARD) of the largest modulus; refused unless
+    sigma 2^-p kappa_d <= 1 / 2."""
+    moved = math.ldexp(sigma * kappa_d, -p)
+    if moved > 0.5:
+        raise ValueError("a letter lies too close to the path for the "
+                         "working precision")
+    return ((d_num + scale * sigma * kappa_d) * kappa_d / (1 - moved)
+            + 2.0 ** (3 - GUARD) * scale * kappa_d)
+
+
 class _Segment:
     """The straight panel z = mid + half * u."""
 
@@ -560,6 +677,8 @@ class _Segment:
         self.half = (z1 - z0) / 2
         self._mid = _complex_tuple(self.mid)
         self._half = _complex_tuple(self.half)
+        # as complex doubles, for the panel bound
+        self._doubles = complex(self.mid), complex(self.half)
 
     def position(self, u):
         return self.mid + self.half * u
@@ -583,6 +702,42 @@ class _Segment:
         # _round_div(1 << t, d), inlined
         return ([(two + d) // (2 * d) for d in ds],), bits - t
 
+    def ends(self):
+        """The panel's first and last points, as complex doubles."""
+        mid, half = self._doubles
+        return mid - half, mid + half
+
+    def slack(self) -> float:
+        """How far the panel's ends may lie from the points its caller
+        means, in units 2^-p at the working precision p: mid and half are
+        each rounded once from ends given exactly or rounded once."""
+        return 4 * sum(map(abs, self._doubles))
+
+    def letter(self, a: complex, p: int):
+        """(rho_a, kappa, mass, eta, sizes) for the letter a (see "Panel
+        bound" in the module docstring): the kernel is 1 / (c - u) with
+        c = (a - mid) / half, its one pole."""
+        mid, half = self._doubles
+        c = (a - mid) / half
+        x, y = c.real, abs(c.imag)
+        if not y and abs(x) <= 1:
+            raise ValueError("a letter lies on the path")
+        rho_c = _bernstein(c)
+
+        def sizes(rhos):
+            return [1 / _clearance(rho_c, rho) for rho in rhos]
+
+        kappa = sizes([1.0])[0]
+        # the integral of |1 / (c - u)| over [-1, 1]
+        mass = (math.asinh((1 - x) / y) + math.asinh((1 + x) / y) if y
+                else math.log((abs(x) + 1) / (abs(x) - 1)))
+        # c moves by the letter's error over |half| and by the rounding
+        # and truncation of the ratio, a node by half a unit
+        sigma = (_letter_error(a) / abs(half)
+                 + 2.0 ** (2 - GUARD) * (2 + abs(c)))
+        return (rho_c, kappa, mass * _FLOAT_MARGIN,
+                _sample_error(kappa, 1.0, 0.0, sigma, p), sizes)
+
 
 class _Arc:
     """The circular panel z = center + radius * exp(i phi), with
@@ -595,6 +750,9 @@ class _Arc:
         self.half = (t1 - t0) / 2
         self._center = _complex_tuple(center)
         self._radius = _complex_tuple(radius)
+        # as doubles, for the panel bound
+        self._doubles = (complex(center), complex(radius), float(self.mid),
+                         float(self.half))
 
     def position(self, u):
         return (self.center
@@ -618,6 +776,67 @@ class _Arc:
              [half * (x * p + y * q) for x, y, p, q in zip(wr, wi, dr, di)]),
             [p * p + q * q for p, q in zip(dr, di)], bits)
         return parts, -s - bits
+
+    def ends(self):
+        """The panel's first and last points, as complex doubles."""
+        center, radius, mid, half = self._doubles
+        return tuple(center + radius * cmath.exp(1j * t)
+                     for t in (mid - half, mid + half))
+
+    def slack(self) -> float:
+        """How far the panel's ends may lie from the points its caller
+        means, in units 2^-p at the working precision p: the angles t0
+        and t1 rounded once, mid and half rounded once from them, and the
+        centre and radius given exactly or rounded once."""
+        center, radius, mid, half = self._doubles
+        return 4 * (abs(radius) * (abs(mid) + abs(half) + 1) + abs(center))
+
+    def letter(self, a: complex, p: int):
+        """(rho_a, kappa, mass, eta, sizes) for the letter a (see "Panel
+        bound" in the module docstring): the kernel is i half w / (c - w)
+        with w = exp(i phi), phi = mid + half u and
+        c = (a - center) / radius; its poles are the phi with
+        exp(i phi) = c."""
+        center, radius, mid, signed = self._doubles
+        half = abs(signed)
+        c = (a - center) / radius
+        size = abs(c)
+        if not size:
+            # the letter at the centre: the kernel is the constant -i half
+            rho_c = math.inf
+
+            def sizes(rhos):
+                return [half] * len(rhos)
+        else:
+            # the poles phi = arg c - i log|c| + 2 pi j nearest mid; the
+            # clearance grows with rho_c, so the least rho_c gives the bound
+            arg = cmath.phase(c)
+            k = round((mid - arg) / math.tau)
+            rho_c = min(_bernstein(complex(arg + j * math.tau - mid,
+                                           -math.log(size)) / signed)
+                        for j in (k - 1, k, k + 1))
+
+            def sizes(rhos):
+                out = []
+                for rho in rhos:
+                    # |Im phi| <= half beta on E_rho, so |c / w| lies within
+                    # a factor spread = e^(half beta) of |c|
+                    spread = math.exp(half * (rho - 1 / rho) / 2)
+                    ring = max(size / spread - 1, 1 - size * spread)
+                    gap = min(half * _clearance(rho_c, rho) / 2, math.pi / 2)
+                    near = (half * math.sqrt(spread / size)
+                            / (2 * math.sin(gap)))
+                    out.append(min(near, half / ring) if ring > 0 else near)
+                return out
+
+        kappa = sizes([1.0])[0]
+        # c moves by the letter's error over the radius and by the rounding
+        # and truncation of the ratio, w by the rounding of the unit points
+        sigma = (_letter_error(a) / abs(radius)
+                 + 2.0 ** (2 - GUARD) * (2 + size))
+        return rho_c, kappa, 2 * kappa, _sample_error(
+            kappa / half, half, 2.0 ** (2 - GUARD) * (1 + half), sigma,
+            p), sizes
 
 
 @lru_cache(maxsize=16)
@@ -705,6 +924,252 @@ def iterated_levels(poles, panels, n: int, start=()):
                 end = tuple([_total(folded[0], p)] for p in parts)
             totals[k] = _plus((end, exp), totals[k], bits)
     return [_values(parts, exp, prec)[0] for parts, exp in totals]
+
+
+# -- the panel bound ---------------------------------------------------------
+
+# the Bernstein parameters a panel's bound tries, 1 + t (top - 1) for each t,
+# where top is the least parameter of a kernel pole, at most _RHO_CAP
+_RHO_STEPS = tuple(1 - 2.0 ** -k for k in range(1, 9))
+_RHO_CAP = 64.0
+# the largest degree panel_bound tries
+MAX_DEGREE = 4096
+# the relative margin of the bound's double-precision arithmetic
+_FLOAT_MARGIN = 1 + 2.0 ** -30
+
+
+@lru_cache(maxsize=16)
+def _row_sum(n: int, prec: int) -> float:
+    """The largest row sum of |M|, M the integration matrix as
+    :func:`_cumulate` applies it (folded rows, reflected rows and the
+    weights row), rounded up to a double."""
+    last, pairs = _folded(n, prec)
+    half = (n + 1) // 2
+    # twice a row's sum: 2 max(|x_j|, |y_j|) per folded pair (x, y), plus
+    # the middle entry of an even n
+    rows = [(last, [0] * half)]
+    for even, odd in pairs:
+        rows += [(even, odd), ([w - e for w, e in zip(last, even)], odd)]
+    top = max(2 * sum(map(max, map(abs, x[:half]), map(abs, y)))
+              + (abs(x[half]) if n % 2 == 0 else 0) for x, y in rows)
+    drop = max(0, top.bit_length() - 60)
+    return math.ldexp((top >> drop) + 1, drop - (prec + GUARD + 1)) \
+        * _FLOAT_MARGIN
+
+
+def _magnitude(vector) -> float:
+    """An upper bound of the modulus of a one-entry vector, as a double."""
+    parts, exp = vector
+    return math.ldexp(math.hypot(*(p[0] for p in parts)), exp) \
+        * _FLOAT_MARGIN
+
+
+def panel_bound(poles, panels, weights, prec: int, start=()):
+    """(n, panel, rounding): the least degree n at which the proved panel
+    term of :func:`iterated_levels` over these panels, from these start
+    values, at the working precision, is within a quarter unit
+    2^-(prec + 2); that term and the proved rounding term, as mpf.
+
+    Both terms bound the sum over the levels k = 1 .. r of weights[k - 1]
+    times the distance of the computed F_k from the exact iterated
+    integral from the same start values along the path the panels mean,
+    so the weights bound what the caller multiplies each level by.  See
+    "Panel bound" in the module docstring for the proof.
+    """
+    depth = len(poles)
+    p = mpmath.mp.prec
+    # every absolute term is carried in units of the target 2^-(prec + 2),
+    # in which 2^-p is ``tiny``, and ``shift`` is the log of 2^(prec + 2)
+    tiny = 2.0 ** (prec + 2 - p)
+    shift = (prec + 2) * math.log(2)
+    letters, slots = [], []
+    for a in map(complex, poles):
+        if a not in letters:
+            letters.append(a)
+        slots.append(letters.index(a))
+    # majorants of |F_k| at the start of the next panel, F_0 = 1
+    start_bound = [1.0] + [_magnitude(v) for v in start] \
+        + [0.0] * (depth - len(start))
+
+    def jumps(point, gap):
+        """Across a gap of gap 2^-p at ``point``, the exact F_k change by
+        at most gap 2^-p |F_(k-1)| / |a_k - z| on the gap, in units of the
+        target; the majorants grow by as much."""
+        out, below = [0.0] * (depth + 1), 1.0
+        width = math.ldexp(gap, -p)
+        for k, s in enumerate(slots, 1):
+            room = abs(letters[s] - point) / _FLOAT_MARGIN - width
+            if not room > 0:
+                raise ValueError("a letter lies on the path")
+            out[k] = gap * tiny * below / room
+            start_bound[k] += math.ldexp(out[k], -prec - 2) * _FLOAT_MARGIN
+            below = start_bound[k]
+        return out
+
+    shapes, slack = [], 0.0
+    for panel in panels:
+        first, last = panel.ends()
+        # the gap between the previous panel's end, or the path's start,
+        # and this panel's start, each within its slack of the point meant
+        gap, slack = slack + panel.slack(), panel.slack()
+        across = jumps(first, gap)
+        data = [panel.letter(a, p) for a in letters]
+        kappa = [data[s][1] for s in slots]
+        eta = [data[s][3] for s in slots]
+        # majorants of |F_k| on the panel itself
+        on_path = [1.0]
+        for k, s in enumerate(slots):
+            on_path.append(start_bound[k + 1] + on_path[k] * data[s][2])
+        top = min(min(d[0] for d in data), _RHO_CAP)
+        # per Bernstein parameter rho: log rho and, per level, the log of
+        # 2 M_k / (rho - 1) in units of the target, M_k the majorant of the
+        # k-th integrand on E_rho
+        rhos = [1 + (top - 1) * t for t in _RHO_STEPS]
+        columns = [d[4](rhos) for d in data]
+        # majorants of |F_k| on E_rho, carried out from E_1 = [-1, 1]
+        # along the rays J(r e^(i theta)), r = 1 .. rho, with the step
+        # from one rho to the next at its upper end
+        grid, levels, inner = [], on_path, 1.0
+        for i, rho in enumerate(rhos):
+            stretch = (rho - inner) * (1 + inner ** -2) / 2
+            outer, logs = [1.0], []
+            for k, s in enumerate(slots):
+                m = outer[k] * columns[s][i]
+                logs.append(math.log(2 * m / (rho - 1)) + shift)
+                outer.append(levels[k + 1] + stretch * m)
+            grid.append((math.log(rho), logs))
+            levels, inner = outer, rho
+        shapes.append((across, kappa, eta, on_path, grid))
+        start_bound = on_path[:]
+    tail = jumps(last, slack)
+
+    # each panel's level-k terms weigh in the total as they are carried to
+    # the last panel's end, with the row sums at their least, 2 (the
+    # weights row): per level, the cumulative term of its node values,
+    # which feed the next level, and the quadrature term of its total
+    weight, lines = list(weights), []
+    for _across, kappa, eta, _on_path, grid in reversed(shapes):
+        nodes = [0.0] * depth
+        for k in range(depth - 2, -1, -1):
+            nodes[k] = 2 * (kappa[k + 1] + math.ldexp(eta[k + 1], -p)) \
+                * (weight[k + 1] + nodes[k + 1])
+        for k in range(depth):
+            lines += [_line(grid, k, math.log(w), kind)
+                      for w, kind in ((weight[k], 0), (nodes[k], 1)) if w]
+        weight = [w + v for w, v in zip(weight, nodes)]
+
+    # from the least n at which the largest term alone meets the target,
+    # step to the least n at which the sum does; near there, each term
+    # keeps only the rho that are best at n or 8 from it, which can only
+    # raise the sum
+    n = max(4, max(math.ceil(min(c / lr for c, lr in line[0]))
+                   for line in lines))
+    guess = max(4, max(math.ceil(min((c + math.log(_TAILS[line[2]](n))) / lr
+                                     for c, lr in line[0]))
+                       for line in lines))
+    near = [({min(pairs, key=lambda pair: pair[0] - m * pair[1])
+              for m in (guess - 8, guess, guess + 8)}, slowest, kind)
+            for pairs, slowest, kind in lines]
+
+    def searched(n):
+        return sum(_term(line, n) for line in near)
+
+    n = guess
+    while n > 4 and searched(n - 1) <= 1:
+        n -= 1
+    while searched(n) > 1:
+        n += 1
+        if n > MAX_DEGREE:
+            raise ValueError("no spectral degree up to MAX_DEGREE meets "
+                             "the target")
+    n = _rung(n)
+    while True:
+        panel, rounding = _forward(shapes, tail, n, p, weights, tiny)
+        if panel <= 1 or n >= MAX_DEGREE:
+            return (n, mpmath.ldexp(panel, -prec - 2),
+                    mpmath.ldexp(rounding, -prec - 2))
+        n = _rung(n + 1)
+
+
+def _rung(n: int) -> int:
+    """The least degree of the form 2^k or 3 2^(k - 1) at or above n."""
+    power = 1 << max(0, (n - 1).bit_length() - 1)
+    return power * 3 // 2 if n <= power * 3 // 2 else 2 * power
+
+
+# the factors of the tail bound before rho^-n: a panel's total (the
+# quadrature, kind 0) and its node values (the cumulative integral, kind 1)
+_TAILS = (lambda n: 10 / (n * n - 4), lambda n: 6 / (n - 2))
+
+
+def _line(grid, k, offset, kind):
+    """Level k's term of a panel as (pairs, slowest, kind): per rho tried,
+    (log of 2 M_k / (rho - 1) plus ``offset``, log rho), and the least
+    log rho."""
+    return ([(logs[k] + offset, lr) for lr, logs in grid],
+            min(lr for lr, _logs in grid), kind)
+
+
+def _term(line, n):
+    """The tail bound (2 M / (rho - 1)) rho^-n (f(n) + 3 rho^-(n // 2))
+    at the best rho of a :func:`_line`, f of its kind, n >= 4."""
+    pairs, slowest, kind = line
+    return math.exp(min(c - n * lr for c, lr in pairs)) \
+        * (_TAILS[kind](n) + 3 * math.exp(-(n // 2) * slowest))
+
+
+def rounded_up(x, prec: int):
+    """x, a sum of a few nonnegative terms formed at the working
+    precision p, grown by 2^(4 - p) for the roundings of that sum and
+    rounded up to ``prec`` bits."""
+    p = mpmath.mp.prec
+    grow = mpf_add(fone, mpf_shift(fone, 4 - p), p + 8)
+    return mpmath.mpf(mpf_mul(x._mpf_, grow, prec, round_ceiling))
+
+
+def _forward(shapes, tail, n, p, weights, tiny):
+    """The weighted panel and rounding terms of :func:`panel_bound` at
+    degree n, in units of its target, carried panel by panel and level by
+    level: per level, P bounds the panel term and R the rounding term of
+    the running total, and on each panel ``nodes`` bounds the error of
+    the node values, which feed the next level."""
+    depth = len(weights)
+    norm = _row_sum(n, p)
+    relative = 2.0 ** -p
+    unit = 2.0 ** -GUARD * tiny
+    P = [0.0] * (depth + 1)
+    R = [0.0] * (depth + 1)
+    for across, kappa, eta, on_path, grid in shapes:
+        nodes = [(0.0, 0.0)] * (depth + 1)
+        for k in range(1, depth + 1):
+            R[k] += across[k]
+            K, below = kappa[k - 1], on_path[k - 1]
+            e, spread = eta[k - 1] * tiny, K + eta[k - 1] * relative
+            size = below * K
+            # the integrand's samples, within dp + dr of the exact ones
+            if k == 1:
+                dp, dr = 0.0, e
+            else:
+                np_, nr = nodes[k - 1]
+                dp = np_ * spread
+                dr = nr * spread + below * e
+                dr += 2 * unit * size + 2 * relative * (dp + dr)
+            # the matrix entries, and one normalisation of the result
+            dr = norm * dr + 2 * (n + 1) * unit * size \
+                + 2 * unit * on_path[k]
+            line = _line(grid, k - 1, 0.0, 0)
+            if k < depth:
+                cum = P[k] + norm * dp + _term(line[:2] + (1,), n)
+                nodes[k] = (cum, (R[k] + dr + 2 * relative * cum)
+                            / (1 - 2 * relative))
+            P[k] += norm * dp + _term(line, n)
+            R[k] = (R[k] + dr + 2 * relative * P[k]) / (1 - 2 * relative)
+    end = shapes[-1][3]
+    for k in range(1, depth + 1):
+        R[k] = (R[k] + tail[k] + 2 * tiny * end[k]
+                + 2 * relative * (P[k] + R[k])) / (1 - 2 * relative)
+    return (sum(w * x for w, x in zip(weights, P[1:])) * _FLOAT_MARGIN,
+            sum(w * x for w, x in zip(weights, R[1:])) * _FLOAT_MARGIN)
 
 
 # -- endpoint series ---------------------------------------------------------

@@ -19,7 +19,11 @@ the libmp cosines of ``_quarter``; ``("entries", n, prec)``, the matrix
 entries ``_matrix`` builds, and ``("matrix_s", n, prec)`` the seconds of
 those builds; ``("iterated_levels", panels, n)``, the runs of
 ``iterated_levels``; ``("series_terms", terms)``, the calls of
-``endpoint_series`` that keep that many terms per level.
+``endpoint_series`` that keep that many terms per level.  In ``mzv`` and
+``hyperlog``: ``("terms", n, panels, panel, series, rounding, unit)``,
+per ``wa_eval`` and ``L_numeric`` call that integrates, the degree
+``panel_bound`` picked, the panels, and the four terms of the reported
+error as doubles (``series`` is 0 for ``L_numeric``).
 
 ``"exp"``, ``"cos_sin"`` and ``"log"``: libmp calls, counted per vector
 by the ray kernel at its nodes ``_chebyshev._node_exponentials``, the

@@ -502,6 +502,7 @@ def _cmd_hyperlog(args) -> dict:
             "value": _num(ii.value, digits),
             "error": _num(ii.error_estimate, digits),
             "nodes": ii.nodes,
+            "certified": ii.certified,
         }
     w = _parse_word(args.word)
     if not w:

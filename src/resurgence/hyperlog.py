@@ -41,7 +41,9 @@ from math import factorial
 
 import mpmath
 
-from ._chebyshev import arc, iterated_levels, segment
+from . import _work
+from ._chebyshev import (arc, iterated_levels, panel_bound, rounded_up,
+                         segment)
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
 from .errors import ResonanceError, check_prec
@@ -375,11 +377,14 @@ def gu_resurgent(fam: MonomialFamily, w, u: Mould | None = None) -> ResurgentSer
 @dataclasses.dataclass(frozen=True)
 class IteratedIntegral:
     """A numeric contour integral with its convergence diagnostics: the
-    spectral ``nodes`` per panel, 0 when nothing was sampled."""
+    spectral ``nodes`` per panel, 0 when nothing was sampled, and
+    ``certified``, whether ``error_estimate`` is a proved bound of the
+    distance from the exact integral."""
 
     value: object
     error_estimate: object
     nodes: int
+    certified: bool
 
 
 def _contour_segments(endpoint: int):
@@ -414,11 +419,17 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     For a word of r nonzero integers with partial sums s_1, ..., s_r the
     value is 2*pi*i times the (r-1)-fold iterated integral of the kernels
     1/(zeta - s_k), k < r, along the right-circumventing path from 0 to
-    s_r.  Depth one has an empty integrand and returns 2*pi*i, the
-    convention consistent with the depth-1 extraction, from no nodes.
-    Depth is capped at 3.  The error estimate compares two spectral
-    resolutions and adds one unit in the last place of the returned value
-    for its rounding.  ``prec`` must be at least MIN_PREC.
+    s_r.  The path's panels run once, at the degree
+    :func:`~resurgence._chebyshev.panel_bound` picks, and the reported
+    error is proved: that bound's panel term (at most a quarter unit
+    2^-(prec + 2)) and rounding term, the rounding of 2*pi*i and of the
+    product at the working precision, and one unit 2^-prec (1 + |value|)
+    for the value's rounding to ``prec`` bits; ``certified`` is True.
+    Depth one has an empty integrand and returns 2*pi*i, the convention
+    consistent with the depth-1 extraction, from no nodes, correctly
+    rounded with error 0: that error leaves out the rounding itself, so
+    it is not certified.  Depth is capped at 3.  ``prec`` must be at
+    least MIN_PREC.
     """
     check_prec(prec)
     word = Word(w)
@@ -457,19 +468,23 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
         # no integrand: the constant 2*pi*i, correctly rounded by mpmath
         with mpmath.workprec(prec):
             return IteratedIntegral(value=mpmath.mpc(0, 2 * mpmath.pi),
-                                    error_estimate=mpmath.mpf(0), nodes=0)
-    n = max(48, prec)
+                                    error_estimate=mpmath.mpf(0), nodes=0,
+                                    certified=False)
     with mpmath.workprec(prec + 24):
         tau = mpmath.mpc(0, 2 * mpmath.pi)
         segments = _contour_segments(endpoint)
+        # only the last level counts, times |tau| < 6.3
+        weights = [0.0] * (len(kernels) - 1) + [6.3]
+        n, panel, rounding = panel_bound(kernels, segments, weights, prec)
         # the engine's kernels are 1/(a - zeta), these are 1/(zeta - a)
         sign = (-1) ** len(kernels)
-        fine = sign * iterated_levels(kernels, segments, n)[-1]
-        coarse = sign * iterated_levels(kernels, segments,
-                                        max(24, n // 2))[-1]
-        value = tau * fine
-        err = abs(tau) * abs(fine - coarse)
+        value = tau * (sign * iterated_levels(kernels, segments, n)[-1])
+        # tau and the product, each within 2^(1 - p) of its modulus
+        rounding += mpmath.ldexp(abs(value), 3 - mpmath.mp.prec)
+        unit = mpmath.ldexp(1 + abs(value), -prec)
+        err = rounded_up(panel + rounding + unit, prec)
+        _work.add(("terms", n, len(segments), float(panel), 0.0,
+                   float(rounding), float(unit)))
     with mpmath.workprec(prec):
-        value = +value
-        err = err + mpmath.ldexp(1 + abs(value), -prec)
-        return IteratedIntegral(value=value, error_estimate=+err, nodes=n)
+        return IteratedIntegral(value=+value, error_estimate=err, nodes=n,
+                                certified=True)

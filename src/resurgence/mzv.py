@@ -39,8 +39,9 @@ Two independent evaluators are provided.
   integrand singular, exactly as Taylor series with proved bounds, and
   integrates between them on four spectral panels graded by factors of
   2 (more when a letter lies within 1/2 of 1, off the supported
-  colours).  Its panel term is a resolution-comparison estimate, so the
-  reported error is not a certified bound.
+  colours), once, at the degree a proved Chebyshev panel bound picks
+  from ``prec``; every term of its error is proved, so it is certified
+  too.
 
 The two sides are linked by the dictionary :func:`ze_to_wa`, which spells
 an index as the letter word (e_r, 0^{s_r - 1}, ..., e_1, 0^{s_1 - 1})
@@ -71,7 +72,8 @@ import mpmath
 from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from . import _work
-from ._chebyshev import _values, endpoint_series, iterated_levels, segment
+from ._chebyshev import (_values, endpoint_series, iterated_levels,
+                         panel_bound, rounded_up, segment)
 from .errors import DivergentIndexError, check_prec
 from .series import _bernoulli
 from .words import Word, shuffle, stuffle
@@ -257,10 +259,12 @@ class WaWord:
 class Evaluation:
     """A numeric value with its reported absolute error.
 
-    ``certified`` records whether the error is a guaranteed bound (the
-    nested-sum evaluator) or a resolution-comparison estimate (the
-    simplex quadrature).  ``flagged`` marks integral words outside the
-    dictionary image, whose sign convention is not anchored by a sum.
+    ``certified`` records whether the error is a guaranteed bound of the
+    distance from the exact value; both evaluators prove theirs (the
+    nested sums from their remainders and rounding count, the simplex
+    quadrature from its endpoint series and its Chebyshev panel bound).
+    ``flagged`` marks integral words outside the dictionary image, whose
+    sign convention is not anchored by a sum.
     """
 
     value: object
@@ -896,22 +900,20 @@ def _decode_word(w: WaWord) -> MzvIndex:
     return MzvIndex(s, tuple(eps))
 
 
+def _right_distance(w: WaWord) -> float:
+    """d, the least |1 - a| = 2 sin(pi q) over the letters a = exp(2 pi i q)
+    other than 0 and 1, as a double; 1 when there is none."""
+    return min((2 * sin(pi * min(p, 1 - p)) for p in w.phases if p),
+               default=1)
+
+
 def _right_exponent(w: WaWord) -> int:
-    """e with h_1 = 2^-e the largest power of two at most min(1/8, d / 4),
-    d the least |1 - a| = 2 sin(pi q) over the letters a = exp(2 pi i q)
-    other than 0 and 1."""
-    d = min((2 * sin(pi * min(p, 1 - p)) for p in w.phases if p),
-            default=1)
-    return max(3, ceil(log2(4 / d)))
-
-
-# spectral order per panel of wa_eval, and of its coarse rerun
-_WA_NODES = 24
-_WA_COARSE = 16
+    """e with h_1 = 2^-e the largest power of two at most min(1/8, d / 4)."""
+    return max(3, ceil(log2(4 / _right_distance(w))))
 
 
 def wa_eval(w: WaWord, prec: int = 53) -> Evaluation:
-    """Evaluate an iterated simplex integral with an error estimate.
+    """Evaluate an iterated simplex integral with a proved error bound.
 
     The path [0, 1] is split at h_0 = 1/8 and 1 - h_1, where h_1 is the
     largest power of two at most min(1/8, d / 4) and d the least distance
@@ -924,21 +926,34 @@ def wa_eval(w: WaWord, prec: int = 53) -> Evaluation:
     straight spectral panels graded by factors of 2, [1/8, 1/4, 1/2,
     3/4, ..., 1 - h_1], four for real words, seeded with the F_j(h_0)
     and returning every F_j(1 - h_1); the value is the sum over j of
-    F_j(1 - h_1) G_j (Chen's identity).
+    F_j(1 - h_1) G_j (Chen's identity).  The panels run once, at the
+    degree :func:`~resurgence._chebyshev.panel_bound` picks: the panels'
+    Bernstein parameters are about 5.8, which gives 24 nodes for most
+    words at 53 bits, and the degree grows in proportion to ``prec``.
 
-    The reported error is the sum of three terms:
+    The reported error is the sum of four proved terms, computed at
+    prec + 24 bits and rounded up:
 
-    * the panel term 2 |fine - coarse|, the 24-node run against a rerun
-      at 16 nodes per panel, an estimate;
-    * the series bounds, proved: the bound b_1 of each G_j times |F_j|,
-      and the bound b_0 of the prefixes carried to 1 - h_1 times
-      |G_j| + b_1.  Carried, b_0 grows at most to 2 b_0 / h_1: on
-      [h_0, 1 - h_1] every kernel is at most max(1 / z, 1 / (1 - z)),
-      which integrates to log(2 / h_1), so each integral over the middle
-      of k letters is at most log(2 / h_1)^k / k!;
+    * the panel term of :func:`~resurgence._chebyshev.panel_bound`, with
+      each F_j weighted by |G_j| plus the series bound b_1, at most a
+      quarter unit 2^-(prec + 2);
+    * the series bounds: the bound b_1 of each G_j times |F_j|, and the
+      bound b_0 of the prefixes carried to 1 - h_1 times |G_j| + b_1.
+      Carried, b_0 grows at most to 2 b_0 / h_1: on [h_0, 1 - h_1] every
+      kernel is at most max(1 / z, 1 / (1 - z)), which integrates to
+      log(2 / h_1), so each integral over the middle of k letters is at
+      most log(2 / h_1)^k / k!.  Both bounds include the letters' own
+      rounding: the letters lie within delta = 16 units 2^-p (p = prec
+      + 24) of the ones meant, and their differences from 1 within 18,
+      and in a sliver whose least nonzero letter is r, where every
+      kernel is within 3 delta / r of its exact value relative to the
+      majorant of :func:`~resurgence._chebyshev.endpoint_series`, a
+      level of l letters moves by at most 6 l delta / r;
+    * the rounding term: the rounding count of ``panel_bound``, and the
+      suffixes' conversion, the products and their sum at p bits;
     * the unit 2^-prec (1 + |value|).
 
-    So ``certified`` stays False.  Words outside the dictionary image are
+    So ``certified`` is True.  Words outside the dictionary image are
     evaluated with the same sign convention and marked ``flagged``.
     ``prec`` must be at least MIN_PREC, and a word at most MAX_WEIGHT
     letters long.
@@ -958,33 +973,48 @@ def wa_eval(w: WaWord, prec: int = 53) -> Evaluation:
 
     right = _right_exponent(w)
     with mpmath.workprec(prec + 24):
+        p = mpmath.mp.prec
         alphas = w.letter_values()
         length = w.length
         start, left_bound, _ = endpoint_series(alphas, 3)
         ends, right_bound, _ = endpoint_series([1 - a for a in alphas[::-1]],
                                                right)
+        # the letters lie within 16 units 2^-p of the ones meant, and the
+        # letters 1 - a within 18: a sliver's levels move by at most
+        # 6 l delta / r, r its least nonzero letter, 1 at 0 and
+        # min(1, d) at 1, d rounded down
+        left_bound += mpmath.ldexp(96 * length, -p)
+        right_bound += mpmath.ldexp(108 * length, -p) \
+            / (min(1, _right_distance(w)) * (1 - 2 ** -40))
         # G_j, the integral of the letters after the j-th, at index j
-        suffixes = [(-1) ** (length - j)
-                    * _values(*ends[length - j], mpmath.mp.prec)[0]
+        suffixes = [(-1) ** (length - j) * _values(*ends[length - j], p)[0]
                     for j in range(length + 1)]
         points = ([mpmath.mpf(1) / 8, mpmath.mpf(1) / 4]
                   + [1 - mpmath.ldexp(1, -k) for k in range(1, right + 1)])
         panels = [segment(a, b) for a, b in zip(points[:-1], points[1:])]
-        fine, coarse = ([1] + iterated_levels(alphas, panels, n, start[1:])
-                        for n in (_WA_NODES, _WA_COARSE))
+        weights = [float(abs(g) + right_bound) * (1 + 2 ** -40)
+                   for g in suffixes[1:]]
+        n, panel, rounding = panel_bound(alphas, panels, weights, prec,
+                                         start[1:])
+        levels = [1] + iterated_levels(alphas, panels, n, start[1:])
         sign = -1 if w.zero_count % 2 else 1
-        value = sign * mpmath.fsum(map(mul, fine, suffixes))
-        panel = 2 * abs(mpmath.fsum(
-            (f - c) * g for f, c, g in zip(fine, coarse, suffixes)))
+        products = [f * g for f, g in zip(levels, suffixes)]
+        value = sign * mpmath.fsum(products)
         carried = mpmath.ldexp(left_bound, right + 1)
         series = mpmath.fsum(abs(f) * right_bound
                              + (abs(g) + right_bound) * carried
-                             for f, g in zip(fine, suffixes))
-        error = panel + series + mpmath.ldexp(1 + abs(value), -prec)
+                             for f, g in zip(levels, suffixes))
+        # the suffixes' conversion, the products and their sum at p bits
+        rounding += mpmath.ldexp((length + 8) * mpmath.fsum(
+            map(abs, products)), 1 - p)
+        unit = mpmath.ldexp(1 + abs(value), -prec)
+        error = rounded_up(panel + series + rounding + unit, prec)
+        _work.add(("terms", n, len(panels), float(panel), float(series),
+                   float(rounding), float(unit)))
 
     with mpmath.workprec(prec):
         # real letters (0, 1, -1) keep the whole integration real
-        return Evaluation(+value, +error, certified=False, flagged=flagged)
+        return Evaluation(+value, error, certified=True, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

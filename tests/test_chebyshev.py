@@ -32,11 +32,11 @@ import pytest
 from mpmath.libmp import from_int, mpf_cos_pi, mpf_div, mpf_shift, to_int
 
 from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
-                                   _folded, _matrix, _round_div, _sines,
-                                   _total, _unit_points, _values, _weights,
-                                   chebyshev_cumulative, chebyshev_nodes,
-                                   endpoint_series, iterated_levels,
-                                   segment)
+                                   _folded, _matrix, _round_div, _row_sum,
+                                   _sines, _total, _unit_points, _values,
+                                   _weights, chebyshev_cumulative,
+                                   chebyshev_nodes, endpoint_series,
+                                   iterated_levels, panel_bound, segment)
 from resurgence.hyperlog import _contour_segments
 
 
@@ -458,6 +458,79 @@ def test_contour_iterated_matches_reference(poles, endpoint):
     with mpmath.workprec(3 * prec):
         want = reference_iterated(poles, panels, n)
     assert ulps([got], [want], prec) <= 1
+
+
+# -- the panel bound ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 24, 33, 48])
+@pytest.mark.parametrize("prec", [77, 104])
+def test_row_sum_bounds_every_row(n, prec):
+    """The row sum the panel bound carries errors with is at least the
+    sum of |entries| of every row the folded apply uses: the rows built
+    directly, those reflected through the weights row, and the weights
+    row itself, whose sum is 2."""
+    last, _pairs = _folded(n, prec)
+    weights = list(last[:n // 2 + 1]) + list(last[:(n + 1) // 2][::-1])
+    weights = [w // 2 for w in weights]
+    rows = _matrix(n, prec, range(1, n // 2 + 1))
+    sums = [sum(map(abs, row)) for row in rows]
+    sums += [sum(abs(w - m) for w, m in zip(weights, reversed(row)))
+             for row in rows]
+    sums.append(sum(weights))
+    scale = mpmath.ldexp(1, prec + GUARD)
+    assert max(sums) / scale <= _row_sum(n, prec)
+    assert abs(sum(weights) / scale - 2) < mpmath.ldexp(n, -prec)
+
+
+# every word's iterated integral at the bound's degree, against the same
+# integral at a far higher precision and degree, with the panel term much
+# larger than the rounding, so that a bound which undercounts shows
+BOUND_CASES = [([1], 2), ([1], 3), ([2], 3), ([1, 2], 3), ([2, 4], 6),
+               ([-1, 2], 1), ([3, 1], 4), ([-2, -3], -1)]
+
+
+@pytest.mark.parametrize("poles,endpoint", BOUND_CASES)
+@pytest.mark.parametrize("target", [20, 40])
+def test_panel_bound_covers_the_contour_error(poles, endpoint, target):
+    weights = [0.0] * (len(poles) - 1) + [1.0]
+    with mpmath.workprec(120):
+        panels = _contour_segments(endpoint)
+        n, panel, rounding = panel_bound(poles, panels, weights, target)
+        got = iterated_levels(poles, panels, n)[-1]
+    assert n in (4, 6, 8, 12, 16, 24, 32, 48, 64)
+    assert panel <= mpmath.ldexp(1, -target - 2)
+    with mpmath.workprec(240):
+        fine = _contour_segments(endpoint)
+        m, fine_panel, fine_rounding = panel_bound(poles, fine, weights, 230)
+        want = iterated_levels(poles, fine, m)[-1]
+        assert abs(got - want) <= panel + rounding + fine_panel \
+            + fine_rounding
+
+
+@pytest.mark.parametrize("letters", [(1, 0), (-1, 1, 0), ("w", 0),
+                                     (1, "w", -1)])
+def test_panel_bound_covers_the_simplex_error(letters):
+    """The same on graded simplex panels, with every level weighed."""
+    weights = [1.0] * len(letters)
+    with mpmath.workprec(120):
+        poles = [+PHASE if a == "w" else mpmath.mpf(a) for a in letters]
+        panels = simplex_panels(4)
+        n, panel, rounding = panel_bound(poles, panels, weights, 30)
+        got = iterated_levels(poles, panels, n)
+    with mpmath.workprec(240):
+        poles = [+PHASE if a == "w" else mpmath.mpf(a) for a in letters]
+        fine = simplex_panels(4)
+        m, fine_panel, fine_rounding = panel_bound(poles, fine, weights, 230)
+        want = iterated_levels(poles, fine, m)
+        assert sum(abs(g - w) for g, w in zip(got, want)) \
+            <= panel + rounding + fine_panel + fine_rounding
+
+
+def test_panel_bound_refuses_a_letter_on_the_path():
+    with mpmath.workprec(77):
+        with pytest.raises(ValueError, match="on the path"):
+            panel_bound([mpmath.mpf(1) / 2], simplex_panels(4), [1.0], 53)
 
 
 # -- endpoint series ---------------------------------------------------------

@@ -344,6 +344,15 @@ class TestHyperlog:
             assert abs(mpmath.mpf(data["value"]["re"])) < 1e-15
         assert float(data["error"]) < 1e-10
 
+    def test_L_reports_certified_beside_nodes(self, capsys):
+        """An integrated word reports its degree and a proved error; the
+        depth-one constant samples nothing and its error 0 leaves out the
+        rounding of 2 pi i."""
+        data = run_json(capsys, "hyperlog", "--L", "1,1", "--prec", "80")
+        assert (data["nodes"], data["certified"]) == (64, True)
+        data = run_json(capsys, "hyperlog", "--L", "1", "--prec", "80")
+        assert (data["nodes"], data["certified"]) == (0, False)
+
     def test_word_or_L_required(self, capsys):
         code, out, err = run(capsys, "hyperlog", "--order", "8")
         assert code == 1

@@ -468,7 +468,7 @@ class TestIteratedIntegrals:
     def test_result_shape(self):
         got = L_numeric((1, 1))
         assert isinstance(got, IteratedIntegral)
-        assert got.nodes >= 48
+        assert got.nodes > 0 and got.certified
         assert got.error_estimate >= 0
 
     def test_result_is_frozen(self):

@@ -11,17 +11,22 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
 import pytest
+from test_iterated_golden import WA
 from test_ze_defaults import INDICES, NEAR_INTEGER
 
 from resurgence import _work, mzv
+from resurgence.hyperlog import L_numeric
 from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
                                    _exponentials, _folded, _quarter,
                                    iterated_levels, segment)
-from resurgence.mzv import _default_terms, _ze_sum, ze_eval
+from resurgence.mzv import (MzvIndex, _default_terms, _ze_sum, wa_eval,
+                            ze_eval, ze_to_wa)
 
 ROOT = Path(__file__).parents[1]
 
@@ -99,6 +104,7 @@ class TestPinnedCounts:
         assert counts == {("cos_pi", n, bits): n // 2 + 1}
 
 
+@lru_cache(maxsize=None)
 def engine_work(seed):
     """The JSON object ``tools/engine_work.py`` prints for ``seed``."""
     done = subprocess.run(
@@ -124,7 +130,7 @@ def test_engine_work_totals_are_nonzero():
 
     totals = {"madds_total": out["madds_total"],
               "unit_points_cos_sin": out["tables"]["unit_points_cos_sin"]}
-    for name in ("tables", "wa", "ze", "laplace"):
+    for name in ("tables", "iterated", "ze", "laplace"):
         totals.update(leaves(out[name]["total"], name))
     zero = [path for path, value in totals.items() if not value]
     assert len(totals) > 20
@@ -199,3 +205,53 @@ def test_no_index_sums_more_than_the_doubling(prec):
         old_total += old
         new_total += new
     assert new_total < old_total
+
+
+HALF = Fraction(1, 2)
+# the degree panel_bound picks, by precision, for every contour word of the
+# iterated-integrals workload, and for the real-colour indices its wa_eval
+# words come from (tests/test_iterated_golden.py): most at one degree,
+# the others listed
+L_WORDS = [(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 2), (2, 2, 2)]
+L_DEGREES = {53: 48, 80: 64}
+WA_DEGREES = {
+    53: (24, {((1, 1), (HALF, 0)): 12, ((2, 1, 1), (0, 0, 0)): 32}),
+    80: (48, {((1, 1), (HALF, 0)): 24, ((2, 1), (HALF, 0)): 32,
+              ((1, 2), (HALF, 0)): 32, ((2, 1, 1), (HALF, 0, 0)): 32,
+              ((2, 1, 1), (HALF, 0, HALF)): 32,
+              ((2, 1, 1), (HALF, HALF, HALF)): 32,
+              ((1, 2, 1), (HALF, 0, 0)): 32,
+              ((1, 1, 2), (HALF, 0, 0)): 32})}
+
+
+@pytest.mark.parametrize("prec", [53, 80])
+def test_benchmark_words_pin_their_degrees(prec):
+    """Each benchmark word runs once, at the degree its panel bound
+    picks: the least of the form 2^k or 3 2^(k - 1) that meets a quarter
+    unit, 48 and 64 for every contour word (they were run at max(48,
+    prec) and again at half that), and mostly 24 and 48 for wa_eval
+    (which ran at 24 and again at 16 at every precision)."""
+    for word in L_WORDS:
+        assert L_numeric(word, prec=prec).nodes == L_DEGREES[prec], word
+    usual, others = WA_DEGREES[prec]
+    for s, eps, _value, _error in WA:
+        with _work.counting() as counts:
+            wa_eval(ze_to_wa(MzvIndex(s, eps)), prec=prec)
+        (degree,) = [key[1] for key in counts if key[0] == "terms"]
+        assert degree == others.get((s, eps), usual), (s, eps)
+        assert [key[2] for key in counts if key[0] == "iterated_levels"] \
+            == [degree]
+
+
+def test_error_terms_sum_to_the_error():
+    """``tools/engine_work.py`` lists each wa_eval and L_numeric call of
+    a round that integrates, with its degree, panels and error terms;
+    the terms add up to the reported error, and the panel term is within
+    a quarter unit."""
+    operations = engine_work(1)["iterated"]["operations"]
+    assert len(operations) == 3 + 8 + 2
+    for name, op in operations.items():
+        total = sum(op["terms"].values())
+        assert abs(op["error"] - total) <= total * 2 ** -40, name
+        assert op["terms"]["panel"] <= op["terms"]["unit"] / 4, name
+        assert op["degree"] in (12, 24, 32, 48, 64), name

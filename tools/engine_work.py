@@ -26,11 +26,13 @@ For the iterated-integrals round:
   arc tables ``_unit_points`` (one per node of each arc); and their
   ``total``;
 * ``round_s``: the wall seconds of the round, counting included;
-* ``wa``: per ``wa_eval`` operation, the straight ``panels`` between its
-  endpoint slivers, the ``nodes`` per panel of each engine run (the
-  estimate and its coarse rerun), the ``series_terms`` of its endpoint
-  Taylor series at 0 and at 1, and the wall ``seconds``; and their
-  ``total``.
+* ``iterated``: per ``wa_eval`` and ``L_numeric`` operation that
+  integrates, the ``degree`` its panel bound picked, its ``panels``, the
+  four ``terms`` of its reported error (``panel``, ``series``,
+  ``rounding`` and ``unit``, as doubles; ``series`` is 0 for
+  ``L_numeric``) and that ``error``, the ``series_terms`` of the endpoint
+  Taylor series of a ``wa_eval`` at 0 and at 1, and the wall
+  ``seconds``; and their ``total``.
 
 Under ``ze``, for the certified-sums round: per operation that calls
 ``ze_eval`` (the nested sums and the relation checks) its ``calls``, one
@@ -78,6 +80,8 @@ from resurgence import _chebyshev as cheb  # noqa: E402
 from resurgence import _work, borelfun, laplace, mzv, series  # noqa: E402
 
 LIBMP = ("exp", "cos_sin", "log")
+# the terms of a wa_eval or L_numeric error, as resurgence._work counts them
+TERMS = ("panel", "series", "rounding", "unit")
 # the certified-sums operations that call ze_eval
 ZE_OPERATIONS = ("coloured", "closed", "dual", "deep", "relation")
 KERNELS = {"ray_kernels": cheb._exponentials,
@@ -131,19 +135,22 @@ def run_round(ops):
 
 
 def iterated_work(seed):
-    """The spectral-engine and ``wa_eval`` work of one iterated-integrals
-    round, as described in the module docstring."""
+    """The spectral-engine, ``wa_eval`` and ``L_numeric`` work of one
+    iterated-integrals round, as described in the module docstring."""
     clear_caches()
     runs, counts, elapsed = run_round(
         worker.iterated_integrals(inputs.iterated_integrals(seed), {}))
-    wa = {}
-    for name, (_result, op, seconds, _kernels) in runs.items():
-        if name.startswith("wa"):
-            levels = listed(op, "iterated_levels")
-            wa[name] = {"panels": levels[0][0],
-                        "nodes": [n for _panels, n in levels],
-                        "series_terms": listed(op, "series_terms"),
-                        "seconds": seconds}
+    iterated = {}
+    for name, (result, op, seconds, _kernels) in runs.items():
+        for n, panels, *terms in listed(op, "terms"):
+            error = getattr(result, "error", None)
+            iterated[name] = {
+                "degree": n, "panels": panels,
+                "terms": dict(zip(TERMS, terms)),
+                "error": float(result.error_estimate if error is None
+                               else error),
+                "series_terms": listed(op, "series_terms"),
+                "seconds": seconds}
     full, total_only = keyed(counts, "cumulate"), keyed(counts, "total")
     madds = keyed(counts, "madds")
     keys = sorted(set(full) | set(total_only))
@@ -167,12 +174,16 @@ def iterated_work(seed):
                       "entries": sum(m["entries"] for m in matrix.values()),
                       "seconds": round(sum(built.values()), 5)}},
         "round_s": round(elapsed, 5),
-        "wa": {"operations": wa,
-               "total": {"panels": sum(w["panels"] for w in wa.values()),
-                         "series_terms": sum(sum(w["series_terms"])
-                                             for w in wa.values()),
-                         "seconds": round(sum(w["seconds"]
-                                              for w in wa.values()), 5)}},
+        "iterated": {
+            "operations": iterated,
+            "total": {
+                "panels": sum(w["panels"] for w in iterated.values()),
+                **{term: sum(w["terms"][term] for w in iterated.values())
+                   for term in TERMS},
+                "series_terms": sum(sum(w["series_terms"])
+                                    for w in iterated.values()),
+                "seconds": round(sum(w["seconds"]
+                                     for w in iterated.values()), 5)}},
     }
 
 
