@@ -159,8 +159,14 @@ bisected panel share one base; the base, and any kernel outside that
 range, costs one libmp exponential per node x_j > 0 and its reflection
 in integers at the others (:func:`_node_exponentials`), carried with
 _KERNEL_GUARD extra bits that the squarings use up.  The Lobatto nodes
-of degree n are every other node of degree 2n, so one vector gives two
-nested rules, each one integer dot product with its folded weights row.
+of a degree n dividing NEST = 48 are every (48 / n)-th node of degree
+48, so the Laplace panels take only such degrees and read their kernels,
+node cosines (:func:`_node_cosines`) and unit points
+(:func:`_unit_points`) off the vectors of degree 48, the same
+integers a table of degree n holds; each panel's total is one integer
+dot product with the folded weights row of its degree.  The degree
+comes from the quadrature tail of "Panel bound" with one level
+(``_TAILS[0]``), on the ladder of :func:`_rung`.
 """
 
 from __future__ import annotations
@@ -509,13 +515,32 @@ def _fixed(values, bits: int):
     return _vector(_parts(values), bits)
 
 
+# the degree of the Laplace panels whose nodes hold those of every other:
+# the Lobatto nodes of a degree n dividing it are every (NEST / n)-th node
+NEST = 48
+
+
+def _nested(vector, n: int):
+    """A vector at the NEST + 1 nodes cut to the n + 1 nodes of degree n."""
+    parts, exp = vector
+    return tuple(p[::NEST // n] for p in parts), exp
+
+
+def _node_cosines(n: int, bits: int):
+    """cos(pi j / n) * 2^bits rounded, for j = 0 .. n and n dividing NEST:
+    every (NEST / n)-th entry of degree NEST's table, the same integers
+    (the quarter-wave entry of each is libmp's cosine of one rational),
+    so no table of degree n is built."""
+    return _cosines(NEST, bits)[:NEST + 1:NEST // n]
+
+
 # |u|^2 above which _exponentials computes e^(u x_j) node by node again
 _MAX_DOUBLED = from_int(1 << 32)
 # extra bits of the ray kernels, more than the 16 squarings of a ladder lose
 _KERNEL_GUARD = 20
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _exponentials(u, n: int, bits: int):
     """e^(u x_j) at the nodes x_j = -cos(pi j / n) as one vector of
     mantissa tuples with b = bits + _KERNEL_GUARD bits, for an mpc tuple
@@ -534,7 +559,10 @@ def _exponentials(u, n: int, bits: int):
     and its cosine and sine each rounded once, and the shared exponent),
     so after the k <= 16 squarings of the range the kernel is within
     2^-bits of the exact e^(u x_j) at its nodes, against the largest
-    modulus."""
+    modulus.  The degree n divides NEST, and reads its nodes off the
+    kernel of degree NEST, whose largest modulus, at an end, it shares."""
+    if n != NEST:
+        return _nested(_exponentials(u, NEST, bits), n)
     ur, ui = u
     size = mpf_add(mpf_mul(ur, ur), mpf_mul(ui, ui))
     if mpf_cmp(size, fone) <= 0 or mpf_cmp(size, _MAX_DOUBLED) > 0:

@@ -34,22 +34,28 @@ operators read:
 
 The *numeric* one holds the summation rules that :mod:`.laplace` sums
 every shape through, each built once per sum: ``singular_values`` (with
-the ``single_valued`` flag), ``panel_sampler``, ``tail_rule`` and
-``origin_head``; how a shape is evaluated on a contour is decided here,
-not in the sums.  A shape need only implement ``singular_points`` and
-``numeric_evaluator``: the default sampler builds a scalar evaluator for
-the :class:`Contour` (the principal sheet along a ray,
-``polar_evaluator`` on a circle, the difference of two polar sheets on a
-Hankel ray) and maps it over the nodes; the other defaults take a tail
-envelope sampled on the principal sheet and marked not proved, a floor
-from the singular moduli and no origin head, and ``polar_evaluator``
-refuses a shape that is not single-valued.  Every sampler refuses the
-Hankel ray of a single-valued shape.  Each bundled shape overrides what
-it knows: proved tail envelopes, for power kernels polar evaluation and
-an exact head series at the origin, and for rational shapes, the
-Stirling minor and power kernels panel samples computed in integers and
-libmp.  A power kernel takes t^(sigma-1) on a ray or e^(i (sigma-1) phi)
-on a circle, and the lane of log t or phi when it carries a log, as a
+the ``single_valued`` flag), ``panel_sampler``, ``ellipse_rule``,
+``tail_rule`` and ``origin_head``; how a shape is evaluated on a contour
+is decided here, not in the sums.  A shape need only implement
+``singular_points`` and ``numeric_evaluator``: the default sampler
+builds a scalar evaluator for the :class:`Contour` (the principal sheet
+along a ray, ``polar_evaluator`` on a circle, the difference of two
+polar sheets on a Hankel ray) and maps it over the nodes; the default
+ellipse rule samples that evaluator on the boundary of a panel's
+Bernstein ellipses, at points closer together than the ellipse comes to
+a singular point, and is marked not proved; the other defaults take a
+tail envelope sampled on the principal sheet and marked not proved, a
+floor from the singular moduli and no origin head, and
+``polar_evaluator`` refuses a shape that is not single-valued.  Every
+sampler refuses the Hankel ray of a single-valued shape.  Each bundled
+shape overrides what it knows: proved tail envelopes and ellipse
+majorants (from partial fractions, the log bound, the Stirling lattice
+and coth bound, the dilogarithm's inversion bound on ellipses clear of
+its cut, and closed forms for power kernels), for power kernels
+polar evaluation and an exact head series at the origin, and for
+rational shapes, the Stirling minor and power kernels panel samples
+computed in integers and libmp.  A power kernel takes t^(sigma-1) on a
+ray or e^(i (sigma-1) phi) on a circle, and the lane of log t or phi when it carries a log, as a
 scalar of the panel times vectors that depend only on the panel's shape
 (cached per half / mid on a ray, the ray kernel at i (sigma-1) half on a
 circle), and applies its sheet constants to the lanes as integer
@@ -80,6 +86,7 @@ raises :class:`~resurgence.errors.NotSimpleError`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,9 +100,10 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpf_sub)
 
 from . import _work
-from ._chebyshev import (GUARD, _complex_tuple, _cosines, _exponentials,
-                         _fixed, _mantissas, _nodes, _plus, _product,
-                         _quotients, _scaled, _unit_points, _vector)
+from ._chebyshev import (GUARD, NEST, _bernstein, _clearance, _complex_tuple,
+                         _exponentials, _fixed, _mantissas, _nested, _nodes,
+                         _plus, _product, _quotients, _scaled, _vector,
+                         _node_cosines, _unit_points)
 from .errors import (DecayMarginError, NotSimpleError, UnreachableBranchError,
                      UnsupportedDivisionError)
 from .scalars import ExactScalar
@@ -539,7 +547,17 @@ def _partial_fractions(rat, prec):
     """(moduli of the polynomial part's coefficients, [(pole, |residue|),
     ...] of the proper part) at ``prec`` bits, or None when the division
     is not exact in the scalar ring (a leading coefficient that is not a
-    monomial) or a pole is not simple."""
+    monomial) or a pole is not simple; kept on ``rat`` per precision, for
+    the tail and the ellipse rule of one sum."""
+    built = rat.__dict__.setdefault("_fractions", {})
+    key = prec, mpmath.mp.prec
+    if key not in built:
+        built[key] = _fractions(rat, prec)
+    return built[key]
+
+
+def _fractions(rat, prec):
+    """:func:`_partial_fractions`, computed."""
     try:
         quot, rem = _poly_divmod(rat.num, rat.denominator_poly())
     except UnsupportedDivisionError:
@@ -623,7 +641,7 @@ class Contour(NamedTuple):
     two sheets, f(t, theta) - f(t, theta - 2 pi).  A circle of radius
     ``radius`` is parametrised by the continuous angle phi.  A panel is the
     parameter interval mid + half x for x in [-1, 1], sampled at the
-    Chebyshev-Lobatto nodes x_j = -cos(pi j / n).
+    Chebyshev-Lobatto nodes x_j = -cos(pi j / n), n dividing NEST.
     """
 
     theta: object
@@ -634,24 +652,25 @@ class Contour(NamedTuple):
         """mid + half x_j at the nodes, as mpf tuples rounded to ``bits``."""
         m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
         return [mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits)), bits)
-                for c in _cosines(n, bits)[:n + 1]]
+                for c in _node_cosines(n, bits)]
 
     def points(self, mid, half, n: int, bits: int):
         """The points zeta_j at the nodes as integer real and imaginary
         parts times 2^bits; the imaginary parts are None on the ray
-        theta = 0.  A circle's points come from the cached unit points of
-        :func:`._chebyshev._unit_points`."""
+        theta = 0.  A circle's points are every (NEST / n)-th of the cached
+        unit points of degree NEST (:func:`._chebyshev._unit_points`)."""
         if self.radius is None:
             m, h = (_mantissas([mpmath.mpmathify(v)._mpf_], -bits)[0]
                     for v in (mid, half))
-            ts = [m - (h * c >> bits) for c in _cosines(n, bits)[:n + 1]]
+            ts = [m - (h * c >> bits) for c in _node_cosines(n, bits)]
             if self.theta == 0:
                 return ts, None
             _work.add("cos_sin")
             c, s = _mantissas(mpf_cos_sin(mpmath.mpf(self.theta)._mpf_, bits),
                               -bits)
             return [t * c >> bits for t in ts], [t * s >> bits for t in ts]
-        wr, wi, _half = _unit_points(mid, half, n, bits)
+        wr, wi, _half = _unit_points(mid, half, NEST, bits)
+        wr, wi = wr[::NEST // n], wi[::NEST // n]
         r = _mantissas([mpmath.mpf(self.radius)._mpf_], -bits)[0]
         return [r * x >> bits for x in wr], [r * y >> bits for y in wi]
 
@@ -663,6 +682,216 @@ def _one_sheet(f, contour: Contour):
             f"{type(f).__name__} is single-valued: hankel_laplace integrates "
             "only the circle of a single-valued shape, never its Hankel ray"
         )
+
+
+# -- majorants on Bernstein ellipses -------------------------------------------
+
+# the relative margin of the ellipse rules' double-precision arithmetic: a
+# few dozen roundings, each of a unit 2^-53, and libm's log and exp
+_MARGIN = 1 + 2.0 ** -20
+# the least and the most points of an ellipse at which the sampled default
+# evaluates a shape
+_BOUNDARY_POINTS = 12
+_MAX_BOUNDARY_POINTS = 48
+
+
+class _Frame:
+    """The images in the Borel plane of the Bernstein ellipses E_rho of one
+    panel mid + half x of a contour, in doubles; E_rho has semi-axes
+    a = (rho + 1/rho) / 2 and b = (rho - 1/rho) / 2.
+
+    On a ray the image is t e^(i theta) for t in mid + half E_rho, and
+    points are taken in the rotated frame u = v e^(-i theta), where it is
+    the ellipse of centre mid, foci mid -+ half and semi-axes half a and
+    half b.  On a circle of radius R it is R e^(i phi) for phi in
+    mid + half E_rho, inside the annulus R e^(-half b) <= |zeta| <=
+    R e^(half b) (|Im phi| <= half b); points stay as they are."""
+
+    def __init__(self, contour: Contour):
+        self.radius = None if contour.radius is None \
+            else float(contour.radius)
+        self.rotation = cmath.exp(-1j * float(contour.theta))
+
+    def point(self, v) -> complex:
+        v = complex(v)
+        return v if self.radius is not None else v * self.rotation
+
+    def radii(self, mid, half, rho):
+        """(r, R): bounds of the least and the largest |zeta| on the
+        image of E_rho.  On a ray the vertex mid - half a is the point of
+        the ellipse nearest the origin when it is positive."""
+        a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+        if self.radius is None:
+            return max(0.0, mid - abs(half) * a), abs(mid) + abs(half) * a
+        spread = abs(half) * b
+        return self.radius * math.exp(-spread), self.radius * math.exp(spread)
+
+    def distances(self, p, mid, half, rhos):
+        """Per rho, a lower bound of the distance from the frame point p to
+        the image of E_rho, 0 where they may meet: on a ray half times the
+        clearance of the ellipse through p (``_chebyshev._clearance``), on
+        a circle the gap between |p| and the annulus."""
+        if self.radius is None:
+            rho_p = _bernstein((p - mid) / half)
+            return [abs(half) * _clearance(rho_p, rho) if rho < rho_p
+                    else 0.0 for rho in rhos]
+        size = abs(p)
+        out = []
+        for rho in rhos:
+            low, high = self.radii(mid, half, rho)
+            out.append(max(size - high, low - size, 0.0))
+        return out
+
+    def cut_distances(self, start: float, mid, half, rhos):
+        """Per rho, a lower bound of the distance from the image of E_rho
+        on a ray to the cut [start, inf) of a principal sheet, start > 0:
+        ``distances`` from the cut's point of least Bernstein parameter.
+
+        The cut is the half-line x = P + s D, s >= start, in the panel's
+        coordinate x.  The Bernstein parameter grows with the sum
+        of the distances to the foci -1 and 1, which is convex along a
+        line, so its least point is the line's least point, or the cut's
+        start where that lies before it.  Along the line the least point
+        is where the segment from 1 to the mirror image of -1 meets it,
+        or a point of [-1, 1] where the line crosses that."""
+        # y = (x - P) / u puts the line on the real axis, u its direction
+        u = self.rotation
+        P = -mid / half
+        low, high = (-1 - P) / u, (1 - P) / u
+        if low.imag * high.imag <= 0:
+            # the line meets [-1, 1]
+            r = low.real if low.imag == high.imag else low.real + (
+                high.real - low.real) * low.imag / (low.imag - high.imag)
+        else:
+            low = low.conjugate()
+            r = low.real + (high.real - low.real) * (-low.imag) \
+                / (high.imag - low.imag)
+        nearest = max(r * abs(half), start)
+        return self.distances(nearest * u, mid, half, rhos)
+
+
+def _margined(majorant):
+    """The majorant grown by the margin of its double arithmetic."""
+    return lambda mid, half, rhos: [m * _MARGIN
+                                    for m in majorant(mid, half, rhos)]
+
+
+def _rational_majorant(rat, frame: _Frame, prec):
+    """A majorant (mid, half, rhos) -> bounds of |rat| on the images of the
+    ellipses, or None where :func:`_partial_fractions` gives none: the
+    moduli of the polynomial part's coefficients at the largest |zeta|,
+    plus |res_p| over the distance to each simple pole p."""
+    parts = _partial_fractions(rat, prec)
+    if parts is None:
+        return None
+    poly = [float(c) for c in parts[0]]
+    poles = [(frame.point(v), float(r)) for v, r in parts[1]]
+
+    def majorant(mid, half, rhos):
+        out = []
+        for rho in rhos:
+            top = frame.radii(mid, half, rho)[1]
+            out.append(sum(c * top ** j for j, c in enumerate(poly) if c))
+        for p, r in poles:
+            for i, d in enumerate(frame.distances(p, mid, half, rhos)):
+                out[i] += r / d if d > 0 else math.inf
+        return out
+
+    return majorant
+
+
+def _logpole_majorant(f, frame: _Frame, prec):
+    """The majorant of a rational-plus-logs shape, or None: the rational
+    majorants of its parts, each log factor bounded by
+    |Log(1 - zeta/a) + 2 pi i k| <= |ln|1 - zeta/a|| + 2 pi (1 + |k|).
+    The ellipse is convex and avoids a, so it subtends at most a half
+    turn from a: the continued argument of 1 - zeta/a stays within pi of
+    its principal value on the panel, inside (-pi, pi); and
+    |ln|1 - zeta/a|| is at most ln(1 + |zeta| / |a|) or ln(|a| / d) with
+    d the distance to a."""
+    rational = _rational_majorant(f.rational_part, frame, prec)
+    if rational is None:
+        return None
+    logs = []
+    for a, r, k in f.log_terms:
+        cofactor = _rational_majorant(r, frame, prec)
+        if cofactor is None:
+            return None
+        av = complex(a.evaluate(prec))
+        logs.append((cofactor, frame.point(av), abs(av),
+                     2 * math.pi * (1 + abs(k))))
+
+    def majorant(mid, half, rhos):
+        out = rational(mid, half, rhos)
+        for cofactor, p, size, branch in logs:
+            for i, (c, d, rho) in enumerate(zip(
+                    cofactor(mid, half, rhos),
+                    frame.distances(p, mid, half, rhos), rhos)):
+                if c:
+                    top = frame.radii(mid, half, rho)[1]
+                    near = math.log(size / d) if d > 0 else math.inf
+                    out[i] += c * (max(math.log1p(top / size), near)
+                                   + branch)
+        return out
+
+    return majorant
+
+
+def _sampled_majorant(evaluate, frame: _Frame, points):
+    """A majorant from a contour's scalar evaluator, for a shape without a
+    proved one: four times the largest modulus at points of the boundary
+    of two ellipses, the middle and the largest of the rho asked that it
+    samples; by the maximum principle an ellipse's maximum bounds every
+    ellipse inside it, so each rho takes the least sampled ellipse
+    containing it, and a rho past the largest gets none (math.inf).
+
+    An ellipse is sampled only where its points, at equal steps of the
+    angle, lie at most as far apart as the ellipse lies from the frame
+    ``points`` (the singular points), with _BOUNDARY_POINTS to
+    _MAX_BOUNDARY_POINTS points: a pole of residue r at distance d from
+    the ellipse then shows at least r / (3 d / 2) at some point, against
+    its peak r / d.  Not a proof: the boundary is sampled, not
+    bounded."""
+
+    def clearance(mid, half, rhos):
+        near = [math.inf] * len(rhos)
+        for p in points:
+            near = list(map(min, near, frame.distances(p, mid, half, rhos)))
+        return near
+
+    def count(mid, half, rho, gap):
+        """The points the ellipse needs: its steps are at most
+        2 pi half a / k long, stretched by the circle's largest radius on a
+        circle frame."""
+        if gap <= 0:
+            return math.inf
+        a = (rho + 1 / rho) / 2
+        stretch = 1.0 if frame.radius is None \
+            else frame.radii(mid, half, rho)[1]
+        return max(_BOUNDARY_POINTS,
+                   math.ceil(2 * math.pi * abs(half) * a * stretch / gap))
+
+    def largest(mid, half, rho, k):
+        a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+        return 4 * max(abs(complex(evaluate(mpmath.mpc(
+            mid + half * a * math.cos(t), half * b * math.sin(t)))))
+            for t in (2 * math.pi * j / k for j in range(k)))
+
+    def majorant(mid, half, rhos):
+        counts = {rho: count(mid, half, rho, gap)
+                  for rho, gap in zip(rhos, clearance(mid, half, rhos))}
+        usable = sorted(rho for rho, k in counts.items()
+                        if k <= _MAX_BOUNDARY_POINTS)
+        if not usable:
+            return [math.inf] * len(rhos)
+        inner, outer = usable[len(usable) // 2], usable[-1]
+        near = largest(mid, half, inner, counts[inner])
+        far = near if outer == inner \
+            else largest(mid, half, outer, counts[outer])
+        return [near if rho <= inner else far if rho <= outer else math.inf
+                for rho in rhos]
+
+    return majorant
 
 
 # -- the Borel function variants ------------------------------------------------------
@@ -725,6 +954,21 @@ class BorelFunction:
         return (max(mpmath.mpf(4), 2 * top + 1),
                 _sampled_tail(self, theta, m, moment, prec), False)
 
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """(majorant, proved): a function (mid, half, rhos) -> upper bounds,
+        per rho, of the modulus of the samples ``panel_sampler`` gives on
+        the panel mid + half x of ``contour`` (doubles), continued to the
+        Bernstein ellipse E_rho of x (math.inf where the rule has none),
+        and whether the bounds are proved; ``sing`` are the sum's
+        ``singular_values``.  Laplace sums read it to pick each panel's
+        degree and bound its quadrature error before they sample.  The
+        default samples the boundary of the ellipses with the contour's
+        scalar evaluator, clear of ``sing`` (:func:`_sampled_majorant`),
+        so it is not proved."""
+        frame = _Frame(contour)
+        return _sampled_majorant(self._contour_evaluator(contour, prec),
+                                 frame, [frame.point(v) for v in sing]), False
+
     def origin_head(self, w, theta, moment, prec: int):
         """A function T -> (h, head, error): the integral of e^(-w t)
         f(t e^(i theta)) t^moment over [0, h], done exactly, once the
@@ -733,17 +977,17 @@ class BorelFunction:
         whose origin no head covers raises here, before any sampling."""
         return lambda T: (0, 0, 0)
 
-    def panel_sampler(self, contour: Contour, prec: int):
-        """A function (mid, half, n) -> the shape's samples on one panel of
-        ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
-        block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
-        bits.  The default builds one scalar evaluator of the contour's
-        parameter at ``prec`` bits, maps it over the nodes and converts
-        the values once: f(t e^(i theta)) on the principal sheet along a
-        ray, ``polar_evaluator`` at (radius, phi) on a circle, and
+    def _contour_evaluator(self, contour: Contour, prec: int):
+        """One scalar evaluator of the contour's parameter at ``prec``
+        bits, built once per (contour, prec) for the default sampler and
+        the default ellipse rule: f(t e^(i theta)) on the principal sheet
+        along a ray, ``polar_evaluator`` at (radius, phi) on a circle, and
         polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray, which
         a single-valued shape refuses (see :func:`_one_sheet`)."""
         _one_sheet(self, contour)
+        built = self.__dict__.setdefault("_evaluators", {})
+        if (contour, prec) in built:
+            return built[contour, prec]
         if contour.radius is not None:
             polar, rho = self.polar_evaluator(prec), contour.radius
 
@@ -761,6 +1005,17 @@ class BorelFunction:
 
             def evaluate(t):
                 return point(t * direction)
+        built[contour, prec] = evaluate
+        return evaluate
+
+    def panel_sampler(self, contour: Contour, prec: int):
+        """A function (mid, half, n) -> the shape's samples on one panel of
+        ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
+        block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
+        bits.  The default maps the contour's scalar evaluator
+        (:meth:`_contour_evaluator`) over the nodes and converts the
+        values once."""
+        evaluate = self._contour_evaluator(contour, prec)
         bits = prec + GUARD
 
         def sample(mid, half, n):
@@ -888,6 +1143,15 @@ class RationalBF(BorelFunction):
         envelope = _rational_envelope(self.rat, theta, prec)
         return (mpmath.mpf(1),
                 _envelope_tail(envelope, self, theta, m, moment, prec), True)
+
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """The partial-fraction majorant (:func:`_rational_majorant`), or
+        the sampled default where it has none."""
+        _one_sheet(self, contour)
+        majorant = _rational_majorant(self.rat, _Frame(contour), prec)
+        if majorant is None:
+            return super().ellipse_rule(contour, sing, prec)
+        return _margined(majorant), True
 
     def panel_sampler(self, contour: Contour, prec: int):
         """Exact integer Horner evaluation of the numerator and the factored
@@ -1060,6 +1324,15 @@ class LogPoleBF(BorelFunction):
                 all(len(r.num) - 1 < sum(r.poles.values())
                     for _a, r, _k in self.log_terms))
 
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """:func:`_logpole_majorant` on a ray, or the default where it has
+        none."""
+        majorant = None if contour.radius is not None or contour.hankel \
+            else _logpole_majorant(self, _Frame(contour), prec)
+        if majorant is None:
+            return super().ellipse_rule(contour, sing, prec)
+        return _margined(majorant), True
+
     def log_form(self):
         return self.rational_part, self.log_terms
 
@@ -1207,6 +1480,49 @@ class StirlingBF(BorelFunction):
 
         return mpmath.mpf(4), bound, False
 
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """A proved majorant from the Taylor series inside |zeta| = pi and
+        the coth bound of ``tail_rule`` outside.
+
+        Since |B_2k| / (2k)! = 2 zeta(2k) / (2 pi)^2k <= (pi^2 / 3) /
+        (2 pi)^2k, the series bounds the minor by
+        (1 / 12) / (1 - |zeta|^2 / (4 pi^2)) for |zeta| < 2 pi, so by 1/9
+        on |zeta| <= pi.  Where |zeta| >= s >= pi, |f| <= C / (2 s) +
+        1 / s^2 with C = 1 + pi / (2 delta) bounding |coth(zeta / 2)|,
+        delta = min(s / 2, d / 2, pi / 2) and d the distance to the
+        lattice 2 pi i k, k != 0, of which only the k with
+        2 pi |k| <= R + pi can come within pi of a region of largest
+        modulus R."""
+        _one_sheet(self, contour)
+        frame = _Frame(contour)
+        tau, pi = 2 * math.pi, math.pi
+        lattice = []
+
+        def majorant(mid, half, rhos):
+            radii = [frame.radii(mid, half, rho) for rho in rhos]
+            count = int((max(r for _low, r in radii) + pi) / tau)
+            while len(lattice) < 2 * count:
+                k = len(lattice) // 2 + 1
+                lattice.extend((frame.point(1j * tau * k),
+                                frame.point(-1j * tau * k)))
+            near = [math.inf] * len(rhos)
+            for p in lattice[:2 * count]:
+                near = list(map(min, near,
+                                frame.distances(p, mid, half, rhos)))
+            out = []
+            for (low, high), d in zip(radii, near):
+                if high <= pi:
+                    out.append((1 / 12) / (1 - (high / tau) ** 2))
+                    continue
+                s = max(low, pi)
+                delta = min(s / 2, d / 2, pi / 2)
+                bound = (1 + pi / (2 * delta)) / (2 * s) + 1 / s ** 2 \
+                    if delta > 0 else math.inf
+                out.append(max(bound, 1 / 9) if low < pi else bound)
+            return out
+
+        return _margined(majorant), True
+
     def panel_sampler(self, contour: Contour, prec: int):
         """One exponential per node: (zeta/2 - 1 + zeta / (e^zeta - 1))
         / zeta^2 for |zeta| >= 1/2, with libmp on tuples, and inside the
@@ -1327,6 +1643,38 @@ class DilogBF(BorelFunction):
 
         return evaluate
 
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """The bound of ``tail_rule`` at the largest |zeta| R of the
+        ellipse, B = pi^2/3 + (ln+ R + pi)^2 / 2 (pi^2/6 inside the unit
+        disc bounds it there too), on the ellipses clear of the cut
+        [1, inf) of the principal sheet (:meth:`_Frame.cut_distances`).
+        An ellipse that crosses the cut but holds neither 1 nor 0 meets
+        the real axis only past 1, so the integrand continues across the
+        cut as Li2 -+ 2 pi i log zeta, with no cut of the log inside: B
+        plus 2 pi (max(ln R, -ln r) + pi) there, r the least |zeta|; other
+        ellipses have none.  Rays sum the sheet without loops only
+        (``origin_head``), and nothing else runs on the dilogarithm.
+        Proved."""
+        frame = _Frame(contour)
+        one = frame.point(1)
+        pi2 = math.pi ** 2
+
+        def majorant(mid, half, rhos):
+            out = []
+            for rho, clear, gap in zip(
+                    rhos, frame.cut_distances(1.0, mid, half, rhos),
+                    frame.distances(one, mid, half, rhos)):
+                low, top = frame.radii(mid, half, rho)
+                bound = pi2 / 3 + (max(math.log(top), 0.0) + math.pi) ** 2 / 2
+                if clear <= 0:
+                    bound = bound + 2 * math.pi * (max(
+                        math.log(top), -math.log(low)) + math.pi) \
+                        if gap > 0 and low > 0 else math.inf
+                out.append(bound)
+            return out
+
+        return _margined(majorant), True
+
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """Guaranteed tail bound beyond T >= 1, from T = 4, non-increasing
         in T.
@@ -1438,23 +1786,30 @@ def _power_g_prime(sigma: Fraction, prec: int):
         return +gp
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _log_nodes(r, n: int, bits: int):
     """log(1 + r x_j) at the nodes x_j = -cos(pi j / n), for an mpf tuple
     0 < r < 1, as mpf tuples at bits + 8 bits: one ``mpf_log`` per node,
-    shared by every ray panel with half = r mid."""
+    shared by every ray panel with half = r mid; the degree n divides
+    NEST and reads them off degree NEST."""
+    if n != NEST:
+        return _log_nodes(r, NEST, bits)[::NEST // n]
     work = bits + 8
     _work.add("log", n + 1)
     return tuple(mpf_log(mpf_add(fone, mpf_mul(r, from_man_exp(-c, -bits)),
                                  work), work)
-                 for c in _cosines(n, bits)[:n + 1])
+                 for c in _node_cosines(n, bits))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _power_nodes(r, s1, n: int, bits: int):
     """(1 + r x_j)^s1 at the nodes as one vector of mantissa tuples, from
     :func:`_log_nodes`: one ``mpf_exp`` per node at bits + 8 bits, shared
-    by every ray panel with half = r mid and every sum with that s1."""
+    by every ray panel with half = r mid and every sum with that s1; the
+    degree n divides NEST and reads them off degree NEST, whose largest
+    entry, at an end, it shares."""
+    if n != NEST:
+        return _nested(_power_nodes(r, s1, NEST, bits), n)
     work = bits + 8
     _work.add("exp", n + 1)
     parts, exp = _vector(([mpf_exp(mpf_mul(s1, x, work), work)
@@ -1479,6 +1834,38 @@ def _ray_lanes(m, h, s1, n: int, bits: int, with_log: bool):
         return power, None
     return power, _plus(_vector((_log_nodes(r, n, bits),), bits),
                         _vector(([log_mid],), bits), bits)
+
+
+@lru_cache(maxsize=32)
+def _power_constants(sigma: Fraction, with_log: bool, contour: Contour,
+                     work: int):
+    """(A, B, s1) at ``work`` bits, once per contour: the samples of the
+    power kernel of ``sigma`` are t^s1 (A + B log t) on a ray and
+    e^(i s1 phi) (A + B phi) on a circle, with s1 = sigma - 1 and A and B
+    summed over the sheets."""
+    g = _power_g(sigma, work)
+    gp = _power_g_prime(sigma, work) if with_log else 0
+    with mpmath.workprec(work):
+        i = mpmath.mpc(0, 1)
+        s1 = mpmath.mpf(sigma.numerator) / sigma.denominator - 1
+        if contour.radius is None:
+            theta = mpmath.mpf(contour.theta)
+            sheets = [(theta, 1)]
+            if contour.hankel:
+                sheets.append((theta - 2 * mpmath.pi, -1))
+            phases = [(sign * g * mpmath.expj(s1 * a), a)
+                      for a, sign in sheets]
+            # g e^(i s1 a) (log t + i a) + g' e^(i s1 a) per sheet
+            A = sum(c * (i * a + gp / g) if with_log else c
+                    for c, a in phases)
+            B = sum(c for c, _a in phases) if with_log else 0
+        else:
+            rho = mpmath.mpf(contour.radius)
+            power = g * rho ** s1
+            # g rho^s1 e^(i s1 phi) (log rho + i phi) + g' rho^s1 ...
+            A = power * (mpmath.log(rho) + gp / g) if with_log else power
+            B = power * i if with_log else 0
+    return A, B, s1
 
 
 class PowerBF(BorelFunction):
@@ -1532,6 +1919,39 @@ class PowerBF(BorelFunction):
 
         return evaluate
 
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """A proved majorant in closed form, from the constants of
+        :func:`_power_constants`.  On a ray the ellipse of t is convex,
+        symmetric about the positive axis and clear of the origin when
+        its vertex r = mid - half a is positive, so it lies in Re t > 0:
+        |t^s1| is at most r^s1 or R^s1, R = mid + half a, and
+        |log t| <= max(|ln r|, |ln R|) + pi / 2.  On a circle
+        |e^(i s1 phi)| <= e^(|s1| half b) and |phi| <= |mid| + half a."""
+        A, B, s1 = _power_constants(self.sigma, self.with_log, contour,
+                                   prec + GUARD + 8)
+        A, B, s1 = abs(complex(A)), abs(complex(B)), float(s1)
+        frame = _Frame(contour)
+
+        def on_ray(mid, half, rhos):
+            out = []
+            for rho in rhos:
+                low, high = frame.radii(mid, half, rho)
+                if not low > 0:
+                    out.append(math.inf)
+                    continue
+                logs = (math.log(low), math.log(high))
+                out.append(math.exp(max(s1 * x for x in logs))
+                           * (A + B * (max(map(abs, logs)) + math.pi / 2)))
+            return out
+
+        def on_circle(mid, half, rhos):
+            return [math.exp(abs(s1 * half) * (rho - 1 / rho) / 2)
+                    * (A + B * (abs(mid) + abs(half) * (rho + 1 / rho) / 2))
+                    for rho in rhos]
+
+        return _margined(on_ray if contour.radius is None else on_circle), \
+            True
+
     def panel_sampler(self, contour: Contour, prec: int):
         """With s1 = sigma - 1, the power lane: t^s1 on a ray, shared by
         both Hankel sheets, or e^(i s1 phi) on the circle; and with a log,
@@ -1551,29 +1971,10 @@ class PowerBF(BorelFunction):
         bits = prec + GUARD
         work = bits + 8
         with_log = self.with_log
-        g = self.g_value(work)
-        gp = self.g_prime_value(work) if with_log else 0
         on_ray = contour.radius is None
+        A, B, s1 = _power_constants(self.sigma, self.with_log, contour,
+                                   work)
         with mpmath.workprec(work):
-            i = mpmath.mpc(0, 1)
-            s1 = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator - 1
-            if on_ray:
-                theta = mpmath.mpf(contour.theta)
-                sheets = [(theta, 1)]
-                if contour.hankel:
-                    sheets.append((theta - 2 * mpmath.pi, -1))
-                phases = [(sign * g * mpmath.expj(s1 * a), a)
-                          for a, sign in sheets]
-                # g e^(i s1 a) (log t + i a) + g' e^(i s1 a) per sheet
-                A = sum(c * (i * a + gp / g) if with_log else c
-                        for c, a in phases)
-                B = sum(c for c, _a in phases) if with_log else 0
-            else:
-                rho = mpmath.mpf(contour.radius)
-                power = g * rho ** s1
-                # g rho^s1 e^(i s1 phi) (log rho + i phi) + g' rho^s1 ...
-                A = power * (mpmath.log(rho) + gp / g) if with_log else power
-                B = power * i if with_log else 0
             A, B = _fixed([A], bits), _fixed([B], bits)
         s1 = s1._mpf_
 

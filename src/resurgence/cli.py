@@ -259,6 +259,7 @@ def _summation_payload(res, digits: int) -> dict:
         "value": _num(res.value, digits),
         "error": _num(res.error_estimate, digits),
         "nodes": res.nodes_used,
+        "certified": res.certified,
         "diagnostics": res.diagnostics,
     }
 
@@ -369,6 +370,7 @@ def _cmd_sum(args) -> dict:
             prec=args.prec)
         return {
             "input": args.input,
+            "certified": pair.plus.certified and pair.minus.certified,
             "plus": _summation_payload(pair.plus, digits),
             "minus": _summation_payload(pair.minus, digits),
             "jump": {

@@ -427,8 +427,8 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     for the value's rounding to ``prec`` bits; ``certified`` is True.
     Depth one has an empty integrand and returns 2*pi*i, the convention
     consistent with the depth-1 extraction, from no nodes, correctly
-    rounded with error 0: that error leaves out the rounding itself, so
-    it is not certified.  Depth is capped at 3.  ``prec`` must be at
+    rounded, with half a unit of its last place as the proved error, so
+    it is certified too.  Depth is capped at 3.  ``prec`` must be at
     least MIN_PREC.
     """
     check_prec(prec)
@@ -465,11 +465,13 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
             endpoint=endpoint,
         )
     if not kernels:
-        # no integrand: the constant 2*pi*i, correctly rounded by mpmath
+        # no integrand: the constant 2*pi*i, correctly rounded by mpmath,
+        # within half a unit of its last place
         with mpmath.workprec(prec):
-            return IteratedIntegral(value=mpmath.mpc(0, 2 * mpmath.pi),
-                                    error_estimate=mpmath.mpf(0), nodes=0,
-                                    certified=False)
+            tau = mpmath.mpc(0, 2 * mpmath.pi)
+            half = mpmath.ldexp(1, mpmath.mag(tau.imag) - prec - 1)
+            return IteratedIntegral(value=tau, error_estimate=half, nodes=0,
+                                    certified=True)
     with mpmath.workprec(prec + 24):
         tau = mpmath.mpc(0, 2 * mpmath.pi)
         segments = _contour_segments(endpoint)

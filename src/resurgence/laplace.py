@@ -18,23 +18,45 @@ for the summation rules of :class:`.borelfun.BorelFunction` (see
 so exact constants are evaluated once and each node only does the
 arithmetic of its point.
 
-The numeric scheme has two independent error sources and both are reported:
+The numeric scheme has three error sources, and each is bounded:
 
 * truncation: the ray is cut at a finite T, and the discarded tail is
   bounded by the shape's ``tail_rule``, a proved inequality for every
-  shape of :mod:`.borelfun` (Pade models take the sampled default).
-* quadrature: [0, T] is cut at a geometric ladder of segments, and each
-  segment is integrated with adaptive nested Clenshaw-Curtis panels on
-  the Chebyshev-Lobatto nodes of :mod:`._chebyshev`.  A panel is sampled
-  once at 2n + 1 nodes; the (n + 1)-point rule on every other sample is
-  compared with the full rule, and a panel whose difference exceeds its
-  length's share of target_error / 16 is bisected.  Every panel
-  integrand is analytic on its panel (a shape with an ``origin_head``
-  leaves out [0, h], which its exact head series covers), so the rule
-  converges geometrically.  The reported quadrature error is the sum of
-  the panel differences, taken with a safety factor of 4, never a
-  wishful constant.  ``max_nodes`` caps the bisection, and panels left
-  unconverged by it keep their differences in the error.
+  shape of :mod:`.borelfun` (Pade models take the sampled default).  The
+  quadrature runs to the first point of its doubling ladder at or past
+  T, so what it leaves out lies inside that tail.
+* quadrature: [0, T] is cut at the doubling ladder 1/2, 1, 2, ... (from
+  2h after an origin head [0, h]), and each segment is one Clenshaw-
+  Curtis panel on the Chebyshev-Lobatto nodes of :mod:`._chebyshev`,
+  its degree picked before anything is sampled.  The panel's integrand
+  is analytic inside the Bernstein ellipses E_rho of the panel, up to
+  the nearest singular point; the shape's ``ellipse_rule`` bounds the
+  shape on them, and the kernel e^(-w t) and t^moment are bounded in
+  closed form, which gives M(rho).  With |a_j| <= 2 M rho^-j for the
+  Chebyshev coefficients, the panel's total is within
+  (2 M / (rho - 1)) rho^-n (10 / (n^2 - 4) + 3 rho^-(n // 2)) at degree
+  n (the quadrature tail of ``_chebyshev.panel_bound``), and within
+  4 M(1) in any case.  Each panel takes the least degree of the form
+  2^k or 3 2^(k - 1), from 4, dividing 48 (_DEGREES), at which the best
+  rho tried meets its share of the quadrature budget, in proportion to
+  its length; a panel that needs more than 48 is bisected, the largest
+  bound first.  The budget is a quarter of the target, or the tail bound
+  where that is smaller (but not below one unit 2^-prec), so that the
+  quadrature never outweighs the truncation.  ``max_nodes`` caps the
+  bisection: it stops within the cap, and every segment is sampled at
+  its degree even where the segments alone pass it.  A capped panel
+  keeps its bound in the error, so a capped sum may report more than
+  the target, never less than it has.
+* rounding: each sample is within 2^(8 - p) M(1) at the working
+  precision p, and the rounding of a panel's ends moves its nodes, which
+  Cauchy's estimate on E_rho bounds through M(rho); with one unit
+  2^-prec (1 + |value|) for the final rounding and the head's rounding.
+
+A sum is ``certified`` when its tail and its majorants are proved: every
+bundled shape but Pade models and a rational shape with a multiple pole,
+which take the sampled default majorant.  Where the majorant is sampled,
+the rule of half the degree on every other sample checks each panel
+after the fact (:func:`_panels`).
 
 How a panel is sampled.  On the ray panel t = mid + half x, the kernel
 is e^(-w mid) e^(-w half x): the first factor is one scalar of the
@@ -44,18 +66,22 @@ for 1 < |u| <= 2^16, u = -w half, the vector of u / 2 squared in
 integers, and otherwise one libmp exponential per node x >= 0 and the
 reflection e^(-u x) = conj(e^(u x)) / |e^(u x)|^2 in integers at the
 others.  The segment ladder doubles the width from one segment to the
-next, and bisection halves it, so the kernels of a ray share one base.
-The shape's ``panel_sampler`` for the contour gives its samples as a
-vector too (the default builds the shape's scalar evaluator for the
-contour, maps it over the nodes and converts once; rational shapes, the
-Stirling minor and power kernels compute theirs in integers and libmp,
-a power kernel as a scalar of the panel times vectors that depend only
-on the panel's shape, then times its sheet constants), and the two,
-times t^moment, are multiplied in integers.  A Hankel circle takes
-e^(-z rho e^(i phi)) e^(i phi) with one complex exponential per node at
-the cached unit points e^(i phi_j) (:func:`_circle_kernel`).  Both
-Clenshaw-Curtis rules are integer dot products of the one vector with
-their folded weights rows, and each panel converts to mpmath once.
+next, and bisection halves it, so the kernels of a ray share one base;
+every degree divides 48, so a kernel of degree n is every (48 / n)-th
+entry of the kernel of degree 48, and the panels of all degrees share
+it too.  The shape's ``panel_sampler`` for the contour gives its
+samples as a vector too (the default builds the shape's scalar
+evaluator for the contour, maps it over the nodes and converts once;
+rational shapes, the Stirling minor and power kernels compute theirs in
+integers and libmp, a power kernel as a scalar of the panel times
+vectors that depend only on the panel's shape, then times its sheet
+constants), and the two, times t^moment, are multiplied in integers.  A
+Hankel circle takes e^(-z rho e^(i phi)) e^(i phi) with one complex
+exponential per node at the cached unit points e^(i phi_j) of degree 48
+(:func:`_circle_kernel`).  The Clenshaw-Curtis rule of the panel's degree
+is an integer dot product of the vector with its folded weights row, and
+each panel converts to mpmath once.  Every sample lands in a panel that
+is kept: ``nodes_used`` is the sum of the degrees plus one.
 
 What does not depend on the shape is computed once per point and shared.
 The ray kernel depends only on w, the panel's width and the precision,
@@ -63,9 +89,9 @@ so the two halves of a bisected panel, and every sum with the same w
 and ladder (the Hankel sums of one z and theta), read one cached vector;
 the circle kernel depends only on z rho, the panel and the precision,
 and is cached likewise; and the singular values are rotated onto the
-ray once per sum, for the ray check and the segment breakpoints, and
-once per tail rule for its distances.  The caches are bounded, and a
-cached vector is the one a fresh computation gives.
+ray once per sum, for the ray check and the ellipses, and once per tail
+rule for its distances.  The caches are bounded, and a cached vector is
+the one a fresh computation gives.
 
 Lateral sums and their jump follow the frozen orientation convention of the
 whole package: the "+" determination uses rays at angles just below the
@@ -88,8 +114,9 @@ They share their points and their kernel, so they are integrated as one
 difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)), whose
 samples the shape gives for a Hankel :class:`.borelfun.Contour`; on
 single-valued shapes that difference vanishes and only the circle is
-integrated.  The circle integrand is analytic in the angle, so the same
-panel rule takes the whole turn as one panel.
+integrated.  The circle integrand is analytic in the angle up to the
+poles of the singular values, so the whole turn starts as one panel, at
+the degree its bound picks, and is bisected only past 48.
 
 `verify_asymptotics` compares ray sums against the partial sums of a
 divergent expansion and reports the rescaled remainders
@@ -101,13 +128,15 @@ asymptotic coefficients.  It is a convenience for exploration: nothing
 about it is certified, and results computed through it say so in their
 diagnostics.
 
-Out of scope here: accelero-summation, averaged (median) summation, and
-certified interval quadrature.
+Out of scope here: accelero-summation and averaged (median) summation.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -116,9 +145,10 @@ import mpmath
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 
 from . import _work
-from ._chebyshev import (GUARD, _complex_tuple, _exponentials, _mantissas,
-                         _product, _total, _unit_points, _values, _vector,
-                         _weights)
+from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST,
+                         _bernstein, _complex_tuple, _exponentials,
+                         _mantissas, _nested, _product, _rung, _total,
+                         _unit_points, _values, _vector, _weights, rounded_up)
 from .borelfun import BorelFunction, Contour, _pole_tail_distance, _rotated
 from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
 from .scalars import ExactScalar
@@ -153,10 +183,10 @@ class RaySpec:
     ``prec`` below ``errors.MIN_PREC`` is refused with a ValueError).
     ``max_nodes`` caps the integrand evaluations of one sum: panels are
     bisected only while the sum stays within it (the initial segments
-    are always sampled, one panel each), and a sum stopped by the cap
-    reports the error estimates of its unconverged panels, so its error
-    may exceed ``target_error``.  Rays whose kernel turns more than
-    ``max_nodes`` times before the truncation point are refused.
+    are always sampled, one panel each, at their degrees), and a sum
+    stopped by the cap reports the bounds of its unconverged panels, so
+    its error may exceed ``target_error``.  Rays whose kernel turns more than ``max_nodes``
+    times before the truncation point are refused.
     """
 
     theta: object
@@ -181,14 +211,18 @@ class RaySpec:
 
 @dataclass(frozen=True)
 class SummationResult:
-    """A computed sum: value, honest error estimate, and how it was made.
+    """A computed sum: value, error bound, and how it was made.
 
-    ``error_estimate`` adds the quadrature rule's nested-rule comparison
-    (with a safety factor) to the analytic truncation bound.  The
+    ``error_estimate`` adds the panels' quadrature bounds, the truncation
+    bound (twice on a Hankel contour, one per sheet), the head series'
+    remainder and the rounding term, with no safety factor: each term is
+    a bound, proved when ``certified`` is True, that is when the shape's
+    tail rule and ellipse rules are (see the module docstring).  The
     ``diagnostics`` mapping records the truncation point, the decay
-    margin, both error components, the ``method``, the initial
-    ``segments`` and the ``panels`` left after bisection, and whether the
-    tail envelope was proved (``rigorous_tail``) or merely sampled.  Each
+    margin, the tail, quadrature and rounding terms, the ``method``, the
+    ``segments`` of the doubling ladder, the ``panels`` after bisection
+    and how many took each degree (``degrees``), and whether the tail
+    envelope was proved (``rigorous_tail``) or merely sampled.  Each
     figure is a float, or its 17 digits as a string when a double would
     read it as infinite or as zero.
     """
@@ -197,6 +231,7 @@ class SummationResult:
     error_estimate: object
     nodes_used: int
     diagnostics: dict = field(default_factory=dict, repr=False)
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -457,106 +492,304 @@ def _choose_truncation(rule, w, target, max_nodes):
 # -- quadrature -----------------------------------------------------------------------
 
 
-def _segments(lo, T, rotated):
-    """Subdivision points: a geometric ladder plus the projections of the
-    singular values near the ray, given as their ``rotated`` points
-    v e^(-i theta)."""
-    lo = mpmath.mpf(lo)
-    pts = {lo, mpmath.mpf(T)}
-    t = mpmath.mpf(1) / 2 if lo == 0 else 2 * lo
-    while t < T:
-        if t > lo:
-            pts.add(t)
+def _segments(lo, T):
+    """Subdivision points: lo and the doubling ladder 1/2, 1, 2, ... (from
+    2 lo when lo > 0) up to its first point at or past T, so that every
+    segment's width is a power of two times the first's and the kernels
+    of a ray share one base (:func:`._chebyshev._exponentials`); the tail
+    bound at T bounds what lies past the last point."""
+    pts = [mpmath.mpf(lo)]
+    t = mpmath.mpf(1) / 2 if lo == 0 else 2 * pts[0]
+    while pts[-1] < T:
+        pts.append(t)
         t *= 2
-    for u in rotated:
-        if abs(u.imag) < 1 and lo < u.real < T:
-            pts.add(u.real)
-    return sorted(pts)
+    return pts
 
 
-# degree n of the coarse Clenshaw-Curtis rule; the fine rule has degree 2n
-_PANEL_DEGREE = 24
-_FINE = 2 * _PANEL_DEGREE
+# the degrees a panel may take: those of the form 2^k or 3 2^(k - 1), as
+# the iterated integrals take them, from 4 to NEST = 48 that divide NEST,
+# so that the kernels, unit points and power lanes of every degree are
+# read off one vector of degree NEST; a panel whose bound needs more than
+# NEST is bisected
+_DEGREES = tuple(n for n in sorted({_rung(k) for k in range(4, NEST + 1)})
+                 if not NEST % n)
+# the Bernstein parameters a panel tries, 1 + t (top - 1) for each t, top
+# the least parameter of a singular point, at most _RHO_CAP: near top for
+# a narrow panel, near 1 for a wide one, on which the kernel grows fast
+_RHO_STEPS = (1 / 16, 1 / 4, 5 / 8, 15 / 16)
+# the log of the least factor of the tail besides rho^-n, 10 / (n^2 - 4),
+# at the degrees of _DEGREES
+_LEAST_TAIL = math.log(_TAILS[0](NEST))
+# relative to the working precision p, how far the block-fixed-point
+# samples may lie from the exact ones, against the largest modulus: every
+# sampler's arithmetic is a few dozen roundings of a few units each at
+# p + GUARD bits, so 2^-(p - 8) is a bound with room to spare
+_SAMPLE_ERROR = 8
 
 
-def _panels(sample, pts, budget, max_nodes):
-    """Integral over [pts[0], pts[-1]] by adaptive nested Clenshaw-Curtis
-    panels, as (value, error, nodes, panels).
+def _exp(x: float):
+    """e^x as an mpf, for a log that may leave the range of doubles."""
+    return mpmath.mpf(math.exp(x)) if -700 < x < 700 else mpmath.exp(x)
 
-    ``sample(mid, half)`` returns the integrand on the panel mid + half x
-    at the 2n + 1 Chebyshev-Lobatto nodes of the fine rule, as one
-    block-fixed-point vector, and a scalar factor of the panel's total.
-    Both rules are applied to that one vector in integers, the fine rule's
-    weights row to every sample and the (n + 1)-point rule's to every
-    other one; the panel's value (the fine rule's) and the difference of
-    the two, its error estimate, are converted once.  A panel whose
-    estimate exceeds its length's share of ``budget`` is bisected, the
-    largest estimate first, while the two halves keep the node count
-    within ``max_nodes``.  Every segment between consecutive breakpoints
-    is sampled, one panel each, and panels still unconverged when the cap
-    binds keep their estimates in the returned error.
-    """
-    prec = mpmath.mp.prec
-    fine_row, coarse_row = _weights(_FINE, prec), _weights(_PANEL_DEGREE, prec)
-    length = pts[-1] - pts[0]
-    count = 0
-    accepted = []
-    pending = []
 
-    def run(a, b):
-        nonlocal count
-        (parts, exp), factor = sample((a + b) / 2, (b - a) / 2)
-        count += _FINE + 1
-        totals = []
-        for p in parts:
-            fine = _total(fine_row, p)
-            totals.append([fine, fine - _total(coarse_row, p[::2])])
-        value, difference = _values(totals, exp - (prec + GUARD + 1), prec)
-        err = abs(factor * difference)
-        panel = (a, b, factor * value, err)
-        if err <= budget * (b - a) / length:
-            accepted.append(panel)
+def _log_sum(x: float, y: float) -> float:
+    """log(e^x + e^y)."""
+    top = max(x, y)
+    return top if math.isinf(top) else \
+        top + math.log1p(math.exp(min(x, y) - top))
+
+
+class _Panel:
+    """One panel [a, b] of a piece and its bound, in natural logs: per
+    Bernstein parameter tried, (c, log rho) with c the log of
+    2 M / (rho - 1) times the panel's scalar factor, M a majorant of the
+    integrand on the ellipse; the trivial bound, 4 M_1 times the factor
+    with M_1 the majorant on the panel; the log of the panel's ``share``
+    of its piece's budget; and the rounding term.  ``n`` is the degree
+    and ``log_error`` the log of the quadrature bound there."""
+
+    __slots__ = ("piece", "a", "b", "share", "pairs", "trivial", "rounding",
+                 "n", "log_error")
+
+    def bound(self, n: int) -> float:
+        """The log of the bound at degree n: the least of the trivial one
+        and, from degree 3, the tail of :mod:`._chebyshev` at the rho best
+        for n."""
+        if not self.pairs or n < 3:
+            return self.trivial
+        c, lr = min((c - n * lr, lr) for c, lr in self.pairs)
+        return min(self.trivial, c + math.log(
+            _TAILS[0](n) + 3 * math.exp(-(n // 2) * lr)))
+
+    def at(self, n: int):
+        """The panel at degree n."""
+        self.n = n
+        self.log_error = self.bound(n)
+        return self
+
+    def fits(self) -> bool:
+        return self.log_error <= self.share
+
+    def degree(self):
+        """The panel at the least degree of _DEGREES whose bound meets its
+        share, or at NEST when none does.  The tail's factor besides
+        rho^-n is at least 10 / (n^2 - 4) >= 10 / (NEST^2 - 4), so no n
+        below the least at which some c - n log rho meets the share
+        within that factor fits, and the search starts at the degree
+        below it."""
+        first = 0
+        if self.trivial > self.share and self.pairs:
+            least = min((c - self.share + _LEAST_TAIL) / lr
+                        for c, lr in self.pairs)
+            first = max(0, bisect.bisect_right(_DEGREES, least) - 1)
+        for n in _DEGREES[first:]:
+            if self.at(n).fits():
+                break
+        return self
+
+
+class _Piece:
+    """A contour's panels: a sampler (mid, half, n) -> (vector, factor)
+    and a function (mid, half, rhos) -> per rho the log of the integrand's
+    majorant on the Bernstein ellipse E_rho plus the log of the scalar
+    factor, from the shape's ellipse rule and the kernel's growth, in
+    doubles, and whether that rule is ``proved``; ``points``, in the same
+    frame, bound the rho a panel tries.  The quadrature ``budget`` of the
+    piece is shared among its panels by length.  ``rate`` bounds the
+    growth of the log of the kernel's majorant per unit of half b,
+    b = (rho - 1 / rho) / 2, for rho near 1."""
+
+    def __init__(self, sample, majorant, proved, points, budget, pts, rate):
+        self.sample = sample
+        self.majorant = majorant
+        self.proved = proved
+        self.points = points
+        self.pts = pts
+        self.rate = rate
+        self.per_length = float(mpmath.log(budget)) \
+            - math.log(float(pts[-1] - pts[0]))
+
+    def top(self, mid, half):
+        """The least Bernstein parameter of the points, at most _RHO_CAP
+        (the ellipse through a point farther than 33 half from mid has a
+        larger one)."""
+        reach = 33 * half
+        return min([_RHO_CAP] + [_bernstein((p - mid) / half)
+                                 for p in self.points
+                                 if abs(p - mid) < reach])
+
+    def panel(self, a, b, prec: int):
+        """The panel [a, b] at its least degree.  Its rounding term: the
+        samples are within 2^(_SAMPLE_ERROR - prec) M_1, and the nodes,
+        moved by the rounding of mid and half at prec bits by less than
+        2^(2 - prec) (1 + |mid / half|) in x, move the integrand by at most
+        M_rho / (a - 1) times that (Cauchy's estimate, E_rho being
+        a - 1 from the panel), at the best of the rho tried and
+        1 + 1 / (1 + rate half), near which the kernel's majorant has
+        barely grown; the weights add to 2."""
+        p = _Panel()
+        p.piece, p.a, p.b = self, a, b
+        lo, hi = float(a), float(b)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        p.share = self.per_length + math.log(hi - lo)
+        top = self.top(mid, half)
+        rhos = [1.0] + [1 + (top - 1) * t for t in _RHO_STEPS] \
+            + [1 + min((top - 1) / 2, 1 / (1 + self.rate * half))]
+        logs = self.majorant(mid, half, rhos)
+        p.pairs = [(math.log(2 / (rho - 1)) + m, math.log(rho))
+                   for rho, m in zip(rhos[1:], logs[1:]) if m < math.inf]
+        p.trivial = math.log(4) + logs[0]
+        moved = min([m - math.log((rho + 1 / rho) / 2 - 1)
+                     for rho, m in zip(rhos[1:], logs[1:])],
+                    default=math.inf) + math.log1p(abs(mid / half))
+        p.rounding = math.log(2) + (_SAMPLE_ERROR - prec) * math.log(2) \
+            + _log_sum(logs[0], moved)
+        return p.degree()
+
+
+def _budget(share, tail, prec: int):
+    """A piece's quadrature budget: its share of the target, or the tail
+    bound where that is smaller, but not below one unit 2^-prec: the
+    quadrature then does not outweigh the truncation of a sum whose
+    truncation point leaves less than the target asks."""
+    return min(share, max(tail, mpmath.ldexp(1, -prec)))
+
+
+def _log(x) -> float:
+    """The natural log of a nonnegative double, -inf at 0."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _plan(pieces, max_nodes: int, prec: int):
+    """The panels of the pieces, each at its degree.
+
+    Every segment between consecutive breakpoints is one panel at the
+    least degree whose proved bound meets its share of its piece's
+    budget.  A panel that no degree up to NEST fits is bisected,
+    the largest bound first, while the node count stays within
+    ``max_nodes``; the segments themselves are always sampled at their
+    degrees.  Panels left unfit keep their bounds in the error."""
+    panels = [piece.panel(a, b, prec) for piece in pieces
+              for a, b in zip(piece.pts, piece.pts[1:])]
+    nodes = sum(p.n + 1 for p in panels)
+    done, pending, count = [], [], itertools.count()
+    for p in panels:
+        if p.fits():
+            done.append(p)
         else:
-            heapq.heappush(pending, (-float(err), count, panel))
+            heapq.heappush(pending, (-p.log_error, next(count), p))
+    while pending:
+        p = pending[0][2]
+        middle = (p.a + p.b) / 2
+        if not p.a < middle < p.b:
+            break
+        halves = [p.piece.panel(a, b, prec)
+                  for a, b in ((p.a, middle), (middle, p.b))]
+        grown = nodes - (p.n + 1) + sum(h.n + 1 for h in halves)
+        if grown > max_nodes:
+            break
+        heapq.heappop(pending)
+        nodes = grown
+        for h in halves:
+            if h.fits():
+                done.append(h)
+            else:
+                heapq.heappush(pending, (-h.log_error, next(count), h))
+    return done + [entry[2] for entry in pending]
 
-    for a, b in zip(pts, pts[1:]):
-        run(a, b)
-    while pending and count + 2 * (_FINE + 1) <= max_nodes:
-        a, b, _val, _err = heapq.heappop(pending)[2]
-        run(a, (a + b) / 2)
-        run((a + b) / 2, b)
-    final = accepted + [entry[2] for entry in pending]
-    value = mpmath.fsum(panel[2] for panel in final)
-    error = mpmath.fsum(panel[3] for panel in final)
-    return value, error, count, len(final)
+
+def _rule(parts, exp: int, n: int, prec: int):
+    """The Clenshaw-Curtis rule of degree n on a block-fixed-point vector at
+    the n + 1 nodes: the folded weights row applied in integers and the
+    total converted once."""
+    row = _weights(n, prec)
+    (value,) = _values([[_total(row, part)] for part in parts],
+                       exp - (prec + GUARD + 1), prec)
+    return value
 
 
-def _ray_sampler(shape, w, contour, moment=0):
-    """The panel sampler of a ray: e^(-w t) t^moment times the shape's
-    samples, with e^(-w mid) half kept as the panel's scalar factor."""
+def _panels(pieces, max_nodes: int):
+    """The integral over every piece, by Clenshaw-Curtis panels, as
+    (values per piece, quadrature bound, rounding bound, nodes per piece,
+    panels per degree).
+
+    The panels and their degrees come from :func:`_plan` before anything
+    is sampled.  Each panel is sampled once, at its n + 1 Chebyshev-
+    Lobatto nodes, as one block-fixed-point vector and a scalar factor of
+    its total, and its value is the rule of degree n.  Where the piece's
+    ellipse rule is not proved, the rule of degree n / 2 on every other
+    node checks it: the two differ by at most the sum of their bounds if
+    the majorant holds, and where they differ by more the panel reports
+    that difference, the error of the coarser rule, instead of its
+    bound."""
+    prec = mpmath.mp.prec
+    plan = _plan(pieces, max_nodes, prec)
+    order = {id(piece): i for i, piece in enumerate(pieces)}
+    totals = [[] for _piece in pieces]
+    errors = []
+    nodes = [0] * len(pieces)
+    degrees = {}
+    for p in sorted(plan, key=lambda p: (order[id(p.piece)], p.a)):
+        (parts, exp), factor = p.piece.sample((p.a + p.b) / 2,
+                                              (p.b - p.a) / 2, p.n)
+        value = factor * _rule(parts, exp, p.n, prec)
+        error = _exp(p.log_error)
+        if not p.piece.proved:
+            gap = abs(value - factor * _rule([part[::2] for part in parts],
+                                             exp, p.n // 2, prec))
+            if gap > error + _exp(p.bound(p.n // 2)):
+                error = gap
+        i = order[id(p.piece)]
+        totals[i].append(value)
+        errors.append(error)
+        nodes[i] += p.n + 1
+        degrees[p.n] = degrees.get(p.n, 0) + 1
+    return ([mpmath.fsum(t) for t in totals], mpmath.fsum(errors),
+            mpmath.fsum(_exp(p.rounding) for p in plan),
+            nodes, dict(sorted(degrees.items())))
+
+
+def _ray_piece(shape, ellipse, w, contour, moment, points, budget, pts):
+    """The :class:`_Piece` of a ray: the integrand e^(-w t) t^moment
+    times the shape's samples, with e^(-w mid) half kept as the panel's
+    scalar factor, and ``ellipse`` the shape's (rule, proved).  On E_rho,
+    x = a cos psi + i b sin psi, the kernel e^(-w half x) is at most
+    e^(half |(a Re w, b Im w)|), and |t| at most mid + half a."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
+    wr, wi = float(w.real), float(w.imag)
+    rule, proved = ellipse
 
-    def sample(mid, half):
-        g = _product(_exponentials(_complex_tuple(-w * half), _FINE, bits),
-                     shape(mid, half, _FINE), bits)
+    def sample(mid, half, n):
+        g = _product(_exponentials(_complex_tuple(-w * half), n, bits),
+                     shape(mid, half, n), bits)
         if moment:
-            t = _vector([contour.parameters(mid, half, _FINE, bits)], bits)
+            t = _vector([contour.parameters(mid, half, n, bits)], bits)
             for _ in range(moment):
                 g = _product(g, t, bits)
         return g, half * mpmath.exp(-w * mid)
 
-    return sample
+    def majorant(mid, half, rhos):
+        out = []
+        for rho, m in zip(rhos, rule(mid, half, rhos)):
+            a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+            out.append(_log(m) + half * math.hypot(a * wr, b * wi)
+                       + moment * math.log(mid + half * a)
+                       + math.log(half) - wr * mid)
+        return out
+
+    return _Piece(sample, majorant, proved, points, budget, pts,
+                  abs(complex(w)))
 
 
 @lru_cache(maxsize=16)
 def _circle_kernel(cr, ci, mid, half, bits: int):
     """e^(-z rho w_j) w_j at the unit points w_j = e^(i phi_j) of the panel
-    mid + half x, for -z rho = (cr + i ci) 2^-bits, as one vector of
-    mantissa tuples: one exponential and one cosine and sine per node,
-    once per (z rho, panel, bits), shared by every Hankel sum with that
-    circle."""
-    wr, wi, _half = _unit_points(mid, half, _FINE, bits)
+    mid + half x at degree NEST, for -z rho = (cr + i ci) 2^-bits, as one
+    vector of mantissa tuples: one exponential and one cosine and sine per
+    node, once per (z rho, panel, bits), shared by every Hankel sum with
+    that circle, whatever the degree each takes (:func:`._nested`)."""
+    wr, wi, _half = _unit_points(mid, half, NEST, bits)
     _work.add("exp", len(wr))
     _work.add("cos_sin", len(wr))
     re, im = [], []
@@ -571,20 +804,41 @@ def _circle_kernel(cr, ci, mid, half, bits: int):
     return tuple(map(tuple, parts)), exp
 
 
-def _circle_sampler(shape, z, rho):
-    """The panel sampler of the circle zeta = rho e^(i phi):
+def _circle_piece(shape, ellipse, z, rho, points, budget, pts):
+    """The :class:`_Piece` of the circle zeta = rho e^(i phi):
     e^(-z zeta) e^(i phi) from :func:`_circle_kernel` times the shape's
-    samples, with i rho half as the scalar factor."""
+    samples, with i rho half as the scalar factor, and ``ellipse`` the
+    shape's (rule, proved).  On E_rho, |Im phi| <= half b, so
+    |e^(i phi)| <= e^(half b) and |e^(-z zeta)| <= e^(|z| rho e^(half b)).
+    The frame points are the poles in phi of the singular values v,
+    arg v - i log(|v| / rho) + 2 pi j for the j nearest the panel."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
+    rule, proved = ellipse
     cr, ci = _mantissas(_complex_tuple(-z * rho), -bits)
+    size, radius = float(abs(z)), float(rho)
 
-    def sample(mid, half):
-        return (_product(_circle_kernel(cr, ci, mid, half, bits),
-                         shape(mid, half, _FINE), bits),
+    def sample(mid, half, n):
+        return (_product(_nested(_circle_kernel(cr, ci, mid, half, bits), n),
+                         shape(mid, half, n), bits),
                 mpmath.mpc(0, 1) * rho * half)
 
-    return sample
+    def majorant(mid, half, rhos):
+        out = []
+        for r, m in zip(rhos, rule(mid, half, rhos)):
+            spread = half * (r - 1 / r) / 2
+            out.append(_log(m) + spread + size * radius * math.exp(spread)
+                       + math.log(radius * half))
+        return out
+
+    mid = float((pts[0] + pts[-1]) / 2)
+    poles = []
+    for v in map(complex, points):
+        arg, near = cmath.phase(v), round((mid - cmath.phase(v)) / math.tau)
+        poles += [complex(arg + j * math.tau, -math.log(abs(v) / radius))
+                  for j in (near - 1, near, near + 1)]
+    return _Piece(sample, majorant, proved, poles, budget, pts,
+                  size * radius + 1)
 
 
 # -- the operations -------------------------------------------------------------------
@@ -626,28 +880,35 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
 
         contour = Contour(theta)
         shape = f.panel_sampler(contour, guard)
+        ellipse = f.ellipse_rule(contour, sing, guard)
         lo, head, head_err = origin(T)
-        pts = _segments(lo, T, rotated)
-        val, errq, nodes, panels = _panels(
-            _ray_sampler(shape, w, contour, moment), pts, target / 16,
-            spec.max_nodes)
+        points = [complex(u) for u in rotated] + ([0j] if lo else [])
+        piece = _ray_piece(shape, ellipse, w, contour, moment, points,
+                           _budget(target / 4, tail, prec),
+                           _segments(lo, T))
+        (val,), errq, rounding, (nodes,), degrees = _panels(
+            [piece], spec.max_nodes)
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
         weight = (-phase) ** moment * phase
         value = _to_mp(c0, guard) + weight * (head + val)
-        error = 4 * errq + 2 * tail + head_err \
+        rounding += mpmath.ldexp(abs(head), 2 - guard) \
             + mpmath.ldexp(1 + abs(value), -prec)
+        error = rounded_up(errq + tail + head_err + rounding, prec)
         diagnostics = {
             "margin": _figure(m),
             "truncation": _figure(T),
             "tail_bound": _figure(tail),
             "quadrature_error": _figure(errq),
-            "segments": len(pts) - 1,
-            "panels": panels,
+            "rounding": _figure(rounding),
+            "segments": len(piece.pts) - 1,
+            "panels": sum(degrees.values()),
+            "degrees": degrees,
             "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(prec):
-        return SummationResult(+value, +error, nodes, diagnostics)
+        return SummationResult(+value, error, nodes, diagnostics,
+                               proved and ellipse[1])
 
 
 def lateral_jump(f: BorelFunction, c0, theta_star, delta, z, *,
@@ -691,12 +952,14 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     once for the circle and, unless it is ``single_valued``, once for the
     ray's difference of sheets.  On ``single_valued`` shapes only the
     circle is integrated: the diagnostics then report no segments,
-    ``ray_nodes`` 0 and a zero tail bound.  The circle is one
-    Clenshaw-Curtis panel over the whole turn (bisected like any other
-    panel); it and the ray share the quadrature budget target_error / 16
-    and the ``max_nodes`` cap.  The error is 4 * (ray + circle quadrature
-    errors) + 2 * tail (one tail bound per ray) + one unit of the result's
-    last place.  Shapes with neither one sheet nor a polar evaluator
+    ``ray_nodes`` 0 and a zero tail bound.  The circle starts as one
+    Clenshaw-Curtis panel over the whole turn, at the degree its bound
+    picks (bisected like any other panel); it and the ray share the
+    ``max_nodes`` cap, and each takes an eighth of the target (a quarter
+    without the ray) or the tail bound where that is smaller as its
+    quadrature budget.  The error is the
+    quadrature bounds + 2 * tail (one tail bound per sheet) + the
+    rounding term.  Shapes with neither one sheet nor a polar evaluator
     (``LogPoleBF``, ``DilogBF``) raise NotImplementedError, before any
     ray check.
     """
@@ -724,37 +987,49 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         else:
             T, tail, proved = _choose_truncation(
                 f.tail_rule(th, m, 0, sing, guard), w, target, max_nodes)
-            pts = _segments(rho, T, rotated)
+            pts = _segments(rho, T)
         below = th - 2 * mpmath.pi
-        circle = f.panel_sampler(Contour(th, radius=rho), guard)
-
+        on_circle = Contour(th, radius=rho)
+        circle = f.panel_sampler(on_circle, guard)
+        ellipse = f.ellipse_rule(on_circle, sing, guard)
+        proved_rules = ellipse[1]
         # the circle and the ray share the quadrature budget and the cap
-        circ_val, circ_err, circ_n, circ_panels = _panels(
-            _circle_sampler(circle, zv, rho), [below, th], target / 32,
-            max_nodes)
-        ray_val, ray_err, ray_n, ray_panels = _panels(
-            _ray_sampler(difference, w, ray), pts, target / 32,
-            max_nodes - circ_n)
+        budget = _budget(target / (4 if difference is None else 8), tail,
+                         out_prec)
+        pieces = [_circle_piece(circle, ellipse, zv, rho, sing, budget,
+                                [below, th])]
+        if difference is not None:
+            ellipse = f.ellipse_rule(ray, sing, guard)
+            proved_rules = proved_rules and ellipse[1]
+            pieces.append(_ray_piece(
+                difference, ellipse, w, ray, 0,
+                [complex(u) for u in rotated] + [0j], budget, pts))
+        values, errq, rounding, nodes, degrees = _panels(pieces, max_nodes)
+        circ_val, ray_val = values[0], sum(values[1:])
+        circ_n, ray_n = nodes[0], sum(nodes[1:])
 
         phase = mpmath.exp(mpmath.mpc(0, 1) * th)
         value = phase * ray_val + circ_val
-        error = 4 * (ray_err + circ_err) + 2 * tail \
-            + mpmath.ldexp(1 + abs(value), -out_prec)
+        rounding += mpmath.ldexp(1 + abs(value), -out_prec)
+        error = rounded_up(errq + 2 * tail + rounding, out_prec)
         diagnostics = {
             "margin": _figure(m),
             "truncation": _figure(T),
             "radius": _figure(rho),
             "tail_bound": _figure(tail),
-            "quadrature_error": _figure(ray_err + circ_err),
+            "quadrature_error": _figure(errq),
+            "rounding": _figure(rounding),
             "segments": len(pts) - 1,
-            "panels": ray_panels + circ_panels,
+            "panels": sum(degrees.values()),
+            "degrees": degrees,
             "ray_nodes": ray_n,
             "circle_nodes": circ_n,
             "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(out_prec):
-        return SummationResult(+value, +error, ray_n + circ_n, diagnostics)
+        return SummationResult(+value, error, circ_n + ray_n, diagnostics,
+                               proved and proved_rules)
 
 
 # -- asymptotics reports ---------------------------------------------------------------

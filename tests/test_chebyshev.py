@@ -31,12 +31,15 @@ import mpmath
 import pytest
 from mpmath.libmp import from_int, mpf_cos_pi, mpf_div, mpf_shift, to_int
 
-from resurgence._chebyshev import (GUARD, _BUILD_GUARD, _cosines, _fixed,
-                                   _folded, _matrix, _round_div, _row_sum,
-                                   _sines, _total, _unit_points, _values,
-                                   _weights, chebyshev_cumulative,
-                                   chebyshev_nodes, endpoint_series,
-                                   iterated_levels, panel_bound, segment)
+from resurgence._chebyshev import (_KERNEL_GUARD, GUARD, _BUILD_GUARD,
+                                   _complex_tuple, _cosines, _exponentials,
+                                   _fixed, _folded, _matrix, _node_cosines,
+                                   _node_exponentials,
+                                   _round_div, _row_sum, _sines, _total,
+                                   _unit_points, _values, _weights,
+                                   chebyshev_cumulative, chebyshev_nodes,
+                                   endpoint_series, iterated_levels,
+                                   panel_bound, segment)
 from resurgence.hyperlog import _contour_segments
 
 
@@ -360,6 +363,23 @@ def test_nodes_nest(n):
     samples carries two nested Clenshaw-Curtis rules."""
     with mpmath.workprec(77):
         assert chebyshev_nodes(2 * n)[::2] == chebyshev_nodes(n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24])
+def test_degrees_dividing_nest_read_its_tables(n):
+    """A Laplace degree dividing NEST = 48 reads its node cosines, unit
+    points and ray kernel off degree 48's: the same integers as tables of
+    its own."""
+    bits = 109
+    assert _node_cosines(n, bits) == _cosines(n, bits)[:n + 1]
+    with mpmath.workprec(77):
+        mid, half = mpmath.mpf("-2.8"), mpmath.mpf("3.1")
+        u = _complex_tuple(mpmath.mpc("-0.6", "0.7"))
+    wr, wi, h = _unit_points(mid, half, 48, bits)
+    assert (wr[::48 // n], wi[::48 // n], h) \
+        == _unit_points.__wrapped__(mid, half, n, bits)
+    assert _exponentials(u, n, bits) \
+        == _node_exponentials(u, n, bits + _KERNEL_GUARD)
 
 
 def test_all_zero_samples():

@@ -122,6 +122,27 @@ class TestSum:
             assert abs(as_mpc(data["value"]) - 1 / mpmath.sqrt(2)) < 1e-8
         assert data["contour"] == "hankel"
 
+    def test_sums_print_certified(self, capsys):
+        """Every sum prints ``certified`` beside its error, and a jump
+        inside each lateral sum too, with the keys the benchmark reads
+        still there; every named input has proved rules, the dilogarithm
+        included."""
+        ray = run_json(capsys, "sum", "--input", "stirling",
+                       "--theta", "0", "--z", "10", "--target-err", "1e-10")
+        jump = run_json(capsys, "sum", "--jump", "--input", "euler",
+                        "--theta-star", "pi", "--z", "-3")
+        hankel = run_json(capsys, "sum", "--input", "I_sigma:1/2",
+                          "--hankel", "--theta", "0", "--z", "2")
+        for data in (ray, hankel, jump["plus"], jump["minus"]):
+            assert data["certified"] is True
+            assert {"value", "error", "nodes"} <= set(data)
+            assert data["diagnostics"]["segments"] > 0
+        assert jump["certified"] is True
+        assert {"value", "error"} <= set(jump["jump"])
+        dilog = run_json(capsys, "sum", "--input", "dilog",
+                         "--theta", "-0.5", "--z", "4")
+        assert dilog["certified"] is True
+
     def test_pi_literal_angle_matches_library(self, capsys):
         data = run_json(capsys, "sum", "--input", "euler",
                         "--theta", "3pi/4", "--z=-2-2i")
@@ -346,12 +367,12 @@ class TestHyperlog:
 
     def test_L_reports_certified_beside_nodes(self, capsys):
         """An integrated word reports its degree and a proved error; the
-        depth-one constant samples nothing and its error 0 leaves out the
-        rounding of 2 pi i."""
+        depth-one constant samples nothing and its error is half a unit
+        of 2 pi i rounded."""
         data = run_json(capsys, "hyperlog", "--L", "1,1", "--prec", "80")
         assert (data["nodes"], data["certified"]) == (64, True)
         data = run_json(capsys, "hyperlog", "--L", "1", "--prec", "80")
-        assert (data["nodes"], data["certified"]) == (0, False)
+        assert (data["nodes"], data["certified"]) == (0, True)
 
     def test_word_or_L_required(self, capsys):
         code, out, err = run(capsys, "hyperlog", "--order", "8")

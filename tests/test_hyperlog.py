@@ -374,8 +374,9 @@ class TestIteratedIntegrals:
     def test_depth_one_convention(self):
         for w in [(5,), (-4,)]:
             got = L_numeric(w)
-            assert got.error_estimate == 0
-            assert got.nodes == 0
+            # half a unit of 2 pi i rounded to 53 bits
+            assert got.error_estimate == mpmath.ldexp(1, -51)
+            assert got.nodes == 0 and got.certified
             with mpmath.workprec(60):
                 assert abs(got.value - 2j * mpmath.pi) < mpmath.mpf(2) ** -45
 

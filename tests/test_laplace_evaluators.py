@@ -262,7 +262,9 @@ class TestOncePerSum:
     def test_ray_builds_once(self, built):
         # integer samplers with proved tails: no evaluator on either ray
         ray = laplace_ray(StirlingBF(), 0, RaySpec(0, 10, target_error=1e-10))
-        assert ray.nodes_used > 100
+        # four segments, each sampled once at the degree its bound picks
+        assert ray.diagnostics["degrees"] == {24: 4}
+        assert ray.nodes_used == 100
         assert built == [("StirlingBF", "singular_values")]
         built.clear()
         lateral_jump(euler_minor(), 0, mpmath.pi, "0.5", -3)

@@ -93,169 +93,176 @@ CALLS = {
 # recorded from the calls above; see the module docstring
 GOLDEN = {
     "euler": (
-        ("mpc(real='0.3613286168882225458438618465473873841986574007023591"
-         "5482044219970703125', imag='0.0')"),
-        ("mpf('0.000000000000000079800479786252497186529321114760197097376"
-         "90526988520558833145043331827594990102')"),
-        343,
-        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 3.989993"
-         "8826816937e-17, 'quadrature_error': 6.3968808372532156e-24, 'segm"
-         "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
-         "w-curtis'}"),
+        ("mpc(real='0.3613286168882225846362767648998343128496912868286017328"
+         "5007476806640625', imag='0.0')"),
+        ("mpf('0.000000000000000056582843983422125934928337553358387464741438"
+         "7142546442489245866244024218971731')"),
+        155,
+        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 3.989993882"
+         "6816937e-17, 'quadrature_error': 1.6682328577393047e-17, 'rounding'"
+         ": 5.765792121400168e-22, 'segments': 7, 'panels': 7, 'degrees': {12"
+         ": 1, 16: 1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-curt"
+         "is'}"),
     ),
     "euler-moment-1": (
-        ("mpc(real='-0.071249593078016464275318674753689762724206957500427"
-         "9613494873046875', imag='0.0000000000000012394436340968106562906"
-         "35094532836990561184264109022908247059735487027865019627')"),
-        ("mpf('0.000000000000004404901353800071220626718474129581119995834"
-         "617925414833372599332506069913506508')"),
-        294,
-        ("{'margin': 2.866009467376818, 'truncation': 11.390625, 'tail_bou"
-         "nd': 2.202436150494595e-15, 'quadrature_error': 4.13311968456543"
-         "e-24, 'segments': 6, 'panels': 6, 'rigorous_tail': True, 'metho"
-         "d': 'clenshaw-curtis'}"),
-    ),
-    "euler-prec-90": (
-        ("mpc(real='1.2620837402553184583545895237155576658940086458380452"
-         "90510365248337620869278908', imag='0.0')"),
-        ("mpf('0.000000000000000077653106802083670820046728243097419918401"
-         "63999496203145916280841918054924269349')"),
-        294,
-        ("{'margin': 3.0, 'truncation': 11.390625, 'tail_bound': 3.8826548"
-         "29091266e-17, 'quadrature_error': 2.554607764946205e-24, 'segmen"
-         "ts': 6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-"
+        ("mpc(real='-0.071249593078014837145355789976841620614322891924530267"
+         "7154541015625', imag='-0.000000000000000000003829737663321555255996"
+         "816013276567394106319372595561744091568169164030953355304')"),
+        ("mpf('0.000000000000002203719969562664900453868151975640788234248670"
+         "734465231670073936953713200637139')"),
+        142,
+        ("{'margin': 2.866009467376818, 'truncation': 11.390625, 'tail_bound'"
+         ": 2.202436150494595e-15, 'quadrature_error': 1.2547805363416938e-18"
+         ", 'rounding': 2.90385317280829e-20, 'segments': 6, 'panels': 6, 'de"
+         "grees': {16: 1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-"
          "curtis'}"),
     ),
+    "euler-prec-90": (
+        ("mpc(real='1.2620837402553184961886264331582387958155487268745165163"
+         "60813511710148304700851', imag='0.0')"),
+        ("mpf('0.000000000000000039149914036257986285015187280795653576257719"
+         "77221262288937185812225939007920672')"),
+        142,
+        ("{'margin': 3.0, 'truncation': 11.390625, 'tail_bound': 3.8826548290"
+         "91266e-17, 'quadrature_error': 3.2336574351797305e-19, 'rounding': "
+         "1.827356077633936e-27, 'segments': 6, 'panels': 6, 'degrees': {16: "
+         "1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+    ),
     "euler-node-capped": (
-        ("mpc(real='0.1516550718338322885985164183153539596560221980325877"
-         "666473388671875', imag='-0.3938034421236558371210616583124597411"
-         "82465222664177417755126953125')"),
-        ("mpf('0.012244339433748497745366520675705523935050678119296208024"
-         "02496337890625')"),
-        539,
-        ("{'margin': 0.05, 'truncation': 437.8938903808594, 'tail_bound': "
-         "1.412295085281008e-11, 'quadrature_error': 0.003061084851375649,"
-         " 'segments': 11, 'panels': 11, 'rigorous_tail': True, 'method': "
-         "'clenshaw-curtis'}"),
-    ),
-    "double-pole": (
-        ("mpc(real='0.2773427662231689606983815743479482307520811446011066"
-         "436767578125', imag='0.0')"),
-        ("mpf('0.000000000003327380011245237327704026569707559010994925997"
-         "710142812069378237538330722600222')"),
-        294,
-        ("{'margin': 2.0, 'truncation': 11.390625, 'tail_bound': 1.6636899"
-         "883070707e-12, 'quadrature_error': 2.162744082010686e-24, 'segm"
-         "ents': 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clensh"
-         "aw-curtis'}"),
-    ),
-    "logpole": (
-        ("mpc(real='0.2360678546143881373819885943765584102038701530545949"
-         "9359130859375', imag='0.0')"),
-        ("mpf('0.000000000000016867413736848611656109308641157646218807877"
-         "37710790763316637264068731383304112')"),
-        294,
-        ("{'margin': 3.0, 'truncation': 10.5, 'tail_bound': 8.433690116510"
-         "378e-15, 'quadrature_error': 3.538124646225712e-26, 'segments': "
-         "6, 'panels': 6, 'rigorous_tail': True, 'method': 'clenshaw-curti"
-         "s'}"),
-    ),
-    "stirling": (
-        ("mpc(real='0.0083305634333628712281896681467359411232820320947212"
-         "167084217071533203125', imag='0.0')"),
-        ("mpf('0.000000000000000000265949917445272986920078809542804762286"
-         "0234268094600674053907553562168435482005')"),
-        196,
-        ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.327610704778"
-         "6215e-19, 'quadrature_error': 1.829712682248536e-25, 'segments'"
-         ": 4, 'panels': 4, 'rigorous_tail': True, 'method': 'clenshaw-cur"
-         "tis'}"),
-    ),
-    "dilog": (
-        ("mpc(real='0.1408215195985190182348389953403966501355171203613281"
-         "25', imag='-0.01366423262967624875641181603214135975576937198638"
-         "916015625')"),
-        ("mpf('0.000000001799494668619396139258315305648958104534074209368"
-         "55487525463104248046875')"),
-        343,
-        ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': "
-         "8.997472709220217e-10, 'quadrature_error': 1.1323178974853932e-2"
-         "0, 'segments': 7, 'panels': 7, 'rigorous_tail': True, 'method': "
-         "'clenshaw-curtis'}"),
-    ),
-    "power-log": (
-        ("mpc(real='-0.245064535867137032448663004624567207656582468189299"
-         "106597900390625', imag='1.11072073453959140922064907641697573126"
-         "293718814849853515625')"),
-        ("mpf('0.000000000000001798097577180943345329406237030881658769542"
-         "099371116663066375029877974611736136')"),
-        343,
-        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.990197"
-         "805257097e-16, 'quadrature_error': 2.0213020499661296e-23, 'segm"
-         "ents': 7, 'panels': 7, 'rigorous_tail': True, 'method': 'clensha"
+        ("mpc(real='0.1516550883981904627184904461867365199623236549086868762"
+         "969970703125', imag='-0.3938033859840534135456557515708730932146863"
+         "77905309200286865234375')"),
+        ("mpf('0.083573136981653455624866706427655849154234601883217692375183"
+         "10546875')"),
+        395,
+        ("{'margin': 0.05, 'truncation': 437.8938903808594, 'tail_bound': 1.4"
+         "12295085281008e-11, 'quadrature_error': 0.0835731369675305, 'roundi"
+         "ng': 4.1627620031425646e-20, 'segments': 11, 'panels': 11, 'degrees"
+         "': {16: 3, 24: 2, 48: 6}, 'rigorous_tail': True, 'method': 'clensha"
          "w-curtis'}"),
     ),
+    "double-pole": (
+        ("mpc(real='0.2773427662235547894642364447070903565872868057340383529"
+         "6630859375', imag='0.0')"),
+        ("mpf('0.000000000001825307258581808206911498986634046562967271867274"
+         "597629826615730053163133561611')"),
+        102,
+        ("{'margin': 2.0, 'truncation': 11.390625, 'tail_bound': 1.6636899883"
+         "070707e-12, 'quadrature_error': 1.6161723563450142e-13, 'rounding':"
+         " 3.4640236133474935e-20, 'segments': 6, 'panels': 6, 'degrees': {16"
+         ": 6}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
+    ),
+    "logpole": (
+        ("mpc(real='0.2360678546143904840969333577826994030601781560108065605"
+         "16357421875', imag='0.0')"),
+        ("mpf('0.000000000000010271136332504491237425547738362404216139107691"
+         "84630476531100429227194581471849')"),
+        118,
+        ("{'margin': 3.0, 'truncation': 10.5, 'tail_bound': 8.433690116510378"
+         "e-15, 'quadrature_error': 1.8374127041281903e-15, 'rounding': 3.351"
+         "186592396904e-20, 'segments': 6, 'panels': 6, 'degrees': {16: 4, 24"
+         ": 2}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+    ),
+    "stirling": (
+        ("mpc(real='0.0083305634333628712281830507018355169018830608251846570"
+         "0559318065643310546875', imag='0.0')"),
+        ("mpf('0.000000000000000000135217117933539045746119815446366587032655"
+         "7817811649073435792298903109572190406')"),
+        100,
+        ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.327610704778621"
+         "5e-19, 'quadrature_error': 2.0289938266760076e-21, 'rounding': 4.27"
+         "053629000882e-22, 'segments': 4, 'panels': 4, 'degrees': {24: 4}, '"
+         "rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+    ),
+    "dilog": (
+        ("mpc(real='0.1408215196251777767688651010757894255220890045166015625"
+         "', imag='-0.0136642327289132944206917485985286475624889135360717773"
+         "4375')"),
+        ("mpf('0.000000001053646582261269267103619605375954687564998835114238"
+         "3180558681488037109375')"),
+        106,
+        ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': 8.9"
+         "97472709220217e-10, 'quadrature_error': 1.5389918451666285e-10, 'ro"
+         "unding': 1.268225844749047e-16, 'segments': 6, 'panels': 6, 'degree"
+         "s': {12: 1, 16: 4, 24: 1}, 'rigorous_tail': True, 'method': 'clensh"
+         "aw-curtis'}"),
+    ),
+    "power-log": (
+        ("mpc(real='-0.245064535867136798233888693443471851196591160260140895"
+         "843505859375', imag='1.11072073453959156155105431063034870931005571"
+         "0375308990478515625')"),
+        ("mpf('0.000000000000001063111374979534335006217092737207201299150661"
+         "218412831010224350869464160496136')"),
+        163,
+        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.990197805"
+         "257097e-16, 'quadrature_error': 1.6403365261241106e-16, 'rounding':"
+         " 5.794184140932406e-20, 'segments': 7, 'panels': 7, 'degrees': {12:"
+         " 1, 24: 6}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+    ),
     "pade": (
-        ("mpc(real='0.3613286168881598681666689198976882835268042981624603"
-         "271484375', imag='0.0')"),
-        ("mpf('0.000000000000518490744913769206899756638225520771754473380"
-         "6211811402708811158390744822099805')"),
-        294,
-        ("{'margin': 2.0, 'truncation': 13.5, 'tail_bound': 2.592453540053"
-         "908e-13, 'quadrature_error': 1.0253777286708833e-24, 'segments':"
-         " 6, 'panels': 6, 'rigorous_tail': False, 'method': 'clenshaw-cur"
-         "tis'}"),
+        ("mpc(real='0.3613286168882222140877379448764550318173860432580113410"
+         "94970703125', imag='0.0')"),
+        ("mpf('0.000000000000280799971937459895331211512459511888282622474654"
+         "1402162158806987690695677883923')"),
+        126,
+        ("{'margin': 2.0, 'truncation': 13.5, 'tail_bound': 2.592453540053908"
+         "e-13, 'quadrature_error': 2.155458102079212e-14, 'rounding': 3.6911"
+         "276977713513e-20, 'segments': 6, 'panels': 6, 'degrees': {16: 3, 24"
+         ": 3}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-jump": (
-        ("mpc(real='0.0', imag='0.3128213764630997095750331027375068515539"
-         "1693115234375')"),
+        ("mpc(real='0.0', imag='0.3128213764590807022258900360611733049154281"
+         "6162109375')"),
         (
-            ("mpc(real='-0.49457640134141358378852895705257708414137596264"
-             "48154449462890625', imag='0.15641068823154986621907320751279"
-             "08018430389347486197948455810546875')"),
-            ("mpf('0.00000000001726672929308764851027011130177842425525313"
-             "083773878974902515892608789727091789')"),
-            392,
-            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_b"
-             "ound': 8.416386018421449e-12, 'quadrature_error': 1.08489303"
-             "76994273e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': T"
-             "rue, 'method': 'clenshaw-curtis'}"),
+            ("mpc(real='-0.49457640134679731872316930940680634876116528175771"
+             "236419677734375', imag='0.1564106882295403535185185882327996154"
+             "117499827407300472259521484375')"),
+            ("mpf('0.00000000000874175100003674330941696975032702500127733343"
+             "0150379145473493736062664538621902')"),
+            165,
+            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_boun"
+             "d': 8.416386018421449e-12, 'quadrature_error': 3.25364940386407"
+             "73e-13, 'rounding': 4.122888666977124e-20, 'segments': 5, 'pane"
+             "ls': 5, 'degrees': {16: 1, 24: 2, 48: 2}, 'rigorous_tail': True"
+             ", 'method': 'clenshaw-curtis'}"),
         ),
         (
-            ("mpc(real='-0.49457640134141358378852895705257708414137596264"
-             "48154449462890625', imag='-0.1564106882315498662190732075127"
-             "908018430389347486197948455810546875')"),
-            ("mpf('0.00000000001726672929308764287228122168720705097762907"
-             "476166560627461876720190048217773438')"),
-            392,
-            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_b"
-             "ound': 8.416386018421441e-12, 'quadrature_error': 1.08489303"
-             "76994496e-13, 'segments': 6, 'panels': 7, 'rigorous_tail': T"
-             "rue, 'method': 'clenshaw-curtis'}"),
+            ("mpc(real='-0.49457640134679731872316930940680634876116528175771"
+             "236419677734375', imag='-0.156410688229540353518518588232799615"
+             "4117499827407300472259521484375')"),
+            ("mpf('0.00000000000874175100003674098148843844312118723126633728"
+             "0648215379841303729335777461528778')"),
+            165,
+            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_boun"
+             "d': 8.416386018421441e-12, 'quadrature_error': 3.25364940386412"
+             "7e-13, 'rounding': 4.122888666977124e-20, 'segments': 5, 'panel"
+             "s': 5, 'degrees': {16: 1, 24: 2, 48: 2}, 'rigorous_tail': True,"
+             " 'method': 'clenshaw-curtis'}"),
         ),
     ),
     "hankel-pole": (
         ("mpc(real='1.0', imag='0.0')"),
-        ("mpf('0.000000000000000127853549842541073504844042623805619039472"
-         "1641688686553811434205331354352352946')"),
-        147,
-        ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound"
-         "': 0.0, 'quadrature_error': 3.1963175702398454e-17, 'segments': "
-         "0, 'panels': 2, 'ray_nodes': 0, 'circle_nodes': 147, 'rigorous_t"
-         "ail': True, 'method': 'clenshaw-curtis'}"),
+        ("mpf('0.000000000000000000000861463870972902425062039752041316027066"
+         "0844356117165502984727424085072818255113')"),
+        98,
+        ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound': "
+         "0.0, 'quadrature_error': 1.1314185532994805e-23, 'rounding': 8.5014"
+         "96854399076e-22, 'segments': 0, 'panels': 2, 'degrees': {48: 2}, 'r"
+         "ay_nodes': 0, 'circle_nodes': 98, 'rigorous_tail': True, 'method': "
+         "'clenshaw-curtis'}"),
     ),
     "hankel-power": (
-        ("mpc(real='0.6933612743417572977307379578082446869302657432854175"
-         "567626953125', imag='0.00000000000662791072950139309130790418260"
-         "04218253276523142858422943390905857086181640625')"),
-        ("mpf('0.000000000013755529907528399650846055025323229238427879731"
-         "31192302833625262792338617146015')"),
-        392,
-        ("{'margin': 2.866009467376818, 'truncation': 7.59375, 'radius': 0"
-         ".25, 'tail_bound': 6.8761846309917475e-12, 'quadrature_error': 7"
-         ".901499115637731e-16, 'segments': 5, 'panels': 7, 'ray_nodes': 2"
-         "45, 'circle_nodes': 147, 'rigorous_tail': True, 'method': 'clens"
-         "haw-curtis'}"),
+        ("mpc(real='0.6933612743488329367962802463054572399414610117673873901"
+         "3671875', imag='0.0000000000028174767530760273839767705930720633747"
+         "05249483298530321917496621608734130859375')"),
+        ("mpf('0.000000000013871549810513194136392841170303237033869633225251"
+         "2166682834049424855038523674')"),
+        183,
+        ("{'margin': 2.866009467376818, 'truncation': 7.59375, 'radius': 0.25"
+         ", 'tail_bound': 6.8761846309917475e-12, 'quadrature_error': 1.19180"
+         "50243284705e-13, 'rounding': 4.6096851845532436e-20, 'segments': 5,"
+         " 'panels': 7, 'degrees': {16: 5, 48: 2}, 'ray_nodes': 85, 'circle_n"
+         "odes': 98, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
 }
 

@@ -46,7 +46,9 @@ whose predicted remainder is more than twice the reported one.
 
 Under ``laplace``, for the same round: per Laplace operation (rays, the
 lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
-report, the libmp ``exp``, ``cos_sin`` and ``log`` calls of its panel
+report, the panels per ``degree`` their bounds picked, the proved
+``quadrature`` term of their errors, whether every result is
+``certified``, the libmp ``exp``, ``cos_sin`` and ``log`` calls of its panel
 sampling, the ray kernels built by squaring the kernel of half the width
 (``squared``), the vectors it ``computed`` and ``reused`` from the
 caches of the ray kernel ``_chebyshev._exponentials`` (``ray_kernels``,
@@ -59,8 +61,9 @@ truncation searches (``truncation_s``), the tail bounds they evaluated
 (``tail_bounds``), and the incomplete-gamma moments of those bounds, as
 ``mpmath.gammainc`` calls (``gammainc``, integer orders) and as moments
 bounded in closed form (``closed_form``, the other orders); their
-``total``, with the seconds of the ``gammainc`` calls (``gammainc_s``);
-and the wall seconds of the whole round (``round_s``).
+``total``, with the seconds of the ``gammainc`` calls (``gammainc_s``)
+and the number of operations ``certified``; and the wall seconds of the
+whole round (``round_s``).
 """
 
 from __future__ import annotations
@@ -207,9 +210,16 @@ def certified_work(seed):
             continue
         results = [result.plus, result.minus] \
             if hasattr(result, "plus") else [result]
+        degrees = Counter()
+        for r in results:
+            degrees.update(r.diagnostics["degrees"])
         work[name] = {
             "nodes": sum(r.nodes_used for r in results),
             "panels": sum(r.diagnostics["panels"] for r in results),
+            "degrees": dict(sorted(degrees.items())),
+            "quadrature": sum(float(r.diagnostics["quadrature_error"])
+                              for r in results),
+            "certified": all(r.certified for r in results),
             **{key: op[key] for key in (*LIBMP, "squared")},
             "truncation_s": round(op["truncation_s"], 5),
             **{key: op[key] for key in ("tail_bounds", "gammainc",
@@ -228,6 +238,7 @@ def certified_work(seed):
                       for part in ("computed", "reused")}
     total["truncation_s"] = round(counts["truncation_s"], 5)
     total["gammainc_s"] = round(counts["gammainc_s"], 5)
+    total["certified"] = sum(w["certified"] for w in work.values())
     return ({"operations": ze, "total": ze_total},
             {"operations": work, "total": total, "round_s": round(elapsed, 5)})
 
