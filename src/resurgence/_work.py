@@ -36,7 +36,7 @@ ray kernels ``_chebyshev._exponentials`` builds by squaring the kernel
 of half the width.
 
 ``"tail_bounds"``: tail bounds evaluated by ``laplace._choose_truncation``,
-and ``"truncation_s"`` the seconds of its searches; ``"gammainc"``:
+and ``"truncation_s"`` the seconds of its walks; ``"gammainc"``:
 ``mpmath.gammainc`` calls of ``borelfun._moment_integral``, at integer
 orders, ``"gammainc_s"`` their seconds, and ``"closed_form"`` the moments
 it bounds in closed form.  In ``mzv``: ``("cutoff", N)``, the prefix sums

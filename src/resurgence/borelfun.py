@@ -491,7 +491,7 @@ def _moment_integral(order, m, T):
     """A bound >= the integral over [T, inf) of e^(-m t) t^(order-1) dt,
     which is Gamma(s, x) / m^s with s = order and x = m T: exact, from
     ``mpmath.gammainc``, at an integer order, and in closed form at any
-    other, non-increasing in T:
+    other:
 
     * s < 1: Gamma(s, x) <= x^(s-1) e^(-x), since t^(s-1) <= x^(s-1) for
       t >= x, and the integral of e^(-t) over [x, inf) is e^(-x);
@@ -499,12 +499,15 @@ def _moment_integral(order, m, T):
       since log is concave, log(t / x) <= (t - x) / x, so
       t^(s-1) <= x^(s-1) e^((s-1)(t-x)/x) for t >= x, and the integral of
       e^(-x - (1 - (s-1)/x)(t - x)) over [x, inf) is
-      e^(-x) / (1 - (s-1)/x); that bound, x^s e^(-x) / (x - s + 1),
-      decreases in x (its log has derivative (1 - y)/(s - 1 + y) - 1/y
-      < 0 at y = x - s + 1 > 0, as y (1 - y) < s - 1 + y);
+      e^(-x) / (1 - (s-1)/x);
     * and Gamma(s, x) <= Gamma(s), the whole integral, taken as the bound
       for s > 1 up to x = s - 1 and as the min with the bound above past
-      it, so the bound never increases with T."""
+      it.
+
+    The truncation walk of the Laplace sums evaluates the bound at every
+    ladder point it tries, so it needs no monotony in T (the bound has
+    it: x^s e^(-x) / (x - s + 1) decreases in x, its log having
+    derivative (1 - y)/(s - 1 + y) - 1/y < 0 at y = x - s + 1 > 0)."""
     x = m * T
     if mpmath.isint(order):
         _work.add("gammainc")
@@ -943,16 +946,18 @@ class BorelFunction:
             r * mpmath.exp(mpmath.mpc(0, 1) * ang))
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """(floor, bound, decreasing) on the ray at angle ``theta``: the
-        least truncation point, T -> (bound, proved?) for the integral over
-        t >= T of e^(-m t) |f(t e^(i theta))| t^moment, and whether a
-        proved bound decreases in T; what does not depend on T is computed
-        once.  The default floor is past twice the farthest value of
-        ``sing`` (capped at 32) and at least 4, and the bound sampled."""
+        """(floor, bound) on the ray at angle ``theta``: the least
+        truncation point, and T -> (bound, proved?) for the integral over
+        t >= T of e^(-m t) |f(t e^(i theta))| t^moment, with what does not
+        depend on T computed once.  Laplace sums evaluate the bound at the
+        points of their segment ladder from the floor on, and truncate at
+        the first that meets their goal.  The default floor is past twice
+        the farthest value of ``sing`` (capped at 32) and at least 4, and
+        the bound sampled."""
         mods = [abs(v) for v in sing]
         top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
         return (max(mpmath.mpf(4), 2 * top + 1),
-                _sampled_tail(self, theta, m, moment, prec), False)
+                _sampled_tail(self, theta, m, moment, prec))
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
         """(majorant, proved): a function (mid, half, rhos) -> upper bounds,
@@ -970,12 +975,13 @@ class BorelFunction:
                                  frame, [frame.point(v) for v in sing]), False
 
     def origin_head(self, w, theta, moment, prec: int):
-        """A function T -> (h, head, error): the integral of e^(-w t)
-        f(t e^(i theta)) t^moment over [0, h], done exactly, once the
-        truncation point T is known; the quadrature covers [h, T].  The
-        default, for shapes regular at the origin, has h = 0.  A shape
-        whose origin no head covers raises here, before any sampling."""
-        return lambda T: (0, 0, 0)
+        """(h, head, error): the integral of e^(-w t) f(t e^(i theta))
+        t^moment over [0, h], done exactly, with h at most a quarter of
+        the floor of ``tail_rule``, so below the truncation point; the
+        quadrature covers [h, T].  The default, for shapes regular at the
+        origin, has h = 0.  A shape whose origin no head covers raises
+        here, before any sampling."""
+        return 0, 0, 0
 
     def _contour_evaluator(self, contour: Contour, prec: int):
         """One scalar evaluator of the contour's parameter at ``prec``
@@ -1138,11 +1144,10 @@ class RationalBF(BorelFunction):
         return self.rat.numeric_evaluator(prec)
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """The rational envelope from T = 1; the pole distances grow with T
-        and the polynomial bound is fixed, so a proved bound decreases."""
+        """The rational envelope from T = 1."""
         envelope = _rational_envelope(self.rat, theta, prec)
         return (mpmath.mpf(1),
-                _envelope_tail(envelope, self, theta, m, moment, prec), True)
+                _envelope_tail(envelope, self, theta, m, moment, prec))
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
         """The partial-fraction majorant (:func:`_rational_majorant`), or
@@ -1312,17 +1317,14 @@ class LogPoleBF(BorelFunction):
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """:func:`_logpole_envelope` from past twice the farthest pole (and
-        at least 4); the tangent bound of a log whose cofactor has a
-        polynomial part grows with T, the rest decreases."""
+        at least 4)."""
         mods = [abs(p.evaluate(prec)) for p in self.rational_part.poles]
         for _a, r, _k in self.log_terms:
             mods.extend(abs(p.evaluate(prec)) for p in r.poles)
         top = max(mods, default=mpmath.mpf(0))
         envelope = _logpole_envelope(self, theta, prec)
         return (max(mpmath.mpf(4), 2 * top + 1),
-                _envelope_tail(envelope, self, theta, m, moment, prec),
-                all(len(r.num) - 1 < sum(r.poles.values())
-                    for _a, r, _k in self.log_terms))
+                _envelope_tail(envelope, self, theta, m, moment, prec))
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
         """:func:`_logpole_majorant` on a ray, or the default where it has
@@ -1478,7 +1480,7 @@ class StirlingBF(BorelFunction):
             M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
             return _moment_tail(m, moment, T, M), True
 
-        return mpmath.mpf(4), bound, False
+        return mpmath.mpf(4), bound
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
         """A proved majorant from the Taylor series inside |zeta| = pi and
@@ -1676,18 +1678,15 @@ class DilogBF(BorelFunction):
         return _margined(majorant), True
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """Guaranteed tail bound beyond T >= 1, from T = 4, non-increasing
-        in T.
+        """Guaranteed tail bound beyond T >= 1, from T = 4.
 
         The inversion identity Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
         bounds the principal sheet by pi^2/3 + (ln t + pi)^2 / 2 once
         |z| >= 1 (the series bounds |Li2(1/z)| by pi^2/6 there), and each
         stored loop at 1 contributes |2 pi (Log z + 2 pi i m)| <= 2 pi
         (ln t + pi (1 + 2 |m|)).  With ln t <= 2 sqrt(t) the whole envelope
-        is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas.
-        A, B and C are nonnegative and the bound of each incomplete-gamma
-        moment (:func:`_moment_integral`) never increases in T, so neither
-        does their sum.
+        is A + B sqrt(t) + C t, whose weighted tails are incomplete gammas,
+        each bounded by :func:`_moment_integral`.
         """
         pi = mpmath.pi
         loops = abs(self.n)
@@ -1702,7 +1701,7 @@ class DilogBF(BorelFunction):
                        + B * _moment_integral(moment + 1 + half, m, T)
                        + C * _moment_integral(moment + 2, m, T)), True
 
-        return mpmath.mpf(4), bound, True
+        return mpmath.mpf(4), bound
 
     def origin_head(self, w, theta, moment, prec: int):
         if self.n:
@@ -1999,8 +1998,8 @@ class PowerBF(BorelFunction):
         return sample
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
-        """Proved tail bound via incomplete gamma moments, from T = 1,
-        each non-increasing in T (:func:`_moment_integral`).
+        """Proved tail bound via incomplete gamma moments, from T = 1
+        (:func:`_moment_integral`).
 
         |f| <= |g| t^(sigma-1) (+ log factor), and the modulus integral
         integral over [T, inf) of e^(-m t) t^(s-1) dt is Gamma(s, m T) /
@@ -2012,7 +2011,7 @@ class PowerBF(BorelFunction):
         g = abs(self.g_value(prec))
         if not self.with_log:
             return mpmath.mpf(1), lambda T: (g * _moment_integral(s, m, T),
-                                             True), True
+                                             True)
         A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
         gp = abs(self.g_prime_value(prec))
         root = s + mpmath.mpf(1) / 2
@@ -2022,12 +2021,13 @@ class PowerBF(BorelFunction):
             return g * (A * base + 2 * _moment_integral(root, m, T)) \
                 + gp * base, True
 
-        return mpmath.mpf(1), bound, True
+        return mpmath.mpf(1), bound
 
     def origin_head(self, w, theta, moment, prec: int):
         """Exact series for the integral over [0, h], with
-        h = min(1/2, T/4, 1/(2 max(|w|, 1))); sigma <= 0 is refused, as
-        the kernel is not integrable at the origin.
+        h = min(1/4, 1/(2 max(|w|, 1))), 1/4 being a quarter of the floor
+        of ``tail_rule``; sigma <= 0 is refused, as the kernel is not
+        integrable at the origin.
 
         Expanding the exponential kernel termwise,
 
@@ -2048,35 +2048,30 @@ class PowerBF(BorelFunction):
                 "integrable at the origin",
                 margin=float(self.sigma),
             )
-
-        def head(T):
-            h = min(mpmath.mpf(1) / 2, T / 4, 1 / (2 * max(abs(w), 1)))
-            s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator \
-                + moment
-            g = self.g_value(prec)
-            gp = self.g_prime_value(prec) if self.with_log else None
-            logh = mpmath.log(h)
-            total = mpmath.mpc(0)
-            ck = mpmath.mpc(1)
-            bound = mpmath.mpf(0)
-            floor = mpmath.ldexp(1, -(prec + 8))
-            for k in range(prec + 64):
-                base = h ** (s + k) / (s + k)
-                if self.with_log:
-                    logint = base * (logh - 1 / (s + k))
-                    term = ck * (g * logint
-                                 + (g * mpmath.mpc(0, 1) * theta + gp) * base)
-                else:
-                    term = ck * g * base
-                total += term
-                bound = abs(term)
-                if bound < floor * (1 + abs(total)) and k > 2:
-                    break
-                ck = ck * (-w) / (k + 1)
-            phase = mpmath.exp(mpmath.mpc(0, 1) * theta * (s - moment - 1))
-            return h, phase * total, bound
-
-        return head
+        h = min(mpmath.mpf(1) / 4, 1 / (2 * max(abs(w), 1)))
+        s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator + moment
+        g = self.g_value(prec)
+        gp = self.g_prime_value(prec) if self.with_log else None
+        logh = mpmath.log(h)
+        total = mpmath.mpc(0)
+        ck = mpmath.mpc(1)
+        bound = mpmath.mpf(0)
+        negligible = mpmath.ldexp(1, -(prec + 8))
+        for k in range(prec + 64):
+            base = h ** (s + k) / (s + k)
+            if self.with_log:
+                logint = base * (logh - 1 / (s + k))
+                term = ck * (g * logint
+                             + (g * mpmath.mpc(0, 1) * theta + gp) * base)
+            else:
+                term = ck * g * base
+            total += term
+            bound = abs(term)
+            if bound < negligible * (1 + abs(total)) and k > 2:
+                break
+            ck = ck * (-w) / (k + 1)
+        phase = mpmath.exp(mpmath.mpc(0, 1) * theta * (s - moment - 1))
+        return h, phase * total, bound
 
     def numeric_evaluator(self, prec: int = 53):
         polar = self.polar_evaluator(prec)

@@ -46,9 +46,9 @@ Conventions shared by every subcommand:
   hang.  The library functions keep only the floor.
 
 Imports.  Loading this module imports only the standard library and
-:mod:`resurgence.errors` (the exit-code taxonomy and MIN_PREC), so
-building the parser loads no layer.  mpmath and
-each package module are imported inside the handler or helper that uses
+:mod:`resurgence.errors` (the exit-code taxonomy, MIN_PREC and
+MAX_NODES), so building the parser loads no layer.  mpmath and each
+package module are imported inside the handler or helper that uses
 them: ``mould make``, ``mould check`` and ``series`` (of the Euler series)
 run on the exact layer without mpmath, ``alien`` and ``hyperlog --word``
 load the exact Borel-plane shapes they read, ``sum`` loads the Laplace
@@ -68,7 +68,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import MIN_PREC, ResurgenceError
+from .errors import MAX_NODES, MIN_PREC, ResurgenceError
 
 
 class UsageError(Exception):
@@ -577,7 +577,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.5,
                    help="angular gap between the lateral rays")
     p.add_argument("--target-err", type=float, default=1e-12)
-    p.add_argument("--max-nodes", type=int, default=4000,
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES,
                    help="cap on the integrand evaluations of one sum: "
                         "panels stop bisecting there and the error of "
                         "the unconverged ones is reported")

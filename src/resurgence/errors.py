@@ -5,9 +5,10 @@ usage mistake) derives from :class:`ResurgenceError` and carries a short
 machine-readable ``code`` plus a ``details`` dict, so the command line tool
 can emit structured error objects and map them to exit status 2.
 
-It also holds the precision floor MIN_PREC and its check, which every
-numeric evaluator and the command line share: the command line reads them
-here without loading a numeric layer.
+It also holds the precision floor MIN_PREC and its check, and the default
+node cap MAX_NODES of the Laplace sums, which the numeric layer and the
+command line share: the command line reads them here without loading a
+numeric layer.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from __future__ import annotations
 # for nested sums) need double precision, and below it the reported
 # errors would describe meaningless values.
 MIN_PREC = 53
+
+# The default cap on the integrand evaluations of one Laplace sum (ray,
+# lateral jump, Hankel contour, asymptotics check) and of ``sum
+# --max-nodes``: past it panels stop bisecting.
+MAX_NODES = 4000
 
 
 def check_prec(prec) -> None:

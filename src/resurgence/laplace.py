@@ -22,31 +22,32 @@ The numeric scheme has three error sources, and each is bounded:
 
 * truncation: the ray is cut at a finite T, and the discarded tail is
   bounded by the shape's ``tail_rule``, a proved inequality for every
-  shape of :mod:`.borelfun` (Pade models take the sampled default).  The
-  quadrature runs to the first point of its doubling ladder at or past
-  T, so what it leaves out lies inside that tail.
-* quadrature: [0, T] is cut at the doubling ladder 1/2, 1, 2, ... (from
-  2h after an origin head [0, h]), and each segment is one Clenshaw-
-  Curtis panel on the Chebyshev-Lobatto nodes of :mod:`._chebyshev`,
-  its degree picked before anything is sampled.  The panel's integrand
-  is analytic inside the Bernstein ellipses E_rho of the panel, up to
-  the nearest singular point; the shape's ``ellipse_rule`` bounds the
-  shape on them, and the kernel e^(-w t) and t^moment are bounded in
-  closed form, which gives M(rho).  With |a_j| <= 2 M rho^-j for the
-  Chebyshev coefficients, the panel's total is within
-  (2 M / (rho - 1)) rho^-n (10 / (n^2 - 4) + 3 rho^-(n // 2)) at degree
-  n (the quadrature tail of ``_chebyshev.panel_bound``), and within
-  4 M(1) in any case.  Each panel takes the least degree of the form
-  2^k or 3 2^(k - 1), from 4, dividing 48 (_DEGREES), at which the best
-  rho tried meets its share of the quadrature budget, in proportion to
-  its length; a panel that needs more than 48 is bisected, the largest
-  bound first.  The budget is a quarter of the target, or the tail bound
-  where that is smaller (but not below one unit 2^-prec), so that the
-  quadrature never outweighs the truncation.  ``max_nodes`` caps the
-  bisection: it stops within the cap, and every segment is sampled at
-  its degree even where the segments alone pass it.  A capped panel
-  keeps its bound in the error, so a capped sum may report more than
-  the target, never less than it has.
+  shape of :mod:`.borelfun` (Pade models take the sampled default).  T
+  is a point of the segment ladder 1/2, 1, 2, ... (2h, 4h, ... after an
+  origin head [0, h]): the first at or past the rule's floor whose tail
+  bound is within a quarter of the target (:func:`_choose_truncation`),
+  so the last segment ends at T and no stretch of the ray is both
+  integrated and counted in the tail.
+* quadrature: each segment of [h, T] is one Clenshaw-Curtis panel on the
+  Chebyshev-Lobatto nodes of :mod:`._chebyshev`, its degree picked
+  before anything is sampled.  The panel's integrand is analytic inside
+  the Bernstein ellipses E_rho of the panel, up to the nearest singular
+  point; the shape's ``ellipse_rule`` bounds the shape on them, and the
+  kernel e^(-w t) and t^moment are bounded in closed form, which gives
+  M(rho).  With |a_j| <= 2 M rho^-j for the Chebyshev coefficients, the
+  panel's total is within (2 M / (rho - 1)) rho^-n (10 / (n^2 - 4) +
+  3 rho^-(n // 2)) at degree n (the quadrature tail of
+  ``_chebyshev.panel_bound``), and within 4 M(1) in any case.  Each
+  panel takes the least degree of the form 2^k or 3 2^(k - 1), from 4,
+  dividing 48 (_DEGREES), at which the best rho tried meets its share of
+  the quadrature budget, in proportion to its length; a panel that needs
+  more than 48 is bisected, the largest bound first.  The budget is a
+  fixed share of the target: a quarter on a ray, an eighth for each of
+  a Hankel contour's circle and ray (a quarter for a circle alone).
+  ``max_nodes`` caps the bisection: it stops within the cap, and every
+  segment is sampled at its degree even where the segments alone pass
+  it.  A capped panel keeps its bound in the error, so a capped sum may
+  report more than the target, never less than it has.
 * rounding: each sample is within 2^(8 - p) M(1) at the working
   precision p, and the rounding of a panel's ends moves its nodes, which
   Cauchy's estimate on E_rho bounds through M(rho); with one unit
@@ -150,7 +151,8 @@ from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
 from .borelfun import BorelFunction, Contour, _pole_tail_distance, _rotated
-from .errors import MIN_PREC, DecayMarginError, RayBlockedError, check_prec
+from .errors import (MAX_NODES, MIN_PREC, DecayMarginError, RayBlockedError,
+                     check_prec)
 from .scalars import ExactScalar
 from .series import FormalSeries
 
@@ -185,13 +187,13 @@ class RaySpec:
     bisected only while the sum stays within it (the initial segments
     are always sampled, one panel each, at their degrees), and a sum
     stopped by the cap reports the bounds of its unconverged panels, so
-    its error may exceed ``target_error``.  Rays whose kernel turns more than ``max_nodes``
-    times before the truncation point are refused.
+    its error may exceed ``target_error``.  Rays whose kernel turns more
+    than ``max_nodes`` times before the truncation point are refused.
     """
 
     theta: object
     z: object
-    max_nodes: int = 4000
+    max_nodes: int = MAX_NODES
     target_error: float = 1e-12
     prec: int | None = None
 
@@ -418,61 +420,48 @@ def _check_ray(sing, rotated, theta):
 # -- truncation -----------------------------------------------------------------------
 
 
-# steps of the truncation ladder T_floor (3/2)^k, k = 0 .. _LADDER_STEPS
-_LADDER_STEPS = 400
+# the doublings of the truncation walk past its first point at or past the
+# floor: the last point it tries is 2^234 > 10^70 times that point
+_LADDER_STEPS = 234
 
 
 @_work.timing("truncation_s")
-def _choose_truncation(rule, w, target, max_nodes):
-    """(T, tail bound, proved?): the first point of the ladder T_floor,
-    3/2 T_floor, ... whose tail bound is within target / 4, with the
-    floor and the bounds from the shape's ``tail_rule``.
+def _choose_truncation(rule, w, lo, target, max_nodes):
+    """(pts, tail bound, proved?): the segment ladder, lo and then 1/2, 1,
+    2, ... (2 lo, 4 lo, ... when lo > 0), up to T, its first point at or
+    past the floor of the shape's ``tail_rule`` whose tail bound is
+    within target / 4.  Every segment's width is a power of two times the
+    first's, so the kernels of a ray share one base
+    (:func:`._chebyshev._exponentials`); the quadrature covers [lo, T] and
+    the tail bound at T what lies past it.
 
-    The ladder is walked from the floor, except for a proved bound that
-    decreases in T (the rule says so): there the search
-    starts at the step where a bound decaying like e^(-m T) from its
-    value at the floor meets the goal, and steps down while the step
-    before is within it, or up while it is not.  By monotony that is the
-    step the walk finds, with the same T and bound, in a few evaluations.
-
-    A ray on which the kernel e^(-w t) turns more often over [0, T] than
-    ``max_nodes`` nodes could resolve is refused.  That happens when the
-    decay margin m = Re w is tiny next to |w|: the truncation point
-    grows like 1/m while the kernel keeps turning at the rate |Im w|,
-    and the rule's own error estimate then no longer bounds its error.
-    So is a margin so small that the bound at the last step of the
-    ladder is still above target / 4.
+    A margin so small that the bound is still above target / 4
+    _LADDER_STEPS doublings past the floor is refused.  So is a ray on
+    which the kernel e^(-w t) turns more often over [0, T] than
+    ``max_nodes`` nodes could resolve: that happens when the decay margin
+    m = Re w is tiny next to |w|, as T grows like 1/m while the kernel
+    keeps turning at the rate |Im w|, and the panels within the cap could
+    not resolve the kernel.
     """
-    floor, bound_at, decreasing = rule
+    floor, bound_at = rule
     m = mpmath.mpc(w).real
-    goal = target / 4
-    ladder = [floor]
-    bounds = {}
-
-    def bound(k):
-        while len(ladder) <= k:
-            ladder.append(ladder[-1] * 3 / 2)
-        if k not in bounds:
-            _work.add("tail_bounds")
-            bounds[k] = bound_at(ladder[k])
-        return bounds[k][0]
-
-    k = 0
-    if bound(0) > goal and bounds[0][1] and decreasing:
-        span = mpmath.log(bound(0) / goal) / m
-        steps = mpmath.ceil(mpmath.log(1 + span / ladder[0]) / mpmath.log(1.5))
-        k = int(min(_LADDER_STEPS, max(1, steps)))
-        if bound(k) <= goal:
-            while bound(k - 1) <= goal:
-                k -= 1
-    while k < _LADDER_STEPS and bound(k) > goal:
-        k += 1
-    T, (tail, proved) = ladder[k], bounds[k]
-    if tail > goal:
+    pts = [mpmath.mpf(lo)]
+    T = mpmath.mpf(1) / 2 if lo == 0 else 2 * pts[0]
+    while T < floor:
+        pts.append(T)
+        T *= 2
+    for _ in range(_LADDER_STEPS + 1):
+        pts.append(T)
+        _work.add("tail_bounds")
+        tail, proved = bound_at(T)
+        if tail <= target / 4:
+            break
+        T *= 2
+    else:
         raise DecayMarginError(
             f"decay margin {mpmath.nstr(m, 8)} is too small: the tail bound "
-            f"at T = {mpmath.nstr(T, 4)}, the last step of the truncation "
-            f"ladder, is {mpmath.nstr(tail, 4)}, above target / 4",
+            f"at T = {mpmath.nstr(pts[-1], 4)}, the last step of the "
+            f"truncation ladder, is {mpmath.nstr(tail, 4)}, above target / 4",
             margin=_figure(m),
             tail_bound=_figure(tail),
         )
@@ -486,24 +475,10 @@ def _choose_truncation(rule, w, target, max_nodes):
             margin=float(m),
             turns=float(turns),
         )
-    return T, tail, proved
+    return pts, tail, proved
 
 
 # -- quadrature -----------------------------------------------------------------------
-
-
-def _segments(lo, T):
-    """Subdivision points: lo and the doubling ladder 1/2, 1, 2, ... (from
-    2 lo when lo > 0) up to its first point at or past T, so that every
-    segment's width is a power of two times the first's and the kernels
-    of a ray share one base (:func:`._chebyshev._exponentials`); the tail
-    bound at T bounds what lies past the last point."""
-    pts = [mpmath.mpf(lo)]
-    t = mpmath.mpf(1) / 2 if lo == 0 else 2 * pts[0]
-    while pts[-1] < T:
-        pts.append(t)
-        t *= 2
-    return pts
 
 
 # the degrees a panel may take: those of the form 2^k or 3 2^(k - 1), as
@@ -645,14 +620,6 @@ class _Piece:
         p.rounding = math.log(2) + (_SAMPLE_ERROR - prec) * math.log(2) \
             + _log_sum(logs[0], moved)
         return p.degree()
-
-
-def _budget(share, tail, prec: int):
-    """A piece's quadrature budget: its share of the target, or the tail
-    bound where that is smaller, but not below one unit 2^-prec: the
-    quadrature then does not outweigh the truncation of a sum whose
-    truncation point leaves less than the target asks."""
-    return min(share, max(tail, mpmath.ldexp(1, -prec)))
 
 
 def _log(x) -> float:
@@ -869,23 +836,21 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     guard = prec + 24
     with mpmath.workprec(guard):
         theta, z, w, m = _kernel(spec.theta, spec.z, guard)
-        origin = f.origin_head(w, theta, moment, guard)
+        lo, head, head_err = f.origin_head(w, theta, moment, guard)
         sing = f.singular_values(guard)
         rotated = _rotated(sing, theta)
         _check_ray(sing, rotated, theta)
         target = mpmath.mpf(float(spec.target_error))
-        T, tail, proved = _choose_truncation(
-            f.tail_rule(theta, m, moment, sing, guard), w, target,
+        pts, tail, proved = _choose_truncation(
+            f.tail_rule(theta, m, moment, sing, guard), w, lo, target,
             spec.max_nodes)
 
         contour = Contour(theta)
         shape = f.panel_sampler(contour, guard)
         ellipse = f.ellipse_rule(contour, sing, guard)
-        lo, head, head_err = origin(T)
         points = [complex(u) for u in rotated] + ([0j] if lo else [])
         piece = _ray_piece(shape, ellipse, w, contour, moment, points,
-                           _budget(target / 4, tail, prec),
-                           _segments(lo, T))
+                           target / 4, pts)
         (val,), errq, rounding, (nodes,), degrees = _panels(
             [piece], spec.max_nodes)
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
@@ -896,11 +861,11 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         error = rounded_up(errq + tail + head_err + rounding, prec)
         diagnostics = {
             "margin": _figure(m),
-            "truncation": _figure(T),
+            "truncation": _figure(pts[-1]),
             "tail_bound": _figure(tail),
             "quadrature_error": _figure(errq),
             "rounding": _figure(rounding),
-            "segments": len(piece.pts) - 1,
+            "segments": len(pts) - 1,
             "panels": sum(degrees.values()),
             "degrees": degrees,
             "rigorous_tail": proved,
@@ -912,7 +877,7 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
 
 
 def lateral_jump(f: BorelFunction, c0, theta_star, delta, z, *,
-                 max_nodes: int = 4000, target_error: float = 1e-12,
+                 max_nodes: int = MAX_NODES, target_error: float = 1e-12,
                  prec: int | None = None) -> LateralPair:
     """Lateral sums on both sides of a singular direction, and their jump.
 
@@ -943,7 +908,7 @@ def lateral_jump(f: BorelFunction, c0, theta_star, delta, z, *,
 
 
 def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
-                   max_nodes: int = 6000,
+                   max_nodes: int = MAX_NODES,
                    prec: int | None = None) -> SummationResult:
     """Laplace sum over a Hankel contour winding once around the origin.
 
@@ -956,8 +921,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
     Clenshaw-Curtis panel over the whole turn, at the degree its bound
     picks (bisected like any other panel); it and the ray share the
     ``max_nodes`` cap, and each takes an eighth of the target (a quarter
-    without the ray) or the tail bound where that is smaller as its
-    quadrature budget.  The error is the
+    without the ray) as its quadrature budget.  The error is the
     quadrature bounds + 2 * tail (one tail bound per sheet) + the
     rounding term.  Shapes with neither one sheet nor a polar evaluator
     (``LogPoleBF``, ``DilogBF``) raise NotImplementedError, before any
@@ -983,19 +947,17 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         if f.single_valued:
             # no ray segments: the contour that is integrated ends on the
             # circle, and neither ray has a tail
-            T, tail, proved, pts = rho, mpmath.mpf(0), True, [rho]
+            pts, tail, proved = [rho], mpmath.mpf(0), True
         else:
-            T, tail, proved = _choose_truncation(
-                f.tail_rule(th, m, 0, sing, guard), w, target, max_nodes)
-            pts = _segments(rho, T)
+            pts, tail, proved = _choose_truncation(
+                f.tail_rule(th, m, 0, sing, guard), w, rho, target, max_nodes)
         below = th - 2 * mpmath.pi
         on_circle = Contour(th, radius=rho)
         circle = f.panel_sampler(on_circle, guard)
         ellipse = f.ellipse_rule(on_circle, sing, guard)
         proved_rules = ellipse[1]
         # the circle and the ray share the quadrature budget and the cap
-        budget = _budget(target / (4 if difference is None else 8), tail,
-                         out_prec)
+        budget = target / (4 if difference is None else 8)
         pieces = [_circle_piece(circle, ellipse, zv, rho, sing, budget,
                                 [below, th])]
         if difference is not None:
@@ -1014,7 +976,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         error = rounded_up(errq + 2 * tail + rounding, out_prec)
         diagnostics = {
             "margin": _figure(m),
-            "truncation": _figure(T),
+            "truncation": _figure(pts[-1]),
             "radius": _figure(rho),
             "tail_bound": _figure(tail),
             "quadrature_error": _figure(errq),
@@ -1070,7 +1032,7 @@ class AsymptoticsReport:
 
 def verify_asymptotics(f: BorelFunction, c0, series: FormalSeries, theta, zs,
                        orders=None, *, target_error: float = 1e-24,
-                       max_nodes: int = 4000,
+                       max_nodes: int = MAX_NODES,
                        prec: int | None = None) -> AsymptoticsReport:
     """Compare ray sums with partial sums of their asymptotic expansion.
 

@@ -5,6 +5,11 @@ A demo prints its checks as lines ending in a verdict: ``True`` or
 finish, print the number of verdicts listed here, and every one of them
 must pass.  ``stokes_jump.py`` prints no verdict; it asserts its exact
 Stokes constant itself, so finishing is its check.
+
+README's ``python`` block under "Library in five lines" runs too: it
+must print the lateral jump of the Euler minor at z = -3, 0.3128213...j,
+within its error of 2 pi i e^-3, and the constant term 2 pi i of the
+alien operator, exactly.
 """
 
 import pathlib
@@ -14,7 +19,10 @@ import runpy
 import mpmath
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+from resurgence.scalars import ExactScalar
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 VERDICTS = {
     "factorial_correction.py": 1,
     "mould_laws.py": 7,
@@ -40,3 +48,17 @@ def test_demo_runs_and_its_checks_pass(name, capsys):
     verdicts = [m.group(1) for m in map(VERDICT.search, lines) if m]
     assert len(verdicts) == VERDICTS[name]
     assert set(verdicts) <= {"True", "ok"}
+
+
+def test_readme_library_example_prints_the_stokes_constant(capsys):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library in five lines", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    jump, constant = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\(0\.0 \+ 0\.3128213\d*j\)", jump)
+    assert constant == str(ExactScalar.tau(1))
+    pair = namespace["pair"]
+    exact = 2j * mpmath.pi * mpmath.exp(-3)
+    assert abs(pair.jump - exact) <= pair.error_estimate

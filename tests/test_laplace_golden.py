@@ -93,176 +93,173 @@ CALLS = {
 # recorded from the calls above; see the module docstring
 GOLDEN = {
     "euler": (
-        ("mpc(real='0.3613286168882225846362767648998343128496912868286017328"
-         "5007476806640625', imag='0.0')"),
-        ("mpf('0.000000000000000056582843983422125934928337553358387464741438"
-         "7142546442489245866244024218971731')"),
-        155,
-        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 3.989993882"
-         "6816937e-17, 'quadrature_error': 1.6682328577393047e-17, 'rounding'"
-         ": 5.765792121400168e-22, 'segments': 7, 'panels': 7, 'degrees': {12"
-         ": 1, 16: 1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-curt"
-         "is'}"),
+        ("mpc(real='0.36132861688822219544750739112469462011034693205147050321"
+         "102142333984375', imag='0.0')"),
+        ("mpf('0.0000000000000452304504005830969125398000413964893733249021592"
+         "2862217615141311455317918444052')"),
+        98,
+        ("{'margin': 2.0, 'truncation': 16.0, 'tail_bound': 3.724754573262993e"
+         "-16, 'quadrature_error': 4.4857974366677584e-14, 'rounding': 5.76579"
+         "2121400167e-22, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: 5"
+         "}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-moment-1": (
-        ("mpc(real='-0.071249593078014837145355789976841620614322891924530267"
-         "7154541015625', imag='-0.000000000000000000003829737663321555255996"
-         "816013276567394106319372595561744091568169164030953355304')"),
-        ("mpf('0.000000000000002203719969562664900453868151975640788234248670"
-         "734465231670073936953713200637139')"),
-        142,
-        ("{'margin': 2.866009467376818, 'truncation': 11.390625, 'tail_bound'"
-         ": 2.202436150494595e-15, 'quadrature_error': 1.2547805363416938e-18"
-         ", 'rounding': 2.90385317280829e-20, 'segments': 6, 'panels': 6, 'de"
-         "grees': {16: 1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-"
-         "curtis'}"),
+        ("mpc(real='-0.0712495930780148265913252671882593958230245334561914205"
+         "5511474609375', imag='0.00000000000000066786717457324911542059334598"
+         "02194051341777158228445220380931068859808874549344')"),
+        ("mpf('0.0000000000010466061497198487196287920185391946580593960068345"
+         "65473475606722786324098706245')"),
+        94,
+        ("{'margin': 2.866009467376818, 'truncation': 16.0, 'tail_bound': 4.09"
+         "0396961041215e-21, 'quadrature_error': 1.04660611659092e-12, 'roundi"
+         "ng': 2.90385317280829e-20, 'segments': 6, 'panels': 6, 'degrees': {1"
+         "2: 2, 16: 4}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-prec-90": (
-        ("mpc(real='1.2620837402553184961886264331582387958155487268745165163"
-         "60813511710148304700851', imag='0.0')"),
-        ("mpf('0.000000000000000039149914036257986285015187280795653576257719"
-         "77221262288937185812225939007920672')"),
-        142,
-        ("{'margin': 3.0, 'truncation': 11.390625, 'tail_bound': 3.8826548290"
-         "91266e-17, 'quadrature_error': 3.2336574351797305e-19, 'rounding': "
-         "1.827356077633936e-27, 'segments': 6, 'panels': 6, 'degrees': {16: "
-         "1, 24: 5}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='1.26208374025531844448097035560596011537878218065206192832"
+         "761189492885023355484', imag='0.0')"),
+        ("mpf('0.0000000000000315183948464786321784335717285877288577065640080"
+         "1788651024114469843968455183393')"),
+        98,
+        ("{'margin': 3.0, 'truncation': 16.0, 'tail_bound': 2.794439377923402e"
+         "-23, 'quadrature_error': 3.151839481853241e-14, 'rounding': 1.827356"
+         "077633936e-27, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: 5}"
+         ", 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-node-capped": (
-        ("mpc(real='0.1516550883981904627184904461867365199623236549086868762"
-         "969970703125', imag='-0.3938033859840534135456557515708730932146863"
-         "77905309200286865234375')"),
-        ("mpf('0.083573136981653455624866706427655849154234601883217692375183"
-         "10546875')"),
+        ("mpc(real='0.15165508839819046271849044618673651996232365490868687629"
+         "69970703125', imag='-0.393803385984053413545655751570873093214686377"
+         "905309200286865234375')"),
+        ("mpf('0.0835731369678276535121249496418371904837840702384710311889648"
+         "4375')"),
         395,
-        ("{'margin': 0.05, 'truncation': 437.8938903808594, 'tail_bound': 1.4"
-         "12295085281008e-11, 'quadrature_error': 0.0835731369675305, 'roundi"
-         "ng': 4.1627620031425646e-20, 'segments': 11, 'panels': 11, 'degrees"
-         "': {16: 3, 24: 2, 48: 6}, 'rigorous_tail': True, 'method': 'clensha"
-         "w-curtis'}"),
+        ("{'margin': 0.05, 'truncation': 512.0, 'tail_bound': 2.97148740526818"
+         "33e-13, 'quadrature_error': 0.0835731369675305, 'rounding': 4.162762"
+         "0031425646e-20, 'segments': 11, 'panels': 11, 'degrees': {16: 3, 24:"
+         " 2, 48: 6}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "double-pole": (
-        ("mpc(real='0.2773427662235547894642364447070903565872868057340383529"
-         "6630859375', imag='0.0')"),
-        ("mpf('0.000000000001825307258581808206911498986634046562967271867274"
-         "597629826615730053163133561611')"),
-        102,
-        ("{'margin': 2.0, 'truncation': 11.390625, 'tail_bound': 1.6636899883"
-         "070707e-12, 'quadrature_error': 1.6161723563450142e-13, 'rounding':"
-         " 3.4640236133474935e-20, 'segments': 6, 'panels': 6, 'degrees': {16"
-         ": 6}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='0.27734276622355377443416256377783923880997463129460811614"
+         "990234375', imag='0.0')"),
+        ("mpf('0.0000000000030290831377165469683800857063957896429755826820176"
+         "54523320970838540233671665192')"),
+        94,
+        ("{'margin': 2.0, 'truncation': 16.0, 'tail_bound': 8.764128407677631e"
+         "-17, 'quadrature_error': 3.0289954617922342e-12, 'rounding': 3.46402"
+         "36133474905e-20, 'segments': 6, 'panels': 6, 'degrees': {12: 2, 16: "
+         "4}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
     ),
     "logpole": (
-        ("mpc(real='0.2360678546143904840969333577826994030601781560108065605"
-         "16357421875', imag='0.0')"),
-        ("mpf('0.000000000000010271136332504491237425547738362404216139107691"
-         "84630476531100429227194581471849')"),
-        118,
-        ("{'margin': 3.0, 'truncation': 10.5, 'tail_bound': 8.433690116510378"
-         "e-15, 'quadrature_error': 1.8374127041281903e-15, 'rounding': 3.351"
-         "186592396904e-20, 'segments': 6, 'panels': 6, 'degrees': {16: 4, 24"
-         ": 2}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='0.23606785460944781716147427425012139678983658086508512496"
+         "9482421875', imag='0.0')"),
+        ("mpf('0.0000000000227985541863510376085168463365068763055972585630098"
+         "9921265909288194961845874786')"),
+        73,
+        ("{'margin': 3.0, 'truncation': 8.0, 'tail_bound': 1.9083588124917175e"
+         "-11, 'quadrature_error': 3.714966027921996e-12, 'rounding': 3.351186"
+         "5923812967e-20, 'segments': 5, 'panels': 5, 'degrees': {12: 3, 16: 2"
+         "}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "stirling": (
-        ("mpc(real='0.0083305634333628712281830507018355169018830608251846570"
-         "0559318065643310546875', imag='0.0')"),
-        ("mpf('0.000000000000000000135217117933539045746119815446366587032655"
-         "7817811649073435792298903109572190406')"),
-        100,
-        ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.327610704778621"
-         "5e-19, 'quadrature_error': 2.0289938266760076e-21, 'rounding': 4.27"
-         "053629000882e-22, 'segments': 4, 'panels': 4, 'degrees': {24: 4}, '"
-         "rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='0.00833056343336287060918063727125342302071153710585349472"
+         "23961353302001953125', imag='0.0')"),
+        ("mpf('0.0000000000000021617005870192602558924477081082417762469345796"
+         "98978233721240894277260125022622')"),
+        68,
+        ("{'margin': 10.0, 'truncation': 4.0, 'tail_bound': 1.3276107047786215"
+         "e-19, 'quadrature_error': 2.1615673988951536e-15, 'rounding': 4.2705"
+         "3629000882e-22, 'segments': 4, 'panels': 4, 'degrees': {16: 4}, 'rig"
+         "orous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "dilog": (
-        ("mpc(real='0.1408215196251777767688651010757894255220890045166015625"
-         "', imag='-0.0136642327289132944206917485985286475624889135360717773"
-         "4375')"),
-        ("mpf('0.000000001053646582261269267103619605375954687564998835114238"
-         "3180558681488037109375')"),
-        106,
-        ("{'margin': 2.6327476856711183, 'truncation': 9.0, 'tail_bound': 8.9"
-         "97472709220217e-10, 'quadrature_error': 1.5389918451666285e-10, 'ro"
-         "unding': 1.268225844749047e-16, 'segments': 6, 'panels': 6, 'degree"
-         "s': {12: 1, 16: 4, 24: 1}, 'rigorous_tail': True, 'method': 'clensh"
-         "aw-curtis'}"),
+        ("mpc(real='0.1408215208560691100725392743697739206254482269287109375'"
+         ", imag='-0.013664232161697530479327333807759714545682072639465332031"
+         "25')"),
+        ("mpf('0.0000000533644061982316807973605854963083938713452880620025098"
+         "323822021484375')"),
+        69,
+        ("{'margin': 2.6327476856711183, 'truncation': 8.0, 'tail_bound': 1.16"
+         "90998846980125e-08, 'quadrature_error': 4.167340722442897e-08, 'roun"
+         "ding': 1.2682258456383398e-16, 'segments': 5, 'panels': 5, 'degrees'"
+         ": {12: 4, 16: 1}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'"
+         "}"),
     ),
     "power-log": (
-        ("mpc(real='-0.245064535867136798233888693443471851196591160260140895"
-         "843505859375', imag='1.11072073453959156155105431063034870931005571"
-         "0375308990478515625')"),
-        ("mpf('0.000000000000001063111374979534335006217092737207201299150661"
-         "218412831010224350869464160496136')"),
-        163,
-        ("{'margin': 2.0, 'truncation': 17.0859375, 'tail_bound': 8.990197805"
-         "257097e-16, 'quadrature_error': 1.6403365261241106e-16, 'rounding':"
-         " 5.794184140932406e-20, 'segments': 7, 'panels': 7, 'degrees': {12:"
-         " 1, 24: 6}, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='-0.2450645358671388928718283539698319373201229609549045562"
+         "744140625', imag='1.110720734539590108449092636933031030821439344435"
+         "9302520751953125')"),
+        ("mpf('0.0000000000004363498484457075984668480458199191295121674186662"
+         "484584697807576958439312875271')"),
+        102,
+        ("{'margin': 2.0, 'truncation': 16.0, 'tail_bound': 8.032714595724631e"
+         "-15, 'quadrature_error': 4.2831707590814154e-13, 'rounding': 5.79418"
+         "4140932402e-20, 'segments': 6, 'panels': 6, 'degrees': {16: 6}, 'rig"
+         "orous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
     "pade": (
-        ("mpc(real='0.3613286168882222140877379448764550318173860432580113410"
-         "94970703125', imag='0.0')"),
-        ("mpf('0.000000000000280799971937459895331211512459511888282622474654"
-         "1402162158806987690695677883923')"),
-        126,
-        ("{'margin': 2.0, 'truncation': 13.5, 'tail_bound': 2.592453540053908"
-         "e-13, 'quadrature_error': 2.155458102079212e-14, 'rounding': 3.6911"
-         "276977713513e-20, 'segments': 6, 'panels': 6, 'degrees': {16: 3, 24"
-         ": 3}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
+        ("mpc(real='0.36132861688821652779970896446348760377986764069646596908"
+         "5693359375', imag='0.0')"),
+        ("mpf('0.0000000000119304877636665291198021339486812776061483688209031"
+         "3008308868347739917226135731')"),
+        94,
+        ("{'margin': 2.0, 'truncation': 16.0, 'tail_bound': 1.4899018293051972"
+         "e-15, 'quadrature_error': 1.1928997824925946e-11, 'rounding': 3.6911"
+         "27697771336e-20, 'segments': 6, 'panels': 6, 'degrees': {12: 2, 16: "
+         "4}, 'rigorous_tail': False, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-jump": (
-        ("mpc(real='0.0', imag='0.3128213764590807022258900360611733049154281"
-         "6162109375')"),
+        ("mpc(real='0.0', imag='0.31282137645908070222589003606117330491542816"
+         "162109375')"),
         (
-            ("mpc(real='-0.49457640134679731872316930940680634876116528175771"
-             "236419677734375', imag='0.1564106882295403535185185882327996154"
-             "117499827407300472259521484375')"),
-            ("mpf('0.00000000000874175100003674330941696975032702500127733343"
-             "0150379145473493736062664538621902')"),
-            165,
-            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_boun"
-             "d': 8.416386018421449e-12, 'quadrature_error': 3.25364940386407"
-             "73e-13, 'rounding': 4.122888666977124e-20, 'segments': 5, 'pane"
-             "ls': 5, 'degrees': {16: 1, 24: 2, 48: 2}, 'rigorous_tail': True"
-             ", 'method': 'clenshaw-curtis'}"),
+            ("mpc(real='-0.494576401346797320051316970701549280420294962823390"
+             "960693359375', imag='0.15641068822954035522613700989746909897348"
+             "81441108882427215576171875')"),
+            ("mpf('0.000000000003264274887084185705883827815117411926990983061"
+             "407699400424675673093588557094336')"),
+            157,
+            ("{'margin': 2.966313233808127, 'truncation': 8.0, 'tail_bound': 2"
+             ".3760876949784455e-12, 'quadrature_error': 8.881871508768535e-13"
+             ", 'rounding': 4.122888666977124e-20, 'segments': 5, 'panels': 5,"
+             " 'degrees': {16: 2, 24: 1, 48: 2}, 'rigorous_tail': True, 'metho"
+             "d': 'clenshaw-curtis'}"),
         ),
         (
-            ("mpc(real='-0.49457640134679731872316930940680634876116528175771"
-             "236419677734375', imag='-0.156410688229540353518518588232799615"
-             "4117499827407300472259521484375')"),
-            ("mpf('0.00000000000874175100003674098148843844312118723126633728"
-             "0648215379841303729335777461528778')"),
-            165,
-            ("{'margin': 2.966313233808127, 'truncation': 7.59375, 'tail_boun"
-             "d': 8.416386018421441e-12, 'quadrature_error': 3.25364940386412"
-             "7e-13, 'rounding': 4.122888666977124e-20, 'segments': 5, 'panel"
-             "s': 5, 'degrees': {16: 1, 24: 2, 48: 2}, 'rigorous_tail': True,"
-             " 'method': 'clenshaw-curtis'}"),
+            ("mpc(real='-0.494576401346797320051316970701549280420294962823390"
+             "960693359375', imag='-0.1564106882295403552261370098974690989734"
+             "881441108882427215576171875')"),
+            ("mpf('0.000000000003264274887084188492732190734646867495275072064"
+             "170752278444709304494608659297228')"),
+            157,
+            ("{'margin': 2.966313233808127, 'truncation': 8.0, 'tail_bound': 2"
+             ".3760876949784435e-12, 'quadrature_error': 8.881871508768584e-13"
+             ", 'rounding': 4.122888666977124e-20, 'segments': 5, 'panels': 5,"
+             " 'degrees': {16: 2, 24: 1, 48: 2}, 'rigorous_tail': True, 'metho"
+             "d': 'clenshaw-curtis'}"),
         ),
     ),
     "hankel-pole": (
         ("mpc(real='1.0', imag='0.0')"),
-        ("mpf('0.000000000000000000000861463870972902425062039752041316027066"
-         "0844356117165502984727424085072818255113')"),
+        ("mpf('0.0000000000000000000008614638709729024250620397520413160270660"
+         "844356117165502984727424085072818255113')"),
         98,
-        ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound': "
-         "0.0, 'quadrature_error': 1.1314185532994805e-23, 'rounding': 8.5014"
-         "96854399076e-22, 'segments': 0, 'panels': 2, 'degrees': {48: 2}, 'r"
-         "ay_nodes': 0, 'circle_nodes': 98, 'rigorous_tail': True, 'method': "
-         "'clenshaw-curtis'}"),
+        ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound': 0"
+         ".0, 'quadrature_error': 1.1314185532994805e-23, 'rounding': 8.501496"
+         "854399076e-22, 'segments': 0, 'panels': 2, 'degrees': {48: 2}, 'ray_"
+         "nodes': 0, 'circle_nodes': 98, 'rigorous_tail': True, 'method': 'cle"
+         "nshaw-curtis'}"),
     ),
     "hankel-power": (
-        ("mpc(real='0.6933612743488329367962802463054572399414610117673873901"
-         "3671875', imag='0.0000000000028174767530760273839767705930720633747"
-         "05249483298530321917496621608734130859375')"),
-        ("mpf('0.000000000013871549810513194136392841170303237033869633225251"
-         "2166682834049424855038523674')"),
+        ("mpc(real='0.69336127434883293679628024630545723994146101176738739013"
+         "671875', imag='0.000000000002817476753076027383976770593072063374705"
+         "249483298530321917496621608734130859375')"),
+        ("mpf('0.0000000000042652085686879147549488377095979733362771329461008"
+         "91508489638681567157618701458')"),
         183,
-        ("{'margin': 2.866009467376818, 'truncation': 7.59375, 'radius': 0.25"
-         ", 'tail_bound': 6.8761846309917475e-12, 'quadrature_error': 1.19180"
-         "50243284705e-13, 'rounding': 4.6096851845532436e-20, 'segments': 5,"
-         " 'panels': 7, 'degrees': {16: 5, 48: 2}, 'ray_nodes': 85, 'circle_n"
-         "odes': 98, 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
+        ("{'margin': 2.866009467376818, 'truncation': 8.0, 'radius': 0.25, 'ta"
+         "il_bound': 2.073014010079108e-12, 'quadrature_error': 1.191805024328"
+         "4705e-13, 'rounding': 4.6096851845532436e-20, 'segments': 5, 'panels"
+         "': 7, 'degrees': {16: 5, 48: 2}, 'ray_nodes': 85, 'circle_nodes': 98"
+         ", 'rigorous_tail': True, 'method': 'clenshaw-curtis'}"),
     ),
 }
 

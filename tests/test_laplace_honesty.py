@@ -160,8 +160,8 @@ def test_hankel_error_bounds_the_distance(prec, sigma, with_log):
 
 # the roadmap's 240-bit rows, target 2^(4 - 240): (theta, z), shape and
 # the nodes the bound samples (the nested rule took 70413 and 40523)
-ROWS = {"euler": ("0.3", 2, euler_minor(), 2431),
-        "stirling": (0, 10, StirlingBF(), 1323)}
+ROWS = {"euler": ("0.3", 2, euler_minor(), 2284),
+        "stirling": (0, 10, StirlingBF(), 1225)}
 
 
 @pytest.mark.parametrize("name", list(ROWS))

@@ -77,12 +77,11 @@ def test_diagnostics_name_the_rule():
 
 
 def test_max_nodes_caps_a_ray():
-    spec = dict(theta=0, z=2, target_error=1e-35)
+    spec = dict(theta=0, z=2, target_error=1e-40)
     free = laplace_ray(euler_minor(), 0, RaySpec(**spec))
     capped = laplace_ray(euler_minor(), 0, RaySpec(**spec, max_nodes=64))
     # without the cap the rule bisects; with it every segment stays one
-    # panel, sampled once at a lowered degree, and the panels keep their
-    # bounds
+    # panel, sampled once at its degree, and the panels keep their bounds
     assert free.diagnostics["panels"] > free.diagnostics["segments"]
     assert capped.diagnostics["panels"] == capped.diagnostics["segments"]
     assert capped.nodes_used < free.nodes_used

@@ -292,10 +292,10 @@ def full_scan_tail(theta, m, T, moment):
 def test_tail_distance_needs_only_the_nearest_points(theta, T):
     with mpmath.workprec(89):
         theta, T = mpmath.mpf(theta), mpmath.mpf(T)
-        floor, bound, decreasing = StirlingBF().tail_rule(
+        floor, bound = StirlingBF().tail_rule(
             theta, mpmath.mpf(2), 0, [], 89)
         tail, proved = bound(T)
-        assert (floor, proved, decreasing) == (4, True, False)
+        assert (floor, proved) == (4, True)
         assert tail == full_scan_tail(theta, mpmath.mpf(2), T, 0)
 
 

@@ -139,20 +139,20 @@ def test_engine_work_totals_are_nonzero():
 
 def test_laplace_round_pays_each_transcendental_once_per_panel_shape():
     """A seed-3 certified-sums round samples each panel once, at the
-    degree its proved bound picks, and keeps every sum certified: 1709
-    nodes on 61 panels, where the nested rule sampled 3381 on 63.  The
+    degree its proved bound picks, and keeps every sum certified: 1437
+    nodes on 57 panels, where the nested rule sampled 3381 on 63.  The
     cached shape vectors (kernels by doubling, every degree read off
     degree 48, ray power lanes per r, circle lanes through the ray
-    kernel) keep its libmp calls within the pinned ceilings: 69 logs,
-    590 exponentials and 384 cosine-sine pairs, where the nested rule
+    kernel) keep its libmp calls within the pinned ceilings: 67 logs,
+    552 exponentials and 382 cosine-sine pairs, where the nested rule
     made 167, 1238 and 657, and a libmp call per node 980, 2336 and
     1257."""
     total = engine_work(3)["laplace"]["total"]
-    assert (total["nodes"], total["panels"]) == (1709, 61)
+    assert (total["nodes"], total["panels"]) == (1437, 57)
     assert total["certified"] == 9
-    assert total["log"] <= 69
-    assert total["exp"] <= 590
-    assert total["cos_sin"] <= 384
+    assert total["log"] <= 67
+    assert total["exp"] <= 552
+    assert total["cos_sin"] <= 382
 
 
 def test_certified_round_sums_a_quarter_of_the_old_prefix():

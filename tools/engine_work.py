@@ -57,8 +57,10 @@ the squared kernels and their bases included), of the circle kernel
 kernel's ray lanes log(1 + r x) and (1 + r x)^(sigma - 1),
 ``borelfun._log_nodes`` (``log_lanes``) and ``borelfun._power_nodes``
 (``power_lanes``), read from their ``cache_info()``, the seconds of its
-truncation searches (``truncation_s``), the tail bounds they evaluated
-(``tail_bounds``), and the incomplete-gamma moments of those bounds, as
+truncation walks (``truncation_s``), the tail bounds they evaluated
+(``tail_bounds``), per result (one, or the two of the jump) its
+``truncation`` point, the end of its last segment, and the
+``tail_bound`` there, and the incomplete-gamma moments of those bounds, as
 ``mpmath.gammainc`` calls (``gammainc``, integer orders) and as moments
 bounded in closed form (``closed_form``, the other orders); their
 ``total``, with the seconds of the ``gammainc`` calls (``gammainc_s``)
@@ -222,8 +224,10 @@ def certified_work(seed):
             "certified": all(r.certified for r in results),
             **{key: op[key] for key in (*LIBMP, "squared")},
             "truncation_s": round(op["truncation_s"], 5),
-            **{key: op[key] for key in ("tail_bounds", "gammainc",
-                                        "closed_form")},
+            "tail_bounds": op["tail_bounds"],
+            "truncation": [r.diagnostics["truncation"] for r in results],
+            "tail_bound": [r.diagnostics["tail_bound"] for r in results],
+            **{key: op[key] for key in ("gammainc", "closed_form")},
             **kernels}
     ze_total = {key: sum(w[key] for w in ze.values())
                 for key in ("prefix_terms", "tail_levels")}
