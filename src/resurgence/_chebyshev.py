@@ -26,16 +26,22 @@ unhalved cosine series, plus the corrections that the halved c_n and the
 truncation after c_n make to b_{n-1}, b_n and b_{n+1}, each times
 (-1)^k (cos(pi i k / n) - 1).  Everything is integer arithmetic on sines,
 cosines and S values rounded with _BUILD_GUARD extra bits, then rounded
-once to the stored scale.  The sines and cosines of degree n, at either
+once to the stored scale.  The sines and cosines of degree n, at any
 scale, are read from one quarter wave, cos(pi k / (2n)) for k = 0 .. n
 (:func:`_quarter`): cos(pi m / n) is entry 2m, or minus entry 2n - 2m
 past the quarter, and sin(pi m / n) is entry |n - 2m|.  So the cosines
 read only the even entries and the sines only those of n's parity, and
-each half is evaluated alone, at n // 2 + 1 libmp cosines or fewer: one
-half serves both tables at even n, and the nodes and weights, which need
-only cosines, never evaluate the odd half.  The folded apply below needs
-only the rows i = 1 .. n // 2 and the weights row, so :func:`_matrix`
-builds only the rows it is asked for, and :func:`_folded` asks for those.
+each half is built alone: one half serves both tables at even n, and the
+nodes and weights, which need only cosines, never build the odd half.
+Each entry is libmp's cosine of one rational rounded as specified in
+:func:`_quarter`, but a half costs one libmp call, not one per entry: its
+entries are the real parts of a :func:`_rotation` by e^(i pi / n) in
+integers with _ROTATION_GUARD extra bits, whose proved error radius
+shows for nearly every entry that the per-entry rounding lands on the
+same integer, and only the rare entry within that radius of a rounding
+boundary is computed by libmp.  The folded apply below needs only the
+rows i = 1 .. n // 2 and the weights row, so :func:`_matrix` builds only
+the rows it is asked for, and :func:`_folded` asks for those.
 
 The folded apply.  Integrating the reversed samples from the other end
 gives the reflection M[n-i][j] = W_j - M[i][n-j], where W, the last row,
@@ -173,14 +179,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, floordiv, mul, rshift, sub
 
 import mpmath
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpc_sub, mpf_add, mpf_cmp, mpf_cos_pi, mpf_cos_sin,
-                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift,
-                          mpf_sub, round_ceiling, to_int)
+                          mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_shift, mpf_sub, round_ceiling, to_int)
 
 from . import _work
 
@@ -194,6 +202,58 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
+# guard bits of a rotated table (:func:`_rotation`) beyond its scale
+_ROTATION_GUARD = 40
+
+
+def _rotation(step: Fraction, count: int, bits: int, odd: bool = False):
+    """exp(i pi x_m) * 2^bits for m = 0 .. count - 1, with x_m = m step, or
+    (m + 1/2) step when odd: a list of (re, im) pairs, each part the
+    integer that libmp's cos(pi x) or sin(pi x) gives at x = x_m, both
+    rounded to nearest at bits + 16 bits, scaled and rounded to the
+    nearest integer, or None where the check below cannot tell it.
+
+    One libmp call gives w = exp(i pi step), or exp(i pi step / 2) when
+    odd, each part rounded to an integer at the scale 2^W,
+    W = bits + _ROTATION_GUARD, with its argument and its value rounded at
+    W + 10 bits: within 1 unit 2^-W per part, 2 in modulus.  The rotation
+    z_(m+1) = z_m w floors each part at 2^-W, from z_0 = 2^W, or from
+    z_0 = w and the rotation w^2 floored (within 5 units) when odd.  A
+    rotation within t units adds at most t + 2 units a step and grows the
+    error e_m of z_m by a factor 1 + t 2^-W, so e_m <= 2 (e_0 + m (t + 2))
+    <= 4 + 14 m units while m t 2^-W <= ln 2.  The per-entry path rounds
+    the argument (at most 2 in modulus) at bits + 16 bits and libmp's
+    cosine or sine within one unit in its last place there, which puts it
+    within 2^-12 units 2^-bits of the exact value.  A part is kept when no
+    rounding boundary, a half-integer at the scale 2^bits, lies within
+    both radii of it; both the per-entry value and the exact one then
+    round to the same integer as the rotated one."""
+    guard = _ROTATION_GUARD
+    wide = bits + guard
+    wp = wide + 10
+    u = step / 2 if odd else step
+    c, s = mpf_cos_sin_pi(mpf_div(from_int(u.numerator),
+                                  from_int(u.denominator), wp, "n"), wp, "n")
+    wr, wi = to_int(mpf_shift(c, wide), "n"), to_int(mpf_shift(s, wide), "n")
+    zr, zi = (wr, wi) if odd else (1 << wide, 0)
+    if odd:
+        wr, wi = (wr * wr - wi * wi) >> wide, (2 * wr * wi) >> wide
+    # in doubled units, the cell of v holds the v whose halves round to
+    # the same integer: boundaries at the odd multiples of 2^guard
+    half, cell = 1 << guard, guard + 1
+    slack = 2 << max(guard - 12, 0)
+    out = []
+    for m in range(count):
+        r = 2 * (4 + 14 * m) + slack
+        pair = []
+        for v in (2 * zr, 2 * zi):
+            low = (v - r - 1 + half) >> cell
+            pair.append(low if low == (v + r + half) >> cell else None)
+        out.append(tuple(pair))
+        zr, zi = (zr * wr - zi * wi) >> wide, (zr * wi + zi * wr) >> wide
+    return out
+
+
 @lru_cache(maxsize=64)
 def _quarter(n: int, bits: int, parity: int):
     """cos(pi k / (2n)) * 2^bits rounded to integers, for the k = 0 .. n
@@ -203,15 +263,23 @@ def _quarter(n: int, bits: int, parity: int):
 
     Each entry is libmp's cos(pi x) at x = k / (2n), both rounded to
     nearest at bits + 16 bits, then scaled and rounded to the nearest
-    integer, ties to even."""
+    integer, ties to even.  The entries are the real parts of one
+    :func:`_rotation` by exp(i pi / n), from exp(i pi / (2n)) for the odd
+    half; the few it cannot tell are computed so, one libmp cosine each."""
     wp = bits + 16
     two_n = from_int(2 * n)
     ks = range(parity, n + 1, 2)
-    _work.add(("cos_pi", n, bits), len(ks))
-    return tuple(to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), two_n, wp,
+    out, calls = [], 1
+    for k, (re, _im) in zip(ks, _rotation(Fraction(1, n), len(ks), bits,
+                                          parity)):
+        if re is None:
+            calls += 1
+            re = to_int(mpf_shift(mpf_cos_pi(mpf_div(from_int(k), two_n, wp,
                                                      "n"), wp, "n"), bits),
                         "n")
-                 for k in ks)
+        out.append(re)
+    _work.add(("cos_pi", n, bits), calls)
+    return tuple(out)
 
 
 @lru_cache(maxsize=32)
@@ -251,7 +319,15 @@ def _matrix(n: int, prec: int, rows):
     """The given rows of the cumulative-integration matrix, rows indexed by
     output node and columns by input node, as integers scaled by
     2^(prec + GUARD), built from the closed form of the module docstring.
-    Only its folded rows 1 .. n // 2 are kept (:func:`_folded`)."""
+    Only its folded rows 1 .. n // 2 are kept (:func:`_folded`).
+
+    Each entry is that closed form's integer, computed with two big
+    products instead of five: the corrections for k = n - 1 and n + 1
+    share one factor, those for k = n are shifts, and the division by
+    the scale 4n 2^s is a shift by s + 2 and a division by n.  The S sums
+    read the sine table through strided slices of its periodic
+    extension, and each row is one chain of builtin maps over the
+    column lists."""
     _work.add(("entries", n, prec), len(rows) * (n + 1))
     bits = prec + GUARD + _BUILD_GUARD
     one = 1 << bits
@@ -259,49 +335,58 @@ def _matrix(n: int, prec: int, rows):
     cos = _cosines(n, bits)
     sin = _sines(n, bits)
     # S(m) * 2^bits over the common denominator lcm(1 .. n + 1), and
-    # S(2n - m) = -S(m)
+    # S(2n - m) = -S(m); sin(pi m k / n) for k = 1 .. n + 1 is every m-th
+    # entry of the sine table repeated, from entry m
     lcm = math.lcm(*range(1, n + 2))
     inverse = [lcm // k for k in range(1, n + 2)]
-    S = [_round_div(sum(map(mul, [sin[m * k % two_n] for k in range(1, n + 2)],
-                            inverse)), lcm)
-         for m in range(n + 1)]
+    periodic = sin * ((n + 3) // 2)
+    S = [0] + [_round_div(sum(map(mul, periodic[m:m * (n + 2):m], inverse)),
+                          lcm)
+               for m in range(1, n + 1)]
     S += [-v for v in S[n - 1:0:-1]]
     # S(t) at wrap[t + n] for t = -n .. 3n, S having period 2n
     wrap = S[n:] + S + S[:n + 1]
     # every entry x times 2n, at scale 2^(2 bits), rounded once, as
     # _round_div(x, den) = (2 x + den) // (2 den), with
     # x = a_j (S(j + n - i) + S(j - n + i) - c_j) + sum_k w_jk e_ik
-    den = two_n << (2 * bits - (prec + GUARD))
+    shift = 2 * bits - (prec + GUARD)
+    den = two_n << shift
     # per column j, the terms of 2 x + den: 2 a_j, den - 2 a_j c_j and the
     # 2 w_jk, where a_j = alpha_j sin(theta_j), alpha_j = 1 at the edges
     # and 2 inside, c_j = 2 S(j + n), and w_jk = 2n (b_k - uniform b_k) *
     # 2^bits for k = n - 1, n and n + 1, with
     # gamma_m = alpha cos(m theta_j) / n: b_{n-1} gains gamma_n / (4(n-1))
     # (nothing at n = 1), b_n gains gamma_{n+1} / (2n) and b_{n+1} gains
-    # (gamma_{n+2} - gamma_n / 2) / (2(n+1))
-    columns = []
+    # (gamma_{n+2} - gamma_n / 2) / (2(n+1)).  Since
+    # e_(n-1) = e_(n+1) (below), w_(j,n-1) and w_(j,n+1) are summed, and
+    # the products by e_n in {0, -+2^(bits + 1)} are shifts
+    a2, c2, c2_odd, w = [], [], [], []
+    flip = 1 if n % 2 else -1
     for j in range(n + 1):
         alpha = 1 if j in (0, n) else 2
         a = alpha * sin[j]
         cn = cos[n * j % two_n]
-        columns.append((
-            2 * a, den - 4 * a * wrap[j + 2 * n],
-            2 * _round_div(alpha * cn, 2 * (n - 1)) if n > 1 else 0,
-            2 * _round_div(alpha * cos[(n + 1) * j % two_n], n),
-            2 * _round_div(alpha * (2 * cos[(n + 2) * j % two_n] - cn),
-                           2 * (n + 1))))
-    scale = 2 * den
+        a2.append(2 * a)
+        c2.append(den - 4 * a * wrap[j + 2 * n])
+        c2_odd.append(c2[-1] + flip * (2 * _round_div(
+            alpha * cos[(n + 1) * j % two_n], n) << (bits + 1)))
+        w.append((2 * _round_div(alpha * cn, 2 * (n - 1)) if n > 1 else 0)
+                 + 2 * _round_div(alpha * (2 * cos[(n + 2) * j % two_n] - cn),
+                                  2 * (n + 1)))
     out = []
     for i in rows:
         # e_ik = (-1)^k (T_k(x_i) - T_k(-1)) on the Lobatto nodes
         # x_i = -cos(pi i / n), for the k whose b_k the uniform formula
-        # misses
-        e0, e1, e2 = ((-1) ** k * (cos[i * k % two_n] - one)
-                      for k in (n - 1, n, n + 1))
-        entries = [(a2 * (p + q) + c2 + v0 * e0 + v1 * e1 + v2 * e2) // scale
-                   for (a2, c2, v0, v1, v2), p, q in zip(
-                       columns, wrap[2 * n - i:3 * n - i + 1],
-                       wrap[i:i + n + 1])]
+        # misses: e_(n-1) = e_(n+1), cos(pi i (n -+ 1) / n) being entries
+        # i (n -+ 1) and 2n - i (n -+ 1) (mod 2n) of the symmetric table,
+        # and e_n = (-1)^n (cos(pi i) - 1), 0 for even i
+        e = (-1) ** (n + 1) * (cos[i * (n + 1) % two_n] - one)
+        x = map(add, map(mul, a2, map(add, wrap[2 * n - i:3 * n - i + 1],
+                                      wrap[i:i + n + 1])),
+                map(add, c2_odd if i % 2 else c2, map(mul, w, repeat(e))))
+        # floor(x / (4n 2^shift)), the product x times 2n rounded
+        entries = list(map(floordiv, map(rshift, x, repeat(shift + 2)),
+                           repeat(n)))
         # the transform reads the samples in decreasing x order: column j
         # of the transform is input node n - j
         entries.reverse()
@@ -973,13 +1058,18 @@ def _row_sum(n: int, prec: int) -> float:
     weights row), rounded up to a double."""
     last, pairs = _folded(n, prec)
     half = (n + 1) // 2
-    # twice a row's sum: 2 max(|x_j|, |y_j|) per folded pair (x, y), plus
-    # the middle entry of an even n
-    rows = [(last, [0] * half)]
+
+    def twice(x, y):
+        """Twice a row's sum: 2 max(|x_j|, y_j) per folded pair (x, y),
+        y the moduli of the odd half, plus the middle entry of an even n
+        (x[half], which the map does not reach)."""
+        return 2 * sum(map(max, map(abs, x), y)) \
+            + (0 if n % 2 else abs(x[half]))
+
+    top = twice(last, [0] * half)
     for even, odd in pairs:
-        rows += [(even, odd), ([w - e for w, e in zip(last, even)], odd)]
-    top = max(2 * sum(map(max, map(abs, x[:half]), map(abs, y)))
-              + (abs(x[half]) if n % 2 == 0 else 0) for x, y in rows)
+        y = list(map(abs, odd))
+        top = max(top, twice(even, y), twice(list(map(sub, last, even)), y))
     drop = max(0, top.bit_length() - 60)
     return math.ldexp((top >> drop) + 1, drop - (prec + GUARD + 1)) \
         * _FLOAT_MARGIN

@@ -15,9 +15,10 @@ per.  In ``_chebyshev``: ``("cumulate", n)`` and ``("total", n)``, the
 applications of the folded integration matrix (``_cumulate``) and of its
 weights row alone (``_total``) to one real part of n + 1 samples, and
 ``("madds", n)`` their integer multiply-adds; ``("cos_pi", n, bits)``,
-the libmp cosines of ``_quarter``; ``("entries", n, prec)``, the matrix
-entries ``_matrix`` builds, and ``("matrix_s", n, prec)`` the seconds of
-those builds; ``("iterated_levels", panels, n)``, the runs of
+the libmp calls of ``_quarter``, one seed per rotated half plus one
+cosine per entry the rotation could not tell; ``("entries", n, prec)``,
+the matrix entries ``_matrix`` builds, and ``("matrix_s", n, prec)`` the
+seconds of those builds; ``("iterated_levels", panels, n)``, the runs of
 ``iterated_levels``; ``("series_terms", terms)``, the calls of
 ``endpoint_series`` that keep that many terms per level.  In ``mzv`` and
 ``hyperlog``: ``("terms", n, panels, panel, series, rounding, unit)``,
@@ -46,7 +47,9 @@ ladder chose, and ``"prefix_terms"`` their terms, depth times N;
 cutoff and the tails' remainder there in units 2^-P, predicted before
 the prefix sums (``_choose_cutoff``) and reported after them;
 ``"tail_levels"``, the levels whose coefficients the tail engine built
-(``_sum_level``), once per number of tail terms a call tried.
+(``_sum_level``), once per number of tail terms a call tried;
+``("roots", d, P)``, the libmp calls of the root-of-unity table
+``_roots``, one seed plus one per root the rotation could not tell.
 """
 
 from __future__ import annotations

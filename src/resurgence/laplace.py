@@ -441,17 +441,34 @@ def _choose_truncation(rule, w, lo, target, max_nodes):
     ``max_nodes`` nodes could resolve: that happens when the decay margin
     m = Re w is tiny next to |w|, as T grows like 1/m while the kernel
     keeps turning at the rate |Im w|, and the panels within the cap could
-    not resolve the kernel.
+    not resolve the kernel.  The turns only grow along the ladder, so each
+    point is checked as the walk reaches it, before its tail bound.
     """
     floor, bound_at = rule
-    m = mpmath.mpc(w).real
+    w = mpmath.mpc(w)
+    m = w.real
     pts = [mpmath.mpf(lo)]
+
+    def reach(T):
+        turns = abs(w.imag) * T / (2 * mpmath.pi)
+        if turns > max_nodes:
+            raise DecayMarginError(
+                f"decay margin {mpmath.nstr(m, 8)} is too small next to "
+                f"|w| = {mpmath.nstr(abs(w), 8)}: the kernel turns "
+                f"{mpmath.nstr(turns, 4)} times up to T = "
+                f"{mpmath.nstr(T, 4)} on the truncation ladder, more than "
+                f"the {max_nodes} nodes allowed",
+                margin=float(m),
+                turns=float(turns),
+            )
+        pts.append(T)
+
     T = mpmath.mpf(1) / 2 if lo == 0 else 2 * pts[0]
     while T < floor:
-        pts.append(T)
+        reach(T)
         T *= 2
     for _ in range(_LADDER_STEPS + 1):
-        pts.append(T)
+        reach(T)
         _work.add("tail_bounds")
         tail, proved = bound_at(T)
         if tail <= target / 4:
@@ -464,16 +481,6 @@ def _choose_truncation(rule, w, lo, target, max_nodes):
             f"truncation ladder, is {mpmath.nstr(tail, 4)}, above target / 4",
             margin=_figure(m),
             tail_bound=_figure(tail),
-        )
-    turns = abs(mpmath.mpc(w).imag) * T / (2 * mpmath.pi)
-    if turns > max_nodes:
-        raise DecayMarginError(
-            f"decay margin {mpmath.nstr(m, 8)} is too small next to "
-            f"|w| = {mpmath.nstr(abs(w), 8)}: the kernel turns "
-            f"{mpmath.nstr(turns, 4)} times up to the truncation point, "
-            f"more than the {max_nodes} nodes allowed",
-            margin=float(m),
-            turns=float(turns),
         )
     return pts, tail, proved
 

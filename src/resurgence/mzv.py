@@ -72,8 +72,8 @@ import mpmath
 from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from . import _work
-from ._chebyshev import (_values, endpoint_series, iterated_levels,
-                         panel_bound, rounded_up, segment)
+from ._chebyshev import (_rotation, _values, endpoint_series,
+                         iterated_levels, panel_bound, rounded_up, segment)
 from .errors import DivergentIndexError, check_prec
 from .series import _bernoulli
 from .words import Word, shuffle, stuffle
@@ -313,13 +313,39 @@ def _modulus(c, k: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _unit_root(q: Fraction, P: int):
-    """exp(2 pi i q) for a reduced phase q as (nint(2^P re), nint(2^P im)),
-    each part within one unit 2^-P, so within 2 units in modulus."""
+def _direct_root(q: Fraction, P: int):
+    """exp(2 pi i q) for a reduced phase q as (nint(2^P re), nint(2^P im)):
+    libmp's cos(pi x) and sin(pi x) at x = 2q, both rounded to nearest at
+    P + 16 bits, then scaled and rounded to the nearest integers, one
+    libmp call."""
+    _work.add(("roots", q.denominator, P))
     with mpmath.workprec(P + 16):
         z = mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
         return int(mpmath.nint(mpmath.ldexp(z.real, P))), \
             int(mpmath.nint(mpmath.ldexp(z.imag, P)))
+
+
+@lru_cache(maxsize=64)
+def _roots(d: int, P: int):
+    """:func:`_direct_root` of k / d for k = 0 .. d - 1, from one
+    :func:`~resurgence._chebyshev._rotation` by exp(2 pi i / d): a libmp
+    call for its seed, and one for each root it cannot tell."""
+    _work.add(("roots", d, P))
+    return tuple(_direct_root(Fraction(k, d), P) if None in pair else pair
+                 for k, pair in enumerate(_rotation(Fraction(2, d), d, P)))
+
+
+def _unit_root(q: Fraction, P: int):
+    """exp(2 pi i q) for a reduced phase q as (nint(2^P re), nint(2^P im)),
+    each part within one unit 2^-P, so within 2 units in modulus, as
+    :func:`_direct_root` gives it.  A colour's denominator is at most
+    MAX_COLOUR_DENOMINATOR, and its roots are read from the table
+    :func:`_roots`; a sum of colours can have a larger one (1260 for
+    denominators 4, 5, 7 and 9), of which a nested sum reads a few roots,
+    so those are computed one by one."""
+    if q.denominator > MAX_COLOUR_DENOMINATOR:
+        return _direct_root(q, P)
+    return _roots(q.denominator, P)[q.numerator]
 
 
 @dataclass
@@ -550,12 +576,6 @@ def _sum_level(q: Fraction, t: int, c, err, P: int) -> _TailLevel:
     return _tail_abel(q, t, c, err, P)
 
 
-def _tail_sum(form: _TailForm) -> _TailForm:
-    """The tail W(m) = sum over n > m of ``form``, at its cutoff."""
-    return _sum_level(form.q, form.t, form.c, form.err, form.P).at(
-        form.R, form.cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Nested-sum evaluation.
 # ---------------------------------------------------------------------------
@@ -673,7 +693,9 @@ def _powers(s: int, P: int, N: int) -> list:
 def _colour_row(q: Fraction, P: int):
     """exp(2 pi i q n) for n = 1 .. d, d the denominator of q, as (real,
     imaginary) lanes of :func:`_unit_root`."""
-    row = [_unit_root(q * n % 1, P) for n in range(1, q.denominator + 1)]
+    d = q.denominator
+    roots = _roots(d, P)
+    row = [roots[q.numerator * n % d] for n in range(1, d + 1)]
     return [z[0] for z in row], [z[1] for z in row]
 
 
@@ -834,11 +856,6 @@ def _telescope(idx: MzvIndex, N: int, P: int, forms: list):
     return (vr, vi), rounding, remainder
 
 
-def _ze_fixed(idx: MzvIndex, N: int, P: int, terms: int):
-    """:func:`_telescope` at the cutoff N with ``terms`` tail terms."""
-    return _telescope(idx, N, P, _tail_forms(_tail_chain(idx, P, terms), N))
-
-
 def _evaluation(idx: MzvIndex, prec: int, fixed) -> Evaluation:
     """The Evaluation of a result of :func:`_telescope` at P = prec +
     _FIX_GUARD: value and bound convert to mpmath once, the bound rounded
@@ -865,13 +882,6 @@ def _ze_chosen(idx: MzvIndex, prec: int, cutoff: int) -> Evaluation:
     fixed = _telescope(idx, N, P, forms)
     _work.add(("remainder", N, P, predicted, fixed[2]))
     return _evaluation(idx, prec, fixed)
-
-
-def _ze_sum(idx: MzvIndex, prec: int, cutoff: int, terms: int) -> Evaluation:
-    """The nested sum at one cutoff and number of tail terms, the rule of
-    :func:`ze_eval` left out."""
-    return _evaluation(idx, prec,
-                       _ze_fixed(idx, cutoff, prec + _FIX_GUARD, terms))
 
 
 # ---------------------------------------------------------------------------

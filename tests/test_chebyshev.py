@@ -9,7 +9,10 @@ units in the last place.
 
 ``reference_matrix`` composes the same three maps in integer arithmetic,
 an O(n^3) product, and is the reference for the closed-form build of
-``_matrix``.  ``reference_trig`` and ``reference_unit_points`` round
+``_matrix``; ``reference_closed_form`` is that closed form entry by entry,
+each of its five products taken as written, the reference for the
+integers ``_matrix`` gets with fewer.  ``reference_trig`` and
+``reference_unit_points`` round
 every node's cosine, sine and unit point one by one through mpmath, the
 references for the tables built from the quarter wave and from libmp;
 ``reference_quarter_tables`` reads both tables from the whole quarter
@@ -22,6 +25,7 @@ series of ``endpoint_series`` in plain mpmath, with as many terms as the
 caller asks.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +35,7 @@ import mpmath
 import pytest
 from mpmath.libmp import from_int, mpf_cos_pi, mpf_div, mpf_shift, to_int
 
+from resurgence import _chebyshev, _work
 from resurgence._chebyshev import (_KERNEL_GUARD, GUARD, _BUILD_GUARD,
                                    _complex_tuple, _cosines, _exponentials,
                                    _fixed, _folded, _matrix, _node_cosines,
@@ -101,6 +106,49 @@ def reference_matrix(n, prec):
         row.reverse()
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def reference_closed_form(n, prec):
+    """Every row of the integration matrix from the closed form of the
+    ``_chebyshev`` module docstring, entry by entry: the S sums indexed
+    one k at a time, and each entry's correction terms multiplied out for
+    k = n - 1, n and n + 1 and divided by its scale."""
+    bits = prec + GUARD + _BUILD_GUARD
+    one = 1 << bits
+    two_n = 2 * n
+    cos = _cosines(n, bits)
+    sin = _sines(n, bits)
+    lcm = math.lcm(*range(1, n + 2))
+    inverse = [lcm // k for k in range(1, n + 2)]
+    S = [_round_div(sum(map(mul, [sin[m * k % two_n] for k in range(1, n + 2)],
+                            inverse)), lcm)
+         for m in range(n + 1)]
+    S += [-v for v in S[n - 1:0:-1]]
+    wrap = S[n:] + S + S[:n + 1]
+    den = two_n << (2 * bits - (prec + GUARD))
+    columns = []
+    for j in range(n + 1):
+        alpha = 1 if j in (0, n) else 2
+        a = alpha * sin[j]
+        cn = cos[n * j % two_n]
+        columns.append((
+            2 * a, den - 4 * a * wrap[j + 2 * n],
+            2 * _round_div(alpha * cn, 2 * (n - 1)) if n > 1 else 0,
+            2 * _round_div(alpha * cos[(n + 1) * j % two_n], n),
+            2 * _round_div(alpha * (2 * cos[(n + 2) * j % two_n] - cn),
+                           2 * (n + 1))))
+    scale = 2 * den
+    out = []
+    for i in range(n + 1):
+        e0, e1, e2 = ((-1) ** k * (cos[i * k % two_n] - one)
+                      for k in (n - 1, n, n + 1))
+        entries = [(a2 * (p + q) + c2 + v0 * e0 + v1 * e1 + v2 * e2) // scale
+                   for (a2, c2, v0, v1, v2), p, q in zip(
+                       columns, wrap[2 * n - i:3 * n - i + 1],
+                       wrap[i:i + n + 1])]
+        entries.reverse()
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def reference_trig(n, bits):
@@ -308,9 +356,11 @@ def test_weights_are_the_folded_last_row(prec):
 @pytest.mark.parametrize("prec", [53, 77, 104])
 def test_trig_tables_match_per_node_rounding(prec):
     """The cosine and sine tables read from one quarter-wave table are
-    each node's own mpmath rounding, at both scales the kernel uses."""
+    each node's own mpmath rounding, at the scales of the kernel, the
+    matrix build and the Laplace ray kernels."""
     for n in list(range(1, 65)) + [80, 96, 128]:
-        for bits in (prec + GUARD, prec + GUARD + _BUILD_GUARD):
+        for bits in (prec + GUARD, prec + GUARD + _BUILD_GUARD,
+                     prec + GUARD + _KERNEL_GUARD):
             cos, sin = reference_trig(n, bits)
             assert _cosines(n, bits) == cos, (n, bits)
             assert _sines(n, bits) == sin, (n, bits)
@@ -325,6 +375,38 @@ def test_trig_tables_match_whole_quarter_wave(prec):
             cos, sin = reference_quarter_tables(n, bits)
             assert _cosines(n, bits) == cos, (n, bits)
             assert _sines(n, bits) == sin, (n, bits)
+
+
+def test_trig_tables_without_rotation_guard(monkeypatch):
+    """With no guard bits the rotation can tell no entry, so every entry
+    of the quarter wave is libmp's, one call each besides the seed, and
+    the tables are the same integers."""
+    monkeypatch.setattr(_chebyshev, "_ROTATION_GUARD", 0)
+    _chebyshev._quarter.cache_clear()
+    _cosines.cache_clear()
+    try:
+        for n in (1, 2, 7, 24, 53):
+            bits = 53 + GUARD
+            cos, sin = reference_trig(n, bits)
+            with _work.counting() as counts:
+                assert _cosines(n, bits) == cos, n
+                assert _sines(n, bits) == sin, n
+            # the even half, and the odd half of an odd n, each with a seed
+            halves = [n // 2 + 1] + ([(n + 1) // 2] if n % 2 else [])
+            assert counts == {("cos_pi", n, bits): sum(halves) + len(halves)}
+    finally:
+        _chebyshev._quarter.cache_clear()
+        _cosines.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 101))
+def test_matrix_rows_match_closed_form(n):
+    """The build's shortcuts (e_(n-1) = e_(n+1), shifts for e_n, the
+    scale's power of two shifted off first, strided S sums) give the
+    integers of the closed form taken entry by entry."""
+    for prec in (53, 77, 104):
+        assert _matrix(n, prec, range(n + 1)) \
+            == reference_closed_form(n, prec), prec
 
 
 @pytest.mark.parametrize("mid,half,n,prec", [

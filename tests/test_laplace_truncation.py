@@ -181,7 +181,8 @@ def test_tiny_margin_takes_one_bound_per_doubling(z):
     tail bound reaches target / 4 near T = 2^25, 26 doublings from 1/2.
     On the real axis the sum is made, and lies within its error of
     e^z E1(z); where the kernel turns once per 2 pi the walk passes 4000
-    turns and the ray is refused."""
+    turns at T = 2^15 and the ray is refused there, after the 15 bounds
+    from the floor 1 to 2^14."""
     with _work.counting() as counts:
         try:
             res = laplace_ray(euler_minor(), 0, RaySpec(0, z))
@@ -189,6 +190,7 @@ def test_tiny_margin_takes_one_bound_per_doubling(z):
             assert refusal.code == "decay-margin"
             assert refusal.details["turns"] > 4000
             T = refusal.details["turns"] * 2 * mpmath.pi
+            assert T == pytest.approx(2 ** 15)
         else:
             T = res.diagnostics["truncation"]
             assert abs(res.value - mpmath.exp(z) * mpmath.e1(z)) \
@@ -196,3 +198,4 @@ def test_tiny_margin_takes_one_bound_per_doubling(z):
             assert z.imag == 0
     doublings = round(float(mpmath.log(2 * T, 2)))
     assert 0 < counts["tail_bounds"] <= doublings
+    assert counts["tail_bounds"] == (15 if z.imag else 26)

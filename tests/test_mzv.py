@@ -46,15 +46,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resurgence import _chebyshev, _work
 from resurgence.errors import MIN_PREC, DivergentIndexError
 from resurgence.mzv import (
+    _FIX_GUARD,
     MAX_COLOUR_DENOMINATOR,
     MAX_CUTOFF,
     MzvIndex,
     WaWord,
+    _colour_row,
     _decode_word,
-    _tail_sum,
+    _direct_root,
+    _roots,
+    _sum_level,
     _TailForm,
+    _unit_root,
     stuffle_product,
     verify_relation,
     wa_eval,
@@ -66,6 +72,12 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
 SIXTH = Fraction(1, 6)
+
+
+def tail_sum(form):
+    """The tail W(m) = sum over n > m of ``form``, at its cutoff."""
+    return _sum_level(form.q, form.t, form.c, form.err, form.P).at(
+        form.R, form.cutoff)
 
 
 def mpf_pi_power(k):
@@ -192,14 +204,66 @@ class TestTailEngine:
 
     def test_phase_free_tail_is_hurwitz(self):
         with mpmath.workprec(3 * self.P):
-            self.within(_tail_sum(self.base(Fraction(0), 3)),
+            self.within(tail_sum(self.base(Fraction(0), 3)),
                         mpmath.zeta(3, self.N + 1))
 
     def test_alternating_tail_is_lerch(self):
         with mpmath.workprec(3 * self.P):
-            self.within(_tail_sum(self.base(HALF, 2)),
+            self.within(tail_sum(self.base(HALF, 2)),
                         (-1) ** (self.N + 1)
                         * mpmath.lerchphi(-1, 2, self.N + 1))
+
+
+def per_root(q, P):
+    """exp(2 pi i q) for a reduced q, root by root: libmp's cos(pi x) and
+    sin(pi x) at x = 2q, both rounded at P + 16 bits, then times 2^P
+    rounded to the nearest integers."""
+    with mpmath.workprec(P + 16):
+        z = mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
+        return int(mpmath.nint(mpmath.ldexp(z.real, P))), \
+            int(mpmath.nint(mpmath.ldexp(z.imag, P)))
+
+
+REDUCED = sorted({Fraction(k, d) for d in range(1, MAX_COLOUR_DENOMINATOR + 1)
+                  for k in range(d)})
+
+
+class TestUnitRoots:
+    @pytest.mark.parametrize("prec", [53, 80, 113, 240])
+    def test_rotated_roots_match_per_root_rounding(self, prec):
+        """Every root of unity with denominator up to 12, and every colour
+        row, read off one rotated table per denominator, is the root
+        rounded one by one; so are roots of the larger denominators of
+        sums of colours, computed alone."""
+        P = prec + _FIX_GUARD
+        for q in REDUCED:
+            assert _unit_root(q, P) == per_root(q, P), q
+            re, im = _colour_row(q, P)
+            assert list(zip(re, im)) == [per_root(q * n % 1, P)
+                                         for n in range(1, q.denominator + 1)]
+        for q in (Fraction(7, 60), Fraction(1, 1260)):
+            assert _unit_root(q, P) == per_root(q, P), q
+
+    def test_roots_without_rotation_guard(self, monkeypatch):
+        """With no guard bits the rotation can tell no root: each is
+        computed root by root, one libmp call besides the seed, and the
+        table holds the same integers."""
+        monkeypatch.setattr(_chebyshev, "_ROTATION_GUARD", 0)
+        _roots.cache_clear()
+        try:
+            P = 53 + _FIX_GUARD
+            for d in (1, 2, 7, 12):
+                _direct_root.cache_clear()
+                with _work.counting() as counts:
+                    table = _roots(d, P)
+                assert table == tuple(per_root(Fraction(k, d), P)
+                                      for k in range(d))
+                # each root counted under its reduced denominator
+                assert sum(counts.values()) == d + 1
+        finally:
+            _roots.cache_clear()
+            _direct_root.cache_clear()
+            _colour_row.cache_clear()
 
 
 class TestZeEval:

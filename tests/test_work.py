@@ -19,14 +19,15 @@ import mpmath
 import pytest
 from test_iterated_golden import WA
 from test_ze_defaults import INDICES, NEAR_INTEGER
+from test_ze_prefix import ze_sum
 
 from resurgence import _work, mzv
 from resurgence.hyperlog import L_numeric
 from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
                                    _exponentials, _folded, _quarter,
                                    iterated_levels, segment)
-from resurgence.mzv import (MzvIndex, _default_terms, _ze_sum, wa_eval,
-                            ze_eval, ze_to_wa)
+from resurgence.mzv import (MzvIndex, _default_terms, wa_eval, ze_eval,
+                            ze_to_wa)
 
 ROOT = Path(__file__).parents[1]
 
@@ -94,14 +95,25 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("n", [16, 24, 53, 80])
     def test_quarter_wave_cosines(self, n):
-        """The cosines of degree n read the even quarter-wave entries:
-        n // 2 + 1 libmp cosines."""
+        """The cosines of degree n read the even quarter-wave entries, the
+        real parts of one rotation: one libmp call, the rotation's seed,
+        and at these degrees no entry that the check sends back to
+        libmp."""
         _quarter.cache_clear()
         _cosines.cache_clear()
         bits = 53 + GUARD
         with _work.counting() as counts:
             _cosines(n, bits)
-        assert counts == {("cos_pi", n, bits): n // 2 + 1}
+        assert counts == {("cos_pi", n, bits): 1}
+
+    def test_quarter_wave_fallback_is_counted(self):
+        """At n = 91 and 85 bits one even entry of the rotation lies too
+        near a rounding boundary and is computed by libmp: two calls."""
+        _quarter.cache_clear()
+        _cosines.cache_clear()
+        with _work.counting() as counts:
+            _cosines(91, 85)
+        assert counts == {("cos_pi", 91, 85): 2}
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +180,7 @@ def doubling_from_1024(idx, prec):
     2^(1 - prec) (1 + |value|); fits tells whether it stopped within it."""
     terms = 0
     for n in (1024 << k for k in range(5)):
-        ev = _ze_sum(idx, prec, n, _default_terms(idx, prec, n))
+        ev = ze_sum(idx, prec, n, _default_terms(idx, prec, n))
         terms += idx.depth * n
         if ev.error <= mpmath.ldexp(1 + abs(ev.value), 1 - prec):
             return terms, True

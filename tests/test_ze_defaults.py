@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from test_ze_prefix import ze_sum
 
 from resurgence import _work, mzv
 from resurgence.mzv import (
@@ -27,7 +28,6 @@ from resurgence.mzv import (
     _binom_tail_bound,
     _default_terms,
     _em_weight,
-    _ze_sum,
     ze_eval,
 )
 
@@ -73,7 +73,7 @@ INDICES = sample(7, 24) + NEAR_INTEGER
 @pytest.mark.parametrize("idx", INDICES, ids=str)
 def test_default_matches_cutoff_ten_thousand(idx, prec):
     new = ze_eval(idx, prec=prec)
-    old = _ze_sum(idx, prec, 10**4, 4)
+    old = ze_sum(idx, prec, 10**4, 4)
     assert new.certified
     with mpmath.workprec(3 * prec):
         assert abs(new.value - old.value) <= new.error + old.error
@@ -83,7 +83,7 @@ def test_default_matches_cutoff_ten_thousand(idx, prec):
 
 def cold_caches():
     for cache in (mzv._ze_chosen, mzv._power_store, mzv._colour_row,
-                  mzv._unit_root):
+                  mzv._roots, mzv._direct_root):
         cache.cache_clear()
 
 
@@ -111,7 +111,7 @@ def test_every_start_follows_one_rule():
     assert (given.value, given.error) == (default.value, default.error)
     assert given.error < 1.7e-16
     # the one sum at 1024 leaves remainders far above the unit 2^-53
-    assert _ze_sum(hard, 53, 1024, _default_terms(hard, 53, 1024)).error \
+    assert ze_sum(hard, 53, 1024, _default_terms(hard, 53, 1024)).error \
         > 1e-8
     easy = MzvIndex((2, 1))
     assert chosen(easy, start=1024)[1] == [1024]
@@ -129,7 +129,7 @@ def test_doubling_stops_at_max_cutoff(monkeypatch):
     ev, tried, [(P, predicted, reported)] = chosen(hard)
     assert tried == [4096]
     assert predicted >= reported > 1 << (P - 54)
-    fixed = _ze_sum(hard, 53, 4096, _default_terms(hard, 53, 4096))
+    fixed = ze_sum(hard, 53, 4096, _default_terms(hard, 53, 4096))
     assert (ev.value, ev.error) == (fixed.value, fixed.error)
     assert chosen(hard, start=4096)[1] == [4096]
 
@@ -157,7 +157,7 @@ def test_chosen_cutoff_equals_a_cold_sum(idx):
     one sum there with every cache cold."""
     ev, [N] = chosen(idx)[:2]
     cold_caches()
-    cold = _ze_sum(idx, 53, N, _default_terms(idx, 53, N))
+    cold = ze_sum(idx, 53, N, _default_terms(idx, 53, N))
     assert (cold.value, cold.error) == (ev.value, ev.error)
 
 

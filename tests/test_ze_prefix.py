@@ -33,9 +33,11 @@ from resurgence.mzv import (
     _binom_tail_bound,
     _default_terms,
     _em_weight,
+    _evaluation,
     _prefix_sums,
-    _ze_fixed,
-    _ze_sum,
+    _tail_chain,
+    _tail_forms,
+    _telescope,
     ze_eval,
 )
 
@@ -49,6 +51,19 @@ INDICES = [
                             Fraction(5, 12))),
 ]
 CUTOFF = 2000
+
+
+def ze_fixed(idx, N, P, terms):
+    """The fixed-point nested sum of ``ze_eval`` at the cutoff N with
+    ``terms`` tail terms: ((re, im), rounding, remainder) in units 2^-P."""
+    return _telescope(idx, N, P, _tail_forms(_tail_chain(idx, P, terms), N))
+
+
+def ze_sum(idx, prec, cutoff, terms):
+    """The Evaluation of the nested sum at one cutoff and number of tail
+    terms, the cutoff rule of ``ze_eval`` left out."""
+    return _evaluation(idx, prec,
+                       ze_fixed(idx, cutoff, prec + _FIX_GUARD, terms))
 
 
 def phase_power(q, n):
@@ -273,8 +288,8 @@ def check_against_reference(idx, prec, cutoff):
     one cutoff covers the distance of its value from that engine's."""
     P = prec + _FIX_GUARD
     terms = _default_terms(idx, prec, cutoff)
-    (re, im), rounding, remainder = _ze_fixed(idx, cutoff, P, terms)
-    ev = _ze_sum(idx, prec, cutoff, terms)
+    (re, im), rounding, remainder = ze_fixed(idx, cutoff, P, terms)
+    ev = ze_sum(idx, prec, cutoff, terms)
     with mpmath.workprec(3 * P):
         want, bound = reference_sum(idx, cutoff, terms)
         got = mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im or 0, -P)))

@@ -19,12 +19,15 @@ For the iterated-integrals round:
   (``total_only``);
 * ``madds``: per n, the integer multiply-adds of those applications;
 * ``tables``: the first-use tables the round built: per (n, bits) under
-  ``trig``, the libmp ``mpf_cos_pi`` evaluations of the quarter-wave
-  tables; per (n, prec) under ``matrix``, the integration matrix
-  ``entries`` built and the build ``seconds``, counting its cosine and
-  sine tables; ``unit_points_cos_sin``, the ``mpf_cos_sin`` calls of the
-  arc tables ``_unit_points`` (one per node of each arc); and their
-  ``total``;
+  ``trig``, the libmp calls of the quarter-wave tables (one rotation
+  seed per half built, and one ``mpf_cos_pi`` per entry the rotation's
+  check sent back to libmp); per (n, prec) under ``matrix``, the
+  integration matrix ``entries`` built and the build ``seconds``,
+  counting its cosine and sine tables; ``unit_points_cos_sin``, the
+  ``mpf_cos_sin`` calls of the arc tables ``_unit_points`` (one per node
+  of each arc); per (d, P) under ``colour_roots``, the libmp calls of the
+  root-of-unity tables ``mzv._roots`` (one rotation seed and one call
+  per root sent back); and their ``total``;
 * ``round_s``: the wall seconds of the round, counting included;
 * ``iterated``: per ``wa_eval`` and ``L_numeric`` operation that
   integrates, the ``degree`` its panel bound picked, its ``panels``, the
@@ -41,8 +44,9 @@ tails' remainder there as ``predicted`` before the prefix sums and as
 ``reported`` after them, in units 2^-53; the ``prefix_terms`` summed
 (depth times cutoff per call), the ``tail_levels`` whose coefficients
 the tail engine built (once per number of tail terms a call tried), and
-the wall ``seconds``; and their ``total``, with ``loose``, the calls
-whose predicted remainder is more than twice the reported one.
+the wall ``seconds``; the round's ``colour_roots``, as under ``tables``;
+and their ``total``, with ``loose``, the calls whose predicted remainder
+is more than twice the reported one, and the ``colour_roots`` calls.
 
 Under ``laplace``, for the same round: per Laplace operation (rays, the
 lateral jump, Hankel contours) the ``nodes`` and ``panels`` its results
@@ -117,6 +121,12 @@ def listed(counts, name):
             for _ in range(times)]
 
 
+def colour_roots(counts):
+    """The libmp calls of the root-of-unity tables ``mzv._roots`` per
+    (d, P), as {"d,P": calls}."""
+    return {f"{d},{P}": c for (d, P), c in keyed(counts, "roots").items()}
+
+
 def run_round(ops):
     """Each operation once, in its own scope: {name: (result, counts,
     seconds, kernel cache deltas)}, the round's summed counts and its wall
@@ -161,6 +171,7 @@ def iterated_work(seed):
     keys = sorted(set(full) | set(total_only))
     trig = {f"{n},{bits}": c
             for (n, bits), c in keyed(counts, "cos_pi").items()}
+    roots = colour_roots(counts)
     built = keyed(counts, "matrix_s")
     matrix = {f"{n},{prec}": {"entries": c,
                               "seconds": round(built[n, prec], 5)}
@@ -175,7 +186,9 @@ def iterated_work(seed):
             "trig": trig,
             "matrix": matrix,
             "unit_points_cos_sin": counts["cos_sin"],
+            "colour_roots": roots,
             "total": {"trig": sum(trig.values()),
+                      "colour_roots": sum(roots.values()),
                       "entries": sum(m["entries"] for m in matrix.values()),
                       "seconds": round(sum(built.values()), 5)}},
         "round_s": round(elapsed, 5),
@@ -234,6 +247,8 @@ def certified_work(seed):
     ze_total["loose"] = sum(c["predicted"] > 2 * c["reported"]
                             for w in ze.values() for c in w["calls"])
     ze_total["seconds"] = round(sum(w["seconds"] for w in ze.values()), 5)
+    roots = colour_roots(counts)
+    ze_total["colour_roots"] = sum(roots.values())
     total = {key: sum(w[key] for w in work.values())
              for key in ("nodes", "panels", *LIBMP, "squared",
                          "tail_bounds", "gammainc", "closed_form")}
@@ -243,7 +258,7 @@ def certified_work(seed):
     total["truncation_s"] = round(counts["truncation_s"], 5)
     total["gammainc_s"] = round(counts["gammainc_s"], 5)
     total["certified"] = sum(w["certified"] for w in work.values())
-    return ({"operations": ze, "total": ze_total},
+    return ({"operations": ze, "colour_roots": roots, "total": ze_total},
             {"operations": work, "total": total, "round_s": round(elapsed, 5)})
 
 
