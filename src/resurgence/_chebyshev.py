@@ -78,6 +78,45 @@ conversion in and one conversion out; its last value, the full integral,
 is the folded weights row applied to the samples' block-fixed-point
 vector, bit for bit.
 
+Shared across words.  What one panel and one letter fix is computed once
+per process and read by every word that runs on that panel: the kernel
+vector (:func:`_kernel`, per panel, letter, n and bits); level 1's
+cumulative integral, or only its total when it is the last level
+(:func:`_first_level`, the same key), since level 1 integrates the
+kernel itself and the start values enter only where the running totals
+are added; and the panel bound's data for the letter (:func:`_letter`,
+per panel, double letter and precision).  A panel is equal to, and
+hashes as, its mpf tuples (mid and half, or centre, radius and angles),
+from which it derives its doubles, so two panels are one key exactly
+when they are the same panel.  The caches are fixed-size lru_caches of
+tuples, which no caller can extend in place, and every read gives what a
+fresh computation gives.
+
+Unit points.  An arc samples exp(i phi_j), phi_j = mid + half u_j, each
+part libmp's cosine or sine of the angle rounded at bits + 16 bits,
+truncated toward zero at the scale 2^bits (:func:`_unit_point`).  The
+integer cosine table gives u_(n-j) = -u_j exactly, so with
+E = exp(i mid) and T_j = exp(i half c_j 2^-bits) the mirrored pair is
+E conj(T_j) and E T_j, and :func:`_unit_points` takes one libmp call for
+E, one per pair and one per end, not one per node.  In units 2^-W,
+W = bits + _ROTATION_GUARD: E is the per-node value at u = 0 (the middle
+node's own for even n), within 2^(G - 16) (|mid| + 2) of exp(i mid),
+G = _ROTATION_GUARD, plus half a unit for its rounding to an integer;
+T_j, from an exact argument at W + 10 bits, is within one unit.  A part
+of the product is a sum of two products x y of parts, each within
+|dx| |y| + |x| |dy| of the exact one, and |E| and |T| are at most 1 up to
+those errors, so with the final floor the products are within
+4 + 2^(G - 16) (1.5 |mid| + 3) units of the exact point.  The per-node
+value rounds half u_j and the sum, each within 2^-(bits + 16) of its
+modulus, and its cosine and sine within one unit in their last place,
+so it is within 2^(G - 16) (2 |half| + |mid| + 3) units of the exact
+point.  Truncation toward zero jumps only at the integers, so a part is
+kept when no multiple of 2^G lies within the sum r of both radii of it:
+every value within r, the per-node one included, truncates to the same
+integer.  Any other node, and the two ends, whose angles lie on an axis
+(a part at +-1) on every arc of the package, take the per-node formula,
+one libmp call each, so every table holds the integers of that formula.
+
 Panel bound.  :func:`panel_bound` proves the error of
 :func:`iterated_levels` before it runs and picks the degree it runs at.
 On a panel z(u), u in [-1, 1], level k integrates g_k = F_(k-1) K_k with
@@ -179,6 +218,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -188,7 +228,8 @@ import mpmath
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_div,
                           mpc_sub, mpf_add, mpf_cmp, mpf_cos_pi, mpf_cos_sin,
                           mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_shift, mpf_sub, round_ceiling, to_int)
+                          mpf_shift, mpf_sub, round_ceiling, to_float,
+                          to_int)
 
 from . import _work
 
@@ -308,11 +349,6 @@ def _nodes(n: int, prec: int):
     return tuple(mpmath.mp.make_mpf(from_man_exp(-cos[j], -(prec + GUARD),
                                                  prec, "n"))
                  for j in range(n + 1))
-
-
-def chebyshev_nodes(n: int):
-    """The n + 1 Chebyshev-Lobatto nodes of [-1, 1], increasing."""
-    return _nodes(n, mpmath.mp.prec)
 
 
 def _matrix(n: int, prec: int, rows):
@@ -706,10 +742,12 @@ def _values(parts, exp: int, prec: int):
 def chebyshev_cumulative(values):
     """Cumulative integral of a sampled integrand, at the sample nodes.
 
-    ``values`` are the integrand at ``chebyshev_nodes(n)`` with
-    n = len(values) - 1.  Returns the list F(x_j) = integral from -1 to x_j
-    of the interpolant, so F[0] = 0 and F[-1] is the full integral.  The
-    result is complex when any sample is.
+    ``values`` are the integrand at the n + 1 Chebyshev-Lobatto nodes
+    x_j = -cos(pi j / n) of [-1, 1], increasing, with n = len(values) - 1
+    (``_nodes(n, prec)`` at the working precision).  Returns the list
+    F(x_j) = integral from -1 to x_j of the interpolant, so F[0] = 0 and
+    F[-1] is the full integral.  The result is complex when any sample
+    is.
     """
     n = len(values) - 1
     if n < 1:
@@ -782,7 +820,25 @@ def _sample_error(kappa_d: float, scale: float, d_num: float, sigma: float,
             + 2.0 ** (3 - GUARD) * scale * kappa_d)
 
 
-class _Segment:
+class _Panel:
+    """A panel is equal to, and hashes as, its ``key``: the mpf tuples
+    that fix it, never its doubles, so the caches of
+    :func:`_kernel`, :func:`_first_level` and :func:`_letter` serve every
+    word that runs on the same panel."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+def _double(t) -> complex:
+    """An mpc tuple as a complex double, each part rounded to nearest."""
+    return complex(to_float(t[0], rnd="n"), to_float(t[1], rnd="n"))
+
+
+class _Segment(_Panel):
     """The straight panel z = mid + half * u."""
 
     def __init__(self, z0, z1):
@@ -790,8 +846,9 @@ class _Segment:
         self.half = (z1 - z0) / 2
         self._mid = _complex_tuple(self.mid)
         self._half = _complex_tuple(self.half)
+        self.key = self._mid, self._half
         # as complex doubles, for the panel bound
-        self._doubles = complex(self.mid), complex(self.half)
+        self._doubles = _double(self._mid), _double(self._half)
 
     def position(self, u):
         return self.mid + self.half * u
@@ -852,7 +909,7 @@ class _Segment:
                 _sample_error(kappa, 1.0, 0.0, sigma, p), sizes)
 
 
-class _Arc:
+class _Arc(_Panel):
     """The circular panel z = center + radius * exp(i phi), with
     phi = mid + half * u running from t0 to t1."""
 
@@ -863,9 +920,11 @@ class _Arc:
         self.half = (t1 - t0) / 2
         self._center = _complex_tuple(center)
         self._radius = _complex_tuple(radius)
+        angles = _complex_tuple(self.mid), _complex_tuple(self.half)
+        self.key = (self._center, self._radius) + angles
         # as doubles, for the panel bound
-        self._doubles = (complex(center), complex(radius), float(self.mid),
-                         float(self.half))
+        self._doubles = (_double(self._center), _double(self._radius),
+                         *(_double(t).real for t in angles))
 
     def position(self, u):
         return (self.center
@@ -952,21 +1011,75 @@ class _Arc:
             p), sizes
 
 
+def _unit_point(m, h, c: int, bits: int):
+    """exp(i (m + h u)) at the node u = -c 2^-bits, for mpf tuples m and h,
+    as mpf tuples (cos, sin): the angle and its cosine and sine each
+    rounded to nearest at bits + 16 bits, one libmp call."""
+    wp = bits + 16
+    return mpf_cos_sin(mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits), wp,
+                                          "n"), wp, "n"), wp, "n")
+
+
+def _truncated(v: int, r: int, guard: int):
+    """trunc(x 2^-guard) for every x within r of v, or None when a rounding
+    boundary, an integer at that scale, lies within r of v."""
+    top = (v + r) >> guard
+    if top != (v - r - 1) >> guard:
+        return None
+    # no multiple of 2^guard in [v - r, v + r], 0 included: one sign
+    return top if v > 0 else top + 1
+
+
 @lru_cache(maxsize=16)
 def _unit_points(mid, half, n: int, bits: int):
     """exp(i (mid + half u_j)) at the nodes as real and imaginary parts,
-    and half, all times 2^bits: one libmp cosine and sine per node, shared
-    by every arc with the same angles."""
-    wp = bits + 16
-    _work.add("cos_sin", n + 1)
+    and half, all times 2^bits: the integers of :func:`_unit_point` node
+    by node, shared by every arc with the same angles.  They come from
+    one libmp call for exp(i mid), one per mirrored pair of nodes and one
+    per end, with the entries that the proved radius cannot tell, and
+    those ends, computed by :func:`_unit_point` ("Unit points" in the
+    module docstring)."""
     m, h = (mpmath.mpmathify(v)._mpf_ for v in (mid, half))
-    # u_j = -cos(pi j / n), exactly as the scaled integers give it, and the
-    # angle and its cosine and sine each rounded to nearest at wp bits
-    points = [mpf_cos_sin(mpf_add(m, mpf_mul(h, from_man_exp(-c, -bits), wp,
-                                             "n"), wp, "n"), wp, "n")
-              for c in _cosines(n, bits)[:n + 1]]
-    re, im = (tuple(_mantissas(p, -bits)) for p in zip(*points))
-    return re, im, _mantissas([h], -bits)[0]
+    cos = _cosines(n, bits)
+    guard = _ROTATION_GUARD
+    wide = bits + guard
+    middle = _unit_point(m, h, 0, bits)
+    # the nodes that take their own values: the ends, the middle of an
+    # even n, and the nodes sent back
+    own = {0: _unit_point(m, h, cos[0], bits),
+           n: _unit_point(m, h, cos[n], bits)}
+    if n % 2 == 0:
+        own[n // 2] = middle
+    # exp(i mid), the two ends and one call per pair between them
+    calls = 3 + (n + 1) // 2 - 1
+    er, ei = (to_int(mpf_shift(v, wide), "n") for v in middle)
+    # the sum of both radii in units 2^-W,
+    # 4 + 2^(guard - 16) (2 |half| + 2.5 |mid| + 6), |half| and |mid|
+    # rounded up at the scale 2^bits
+    hb, mb = (abs(v) + 1 for v in _mantissas([h, m], -bits))
+    drop = bits + 16 - guard
+    far = 2 * hb + 3 * mb + (6 << bits)
+    r = 4 + (-(-far >> drop) if drop > 0 else far << -drop)
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    for j in range(1, (n + 1) // 2):
+        # T_j = exp(i t_j), t_j = half c_j 2^-bits exactly
+        t = mpf_mul(h, from_man_exp(cos[j], -bits))
+        tr, ti = (to_int(mpf_shift(v, wide), "n")
+                  for v in mpf_cos_sin(t, wide + 10, "n"))
+        a, b, x, y = er * tr, ei * ti, ei * tr, er * ti
+        # node j at mid - t_j, node n - j at mid + t_j
+        for k, pr, pi in ((j, a + b, x - y), (n - j, a - b, x + y)):
+            kr = _truncated(pr >> wide, r, guard)
+            ki = _truncated(pi >> wide, r, guard)
+            if kr is None or ki is None:
+                calls += 1
+                own[k] = _unit_point(m, h, cos[k], bits)
+            else:
+                re[k], im[k] = kr, ki
+    for k, point in own.items():
+        re[k], im[k] = _mantissas(point, -bits)
+    _work.add("cos_sin", calls)
+    return tuple(re), tuple(im), _mantissas([h], -bits)[0]
 
 
 def segment(z0, z1):
@@ -978,6 +1091,34 @@ def arc(center, radius, t0, t1):
     """The circular panel of the given radius about ``center``, from angle
     t0 to angle t1."""
     return _Arc(center, radius, t0, t1)
+
+
+# -- shared across words: what one panel and one letter fix -------------------
+
+
+@lru_cache(maxsize=128)
+def _kernel(panel, a, n: int, bits: int):
+    """``panel.kernel(a, n, bits)`` for an mpc tuple a, once per (panel,
+    letter, n, bits) and shared by every word on that panel, as tuples
+    that no caller can extend in place."""
+    parts, exp = panel.kernel(a, n, bits)
+    return tuple(map(tuple, parts)), exp
+
+
+@lru_cache(maxsize=128)
+def _first_level(panel, a, n: int, bits: int, full: bool):
+    """Level 1 of :func:`iterated_levels` on one panel, before the running
+    total is added: the kernel's cumulative integral at the nodes (full),
+    or one-entry parts holding only its total, as (parts, exp).  Its
+    integrand is the kernel itself, so it depends on nothing else, and
+    the start values enter only where the running totals are added."""
+    parts, exp = _kernel(panel, a, n, bits)
+    folded = _folded(n, bits - GUARD)
+    if full:
+        parts = tuple(tuple(_cumulate(folded, p)) for p in parts)
+    else:
+        parts = tuple((_total(folded[0], p),) for p in parts)
+    return parts, exp - bits - 1
 
 
 def iterated_levels(poles, panels, n: int, start=()):
@@ -998,44 +1139,38 @@ def iterated_levels(poles, panels, n: int, start=()):
 
     Everything between the kernels and the result is block fixed point
     (see the module docstring): each kernel dz / (a - z) is formed once
-    per panel and distinct letter, by integer divisions at the nodes, and
-    the level products, the folded matrix apply and the running totals are
-    exact integer arithmetic followed by a shift back to prec + GUARD
-    bits at one shared exponent per vector.  Those shifts, the kernel
-    divisions and the final conversion of the totals to the working
-    precision are the only roundings.  The results are real when every
-    panel, letter and start value is.
+    per panel and distinct letter (:func:`_kernel`), by integer divisions
+    at the nodes, and level 1 integrated once per panel and letter too
+    (:func:`_first_level`); the level products, the folded matrix apply
+    and the running totals are exact integer arithmetic followed by a
+    shift back to prec + GUARD bits at one shared exponent per vector.
+    Those shifts, the kernel divisions and the final conversion of the
+    totals to the working precision are the only roundings.  The results
+    are real when every panel, letter and start value is.
     """
     depth = len(poles)
     _work.add(("iterated_levels", len(panels), n))
     prec = mpmath.mp.prec
     bits = prec + GUARD
     folded = _folded(n, prec)
-    # each level's letter as an index into the distinct letters
-    letters = []
-    slots = []
-    for a in map(_complex_tuple, poles):
-        if a not in letters:
-            letters.append(a)
-        slots.append(letters.index(a))
+    letters = list(map(_complex_tuple, poles))
     totals = list(start) + [(([0],), 0)] * (depth - len(start))
     for panel in panels:
-        kernels = [None] * len(letters)
-        level = None
-        for k, slot in enumerate(slots):
-            if kernels[slot] is None:
-                kernels[slot] = panel.kernel(letters[slot], n, bits)
-            g = kernels[slot] if level is None else _product(
-                level, kernels[slot], bits)
-            parts, exp = g
-            exp -= bits + 1
-            if k + 1 < depth:
-                cumulative = [_cumulate(folded, p) for p in parts]
-                level = _plus((cumulative, exp), totals[k], bits)
-                end = tuple([p[-1]] for p in cumulative)
+        for k, a in enumerate(letters):
+            full = k + 1 < depth
+            if k == 0:
+                cumulative, exp = _first_level(panel, a, n, bits, full)
             else:
-                end = tuple([_total(folded[0], p)] for p in parts)
-            totals[k] = _plus((end, exp), totals[k], bits)
+                parts, exp = _product(level, _kernel(panel, a, n, bits),
+                                      bits)
+                exp -= bits + 1
+                cumulative = [_cumulate(folded, p) if full
+                              else [_total(folded[0], p)] for p in parts]
+            if full:
+                level = _plus((cumulative, exp), totals[k], bits)
+            # the last entry of each part is the panel's total
+            totals[k] = _plus((tuple([p[-1]] for p in cumulative), exp),
+                              totals[k], bits)
     return [_values(parts, exp, prec)[0] for parts, exp in totals]
 
 
@@ -1055,24 +1190,36 @@ _FLOAT_MARGIN = 1 + 2.0 ** -30
 def _row_sum(n: int, prec: int) -> float:
     """The largest row sum of |M|, M the integration matrix as
     :func:`_cumulate` applies it (folded rows, reflected rows and the
-    weights row), rounded up to a double."""
+    weights row), rounded up to a double.
+
+    One pass over the folded rows: with (e, o) a folded pair of entries of
+    row i, |M[i][j]| + |M[i][n-j]| = max(|e|, |o|), and row n - i folds to
+    (W'_j - e, o), W' the folded weights row; the middle entry of an even
+    n is 2 M[i][n/2] in e and has no o.  The sums below are twice the row
+    sums."""
     last, pairs = _folded(n, prec)
-    half = (n + 1) // 2
-
-    def twice(x, y):
-        """Twice a row's sum: 2 max(|x_j|, y_j) per folded pair (x, y),
-        y the moduli of the odd half, plus the middle entry of an even n
-        (x[half], which the map does not reach)."""
-        return 2 * sum(map(max, map(abs, x), y)) \
-            + (0 if n % 2 else abs(x[half]))
-
-    top = twice(last, [0] * half)
+    middle = None if n % 2 else n // 2
+    weights = list(map(abs, last))
+    top = 2 * sum(weights) - (0 if middle is None else weights[middle])
     for even, odd in pairs:
         y = list(map(abs, odd))
-        top = max(top, twice(even, y), twice(list(map(sub, last, even)), y))
+        row = 2 * sum(map(max, map(abs, even), y))
+        mirror = 2 * sum(map(max, map(abs, map(sub, last, even)), y))
+        if middle is not None:
+            row += abs(even[middle])
+            mirror += abs(last[middle] - even[middle])
+        top = max(top, row, mirror)
     drop = max(0, top.bit_length() - 60)
     return math.ldexp((top >> drop) + 1, drop - (prec + GUARD + 1)) \
         * _FLOAT_MARGIN
+
+
+@lru_cache(maxsize=256)
+def _letter(panel, key: bytes, p: int):
+    """``panel.letter(a, p)`` once per (panel, letter, precision), shared
+    by every word on that panel, for the double letter a packed as its 16
+    bytes: a key that tells 0.0 from -0.0, as == does not."""
+    return panel.letter(complex(*struct.unpack("<2d", key)), p)
 
 
 def _magnitude(vector) -> float:
@@ -1131,7 +1278,8 @@ def panel_bound(poles, panels, weights, prec: int, start=()):
         # and this panel's start, each within its slack of the point meant
         gap, slack = slack + panel.slack(), panel.slack()
         across = jumps(first, gap)
-        data = [panel.letter(a, p) for a in letters]
+        data = [_letter(panel, struct.pack("<2d", a.real, a.imag), p)
+                for a in letters]
         kappa = [data[s][1] for s in slots]
         eta = [data[s][3] for s in slots]
         # majorants of |F_k| on the panel itself

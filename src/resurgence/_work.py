@@ -13,18 +13,20 @@ With no scope open, :func:`add` costs one context-variable lookup and
 A key is a string, or a tuple of a name and the integers it is counted
 per.  In ``_chebyshev``: ``("cumulate", n)`` and ``("total", n)``, the
 applications of the folded integration matrix (``_cumulate``) and of its
-weights row alone (``_total``) to one real part of n + 1 samples, and
-``("madds", n)`` their integer multiply-adds; ``("cos_pi", n, bits)``,
-the libmp calls of ``_quarter``, one seed per rotated half plus one
-cosine per entry the rotation could not tell; ``("entries", n, prec)``,
-the matrix entries ``_matrix`` builds, and ``("matrix_s", n, prec)`` the
-seconds of those builds; ``("iterated_levels", panels, n)``, the runs of
-``iterated_levels``; ``("series_terms", terms)``, the calls of
-``endpoint_series`` that keep that many terms per level.  In ``mzv`` and
-``hyperlog``: ``("terms", n, panels, panel, series, rounding, unit)``,
-per ``wa_eval`` and ``L_numeric`` call that integrates, the degree
-``panel_bound`` picked, the panels, and the four terms of the reported
-error as doubles (``series`` is 0 for ``L_numeric``).
+weights row alone (``_total``) to one real part of n + 1 samples (level
+1 of ``iterated_levels`` once per panel and letter, in the cache
+``_first_level``), and ``("madds", n)`` their integer multiply-adds;
+``("cos_pi", n, bits)``, the libmp calls of ``_quarter``, one seed per
+rotated half plus one cosine per entry the rotation could not tell;
+``("entries", n, prec)``, the matrix entries ``_matrix`` builds, and
+``("matrix_s", n, prec)`` the seconds of those builds;
+``("iterated_levels", panels, n)``, the runs of ``iterated_levels``;
+``("series_terms", terms)``, the calls of ``endpoint_series`` that keep
+that many terms per level.  In ``mzv`` and ``hyperlog``:
+``("terms", n, panels, panel, series, rounding, unit)``, per ``wa_eval``
+and ``L_numeric`` call that integrates, the degree ``panel_bound``
+picked, the panels, and the four terms of the reported error as doubles
+(``series`` is 0 for ``L_numeric``).
 
 ``"exp"``, ``"cos_sin"`` and ``"log"``: libmp calls, counted per vector
 by the ray kernel at its nodes ``_chebyshev._node_exponentials``, the

@@ -17,6 +17,10 @@ every node's cosine, sine and unit point one by one through mpmath, the
 references for the tables built from the quarter wave and from libmp;
 ``reference_quarter_tables`` reads both tables from the whole quarter
 wave, every k = 0 .. n, the reference for the halves of ``_quarter``.
+``reference_row_sum`` is the largest row sum of the folded matrix with
+every reflected row rebuilt from the folded ones, the reference for the
+one pass of ``_row_sum``.  ``chebyshev_nodes`` gives the nodes the
+kernel samples at, as mpmath values.
 ``reference_iterated`` is the level-by-level iterated integral in plain
 mpmath: kernels dz / (a - z) from each panel's position and velocity,
 products, cumulative integrals and running totals, all at the caller's
@@ -29,23 +33,28 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 import mpmath
 import pytest
 from mpmath.libmp import from_int, mpf_cos_pi, mpf_div, mpf_shift, to_int
 
 from resurgence import _chebyshev, _work
-from resurgence._chebyshev import (_KERNEL_GUARD, GUARD, _BUILD_GUARD,
-                                   _complex_tuple, _cosines, _exponentials,
-                                   _fixed, _folded, _matrix, _node_cosines,
-                                   _node_exponentials,
+from resurgence._chebyshev import (_FLOAT_MARGIN, _KERNEL_GUARD, GUARD,
+                                   _BUILD_GUARD, _complex_tuple, _cosines,
+                                   _exponentials, _fixed, _folded, _matrix,
+                                   _node_cosines, _node_exponentials, _nodes,
                                    _round_div, _row_sum, _sines, _total,
                                    _unit_points, _values, _weights,
-                                   chebyshev_cumulative, chebyshev_nodes,
-                                   endpoint_series, iterated_levels,
-                                   panel_bound, segment)
+                                   chebyshev_cumulative, endpoint_series,
+                                   iterated_levels, panel_bound, segment)
 from resurgence.hyperlog import _contour_segments
+
+
+def chebyshev_nodes(n):
+    """The n + 1 Chebyshev-Lobatto nodes of [-1, 1], increasing, at the
+    working precision: the nodes ``chebyshev_cumulative`` samples at."""
+    return _nodes(n, mpmath.mp.prec)
 
 
 def reference_cumulative(values):
@@ -583,6 +592,32 @@ def test_row_sum_bounds_every_row(n, prec):
     scale = mpmath.ldexp(1, prec + GUARD)
     assert max(sums) / scale <= _row_sum(n, prec)
     assert abs(sum(weights) / scale - 2) < mpmath.ldexp(n, -prec)
+
+
+def reference_row_sum(n, prec):
+    """The row sum of ``_row_sum`` with each reflected row rebuilt from the
+    folded ones: twice the sum of max(|e_j|, |o_j|) per folded pair, plus
+    the middle entry of an even n, for every row and its reflection."""
+    last, pairs = _folded(n, prec)
+    half = (n + 1) // 2
+
+    def twice(x, y):
+        return 2 * sum(map(max, map(abs, x), y)) \
+            + (0 if n % 2 else abs(x[half]))
+
+    top = twice(last, [0] * half)
+    for even, odd in pairs:
+        y = list(map(abs, odd))
+        top = max(top, twice(even, y), twice(list(map(sub, last, even)), y))
+    drop = max(0, top.bit_length() - 60)
+    return math.ldexp((top >> drop) + 1, drop - (prec + GUARD + 1)) \
+        * _FLOAT_MARGIN
+
+
+@pytest.mark.parametrize("prec", [53, 77, 104])
+def test_row_sum_matches_reference(prec):
+    for n in range(1, 101):
+        assert _row_sum(n, prec) == reference_row_sum(n, prec), n
 
 
 # every word's iterated integral at the bound's degree, against the same

@@ -25,8 +25,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_chebyshev import chebyshev_nodes
 
-from resurgence._chebyshev import chebyshev_cumulative, chebyshev_nodes
+from resurgence._chebyshev import chebyshev_cumulative
 from resurgence.alien import alien_derivation, alien_plus, z_derivative
 from resurgence.borelfun import LogPoleBF, RationalBF, RationalFunction
 from resurgence.errors import MIN_PREC, ResonanceError

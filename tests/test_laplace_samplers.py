@@ -21,9 +21,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from test_chebyshev import chebyshev_nodes
 
 from resurgence._chebyshev import (GUARD, _complex_tuple, _exponentials,
-                                   _values, chebyshev_nodes)
+                                   _values)
 from resurgence.borelfun import (BorelFunction, Contour, PowerBF, RationalBF,
                                  RationalFunction, StirlingBF,
                                  _moment_integral, _pole_tail_distance,

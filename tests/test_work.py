@@ -155,16 +155,29 @@ def test_laplace_round_pays_each_transcendental_once_per_panel_shape():
     nodes on 57 panels, where the nested rule sampled 3381 on 63.  The
     cached shape vectors (kernels by doubling, every degree read off
     degree 48, ray power lanes per r, circle lanes through the ray
-    kernel) keep its libmp calls within the pinned ceilings: 67 logs,
-    552 exponentials and 382 cosine-sine pairs, where the nested rule
-    made 167, 1238 and 657, and a libmp call per node 980, 2336 and
-    1257."""
+    kernel, and unit points from one call per mirrored pair of nodes)
+    keep its libmp calls within the pinned ceilings: 67 logs, 552
+    exponentials and 336 cosine-sine pairs, where the nested rule made
+    167, 1238 and 657, and a libmp call per node 980, 2336 and 1257."""
     total = engine_work(3)["laplace"]["total"]
     assert (total["nodes"], total["panels"]) == (1437, 57)
     assert total["certified"] == 9
     assert total["log"] <= 67
     assert total["exp"] <= 552
-    assert total["cos_sin"] <= 382
+    assert total["cos_sin"] <= 336
+
+
+def test_iterated_round_shares_panel_work():
+    """A seed-3 iterated-integrals round pays 60 libmp calls for the unit
+    points of its two arc tables, degrees 48 and 64 (one per node, 114,
+    before the mirrored pairs), and its words share the kernels and
+    first levels of their common panels: 53 kernels computed and 46
+    reused, 54 first levels computed and 12 reused."""
+    out = engine_work(3)
+    assert out["tables"]["unit_points_cos_sin"] == 60
+    total = out["iterated"]["total"]
+    assert total["kernels"] == {"computed": 53, "reused": 46}
+    assert total["first_levels"] == {"computed": 54, "reused": 12}
 
 
 def test_certified_round_sums_a_quarter_of_the_old_prefix():

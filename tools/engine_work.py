@@ -24,18 +24,24 @@ For the iterated-integrals round:
   check sent back to libmp); per (n, prec) under ``matrix``, the
   integration matrix ``entries`` built and the build ``seconds``,
   counting its cosine and sine tables; ``unit_points_cos_sin``, the
-  ``mpf_cos_sin`` calls of the arc tables ``_unit_points`` (one per node
-  of each arc); per (d, P) under ``colour_roots``, the libmp calls of the
-  root-of-unity tables ``mzv._roots`` (one rotation seed and one call
-  per root sent back); and their ``total``;
+  ``mpf_cos_sin`` calls of the arc tables ``_unit_points`` (one for the
+  mid angle, one per end and one per mirrored pair of nodes between
+  them, and one per node the check sends back to libmp); per (d, P)
+  under ``colour_roots``, the libmp calls of the root-of-unity tables
+  ``mzv._roots`` (one rotation seed and one call per root sent back);
+  and their ``total``;
 * ``round_s``: the wall seconds of the round, counting included;
 * ``iterated``: per ``wa_eval`` and ``L_numeric`` operation that
   integrates, the ``degree`` its panel bound picked, its ``panels``, the
   four ``terms`` of its reported error (``panel``, ``series``,
   ``rounding`` and ``unit``, as doubles; ``series`` is 0 for
   ``L_numeric``) and that ``error``, the ``series_terms`` of the endpoint
-  Taylor series of a ``wa_eval`` at 0 and at 1, and the wall
-  ``seconds``; and their ``total``.
+  Taylor series of a ``wa_eval`` at 0 and at 1, the panel ``kernels``
+  and ``first_levels`` it ``computed`` and ``reused`` from the caches
+  ``_chebyshev._kernel`` and ``_chebyshev._first_level``, shared by
+  every word on a panel (a letter repeated within a word counts as
+  reused), read from their ``cache_info()``, and the wall ``seconds``;
+  and their ``total``.
 
 Under ``ze``, for the certified-sums round: per operation that calls
 ``ze_eval`` (the nested sums and the relation checks) its ``calls``, one
@@ -97,6 +103,9 @@ KERNELS = {"ray_kernels": cheb._exponentials,
            "circle_kernels": laplace._circle_kernel,
            "log_lanes": borelfun._log_nodes,
            "power_lanes": borelfun._power_nodes}
+# the per-panel caches of the iterated integrals
+PANEL_CACHES = {"kernels": cheb._kernel, "first_levels": cheb._first_level}
+REUSE = ("computed", "reused")
 
 
 def clear_caches():
@@ -127,24 +136,24 @@ def colour_roots(counts):
     return {f"{d},{P}": c for (d, P), c in keyed(counts, "roots").items()}
 
 
-def run_round(ops):
+def run_round(ops, caches):
     """Each operation once, in its own scope: {name: (result, counts,
-    seconds, kernel cache deltas)}, the round's summed counts and its wall
-    seconds."""
+    seconds, deltas of the given caches)}, the round's summed counts and
+    its wall seconds."""
     runs, summed = {}, Counter()
     start = time.perf_counter()
     for name, call, _serialize in ops:
-        cached = {key: cache.cache_info() for key, cache in KERNELS.items()}
+        cached = {key: cache.cache_info() for key, cache in caches.items()}
         began = time.perf_counter()
         with _work.counting() as counts:
             result = call()
         seconds = round(time.perf_counter() - began, 5)
-        kernels = {}
-        for key, cache in KERNELS.items():
+        deltas = {}
+        for key, cache in caches.items():
             info = cache.cache_info()
-            kernels[key] = {"computed": info.misses - cached[key].misses,
-                            "reused": info.hits - cached[key].hits}
-        runs[name] = (result, counts, seconds, kernels)
+            deltas[key] = {"computed": info.misses - cached[key].misses,
+                           "reused": info.hits - cached[key].hits}
+        runs[name] = (result, counts, seconds, deltas)
         summed.update(counts)
     return runs, summed, time.perf_counter() - start
 
@@ -154,9 +163,10 @@ def iterated_work(seed):
     iterated-integrals round, as described in the module docstring."""
     clear_caches()
     runs, counts, elapsed = run_round(
-        worker.iterated_integrals(inputs.iterated_integrals(seed), {}))
+        worker.iterated_integrals(inputs.iterated_integrals(seed), {}),
+        PANEL_CACHES)
     iterated = {}
-    for name, (result, op, seconds, _kernels) in runs.items():
+    for name, (result, op, seconds, caches) in runs.items():
         for n, panels, *terms in listed(op, "terms"):
             error = getattr(result, "error", None)
             iterated[name] = {
@@ -165,6 +175,7 @@ def iterated_work(seed):
                 "error": float(result.error_estimate if error is None
                                else error),
                 "series_terms": listed(op, "series_terms"),
+                **caches,
                 "seconds": seconds}
     full, total_only = keyed(counts, "cumulate"), keyed(counts, "total")
     madds = keyed(counts, "madds")
@@ -200,6 +211,9 @@ def iterated_work(seed):
                    for term in TERMS},
                 "series_terms": sum(sum(w["series_terms"])
                                     for w in iterated.values()),
+                **{key: {part: sum(w[key][part] for w in iterated.values())
+                         for part in REUSE}
+                   for key in PANEL_CACHES},
                 "seconds": round(sum(w["seconds"]
                                      for w in iterated.values()), 5)}},
     }
@@ -210,7 +224,7 @@ def certified_work(seed):
     (ze, laplace) as described in the module docstring."""
     clear_caches()
     runs, counts, elapsed = run_round(
-        worker.certified_sums(inputs.certified_sums(seed), {}))
+        worker.certified_sums(inputs.certified_sums(seed), {}), KERNELS)
     ze, work = {}, {}
     for name, (result, op, seconds, kernels) in runs.items():
         if name.startswith(ZE_OPERATIONS):
@@ -254,7 +268,7 @@ def certified_work(seed):
                          "tail_bounds", "gammainc", "closed_form")}
     for key in KERNELS:
         total[key] = {part: sum(w[key][part] for w in work.values())
-                      for part in ("computed", "reused")}
+                      for part in REUSE}
     total["truncation_s"] = round(counts["truncation_s"], 5)
     total["gammainc_s"] = round(counts["gammainc_s"], 5)
     total["certified"] = sum(w["certified"] for w in work.values())
