@@ -183,12 +183,14 @@ of |w| <= rho under J(w) = (w + 1 / w) / 2.
   consecutive panels' ends, whose mid, half and angles are rounded at p
   bits, across which the exact F_k change by at most the gap times
   |F_(k-1)| / |a_k - z|.
-* The degree.  The least n >= 4 at which the panel term, with every row
-  sum at 2 (no less than the weights row's) and each term at the best of
-  the rho tried near a first estimate of n, meets the target, raised to
-  the next degree of the form 2^k or 3 2^(k - 1), so that calls whose
-  least degrees lie close share one matrix, and raised along those while
-  the term with the exact row sums does not meet it.  The bound is
+* The degree.  The search evaluates only :func:`_forward`, the panel
+  term at a degree and a largest row sum, on the ladder of :func:`_rung`,
+  so that calls whose least degrees lie close share one matrix.  From the
+  rung where the largest level term's rho^-n alone meets the target, it
+  steps down while the rung below passes the screen, every row sum at 2
+  (no less than the weights row's), which builds no matrix, and up while
+  the rung fails it, refusing a rung past MAX_DEGREE; then up while the
+  term with the exact row sums does not meet the target.  The bound is
   evaluated in doubles, every figure rounded up by 2^-30 relative, far
   more than the rounding of its few hundred operations.
 
@@ -980,13 +982,10 @@ class _Arc(_Panel):
             def sizes(rhos):
                 return [half] * len(rhos)
         else:
-            # the poles phi = arg c - i log|c| + 2 pi j nearest mid; the
-            # clearance grows with rho_c, so the least rho_c gives the bound
-            arg = cmath.phase(c)
-            k = round((mid - arg) / math.tau)
-            rho_c = min(_bernstein(complex(arg + j * math.tau - mid,
-                                           -math.log(size)) / signed)
-                        for j in (k - 1, k, k + 1))
+            # the poles nearest mid; the clearance grows with rho_c, so
+            # the least rho_c gives the bound
+            rho_c = min(_bernstein((phi - mid) / signed)
+                        for phi in _angle_poles(c, 1.0, mid))
 
             def sizes(rhos):
                 out = []
@@ -1009,6 +1008,15 @@ class _Arc(_Panel):
         return rho_c, kappa, 2 * kappa, _sample_error(
             kappa / half, half, 2.0 ** (2 - GUARD) * (1 + half), sigma,
             p), sizes
+
+
+def _angle_poles(v: complex, r: float, mid: float):
+    """The angles phi with r exp(i phi) = v nearest mid:
+    arg v - i log(|v| / r) + 2 pi j for the three j nearest."""
+    arg = cmath.phase(v)
+    k = round((mid - arg) / math.tau)
+    return [complex(arg + j * math.tau, -math.log(abs(v) / r))
+            for j in (k - 1, k, k + 1)]
 
 
 def _unit_point(m, h, c: int, bits: int):
@@ -1223,23 +1231,31 @@ def _letter(panel, key: bytes, p: int):
 
 
 def _magnitude(vector) -> float:
-    """An upper bound of the modulus of a one-entry vector, as a double."""
+    """An upper bound of the modulus of a one-entry vector, as a double;
+    mantissas too long for a double are rounded up to about 60 bits."""
     parts, exp = vector
-    return math.ldexp(math.hypot(*(p[0] for p in parts)), exp) \
-        * _FLOAT_MARGIN
+    try:
+        size = math.hypot(*(p[0] for p in parts))
+    except OverflowError:
+        drop = max(abs(p[0]) for p in parts).bit_length() - 60
+        size = math.hypot(*((abs(p[0]) >> drop) + 1 for p in parts))
+        exp += drop
+    return math.ldexp(size, exp) * _FLOAT_MARGIN
 
 
+@_work.timing("panel_bound_s")
 def panel_bound(poles, panels, weights, prec: int, start=()):
-    """(n, panel, rounding): the least degree n at which the proved panel
-    term of :func:`iterated_levels` over these panels, from these start
-    values, at the working precision, is within a quarter unit
-    2^-(prec + 2); that term and the proved rounding term, as mpf.
+    """(n, panel, rounding): the least rung n of the degree search at
+    which the proved panel term of :func:`iterated_levels` over these
+    panels, from these start values, at the working precision, is within
+    a quarter unit 2^-(prec + 2); that term and the proved rounding term,
+    as mpf.
 
     Both terms bound the sum over the levels k = 1 .. r of weights[k - 1]
     times the distance of the computed F_k from the exact iterated
     integral from the same start values along the path the panels mean,
     so the weights bound what the caller multiplies each level by.  See
-    "Panel bound" in the module docstring for the proof.
+    "Panel bound" in the module docstring for the proof and the search.
     """
     depth = len(poles)
     p = mpmath.mp.prec
@@ -1271,7 +1287,7 @@ def panel_bound(poles, panels, weights, prec: int, start=()):
             below = start_bound[k]
         return out
 
-    shapes, slack = [], 0.0
+    shapes, slack, least = [], 0.0, 4
     for panel in panels:
         first, last = panel.ends()
         # the gap between the previous panel's end, or the path's start,
@@ -1287,70 +1303,49 @@ def panel_bound(poles, panels, weights, prec: int, start=()):
         for k, s in enumerate(slots):
             on_path.append(start_bound[k + 1] + on_path[k] * data[s][2])
         top = min(min(d[0] for d in data), _RHO_CAP)
-        # per Bernstein parameter rho: log rho and, per level, the log of
-        # 2 M_k / (rho - 1) in units of the target, M_k the majorant of the
-        # k-th integrand on E_rho
+        # per level k, its term's pairs: per Bernstein parameter rho, the
+        # log of 2 M_k / (rho - 1) in units of the target, M_k the
+        # majorant of the k-th integrand on E_rho, and log rho
         rhos = [1 + (top - 1) * t for t in _RHO_STEPS]
         columns = [d[4](rhos) for d in data]
         # majorants of |F_k| on E_rho, carried out from E_1 = [-1, 1]
         # along the rays J(r e^(i theta)), r = 1 .. rho, with the step
         # from one rho to the next at its upper end
-        grid, levels, inner = [], on_path, 1.0
+        grid, levels, inner = [[] for _ in slots], on_path, 1.0
         for i, rho in enumerate(rhos):
             stretch = (rho - inner) * (1 + inner ** -2) / 2
-            outer, logs = [1.0], []
+            outer, lr = [1.0], math.log(rho)
             for k, s in enumerate(slots):
                 m = outer[k] * columns[s][i]
-                logs.append(math.log(2 * m / (rho - 1)) + shift)
+                grid[k].append((math.log(2 * m / (rho - 1)) + shift, lr))
                 outer.append(levels[k + 1] + stretch * m)
-            grid.append((math.log(rho), logs))
             levels, inner = outer, rho
-        shapes.append((across, kappa, eta, on_path, grid))
+        # the least n at which the largest term's rho^-n alone is 1
+        least = max([least] + [math.ceil(min(c / lr for c, lr in pairs))
+                               for pairs in grid])
+        shapes.append((across, kappa, eta, on_path,
+                       [(pairs, math.log(rhos[0])) for pairs in grid]))
         start_bound = on_path[:]
     tail = jumps(last, slack)
 
-    # each panel's level-k terms weigh in the total as they are carried to
-    # the last panel's end, with the row sums at their least, 2 (the
-    # weights row): per level, the cumulative term of its node values,
-    # which feed the next level, and the quadrature term of its total
-    weight, lines = list(weights), []
-    for _across, kappa, eta, _on_path, grid in reversed(shapes):
-        nodes = [0.0] * depth
-        for k in range(depth - 2, -1, -1):
-            nodes[k] = 2 * (kappa[k + 1] + math.ldexp(eta[k + 1], -p)) \
-                * (weight[k + 1] + nodes[k + 1])
-        for k in range(depth):
-            lines += [_line(grid, k, math.log(w), kind)
-                      for w, kind in ((weight[k], 0), (nodes[k], 1)) if w]
-        weight = [w + v for w, v in zip(weight, nodes)]
+    def bound(n, kind, norm):
+        # a term past the range of a double fails
+        _work.add(("bound_passes", kind))
+        try:
+            return _forward(shapes, tail, n, p, weights, tiny, norm)
+        except OverflowError:
+            return math.inf, math.inf
 
-    # from the least n at which the largest term alone meets the target,
-    # step to the least n at which the sum does; near there, each term
-    # keeps only the rho that are best at n or 8 from it, which can only
-    # raise the sum
-    n = max(4, max(math.ceil(min(c / lr for c, lr in line[0]))
-                   for line in lines))
-    guess = max(4, max(math.ceil(min((c + math.log(_TAILS[line[2]](n))) / lr
-                                     for c, lr in line[0]))
-                       for line in lines))
-    near = [({min(pairs, key=lambda pair: pair[0] - m * pair[1])
-              for m in (guess - 8, guess, guess + 8)}, slowest, kind)
-            for pairs, slowest, kind in lines]
-
-    def searched(n):
-        return sum(_term(line, n) for line in near)
-
-    n = guess
-    while n > 4 and searched(n - 1) <= 1:
-        n -= 1
-    while searched(n) > 1:
-        n += 1
-        if n > MAX_DEGREE:
-            raise ValueError("no spectral degree up to MAX_DEGREE meets "
-                             "the target")
-    n = _rung(n)
+    n = _rung(least)
+    while n > 4 and bound(_below(n), "screen", 2.0)[0] <= 1:
+        n = _below(n)
+    while n <= MAX_DEGREE and bound(n, "screen", 2.0)[0] > 1:
+        n = _rung(n + 1)
+    if n > MAX_DEGREE:
+        raise ValueError("no spectral degree up to MAX_DEGREE meets the "
+                         "target")
     while True:
-        panel, rounding = _forward(shapes, tail, n, p, weights, tiny)
+        panel, rounding = bound(n, "check", _row_sum(n, p))
         if panel <= 1 or n >= MAX_DEGREE:
             return (n, mpmath.ldexp(panel, -prec - 2),
                     mpmath.ldexp(rounding, -prec - 2))
@@ -1363,23 +1358,22 @@ def _rung(n: int) -> int:
     return power * 3 // 2 if n <= power * 3 // 2 else 2 * power
 
 
+def _below(n: int) -> int:
+    """The rung below the rung n > 4: _rung(_below(n) + 1) == n."""
+    power = 1 << (n.bit_length() - 1)
+    return power * 3 // 4 if n == power else power
+
+
 # the factors of the tail bound before rho^-n: a panel's total (the
 # quadrature, kind 0) and its node values (the cumulative integral, kind 1)
 _TAILS = (lambda n: 10 / (n * n - 4), lambda n: 6 / (n - 2))
 
 
-def _line(grid, k, offset, kind):
-    """Level k's term of a panel as (pairs, slowest, kind): per rho tried,
-    (log of 2 M_k / (rho - 1) plus ``offset``, log rho), and the least
-    log rho."""
-    return ([(logs[k] + offset, lr) for lr, logs in grid],
-            min(lr for lr, _logs in grid), kind)
-
-
-def _term(line, n):
+def _term(line, kind, n):
     """The tail bound (2 M / (rho - 1)) rho^-n (f(n) + 3 rho^-(n // 2))
-    at the best rho of a :func:`_line`, f of its kind, n >= 4."""
-    pairs, slowest, kind = line
+    at the best rho of a level's (pairs, least log rho), f of its kind,
+    n >= 4."""
+    pairs, slowest = line
     return math.exp(min(c - n * lr for c, lr in pairs)) \
         * (_TAILS[kind](n) + 3 * math.exp(-(n // 2) * slowest))
 
@@ -1393,19 +1387,19 @@ def rounded_up(x, prec: int):
     return mpmath.mpf(mpf_mul(x._mpf_, grow, prec, round_ceiling))
 
 
-def _forward(shapes, tail, n, p, weights, tiny):
+def _forward(shapes, tail, n, p, weights, tiny, norm):
     """The weighted panel and rounding terms of :func:`panel_bound` at
-    degree n, in units of its target, carried panel by panel and level by
-    level: per level, P bounds the panel term and R the rounding term of
-    the running total, and on each panel ``nodes`` bounds the error of
-    the node values, which feed the next level."""
+    degree n and largest row sum ``norm``, in units of its target, carried
+    panel by panel and level by level: per level, P bounds the panel term
+    and R the rounding term of the running total, and on each panel
+    ``nodes`` bounds the error of the node values, which feed the next
+    level."""
     depth = len(weights)
-    norm = _row_sum(n, p)
     relative = 2.0 ** -p
     unit = 2.0 ** -GUARD * tiny
     P = [0.0] * (depth + 1)
     R = [0.0] * (depth + 1)
-    for across, kappa, eta, on_path, grid in shapes:
+    for across, kappa, eta, on_path, lines in shapes:
         nodes = [(0.0, 0.0)] * (depth + 1)
         for k in range(1, depth + 1):
             R[k] += across[k]
@@ -1423,12 +1417,11 @@ def _forward(shapes, tail, n, p, weights, tiny):
             # the matrix entries, and one normalisation of the result
             dr = norm * dr + 2 * (n + 1) * unit * size \
                 + 2 * unit * on_path[k]
-            line = _line(grid, k - 1, 0.0, 0)
             if k < depth:
-                cum = P[k] + norm * dp + _term(line[:2] + (1,), n)
+                cum = P[k] + norm * dp + _term(lines[k - 1], 1, n)
                 nodes[k] = (cum, (R[k] + dr + 2 * relative * cum)
                             / (1 - 2 * relative))
-            P[k] += norm * dp + _term(line, n)
+            P[k] += norm * dp + _term(lines[k - 1], 0, n)
             R[k] = (R[k] + dr + 2 * relative * P[k]) / (1 - 2 * relative)
     end = shapes[-1][3]
     for k in range(1, depth + 1):

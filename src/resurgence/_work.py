@@ -22,7 +22,11 @@ rotated half plus one cosine per entry the rotation could not tell;
 ``("matrix_s", n, prec)`` the seconds of those builds;
 ``("iterated_levels", panels, n)``, the runs of ``iterated_levels``;
 ``("series_terms", terms)``, the calls of ``endpoint_series`` that keep
-that many terms per level.  In ``mzv`` and ``hyperlog``:
+that many terms per level; ``"panel_bound_s"``, the seconds of
+``panel_bound`` (the matrix builds of its row sums included), and
+``("bound_passes", "screen")`` and ``("bound_passes", "check")``, the
+evaluations of its bound by its degree search, with every row sum at 2
+and with the exact row sums.  In ``mzv`` and ``hyperlog``:
 ``("terms", n, panels, panel, series, rounding, unit)``, per ``wa_eval``
 and ``L_numeric`` call that integrates, the degree ``panel_bound``
 picked, the panels, and the four terms of the reported error as doubles

@@ -135,7 +135,6 @@ Out of scope here: accelero-summation and averaged (median) summation.
 from __future__ import annotations
 
 import bisect
-import cmath
 import heapq
 import itertools
 import math
@@ -146,7 +145,7 @@ import mpmath
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul
 
 from . import _work
-from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST,
+from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST, _angle_poles,
                          _bernstein, _complex_tuple, _exponentials,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
@@ -785,7 +784,8 @@ def _circle_piece(shape, ellipse, z, rho, points, budget, pts):
     shape's (rule, proved).  On E_rho, |Im phi| <= half b, so
     |e^(i phi)| <= e^(half b) and |e^(-z zeta)| <= e^(|z| rho e^(half b)).
     The frame points are the poles in phi of the singular values v,
-    arg v - i log(|v| / rho) + 2 pi j for the j nearest the panel."""
+    arg v - i log(|v| / rho) + 2 pi j for the three j nearest the
+    panel's mid (:func:`~resurgence._chebyshev._angle_poles`)."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
     rule, proved = ellipse
@@ -806,11 +806,8 @@ def _circle_piece(shape, ellipse, z, rho, points, budget, pts):
         return out
 
     mid = float((pts[0] + pts[-1]) / 2)
-    poles = []
-    for v in map(complex, points):
-        arg, near = cmath.phase(v), round((mid - cmath.phase(v)) / math.tau)
-        poles += [complex(arg + j * math.tau, -math.log(abs(v) / radius))
-                  for j in (near - 1, near, near + 1)]
+    poles = [phi for v in map(complex, points)
+             for phi in _angle_poles(v, radius, mid)]
     return _Piece(sample, majorant, proved, poles, budget, pts,
                   size * radius + 1)
 

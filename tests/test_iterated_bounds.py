@@ -18,9 +18,15 @@ error every time, with no tolerance added.  The references:
 
 The closed forms are evaluated at prec + 64 bits.  Each reported error is
 about one unit 2^-prec (1 + |value|), which also covers a panel term the
-bound undercounts, so the last sweep checks the panel term on its own: on
+bound undercounts, so the next sweep checks the panel term on its own: on
 seeded contour and simplex words, ``panel_bound`` at a target of 30 bits
 and 120 working bits, against the same integral at 240 bits.
+
+The last tests check the degree ``panel_bound`` picks against its rule,
+from the arguments of the bound it evaluates (``_forward``): a rung of
+the ladder 2^k, 3 2^(k - 1) that meets the target with the exact row
+sums, above only rungs that fail it or the screen with every row sum at
+2; and a word certified at 1024 bits.
 """
 
 import random
@@ -29,8 +35,11 @@ from math import gcd
 
 import mpmath
 import pytest
+from test_iterated_golden import L, WA
 
-from resurgence._chebyshev import iterated_levels, panel_bound, segment
+from resurgence import _chebyshev, _work, hyperlog, mzv
+from resurgence._chebyshev import (MAX_DEGREE, _below, _row_sum, _rung,
+                                   iterated_levels, panel_bound, segment)
 from resurgence.hyperlog import L_numeric, _contour_segments
 from resurgence.mzv import MzvIndex, wa_eval, ze_eval, ze_to_wa
 
@@ -177,3 +186,111 @@ def test_panel_term_bounds_the_simplex_error():
             want = iterated_levels(poles, graded(3), m)
             assert sum(abs(g - w) for g, w in zip(got, want)) \
                 <= panel + rounding + fine_panel + fine_rounding, word
+
+
+def degree_searches(monkeypatch, run):
+    """Each ``panel_bound`` call that run() makes, directly or through
+    ``wa_eval`` and ``L_numeric``, as (the n it returned, the arguments
+    of each ``_forward`` call of its search)."""
+    forward, calls, searches = _chebyshev._forward, [], []
+
+    def recorded(*args):
+        calls.append(args)
+        return forward(*args)
+
+    def bound(*args, **kwargs):
+        calls.clear()
+        out = panel_bound(*args, **kwargs)
+        searches.append((out[0], list(calls)))
+        return out
+
+    monkeypatch.setattr(_chebyshev, "_forward", recorded)
+    for module in (mzv, hyperlog):
+        monkeypatch.setattr(module, "panel_bound", bound)
+    run(bound)
+    monkeypatch.undo()
+    return searches
+
+
+def check_degree(n, calls):
+    """n is a rung that meets the target with the exact row sums, unless
+    it is MAX_DEGREE, and every rung below it fails the screen, every row
+    sum at 2, or that check; returns whether the search stepped down: its
+    first screen is of the rung below the one it starts at, so the
+    search stepped down exactly when n > 4 is at or below that rung."""
+    shapes, tail, last, p, weights, tiny, norm = calls[-1]
+    assert (last, norm) == (n, _row_sum(n, p))
+
+    def term(m, norm):
+        return _chebyshev._forward(shapes, tail, m, p, weights, tiny,
+                                   norm)[0]
+
+    assert n == _rung(n)
+    if n < MAX_DEGREE:
+        assert term(n, _row_sum(n, p)) <= 1
+    r = 4
+    while r < n:
+        assert term(r, 2.0) > 1 or term(r, _row_sum(r, p)) > 1, (r, n)
+        r = _rung(r + 1)
+    return 4 < n <= calls[0][2]
+
+
+@pytest.mark.parametrize("prec", [53, 113, 240])
+def test_panel_bound_picks_the_least_rung_that_meets_the_target(
+        monkeypatch, prec):
+    def run(bound):
+        for word in contour_words(30, 12, 2) + contour_words(31, 12, 3):
+            L_numeric(word, prec=prec)
+        for word in simplex_words(32, 16):
+            with mpmath.workprec(prec + 24):
+                bound(simplex_letters(word), graded(3), [1.0] * len(word),
+                      prec)
+        for s, eps, _value, _error in WA:
+            wa_eval(ze_to_wa(MzvIndex(s, eps)), prec=prec)
+        for word, _prec, _re, _im, _error in L:
+            L_numeric(word, prec=prec)
+
+    searches = degree_searches(monkeypatch, run)
+    assert len(searches) == 24 + 16 + len(WA) + len(L) - 1
+    stepped_down = [check_degree(n, calls) for n, calls in searches]
+    # the search starts above the least rung on some of these words
+    assert any(stepped_down)
+
+
+def test_below_inverts_the_rung():
+    rungs = sorted({_rung(k) for k in range(6, MAX_DEGREE + 1)})
+    assert rungs[:6] == [6, 8, 12, 16, 24, 32] and rungs[-1] == MAX_DEGREE
+    for r in rungs:
+        assert _below(r) < r and _rung(_below(r) + 1) == r, r
+
+
+def test_a_degree_past_the_largest_is_refused_before_its_matrix():
+    with mpmath.workprec(6024), _work.counting() as counts:
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            panel_bound([1, 2], _contour_segments(3), [0.0, 6.3], 6000)
+    assert counts["bound_passes", "screen"] > 0
+    assert not counts["bound_passes", "check"]
+    assert not [key for key in counts if key[0] == "entries"]
+
+
+def test_a_term_past_the_double_range_fails_the_screen(monkeypatch):
+    """At 4000 bits the rung below the first estimate has a term past the
+    range of a double: it fails the screen instead of raising.  The exact
+    row sums are replaced by 2, so that no matrix of degree 3072 is
+    built."""
+    monkeypatch.setattr(_chebyshev, "_row_sum", lambda n, p: 2.0)
+    with mpmath.workprec(4024):
+        n, _panel, _rounding = panel_bound([1, 2], _contour_segments(3),
+                                           [0.0, 6.3], 4000)
+    assert n == 3072
+
+
+def test_wa_certified_at_1024_bits():
+    """Start values of prec + 56 bits, too long for a double, are rounded
+    up in the bound's majorants."""
+    idx = MzvIndex((1,), (Fraction(1, 2),))
+    wa = wa_eval(ze_to_wa(idx), prec=1024)
+    reference = ze_eval(idx, prec=1024)
+    assert wa.certified
+    with mpmath.workprec(1100):
+        assert abs(wa.value - reference.value) <= wa.error + reference.error

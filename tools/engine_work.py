@@ -40,8 +40,11 @@ For the iterated-integrals round:
   and ``first_levels`` it ``computed`` and ``reused`` from the caches
   ``_chebyshev._kernel`` and ``_chebyshev._first_level``, shared by
   every word on a panel (a letter repeated within a word counts as
-  reused), read from their ``cache_info()``, and the wall ``seconds``;
-  and their ``total``.
+  reused), read from their ``cache_info()``, the evaluations of its
+  panel bound by the degree search under ``bound_passes`` (``screen``,
+  every row sum at 2, and ``check``, the exact row sums), the seconds of
+  ``panel_bound`` (``panel_bound_s``) and the wall ``seconds``; and their
+  ``total``.
 
 Under ``ze``, for the certified-sums round: per operation that calls
 ``ze_eval`` (the nested sums and the relation checks) its ``calls``, one
@@ -106,6 +109,8 @@ KERNELS = {"ray_kernels": cheb._exponentials,
 # the per-panel caches of the iterated integrals
 PANEL_CACHES = {"kernels": cheb._kernel, "first_levels": cheb._first_level}
 REUSE = ("computed", "reused")
+# the two evaluations of the panel bound by its degree search
+PASSES = ("screen", "check")
 
 
 def clear_caches():
@@ -176,6 +181,9 @@ def iterated_work(seed):
                                else error),
                 "series_terms": listed(op, "series_terms"),
                 **caches,
+                "bound_passes": {kind: op["bound_passes", kind]
+                                 for kind in PASSES},
+                "panel_bound_s": round(op["panel_bound_s"], 5),
                 "seconds": seconds}
     full, total_only = keyed(counts, "cumulate"), keyed(counts, "total")
     madds = keyed(counts, "madds")
@@ -214,8 +222,11 @@ def iterated_work(seed):
                 **{key: {part: sum(w[key][part] for w in iterated.values())
                          for part in REUSE}
                    for key in PANEL_CACHES},
-                "seconds": round(sum(w["seconds"]
-                                     for w in iterated.values()), 5)}},
+                "bound_passes": {kind: sum(w["bound_passes"][kind]
+                                           for w in iterated.values())
+                                 for kind in PASSES},
+                **{key: round(sum(w[key] for w in iterated.values()), 5)
+                   for key in ("panel_bound_s", "seconds")}}},
     }
 
 
