@@ -188,8 +188,9 @@ of |w| <= rho under J(w) = (w + 1 / w) / 2.
   so that calls whose least degrees lie close share one matrix.  From the
   rung where the largest level term's rho^-n alone meets the target, it
   steps down while the rung below passes the screen, every row sum at 2
-  (no less than the weights row's), which builds no matrix, and up while
-  the rung fails it, refusing a rung past MAX_DEGREE; then up while the
+  (no less than the weights row's), which builds no matrix, or, when it
+  took no step down, up while the rung fails it, so that each rung is
+  screened at most once, refusing a rung past MAX_DEGREE; then up while the
   term with the exact row sums does not meet the target.  The bound is
   evaluated in doubles, every figure rounded up by 2^-30 relative, far
   more than the rounding of its few hundred operations.
@@ -1336,10 +1337,11 @@ def panel_bound(poles, panels, weights, prec: int, start=()):
         except OverflowError:
             return math.inf, math.inf
 
-    n = _rung(least)
+    n, down = _rung(least), False
     while n > 4 and bound(_below(n), "screen", 2.0)[0] <= 1:
-        n = _below(n)
-    while n <= MAX_DEGREE and bound(n, "screen", 2.0)[0] > 1:
+        n, down = _below(n), True
+    # a rung stepped down to has just passed the screen
+    while not down and n <= MAX_DEGREE and bound(n, "screen", 2.0)[0] > 1:
         n = _rung(n + 1)
     if n > MAX_DEGREE:
         raise ValueError("no spectral degree up to MAX_DEGREE meets the "

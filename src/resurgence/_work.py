@@ -35,8 +35,8 @@ picked, the panels, and the four terms of the reported error as doubles
 ``"exp"``, ``"cos_sin"`` and ``"log"``: libmp calls, counted per vector
 by the ray kernel at its nodes ``_chebyshev._node_exponentials``, the
 unit points ``_chebyshev._unit_points``, the circle kernel
-``laplace._circle_kernel``, the power lanes ``borelfun._log_nodes`` and
-``borelfun._power_nodes``, the ``StirlingBF`` panel sampler and
+``laplace._circle_kernel``, the power lanes ``_borelnum._log_nodes`` and
+``_borelnum._power_nodes``, the ``StirlingBF`` panel sampler and
 ``Contour.points``, and per panel by the ``PowerBF`` panel sampler, for
 its scalar mid^(sigma - 1) or e^(i (sigma - 1) mid); ``"squared"``, the
 ray kernels ``_chebyshev._exponentials`` builds by squaring the kernel
@@ -44,7 +44,7 @@ of half the width.
 
 ``"tail_bounds"``: tail bounds evaluated by ``laplace._choose_truncation``,
 and ``"truncation_s"`` the seconds of its walks; ``"gammainc"``:
-``mpmath.gammainc`` calls of ``borelfun._moment_integral``, at integer
+``mpmath.gammainc`` calls of ``_borelnum._moment_integral``, at integer
 orders, ``"gammainc_s"`` their seconds, and ``"closed_form"`` the moments
 it bounds in closed form.  In ``mzv``: ``("cutoff", N)``, the prefix sums
 (``_prefix_sums``) up to N, one per ``ze_eval`` call, at the cutoff its

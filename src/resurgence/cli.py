@@ -49,11 +49,14 @@ Imports.  Loading this module imports only the standard library and
 :mod:`resurgence.errors` (the exit-code taxonomy, MIN_PREC and
 MAX_NODES), so building the parser loads no layer.  mpmath and each
 package module are imported inside the handler or helper that uses
-them: ``mould make``, ``mould check`` and ``series`` (of the Euler series)
-run on the exact layer without mpmath, ``alien`` and ``hyperlog --word``
-load the exact Borel-plane shapes they read, ``sum`` loads the Laplace
-layer and ``mzv`` the nested sums and the spectral kernel, never the
-other's.
+them: ``mould make``, ``mould check``, ``series`` (of the Euler series),
+``alien`` and ``hyperlog --word`` run on the exact layer without mpmath,
+the last two reading the exact Borel-plane shapes of
+:mod:`resurgence.borelfun`, which loads neither its numeric rules
+(:mod:`resurgence._borelnum`) nor the spectral kernel; ``sum`` loads the
+Laplace layer with those rules, ``hyperlog --L`` the spectral kernel,
+and ``mzv`` the nested sums and the spectral kernel, never the
+Laplace layer.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test

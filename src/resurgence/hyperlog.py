@@ -30,7 +30,9 @@ are also reachable as iterated contour integrals along a path that
 circumvents intermediate integers on the right of travel (below the real
 axis when heading right, above when heading left).  :func:`L_numeric`
 evaluates those integrals by spectral quadrature and is validated against
-the exact extractions, which pins down the contour orientation.
+the exact extractions, which pins down the contour orientation.  It and
+its path builder import mpmath and the spectral kernel themselves, so the
+exact families, series and moulds above run without them.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ import dataclasses
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
-from . import _work
-from ._chebyshev import (arc, iterated_levels, panel_bound, rounded_up,
-                         segment)
 from .alien import ResurgentSeries, alien_derivation, alien_plus
 from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
 from .errors import ResonanceError, check_prec
@@ -395,6 +392,10 @@ def _contour_segments(endpoint: int):
     between: below the axis when traveling right, above when traveling
     left (always the right-hand side of the direction of travel).
     """
+    import mpmath
+
+    from ._chebyshev import arc, segment
+
     quarter = mpmath.mpf(1) / 4
     pi = +mpmath.pi
     segs = []
@@ -431,6 +432,11 @@ def L_numeric(w, prec: int = 53) -> IteratedIntegral:
     it is certified too.  Depth is capped at 3.  ``prec`` must be at
     least MIN_PREC.
     """
+    import mpmath
+
+    from . import _work
+    from ._chebyshev import iterated_levels, panel_bound, rounded_up
+
     check_prec(prec)
     word = Word(w)
     r = len(word)

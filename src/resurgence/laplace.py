@@ -13,10 +13,10 @@ shape shipped here, since they all grow at most polynomially along rays that
 stay away from their singular points).
 
 Nothing here knows a shape's type: every sum asks the shape, once each,
-for the summation rules of :class:`.borelfun.BorelFunction` (see
-:mod:`.borelfun` for what a shape implements and what the defaults do),
-so exact constants are evaluated once and each node only does the
-arithmetic of its point.
+for its summation rules (see :mod:`.borelfun` for what a shape
+implements, and :mod:`._borelnum`, which this module imports, for the
+rules and their defaults), so exact constants are evaluated once and
+each node only does the arithmetic of its point.
 
 The numeric scheme has three error sources, and each is bounded:
 
@@ -113,7 +113,7 @@ the nearest nonzero singular point, or 1/4 when there is none), and leaves
 toward e^(i theta) * infinity.  The two rays live on different sheets.
 They share their points and their kernel, so they are integrated as one
 difference integrand e^(-w t) (f(t, theta) - f(t, theta - 2 pi)), whose
-samples the shape gives for a Hankel :class:`.borelfun.Contour`; on
+samples the shape gives for a Hankel :class:`._borelnum.Contour`; on
 single-valued shapes that difference vanishes and only the circle is
 integrated.  The circle integrand is analytic in the angle up to the
 poles of the singular values, so the whole turn starts as one panel, at
@@ -149,7 +149,8 @@ from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST, _angle_poles,
                          _bernstein, _complex_tuple, _exponentials,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
-from .borelfun import BorelFunction, Contour, _pole_tail_distance, _rotated
+from ._borelnum import Contour, _pole_tail_distance, _rotated
+from .borelfun import BorelFunction
 from .errors import (MAX_NODES, MIN_PREC, DecayMarginError, RayBlockedError,
                      check_prec)
 from .scalars import ExactScalar

@@ -369,6 +369,15 @@ class TestExtraction:
         assert data.chi_series.is_zero()
         assert data.path.signs == tuple(signs)
 
+    def test_stirling_points_between_off_the_lattice(self):
+        """Only a target on the lattice's line, at a rational multiple of
+        2 pi i, has lattice points inside its segment."""
+        s = stirling_minor()
+        assert points_between(s, TAU * Fraction(5, 2)) == [TAU, TAU * 2]
+        assert points_between(s, TAU * Fraction(-5, 2)) == [-TAU, TAU * -2]
+        for omega in (TAU * ExactScalar.log_rational(2), TAU * IPI, 3):
+            assert points_between(s, omega) == []
+
     def test_far_log_branch_dependent_weight(self):
         lp = _vmodel()
         plus = extract_singularity(lp, 3, signs=("+",))
@@ -536,3 +545,13 @@ class TestPowerShape:
             s0 = mpmath.mpf(1) / 3
             numeric = (g(s0 + h) - g(s0 - h)) / (2 * h)
             assert abs(p.g_prime_value(130) - numeric) < mpmath.mpf(10) ** -11
+
+
+def test_the_lazy_hook_knows_every_numeric_rule():
+    """A shape loads the numeric rules on its first numeric call, whichever
+    rule that is: every name they set is one the hook loads them for."""
+    from resurgence import _borelnum, borelfun
+
+    names = {name for _shape, rules in _borelnum._RULES
+             for name in vars(rules) if not name.startswith("__")}
+    assert names == borelfun._NUMERIC_RULES

@@ -516,6 +516,9 @@ CHILD = ("import json, sys; from resurgence.cli import main; "
          "modules, argv = sys.argv[1], sys.argv[2:]; code = main(argv); "
          "open(modules, 'w').write(json.dumps(sorted(sys.modules))); "
          "sys.exit(code)")
+# the numeric layer, which the exact commands never load
+NUMERIC = {"mpmath", "resurgence._chebyshev", "resurgence._work",
+           "resurgence._borelnum", "resurgence.laplace"}
 # per README subcommand, the modules its process must not load
 NOT_LOADED = {
     "mould make": {"mpmath"},
@@ -523,7 +526,8 @@ NOT_LOADED = {
     "series": {"mpmath"},
     "mzv": {"resurgence.laplace", "resurgence.borelfun"},
     "sum": {"resurgence.mzv", "resurgence.hyperlog"},
-    "alien": {"resurgence.mzv", "resurgence.hyperlog"},
+    "alien": {"resurgence.mzv", "resurgence.hyperlog", *NUMERIC},
+    "hyperlog --word": {"resurgence.mzv", *NUMERIC},
 }
 
 
@@ -570,6 +574,49 @@ def test_bare_cli_import_loads_no_mpmath():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[0] == str(
         ["resurgence", "resurgence.cli", "resurgence.errors"])
+
+
+def test_exact_modules_load_no_mpmath():
+    code = ("import sys, resurgence.borelfun, resurgence.alien, "
+            "resurgence.hyperlog; "
+            f"print(sorted({NUMERIC!r} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+# in a child where only borelfun is imported: the numeric rules load on
+# a shape's first numeric call, and give what they give once laplace
+# has loaded them
+FIRST_USE = """
+import sys
+from resurgence.borelfun import euler_minor, power_minor, stirling_minor
+
+
+def numeric():
+    out = []
+    for f in (euler_minor(), stirling_minor(), power_minor("1/2")):
+        value = f.numeric_eval(0.3, 53)
+        from resurgence._borelnum import Contour
+        floor, bound = f.tail_rule(0, 2, 0, f.singular_values(53), 53)
+        sample = f.panel_sampler(Contour(0), 53)(3, 1, 12)
+        out.append((value, floor, bound(floor), sample))
+    return out
+
+
+assert not {"mpmath", "resurgence._borelnum"} & set(sys.modules)
+first = numeric()
+assert "resurgence.laplace" not in sys.modules
+import resurgence.laplace
+assert numeric() == first
+"""
+
+
+def test_first_numeric_call_loads_the_numeric_rules():
+    done = subprocess.run([sys.executable, "-c", FIRST_USE],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestMalformedLiterals:

@@ -37,7 +37,7 @@ import mpmath
 import pytest
 from test_iterated_golden import L, WA
 
-from resurgence import _chebyshev, _work, hyperlog, mzv
+from resurgence import _chebyshev, _work, mzv
 from resurgence._chebyshev import (MAX_DEGREE, _below, _row_sum, _rung,
                                    iterated_levels, panel_bound, segment)
 from resurgence.hyperlog import L_numeric, _contour_segments
@@ -205,7 +205,7 @@ def degree_searches(monkeypatch, run):
         return out
 
     monkeypatch.setattr(_chebyshev, "_forward", recorded)
-    for module in (mzv, hyperlog):
+    for module in (mzv, _chebyshev):
         monkeypatch.setattr(module, "panel_bound", bound)
     run(bound)
     monkeypatch.undo()
@@ -255,6 +255,19 @@ def test_panel_bound_picks_the_least_rung_that_meets_the_target(
     stepped_down = [check_degree(n, calls) for n, calls in searches]
     # the search starts above the least rung on some of these words
     assert any(stepped_down)
+
+
+def test_a_search_that_steps_down_screens_each_rung_once(monkeypatch):
+    """L((1, 1, 1)) at 80 bits steps down from the rung it starts at; the
+    rung it stops at has passed the screen, so the search does not screen
+    it again on its way up."""
+    with _work.counting() as counts:
+        [(n, calls)] = degree_searches(
+            monkeypatch, lambda bound: L_numeric((1, 1, 1), prec=80))
+    assert check_degree(n, calls)
+    screened = [args[2] for args in calls if args[-1] == 2.0]
+    assert len(screened) == len(set(screened)) \
+        == counts["bound_passes", "screen"]
 
 
 def test_below_inverts_the_rung():

@@ -25,9 +25,9 @@ import random
 import mpmath
 import pytest
 
-from resurgence.borelfun import (Contour, DilogBF, LogPoleBF, PowerBF,
-                                 RationalBF, RationalFunction, StirlingBF,
-                                 euler_minor)
+from resurgence._borelnum import Contour
+from resurgence.borelfun import (DilogBF, LogPoleBF, PowerBF, RationalBF,
+                                 RationalFunction, StirlingBF, euler_minor)
 from resurgence.errors import RayBlockedError
 from resurgence.laplace import (RaySpec, hankel_laplace, laplace_ray,
                                 pade_minor)

@@ -10,7 +10,7 @@ accurate as a libmp call per node: a ray kernel built by k squarings is
 within 2^(k+2) units of the kernel computed node by node, and a power
 kernel's ray lanes t^(sigma-1) and log t, from their vectors cached per
 half / mid, within 8 units of ``mpf_exp`` and ``mpf_log`` at each node.
-``borelfun._moment_integral`` bounds Gamma(s, x) / m^s in
+``_borelnum._moment_integral`` bounds Gamma(s, x) / m^s in
 closed form at a non-integer order s: on a seeded grid the bound is at
 least ``mpmath.gammainc`` at 120 bits and never increases along the
 truncation ladder, and at an integer order it is ``gammainc`` itself.
@@ -24,15 +24,15 @@ import pytest
 from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, mpf_log, mpf_mul
 from test_laplace_golden import CALLS, GOLDEN, record
 
-from resurgence import _chebyshev, _work, borelfun, laplace
+from resurgence import _borelnum, _chebyshev, _work, laplace
 from resurgence._chebyshev import (GUARD, _complex_tuple, _cosines,
                                    _exponentials, _node_exponentials)
-from resurgence.borelfun import _moment_integral, _ray_lanes
+from resurgence._borelnum import _moment_integral, _ray_lanes
 from resurgence.laplace import _circle_kernel
 
 
 def clear_caches():
-    for module in (_chebyshev, borelfun, laplace):
+    for module in (_chebyshev, _borelnum, laplace):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

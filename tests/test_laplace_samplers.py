@@ -25,10 +25,11 @@ from test_chebyshev import chebyshev_nodes
 
 from resurgence._chebyshev import (GUARD, _complex_tuple, _exponentials,
                                    _values)
-from resurgence.borelfun import (BorelFunction, Contour, PowerBF, RationalBF,
-                                 RationalFunction, StirlingBF,
-                                 _moment_integral, _pole_tail_distance,
-                                 _rotated, _stirling_lattice, convolve,
+from resurgence._borelnum import (Contour, _moment_integral,
+                                  _pole_tail_distance, _rotated,
+                                  _stirling_lattice)
+from resurgence.borelfun import (BorelFunction, PowerBF, RationalBF,
+                                 RationalFunction, StirlingBF, convolve,
                                  euler_minor)
 from resurgence.laplace import RaySpec, hankel_laplace, laplace_ray, pade_minor
 from resurgence.scalars import ExactScalar, GaussianRational

@@ -4,7 +4,7 @@
 
 Run from the root of a source checkout.  It builds the seeded inputs of
 the iterated-integrals and certified-sums workloads (``bench/inputs.py``,
-``bench/worker.py``), clears the caches of ``_chebyshev``, ``borelfun``,
+``bench/worker.py``), clears the caches of ``_chebyshev``, ``_borelnum``,
 ``laplace``, ``mzv`` and ``series`` before each round, runs every
 operation of the round once in this process, each in its own
 ``resurgence._work.counting()`` scope, and prints one JSON object.  The
@@ -68,7 +68,7 @@ caches of the ray kernel ``_chebyshev._exponentials`` (``ray_kernels``,
 the squared kernels and their bases included), of the circle kernel
 ``laplace._circle_kernel`` (``circle_kernels``) and of the power
 kernel's ray lanes log(1 + r x) and (1 + r x)^(sigma - 1),
-``borelfun._log_nodes`` (``log_lanes``) and ``borelfun._power_nodes``
+``_borelnum._log_nodes`` (``log_lanes``) and ``_borelnum._power_nodes``
 (``power_lanes``), read from their ``cache_info()``, the seconds of its
 truncation walks (``truncation_s``), the tail bounds they evaluated
 (``tail_bounds``), per result (one, or the two of the jump) its
@@ -95,7 +95,7 @@ sys.path.insert(0, str(ROOT))
 
 from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
-from resurgence import _work, borelfun, laplace, mzv, series  # noqa: E402
+from resurgence import _borelnum, _work, laplace, mzv, series  # noqa: E402
 
 LIBMP = ("exp", "cos_sin", "log")
 # the terms of a wa_eval or L_numeric error, as resurgence._work counts them
@@ -104,8 +104,8 @@ TERMS = ("panel", "series", "rounding", "unit")
 ZE_OPERATIONS = ("coloured", "closed", "dual", "deep", "relation")
 KERNELS = {"ray_kernels": cheb._exponentials,
            "circle_kernels": laplace._circle_kernel,
-           "log_lanes": borelfun._log_nodes,
-           "power_lanes": borelfun._power_nodes}
+           "log_lanes": _borelnum._log_nodes,
+           "power_lanes": _borelnum._power_nodes}
 # the per-panel caches of the iterated integrals
 PANEL_CACHES = {"kernels": cheb._kernel, "first_levels": cheb._first_level}
 REUSE = ("computed", "reused")
@@ -114,7 +114,7 @@ PASSES = ("screen", "check")
 
 
 def clear_caches():
-    for module in (cheb, borelfun, laplace, mzv, series):
+    for module in (cheb, _borelnum, laplace, mzv, series):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
