@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .borelfun import (
     BorelFunction,
     RationalFunction,
@@ -302,13 +302,12 @@ def alien_exp(phi: ResurgentSeries, omega, pointed: bool = False) -> ResurgentSe
 # -- transseries and the Stokes action -------------------------------------------------
 
 
-@dataclass
-class Transseries:
+class Transseries(Record):
     """Components graded by powers of e^(-omega z): component k multiplies
     e^(-k omega z).  Component 0 is the purely asymptotic part."""
 
     omega: ExactScalar
-    components: dict = field(default_factory=dict)
+    components: dict = {}
 
     def __post_init__(self):
         self.omega = ExactScalar.coerce(self.omega)

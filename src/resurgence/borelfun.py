@@ -64,9 +64,9 @@ raises :class:`~resurgence.errors.NotSimpleError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .errors import NotSimpleError, UnreachableBranchError
 from .scalars import ExactScalar
 from .series import BorelSeries, _bernoulli
@@ -401,8 +401,7 @@ class RationalFunction:
 # -- path specifications -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(Record, frozen=True):
     """A continuation path: the straight segment from 0 toward ``target``,
     with one sign per singular point crossed strictly inside the segment
     ("+" passes below, "-" above), plus optional full loops (point, turns)
@@ -411,7 +410,7 @@ class PathSpec:
 
     target: object
     signs: tuple = ()
-    loops: tuple = field(default_factory=tuple)
+    loops: tuple = ()
 
     def __post_init__(self):
         for s in self.signs:
@@ -841,8 +840,7 @@ def continue_eval(f: BorelFunction, path: PathSpec, zeta=None, prec: int = 53):
     return g.numeric_eval(point_val, prec)
 
 
-@dataclass
-class SingularityData:
+class SingularityData(Record):
     """Simple-singularity data at a point reached along a path.
 
     ``a0`` is the coefficient of 1/(2*pi*i*xi); ``chi`` is the exact log

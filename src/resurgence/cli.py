@@ -51,12 +51,15 @@ MAX_NODES), so building the parser loads no layer.  mpmath and each
 package module are imported inside the handler or helper that uses
 them: ``mould make``, ``mould check``, ``series`` (of the Euler series),
 ``alien`` and ``hyperlog --word`` run on the exact layer without mpmath,
-the last two reading the exact Borel-plane shapes of
+``alien`` reading the exact Borel-plane shapes of
 :mod:`resurgence.borelfun`, which loads neither its numeric rules
-(:mod:`resurgence._borelnum`) nor the spectral kernel; ``sum`` loads the
-Laplace layer with those rules, ``hyperlog --L`` the spectral kernel,
-and ``mzv`` the nested sums and the spectral kernel, never the
-Laplace layer.
+(:mod:`resurgence._borelnum`) nor the spectral kernel, and ``hyperlog
+--word`` loading neither :mod:`resurgence.alien` nor
+:mod:`resurgence.borelfun`; ``sum`` loads the Laplace layer with those
+rules, ``hyperlog --L`` the spectral kernel, and ``mzv`` the nested sums
+and the spectral kernel, never the Laplace layer.  The spec and result
+classes of every layer are plain records (:mod:`resurgence._record`), so
+no command loads ``inspect``, ``ast`` or ``dis``.
 
 The command is deliberately stateless: fixed inputs and precision give
 byte-identical output, which is what makes the JSON form usable as test

@@ -32,17 +32,18 @@ axis when heading right, above when heading left).  :func:`L_numeric`
 evaluates those integrals by spectral quadrature and is validated against
 the exact extractions, which pins down the contour orientation.  It and
 its path builder import mpmath and the spectral kernel themselves, so the
-exact families, series and moulds above run without them.
+exact families, series and moulds above run without them; likewise the
+Borel shapes, the extractions and the normalized minors import
+:mod:`resurgence.borelfun` and :mod:`resurgence.alien` where they use
+them, so the series alone load neither.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import factorial
 
-from .alien import ResurgentSeries, alien_derivation, alien_plus
-from .borelfun import LogPoleBF, RationalBF, RationalFunction, convolve
+from ._record import Record
 from .errors import ResonanceError, check_prec
 from .moulds import Mould, comp_inverse
 from .scalars import ExactScalar
@@ -194,6 +195,8 @@ def v_borel(fam: MonomialFamily, w):
     pole with the constant 1 and divides by (zeta - a - b), producing
     log(1 - zeta/a)/(zeta - a - b).
     """
+    from .borelfun import RationalBF, RationalFunction, convolve
+
     word = Word(w)
     if len(word) == 0:
         raise ValueError(
@@ -214,6 +217,8 @@ def v_borel(fam: MonomialFamily, w):
 
 def v_resurgent(fam: MonomialFamily, w) -> ResurgentSeries:
     """The monomial as a resurgent pair (series plus exact minor)."""
+    from .alien import ResurgentSeries
+
     return ResurgentSeries(v_series(fam, w), v_borel(fam, w))
 
 
@@ -256,6 +261,8 @@ def extract_V(fam: MonomialFamily, eta, max_length: int = 2) -> Mould:
     the word's letter sum equals eta; depth one gives -2*pi*i times the
     letter's weight value.
     """
+    from .alien import alien_derivation
+
     return _extract_mould(fam, eta, max_length, alien_derivation, -1)
 
 
@@ -267,6 +274,8 @@ def extract_L(fam: MonomialFamily, eta, max_length: int = 2) -> Mould:
     family assembled over all eta > 0, together with 1 on the empty word,
     is symmetral.
     """
+    from .alien import alien_plus
+
     return _extract_mould(fam, eta, max_length, alien_plus, +1)
 
 
@@ -277,6 +286,8 @@ def total_V(fam: MonomialFamily, max_length: int = 2) -> Mould:
     point with a nonzero contribution), over the extended alphabet, so
     the mould can be composition-inverted.
     """
+    from .alien import alien_derivation
+
     if max_length > 2:
         raise NotImplementedError(
             "scalar mould extraction is implemented for depth <= 2"
@@ -338,6 +349,9 @@ def gu_resurgent(fam: MonomialFamily, w, u: Mould | None = None) -> ResurgentSer
     Depth one: U(c)/(zeta - c).  Depth two over letters (a, b) with sum
     s: U(a,b)/(zeta - s) plus U(a)U(b) log(1 - zeta/a)/(zeta - s).
     """
+    from .alien import ResurgentSeries
+    from .borelfun import LogPoleBF, RationalBF, RationalFunction
+
     word = Word(w)
     if len(word) > 2:
         raise NotImplementedError(
@@ -371,8 +385,7 @@ def gu_resurgent(fam: MonomialFamily, w, u: Mould | None = None) -> ResurgentSer
 # -- iterated contour integrals ----------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class IteratedIntegral:
+class IteratedIntegral(Record, frozen=True):
     """A numeric contour integral with its convergence diagnostics: the
     spectral ``nodes`` per panel, 0 when nothing was sampled, and
     ``certified``, whether ``error_estimate`` is a proved bound of the

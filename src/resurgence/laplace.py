@@ -138,7 +138,6 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import mpmath
@@ -150,6 +149,7 @@ from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST, _angle_poles,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
 from ._borelnum import Contour, _pole_tail_distance, _rotated
+from ._record import Record
 from .borelfun import BorelFunction
 from .errors import (MAX_NODES, MIN_PREC, DecayMarginError, RayBlockedError,
                      check_prec)
@@ -173,8 +173,7 @@ __all__ = [
 # -- specifications and results ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RaySpec:
+class RaySpec(Record, frozen=True):
     """Where and how to sum: ray angle, evaluation point, and budgets.
 
     ``theta`` is the ray angle in radians (it may leave (-pi, pi]; shapes
@@ -211,8 +210,7 @@ class RaySpec:
         return max(MIN_PREC, int(-math.log2(float(self.target_error))) + 32)
 
 
-@dataclass(frozen=True)
-class SummationResult:
+class SummationResult(Record, frozen=True, hide=("diagnostics",)):
     """A computed sum: value, error bound, and how it was made.
 
     ``error_estimate`` adds the panels' quadrature bounds, the truncation
@@ -232,12 +230,11 @@ class SummationResult:
     value: object
     error_estimate: object
     nodes_used: int
-    diagnostics: dict = field(default_factory=dict, repr=False)
+    diagnostics: dict = {}
     certified: bool = False
 
 
-@dataclass(frozen=True)
-class LateralPair:
+class LateralPair(Record, frozen=True):
     """Two lateral sums around a singular direction and their difference.
 
     ``plus`` sums along a ray just below ``theta_star`` and ``minus`` just
@@ -1002,8 +999,7 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
 # -- asymptotics reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(Record, frozen=True):
     """Rescaled remainders of ray sums against a divergent expansion.
 
     ``sups[i]`` is sup over the z-list of |z|^(n+1) |S(z) - P_n(z)| for

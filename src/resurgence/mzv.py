@@ -61,7 +61,6 @@ reporting decompositions, residuals, and error budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
@@ -74,6 +73,7 @@ from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 from . import _work
 from ._chebyshev import (_rotation, _values, endpoint_series,
                          iterated_levels, panel_bound, rounded_up, segment)
+from ._record import Record
 from .errors import DivergentIndexError, check_prec
 from .series import _bernoulli
 from .words import Word, shuffle, stuffle
@@ -115,8 +115,7 @@ def _as_colour(value) -> Fraction:
     return Fraction(value) % 1
 
 
-@dataclass(frozen=True)
-class MzvIndex:
+class MzvIndex(Record, frozen=True):
     """An index (s, eps) of a coloured nested harmonic sum.
 
     ``s`` is a tuple of positive integer exponents, ``s[0]`` attached to
@@ -173,8 +172,7 @@ class MzvIndex:
         return f"Ze(s={self.s}, eps=({', '.join(str(e) for e in self.eps)}))"
 
 
-@dataclass(frozen=True)
-class WaWord:
+class WaWord(Record, frozen=True):
     """A word of integral letters, each 0 or a root of unity.
 
     Letters are stored as phases: ``None`` for the letter 0, otherwise a
@@ -255,8 +253,7 @@ class WaWord:
         return f"Wa({', '.join(names)})"
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record, frozen=True):
     """A numeric value with its reported absolute error.
 
     ``certified`` records whether the error is a guaranteed bound of the
@@ -348,8 +345,7 @@ def _unit_root(q: Fraction, P: int):
     return _roots(q.denominator, P)[q.numerator]
 
 
-@dataclass
-class _TailForm:
+class _TailForm(Record):
     q: Fraction
     t: int
     c: tuple
@@ -447,8 +443,7 @@ def _shift_down(c, err, t: int):
     return out, err_out
 
 
-@dataclass
-class _TailLevel:
+class _TailLevel(Record):
     """One summed level: the coefficients of its tail form, which do not
     depend on the cutoff, and ``remainder(R, N)``, the certified remainder
     of the sum at the cutoff N of a summand whose own remainder is R."""
@@ -1082,8 +1077,7 @@ def _shuffle_terms(a: MzvIndex, b: MzvIndex) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record, frozen=True):
     """One side of a product identity: its decomposition, the summed
     value, the residual against the product, and the error budget the
     residual must stay inside."""
@@ -1097,8 +1091,7 @@ class RelationCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record, frozen=True):
     """The outcome of checking Ze(a) * Ze(b) against its expansions."""
 
     left: MzvIndex

@@ -527,8 +527,13 @@ NOT_LOADED = {
     "mzv": {"resurgence.laplace", "resurgence.borelfun"},
     "sum": {"resurgence.mzv", "resurgence.hyperlog"},
     "alien": {"resurgence.mzv", "resurgence.hyperlog", *NUMERIC},
-    "hyperlog --word": {"resurgence.mzv", *NUMERIC},
+    "hyperlog --word": {"resurgence.mzv", "resurgence.alien",
+                        "resurgence.borelfun", *NUMERIC},
 }
+# modules no command loads: the records of the package are plain classes,
+# and the standard record decorator would bring inspect (and ast, dis and
+# tokenize) with it
+NEVER_LOADED = {"dataclasses", "inspect"}
 
 
 def child_env():
@@ -538,8 +543,9 @@ def child_env():
 def test_readme_commands_in_fresh_processes(capsys, tmp_path, monkeypatch):
     """Each README command in a fresh interpreter, where nothing is
     imported before the command line is: it exits 0 with the in-process
-    output byte for byte, and loads only its own layer (NOT_LOADED), so an
-    import that a handler forgets fails here."""
+    output byte for byte, and loads only its own layer (NOT_LOADED) and
+    none of NEVER_LOADED, so an import that a handler forgets fails
+    here."""
     inside = tmp_path / "in-process"
     fresh = tmp_path / "fresh"
     inside.mkdir()
@@ -556,6 +562,7 @@ def test_readme_commands_in_fresh_processes(capsys, tmp_path, monkeypatch):
         if target:
             (fresh / target).write_text(done.stdout)
         loaded = set(json.loads(modules.read_text()))
+        assert not loaded & NEVER_LOADED, (line, loaded & NEVER_LOADED)
         for prefix, banned in NOT_LOADED.items():
             if " ".join(argv).startswith(prefix):
                 assert not loaded & banned, (line, loaded & banned)
@@ -580,6 +587,18 @@ def test_exact_modules_load_no_mpmath():
     code = ("import sys, resurgence.borelfun, resurgence.alien, "
             "resurgence.hyperlog; "
             f"print(sorted({NUMERIC!r} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_package_modules_load_no_record_decorator():
+    """The modules a benchmark worker imports load none of NEVER_LOADED."""
+    code = ("import sys, resurgence.alien, resurgence.borelfun, "
+            "resurgence.freealg, resurgence.hyperlog, resurgence.laplace, "
+            "resurgence.moulds, resurgence.mzv, resurgence.series, "
+            "resurgence._borelnum; "
+            f"print(sorted({NEVER_LOADED!r} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
