@@ -14,33 +14,32 @@ never imports mpmath or the spectral kernel.
 The rules are built once per sum: ``singular_values`` (with the shape's
 ``single_valued`` flag), ``panel_sampler``, ``ellipse_rule``,
 ``tail_rule`` and ``origin_head``; how a shape is evaluated on a contour
-is decided here, not in the sums.  A shape need only implement
-``singular_points`` and ``numeric_evaluator``: the default sampler
-builds a scalar evaluator for the :class:`Contour` (the principal sheet
+is decided here, not in the sums.  Every majorant and tail bound is
+proved, and a shape without them is refused with NotImplementedError
+before anything is sampled.  The default sampler builds a scalar
+evaluator of the shape for the :class:`Contour` (the principal sheet
 along a ray, ``polar_evaluator`` on a circle, the difference of two
 polar sheets on a Hankel ray) and maps it over the nodes; the default
-ellipse rule samples that evaluator on the boundary of a panel's
-Bernstein ellipses, at points closer together than the ellipse comes to
-a singular point, and is marked not proved; the other defaults take a
-tail envelope sampled on the principal sheet and marked not proved, a
-floor from the singular moduli and no origin head, and
-``polar_evaluator`` refuses a shape that is not single-valued.  Every
-sampler refuses the Hankel ray of a single-valued shape.  Each bundled
-shape overrides what it knows: proved tail envelopes and ellipse
-majorants (from partial fractions, the log bound, the Stirling lattice
-and coth bound, the dilogarithm's inversion bound on ellipses clear of
-its cut, and closed forms for power kernels), for power kernels
-polar evaluation and an exact head series at the origin, and for
-rational shapes, the Stirling minor and power kernels panel samples
-computed in integers and libmp.  A power kernel takes t^(sigma-1) on a
-ray or e^(i (sigma-1) phi) on a circle, and the lane of log t or phi
-when it carries a log, as a scalar of the panel times vectors that
-depend only on the panel's shape (cached per half / mid on a ray, the
-ray kernel at i (sigma-1) half on a circle), and applies its sheet
-constants to the lanes as integer products.  The tail envelopes
-integrate to incomplete-gamma moments, Gamma(s, m T) / m^s, which
-:func:`_moment_integral` bounds in closed form at a non-integer order
-and takes from ``mpmath.gammainc`` at an integer one.
+``origin_head`` is none, and ``polar_evaluator`` refuses a shape that is
+not single-valued.  Every sampler refuses the Hankel ray of a
+single-valued shape.  The bundled shapes' majorants and tails come from
+partial fractions, or where a rational function has none (a multiple
+pole, a lead that is not a monomial) from its factored denominator
+(:class:`Factors`), as for Pade models with an inclusion radius about
+each computed pole; the log bound; the Stirling lattice and coth bound;
+the dilogarithm's inversion bound on ellipses clear of its cut; and
+closed forms for power kernels.  Power kernels also have polar
+evaluation and an exact head series at the origin, and rational shapes,
+the Stirling minor and power kernels panel samples computed in integers
+and libmp.  A power kernel takes t^(sigma-1) on a ray or e^(i (sigma-1)
+phi) on a circle, and the lane of log t or phi when it carries a log, as
+a scalar of the panel times vectors that depend only on the panel's
+shape (cached per half / mid on a ray, the ray kernel at i (sigma-1)
+half on a circle), and applies its sheet constants to the lanes as
+integer products.  The tail envelopes integrate to incomplete-gamma
+moments, Gamma(s, m T) / m^s, which :func:`_moment_integral` bounds in
+closed form at a non-integer order and takes from ``mpmath.gammainc`` at
+an integer one.
 """
 
 from __future__ import annotations
@@ -156,18 +155,59 @@ def _fractions(rat, prec):
              for p in rat.poles])
 
 
+class Factors(NamedTuple):
+    """The moduli of a rational function num / (lead prod over poles of
+    (zeta - s_p)^m_p): ``num`` those of the numerator's coefficients,
+    lowest degree first, ``lead`` and ``poles`` (p, m_p, radius_p) with
+    |s_p - p| <= radius_p.  Where each d_p = |zeta - p| > radius_p, the
+    function is at most sum of num[k] |zeta|^k over lead times the
+    product of (d_p - radius_p)^m_p."""
+
+    num: list
+    lead: object
+    poles: list
+
+
+def _rational_factors(rat, prec):
+    """The :class:`Factors` of ``rat`` at ``prec`` bits, its poles exact."""
+    return Factors([abs(c.evaluate(prec)) for c in rat.num],
+                   abs(rat.lead.evaluate(prec)),
+                   [(p.evaluate(prec), m, 0) for p, m in rat.poles.items()])
+
+
+def _factored_envelope(factors: Factors, theta):
+    """A function T -> (0, poly) with |f(t e^(i theta))| <= sum of poly[j]
+    t^j for t >= T, by the bound of :class:`Factors` with d_p the distance
+    from the tail to p, and poly = [inf] where a pole's disk may meet the
+    tail."""
+    rotation = _rotation(theta)
+    poles = [(v * rotation, m, r) for v, m, r in factors.poles]
+
+    def envelope(T):
+        den = factors.lead
+        for u, m, r in poles:
+            gap = _pole_tail_distance(u, T) - r
+            if not gap > 0:
+                return mpmath.mpf(0), [mpmath.inf]
+            den *= gap ** m
+        return mpmath.mpf(0), [c / den for c in factors.num]
+
+    return envelope
+
+
 def _rational_envelope(rat, theta, prec):
     """A function T -> (M, poly) with |rat(t e^(i theta))| <= M + sum of
-    poly[j] t^j for t >= T, or None.
+    poly[j] t^j for t >= T.
 
-    The polynomial part is bounded by the moduli of its coefficients, and
-    the proper part by the partial fraction bound sum of |res_p| /
-    dist(tail, p); where :func:`_partial_fractions` gives None the caller
-    falls back to a sampled envelope.
+    Where :func:`_partial_fractions` gives them, the polynomial part is
+    bounded by the moduli of its coefficients, and the proper part by the
+    partial fraction bound sum of |res_p| / dist(tail, p); elsewhere (a
+    multiple pole, or a lead that is not a monomial) by the factored
+    bound (:func:`_factored_envelope`).
     """
     parts = _partial_fractions(rat, prec)
     if parts is None:
-        return None
+        return _factored_envelope(_rational_factors(rat, prec), theta)
     poly, poles = parts
     rotation = _rotation(theta)
     poles = [(v * rotation, r) for v, r in poles]
@@ -190,33 +230,10 @@ def _moment_tail(m, moment, T, M, poly=()):
     return abs(tail)
 
 
-def _sampled_tail(f, theta, m, moment, prec):
-    """A bound T -> (tail bound, False) from a constant envelope sampled
-    from the shape's ``numeric_evaluator`` at ``prec`` bits on the
-    principal sheet of the ray at angle ``theta``: honest only for
-    decaying shapes, so it is not proved."""
-    evaluate = f.numeric_evaluator(prec)
-    direction = mpmath.exp(mpmath.mpc(0, 1) * theta)
-
-    def bound(T):
-        samples = [abs(evaluate(T * c * direction))
-                   for c in (1, mpmath.mpf(3) / 2, 2, 3, 5, 8)]
-        if samples[-1] > 2 * samples[0] + 1:
-            raise NotImplementedError(
-                "the integrand does not appear to decay along the ray, and "
-                "no proved envelope is available for this shape"
-            )
-        return _moment_tail(m, moment, T, 4 * max(samples)), False
-
-    return bound
-
-
-def _envelope_tail(envelope, f, theta, m, moment, prec):
-    """A bound T -> (tail bound, True) from ``envelope(T)`` = (M, poly),
-    or the sampled bound when ``envelope`` is None."""
-    if envelope is None:
-        return _sampled_tail(f, theta, m, moment, prec)
-    return lambda T: (_moment_tail(m, moment, T, *envelope(T)), True)
+def _envelope_tail(envelope, m, moment):
+    """The tail bound T -> the integral of e^(-m t) t^moment times the
+    envelope T -> (M, poly) over t >= T."""
+    return lambda T: _moment_tail(m, moment, T, *envelope(T))
 
 
 class Contour(NamedTuple):
@@ -274,10 +291,6 @@ def _one_sheet(f, contour: Contour):
 # the relative margin of the ellipse rules' double-precision arithmetic: a
 # few dozen roundings, each of a unit 2^-53, and libm's log and exp
 _MARGIN = 1 + 2.0 ** -20
-# the least and the most points of an ellipse at which the sampled default
-# evaluates a shape
-_BOUNDARY_POINTS = 12
-_MAX_BOUNDARY_POINTS = 48
 
 
 class _Frame:
@@ -361,14 +374,42 @@ def _margined(majorant):
                                     for m in majorant(mid, half, rhos)]
 
 
+def _factored_majorant(factors: Factors, frame: _Frame):
+    """A majorant (mid, half, rhos) -> bounds of the rational function of
+    ``factors`` on the images of the ellipses, by :class:`Factors` at
+    their largest |zeta| and with d_p their distance to p, a margin short
+    (math.inf where a disk may meet them); in Horner's rule and division
+    by one distance at a time, a double that overflows is math.inf."""
+    num = [float(c) for c in reversed(factors.num)]
+    lead = float(factors.lead)
+    poles = [(frame.point(v), m, float(r)) for v, m, r in factors.poles]
+
+    def majorant(mid, half, rhos):
+        out = []
+        for rho in rhos:
+            top, total = frame.radii(mid, half, rho)[1], 0.0
+            for c in num:
+                total = total * top + c
+            out.append(total / lead)
+        for p, m, r in poles:
+            for i, d in enumerate(frame.distances(p, mid, half, rhos)):
+                gap = d / _MARGIN - r
+                for _ in range(m):
+                    out[i] = out[i] / gap if gap > 0 else math.inf
+        return out
+
+    return majorant
+
+
 def _rational_majorant(rat, frame: _Frame, prec):
     """A majorant (mid, half, rhos) -> bounds of |rat| on the images of the
-    ellipses, or None where :func:`_partial_fractions` gives none: the
-    moduli of the polynomial part's coefficients at the largest |zeta|,
-    plus |res_p| over the distance to each simple pole p."""
+    ellipses.  Where :func:`_partial_fractions` gives them: the moduli of
+    the polynomial part's coefficients at the largest |zeta|, plus |res_p|
+    over the distance to each simple pole p; elsewhere the factored bound
+    (:func:`_factored_majorant`)."""
     parts = _partial_fractions(rat, prec)
     if parts is None:
-        return None
+        return _factored_majorant(_rational_factors(rat, prec), frame)
     poly = [float(c) for c in parts[0]]
     poles = [(frame.point(v), float(r)) for v, r in parts[1]]
 
@@ -386,7 +427,7 @@ def _rational_majorant(rat, frame: _Frame, prec):
 
 
 def _logpole_majorant(f, frame: _Frame, prec):
-    """The majorant of a rational-plus-logs shape, or None: the rational
+    """The majorant of a rational-plus-logs shape on a ray: the rational
     majorants of its parts, each log factor bounded by
     |Log(1 - zeta/a) + 2 pi i k| <= |ln|1 - zeta/a|| + 2 pi (1 + |k|).
     The ellipse is convex and avoids a, so it subtends at most a half
@@ -395,16 +436,11 @@ def _logpole_majorant(f, frame: _Frame, prec):
     |ln|1 - zeta/a|| is at most ln(1 + |zeta| / |a|) or ln(|a| / d) with
     d the distance to a."""
     rational = _rational_majorant(f.rational_part, frame, prec)
-    if rational is None:
-        return None
     logs = []
     for a, r, k in f.log_terms:
-        cofactor = _rational_majorant(r, frame, prec)
-        if cofactor is None:
-            return None
         av = complex(a.evaluate(prec))
-        logs.append((cofactor, frame.point(av), abs(av),
-                     2 * math.pi * (1 + abs(k))))
+        logs.append((_rational_majorant(r, frame, prec), frame.point(av),
+                     abs(av), 2 * math.pi * (1 + abs(k))))
 
     def majorant(mid, half, rhos):
         out = rational(mid, half, rhos)
@@ -418,63 +454,6 @@ def _logpole_majorant(f, frame: _Frame, prec):
                     out[i] += c * (max(math.log1p(top / size), near)
                                    + branch)
         return out
-
-    return majorant
-
-
-def _sampled_majorant(evaluate, frame: _Frame, points):
-    """A majorant from a contour's scalar evaluator, for a shape without a
-    proved one: four times the largest modulus at points of the boundary
-    of two ellipses, the middle and the largest of the rho asked that it
-    samples; by the maximum principle an ellipse's maximum bounds every
-    ellipse inside it, so each rho takes the least sampled ellipse
-    containing it, and a rho past the largest gets none (math.inf).
-
-    An ellipse is sampled only where its points, at equal steps of the
-    angle, lie at most as far apart as the ellipse lies from the frame
-    ``points`` (the singular points), with _BOUNDARY_POINTS to
-    _MAX_BOUNDARY_POINTS points: a pole of residue r at distance d from
-    the ellipse then shows at least r / (3 d / 2) at some point, against
-    its peak r / d.  Not a proof: the boundary is sampled, not
-    bounded."""
-
-    def clearance(mid, half, rhos):
-        near = [math.inf] * len(rhos)
-        for p in points:
-            near = list(map(min, near, frame.distances(p, mid, half, rhos)))
-        return near
-
-    def count(mid, half, rho, gap):
-        """The points the ellipse needs: its steps are at most
-        2 pi half a / k long, stretched by the circle's largest radius on a
-        circle frame."""
-        if gap <= 0:
-            return math.inf
-        a = (rho + 1 / rho) / 2
-        stretch = 1.0 if frame.radius is None \
-            else frame.radii(mid, half, rho)[1]
-        return max(_BOUNDARY_POINTS,
-                   math.ceil(2 * math.pi * abs(half) * a * stretch / gap))
-
-    def largest(mid, half, rho, k):
-        a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
-        return 4 * max(abs(complex(evaluate(mpmath.mpc(
-            mid + half * a * math.cos(t), half * b * math.sin(t)))))
-            for t in (2 * math.pi * j / k for j in range(k)))
-
-    def majorant(mid, half, rhos):
-        counts = {rho: count(mid, half, rho, gap)
-                  for rho, gap in zip(rhos, clearance(mid, half, rhos))}
-        usable = sorted(rho for rho, k in counts.items()
-                        if k <= _MAX_BOUNDARY_POINTS)
-        if not usable:
-            return [math.inf] * len(rhos)
-        inner, outer = usable[len(usable) // 2], usable[-1]
-        near = largest(mid, half, inner, counts[inner])
-        far = near if outer == inner \
-            else largest(mid, half, outer, counts[outer])
-        return [near if rho <= inner else far if rho <= outer else math.inf
-                for rho in rhos]
 
     return majorant
 
@@ -516,32 +495,25 @@ class _BorelRules:
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """(floor, bound) on the ray at angle ``theta``: the least
-        truncation point, and T -> (bound, proved?) for the integral over
-        t >= T of e^(-m t) |f(t e^(i theta))| t^moment, with what does not
-        depend on T computed once.  Laplace sums evaluate the bound at the
-        points of their segment ladder from the floor on, and truncate at
-        the first that meets their goal.  The default floor is past twice
-        the farthest value of ``sing`` (capped at 32) and at least 4, and
-        the bound sampled."""
-        mods = [abs(v) for v in sing]
-        top = min(max(mods, default=mpmath.mpf(0)), mpmath.mpf(32))
-        return (max(mpmath.mpf(4), 2 * top + 1),
-                _sampled_tail(self, theta, m, moment, prec))
+        truncation point, and a proved bound T -> the integral over t >= T
+        of e^(-m t) |f(t e^(i theta))| t^moment, with what does not depend
+        on T computed once; ``sing`` are the sum's ``singular_values``.
+        Laplace sums evaluate the bound at the points of their segment
+        ladder from the floor on, and truncate at the first that meets
+        their goal.  The default refuses the shape, before sampling."""
+        raise NotImplementedError(f"{type(self).__name__} has no proved "
+                                  "tail rule")
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
-        """(majorant, proved): a function (mid, half, rhos) -> upper bounds,
+        """A proved majorant: a function (mid, half, rhos) -> upper bounds,
         per rho, of the modulus of the samples ``panel_sampler`` gives on
         the panel mid + half x of ``contour`` (doubles), continued to the
-        Bernstein ellipse E_rho of x (math.inf where the rule has none),
-        and whether the bounds are proved; ``sing`` are the sum's
-        ``singular_values``.  Laplace sums read it to pick each panel's
-        degree and bound its quadrature error before they sample.  The
-        default samples the boundary of the ellipses with the contour's
-        scalar evaluator, clear of ``sing`` (:func:`_sampled_majorant`),
-        so it is not proved."""
-        frame = _Frame(contour)
-        return _sampled_majorant(self._contour_evaluator(contour, prec),
-                                 frame, [frame.point(v) for v in sing]), False
+        Bernstein ellipse E_rho of x (math.inf where the rule has none);
+        ``sing`` are the sum's ``singular_values``.  Laplace sums read it
+        to pick each panel's degree and bound its quadrature error before
+        they sample.  The default refuses the shape."""
+        raise NotImplementedError(f"{type(self).__name__} has no proved "
+                                  "ellipse majorant on this contour")
 
     def origin_head(self, w, theta, moment, prec: int):
         """(h, head, error): the integral of e^(-w t) f(t e^(i theta))
@@ -552,17 +524,17 @@ class _BorelRules:
         here, before any sampling."""
         return 0, 0, 0
 
-    def _contour_evaluator(self, contour: Contour, prec: int):
-        """One scalar evaluator of the contour's parameter at ``prec``
-        bits, built once per (contour, prec) for the default sampler and
-        the default ellipse rule: f(t e^(i theta)) on the principal sheet
-        along a ray, ``polar_evaluator`` at (radius, phi) on a circle, and
-        polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray, which
-        a single-valued shape refuses (see :func:`_one_sheet`)."""
+    def panel_sampler(self, contour: Contour, prec: int):
+        """A function (mid, half, n) -> the shape's samples on one panel of
+        ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
+        block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
+        bits.  The default builds one scalar evaluator of the contour's
+        parameter at ``prec`` bits, maps it over the nodes and converts
+        the values once: f(t e^(i theta)) on the principal sheet along a
+        ray, ``polar_evaluator`` at (radius, phi) on a circle, and
+        polar(t, theta) - polar(t, theta - 2 pi) on a Hankel ray, which a
+        single-valued shape refuses (see :func:`_one_sheet`)."""
         _one_sheet(self, contour)
-        built = self.__dict__.setdefault("_evaluators", {})
-        if (contour, prec) in built:
-            return built[contour, prec]
         if contour.radius is not None:
             polar, rho = self.polar_evaluator(prec), contour.radius
 
@@ -580,17 +552,6 @@ class _BorelRules:
 
             def evaluate(t):
                 return point(t * direction)
-        built[contour, prec] = evaluate
-        return evaluate
-
-    def panel_sampler(self, contour: Contour, prec: int):
-        """A function (mid, half, n) -> the shape's samples on one panel of
-        ``contour`` (see :class:`Contour`), at its n + 1 nodes, as one
-        block-fixed-point vector of :mod:`._chebyshev` at prec + GUARD
-        bits.  The default maps the contour's scalar evaluator
-        (:meth:`_contour_evaluator`) over the nodes and converts the
-        values once."""
-        evaluate = self._contour_evaluator(contour, prec)
         bits = prec + GUARD
 
         def sample(mid, half, n):
@@ -608,18 +569,13 @@ class _RationalRules:
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """The rational envelope from T = 1."""
-        envelope = _rational_envelope(self.rat, theta, prec)
-        return (mpmath.mpf(1),
-                _envelope_tail(envelope, self, theta, m, moment, prec))
+        return mpmath.mpf(1), _envelope_tail(
+            _rational_envelope(self.rat, theta, prec), m, moment)
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
-        """The partial-fraction majorant (:func:`_rational_majorant`), or
-        the sampled default where it has none."""
+        """The rational majorant (:func:`_rational_majorant`)."""
         _one_sheet(self, contour)
-        majorant = _rational_majorant(self.rat, _Frame(contour), prec)
-        if majorant is None:
-            return BorelFunction.ellipse_rule(self, contour, sing, prec)
-        return _margined(majorant), True
+        return _margined(_rational_majorant(self.rat, _Frame(contour), prec))
 
     def panel_sampler(self, contour: Contour, prec: int):
         """Exact integer Horner evaluation of the numerator and the factored
@@ -678,7 +634,7 @@ class _RationalRules:
 
 def _logpole_envelope(f, theta, prec):
     """A function T -> envelope (M, poly) of a rational-plus-logs shape
-    beyond T, or None.
+    beyond T.
 
     Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|) + B
     with B = pi (1 + 2 |k|).  A proper cofactor with simple poles decays
@@ -688,25 +644,27 @@ def _logpole_envelope(f, theta, prec):
     polynomial part sum q_j t^j of the cofactor is bounded by
     sum |q_j| t^j, and the log by its tangent at T, ln(1 + t/|a|) <=
     ln(1 + T/|a|) + (t - T) / (|a| + T), so it adds that polynomial times
-    alpha + beta t.
+    alpha + beta t.  A cofactor without partial fractions is bounded
+    beyond T by the polynomial of :func:`_factored_envelope` alone.
     """
     rational = _rational_envelope(f.rational_part, theta, prec)
-    if rational is None:
-        return None
     logs = []
     for a, r, k in f.log_terms:
         parts = _partial_fractions(r, prec)
         if parts is None:
-            return None
-        q, poles = parts
-        ressum = sum((res for _v, res in poles), mpmath.mpf(0))
-        logs.append((q, abs(a.evaluate(prec)), mpmath.pi * (1 + 2 * abs(k)),
-                     ressum))
+            # T -> (0, q): no part that decays like 1 / t
+            cofactor = _factored_envelope(_rational_factors(r, prec), theta)
+        else:
+            q, poles = parts
+            cofactor = sum((res for _v, res in poles), mpmath.mpf(0)), q
+        logs.append((cofactor, abs(a.evaluate(prec)),
+                     mpmath.pi * (1 + 2 * abs(k))))
 
     def envelope(T):
         M, poly = rational(T)
         poly = list(poly)
-        for q, av, B, ressum in logs:
+        for cofactor, av, B in logs:
+            ressum, q = cofactor(T) if callable(cofactor) else cofactor
             if q:
                 beta = 1 / (av + T)
                 alpha = mpmath.log(1 + T / av) + B - T * beta
@@ -751,18 +709,15 @@ class _LogPoleRules:
         for _a, r, _k in self.log_terms:
             mods.extend(abs(p.evaluate(prec)) for p in r.poles)
         top = max(mods, default=mpmath.mpf(0))
-        envelope = _logpole_envelope(self, theta, prec)
-        return (max(mpmath.mpf(4), 2 * top + 1),
-                _envelope_tail(envelope, self, theta, m, moment, prec))
+        return (max(mpmath.mpf(4), 2 * top + 1), _envelope_tail(
+            _logpole_envelope(self, theta, prec), m, moment))
 
     def ellipse_rule(self, contour: Contour, sing, prec: int):
-        """:func:`_logpole_majorant` on a ray, or the default where it has
+        """:func:`_logpole_majorant` on a ray; a circle or a Hankel ray has
         none."""
-        majorant = None if contour.radius is not None or contour.hankel \
-            else _logpole_majorant(self, _Frame(contour), prec)
-        if majorant is None:
+        if contour.radius is not None or contour.hankel:
             return BorelFunction.ellipse_rule(self, contour, sing, prec)
-        return _margined(majorant), True
+        return _margined(_logpole_majorant(self, _Frame(contour), prec))
 
 
 @lru_cache(maxsize=8)
@@ -860,7 +815,7 @@ class _StirlingRules:
             delta = min(d / 2, mpmath.pi / 2)
             coth_bound = 1 + mpmath.pi / (2 * delta)
             M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-            return _moment_tail(m, moment, T, M), True
+            return _moment_tail(m, moment, T, M)
 
         return mpmath.mpf(4), bound
 
@@ -905,7 +860,7 @@ class _StirlingRules:
                 out.append(max(bound, 1 / 9) if low < pi else bound)
             return out
 
-        return _margined(majorant), True
+        return _margined(majorant)
 
     def panel_sampler(self, contour: Contour, prec: int):
         """One exponential per node: (zeta/2 - 1 + zeta / (e^zeta - 1))
@@ -1021,7 +976,7 @@ class _DilogRules:
                 out.append(bound)
             return out
 
-        return _margined(majorant), True
+        return _margined(majorant)
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """Guaranteed tail bound beyond T >= 1, from T = 4.
@@ -1045,7 +1000,7 @@ class _DilogRules:
         def bound(T):
             return abs(A * _moment_integral(moment + 1, m, T)
                        + B * _moment_integral(moment + 1 + half, m, T)
-                       + C * _moment_integral(moment + 2, m, T)), True
+                       + C * _moment_integral(moment + 2, m, T))
 
         return mpmath.mpf(4), bound
 
@@ -1231,8 +1186,7 @@ class _PowerRules:
                     * (A + B * (abs(mid) + abs(half) * (rho + 1 / rho) / 2))
                     for rho in rhos]
 
-        return _margined(on_ray if contour.radius is None else on_circle), \
-            True
+        return _margined(on_ray if contour.radius is None else on_circle)
 
     def panel_sampler(self, contour: Contour, prec: int):
         """With s1 = sigma - 1, the power lane: t^s1 on a ray, shared by
@@ -1293,8 +1247,7 @@ class _PowerRules:
         s = mpmath.mpf(self.sigma.numerator) / self.sigma.denominator + moment
         g = abs(self.g_value(prec))
         if not self.with_log:
-            return mpmath.mpf(1), lambda T: (g * _moment_integral(s, m, T),
-                                             True)
+            return mpmath.mpf(1), lambda T: g * _moment_integral(s, m, T)
         A = abs(mpmath.mpf(theta)) + 2 * mpmath.pi
         gp = abs(self.g_prime_value(prec))
         root = s + mpmath.mpf(1) / 2
@@ -1302,7 +1255,7 @@ class _PowerRules:
         def bound(T):
             base = _moment_integral(s, m, T)
             return g * (A * base + 2 * _moment_integral(root, m, T)) \
-                + gp * base, True
+                + gp * base
 
         return mpmath.mpf(1), bound
 

@@ -453,17 +453,20 @@ def _intermediate_points(singular, target):
 _NUMERIC_RULES = frozenset({
     "numeric_eval", "numeric_evaluator", "polar_evaluator",
     "singular_values", "tail_rule", "ellipse_rule", "origin_head",
-    "panel_sampler", "_contour_evaluator", "g_value", "g_prime_value"})
+    "panel_sampler", "g_value", "g_prime_value"})
 
 
 class BorelFunction:
     """Base class of the Borel shapes.  A shape implements
     ``singular_points`` and ``numeric_evaluator``, plus ``log_form`` when it
-    has one; the module docstring says what the exact defaults below do
-    with them, and :mod:`._borelnum` what the numeric ones do."""
+    has one, and a proved ``tail_rule`` and ``ellipse_rule`` to be summed;
+    the module docstring says what the exact defaults below do with them,
+    and :mod:`._borelnum` what the numeric ones do."""
 
     # one sheet: both rays of a Hankel contour see the same values
     single_valued = False
+    # the shape is the function it stands for, not a fitted model
+    certified = True
 
     def __getattr__(self, name):
         """A numeric rule read before :mod:`._borelnum` is loaded: loading

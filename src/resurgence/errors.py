@@ -99,3 +99,10 @@ class DecayMarginError(ResurgenceError):
     not dominate the integrand's growth (non-positive decay margin)."""
 
     code = "decay-margin"
+
+
+class PoleInclusionError(ResurgenceError):
+    """A numeric model's poles are not enclosed in disjoint proved disks:
+    its root finder did not converge, or two roots' disks meet."""
+
+    code = "pole-inclusion"

@@ -22,7 +22,7 @@ The numeric scheme has three error sources, and each is bounded:
 
 * truncation: the ray is cut at a finite T, and the discarded tail is
   bounded by the shape's ``tail_rule``, a proved inequality for every
-  shape of :mod:`.borelfun` (Pade models take the sampled default).  T
+  shape of :mod:`.borelfun` and for Pade models.  T
   is a point of the segment ladder 1/2, 1, 2, ... (2h, 4h, ... after an
   origin head [0, h]): the first at or past the rule's floor whose tail
   bound is within a quarter of the target (:func:`_choose_truncation`),
@@ -53,11 +53,11 @@ The numeric scheme has three error sources, and each is bounded:
   Cauchy's estimate on E_rho bounds through M(rho); with one unit
   2^-prec (1 + |value|) for the final rounding and the head's rounding.
 
-A sum is ``certified`` when its tail and its majorants are proved: every
-bundled shape but Pade models and a rational shape with a multiple pole,
-which take the sampled default majorant.  Where the majorant is sampled,
-the rule of half the degree on every other sample checks each panel
-after the fact (:func:`_panels`).
+Every tail rule and ellipse majorant a sum takes is proved, and a shape
+without them is refused (NotImplementedError) before anything is
+sampled.  ``certified`` is the shape's flag, false only on a Pade model,
+whose error bounds the sum of the model, not of the minor it was fitted
+to.
 
 How a panel is sampled.  On the ray panel t = mid + half x, the kernel
 is e^(-w mid) e^(-w half x): the first factor is one scalar of the
@@ -125,9 +125,9 @@ sup over z of |z|^(n+1) |S(z) - partial_n(z)| together with the
 quadrature slack, so a caller can test a 1-Gevrey envelope honestly.
 
 `pade_minor` builds a rational model of a Borel transform from raw
-asymptotic coefficients.  It is a convenience for exploration: nothing
-about it is certified, and results computed through it say so in their
-diagnostics.
+asymptotic coefficients.  It is a convenience for exploration: its sums
+are proved for the model, but the model's distance from the true minor
+is unknown, so they are never ``certified``.
 
 Out of scope here: accelero-summation and averaged (median) summation.
 """
@@ -148,11 +148,13 @@ from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST, _angle_poles,
                          _bernstein, _complex_tuple, _exponentials,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
-from ._borelnum import Contour, _pole_tail_distance, _rotated
+from ._borelnum import (Contour, Factors, _envelope_tail, _factored_envelope,
+                        _factored_majorant, _Frame, _margined,
+                        _pole_tail_distance, _rotated)
 from ._record import Record
 from .borelfun import BorelFunction
-from .errors import (MAX_NODES, MIN_PREC, DecayMarginError, RayBlockedError,
-                     check_prec)
+from .errors import (MAX_NODES, MIN_PREC, DecayMarginError,
+                     PoleInclusionError, RayBlockedError, check_prec)
 from .scalars import ExactScalar
 from .series import FormalSeries
 
@@ -216,15 +218,14 @@ class SummationResult(Record, frozen=True, hide=("diagnostics",)):
     ``error_estimate`` adds the panels' quadrature bounds, the truncation
     bound (twice on a Hankel contour, one per sheet), the head series'
     remainder and the rounding term, with no safety factor: each term is
-    a bound, proved when ``certified`` is True, that is when the shape's
-    tail rule and ellipse rules are (see the module docstring).  The
-    ``diagnostics`` mapping records the truncation point, the decay
-    margin, the tail, quadrature and rounding terms, the ``method``, the
-    ``segments`` of the doubling ladder, the ``panels`` after bisection
-    and how many took each degree (``degrees``), and whether the tail
-    envelope was proved (``rigorous_tail``) or merely sampled.  Each
-    figure is a float, or its 17 digits as a string when a double would
-    read it as infinite or as zero.
+    a proved bound for the shape summed, and ``certified`` says the shape
+    is the function it stands for, not a fitted model (see the module
+    docstring).  The ``diagnostics`` mapping records the truncation
+    point, the decay margin, the tail, quadrature and rounding terms, the
+    ``method``, the ``segments`` of the doubling ladder, and the
+    ``panels`` after bisection and how many took each degree
+    (``degrees``).  Each figure is a float, or its 17 digits as a string
+    when a double would read it as infinite or as zero.
     """
 
     value: object
@@ -310,15 +311,20 @@ class PadeApproximant(BorelFunction):
     singular points, which makes it a useful exploration tool when only
     raw coefficients are available.
 
-    Nothing here is certified: the fit carries no error bound, its exact
-    singular set is unknown (``singular_points`` is empty and admissibility
-    checks use the numeric pole estimates), and every summation result
-    computed through it is flagged as not rigorous.
+    The model's sums are proved: it sums through the factored bounds of
+    a rational shape, each computed root of its denominator in a proved
+    disk (:func:`_factored_model`).  Its exact singular set is unknown
+    (``singular_points`` is empty; the ray checks use the roots), and
+    nothing bounds the fit's distance from the true minor, so no sum
+    through it is ``certified``.
     """
 
     single_valued = True
+    certified = False
 
     def __init__(self, num, den):
+        if not any(den):
+            raise ZeroDivisionError("zero Pade denominator")
         self.num = tuple(num)
         self.den = tuple(den)
 
@@ -370,19 +376,76 @@ class PadeApproximant(BorelFunction):
         return [v for v in self.poles_numeric(prec) if abs(v) > 0]
 
     def poles_numeric(self, prec: int = 53):
-        coeffs = list(self.den)
-        while coeffs and abs(coeffs[-1]) == 0:
-            coeffs.pop()
-        if len(coeffs) < 2:
-            return []
-        with mpmath.workprec(prec + 16):
-            try:
-                return mpmath.polyroots(list(reversed(coeffs)), maxsteps=120)
-            except mpmath.libmp.NoConvergence:
-                return []
+        """The denominator's roots at prec + 16 bits, each in a proved disk
+        of its own (:func:`_factored_model`)."""
+        return [v for v, _m, _r in self._factors(prec).poles]
+
+    def _factors(self, prec: int) -> Factors:
+        """:func:`_factored_model` at prec + 16 bits, once per precision."""
+        built = self.__dict__.setdefault("_built", {})
+        if prec not in built:
+            with mpmath.workprec(prec + 16):
+                built[prec] = _factored_model(self.num, self.den)
+        return built[prec]
+
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """The factored envelope of the model (rational, so from T = 1)."""
+        return mpmath.mpf(1), _envelope_tail(
+            _factored_envelope(self._factors(prec), theta), m, moment)
+
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """The factored majorant of the model."""
+        return _margined(_factored_majorant(self._factors(prec),
+                                            _Frame(contour)))
 
     def __repr__(self):
         return f"<PadeApproximant [{len(self.num) - 1}/{len(self.den) - 1}]>"
+
+
+def _factored_model(num, den):
+    """The :class:`._borelnum.Factors` of num / den (coefficients, lowest
+    degree first) at the working precision, its poles the roots r_i of
+    the denominator Q, of degree n, each with a radius within which a root
+    of its own lies.
+
+    By Braess and Hadeler (Numer. Math. 21, 1973), the disks
+    |zeta - r_i| <= n |Q(r_i)| / |q_n prod over j != i of (r_i - r_j)|
+    hold every root of Q, and k of them that meet no other hold k roots;
+    so disjoint disks hold one each.  |Q(r_i)| is taken as the modulus
+    Horner's rule gives plus its rounding, 8 (n + 1) units of sum of
+    |q_k| |r_i|^k, and each radius is grown by 4 (n + 4) units for its own
+    rounding.  A root finder that does not converge, and disks that meet,
+    are refused with PoleInclusionError."""
+    den = list(den)
+    while den and abs(den[-1]) == 0:
+        den.pop()
+    n, lead, work = len(den) - 1, abs(den[-1]), mpmath.mp.prec
+    try:
+        roots = mpmath.polyroots(den[::-1], maxsteps=120) if n > 0 else []
+    except mpmath.libmp.NoConvergence:
+        raise PoleInclusionError(
+            f"the roots of the degree-{n} Pade denominator did not converge",
+            degree=n) from None
+    disks = []
+    for i, r in enumerate(roots):
+        value, size, spread = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for c in reversed(den):
+            value = value * r + c
+            size = size * abs(r) + abs(c)
+        for other in roots[:i] + roots[i + 1:]:
+            spread *= abs(r - other)
+        high = abs(value) + mpmath.ldexp(size * (n + 1), 3 - work)
+        radius = n * high / (lead * spread) if spread else mpmath.inf
+        disks.append((r, 1, radius * (1 + mpmath.ldexp(n + 4, 2 - work))))
+    for i, (r, _m, a) in enumerate(disks):
+        for s, _m, b in disks[i + 1:]:
+            if not abs(r - s) * (1 - mpmath.ldexp(1, 3 - work)) > a + b:
+                raise PoleInclusionError(
+                    f"the disks of the Pade poles {mpmath.nstr(r, 8)} and "
+                    f"{mpmath.nstr(s, 8)} meet",
+                    poles=[mpmath.nstr(r, 12), mpmath.nstr(s, 12)],
+                    radii=[_figure(a), _figure(b)])
+    return Factors([abs(c) for c in num], lead, disks)
 
 
 def pade_minor(series: FormalSeries, degree: int | None = None,
@@ -424,7 +487,7 @@ _LADDER_STEPS = 234
 
 @_work.timing("truncation_s")
 def _choose_truncation(rule, w, lo, target, max_nodes):
-    """(pts, tail bound, proved?): the segment ladder, lo and then 1/2, 1,
+    """(pts, tail bound): the segment ladder, lo and then 1/2, 1,
     2, ... (2 lo, 4 lo, ... when lo > 0), up to T, its first point at or
     past the floor of the shape's ``tail_rule`` whose tail bound is
     within target / 4.  Every segment's width is a power of two times the
@@ -467,7 +530,7 @@ def _choose_truncation(rule, w, lo, target, max_nodes):
     for _ in range(_LADDER_STEPS + 1):
         reach(T)
         _work.add("tail_bounds")
-        tail, proved = bound_at(T)
+        tail = bound_at(T)
         if tail <= target / 4:
             break
         T *= 2
@@ -479,7 +542,7 @@ def _choose_truncation(rule, w, lo, target, max_nodes):
             margin=_figure(m),
             tail_bound=_figure(tail),
         )
-    return pts, tail, proved
+    return pts, tail
 
 
 # -- quadrature -----------------------------------------------------------------------
@@ -530,20 +593,15 @@ class _Panel:
     __slots__ = ("piece", "a", "b", "share", "pairs", "trivial", "rounding",
                  "n", "log_error")
 
-    def bound(self, n: int) -> float:
-        """The log of the bound at degree n: the least of the trivial one
-        and, from degree 3, the tail of :mod:`._chebyshev` at the rho best
-        for n."""
-        if not self.pairs or n < 3:
-            return self.trivial
-        c, lr = min((c - n * lr, lr) for c, lr in self.pairs)
-        return min(self.trivial, c + math.log(
-            _TAILS[0](n) + 3 * math.exp(-(n // 2) * lr)))
-
     def at(self, n: int):
-        """The panel at degree n."""
-        self.n = n
-        self.log_error = self.bound(n)
+        """The panel at degree n, with the log of its bound there: the
+        least of the trivial one and, from degree 3, the tail of
+        :mod:`._chebyshev` at the rho best for n."""
+        self.n, self.log_error = n, self.trivial
+        if self.pairs and n >= 3:
+            c, lr = min((c - n * lr, lr) for c, lr in self.pairs)
+            self.log_error = min(self.trivial, c + math.log(
+                _TAILS[0](n) + 3 * math.exp(-(n // 2) * lr)))
         return self
 
     def fits(self) -> bool:
@@ -572,16 +630,15 @@ class _Piece:
     and a function (mid, half, rhos) -> per rho the log of the integrand's
     majorant on the Bernstein ellipse E_rho plus the log of the scalar
     factor, from the shape's ellipse rule and the kernel's growth, in
-    doubles, and whether that rule is ``proved``; ``points``, in the same
-    frame, bound the rho a panel tries.  The quadrature ``budget`` of the
+    doubles; ``points``, in the same frame, bound the rho a panel
+    tries.  The quadrature ``budget`` of the
     piece is shared among its panels by length.  ``rate`` bounds the
     growth of the log of the kernel's majorant per unit of half b,
     b = (rho - 1 / rho) / 2, for rho near 1."""
 
-    def __init__(self, sample, majorant, proved, points, budget, pts, rate):
+    def __init__(self, sample, majorant, points, budget, pts, rate):
         self.sample = sample
         self.majorant = majorant
-        self.proved = proved
         self.points = points
         self.pts = pts
         self.rate = rate
@@ -687,12 +744,8 @@ def _panels(pieces, max_nodes: int):
     The panels and their degrees come from :func:`_plan` before anything
     is sampled.  Each panel is sampled once, at its n + 1 Chebyshev-
     Lobatto nodes, as one block-fixed-point vector and a scalar factor of
-    its total, and its value is the rule of degree n.  Where the piece's
-    ellipse rule is not proved, the rule of degree n / 2 on every other
-    node checks it: the two differ by at most the sum of their bounds if
-    the majorant holds, and where they differ by more the panel reports
-    that difference, the error of the coarser rule, instead of its
-    bound."""
+    its total; its value is the rule of degree n, and its error the bound
+    of its plan."""
     prec = mpmath.mp.prec
     plan = _plan(pieces, max_nodes, prec)
     order = {id(piece): i for i, piece in enumerate(pieces)}
@@ -703,16 +756,9 @@ def _panels(pieces, max_nodes: int):
     for p in sorted(plan, key=lambda p: (order[id(p.piece)], p.a)):
         (parts, exp), factor = p.piece.sample((p.a + p.b) / 2,
                                               (p.b - p.a) / 2, p.n)
-        value = factor * _rule(parts, exp, p.n, prec)
-        error = _exp(p.log_error)
-        if not p.piece.proved:
-            gap = abs(value - factor * _rule([part[::2] for part in parts],
-                                             exp, p.n // 2, prec))
-            if gap > error + _exp(p.bound(p.n // 2)):
-                error = gap
         i = order[id(p.piece)]
-        totals[i].append(value)
-        errors.append(error)
+        totals[i].append(factor * _rule(parts, exp, p.n, prec))
+        errors.append(_exp(p.log_error))
         nodes[i] += p.n + 1
         degrees[p.n] = degrees.get(p.n, 0) + 1
     return ([mpmath.fsum(t) for t in totals], mpmath.fsum(errors),
@@ -720,16 +766,15 @@ def _panels(pieces, max_nodes: int):
             nodes, dict(sorted(degrees.items())))
 
 
-def _ray_piece(shape, ellipse, w, contour, moment, points, budget, pts):
+def _ray_piece(shape, rule, w, contour, moment, points, budget, pts):
     """The :class:`_Piece` of a ray: the integrand e^(-w t) t^moment
     times the shape's samples, with e^(-w mid) half kept as the panel's
-    scalar factor, and ``ellipse`` the shape's (rule, proved).  On E_rho,
+    scalar factor, and ``rule`` the shape's ellipse majorant.  On E_rho,
     x = a cos psi + i b sin psi, the kernel e^(-w half x) is at most
     e^(half |(a Re w, b Im w)|), and |t| at most mid + half a."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
     wr, wi = float(w.real), float(w.imag)
-    rule, proved = ellipse
 
     def sample(mid, half, n):
         g = _product(_exponentials(_complex_tuple(-w * half), n, bits),
@@ -749,8 +794,7 @@ def _ray_piece(shape, ellipse, w, contour, moment, points, budget, pts):
                        + math.log(half) - wr * mid)
         return out
 
-    return _Piece(sample, majorant, proved, points, budget, pts,
-                  abs(complex(w)))
+    return _Piece(sample, majorant, points, budget, pts, abs(complex(w)))
 
 
 @lru_cache(maxsize=16)
@@ -775,18 +819,17 @@ def _circle_kernel(cr, ci, mid, half, bits: int):
     return tuple(map(tuple, parts)), exp
 
 
-def _circle_piece(shape, ellipse, z, rho, points, budget, pts):
+def _circle_piece(shape, rule, z, rho, points, budget, pts):
     """The :class:`_Piece` of the circle zeta = rho e^(i phi):
     e^(-z zeta) e^(i phi) from :func:`_circle_kernel` times the shape's
-    samples, with i rho half as the scalar factor, and ``ellipse`` the
-    shape's (rule, proved).  On E_rho, |Im phi| <= half b, so
+    samples, with i rho half as the scalar factor, and ``rule`` the
+    shape's ellipse majorant.  On E_rho, |Im phi| <= half b, so
     |e^(i phi)| <= e^(half b) and |e^(-z zeta)| <= e^(|z| rho e^(half b)).
     The frame points are the poles in phi of the singular values v,
     arg v - i log(|v| / rho) + 2 pi j for the three j nearest the
     panel's mid (:func:`~resurgence._chebyshev._angle_poles`)."""
     prec = mpmath.mp.prec
     bits = prec + GUARD
-    rule, proved = ellipse
     cr, ci = _mantissas(_complex_tuple(-z * rho), -bits)
     size, radius = float(abs(z)), float(rho)
 
@@ -806,8 +849,7 @@ def _circle_piece(shape, ellipse, z, rho, points, budget, pts):
     mid = float((pts[0] + pts[-1]) / 2)
     poles = [phi for v in map(complex, points)
              for phi in _angle_poles(v, radius, mid)]
-    return _Piece(sample, majorant, proved, poles, budget, pts,
-                  size * radius + 1)
+    return _Piece(sample, majorant, poles, budget, pts, size * radius + 1)
 
 
 # -- the operations -------------------------------------------------------------------
@@ -827,10 +869,11 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
     ``max_nodes`` times before the truncation point, or so small that no
     truncation point of the ladder brings the tail within target / 4,
     RayBlockedError when the ray passes too close to a singular point,
-    naming the nearest one, and whatever the shape's ``origin_head``
-    raises for an origin no head covers (DecayMarginError for a power
-    kernel that is not integrable there, NotImplementedError for a
-    dilogarithm sheet looped around 1).
+    naming the nearest one, whatever the shape's ``origin_head`` raises
+    for an origin no head covers (DecayMarginError for a power kernel
+    that is not integrable there, NotImplementedError for a dilogarithm
+    sheet looped around 1), and NotImplementedError for a shape without
+    a proved tail rule or ellipse majorant, before anything is sampled.
     """
     if moment < 0:
         raise ValueError("moment must be >= 0")
@@ -843,16 +886,15 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
         rotated = _rotated(sing, theta)
         _check_ray(sing, rotated, theta)
         target = mpmath.mpf(float(spec.target_error))
-        pts, tail, proved = _choose_truncation(
+        pts, tail = _choose_truncation(
             f.tail_rule(theta, m, moment, sing, guard), w, lo, target,
             spec.max_nodes)
 
         contour = Contour(theta)
-        shape = f.panel_sampler(contour, guard)
-        ellipse = f.ellipse_rule(contour, sing, guard)
         points = [complex(u) for u in rotated] + ([0j] if lo else [])
-        piece = _ray_piece(shape, ellipse, w, contour, moment, points,
-                           target / 4, pts)
+        piece = _ray_piece(f.panel_sampler(contour, guard),
+                           f.ellipse_rule(contour, sing, guard), w, contour,
+                           moment, points, target / 4, pts)
         (val,), errq, rounding, (nodes,), degrees = _panels(
             [piece], spec.max_nodes)
         phase = mpmath.exp(mpmath.mpc(0, 1) * theta)
@@ -870,12 +912,10 @@ def laplace_ray(f: BorelFunction, c0, spec: RaySpec,
             "segments": len(pts) - 1,
             "panels": sum(degrees.values()),
             "degrees": degrees,
-            "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(prec):
-        return SummationResult(+value, error, nodes, diagnostics,
-                               proved and ellipse[1])
+        return SummationResult(+value, error, nodes, diagnostics, f.certified)
 
 
 def lateral_jump(f: BorelFunction, c0, theta_star, delta, z, *,
@@ -949,24 +989,20 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
         if f.single_valued:
             # no ray segments: the contour that is integrated ends on the
             # circle, and neither ray has a tail
-            pts, tail, proved = [rho], mpmath.mpf(0), True
+            pts, tail = [rho], mpmath.mpf(0)
         else:
-            pts, tail, proved = _choose_truncation(
+            pts, tail = _choose_truncation(
                 f.tail_rule(th, m, 0, sing, guard), w, rho, target, max_nodes)
         below = th - 2 * mpmath.pi
         on_circle = Contour(th, radius=rho)
-        circle = f.panel_sampler(on_circle, guard)
-        ellipse = f.ellipse_rule(on_circle, sing, guard)
-        proved_rules = ellipse[1]
         # the circle and the ray share the quadrature budget and the cap
         budget = target / (4 if difference is None else 8)
-        pieces = [_circle_piece(circle, ellipse, zv, rho, sing, budget,
-                                [below, th])]
+        pieces = [_circle_piece(f.panel_sampler(on_circle, guard),
+                                f.ellipse_rule(on_circle, sing, guard), zv,
+                                rho, sing, budget, [below, th])]
         if difference is not None:
-            ellipse = f.ellipse_rule(ray, sing, guard)
-            proved_rules = proved_rules and ellipse[1]
             pieces.append(_ray_piece(
-                difference, ellipse, w, ray, 0,
+                difference, f.ellipse_rule(ray, sing, guard), w, ray, 0,
                 [complex(u) for u in rotated] + [0j], budget, pts))
         values, errq, rounding, nodes, degrees = _panels(pieces, max_nodes)
         circ_val, ray_val = values[0], sum(values[1:])
@@ -988,12 +1024,11 @@ def hankel_laplace(f: BorelFunction, theta, z, *, target_error: float = 1e-12,
             "degrees": degrees,
             "ray_nodes": ray_n,
             "circle_nodes": circ_n,
-            "rigorous_tail": proved,
             "method": "clenshaw-curtis",
         }
     with mpmath.workprec(out_prec):
         return SummationResult(+value, error, circ_n + ray_n, diagnostics,
-                               proved and proved_rules)
+                               f.certified)
 
 
 # -- asymptotics reports ---------------------------------------------------------------

@@ -102,7 +102,7 @@ class TestSum:
                       + 10 - mpmath.log(2 * mpmath.pi) / 2)
             assert abs(mpmath.mpf(data["value"]) - target) < 1e-9
         assert float(data["error"]) <= 1e-10
-        assert data["diagnostics"]["rigorous_tail"] is True
+        assert data["certified"] is True
 
     def test_lateral_jump_modulus_and_phase(self, capsys):
         data = run_json(capsys, "sum", "--jump", "--input", "euler",
@@ -156,7 +156,7 @@ class TestSum:
     def test_dilog_named_input(self, capsys):
         data = run_json(capsys, "sum", "--input", "dilog",
                         "--theta", "-0.5", "--z", "4")
-        assert data["diagnostics"]["rigorous_tail"] is True
+        assert data["certified"] is True
         assert float(data["error"]) < 1e-10
 
     def test_deterministic_output(self, capsys):

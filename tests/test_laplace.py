@@ -64,7 +64,8 @@ from resurgence.borelfun import (
     power_minor,
     stirling_minor,
 )
-from resurgence.errors import MIN_PREC, DecayMarginError, RayBlockedError
+from resurgence.errors import (MIN_PREC, DecayMarginError, PoleInclusionError,
+                               RayBlockedError)
 from resurgence.laplace import (
     AsymptoticsReport,
     LateralPair,
@@ -220,7 +221,7 @@ class TestLaplaceRay:
             diff = abs(res.value - oracle)
             assert diff < 1e-11
             assert diff <= 2 * res.error_estimate
-        assert res.diagnostics["rigorous_tail"] is True
+        assert res.certified
 
     def test_deterministic(self):
         a = laplace_ray(euler_minor(), 0, RaySpec(0, 2))
@@ -231,9 +232,9 @@ class TestLaplaceRay:
     def test_diagnostics_fields(self):
         res = laplace_ray(euler_minor(), 0, RaySpec(0, 2))
         for key in ("margin", "truncation", "tail_bound", "quadrature_error",
-                    "segments", "rigorous_tail", "method"):
+                    "segments", "method"):
             assert key in res.diagnostics
-        assert res.diagnostics["rigorous_tail"] is True
+        assert res.certified
         assert res.diagnostics["margin"] == pytest.approx(2.0)
         assert res.nodes_used > 0
 
@@ -470,7 +471,7 @@ class TestPadeMinor:
         res = laplace_ray(model, 0, RaySpec(0, 2, target_error=1e-10))
         exact = mpmath.exp(2) * exp_integral(2)
         assert abs(res.value - exact) < 1e-8
-        assert res.diagnostics["rigorous_tail"] is False
+        assert not res.certified
 
     def test_lattice_series_finds_first_pole_pair(self):
         model = pade_minor(stirling_series(16))
@@ -478,6 +479,45 @@ class TestPadeMinor:
         tau = 2 * mpmath.pi
         assert abs(abs(poles[0]) - tau) / tau < 0.02
         assert abs(abs(poles[1]) - tau) / tau < 0.02
+
+    @pytest.mark.parametrize("prec", [53, 113])
+    def test_each_root_lies_in_its_disk_alone(self, prec):
+        """The Braess-Hadeler disks of the computed roots hold one root
+        each of the denominator, found again 256 bits finer."""
+        model = pade_minor(stirling_series(16))
+        disks = model._factors(prec).poles
+        with mpmath.workprec(prec + 256):
+            exact = mpmath.polyroots(list(reversed(model.den)),
+                                     maxsteps=200, extraprec=256)
+            for r, m, radius in disks:
+                inside = [e for e in exact if abs(e - r) <= radius]
+                assert (m, len(inside)) == (1, 1)
+                assert radius < abs(r) * mpmath.ldexp(1, 8 - prec)
+        assert len(disks) == len(exact) == len(model.den) - 1
+
+    def test_roots_that_do_not_converge_are_refused(self, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", stuck)
+        model = pade_minor(stirling_series(16))
+        with pytest.raises(PoleInclusionError) as refusal:
+            laplace_ray(model, 0, RaySpec(0, 2, target_error=1e-10))
+        assert refusal.value.payload()["error"] == "pole-inclusion"
+        assert refusal.value.details == {"degree": 6}
+        with pytest.raises(PoleInclusionError, match="did not converge"):
+            model.poles_numeric(60)
+
+    def test_meeting_disks_are_refused(self):
+        # 1 / (1 + zeta)^2: the two computed roots of a double root are too
+        # close for either disk to hold one root alone
+        model = PadeApproximant([1], [1, 2, 1])
+        with pytest.raises(PoleInclusionError, match="meet"):
+            laplace_ray(model, 0, RaySpec(0, 2, target_error=1e-10))
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            PadeApproximant([1], [0, 0])
 
     def test_insufficient_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ Each shape compiles its evaluator (``numeric_evaluator``, and
 evaluated once.  The per-point code it replaced is kept below as the
 reference: the compiled evaluators must return the same numbers, bit for
 bit, at 53 and 113 bits.  A sum builds an evaluator only through the
-default panel sampler, once per contour it samples, or a sampled tail;
-shapes that sample in integers and prove their tails build none.  The
+default panel sampler, once per contour it samples; shapes that sample
+in integers build none, and no tail or majorant builds one.  The
 Hankel contour integrates both rays as one
 difference integrand; its values must stay within their reported errors
 of the closed forms z^-sigma and -z^-sigma log z.  On single-valued
@@ -233,10 +233,10 @@ class TestCompiledEvaluators:
 
 class TestOncePerSum:
     """Each sum builds the singular values once, and each ray its tail
-    rule once.  A sum asks a shape only for panel samplers and tail rules:
-    shapes that sample in integers and prove their tails build no scalar
-    evaluator, a shape on the default sampler builds one per contour it
-    samples, and a sampled tail builds one per rule."""
+    rule once.  A sum asks a shape only for panel samplers and proved
+    rules: shapes that sample in integers build no scalar evaluator, a
+    shape on the default sampler builds one per contour it samples, and
+    a Pade model finds its roots once per precision."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -278,7 +278,7 @@ class TestOncePerSum:
     def test_each_ray_builds_its_tail_rule_once(self, monkeypatch):
         rules = []
         for owner in (BorelFunction, RationalBF, LogPoleBF, StirlingBF,
-                      DilogBF, PowerBF):
+                      DilogBF, PowerBF, PadeApproximant):
             monkeypatch.setattr(owner, "tail_rule", self.counted(
                 rules, "tail_rule", vars(owner)["tail_rule"]))
         shapes = [euler_minor(), StirlingBF(), DilogBF(), PowerBF("1/2"),
@@ -297,20 +297,27 @@ class TestOncePerSum:
         assert rules == [("PowerBF", "tail_rule")]
 
     @pytest.mark.parametrize("target", [1e-10, 1e-30])
-    def test_sampled_tail_builds_one_evaluator(self, built, target):
-        # one evaluator for the tail rule and one for the ray's panels,
-        # however many steps the truncation ladder takes
+    def test_pade_builds_one_evaluator_and_one_root_set(
+            self, built, target, monkeypatch):
+        # one evaluator, for the ray's panels, and one root finding, for
+        # the singular values, the tail rule and the majorant, however
+        # many steps the truncation ladder takes
+        roots = []
+        polyroots = mpmath.polyroots
+        monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: (
+            roots.append(args) or polyroots(*args, **kwargs)))
         laplace_ray(pade_minor(euler_series(12)), 0,
                     RaySpec(0, 2, target_error=target))
         own = [name for _owner, name in built]
-        assert sorted(own) == ["numeric_evaluator"] * 2 + ["singular_values"]
+        assert sorted(own) == ["numeric_evaluator", "singular_values"]
+        assert len(roots) == 1
 
     def test_default_sampler_builds_once_per_contour(self, built):
         # a proved log envelope, so only the two rays' samplers evaluate
         f = LogPoleBF(RationalFunction.simple_pole(-3, 2),
                       [(-1, RationalFunction.simple_pole(-2, 1), 0)])
         pair = lateral_jump(f, 0, 0, "0.5", 2)
-        assert pair.plus.diagnostics["rigorous_tail"]
+        assert pair.plus.certified
         own = [name for owner, name in built if owner == "LogPoleBF"]
         assert sorted(own) == ["numeric_evaluator"] * 2 \
             + ["singular_values"] * 2

@@ -4,14 +4,17 @@ A seeded sweep draws bundled shapes, ray angles and points z with a
 positive decay margin Re(z e^(i theta)), at 53, 113 and 240 bits, and
 checks |value - reference| <= error, where the reference is the same sum
 at 64 more bits and a target 2^-20 times smaller, within its own error.
-Every shape with a proved tail and a proved ellipse majorant reports
-``certified``; the default sampled rule (a squared pole, a Pade model)
-does not.  Rays that pass close to a singular point, or to the
-dilogarithm's cut, are drawn too: a pole within 0.1 of the ray, where a
-sampled majorant must not miss the pole's peak, and the dilogarithm at a
-small angle, whose ellipses past 1 cross the cut [1, inf), where the
-integrand continues off the principal sheet; the dilogarithm's majorant
-is also checked against that continuation on ellipses by itself.
+Every shape reports ``certified`` but a Pade model, whose error bounds
+its sum of the model only.  The shapes without partial fractions, whose
+majorant and tail are the bounds of their factored denominators, are
+swept too: a squared pole, a lead that is not a monomial, and a log
+shape with a squared pole in its cofactor.  Rays that pass close to a
+singular point, or to the dilogarithm's cut, are drawn too: a pole
+within 0.1 of the ray, where a majorant must not miss the pole's peak,
+and the dilogarithm at a small angle, whose ellipses past 1 cross the
+cut [1, inf), where the integrand continues off the principal sheet;
+the dilogarithm's majorant is also checked against that continuation
+on ellipses by itself.
 
 Also here: the two 240-bit rows of the roadmap, with their node counts
 pinned, and the decay-edge ray, whose every sample lands in a panel it
@@ -31,6 +34,7 @@ from resurgence.borelfun import (DilogBF, LogPoleBF, PowerBF, RationalBF,
 from resurgence.errors import RayBlockedError
 from resurgence.laplace import (RaySpec, hankel_laplace, laplace_ray,
                                 pade_minor)
+from resurgence.scalars import ExactScalar
 from resurgence.series import euler_series
 
 SHAPES = {
@@ -41,7 +45,14 @@ SHAPES = {
                 True),
     "power-log": (PowerBF("1/2", with_log=True), True),
     "power": (PowerBF("3/4"), True),
-    "double-pole": (RationalBF(RationalFunction([1], poles={-1: 2})), False),
+    "double-pole": (RationalBF(RationalFunction([1], poles={-1: 2})), True),
+    # (1 + zeta) / ((1 + 2 pi i) (zeta + 2))
+    "lead": (RationalBF(RationalFunction(
+        [1, 1], poles={-2: 1},
+        lead=ExactScalar.from_rational(1) + ExactScalar.tau())), True),
+    "logpole-double": (LogPoleBF(
+        RationalFunction.simple_pole(-3, 2),
+        [(-1, RationalFunction([1], poles={-2: 2}), 0)]), True),
     "dilog": (DilogBF(), True),
     "pade": (pade_minor(euler_series(12)), False),
 }
@@ -51,17 +62,21 @@ AT = {53: ["euler", "stirling", "logpole", "power-log", "power",
            "double-pole", "dilog"],
       113: ["euler", "stirling", "power-log", "power", "double-pole"],
       240: ["euler", "stirling", "power-log", "power"]}
+# the shapes without partial fractions but the squared pole, swept at
+# every precision in draws of their own
+FACTORED = ["lead", "logpole-double"]
 # the draws per shape at each precision
 DRAWS = {53: 2, 113: 2, 240: 1}
 
 
-def cases(prec):
-    """Seeded (shape, theta, z), each shape of AT[prec] DRAWS[prec] times,
-    with a decay margin of at least 1/2."""
-    rng = random.Random(prec)
+def cases(prec, names=None):
+    """Seeded (shape, theta, z), each shape of ``names`` (by default
+    AT[prec]) DRAWS[prec] times, with a decay margin of at least 1/2."""
+    names = names or AT[prec]
+    rng = random.Random(prec if names is AT[prec] else f"{prec} {names}")
     out = []
-    while len(out) < DRAWS[prec] * len(AT[prec]):
-        name = AT[prec][len(out) % len(AT[prec])]
+    while len(out) < DRAWS[prec] * len(names):
+        name = names[len(out) % len(names)]
         theta = rng.uniform(-1.2, 1.2)
         z = mpmath.mpc(rng.uniform(1, 6), rng.uniform(-3, 3))
         margin = (z * mpmath.expj(theta)).real
@@ -76,16 +91,21 @@ def spec(theta, z, prec, target):
 
 
 @pytest.mark.parametrize("prec,name,theta,z", [
-    (prec, *case) for prec in DRAWS for case in cases(prec)])
+    (prec, *case) for names in (None, FACTORED) for prec in DRAWS
+    for case in cases(prec, names)])
 def test_ray_error_bounds_the_distance(prec, name, theta, z):
     check_ray(name, theta, z, prec, 2.0 ** (4 - prec))
 
 
 # (shape, theta, z): the pole at -1 passes 0.052 and 0.072 from the ray,
-# and the dilogarithm's ray runs 0.1 rad below its cut past 1
+# the dilogarithm's ray runs 0.1 rad below its cut past 1, and the pole
+# at -2 passes 0.103 from the ray (past the log's branch point at -1 and
+# before the pole at -3 of the log shape)
 NEAR = [("double-pole", "3.09", mpmath.mpc(-3, "0.2")),
         ("pade", "-3.07", -2),
-        ("dilog", "-0.1", mpmath.mpc(2, "-0.5"))]
+        ("dilog", "-0.1", mpmath.mpc(2, "-0.5")),
+        ("lead", "3.09", mpmath.mpc(-3, "0.2")),
+        ("logpole-double", "3.09", mpmath.mpc(-3, "0.2"))]
 
 
 @pytest.mark.parametrize("name,theta,z", NEAR)
@@ -101,8 +121,7 @@ def test_dilog_majorant_bounds_its_continuation(theta):
     of the real axis, and past the cut [1, inf) Li2 -+ 2 pi i log zeta,
     whose modulus is at most |Li2| + 2 pi |log zeta|."""
     contour = Contour(mpmath.mpf(theta))
-    majorant, proved = DilogBF().ellipse_rule(contour, [1], 53)
-    assert proved
+    majorant = DilogBF().ellipse_rule(contour, [1], 53)
     turn = cmath.exp(1j * theta)
     rhos = [1.05, 1.6, 5.0]
     finite = 0
@@ -127,6 +146,36 @@ def test_dilog_majorant_bounds_its_continuation(theta):
                 if past and u.imag * math.sin(theta) < 0:
                     size += 2 * math.pi * abs(cmath.log(u))
                 assert size <= bound
+    assert finite > 0
+
+
+@pytest.mark.parametrize("name", ["double-pole", "lead", "pade"])
+@pytest.mark.parametrize("contour", [
+    Contour(mpmath.mpf("0.3")), Contour(mpmath.mpf("3.0")),
+    Contour(mpmath.mpf("0.3"), radius=mpmath.mpf("0.5"))],
+    ids=["ray", "ray-past-the-pole", "circle"])
+def test_factored_majorant_bounds_the_shape(name, contour):
+    """The majorant of a shape without partial fractions bounds the
+    shape on the boundary of every ellipse where it is finite, sampled at
+    64 points; by the maximum principle that bounds the inside too."""
+    f = SHAPES[name][0]
+    majorant = f.ellipse_rule(contour, f.singular_values(53), 53)
+    evaluate = f.numeric_evaluator(53)
+    theta = float(contour.theta)
+    rhos = [1.05, 1.6, 5.0]
+    finite = 0
+    for lo, hi in [(0.25, 0.75), (0.5, 1.5), (1, 3), (8, 16)]:
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        for rho, bound in zip(rhos, majorant(mid, half, rhos)):
+            if bound == math.inf:
+                continue
+            finite += 1
+            a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+            for t in (2 * math.pi * j / 64 for j in range(64)):
+                x = mid + half * complex(a * math.cos(t), b * math.sin(t))
+                zeta = cmath.exp(1j * theta) * x if contour.radius is None \
+                    else float(contour.radius) * cmath.exp(1j * x)
+                assert abs(evaluate(zeta)) <= bound
     assert finite > 0
 
 

@@ -12,8 +12,8 @@ so is the default sampler, which builds the shape's evaluator for a ray,
 a circle or a Hankel ray itself, on a power kernel.  Every sampler
 refuses the Hankel ray of a single-valued shape.  Also here: the
 Stirling lattice and its tail distance, which must equal the values of
-the full scan they replace, and the proved tail of a log shape with
-polynomial parts.
+the full scan they replace, and the proved tails of a log shape with
+polynomial parts and of rational shapes without partial fractions.
 """
 
 import math
@@ -240,11 +240,14 @@ def test_a_sample_at_a_pole_is_refused():
             sample(mpmath.mpf(2), mpmath.mpf(1), N)
 
 
-class InfiniteBand(BorelFunction):
-    """1/(1 + zeta)^2, but infinite for 1 < |zeta| < 2."""
+class InfiniteBand(RationalBF):
+    """1/(1 + zeta)^2, with its proved rules, but on the default sampler
+    and an evaluator that is infinite for 1 < |zeta| < 2."""
 
-    def singular_points(self):
-        return [ExactScalar.from_rational(-1)]
+    panel_sampler = BorelFunction.panel_sampler
+
+    def __init__(self):
+        super().__init__(RationalFunction([1], poles={-1: 2}))
 
     def numeric_evaluator(self, prec=53):
         def evaluate(zeta):
@@ -296,9 +299,8 @@ def test_tail_distance_needs_only_the_nearest_points(theta, T):
         theta, T = mpmath.mpf(theta), mpmath.mpf(T)
         floor, bound = StirlingBF().tail_rule(
             theta, mpmath.mpf(2), 0, [], 89)
-        tail, proved = bound(T)
-        assert (floor, proved) == (4, True)
-        assert tail == full_scan_tail(theta, mpmath.mpf(2), T, 0)
+        assert floor == 4
+        assert bound(T) == full_scan_tail(theta, mpmath.mpf(2), T, 0)
 
 
 # -- a log shape with polynomial parts ----------------------------------------
@@ -315,7 +317,7 @@ def test_polynomial_log_shape_has_a_proved_tail(z):
         exact = mpmath.exp(zv) * mpmath.e1(zv) * (1 / zv + 1 / zv ** 2)
         assert abs(res.value - exact) <= res.error_estimate
     assert res.error_estimate < 1e-9
-    assert res.diagnostics["rigorous_tail"] is True
+    assert res.certified
 
 
 def test_polynomial_rational_shape_has_a_proved_tail():
@@ -325,13 +327,14 @@ def test_polynomial_rational_shape_has_a_proved_tail():
     with mpmath.workprec(120):
         exact = 1 / mpmath.mpf(2) - mpmath.exp(4) * mpmath.e1(4)
         assert abs(res.value - exact) <= res.error_estimate
-    assert res.diagnostics["rigorous_tail"] is True
+    assert res.certified
     assert math.isfinite(float(res.error_estimate))
 
 
-def test_non_monomial_lead_keeps_the_sampled_tail():
+def test_non_monomial_lead_has_a_proved_tail():
     # (1 + zeta) / ((1 + 2 pi i) (zeta + 2)): its polynomial part is not
-    # exact in the scalar ring, so the tail stays sampled and unproved
+    # exact in the scalar ring, so it has no partial fractions, and its
+    # tail and majorant are the bounds of its factored denominator
     lead = ExactScalar.from_rational(1) + ExactScalar.tau()
     f = RationalBF(RationalFunction([1, 1], poles={-2: 1}, lead=lead))
     res = laplace_ray(f, 0, RaySpec(0, 2, target_error=1e-10))
@@ -339,4 +342,5 @@ def test_non_monomial_lead_keeps_the_sampled_tail():
         exact = (1 / mpmath.mpf(2) - mpmath.exp(4) * mpmath.e1(4)) \
             / (1 + 2j * mpmath.pi)
         assert abs(res.value - exact) <= res.error_estimate
-    assert res.diagnostics["rigorous_tail"] is False
+    assert res.error_estimate < 1e-10
+    assert res.certified
