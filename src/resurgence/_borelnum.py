@@ -23,23 +23,22 @@ polar sheets on a Hankel ray) and maps it over the nodes; the default
 ``origin_head`` is none, and ``polar_evaluator`` refuses a shape that is
 not single-valued.  Every sampler refuses the Hankel ray of a
 single-valued shape.  The bundled shapes' majorants and tails come from
-partial fractions, or where a rational function has none (a multiple
-pole, a lead that is not a monomial) from its factored denominator
-(:class:`Factors`), as for Pade models with an inclusion radius about
-each computed pole; the log bound; the Stirling lattice and coth bound;
-the dilogarithm's inversion bound on ellipses clear of its cut; and
-closed forms for power kernels.  Power kernels also have polar
-evaluation and an exact head series at the origin, and rational shapes,
-the Stirling minor and power kernels panel samples computed in integers
-and libmp.  A power kernel takes t^(sigma-1) on a ray or e^(i (sigma-1)
-phi) on a circle, and the lane of log t or phi when it carries a log, as
-a scalar of the panel times vectors that depend only on the panel's
-shape (cached per half / mid on a ray, the ray kernel at i (sigma-1)
-half on a circle), and applies its sheet constants to the lanes as
-integer products.  The tail envelopes integrate to incomplete-gamma
-moments, Gamma(s, m T) / m^s, which :func:`_moment_integral` bounds in
-closed form at a non-integer order and takes from ``mpmath.gammainc`` at
-an integer one.
+the factored denominator of every rational piece (:class:`Factors`),
+each pole exact for a rational shape and the log cofactors, and in an
+inclusion disk for a Pade model; the log bound; the Stirling lattice
+and coth bound; the dilogarithm's inversion bound on ellipses clear of
+its cut; and closed forms for power kernels.  Power kernels also have
+polar evaluation and an exact head series at the origin, and rational
+shapes, the Stirling minor and power kernels panel samples computed in
+integers and libmp.  A power kernel takes t^(sigma-1) on a ray or
+e^(i (sigma-1) phi) on a circle, and the lane of log t or phi when it
+carries a log, as a scalar of the panel times vectors that depend only
+on the panel's shape (cached per half / mid on a ray, the ray kernel at
+i (sigma-1) half on a circle), and applies its sheet constants to the
+lanes as integer products.  The tail envelopes integrate to
+incomplete-gamma moments, Gamma(s, m T) / m^s, which
+:func:`_moment_integral` bounds in closed form at a non-integer order
+and takes from ``mpmath.gammainc`` at an integer one.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from ._chebyshev import (GUARD, NEST, _bernstein, _clearance, _complex_tuple,
                          _plus, _product, _quotients, _scaled, _vector,
                          _node_cosines, _unit_points)
 from .borelfun import (BorelFunction, DilogBF, LogPoleBF, PowerBF,
-                       RationalBF, RationalFunction, StirlingBF, _poly_divmod)
-from .errors import DecayMarginError, UnsupportedDivisionError
+                       RationalBF, RationalFunction, StirlingBF)
+from .errors import DecayMarginError
 from .series import _bernoulli
 
 # -- tail rules -----------------------------------------------------------------------
@@ -128,33 +127,6 @@ def _pole_tail_distance(u, T):
     return abs(mpmath.mpf(T) - u)
 
 
-def _partial_fractions(rat, prec):
-    """(moduli of the polynomial part's coefficients, [(pole, |residue|),
-    ...] of the proper part) at ``prec`` bits, or None when the division
-    is not exact in the scalar ring (a leading coefficient that is not a
-    monomial) or a pole is not simple; kept on ``rat`` per precision, for
-    the tail and the ellipse rule of one sum."""
-    built = rat.__dict__.setdefault("_fractions", {})
-    key = prec, mpmath.mp.prec
-    if key not in built:
-        built[key] = _fractions(rat, prec)
-    return built[key]
-
-
-def _fractions(rat, prec):
-    """:func:`_partial_fractions`, computed."""
-    try:
-        quot, rem = _poly_divmod(rat.num, rat.denominator_poly())
-    except UnsupportedDivisionError:
-        return None
-    rat = RationalFunction(rem, poles=rat.poles, lead=rat.lead)
-    if any(rat.pole_order(p) > 1 for p in rat.poles):
-        return None
-    return ([abs(c.evaluate(prec)) for c in quot],
-            [(p.evaluate(prec), abs(rat.residue(p).evaluate(prec)))
-             for p in rat.poles])
-
-
 class Factors(NamedTuple):
     """The moduli of a rational function num / (lead prod over poles of
     (zeta - s_p)^m_p): ``num`` those of the numerator's coefficients,
@@ -168,16 +140,30 @@ class Factors(NamedTuple):
     poles: list
 
 
+def _reduced(rat):
+    """``rat`` with each declared pole's multiplicity after cancelling
+    numerator zeros (``RationalFunction._reduced_at``), so that no factor
+    vanishes at a removable pole."""
+    for p in list(rat.poles):
+        num, m = rat._reduced_at(p)
+        if m < rat.poles[p]:
+            rat = RationalFunction(num, poles={**rat.poles, p: m},
+                                   lead=rat.lead)
+    return rat
+
+
 def _rational_factors(rat, prec):
-    """The :class:`Factors` of ``rat`` at ``prec`` bits, its poles exact."""
+    """The :class:`Factors` of ``rat``, reduced (:func:`_reduced`), at
+    ``prec`` bits, its poles exact."""
+    rat = _reduced(rat)
     return Factors([abs(c.evaluate(prec)) for c in rat.num],
                    abs(rat.lead.evaluate(prec)),
                    [(p.evaluate(prec), m, 0) for p, m in rat.poles.items()])
 
 
 def _factored_envelope(factors: Factors, theta):
-    """A function T -> (0, poly) with |f(t e^(i theta))| <= sum of poly[j]
-    t^j for t >= T, by the bound of :class:`Factors` with d_p the distance
+    """A function T -> poly with |f(t e^(i theta))| <= sum of poly[j] t^j
+    for t >= T, by the bound of :class:`Factors` with d_p the distance
     from the tail to p, and poly = [inf] where a pole's disk may meet the
     tail."""
     rotation = _rotation(theta)
@@ -188,52 +174,24 @@ def _factored_envelope(factors: Factors, theta):
         for u, m, r in poles:
             gap = _pole_tail_distance(u, T) - r
             if not gap > 0:
-                return mpmath.mpf(0), [mpmath.inf]
+                return [mpmath.inf]
             den *= gap ** m
-        return mpmath.mpf(0), [c / den for c in factors.num]
+        return [c / den for c in factors.num]
 
     return envelope
 
 
-def _rational_envelope(rat, theta, prec):
-    """A function T -> (M, poly) with |rat(t e^(i theta))| <= M + sum of
-    poly[j] t^j for t >= T.
-
-    Where :func:`_partial_fractions` gives them, the polynomial part is
-    bounded by the moduli of its coefficients, and the proper part by the
-    partial fraction bound sum of |res_p| / dist(tail, p); elsewhere (a
-    multiple pole, or a lead that is not a monomial) by the factored
-    bound (:func:`_factored_envelope`).
-    """
-    parts = _partial_fractions(rat, prec)
-    if parts is None:
-        return _factored_envelope(_rational_factors(rat, prec), theta)
-    poly, poles = parts
-    rotation = _rotation(theta)
-    poles = [(v * rotation, r) for v, r in poles]
-
-    def envelope(T):
-        M = mpmath.mpf(0)
-        for u, r in poles:
-            M += r / _pole_tail_distance(u, T)
-        return M, poly
-
-    return envelope
-
-
-def _moment_tail(m, moment, T, M, poly=()):
-    """The integral over t >= T of e^(-m t) t^moment (M + sum of poly[j]
-    t^j), each term by :func:`_moment_integral`."""
-    tail = M * _moment_integral(moment + 1, m, T)
-    for j, c in enumerate(poly):
-        tail += c * _moment_integral(moment + 1 + j, m, T)
-    return abs(tail)
+def _moment_tail(m, moment, T, poly):
+    """The integral over t >= T of e^(-m t) t^moment times the sum of
+    poly[j] t^j, each term by :func:`_moment_integral`."""
+    return abs(sum(c * _moment_integral(moment + 1 + j, m, T)
+                   for j, c in enumerate(poly)))
 
 
 def _envelope_tail(envelope, m, moment):
     """The tail bound T -> the integral of e^(-m t) t^moment times the
-    envelope T -> (M, poly) over t >= T."""
-    return lambda T: _moment_tail(m, moment, T, *envelope(T))
+    envelope T -> poly over t >= T."""
+    return lambda T: _moment_tail(m, moment, T, envelope(T))
 
 
 class Contour(NamedTuple):
@@ -401,46 +359,22 @@ def _factored_majorant(factors: Factors, frame: _Frame):
     return majorant
 
 
-def _rational_majorant(rat, frame: _Frame, prec):
-    """A majorant (mid, half, rhos) -> bounds of |rat| on the images of the
-    ellipses.  Where :func:`_partial_fractions` gives them: the moduli of
-    the polynomial part's coefficients at the largest |zeta|, plus |res_p|
-    over the distance to each simple pole p; elsewhere the factored bound
-    (:func:`_factored_majorant`)."""
-    parts = _partial_fractions(rat, prec)
-    if parts is None:
-        return _factored_majorant(_rational_factors(rat, prec), frame)
-    poly = [float(c) for c in parts[0]]
-    poles = [(frame.point(v), float(r)) for v, r in parts[1]]
-
-    def majorant(mid, half, rhos):
-        out = []
-        for rho in rhos:
-            top = frame.radii(mid, half, rho)[1]
-            out.append(sum(c * top ** j for j, c in enumerate(poly) if c))
-        for p, r in poles:
-            for i, d in enumerate(frame.distances(p, mid, half, rhos)):
-                out[i] += r / d if d > 0 else math.inf
-        return out
-
-    return majorant
-
-
 def _logpole_majorant(f, frame: _Frame, prec):
-    """The majorant of a rational-plus-logs shape on a ray: the rational
-    majorants of its parts, each log factor bounded by
+    """The majorant of a rational-plus-logs shape on a ray: the factored
+    majorants of its rational parts, each log factor bounded by
     |Log(1 - zeta/a) + 2 pi i k| <= |ln|1 - zeta/a|| + 2 pi (1 + |k|).
     The ellipse is convex and avoids a, so it subtends at most a half
     turn from a: the continued argument of 1 - zeta/a stays within pi of
     its principal value on the panel, inside (-pi, pi); and
     |ln|1 - zeta/a|| is at most ln(1 + |zeta| / |a|) or ln(|a| / d) with
     d the distance to a."""
-    rational = _rational_majorant(f.rational_part, frame, prec)
+    rational = _factored_majorant(_rational_factors(f.rational_part, prec),
+                                  frame)
     logs = []
     for a, r, k in f.log_terms:
         av = complex(a.evaluate(prec))
-        logs.append((_rational_majorant(r, frame, prec), frame.point(av),
-                     abs(av), 2 * math.pi * (1 + abs(k))))
+        logs.append((_factored_majorant(_rational_factors(r, prec), frame),
+                     frame.point(av), abs(av), 2 * math.pi * (1 + abs(k))))
 
     def majorant(mid, half, rhos):
         out = rational(mid, half, rhos)
@@ -561,33 +495,46 @@ class _BorelRules:
         return sample
 
 
+class _FactoredRules:
+    """The tail and ellipse rules of a rational shape, read from the
+    shape's own :class:`Factors` at ``prec`` bits, ``_factors(prec)``:
+    those of :class:`.borelfun.RationalBF`, and of
+    :class:`.laplace.PadeApproximant`, which inherits this class."""
+
+    def tail_rule(self, theta, m, moment, sing, prec: int):
+        """The factored envelope (:func:`_factored_envelope`) from T = 1."""
+        return mpmath.mpf(1), _envelope_tail(
+            _factored_envelope(self._factors(prec), theta), m, moment)
+
+    def ellipse_rule(self, contour: Contour, sing, prec: int):
+        """The factored majorant (:func:`_factored_majorant`)."""
+        _one_sheet(self, contour)
+        return _margined(_factored_majorant(self._factors(prec),
+                                            _Frame(contour)))
+
+
 class _RationalRules:
-    """The numeric rules of :class:`.borelfun.RationalBF`."""
+    """The numeric rules of :class:`.borelfun.RationalBF` but those of
+    :class:`_FactoredRules`."""
 
     def numeric_evaluator(self, prec: int = 53):
         return self.rat.numeric_evaluator(prec)
 
-    def tail_rule(self, theta, m, moment, sing, prec: int):
-        """The rational envelope from T = 1."""
-        return mpmath.mpf(1), _envelope_tail(
-            _rational_envelope(self.rat, theta, prec), m, moment)
-
-    def ellipse_rule(self, contour: Contour, sing, prec: int):
-        """The rational majorant (:func:`_rational_majorant`)."""
-        _one_sheet(self, contour)
-        return _margined(_rational_majorant(self.rat, _Frame(contour), prec))
+    def _factors(self, prec: int) -> Factors:
+        return _rational_factors(self.rat, prec)
 
     def panel_sampler(self, contour: Contour, prec: int):
         """Exact integer Horner evaluation of the numerator and the factored
-        denominator at the contour's points, then one rounded division per
-        node (:func:`._chebyshev._quotients`); a real vector on the real
-        ray when every coefficient and pole is real."""
+        denominator of the reduced function (:func:`_reduced`) at the
+        contour's points, then one rounded division per node
+        (:func:`._chebyshev._quotients`); a real vector on the real ray
+        when every coefficient and pole is real."""
         _one_sheet(self, contour)
         if self.rat.is_zero():
             return BorelFunction.panel_sampler(self, contour, prec)
         bits = prec + GUARD
         work = bits + 16
-        rat = self.rat
+        rat = _reduced(self.rat)
         with mpmath.workprec(work):
             lead = rat.lead.evaluate(work)
             coeffs = [c.evaluate(work) / lead for c in reversed(rat.num)]
@@ -633,48 +580,33 @@ class _RationalRules:
 
 
 def _logpole_envelope(f, theta, prec):
-    """A function T -> envelope (M, poly) of a rational-plus-logs shape
-    beyond T.
+    """A function T -> poly with |f(t e^(i theta))| <= sum of poly[j] t^j
+    for t >= T, for a rational-plus-logs shape.
 
+    The rational part and each log's cofactor are bounded beyond T by the
+    polynomials of their factored envelopes (:func:`_factored_envelope`).
     Each log factor obeys |Log(1 - zeta/a) + 2 pi i k| <= ln(1 + t/|a|) + B
-    with B = pi (1 + 2 |k|).  A proper cofactor with simple poles decays
-    like 2 * (sum |res|) / t once T >= 2 max|pole| + 1 (enforced by the
-    truncation floor); the product (B + ln(1 + t/|a|)) / t is decreasing,
-    so its value at T is a constant bound for the whole tail.  A
-    polynomial part sum q_j t^j of the cofactor is bounded by
-    sum |q_j| t^j, and the log by its tangent at T, ln(1 + t/|a|) <=
-    ln(1 + T/|a|) + (t - T) / (|a| + T), so it adds that polynomial times
-    alpha + beta t.  A cofactor without partial fractions is bounded
-    beyond T by the polynomial of :func:`_factored_envelope` alone.
+    with B = pi (1 + 2 |k|), and the log is at most its tangent at T,
+    ln(1 + t/|a|) <= ln(1 + T/|a|) + (t - T) / (|a| + T), so a cofactor's
+    polynomial q adds q times alpha + beta t.
     """
-    rational = _rational_envelope(f.rational_part, theta, prec)
-    logs = []
-    for a, r, k in f.log_terms:
-        parts = _partial_fractions(r, prec)
-        if parts is None:
-            # T -> (0, q): no part that decays like 1 / t
-            cofactor = _factored_envelope(_rational_factors(r, prec), theta)
-        else:
-            q, poles = parts
-            cofactor = sum((res for _v, res in poles), mpmath.mpf(0)), q
-        logs.append((cofactor, abs(a.evaluate(prec)),
-                     mpmath.pi * (1 + 2 * abs(k))))
+    rational = _factored_envelope(_rational_factors(f.rational_part, prec),
+                                  theta)
+    logs = [(_factored_envelope(_rational_factors(r, prec), theta),
+             abs(a.evaluate(prec)), mpmath.pi * (1 + 2 * abs(k)))
+            for a, r, k in f.log_terms]
 
     def envelope(T):
-        M, poly = rational(T)
-        poly = list(poly)
+        poly = list(rational(T))
         for cofactor, av, B in logs:
-            ressum, q = cofactor(T) if callable(cofactor) else cofactor
-            if q:
-                beta = 1 / (av + T)
-                alpha = mpmath.log(1 + T / av) + B - T * beta
-                poly += [mpmath.mpf(0)] * (len(q) + 1 - len(poly))
-                for j, c in enumerate(q):
-                    poly[j] += c * alpha
-                    poly[j + 1] += c * beta
-            if ressum:
-                M += (2 * ressum / T) * (mpmath.log(1 + T / av) + B)
-        return M, poly
+            q = cofactor(T)
+            beta = 1 / (av + T)
+            alpha = mpmath.log(1 + T / av) + B - T * beta
+            poly += [mpmath.mpf(0)] * (len(q) + 1 - len(poly))
+            for j, c in enumerate(q):
+                poly[j] += c * alpha
+                poly[j + 1] += c * beta
+        return poly
 
     return envelope
 
@@ -704,7 +636,8 @@ class _LogPoleRules:
 
     def tail_rule(self, theta, m, moment, sing, prec: int):
         """:func:`_logpole_envelope` from past twice the farthest pole (and
-        at least 4)."""
+        at least 4), where every distance to a pole is over half of t, so
+        the factored envelopes start small."""
         mods = [abs(p.evaluate(prec)) for p in self.rational_part.poles]
         for _a, r, _k in self.log_terms:
             mods.extend(abs(p.evaluate(prec)) for p in r.poles)
@@ -815,7 +748,7 @@ class _StirlingRules:
             delta = min(d / 2, mpmath.pi / 2)
             coth_bound = 1 + mpmath.pi / (2 * delta)
             M = (coth_bound / 2) / T + 1 / mpmath.mpf(T) ** 2
-            return _moment_tail(m, moment, T, M)
+            return _moment_tail(m, moment, T, [M])
 
         return mpmath.mpf(4), bound
 
@@ -1322,9 +1255,10 @@ class _PowerRules:
 
 # each shape class and the rules set on it; a rule a shape does not set
 # comes from the class it inherits from
-_RULES = ((BorelFunction, _BorelRules), (RationalBF, _RationalRules),
-          (LogPoleBF, _LogPoleRules), (StirlingBF, _StirlingRules),
-          (DilogBF, _DilogRules), (PowerBF, _PowerRules))
+_RULES = ((BorelFunction, _BorelRules), (RationalBF, _FactoredRules),
+          (RationalBF, _RationalRules), (LogPoleBF, _LogPoleRules),
+          (StirlingBF, _StirlingRules), (DilogBF, _DilogRules),
+          (PowerBF, _PowerRules))
 
 
 def _install():

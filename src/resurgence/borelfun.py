@@ -453,7 +453,7 @@ def _intermediate_points(singular, target):
 _NUMERIC_RULES = frozenset({
     "numeric_eval", "numeric_evaluator", "polar_evaluator",
     "singular_values", "tail_rule", "ellipse_rule", "origin_head",
-    "panel_sampler", "g_value", "g_prime_value"})
+    "panel_sampler", "g_value", "g_prime_value", "_factors"})
 
 
 class BorelFunction:

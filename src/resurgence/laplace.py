@@ -148,9 +148,8 @@ from ._chebyshev import (_RHO_CAP, _TAILS, GUARD, NEST, _angle_poles,
                          _bernstein, _complex_tuple, _exponentials,
                          _mantissas, _nested, _product, _rung, _total,
                          _unit_points, _values, _vector, _weights, rounded_up)
-from ._borelnum import (Contour, Factors, _envelope_tail, _factored_envelope,
-                        _factored_majorant, _Frame, _margined,
-                        _pole_tail_distance, _rotated)
+from ._borelnum import (Contour, Factors, _FactoredRules, _pole_tail_distance,
+                        _rotated)
 from ._record import Record
 from .borelfun import BorelFunction
 from .errors import (MAX_NODES, MIN_PREC, DecayMarginError,
@@ -301,7 +300,7 @@ def _figure(x):
 # -- a Pade model of a minor --------------------------------------------------------
 
 
-class PadeApproximant(BorelFunction):
+class PadeApproximant(_FactoredRules, BorelFunction):
     """A rational stand-in for a Borel transform, fitted from coefficients.
 
     Given an asymptotic expansion sum of c_n z^-n, the Borel transform of
@@ -311,9 +310,10 @@ class PadeApproximant(BorelFunction):
     singular points, which makes it a useful exploration tool when only
     raw coefficients are available.
 
-    The model's sums are proved: it sums through the factored bounds of
-    a rational shape, each computed root of its denominator in a proved
-    disk (:func:`_factored_model`).  Its exact singular set is unknown
+    The model's sums are proved: it shares the tail and ellipse rules of
+    a rational shape (:class:`._borelnum._FactoredRules`), which read its
+    factored denominator, each computed root in a proved disk
+    (:func:`_factored_model`).  Its exact singular set is unknown
     (``singular_points`` is empty; the ray checks use the roots), and
     nothing bounds the fit's distance from the true minor, so no sum
     through it is ``certified``.
@@ -387,16 +387,6 @@ class PadeApproximant(BorelFunction):
             with mpmath.workprec(prec + 16):
                 built[prec] = _factored_model(self.num, self.den)
         return built[prec]
-
-    def tail_rule(self, theta, m, moment, sing, prec: int):
-        """The factored envelope of the model (rational, so from T = 1)."""
-        return mpmath.mpf(1), _envelope_tail(
-            _factored_envelope(self._factors(prec), theta), m, moment)
-
-    def ellipse_rule(self, contour: Contour, sing, prec: int):
-        """The factored majorant of the model."""
-        return _margined(_factored_majorant(self._factors(prec),
-                                            _Frame(contour)))
 
     def __repr__(self):
         return f"<PadeApproximant [{len(self.num) - 1}/{len(self.den) - 1}]>"

@@ -188,6 +188,26 @@ class TestLaplaceRay:
         assert abs(res.value - mpmath.mpf(5) / 2) <= res.error_estimate
         assert float(res.error_estimate) < 1e-15
 
+    def test_removable_pole_on_the_ray_is_never_sampled(self):
+        """(zeta - 1) / (zeta - 1) is the constant 1, whose sum at z = 2 is
+        1/2; its declared pole at 1 lies on the ray and cancels."""
+        shape = RationalBF(RationalFunction([-1, 1], poles={1: 1}))
+        res = laplace_ray(shape, 0, RaySpec(0, 2))
+        assert res.certified
+        assert abs(res.value - mpmath.mpf(1) / 2) <= res.error_estimate
+
+    def test_removable_pole_sums_as_the_reduced_function(self):
+        """(zeta - 1) / ((zeta - 1)(zeta + 3)) sums as 1/(zeta + 3), bit
+        for bit, on 90 nodes: its removable pole bounds nothing."""
+        spec = RaySpec("0.3", 2)
+        got = laplace_ray(RationalBF(RationalFunction(
+            [-1, 1], poles={1: 1, -3: 1})), 0, spec)
+        want = laplace_ray(RationalBF(RationalFunction.simple_pole(-3)), 0,
+                           spec)
+        assert (got.value, got.error_estimate, got.nodes_used) \
+            == (want.value, want.error_estimate, 90)
+        assert got.certified
+
     def test_power_kernel_endpoint_singularity(self):
         res = laplace_ray(power_minor("1/2"), 0, RaySpec(0, 2))
         with mpmath.workprec(120):

@@ -94,47 +94,47 @@ GOLDEN = {
     "euler": (
         ("mpc(real='0.36132861688822219544750739112469462011034693205147050321"
          "102142333984375', imag='0.0')"),
-        ("mpf('0.0000000000000452304504005830969125398000413964893733249021592"
-         "2862217615141311455317918444052')"),
+        ("mpf('0.0000000000000452304931804811389795961635173025798823991617063"
+         "9525356276036682778851627517724')"),
         98,
         ("{'margin': 2.0, 'truncation': 16.0, 'tail_bound': 3.724754573262993e"
-         "-16, 'quadrature_error': 4.4857974366677584e-14, 'rounding': 5.76579"
-         "2121400167e-22, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: 5"
-         "}, 'method': 'clenshaw-curtis'}"),
+         "-16, 'quadrature_error': 4.485801714657563e-14, 'rounding': 5.765792"
+         "121725531e-22, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: 5}"
+         ", 'method': 'clenshaw-curtis'}"),
     ),
     "euler-moment-1": (
         ("mpc(real='-0.0712495930780148265913252671882593958230245334561914205"
          "5511474609375', imag='0.00000000000000066786717457324911542059334598"
          "02194051341777158228445220380931068859808874549344')"),
-        ("mpf('0.0000000000010466061497198487196287920185391946580593960068345"
-         "65473475606722786324098706245')"),
+        ("mpf('0.0000000000010466071478412214416445087172782070325596574056163"
+         "91698255362996405892772600055')"),
         94,
         ("{'margin': 2.866009467376818, 'truncation': 16.0, 'tail_bound': 4.09"
-         "0396961041215e-21, 'quadrature_error': 1.04660611659092e-12, 'roundi"
-         "ng': 2.90385317280829e-20, 'segments': 6, 'panels': 6, 'degrees': {1"
-         "2: 2, 16: 4}, 'method': 'clenshaw-curtis'}"),
+         "0396961041215e-21, 'quadrature_error': 1.0466071147122928e-12, 'roun"
+         "ding': 2.903853173023183e-20, 'segments': 6, 'panels': 6, 'degrees':"
+         " {12: 2, 16: 4}, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-prec-90": (
         ("mpc(real='1.26208374025531844448097035560596011537878218065206192832"
          "761189492885023355484', imag='0.0')"),
-        ("mpf('0.0000000000000315183948464786321784335717285877288577065640080"
-         "1788651024114469843968455183393')"),
+        ("mpf('0.0000000000000315184249047622637936946847161112885978987966667"
+         "0550555620205815443146832798785')"),
         98,
         ("{'margin': 3.0, 'truncation': 16.0, 'tail_bound': 2.794439377923402e"
-         "-23, 'quadrature_error': 3.151839481853241e-14, 'rounding': 1.827356"
-         "077633936e-27, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: 5}"
-         ", 'method': 'clenshaw-curtis'}"),
+         "-23, 'quadrature_error': 3.1518424876816044e-14, 'rounding': 1.82735"
+         "60776905695e-27, 'segments': 6, 'panels': 6, 'degrees': {12: 1, 16: "
+         "5}, 'method': 'clenshaw-curtis'}"),
     ),
     "euler-node-capped": (
         ("mpc(real='0.15165508839819046271849044618673651996232365490868687629"
          "69970703125', imag='-0.393803385984053413545655751570873093214686377"
          "905309200286865234375')"),
-        ("mpf('0.0835731369678276535121249496418371904837840702384710311889648"
-         "4375')"),
+        ("mpf('0.0835732166693819164478588754074728228715684963390231132507324"
+         "21875')"),
         395,
         ("{'margin': 0.05, 'truncation': 512.0, 'tail_bound': 2.97148740526818"
-         "33e-13, 'quadrature_error': 0.0835731369675305, 'rounding': 4.162762"
-         "0031425646e-20, 'segments': 11, 'panels': 11, 'degrees': {16: 3, 24:"
+         "33e-13, 'quadrature_error': 0.08357321666908477, 'rounding': 4.16276"
+         "2297289035e-20, 'segments': 11, 'panels': 11, 'degrees': {16: 3, 24:"
          " 2, 48: 6}, 'method': 'clenshaw-curtis'}"),
     ),
     "double-pole": (
@@ -151,13 +151,13 @@ GOLDEN = {
     "logpole": (
         ("mpc(real='0.23606785460944781716147427425012139678983658086508512496"
          "9482421875', imag='0.0')"),
-        ("mpf('0.0000000000227985541863510376085168463365068763055972585630098"
-         "9921265909288194961845874786')"),
+        ("mpf('0.0000000000127677876515001785652616868107008633944892172292374"
+         "2383404288602832821197807789')"),
         73,
-        ("{'margin': 3.0, 'truncation': 8.0, 'tail_bound': 1.9083588124917175e"
-         "-11, 'quadrature_error': 3.714966027921996e-12, 'rounding': 3.351186"
-         "5923812967e-20, 'segments': 5, 'panels': 5, 'degrees': {12: 3, 16: 2"
-         "}, 'method': 'clenshaw-curtis'}"),
+        ("{'margin': 3.0, 'truncation': 8.0, 'tail_bound': 9.05281804719863e-1"
+         "2, 'quadrature_error': 3.714969570789683e-12, 'rounding': 3.35118659"
+         "3161363e-20, 'segments': 5, 'panels': 5, 'degrees': {12: 3, 16: 2}, "
+         "'method': 'clenshaw-curtis'}"),
     ),
     "stirling": (
         ("mpc(real='0.00833056343336287060918063727125342302071153710585349472"
@@ -212,37 +212,37 @@ GOLDEN = {
             ("mpc(real='-0.494576401346797320051316970701549280420294962823390"
              "960693359375', imag='0.15641068822954035522613700989746909897348"
              "81441108882427215576171875')"),
-            ("mpf('0.000000000003264274887084185705883827815117411926990983061"
-             "407699400424675673093588557094336')"),
+            ("mpf('0.000000000003264275734125459804740623977571784367149780238"
+             "688810268810058801136619877070189')"),
             157,
             ("{'margin': 2.966313233808127, 'truncation': 8.0, 'tail_bound': 2"
-             ".3760876949784455e-12, 'quadrature_error': 8.881871508768535e-13"
-             ", 'rounding': 4.122888666977124e-20, 'segments': 5, 'panels': 5,"
-             " 'degrees': {16: 2, 24: 1, 48: 2}, 'method': 'clenshaw-curtis"
+             ".3760876949784455e-12, 'quadrature_error': 8.881879979181276e-13"
+             ", 'rounding': 4.1228886730717615e-20, 'segments': 5, 'panels': 5"
+             ", 'degrees': {16: 2, 24: 1, 48: 2}, 'method': 'clenshaw-curtis"
              "'}"),
         ),
         (
             ("mpc(real='-0.494576401346797320051316970701549280420294962823390"
              "960693359375', imag='-0.1564106882295403552261370098974690989734"
              "881441108882427215576171875')"),
-            ("mpf('0.000000000003264274887084188492732190734646867495275072064"
-             "170752278444709304494608659297228')"),
+            ("mpf('0.000000000003264275734125462591490379283948613459757403170"
+             "791514868120941628149012103676796')"),
             157,
             ("{'margin': 2.966313233808127, 'truncation': 8.0, 'tail_bound': 2"
-             ".3760876949784435e-12, 'quadrature_error': 8.881871508768584e-13"
-             ", 'rounding': 4.122888666977124e-20, 'segments': 5, 'panels': 5,"
-             " 'degrees': {16: 2, 24: 1, 48: 2}, 'method': 'clenshaw-curtis"
+             ".3760876949784435e-12, 'quadrature_error': 8.881879979181325e-13"
+             ", 'rounding': 4.1228886730717615e-20, 'segments': 5, 'panels': 5"
+             ", 'degrees': {16: 2, 24: 1, 48: 2}, 'method': 'clenshaw-curtis"
              "'}"),
         ),
     ),
     "hankel-pole": (
         ("mpc(real='1.0', imag='0.0')"),
-        ("mpf('0.0000000000000000000008614638709729024250620397520413160270660"
-         "844356117165502984727424085072818255113')"),
+        ("mpf('0.0000000000000000000008614638847353037377212308003171319052406"
+         "447595623128889074624841249889000088878')"),
         98,
         ("{'margin': 2.25, 'truncation': 0.25, 'radius': 0.25, 'tail_bound': 0"
-         ".0, 'quadrature_error': 1.1314185532994805e-23, 'rounding': 8.501496"
-         "854399076e-22, 'segments': 0, 'panels': 2, 'degrees': {48: 2}, 'ray_"
+         ".0, 'quadrature_error': 1.1314196323042959e-23, 'rounding': 8.501496"
+         "884122607e-22, 'segments': 0, 'panels': 2, 'degrees': {48: 2}, 'ray_"
          "nodes': 0, 'circle_nodes': 98, 'method': 'clenshaw-curtis'}"),
     ),
     "hankel-power": (

@@ -5,16 +5,18 @@ positive decay margin Re(z e^(i theta)), at 53, 113 and 240 bits, and
 checks |value - reference| <= error, where the reference is the same sum
 at 64 more bits and a target 2^-20 times smaller, within its own error.
 Every shape reports ``certified`` but a Pade model, whose error bounds
-its sum of the model only.  The shapes without partial fractions, whose
-majorant and tail are the bounds of their factored denominators, are
-swept too: a squared pole, a lead that is not a monomial, and a log
-shape with a squared pole in its cofactor.  Rays that pass close to a
-singular point, or to the dilogarithm's cut, are drawn too: a pole
+its sum of the model only.  Every rational piece is bounded through its
+factored denominator; the sweep holds a squared pole, a lead that is
+not a monomial, a log shape with a squared pole in its cofactor, and
+sums of simple poles, whose numerators carry the lifted cofactors: two
+poles, and a log shape whose cofactor has two.  Rays that pass close to
+a singular point, or to the dilogarithm's cut, are drawn too: a pole
 within 0.1 of the ray, where a majorant must not miss the pole's peak,
 and the dilogarithm at a small angle, whose ellipses past 1 cross the
-cut [1, inf), where the integrand continues off the principal sheet;
-the dilogarithm's majorant is also checked against that continuation
-on ellipses by itself.
+cut [1, inf), where the integrand continues off the principal sheet.
+The dilogarithm's majorant is also checked against that continuation
+on ellipses by itself, and the factored majorants against their
+shapes.
 
 Also here: the two 240-bit rows of the roadmap, with their node counts
 pinned, and the decay-edge ray, whose every sample lands in a panel it
@@ -34,7 +36,7 @@ from resurgence.borelfun import (DilogBF, LogPoleBF, PowerBF, RationalBF,
 from resurgence.errors import RayBlockedError
 from resurgence.laplace import (RaySpec, hankel_laplace, laplace_ray,
                                 pade_minor)
-from resurgence.scalars import ExactScalar
+from resurgence.scalars import ExactScalar, GaussianRational
 from resurgence.series import euler_series
 
 SHAPES = {
@@ -55,6 +57,17 @@ SHAPES = {
         [(-1, RationalFunction([1], poles={-2: 2}), 0)]), True),
     "dilog": (DilogBF(), True),
     "pade": (pade_minor(euler_series(12)), False),
+    # sums of simple poles, whose numerators carry the lifted cofactors:
+    # ((1 + i) zeta + 2) / ((zeta + 1)(zeta + 2 - i)), and a log shape
+    # with cofactor (2 zeta + 6) / ((zeta + 2)(zeta + 4))
+    "two-pole": (RationalBF(
+        RationalFunction.simple_pole(-1)
+        + RationalFunction.simple_pole(GaussianRational(-2, 1),
+                                       GaussianRational(0, 1))), True),
+    "logpole-two": (LogPoleBF(
+        RationalFunction.simple_pole(-3, 2),
+        [(-1, RationalFunction.simple_pole(-2)
+          + RationalFunction.simple_pole(-4), 0)]), True),
 }
 # the shapes each precision sweeps: the mpmath evaluators of the
 # dilogarithm and the log shape are slow at 117 bits and above
@@ -62,9 +75,11 @@ AT = {53: ["euler", "stirling", "logpole", "power-log", "power",
            "double-pole", "dilog"],
       113: ["euler", "stirling", "power-log", "power", "double-pole"],
       240: ["euler", "stirling", "power-log", "power"]}
-# the shapes without partial fractions but the squared pole, swept at
-# every precision in draws of their own
+# the shapes with a non-monomial lead or a squared pole in a cofactor,
+# swept at every precision in draws of their own
 FACTORED = ["lead", "logpole-double"]
+# the sums of simple poles, swept at 53 and 113 bits in draws of their own
+LIFTED = ["two-pole", "logpole-two"]
 # the draws per shape at each precision
 DRAWS = {53: 2, 113: 2, 240: 1}
 
@@ -92,7 +107,8 @@ def spec(theta, z, prec, target):
 
 @pytest.mark.parametrize("prec,name,theta,z", [
     (prec, *case) for names in (None, FACTORED) for prec in DRAWS
-    for case in cases(prec, names)])
+    for case in cases(prec, names)] + [
+    (prec, *case) for prec in (53, 113) for case in cases(prec, LIFTED)])
 def test_ray_error_bounds_the_distance(prec, name, theta, z):
     check_ray(name, theta, z, prec, 2.0 ** (4 - prec))
 
@@ -149,15 +165,22 @@ def test_dilog_majorant_bounds_its_continuation(theta):
     assert finite > 0
 
 
-@pytest.mark.parametrize("name", ["double-pole", "lead", "pade"])
-@pytest.mark.parametrize("contour", [
-    Contour(mpmath.mpf("0.3")), Contour(mpmath.mpf("3.0")),
-    Contour(mpmath.mpf("0.3"), radius=mpmath.mpf("0.5"))],
-    ids=["ray", "ray-past-the-pole", "circle"])
+CONTOURS = {"ray": Contour(mpmath.mpf("0.3")),
+            "ray-past-the-pole": Contour(mpmath.mpf("3.0")),
+            "circle": Contour(mpmath.mpf("0.3"), radius=mpmath.mpf("0.5"))}
+
+
+# a log shape has an ellipse rule on a ray only
+@pytest.mark.parametrize("contour,name", [
+    pytest.param(contour, name, id=f"{key}-{name}")
+    for name in ["double-pole", "lead", "pade", "euler", "two-pole",
+                 "logpole-two"]
+    for key, contour in CONTOURS.items()
+    if not (name == "logpole-two" and contour.radius is not None)])
 def test_factored_majorant_bounds_the_shape(name, contour):
-    """The majorant of a shape without partial fractions bounds the
-    shape on the boundary of every ellipse where it is finite, sampled at
-    64 points; by the maximum principle that bounds the inside too."""
+    """The factored majorant of a shape bounds it on the boundary of
+    every ellipse where it is finite, sampled at 64 points; by the maximum
+    principle that bounds the inside too."""
     f = SHAPES[name][0]
     majorant = f.ellipse_rule(contour, f.singular_values(53), 53)
     evaluate = f.numeric_evaluator(53)

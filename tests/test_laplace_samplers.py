@@ -13,7 +13,8 @@ a circle or a Hankel ray itself, on a power kernel.  Every sampler
 refuses the Hankel ray of a single-valued shape.  Also here: the
 Stirling lattice and its tail distance, which must equal the values of
 the full scan they replace, and the proved tails of a log shape with
-polynomial parts and of rational shapes without partial fractions.
+polynomial parts and of rational shapes with a polynomial part or a lead
+that is not a monomial, bounded through their factored denominators.
 """
 
 import math
@@ -333,8 +334,7 @@ def test_polynomial_rational_shape_has_a_proved_tail():
 
 def test_non_monomial_lead_has_a_proved_tail():
     # (1 + zeta) / ((1 + 2 pi i) (zeta + 2)): its polynomial part is not
-    # exact in the scalar ring, so it has no partial fractions, and its
-    # tail and majorant are the bounds of its factored denominator
+    # exact in the scalar ring, and its factored denominator bounds it
     lead = ExactScalar.from_rational(1) + ExactScalar.tau()
     f = RationalBF(RationalFunction([1, 1], poles={-2: 1}, lead=lead))
     res = laplace_ray(f, 0, RaySpec(0, 2, target_error=1e-10))
