@@ -31,7 +31,8 @@ Conventions shared by every subcommand:
   a mould of more than MAX_MOULD_WORDS words, a precision outside
   [MIN_PREC, MAX_PREC], a moment above MAX_MOMENT, a z whose modulus
   overflows or underflows a double), 1 for usage errors (unknown flags,
-  malformed literals, a file that cannot be read or is not JSON).
+  malformed literals, a file that cannot be read, is not JSON or is
+  not a serialized mould).
   Every exit code prints one JSON object on standard output: the result,
   the refusal, or the usage mistake; standard error stays empty.
 * ``--prec`` is at least MIN_PREC = 53 bits (``errors.MIN_PREC``, which
@@ -86,7 +87,8 @@ class UsageError(Exception):
 # second), hyperlog's shuffle products grow with the square of the order,
 # and mould make writes one entry per word.
 MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
-# the largest number of words mould make materialises (about 4 s)
+# the largest number of words mould make materialises (about 4 s) and
+# mould check reads
 MAX_MOULD_WORDS = 4096
 # the largest --prec: mzv eval --s 2,1 takes about a second at 1024 bits
 # and over a minute at 4096, hyperlog --L 1,2 over two minutes at 4096
@@ -438,6 +440,19 @@ def _cmd_mzv_relation(args) -> dict:
     return data
 
 
+def _refuse_mould_size(letters: int, length: int, name: str) -> None:
+    """Refuse, as out of range, a mould length outside 0 .. the ceiling
+    of ``mould make --order`` or more than MAX_MOULD_WORDS words over the
+    given number of letters; ``name`` says where the length came from."""
+    ceiling = MAX_ORDER["mould make"]
+    if not 0 <= length <= ceiling:
+        raise ValueError(f"{name} {length} is outside 0 .. {ceiling}")
+    words = sum(letters ** k for k in range(length + 1))
+    if words > MAX_MOULD_WORDS:
+        raise ValueError(f"{words} words up to length {length} exceed "
+                         f"the ceiling of {MAX_MOULD_WORDS}")
+
+
 def _cmd_mould_make(args) -> dict:
     from .moulds import (exp_scale_mould, identity_mould, mould_to_json,
                          unit_mould)
@@ -446,10 +461,7 @@ def _cmd_mould_make(args) -> dict:
 
     letters = _parse_letters(args.letters)
     alphabet = Alphabet(letters)
-    words = sum(len(alphabet) ** k for k in range(args.order + 1))
-    if words > MAX_MOULD_WORDS:
-        raise ValueError(f"{words} words up to length {args.order} exceed "
-                         f"the ceiling of {MAX_MOULD_WORDS}")
+    _refuse_mould_size(len(alphabet), args.order, "--order")
     if args.exp_scale is not None:
         try:
             scale = parse_scalar(args.exp_scale)
@@ -478,9 +490,19 @@ def _cmd_mould_check(args) -> dict:
         # json's decode error and the codec's UnicodeDecodeError
         raise UsageError(f"--file {args.file!r} is not UTF-8 JSON: "
                          f"{exc}") from None
+    # the length and word count are refused as mould make refuses them,
+    # before any entry is read; the rest of the file must be one mould
+    try:
+        length, letters = data["max_length"], len(data["alphabet"])
+        if type(length) is not int:
+            raise TypeError(f"max_length {length!r} is not an integer")
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"--file {args.file!r} is not a serialized mould: "
+                         f"{exc!r}") from None
+    _refuse_mould_size(letters, length, "max_length")
     try:
         m = mould_from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--file {args.file!r} is not a serialized mould: "
                          f"{exc!r}") from None
     predicates = {
@@ -492,7 +514,7 @@ def _cmd_mould_check(args) -> dict:
     requested = {name: fn for name, (flag, fn) in predicates.items() if flag}
     if not requested:
         raise UsageError("pick at least one predicate flag, e.g. --symmetral")
-    out = {"file": args.file, "max_length": data.get("max_length")}
+    out = {"file": args.file, "max_length": m.max_length}
     for name, fn in requested.items():
         out[name] = fn(m)
     return out

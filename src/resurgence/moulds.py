@@ -11,7 +11,11 @@ Operations
 ----------
 
 * ``M * N`` is the mould product ``(M*N)^w = sum over w = a.b of M^a N^b``
-  (noncommutative, associative, unit ``unit_mould``).
+  (noncommutative, associative, unit ``unit_mould``).  It multiplies
+  stored entries only, each nonzero M^a by each nonzero N^b that fits the
+  common length, so an absent (zero) entry costs nothing: a power x^k of
+  a mould vanishing on the empty word never forms a word shorter than k,
+  which keeps the series of ``mould_exp`` and ``mould_log`` cheap.
 * ``M.compose(U)`` is mould composition,
 
       (M o U)^w = sum over w = w1...ws (consecutive nonempty blocks)
@@ -200,17 +204,38 @@ class Mould:
 
     # -- mould product -------------------------------------------------------------
 
+    def _stored(self, alphabet: Alphabet, max_length: int) -> list:
+        """(word, value) of the nonzero entries up to ``max_length``; a
+        rule-backed mould is first materialised over the alphabet."""
+        m = self if self.entries is not None else \
+            self.materialize(alphabet, max_length)
+        return [(w, v) for w, v in m.entries.items() if len(w) <= max_length]
+
     def __mul__(self, other):
+        """The mould product (M*N)^w = sum over w = a.b of M^a N^b.
+
+        Only stored entries are multiplied: every nonzero M^a times every
+        nonzero N^b with |a| + |b| <= L, the common length, is added into
+        the entry for a.b, so an absent (zero) entry of either factor costs
+        nothing.  A rule-backed factor is first materialised over the other
+        factor's alphabet up to L.  The result holds its nonzero sums in
+        ``alphabet.words(L)`` order and keeps this mould's zero.
+        """
         if not isinstance(other, Mould):
             return NotImplemented
         alphabet, L = self._binary_context(other)
-        entries = {}
-        for w in alphabet.words(L):
-            acc = None
-            for k in range(len(w) + 1):
-                term = self[w[:k]] * other[w[k:]]
-                acc = term if acc is None else acc + term
-            entries[w] = acc
+        right = sorted(other._stored(alphabet, L), key=lambda e: len(e[0]))
+        sums = {}
+        for a, x in self._stored(alphabet, L):
+            room = L - len(a)
+            for b, y in right:
+                if len(b) > room:
+                    break
+                w = a + b
+                term = x * y
+                acc = sums.get(w)
+                sums[w] = term if acc is None else acc + term
+        entries = {w: sums[w] for w in alphabet.words(L) if w in sums}
         return Mould(alphabet, L, entries=entries, zero=self._zero)
 
     def mult_inverse(self) -> "Mould":
@@ -395,7 +420,9 @@ def passage_mould(alphabet: Alphabet, theta, theta_prime, prec: int = 80) -> Mou
 
 def _product_series(x: Mould, coeff) -> Mould:
     """sum over 0 <= k <= L of coeff(k) x^k with mould products, x^0
-    the unit; the terms and the result keep x's zero."""
+    the unit; the terms and the result keep x's zero.  Both callers pass
+    an x that vanishes on the empty word, so x^k stores, and the product
+    forms, no word shorter than k."""
     L = x.max_length
     term = Mould(x.alphabet, L, entries={EMPTY: _one_like(x.zero)},
                  zero=x.zero)
@@ -560,10 +587,28 @@ def mould_to_json(m: Mould) -> dict:
 
 
 def mould_from_json(data: dict) -> Mould:
+    """The mould of a :func:`mould_to_json` form.
+
+    Every stored word is a word of ``alphabet.words(max_length)``: a
+    ``max_length`` that is not an integer raises TypeError, and an entry
+    whose word has a letter outside the alphabet, is longer than
+    ``max_length`` or repeats an earlier word raises ValueError.  A letter
+    is in the alphabet when it hashes as one of its letters does, as
+    lookups need: the int 1 is not the scalar 1, though the two are
+    equal."""
     alphabet = Alphabet([_letter_from_json(d) for d in data["alphabet"]])
-    entries = {
-        Word(tuple(_letter_from_json(a) for a in item["word"])):
-            ExactScalar.from_json(item["value"])
-        for item in data["entries"]
-    }
-    return Mould(alphabet, data["max_length"], entries=entries)
+    letters = set(alphabet)
+    L = data["max_length"]
+    if type(L) is not int:
+        raise TypeError(f"max_length {L!r} is not an integer")
+    entries = {}
+    for item in data["entries"]:
+        w = Word(tuple(_letter_from_json(a) for a in item["word"]))
+        if len(w) > L:
+            raise ValueError(f"{w!r} is longer than max_length {L}")
+        if not letters.issuperset(w):
+            raise ValueError(f"{w!r} has a letter outside the alphabet")
+        if w in entries:
+            raise ValueError(f"{w!r} is stored twice")
+        entries[w] = ExactScalar.from_json(item["value"])
+    return Mould(alphabet, L, entries=entries)

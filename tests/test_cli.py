@@ -349,6 +349,58 @@ class TestMould:
         assert needle in payload["message"]
         assert str(path) in payload["message"]
 
+    @staticmethod
+    def _write_tampered(tmp_path, tamper):
+        """A made exp-scale mould over letters 1, 2 up to length 2, changed
+        by ``tamper`` and written to a file."""
+        data = mould_to_json(exp_scale_mould(parse_scalar("1/2")).materialize(
+            Alphabet([1, 2]), 2))
+        tamper(data)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d.update(max_length="2"),
+        lambda d: d.update(max_length=2.5),
+        lambda d: d.update(max_length=True),
+        lambda d: d["entries"][1].update(word=[{"kind": "int", "value": 3}]),
+        # equal to the letter 1 but of another kind, so no lookup finds it
+        lambda d: d["entries"][1].update(word=[{
+            "kind": "scalar",
+            "value": ExactScalar.from_rational(1).to_json()}]),
+        lambda d: d["entries"].append(
+            {"word": [{"kind": "int", "value": 1}] * 3,
+             "value": d["entries"][0]["value"]}),
+        lambda d: d["entries"].append(d["entries"][1]),
+    ], ids=["text-length", "fractional-length", "boolean-length",
+            "foreign-letter", "letter-of-another-kind", "word-too-long",
+            "repeated-word"])
+    def test_check_malformed_mould_is_usage_error(self, capsys, tmp_path,
+                                                  tamper):
+        path = self._write_tampered(tmp_path, tamper)
+        code, out, err = run(capsys, "mould", "check", "--file", str(path),
+                             "--symmetral")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert "not a serialized mould" in payload["message"]
+
+    @pytest.mark.parametrize("length,needle", [
+        (-1, f"max_length -1 is outside 0 .. {MAX_ORDER['mould make']}"),
+        (60, f"ceiling of {MAX_MOULD_WORDS}")],
+        ids=["negative-length", "word-ceiling"])
+    def test_check_out_of_range_length_is_refused(self, capsys, tmp_path,
+                                                  length, needle):
+        path = self._write_tampered(
+            tmp_path, lambda d: d.update(max_length=length))
+        code, out, err = run(capsys, "mould", "check", "--file", str(path),
+                             "--symmetral")
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert needle in payload["message"]
+
 
 class TestHyperlog:
     def test_word_series_coefficients(self, capsys):

@@ -149,6 +149,134 @@ class TestProductGroup:
         assert mould_log(e).same_entries(want)
 
 
+def sparse_mould(alphabet, max_length, rng):
+    """A random mould with about half of its entries zero, the empty word
+    included."""
+    entries = {w: S(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+               for w in alphabet.words(max_length) if rng.random() < 0.5}
+    return Mould(alphabet, max_length, entries=entries)
+
+
+def dense_product(m, n, alphabet, max_length):
+    """The product by its definition, sum over w = a.b of m^a n^b, every
+    word up to max_length and every split read through lookup: the
+    nonzero sums in alphabet.words order."""
+    out = {}
+    for w in alphabet.words(max_length):
+        acc = m[w[:0]] * n[w]
+        for k in range(1, len(w) + 1):
+            acc = acc + m[w[:k]] * n[w[k:]]
+        if not acc.is_zero():
+            out[w] = acc
+    return out
+
+
+def comparable(entries):
+    """(word, value) pairs in stored order; a series is compared by its
+    order and coefficients."""
+    return [(w, (v.order, tuple(v.coeffs)) if isinstance(v, FormalSeries)
+             else v) for w, v in entries.items()]
+
+
+def series_mould(fam, max_length, rng):
+    zero = FormalSeries.zero(fam.order)
+    entries = {w: FormalSeries([S(Fraction(rng.randint(-3, 3), k + 1))
+                                for k in range(fam.order + 1)],
+                               order=fam.order)
+               for w in fam.alphabet.words(max_length) if rng.random() < 0.5}
+    return Mould(fam.alphabet, max_length, entries=entries, zero=zero)
+
+
+class TestSparseProduct:
+    """The product multiplies stored entries only; it equals the product
+    by its definition, in the same entry order."""
+
+    @pytest.mark.parametrize("letters,lengths,seed", [
+        ([1, 2], (3, 4), 11), ([1, 2], (4, 2), 12), ([1, 2, 3], (3, 2), 13),
+        ([1, 2, 3], (2, 3), 14), ([1, 2, 3], (3, 3), 15)])
+    def test_equals_dense_reference(self, letters, lengths, seed):
+        rng = random.Random(seed)
+        alphabet = Alphabet(letters)
+        m, n = (sparse_mould(alphabet, L, rng) for L in lengths)
+        L = min(lengths)
+        for a, b in ((m, n), (n, m)):
+            product = a * b
+            assert product.max_length == L
+            assert comparable(product.entries) == comparable(
+                dense_product(a, b, alphabet, L))
+
+    @pytest.mark.parametrize("rule", ["unit", "exp_scale"])
+    def test_rule_backed_factor_either_side(self, rule):
+        rng = random.Random(21)
+        m = sparse_mould(AB, 3, rng)
+        r = unit_mould() if rule == "unit" else exp_scale_mould(
+            Fraction(-2, 3))
+        for a, b in ((m, r), (r, m)):
+            product = a * b
+            assert (product.alphabet, product.max_length) == (AB, 3)
+            assert comparable(product.entries) == comparable(
+                dense_product(a, b, AB, 3))
+
+    def test_series_valued_rule_factor(self):
+        from resurgence.hyperlog import MonomialFamily, v_mould
+
+        fam = MonomialFamily([1, 2], order=4)
+        rng = random.Random(22)
+        v = v_mould(fam)
+        for m in (series_mould(fam, 3, rng), sparse_mould(fam.alphabet, 3,
+                                                          rng)):
+            for a, b in ((m, v), (v, m)):
+                product = a * b
+                assert product.zero is a.zero
+                assert comparable(product.entries) == comparable(
+                    dense_product(a, b, fam.alphabet, 3))
+
+    def test_entries_follow_alphabet_words_order(self):
+        rng = random.Random(23)
+        alphabet = Alphabet([1, 2, 3])
+        product = sparse_mould(alphabet, 3, rng) * sparse_mould(alphabet, 3,
+                                                                rng)
+        order = [w for w in alphabet.words(3) if w in product.entries]
+        assert list(product.entries) == order
+        assert len(order) > 10
+
+    def test_cancelling_sum_stores_no_entry(self):
+        w = Word((1, 2))
+        m = Mould(AB, 2, entries={Word((1,)): S(1), w: S(-1)})
+        n = Mould(AB, 2, entries={EMPTY: S(1), Word((2,)): S(1)})
+        product = m * n
+        assert w not in product.entries
+        assert product[w].is_zero()
+        assert product.entries == {Word((1,)): S(1)}
+
+    def test_power_stores_no_word_shorter_than_its_exponent(self):
+        rng = random.Random(24)
+        x = random_mould(AB, 4, rng, empty_value=0)
+        power = unit_mould(AB)
+        for k in range(1, 5):
+            power = power * x
+            assert power.entries
+            assert min(map(len, power.entries)) == k
+
+    def test_multiplies_stored_pairs_only(self, monkeypatch):
+        # two entries each, one pair too long: three scalar products
+        m = Mould(AB, 3, entries={Word((1,)): S(2), Word((1, 2)): S(3)})
+        n = Mould(AB, 3, entries={Word((2,)): S(5), Word((2, 1)): S(7)})
+        calls = []
+        mul = ExactScalar.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(ExactScalar, "__mul__", counted)
+        product = m * n
+        assert len(calls) == 3
+        assert product.entries == {Word((1, 2)): S(10),
+                                   Word((1, 2, 1)): S(14),
+                                   Word((1, 2, 2)): S(15)}
+
+
 class TestComposition:
     def test_identity_is_two_sided_unit(self):
         rng = random.Random(6)

@@ -142,7 +142,7 @@ def test_engine_work_totals_are_nonzero():
 
     totals = {"madds_total": out["madds_total"],
               "unit_points_cos_sin": out["tables"]["unit_points_cos_sin"]}
-    for name in ("tables", "iterated", "ze", "laplace"):
+    for name in ("tables", "iterated", "ze", "laplace", "exact"):
         totals.update(leaves(out[name]["total"], name))
     zero = [path for path, value in totals.items() if not value]
     assert len(totals) > 20
@@ -189,6 +189,18 @@ def test_certified_round_sums_a_quarter_of_the_old_prefix():
     certified-sums round sums at most a quarter of the 65536 prefix terms
     of the doubling from 1024 that the cutoff rule replaced."""
     assert engine_work(3)["ze"]["total"]["prefix_terms"] <= 65536 // 4
+
+
+def test_exact_round_outputs_are_pinned():
+    """The exact-algebra outputs of seed 3, digested as the worker writes
+    them, and the entries their moulds store: a change to the exact
+    layer's arithmetic or storage that keeps these keeps every output
+    byte for byte, mould entry order included."""
+    exact = engine_work(3)["exact"]
+    assert len(exact["operations"]) == 93
+    assert exact["total"]["entries"] == 3075
+    assert exact["total"]["sha256"] == (
+        "f457619cebf329c340e4eb1f71daec5cc0aa29530888a0fba74e8d1c5ac78c9d")
 
 
 def doubling_from_1024(idx, prec):

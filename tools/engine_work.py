@@ -1,14 +1,15 @@
-"""Work counts of the numeric layer on two benchmark rounds.
+"""Work counts of the numeric layer on two benchmark rounds, and the
+outputs of an exact-algebra round.
 
     PYTHONPATH=src python3 tools/engine_work.py --seed N
 
 Run from the root of a source checkout.  It builds the seeded inputs of
-the iterated-integrals and certified-sums workloads (``bench/inputs.py``,
-``bench/worker.py``), clears the caches of ``_chebyshev``, ``_borelnum``,
-``laplace``, ``mzv`` and ``series`` before each round, runs every
-operation of the round once in this process, each in its own
-``resurgence._work.counting()`` scope, and prints one JSON object.  The
-package counts the work where it is done; the docstring of
+the iterated-integrals, certified-sums and exact-algebra workloads
+(``bench/inputs.py``, ``bench/worker.py``), clears the caches of
+``_chebyshev``, ``_borelnum``, ``laplace``, ``mzv`` and ``series`` before
+each round, runs every operation of the round once in this process, each
+in its own ``resurgence._work.counting()`` scope, and prints one JSON
+object.  The package counts the work where it is done; the docstring of
 ``resurgence._work`` lists every count and where it is taken.
 
 For the iterated-integrals round:
@@ -79,11 +80,23 @@ bounded in closed form (``closed_form``, the other orders); their
 ``total``, with the seconds of the ``gammainc`` calls (``gammainc_s``)
 and the number of operations ``certified``; and the wall seconds of the
 whole round (``round_s``).
+
+Under ``exact``, for the exact-algebra round: per operation its wall
+``seconds``, the ``entries`` it stores when its result is a mould (null
+otherwise), and ``sha256``, the SHA-256 of its output as JSON text in
+the form the worker writes it (``json.dumps`` of the worker's serializer;
+an operation that the worker does not serialize is digested through the
+worker's ``table`` when its result is a mould, and is null otherwise);
+and their ``total``: the ``seconds``, the ``entries``, and the
+``sha256`` of the operations' digests joined in order.  Equal digests on
+two checkouts mean byte-identical exact outputs, mould entry order
+included.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -96,6 +109,7 @@ sys.path.insert(0, str(ROOT))
 from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
 from resurgence import _borelnum, _work, laplace, mzv, series  # noqa: E402
+from resurgence.moulds import Mould  # noqa: E402
 
 LIBMP = ("exp", "cos_sin", "log")
 # the terms of a wa_eval or L_numeric error, as resurgence._work counts them
@@ -141,17 +155,18 @@ def colour_roots(counts):
     return {f"{d},{P}": c for (d, P), c in keyed(counts, "roots").items()}
 
 
-def run_round(ops, caches):
-    """Each operation once, in its own scope: {name: (result, counts,
-    seconds, deltas of the given caches)}, the round's summed counts and
-    its wall seconds."""
+def run_round(ops, R, caches):
+    """Each operation once, in its own scope, its result stored in R under
+    its name for the later operations that read it: {name: (result,
+    counts, seconds, deltas of the given caches)}, the round's summed
+    counts and its wall seconds."""
     runs, summed = {}, Counter()
     start = time.perf_counter()
     for name, call, _serialize in ops:
         cached = {key: cache.cache_info() for key, cache in caches.items()}
         began = time.perf_counter()
         with _work.counting() as counts:
-            result = call()
+            result = R[name] = call()
         seconds = round(time.perf_counter() - began, 5)
         deltas = {}
         for key, cache in caches.items():
@@ -167,8 +182,9 @@ def iterated_work(seed):
     """The spectral-engine, ``wa_eval`` and ``L_numeric`` work of one
     iterated-integrals round, as described in the module docstring."""
     clear_caches()
+    R = {}
     runs, counts, elapsed = run_round(
-        worker.iterated_integrals(inputs.iterated_integrals(seed), {}),
+        worker.iterated_integrals(inputs.iterated_integrals(seed), R), R,
         PANEL_CACHES)
     iterated = {}
     for name, (result, op, seconds, caches) in runs.items():
@@ -234,8 +250,9 @@ def certified_work(seed):
     """The ``ze_eval`` and Laplace work of one certified-sums round:
     (ze, laplace) as described in the module docstring."""
     clear_caches()
+    R = {}
     runs, counts, elapsed = run_round(
-        worker.certified_sums(inputs.certified_sums(seed), {}), KERNELS)
+        worker.certified_sums(inputs.certified_sums(seed), R), R, KERNELS)
     ze, work = {}, {}
     for name, (result, op, seconds, kernels) in runs.items():
         if name.startswith(ZE_OPERATIONS):
@@ -287,12 +304,37 @@ def certified_work(seed):
             {"operations": work, "total": total, "round_s": round(elapsed, 5)})
 
 
+def exact_work(seed):
+    """The seconds, stored entries and output digests of one exact-algebra
+    round, as described in the module docstring."""
+    R = {}
+    ops = worker.exact_algebra(inputs.exact_algebra(seed), R)
+    runs, _counts, _elapsed = run_round(ops, R, {})
+    exact = {}
+    for name, _call, serialize in ops:
+        result, _op, seconds, _caches = runs[name]
+        is_mould = isinstance(result, Mould)
+        if serialize is None and is_mould:
+            serialize = worker.table
+        digest = None if serialize is None else hashlib.sha256(
+            json.dumps(serialize(result)).encode()).hexdigest()
+        exact[name] = {"seconds": seconds,
+                       "entries": len(result.entries) if is_mould else None,
+                       "sha256": digest}
+    joined = "".join(op["sha256"] or "-" for op in exact.values())
+    total = {"seconds": round(sum(op["seconds"] for op in exact.values()), 5),
+             "entries": sum(op["entries"] or 0 for op in exact.values()),
+             "sha256": hashlib.sha256(joined.encode()).hexdigest()}
+    return {"operations": exact, "total": total}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     out = {"seed": args.seed, **iterated_work(args.seed)}
     out["ze"], out["laplace"] = certified_work(args.seed)
+    out["exact"] = exact_work(args.seed)
     print(json.dumps(out))
 
 
