@@ -45,7 +45,8 @@ from .borelfun import (
     stirling_minor,
 )
 from .scalars import ExactScalar
-from .series import FormalSeries, euler_series, inverse_borel, stirling_series
+from .series import (BorelSeries, FormalSeries, euler_series, inverse_borel,
+                     stirling_series)
 from .words import compositions
 
 __all__ = [
@@ -184,21 +185,15 @@ def stirling_resurgent(order: int = 12) -> ResurgentSeries:
 
 
 def lateral_data(phi: ResurgentSeries, omega, signs):
-    """Simple-singularity data of the minor at omega along one detour path."""
+    """Simple-singularity data of the minor at omega != 0 along one detour
+    path: the entry of every alien operator."""
     if phi.minor is None:
         raise ValueError("alien operators need the exact minor, which this "
                          "resurgent series does not carry")
+    if ExactScalar.coerce(omega).is_zero():
+        raise ValueError("alien operators need a point omega != 0")
     order = max(phi.series.order, 1)
     return extract_singularity(phi.minor, omega, signs=signs, order=order)
-
-
-def _data_to_series(data, order: int) -> FormalSeries:
-    coeffs = [data.a0]
-    for n, t in enumerate(data.chi_series.taylor):
-        if n >= order:
-            break
-        coeffs.append(t * math.factorial(n))
-    return FormalSeries(coeffs, order=order)
 
 
 def lateral_operator(phi: ResurgentSeries, omega, signs) -> ResurgentSeries:
@@ -206,7 +201,8 @@ def lateral_operator(phi: ResurgentSeries, omega, signs) -> ResurgentSeries:
     data = lateral_data(phi, omega, signs)
     order = max(phi.series.order, 1)
     minor = data.chi if data.chi is not None else _zero_minor()
-    return ResurgentSeries(_data_to_series(data, order), minor)
+    series = inverse_borel(BorelSeries(data.a0, data.chi_series.taylor[:order]))
+    return ResurgentSeries(series, minor)
 
 
 def _one_sided(phi: ResurgentSeries, omega, sign: str) -> ResurgentSeries:

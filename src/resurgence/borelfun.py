@@ -69,7 +69,8 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NotSimpleError, UnreachableBranchError
 from .scalars import ExactScalar
-from .series import BorelSeries, _bernoulli
+from .series import (BorelSeries, _bernoulli, _binom_neg, _convolution,
+                     _product)
 
 __all__ = [
     "RationalFunction",
@@ -165,16 +166,6 @@ def _poly_shift(p, a: ExactScalar):
         for j in range(k + 1):
             out[j] = out[j] + c * math.comb(k, j) * a ** (k - j)
     return _poly_trim(out)
-
-
-def _series_mul(p, q, order):
-    out = [ExactScalar() for _ in range(order + 1)]
-    for i, a in enumerate(p[: order + 1]):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q[: order + 1 - i]):
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 class RationalFunction:
@@ -376,11 +367,9 @@ class RationalFunction:
             if base.is_zero():
                 raise ZeroDivisionError(f"Taylor expansion at the pole {p}")
             # 1/(xi + base)^m = base^-m * sum of C(-m, k) (xi/base)^k
-            inv = []
-            for k in range(order + 1):
-                coeff = Fraction((-1) ** k * math.comb(m + k - 1, k))
-                inv.append(base ** (-(m + k)) * coeff)
-            series = _series_mul(series, inv, order)
+            inv = [base ** (-(m + k)) * _binom_neg(m, k)
+                   for k in range(order + 1)]
+            series = _product(series, inv, order)
         return series
 
     def __eq__(self, other):
@@ -548,7 +537,7 @@ class BorelFunction:
             for m in range(1, order + 1):
                 logs.append(a ** (-m) * Fraction(-1, m))
             rloc = r.taylor_at(ExactScalar(), order)
-            prod = _series_mul(rloc, logs, order)
+            prod = _product(rloc, logs, order)
             coeffs = [c + p for c, p in zip(coeffs, prod)]
         return BorelSeries(0, coeffs)
 
@@ -873,99 +862,75 @@ def extract_singularity(f: BorelFunction, omega, signs=(), order: int = 8,
 # -- convolution --------------------------------------------------------------------
 
 
-def _convolve_monomials(i: int, j: int):
-    """zeta^i * zeta^j convolution = i! j! / (i+j+1)! zeta^(i+j+1)."""
-    return (
-        i + j + 1,
-        Fraction(math.factorial(i) * math.factorial(j),
-                 math.factorial(i + j + 1)),
-    )
-
-
-def _poly_convolve(p, q):
-    out = []
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero():
-                continue
-            n, c = _convolve_monomials(i, j)
-            while len(out) <= n:
-                out.append(ExactScalar())
-            out[n] = out[n] + a * b * c
-    return _poly_trim(out)
+def _split(r: RationalFunction):
+    """(polynomial part, [(pole, residue), ...]) of a rational function
+    with simple poles, by exact partial fractions."""
+    for p in r.poles:
+        if r.pole_order(p) > 1:
+            raise NotImplementedError("convolution needs simple poles")
+    quot, rem = _poly_divmod(r.num, r.denominator_poly())
+    proper = RationalFunction(rem, poles=r.poles, lead=r.lead)
+    return quot, [(p, proper.residue(p)) for p in r.poles]
 
 
 def convolve(f: BorelFunction, g: BorelFunction) -> BorelFunction:
     """Convolution product (f * g)(zeta) = integral of f(u) g(zeta-u).
 
-    Supported pairs: polynomial x polynomial, and simple-pole rational x
-    polynomial (the shape needed by the monomial recursion); the latter
-    produces a LogPoleBF, or a RationalBF when every residue is zero
-    (:func:`log_shape`).  Everything stays exact.
+    Each factor is split once into its polynomial part and its (pole,
+    residue) pairs, and the result sums one rule per pair of pieces:
+    polynomial x polynomial is the :func:`.series._convolution` of the
+    coefficient lists, and simple pole x polynomial is a log term plus a
+    polynomial (:func:`_pole_convolve_poly_part`).  Two factors that both
+    declare poles are refused.  The result is a LogPoleBF, or a RationalBF
+    when every residue is zero (:func:`log_shape`); everything stays exact.
     """
     if not isinstance(f, RationalBF) or not isinstance(g, RationalBF):
         raise TypeError("convolve supports rational shapes only")
-    rf, rg = f.rat, g.rat
-    if rf.poles and rg.poles:
+    if f.rat.poles and g.rat.poles:
         raise NotImplementedError(
             "convolution of two singular factors is outside the supported shapes"
         )
-    if rg.poles:
-        rf, rg = rg, rf
-    # now rg is a polynomial (possibly with lead != 1)
-    gpoly = _poly_scale(rg.num, ExactScalar.from_rational(1) / rg.lead)
-    if not rf.poles:
-        fpoly = _poly_scale(rf.num, ExactScalar.from_rational(1) / rf.lead)
-        return RationalBF(RationalFunction(_poly_convolve(fpoly, gpoly)))
-    # split rf into polynomial part + simple poles via exact partial fractions
-    for p in rf.poles:
-        if rf.pole_order(p) > 1:
-            raise NotImplementedError("convolution needs simple poles")
-    quot, rem = _poly_divmod(rf.num, rf.denominator_poly())
-    proper = RationalFunction(rem, poles=rf.poles, lead=rf.lead)
-    pieces = [(p, proper.residue(p)) for p in rf.poles]
-    out_poly = _poly_convolve(quot, gpoly)
+    fpoly, fpoles = _split(f.rat)
+    gpoly, gpoles = _split(g.rat)
+    out_poly = _poly_trim(
+        _convolution(fpoly, gpoly, len(fpoly) + len(gpoly) - 1))
     log_terms = []
-    for p, rho in pieces:
-        if rho.is_zero():
-            continue
-        # (rho/(u - p)) * g = rho g(zeta - p) Log(1 - zeta/p) + polynomial
-        g_shift = _poly_shift(gpoly, -p)
-        log_terms.append((p, RationalFunction(_poly_scale(g_shift, rho)), 0))
-        out_poly = _poly_add(out_poly, _pole_convolve_poly_part(p, rho, gpoly))
+    for poles, poly in ((fpoles, gpoly), (gpoles, fpoly)):
+        for p, rho in poles:
+            if rho.is_zero():
+                continue
+            # (rho/(u - p)) * poly
+            #     = rho poly(zeta - p) Log(1 - zeta/p) + a polynomial
+            shifted = _poly_scale(_poly_shift(poly, -p), rho)
+            log_terms.append((p, RationalFunction(shifted), 0))
+            out_poly = _poly_add(out_poly,
+                                 _pole_convolve_poly_part(p, rho, poly))
     return log_shape(RationalFunction(out_poly), log_terms)
 
 
 def _pole_convolve_poly_part(p: ExactScalar, rho: ExactScalar, gpoly):
     """The polynomial remainder of (rho/(u-p)) * g for polynomial g.
 
-    From (1/(u-p)) * u^j: integrate (zeta-u)^j/(u-p) after expanding
-    (zeta-u)^j = ((zeta-p) - (u-p))^j; the m >= 1 terms give
-    -sum over m of C(j, m) (zeta-p)^(j-m) (-(u-p))^m / m evaluated between
-    u = 0 and u = zeta, which is a polynomial in zeta.
+    In y = zeta - p and v = u - p, g(zeta - u) = g(y - v) is the sum over
+    m of g^(m)(y)/m! (-v)^m.  The m = 0 term gives the log; each m >= 1
+    term integrates v^(m-1) from v = -p to y, so the remainder is
+
+        rho * sum over m >= 1 of (-1)^m/m g^(m)(y)/m! (y^m - (-p)^m),
+
+    built in y and recentred at zeta once.
     """
-    # for each monomial g_j u^j and each m >= 1, the integral from 0 to zeta
-    # of (u-p)^(m-1) du equals ((zeta-p)^m - (-p)^m)/m
-    out = []
-    for j, gj in enumerate(gpoly):
-        if gj.is_zero():
-            continue
-        for m in range(1, j + 1):
-            coeff = gj * rho * math.comb(j, m) * ((-1) ** m) * Fraction(1, m)
-            # (zeta-p)^(j-m) * ((zeta-p)^m - (-p)^m)
-            first = _poly_shift(
-                [ExactScalar()] * j + [ExactScalar.from_rational(1)], -p
-            )
-            second = _poly_scale(
-                _poly_shift([ExactScalar()] * (j - m)
-                            + [ExactScalar.from_rational(1)], -p),
-                (-p) ** m,
-            )
-            piece = _poly_add(first, _poly_scale(second, -1))
-            out = _poly_add(out, _poly_scale(piece, coeff))
-    return out
+    out = [ExactScalar() for _ in gpoly]
+    for m in range(1, len(gpoly)):
+        coeff = rho * Fraction((-1) ** m, m)
+        corner = (-p) ** m
+        for k, gj in enumerate(gpoly[m:]):
+            if gj.is_zero():
+                continue
+            # the y^k coefficient of g^(m)(y)/m! is C(k+m, m) g_(k+m)
+            d = gj * math.comb(k + m, m) * coeff
+            out[k + m] = out[k + m] + d
+            out[k] = out[k] - d * corner
+    return _poly_shift(out, -p)
 
 
 # -- classical minors -------------------------------------------------------------------

@@ -28,9 +28,11 @@ Conventions shared by every subcommand:
   words, blocked rays, non-simple singularities, and the rest of the
   domain error taxonomy) or a value is out of the supported range (an
   index above the weight cap, an order outside [0, MAX_ORDER[subcommand]],
-  a mould of more than MAX_MOULD_WORDS words, a precision outside
-  [MIN_PREC, MAX_PREC], a moment above MAX_MOMENT, a z whose modulus
-  overflows or underflows a double), 1 for usage errors (unknown flags,
+  a mould of more than MAX_MOULD_WORDS words, a mould check whose laws
+  enumerate more than MAX_LAW_LEAVES leaves, an alien operator at
+  omega = 0, a precision outside [MIN_PREC, MAX_PREC], a moment above
+  MAX_MOMENT, a z whose modulus overflows or underflows a double), 1 for
+  usage errors (unknown flags,
   malformed literals, a file that cannot be read, is not JSON or is
   not a serialized mould).
   Every exit code prints one JSON object on standard output: the result,
@@ -90,6 +92,10 @@ MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
 # the largest number of words mould make materialises (about 4 s) and
 # mould check reads
 MAX_MOULD_WORDS = 4096
+# the most shuffle and stuffle leaves the laws of one mould check may
+# enumerate: each costs 50 to 90 us, and length 8 over two letters, 86,360
+# shuffle leaves, took 4.3 to 8.0 s (length 9 took 17.7 s)
+MAX_LAW_LEAVES = 100_000
 # the largest --prec: mzv eval --s 2,1 takes about a second at 1024 bits
 # and over a minute at 4096, hyperlog --L 1,2 over two minutes at 4096
 MAX_PREC = 1024
@@ -453,6 +459,16 @@ def _refuse_mould_size(letters: int, length: int, name: str) -> None:
                          f"the ceiling of {MAX_MOULD_WORDS}")
 
 
+def _law_leaves(letters: int, length: int, base: int) -> int:
+    """The leaves a law check enumerates: letters^(a+b) pairs of words per
+    pair of lengths a, b >= 1 with a + b <= length, each with the sum over
+    k of C(a, k) C(b, k) base^k leaves, which is C(a+b, a) shuffles at base
+    1 and the Delannoy number D(a, b) of stuffles at base 2."""
+    return sum(letters ** (a + b) * math.comb(a, k) * math.comb(b, k)
+               * base ** k for a in range(1, length)
+               for b in range(1, length - a + 1) for k in range(b + 1))
+
+
 def _cmd_mould_make(args) -> dict:
     from .moulds import (exp_scale_mould, identity_mould, mould_to_json,
                          unit_mould)
@@ -491,7 +507,8 @@ def _cmd_mould_check(args) -> dict:
         raise UsageError(f"--file {args.file!r} is not UTF-8 JSON: "
                          f"{exc}") from None
     # the length and word count are refused as mould make refuses them,
-    # before any entry is read; the rest of the file must be one mould
+    # and the laws' work above MAX_LAW_LEAVES, before any entry is read;
+    # the rest of the file must be one mould
     try:
         length, letters = data["max_length"], len(data["alphabet"])
         if type(length) is not int:
@@ -500,22 +517,30 @@ def _cmd_mould_check(args) -> dict:
         raise UsageError(f"--file {args.file!r} is not a serialized mould: "
                          f"{exc!r}") from None
     _refuse_mould_size(letters, length, "max_length")
+    # each law with the base of its leaf count: 1 for shuffles, 2 for stuffles
+    predicates = {
+        "symmetral": (args.symmetral, is_symmetral, 1),
+        "alternal": (args.alternal, is_alternal, 1),
+        "symmetrel": (args.symmetrel, is_symmetrel, 2),
+        "alternel": (args.alternel, is_alternel, 2),
+    }
+    requested = {name: (fn, base)
+                 for name, (flag, fn, base) in predicates.items() if flag}
+    if not requested:
+        raise UsageError("pick at least one predicate flag, e.g. --symmetral")
+    leaves = sum(_law_leaves(letters, length, base)
+                 for _fn, base in requested.values())
+    if leaves > MAX_LAW_LEAVES:
+        raise ValueError(f"the requested laws enumerate {leaves} shuffle "
+                         f"and stuffle leaves up to length {length}, above "
+                         f"the ceiling of {MAX_LAW_LEAVES}")
     try:
         m = mould_from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--file {args.file!r} is not a serialized mould: "
                          f"{exc!r}") from None
-    predicates = {
-        "symmetral": (args.symmetral, is_symmetral),
-        "alternal": (args.alternal, is_alternal),
-        "symmetrel": (args.symmetrel, is_symmetrel),
-        "alternel": (args.alternel, is_alternel),
-    }
-    requested = {name: fn for name, (flag, fn) in predicates.items() if flag}
-    if not requested:
-        raise UsageError("pick at least one predicate flag, e.g. --symmetral")
     out = {"file": args.file, "max_length": m.max_length}
-    for name, fn in requested.items():
+    for name, (fn, _base) in requested.items():
         out[name] = fn(m)
     return out
 

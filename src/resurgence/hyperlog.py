@@ -41,6 +41,7 @@ them, so the series alone load neither.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from ._record import Record
@@ -53,18 +54,8 @@ from .words import Alphabet, Word
 EMPTY = Word(())
 
 
-def _prefix_sums(word):
-    """Running letter sums of a word, one per nonempty prefix."""
-    sums = []
-    total = Fraction(0)
-    for a in word:
-        total = total + Fraction(a)
-        sums.append(total)
-    return sums
-
-
 def _check_resonance(word):
-    sums = _prefix_sums(word)
+    sums = list(accumulate(map(Fraction, word)))
     for k, s in enumerate(sums, start=1):
         if s == 0:
             raise ResonanceError(
@@ -296,7 +287,7 @@ def total_V(fam: MonomialFamily, max_length: int = 2) -> Mould:
     entries = {}
     for r in range(1, max_length + 1):
         for word in ext.alphabet.words(r, min_length=r):
-            if any(s == 0 for s in _prefix_sums(word)):
+            if 0 in accumulate(map(Fraction, word)):
                 continue
             eta = ext.alphabet.word_sum(word)
             out = alien_derivation(v_resurgent(ext, word), eta)

@@ -22,6 +22,10 @@ directly on Taylor coefficients (with the delta parts acting as the unit),
 so the morphism property  borel(phi * psi) = cauchy_product(borel phi,
 borel psi)  can be tested as two genuinely different computations.
 
+The truncated product and the convolution of coefficient lists,
+``_product`` and ``_convolution``, are the ones the Borel plane of
+:mod:`.borelfun` uses too.
+
 The substitution group: ``substitute(phi, chi)`` computes phi(z + chi(z))
 and ``group_inverse(chi)`` solves  psi + chi(z + psi) = 0  order by order,
 so that substituting one after the other is the identity.
@@ -151,14 +155,8 @@ class FormalSeries:
     def __mul__(self, other):
         if isinstance(other, FormalSeries):
             order = min(self.order, other.order)
-            out = [ExactScalar() for _ in range(order + 1)]
-            for i in range(min(self.order, order) + 1):
-                ci = self[i]
-                if ci.is_zero():
-                    continue
-                for j in range(min(other.order, order - i) + 1):
-                    out[i + j] = out[i + j] + ci * other[j]
-            return FormalSeries(out, order=order)
+            return FormalSeries(_product(self.coeffs, other.coeffs, order),
+                                order=order)
         try:
             return self.scale(other)
         except TypeError:
@@ -287,20 +285,42 @@ def inverse_borel(b: BorelSeries) -> FormalSeries:
 
 
 def cauchy_product(f: BorelSeries, g: BorelSeries) -> BorelSeries:
-    """Convolution with unit delta, computed from the integral formula."""
+    """Convolution with unit delta: the :func:`_convolution` of the minors'
+    Taylor coefficients, plus each delta times the other minor."""
     n_out = min(len(f.taylor), len(g.taylor))
-    taylor = []
-    for n in range(n_out):
-        acc = ExactScalar()
-        # integral of u^i (zeta-u)^j from 0 to zeta = i! j! / (i+j+1)! zeta^(i+j+1)
-        for i in range(n):
-            j = n - 1 - i
-            acc = acc + f.taylor[i] * g.taylor[j] * Fraction(
-                math.factorial(i) * math.factorial(j), math.factorial(n)
-            )
-        acc = acc + f.delta * g.taylor[n] + g.delta * f.taylor[n]
-        taylor.append(acc)
-    return BorelSeries(f.delta * g.delta, taylor)
+    taylor = _convolution(f.taylor, g.taylor, n_out - 1)
+    return BorelSeries(f.delta * g.delta, [
+        c + f.delta * g.taylor[n] + g.delta * f.taylor[n]
+        for n, c in enumerate(taylor)])
+
+
+# -- coefficient lists (index = power) ----------------------------------------------
+
+
+def _product(p, q, order: int):
+    """Coefficients 0 .. order of the product of two coefficient lists."""
+    out = [ExactScalar() for _ in range(order + 1)]
+    for i, a in enumerate(p[: order + 1]):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q[: order + 1 - i]):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _convolution(p, q, order: int):
+    """Coefficients 0 .. order of the convolution of two minors given by
+    their Taylor coefficient lists: the integral of u^i (zeta-u)^j from 0
+    to zeta is i! j! / (i+j+1)! zeta^(i+j+1)."""
+    out = [ExactScalar() for _ in range(order + 1)]
+    for i, a in zip(range(order), p):
+        if a.is_zero():
+            continue
+        for j, b in zip(range(order - i), q):
+            n = i + j + 1
+            out[n] = out[n] + a * b * Fraction(
+                math.factorial(i) * math.factorial(j), math.factorial(n))
+    return out
 
 
 # -- the substitution group -------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from itertools import product as _iter_product
 
 from .scalars import ExactScalar
@@ -171,18 +172,15 @@ def compositions(k: int):
 
 def splittings(word):
     """Iterate the decompositions of ``word`` into consecutive nonempty
-    blocks.
+    blocks, one tuple of Words per composition of its length, in the order
+    of :func:`compositions`.
 
-    Yields tuples of Words.  The empty word has exactly one decomposition,
-    the empty tuple.
+    The empty word has exactly one decomposition, the empty tuple.
     """
     word = Word(word)
-    if not word:
-        yield ()
-        return
-    for end in range(1, len(word) + 1):
-        for rest in splittings(word[end:]):
-            yield (word[:end],) + rest
+    for sizes in compositions(len(word)):
+        yield tuple(word[end - size:end]
+                    for size, end in zip(sizes, accumulate(sizes)))
 
 
 def shuffle_coefficient(a, b, w) -> int:

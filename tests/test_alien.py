@@ -280,6 +280,15 @@ class TestResurgentSeriesAlgebra:
         with pytest.raises(ValueError):
             alien_derivation(phi, 1)
 
+    @pytest.mark.parametrize("operator", [alien_derivation, alien_plus,
+                                          alien_minus])
+    @pytest.mark.parametrize("phi", [euler_resurgent(order=4),
+                                     stirling_resurgent(order=4)])
+    def test_omega_zero_refused(self, operator, phi):
+        # the minor is regular at the origin: no operator is defined there
+        with pytest.raises(ValueError, match="omega != 0"):
+            operator(phi, 0)
+
     def test_minor_without_exact_rules_is_unsupported(self):
         phi = ResurgentSeries(FormalSeries.zero(4),
                               pade_minor(euler_series(12)))

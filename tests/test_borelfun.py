@@ -6,16 +6,19 @@ branch value of each logarithm is the running integral of 1/(u - a), and the
 dilogarithm rides the coupled system.  No principal-branch logic enters the
 oracle, so it cannot share a bug with the bookkeeping under test.
 Convolution is checked against direct numerical quadrature of the defining
-integral.
+integral, and exactly against the convolution of the factors' Taylor
+coefficients.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from resurgence.errors import NotSimpleError, UnreachableBranchError
-from resurgence.scalars import ExactScalar
+from resurgence.scalars import ExactScalar, GaussianRational
 from resurgence.series import borel, euler_series, stirling_series
 from resurgence.borelfun import (
     RationalFunction,
@@ -222,6 +225,41 @@ class TestConvolution:
         z = mpmath.mpf("0.75")
         assert abs(h1.numeric_eval(z, 80) - h2.numeric_eval(z, 80)) \
             < mpmath.mpf(2) ** -60
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_taylor_is_the_coefficient_convolution(self, seed):
+        """A polynomial part plus one to three simple poles at Gaussian-
+        rational points, against a polynomial of degree <= 6: the exact
+        Taylor coefficients of convolve(f, g), in both orders, are the
+        beta-integral convolution of those of f and g."""
+        rng = random.Random(seed)
+
+        def gauss():
+            return ExactScalar.from_gaussian(GaussianRational(
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+
+        poles = set()
+        while len(poles) < rng.randint(1, 3):
+            p = gauss()
+            if not p.is_zero():
+                poles.add(p)
+        rf = RationalFunction([gauss() for _ in range(rng.randint(1, 3))])
+        for p in poles:
+            rf = rf + RationalFunction.simple_pole(p, gauss())
+        f = RationalBF(rf)
+        g = RationalBF(RationalFunction(
+            [gauss() for _ in range(rng.randint(1, 7))]))
+        N = 8
+        a, b = f.taylor(N).taylor, g.taylor(N).taylor
+        expected = [ExactScalar()] * (N + 1)
+        for i in range(N):
+            for j in range(N - i):
+                expected[i + j + 1] = expected[i + j + 1] + a[i] * b[j] * Fraction(
+                    math.factorial(i) * math.factorial(j),
+                    math.factorial(i + j + 1))
+        assert convolve(f, g).taylor(N).taylor == expected
+        assert convolve(g, f).taylor(N).taylor == expected
 
     def test_euler_taylor_is_borel_of_euler_series(self):
         series_route = borel(euler_series(12))

@@ -26,14 +26,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resurgence import mzv
-from resurgence.cli import MAX_MOMENT, MAX_MOULD_WORDS, MAX_ORDER, main
+from resurgence.cli import (MAX_LAW_LEAVES, MAX_MOMENT, MAX_MOULD_WORDS,
+                            MAX_ORDER, _law_leaves, main)
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
-from resurgence.moulds import exp_scale_mould, mould_from_json, mould_to_json
+from resurgence.moulds import (_pairs, exp_scale_mould, mould_from_json,
+                               mould_to_json)
 from resurgence.mzv import MzvIndex
 from resurgence.scalars import ExactScalar, parse_scalar
 from resurgence.series import euler_series
-from resurgence.words import Alphabet
+from resurgence.words import Alphabet, shuffle, stuffle
 
 
 def run(capsys, *argv):
@@ -89,6 +91,14 @@ class TestAlien:
                        "--omega", "-1", "--derivation")
         assert plus["coefficients"] == der["coefficients"]
         assert plus["constant_term"] == der["constant_term"]
+
+    @pytest.mark.parametrize("operator", ["--derivation", "--plus",
+                                          "--minus"])
+    def test_omega_zero_refused(self, capsys, operator):
+        code, out, err = run(capsys, "alien", "--input", "euler",
+                             "--omega", "0", operator)
+        assert (code, err) == (2, "")
+        assert "omega != 0" in json.loads(out)["message"]
 
 
 class TestSum:
@@ -400,6 +410,34 @@ class TestMould:
         payload = json.loads(out)
         assert payload["error"] == "usage"
         assert needle in payload["message"]
+
+    @pytest.mark.parametrize("length,flags", [
+        (9, ["--symmetral"]),
+        (8, ["--symmetral", "--alternal"]),
+        (8, ["--symmetrel"])],
+        ids=["shuffle", "two-laws", "stuffle"])
+    def test_check_above_the_law_ceiling_is_refused(self, capsys, tmp_path,
+                                                    length, flags):
+        # refused before any entry is read: the entries stop at length 2
+        path = self._write_tampered(
+            tmp_path, lambda d: d.update(max_length=length))
+        code, out, err = run(capsys, "mould", "check", "--file", str(path),
+                             *flags)
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["error"] == "usage"
+        assert f"ceiling of {MAX_LAW_LEAVES}" in payload["message"]
+
+    def test_law_leaves_count_the_enumeration(self):
+        """The count matches the multiplicities the laws enumerate, and
+        the ceiling admits length 8 over two letters but not length 9."""
+        alphabet = Alphabet([1, 2])
+        for law, base in ((shuffle, 1), (stuffle, 2)):
+            enumerated = sum(sum(law(a, b).values())
+                             for a, b in _pairs(alphabet, 5))
+            assert enumerated == _law_leaves(2, 5, base)
+        assert _law_leaves(2, 8, 1) == 86360 <= MAX_LAW_LEAVES
+        assert _law_leaves(2, 9, 1) > MAX_LAW_LEAVES
 
 
 class TestHyperlog:

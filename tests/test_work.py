@@ -191,16 +191,23 @@ def test_certified_round_sums_a_quarter_of_the_old_prefix():
     assert engine_work(3)["ze"]["total"]["prefix_terms"] <= 65536 // 4
 
 
-def test_exact_round_outputs_are_pinned():
-    """The exact-algebra outputs of seed 3, digested as the worker writes
-    them, and the entries their moulds store: a change to the exact
+# the sha256 of each seed's exact-algebra outputs
+EXACT_DIGESTS = {
+    3: "f457619cebf329c340e4eb1f71daec5cc0aa29530888a0fba74e8d1c5ac78c9d",
+    11: "0182d172e1d057cfdb0cb9c79372d440f9dc00fc417a423a74ea3cb9ef74de8e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_DIGESTS))
+def test_exact_round_outputs_are_pinned(seed):
+    """The exact-algebra outputs of two seeds, digested as the worker
+    writes them, and the entries their moulds store: a change to the exact
     layer's arithmetic or storage that keeps these keeps every output
     byte for byte, mould entry order included."""
-    exact = engine_work(3)["exact"]
+    exact = engine_work(seed)["exact"]
     assert len(exact["operations"]) == 93
     assert exact["total"]["entries"] == 3075
-    assert exact["total"]["sha256"] == (
-        "f457619cebf329c340e4eb1f71daec5cc0aa29530888a0fba74e8d1c5ac78c9d")
+    assert exact["total"]["sha256"] == EXACT_DIGESTS[seed]
 
 
 def doubling_from_1024(idx, prec):
