@@ -1,4 +1,5 @@
-"""Work counts of the numeric layer, added where the work is done.
+"""Work counts of the numeric layer and of the mould law checks, added
+where the work is done.
 
     with _work.counting() as counts:
         ze_eval(MzvIndex((2, 1)))
@@ -56,6 +57,12 @@ the prefix sums (``_choose_cutoff``) and reported after them;
 (``_sum_level``), once per number of tail terms a call tried;
 ``("roots", d, P)``, the libmp calls of the root-of-unity table
 ``_roots``, one seed plus one per root the rotation could not tell.
+
+In ``moulds``: ``"law_conditions"``, the conditions a law check
+(``_obeys_law``) tested, up to the first that fails: one per non-Lyndon
+word for the shuffle laws, one per pair of words for the stuffle laws;
+and ``"law_leaves"``, the words their sums added up, each once per
+condition.
 """
 
 from __future__ import annotations

@@ -864,13 +864,15 @@ def extract_singularity(f: BorelFunction, omega, signs=(), order: int = 8,
 
 def _split(r: RationalFunction):
     """(polynomial part, [(pole, residue), ...]) of a rational function
-    with simple poles, by exact partial fractions."""
+    with simple poles, by exact partial fractions; a pole whose residue is
+    zero is removable and is left out."""
     for p in r.poles:
         if r.pole_order(p) > 1:
             raise NotImplementedError("convolution needs simple poles")
     quot, rem = _poly_divmod(r.num, r.denominator_poly())
     proper = RationalFunction(rem, poles=r.poles, lead=r.lead)
-    return quot, [(p, proper.residue(p)) for p in r.poles]
+    residues = ((p, proper.residue(p)) for p in r.poles)
+    return quot, [(p, rho) for p, rho in residues if not rho.is_zero()]
 
 
 def convolve(f: BorelFunction, g: BorelFunction) -> BorelFunction:
@@ -881,24 +883,23 @@ def convolve(f: BorelFunction, g: BorelFunction) -> BorelFunction:
     polynomial x polynomial is the :func:`.series._convolution` of the
     coefficient lists, and simple pole x polynomial is a log term plus a
     polynomial (:func:`_pole_convolve_poly_part`).  Two factors that both
-    declare poles are refused.  The result is a LogPoleBF, or a RationalBF
-    when every residue is zero (:func:`log_shape`); everything stays exact.
+    keep a pole with nonzero residue are refused; a removable pole does
+    not count.  The result is a LogPoleBF, or a RationalBF when no residue
+    is left (:func:`log_shape`); everything stays exact.
     """
     if not isinstance(f, RationalBF) or not isinstance(g, RationalBF):
         raise TypeError("convolve supports rational shapes only")
-    if f.rat.poles and g.rat.poles:
+    fpoly, fpoles = _split(f.rat)
+    gpoly, gpoles = _split(g.rat)
+    if fpoles and gpoles:
         raise NotImplementedError(
             "convolution of two singular factors is outside the supported shapes"
         )
-    fpoly, fpoles = _split(f.rat)
-    gpoly, gpoles = _split(g.rat)
     out_poly = _poly_trim(
         _convolution(fpoly, gpoly, len(fpoly) + len(gpoly) - 1))
     log_terms = []
     for poles, poly in ((fpoles, gpoly), (gpoles, fpoly)):
         for p, rho in poles:
-            if rho.is_zero():
-                continue
             # (rho/(u - p)) * poly
             #     = rho poly(zeta - p) Log(1 - zeta/p) + a polynomial
             shifted = _poly_scale(_poly_shift(poly, -p), rho)

@@ -29,7 +29,8 @@ Conventions shared by every subcommand:
   domain error taxonomy) or a value is out of the supported range (an
   index above the weight cap, an order outside [0, MAX_ORDER[subcommand]],
   a mould of more than MAX_MOULD_WORDS words, a mould check whose laws
-  enumerate more than MAX_LAW_LEAVES leaves, an alien operator at
+  count more than MAX_LAW_LEAVES leaves (``_law_leaves``, a bound on the
+  words the checks sum), an alien operator at
   omega = 0, a precision outside [MIN_PREC, MAX_PREC], a moment above
   MAX_MOMENT, a z whose modulus overflows or underflows a double), 1 for
   usage errors (unknown flags,
@@ -92,9 +93,11 @@ MAX_ORDER = {"mould make": 100, "hyperlog": 100, "series": 1000}
 # the largest number of words mould make materialises (about 4 s) and
 # mould check reads
 MAX_MOULD_WORDS = 4096
-# the most shuffle and stuffle leaves the laws of one mould check may
-# enumerate: each costs 50 to 90 us, and length 8 over two letters, 86,360
-# shuffle leaves, took 4.3 to 8.0 s (length 9 took 17.7 s)
+# the most shuffle and stuffle leaves (_law_leaves) the laws of one mould
+# check may count.  The count bounds the words the checks sum.  It was
+# sized for the pair enumeration, where each leaf cost 50 to 90 us and
+# length 8 over two letters, 86,360 shuffle leaves, took 4.3 to 8.0 s;
+# the shuffle laws now sum 6353 words at that length, in about 0.3 s
 MAX_LAW_LEAVES = 100_000
 # the largest --prec: mzv eval --s 2,1 takes about a second at 1024 bits
 # and over a minute at 4096, hyperlog --L 1,2 over two minutes at 4096
@@ -460,10 +463,13 @@ def _refuse_mould_size(letters: int, length: int, name: str) -> None:
 
 
 def _law_leaves(letters: int, length: int, base: int) -> int:
-    """The leaves a law check enumerates: letters^(a+b) pairs of words per
-    pair of lengths a, b >= 1 with a + b <= length, each with the sum over
-    k of C(a, k) C(b, k) base^k leaves, which is C(a+b, a) shuffles at base
-    1 and the Delannoy number D(a, b) of stuffles at base 2."""
+    """A bound on the leaves a law check enumerates: letters^(a+b) pairs
+    of words per pair of lengths a, b >= 1 with a + b <= length, each with
+    the sum over k of C(a, k) C(b, k) base^k leaves, which is C(a+b, a)
+    shuffles at base 1 and the Delannoy number D(a, b) of stuffles at base
+    2.  The stuffle laws sum at most these, one pair at a time; the
+    shuffle laws, one condition per non-Lyndon word (``moulds``), far
+    fewer."""
     return sum(letters ** (a + b) * math.comb(a, k) * math.comb(b, k)
                * base ** k for a in range(1, length)
                for b in range(1, length - a + 1) for k in range(b + 1))
@@ -531,7 +537,7 @@ def _cmd_mould_check(args) -> dict:
     leaves = sum(_law_leaves(letters, length, base)
                  for _fn, base in requested.values())
     if leaves > MAX_LAW_LEAVES:
-        raise ValueError(f"the requested laws enumerate {leaves} shuffle "
+        raise ValueError(f"the requested laws count {leaves} shuffle "
                          f"and stuffle leaves up to length {length}, above "
                          f"the ceiling of {MAX_LAW_LEAVES}")
     try:

@@ -14,6 +14,12 @@ to coincide:
 equal to ``w``; ``shuffle(a, b)`` enumerates them with multiplicity, and
 ``stuffle(a, b)`` enumerates the quasi-shuffle terms where any aligned
 pair of letters may also merge.  All counts are exact integers.
+
+``lyndon_factorization(w)`` is the Chen-Fox-Lyndon factorization of a word
+into a nonincreasing sequence of Lyndon words (Duval's algorithm), with
+letters ordered as :class:`Alphabet` sorts them.  A word is Lyndon when it
+is strictly smaller than each of its proper nonempty suffixes; it is its
+own one factor.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "stuffle",
     "splittings",
     "compositions",
+    "lyndon_factorization",
 ]
 
 
@@ -181,6 +188,31 @@ def splittings(word):
     for sizes in compositions(len(word)):
         yield tuple(word[end - size:end]
                     for size, end in zip(sizes, accumulate(sizes)))
+
+
+def lyndon_factorization(word) -> tuple:
+    """The Lyndon words l1 >= l2 >= ... >= lk whose concatenation is
+    ``word``, as a tuple of Words; the empty word has none.
+
+    Duval's algorithm, in time linear in the length.  Letters compare by
+    :func:`letter_sort_key`, the order of ``Alphabet.letters`` (exact
+    scalars have no ``<`` of their own); words compare lexicographically,
+    a proper prefix first.
+    """
+    word = Word(word)
+    keys = [letter_sort_key(a) for a in word]
+    n, i, factors = len(keys), 0, []
+    while i < n:
+        # keys[i:j] is a power of a Lyndon word of period j - k, plus a
+        # proper prefix of it
+        j, k = i + 1, i
+        while j < n and keys[k] <= keys[j]:
+            k = i if keys[k] < keys[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(word[i:i + j - k])
+            i += j - k
+    return tuple(factors)
 
 
 def shuffle_coefficient(a, b, w) -> int:

@@ -199,6 +199,19 @@ class TestConvolution:
         summed = hankel_laplace(h, 0, 3)
         assert abs(summed.value) <= summed.error_estimate
 
+    def test_removable_pole_times_pole_is_not_two_singular_factors(self):
+        # (zeta - 1)/(zeta - 1) declares a pole at 1 with residue 0, so
+        # convolving it with the Euler minor is 1 * euler, not pole x pole
+        cancelled = RationalBF(rat(-1, 1, poles={1: 1}))
+        expected = convolve(RationalBF(rat(1)), euler_minor())
+        assert isinstance(expected, LogPoleBF)
+        for h in (convolve(cancelled, euler_minor()),
+                  convolve(euler_minor(), cancelled)):
+            assert isinstance(h, LogPoleBF)
+            assert h.log_form() == expected.log_form()
+        with pytest.raises(NotImplementedError, match="two singular"):
+            convolve(RationalBF(rat(1, 1, poles={1: 1})), euler_minor())
+
     @pytest.mark.parametrize("numer,poles,gcoeffs", [
         ((1,), {1: 1}, (0, 0, 1)),
         ((2, 1), {2: 1}, (1, -1)),

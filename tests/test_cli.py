@@ -25,13 +25,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resurgence import mzv
+from resurgence import _work, mzv
 from resurgence.cli import (MAX_LAW_LEAVES, MAX_MOMENT, MAX_MOULD_WORDS,
                             MAX_ORDER, _law_leaves, main)
 from resurgence.laplace import RaySpec, laplace_ray
 from resurgence.borelfun import euler_minor
-from resurgence.moulds import (_pairs, exp_scale_mould, mould_from_json,
-                               mould_to_json)
+from resurgence.moulds import (Mould, _pairs, exp_scale_mould, is_alternal,
+                               mould_from_json, mould_to_json)
 from resurgence.mzv import MzvIndex
 from resurgence.scalars import ExactScalar, parse_scalar
 from resurgence.series import euler_series
@@ -438,6 +438,25 @@ class TestMould:
             assert enumerated == _law_leaves(2, 5, base)
         assert _law_leaves(2, 8, 1) == 86360 <= MAX_LAW_LEAVES
         assert _law_leaves(2, 9, 1) > MAX_LAW_LEAVES
+
+    def test_shuffle_checks_sum_within_the_count(self):
+        """Over 1 to 4 letters, at every length the ceilings admit, the
+        words a passing shuffle check sums (one condition per non-Lyndon
+        word) stay within the leaves the count admits it by: over two
+        letters at length 8, 6353 against 86,360."""
+        admitted, summed = {}, {}
+        for k in range(1, 5):
+            alphabet = Alphabet(range(1, k + 1))
+            L = 0
+            while (_law_leaves(k, L + 1, 1) <= MAX_LAW_LEAVES
+                   and sum(k ** n for n in range(L + 2)) <= MAX_MOULD_WORDS):
+                L += 1
+                with _work.counting() as counts:
+                    assert is_alternal(Mould(alphabet, L, entries={}))
+                assert counts["law_leaves"] <= _law_leaves(k, L, 1)
+                admitted[k], summed[k] = L, counts["law_leaves"]
+        assert admitted == {1: 15, 2: 8, 3: 6, 4: 5}
+        assert summed[2] == 6353
 
 
 class TestHyperlog:

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from resurgence import _work
 from resurgence.errors import CarrierEscapeError, TruncationError
+from resurgence.hyperlog import MonomialFamily, v_mould
 from resurgence.moulds import (
     Mould,
     comp_inverse,
@@ -32,7 +34,8 @@ from resurgence.moulds import (
 )
 from resurgence.scalars import ExactScalar, GaussianRational
 from resurgence.series import FormalSeries
-from resurgence.words import EMPTY, Alphabet, Word
+from resurgence.words import (EMPTY, Alphabet, Word, letter_sort_key,
+                              lyndon_factorization, shuffle)
 
 S = ExactScalar.from_rational
 AB = Alphabet([1, 2])
@@ -400,6 +403,175 @@ class TestPredicates:
         assert is_alternel(m, max_length=2, letters=[1, 2, 3, 4])
         bad = Mould(CLOSURE, 2, entries={**entries, Word((1, 1)): S(7)})
         assert not is_alternel(bad, max_length=2, letters=[1, 2, 3, 4])
+
+
+def pair_law(m, symmetral, max_length=None, letters=None):
+    """The shuffle law by the pair enumeration: for every pair of nonempty
+    words a, b over the letters with |a| + |b| <= max_length, the sum of m
+    over the shuffles of a and b, with multiplicities, vanishes (alternal)
+    or equals m^a m^b (symmetral)."""
+    L = m.max_length if max_length is None else max_length
+    alphabet = m.alphabet if letters is None else Alphabet(letters)
+    for n in range(2, L + 1):
+        for la in range(1, n):
+            for a in alphabet.words(la, min_length=la):
+                for b in alphabet.words(n - la, min_length=n - la):
+                    acc = None
+                    for w, mult in shuffle(a, b).items():
+                        v = m[w] * mult
+                        acc = v if acc is None else acc + v
+                    if symmetral and not acc == m[a] * m[b]:
+                        return False
+                    if not symmetral and not acc.is_zero():
+                        return False
+    return True
+
+
+def keys(word):
+    return [letter_sort_key(a) for a in word]
+
+
+def is_lyndon(word):
+    """Nonempty and strictly smaller than each proper nonempty suffix."""
+    return bool(word) and all(keys(word) < keys(word[i:])
+                              for i in range(1, len(word)))
+
+
+def witt(k, n):
+    """The number of Lyndon words of length n over k letters,
+    (1/n) sum over d | n of mu(d) k^(n/d)."""
+    def mu(d):
+        sign, p = 1, 2
+        while d > 1:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    return sum(mu(d) * k ** (n // d) for d in range(1, n + 1)
+               if n % d == 0) // n
+
+
+TAU = ExactScalar.tau()
+# (alphabet, length) of the seeded law cases: 1 to 3 letters, plain and
+# exact-scalar (multiples of 2 pi i)
+LAW_ALPHABETS = [
+    (Alphabet([1]), 6),
+    (Alphabet([1, 2]), 6),
+    (Alphabet([3, 1, 2]), 4),
+    (Alphabet([TAU, TAU * 2]), 5),
+    (Alphabet([TAU, TAU * Fraction(-1, 2), TAU * 3]), 4),
+]
+
+
+def law_moulds(alphabet, L, rng):
+    """The exp of a letter-supported mould (symmetral), a bracket
+    combination (alternal) and a random mould, each as built and with one
+    entry of length >= 2 perturbed."""
+    letters = Mould(alphabet, L, entries={
+        Word((a,)): S(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for a in alphabet})
+    built = [mould_exp(letters), random_alternal(alphabet, L, rng),
+             random_mould(alphabet, L, rng, empty_value=1)]
+    out = []
+    for m in built:
+        w = rng.choice(list(alphabet.words(L, min_length=2)))
+        delta = S(Fraction(rng.choice([-1, 1]), rng.randint(1, 3)))
+        out += [m, Mould(alphabet, L, entries={**m.entries,
+                                                w: m[w] + delta})]
+    return out
+
+
+class TestLyndonBasis:
+    """The shuffle laws on one condition per non-Lyndon word decide what
+    the pair enumeration decides (moulds module docstring)."""
+
+    @pytest.mark.parametrize("k,L", [(1, 8), (2, 7), (3, 5), (4, 4)])
+    def test_factorization(self, k, L):
+        """Each word is the concatenation of nonincreasing Lyndon factors,
+        and the words of one factor are Witt's count."""
+        alphabet = Alphabet(range(1, k + 1))
+        for n in range(1, L + 1):
+            lyndon = 0
+            for w in alphabet.words(n, min_length=n):
+                factors = lyndon_factorization(w)
+                assert Word(sum(factors, ())) == w
+                assert all(type(f) is Word and is_lyndon(f) for f in factors)
+                assert all(keys(f) >= keys(g)
+                           for f, g in zip(factors, factors[1:]))
+                lyndon += len(factors) == 1
+            assert lyndon == witt(k, n)
+        assert lyndon_factorization(()) == ()
+
+    def test_factorization_of_scalar_letters(self):
+        """Exact scalars compare as Alphabet sorts them."""
+        a, b = Alphabet([TAU * 2, TAU]).letters
+        assert lyndon_factorization((b, a, a, b, a)) == (
+            Word((b,)), Word((a, a, b)), Word((a,)))
+
+    @pytest.mark.parametrize("case", range(len(LAW_ALPHABETS)))
+    def test_laws_match_the_pair_enumeration(self, case):
+        alphabet, L = LAW_ALPHABETS[case]
+        rng = random.Random(3700 + case)
+        sub = alphabet.letters[::-1][:max(1, len(alphabet) - 1)]
+        outcomes = []
+        for m in law_moulds(alphabet, L, rng) + law_moulds(alphabet, L, rng):
+            for length, letters in [(None, None), (L - 1, None),
+                                    (None, sub), (L - 2, sub)]:
+                for symmetral, law in [(False, is_alternal),
+                                       (True, is_symmetral)]:
+                    got = law(m, max_length=length, letters=letters)
+                    assert got == pair_law(m, symmetral, length, letters)
+                    outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    def test_every_single_perturbation_is_seen(self):
+        """A symmetral and an alternal mould over two letters with any one
+        entry of length 2 .. 4 changed: both forms say no."""
+        rng = random.Random(3750)
+        letters = Mould(AB, 4, entries={Word((a,)): S(a) for a in AB})
+        for m, law in [(mould_exp(letters), is_symmetral),
+                       (random_alternal(AB, 4, rng), is_alternal)]:
+            assert law(m)
+            for w in AB.words(4, min_length=2):
+                bad = Mould(AB, 4, entries={**m.entries, w: m[w] + S(1)})
+                assert not law(bad)
+                assert not pair_law(bad, law is is_symmetral)
+
+    def test_series_valued_v_mould(self):
+        """The rule-backed series-valued mould of a monomial family, and a
+        stored copy with one entry changed."""
+        fam = MonomialFamily([1, 2], order=4)
+        v = v_mould(fam)
+        for length, letters in [(3, None), (3, [2]), (2, [1, 2])]:
+            assert is_symmetral(v, length, letters)
+            assert pair_law(v, True, length, letters)
+            assert not is_alternal(v, length, letters)
+            assert not pair_law(v, False, length, letters)
+        table = v.materialize(fam.alphabet, 3)
+        for w in [(1, 2), (2, 1, 1), (2, 2, 2)]:
+            w = Word(w)
+            bad = Mould(fam.alphabet, 3, zero=table.zero, entries={
+                **table.entries, w: table[w] + table[w].one()})
+            assert not is_symmetral(bad)
+            assert not pair_law(bad, True)
+
+    @pytest.mark.parametrize("k,L,conditions,leaves", [
+        (2, 6, 103, 585), (3, 4, 88, 328), (2, 3, 9, 16), (1, 6, 5, 5)])
+    def test_one_condition_per_non_lyndon_word(self, k, L, conditions,
+                                               leaves):
+        """A check that passes tests every non-Lyndon word of length
+        2 .. L, where the pairs are sum over n of (n - 1) k^n."""
+        alphabet = Alphabet(range(1, k + 1))
+        zero = Mould(alphabet, L, entries={})
+        with _work.counting() as counts:
+            assert is_alternal(zero)
+        expected = sum(k ** n - witt(k, n) for n in range(2, L + 1))
+        assert counts["law_conditions"] == expected == conditions
+        assert counts["law_leaves"] == leaves
 
 
 class TestPassageMould:

@@ -210,6 +210,17 @@ def test_exact_round_outputs_are_pinned(seed):
     assert exact["total"]["sha256"] == EXACT_DIGESTS[seed]
 
 
+def test_exact_round_checks_one_law_condition_per_non_lyndon_word():
+    """The 14 law checks of a seed-3 exact-algebra round, all passing,
+    test 991 conditions: 103 per check over two letters at length 6, 88
+    over three letters at length 4 and 9 per ``lie*.alternal``, where the
+    pairs of words were 4190 (516, 306 and 20).  Their sums add up 4629
+    words, where the pairs' added up 16,612."""
+    total = engine_work(3)["exact"]["total"]
+    assert total["law_conditions"] == 991
+    assert total["law_leaves"] == 4629
+
+
 def doubling_from_1024(idx, prec):
     """(prefix terms, fits) of the rule ze_eval replaced: sums from the
     cutoff 1024, doubled at most four times while the error exceeded

@@ -83,14 +83,17 @@ whole round (``round_s``).
 
 Under ``exact``, for the exact-algebra round: per operation its wall
 ``seconds``, the ``entries`` it stores when its result is a mould (null
-otherwise), and ``sha256``, the SHA-256 of its output as JSON text in
-the form the worker writes it (``json.dumps`` of the worker's serializer;
-an operation that the worker does not serialize is digested through the
-worker's ``table`` when its result is a mould, and is null otherwise);
-and their ``total``: the ``seconds``, the ``entries``, and the
-``sha256`` of the operations' digests joined in order.  Equal digests on
-two checkouts mean byte-identical exact outputs, mould entry order
-included.
+otherwise), the conditions its mould law checks tested
+(``law_conditions``: one per non-Lyndon word for a shuffle law) and the
+words their sums added up (``law_leaves``), and ``sha256``, the SHA-256
+of its output as JSON text in the form the worker writes it
+(``json.dumps`` of the worker's serializer; an operation that the worker
+does not serialize is digested through the worker's ``table`` when its
+result is a mould, and is null otherwise); and their ``total``: the
+``seconds``, the ``entries``, the ``law_conditions`` and ``law_leaves``,
+and the ``sha256`` of the operations' digests joined in order.  Equal
+digests on two checkouts mean byte-identical exact outputs, mould entry
+order included.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ PANEL_CACHES = {"kernels": cheb._kernel, "first_levels": cheb._first_level}
 REUSE = ("computed", "reused")
 # the two evaluations of the panel bound by its degree search
 PASSES = ("screen", "check")
+# the work of the mould law checks
+LAW = ("law_conditions", "law_leaves")
 
 
 def clear_caches():
@@ -312,7 +317,7 @@ def exact_work(seed):
     runs, _counts, _elapsed = run_round(ops, R, {})
     exact = {}
     for name, _call, serialize in ops:
-        result, _op, seconds, _caches = runs[name]
+        result, op, seconds, _caches = runs[name]
         is_mould = isinstance(result, Mould)
         if serialize is None and is_mould:
             serialize = worker.table
@@ -320,10 +325,12 @@ def exact_work(seed):
             json.dumps(serialize(result)).encode()).hexdigest()
         exact[name] = {"seconds": seconds,
                        "entries": len(result.entries) if is_mould else None,
+                       **{key: op[key] for key in LAW},
                        "sha256": digest}
     joined = "".join(op["sha256"] or "-" for op in exact.values())
     total = {"seconds": round(sum(op["seconds"] for op in exact.values()), 5),
              "entries": sum(op["entries"] or 0 for op in exact.values()),
+             **{key: sum(op[key] for op in exact.values()) for key in LAW},
              "sha256": hashlib.sha256(joined.encode()).hexdigest()}
     return {"operations": exact, "total": total}
 
