@@ -9,10 +9,16 @@ the constant 1, and appending a letter to a word solves
 where w' drops the last letter, s is the letter sum of w, and the input
 series is the inverse Borel transform of the letter's weight polynomial
 (weight 1 unless configured otherwise).  The operator d/dz + s is inverted
-formally, term by term; this needs s != 0 at every stage, so words with a
-vanishing prefix sum are rejected with :class:`ResonanceError`.  The
-resulting word-indexed collection is a symmetral mould with values in the
-series ring.
+formally, one coefficient at a time: d/dz maps z^-n to -n z^-(n+1), so
+the coefficient of z^-n in (d/dz + s) y is s y_n - (n-1) y_(n-1), and the
+truncated equation (d/dz + s) y = rhs is the recurrence
+
+    y_0 = rhs_0 / s,    y_n = (rhs_n + (n-1) y_(n-1)) / s,   n = 1..N,
+
+N multiply-adds per letter.  This needs s != 0 at every stage, so words
+with a vanishing prefix sum are rejected with :class:`ResonanceError`.
+The resulting word-indexed collection is a symmetral mould with values in
+the series ring.
 
 On the Borel side the same recursion has closed forms at low depth: depth
 one gives a simple pole 1/(zeta - c), depth two a logarithmic branch over
@@ -135,10 +141,18 @@ class MonomialFamily:
 def v_series(fam: MonomialFamily, w) -> FormalSeries:
     """The series monomial of a word, by the first-order recursion.
 
-    Appending a letter multiplies by the letter's input series, negates,
-    and applies (d/dz + s)^-1 = sum_k (-1)^k s^-k-1 (d/dz)^k with s the
-    prefix sum; the sum terminates on truncated series.  Exact rational
-    coefficients throughout.
+    Appending a letter with prefix sum s solves (d/dz + s) y = rhs, where
+    rhs = - V(w') * input(letter), by the coefficient recurrence of the
+    module docstring: y_0 = rhs_0 / s and y_n = (rhs_n + (n-1) y_(n-1)) / s
+    up to the family's order N.  The truncated equation is triangular with
+    s on the diagonal, so it has exactly one solution, and the recurrence
+    is it.  The Neumann sum sum_(j<=N) (-1)^j s^(-j-1) (d/dz)^j rhs solves
+    the same truncated equation: (d/dz + s) applied to it telescopes to
+    rhs + (-1)^N s^(-N-1) (d/dz)^(N+1) rhs, and (d/dz)^j rhs has no
+    coefficient below z^-(j+1) for j >= 1, so the remainder lies past
+    order N.  The two therefore agree exactly, coefficient by coefficient.
+    Exact rational coefficients throughout; every prefix of the word is
+    cached in the family.
     """
     word = Word(w)
     for a in word:
@@ -149,15 +163,14 @@ def v_series(fam: MonomialFamily, w) -> FormalSeries:
         target = word[:k]
         if target in fam._cache:
             continue
-        prev = fam._cache[target[:-1]]
-        rhs = (prev * fam.input_series(target[-1])).scale(-1)
-        sigma = sums[k - 1]
-        out = FormalSeries.zero(fam.order)
-        term = rhs
-        for j in range(fam.order + 1):
-            out = out + term.scale(Fraction((-1) ** j) / sigma ** (j + 1))
-            term = term.differentiate()
-        fam._cache[target] = out
+        product = fam._cache[target[:-1]] * fam.input_series(target[-1])
+        inverse = ExactScalar.from_rational(1 / sums[k - 1])
+        y, coeffs = ExactScalar(), []
+        # rhs_n = -product[n]
+        for n, p in enumerate(product.coeffs):
+            y = (y * (n - 1) - p) * inverse
+            coeffs.append(y)
+        fam._cache[target] = FormalSeries(coeffs, order=fam.order)
     return fam._cache[word]
 
 

@@ -293,10 +293,12 @@ class ExactScalar:
 
     Internally a mapping from term keys (tau_exponent, logs), with logs a
     sorted tuple of (prime, exp), to Gaussian-rational coefficients.
-    Zero coefficients are dropped; the empty mapping is zero.
+    Zero coefficients are dropped; the empty mapping is zero.  The mapping
+    is filled only while a value is built, so the hash of its canonical
+    key is computed on first use and kept in ``_hash``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -552,7 +554,11 @@ class ExactScalar:
         return self._terms == o._terms
 
     def __hash__(self):
-        return hash(self._canonical())
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._canonical())
+            return self._hash
 
     def sort_key(self):
         return self._canonical()

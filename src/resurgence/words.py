@@ -251,21 +251,35 @@ def stuffle(a, b) -> dict:
 
 def _interleave(a, b, add):
     """{word: multiplicity} over the interleavings of ``a`` and ``b``, and,
-    unless ``add`` is None, those where aligned letters merge via ``add``."""
-    a, b = Word(a), Word(b)
-    out: dict[Word, int] = {}
+    unless ``add`` is None, those where aligned letters merge via ``add``.
 
-    def rec(i, j, acc):
-        if i == len(a) and j == len(b):
-            w = Word(acc)
-            out[w] = out.get(w, 0) + 1
-            return
-        if i < len(a):
-            rec(i + 1, j, acc + [a[i]])
-        if j < len(b):
-            rec(i, j + 1, acc + [b[j]])
-        if add is not None and i < len(a) and j < len(b):
-            rec(i + 1, j + 1, acc + [add(a[i], b[j])])
+    Built from the ends by a suffix table: ``row[j]`` holds the terms of
+    a[i:] and b[j:], which start with a[i], then b[j], then the merged
+    letter, so each table lists its words in the order a recursion taking
+    the branches in that order first reaches them.
+    """
+    a, b = tuple(a), tuple(b)
+    below = None
+    for i in range(len(a), -1, -1):
+        row = [None] * (len(b) + 1)
+        for j in range(len(b), -1, -1):
+            if i == len(a) and j == len(b):
+                row[j] = {(): 1}
+                continue
+            terms = {}
+            if i < len(a):
+                _prepend(terms, a[i], below[j])
+            if j < len(b):
+                _prepend(terms, b[j], row[j + 1])
+                if add is not None and i < len(a):
+                    _prepend(terms, add(a[i], b[j]), below[j + 1])
+            row[j] = terms
+        below = row
+    return {Word(w): count for w, count in below[0].items()}
 
-    rec(0, 0, [])
-    return out
+
+def _prepend(terms, letter, tail):
+    """Add the words of ``tail``, each headed by ``letter``, to ``terms``."""
+    for w, count in tail.items():
+        w = (letter,) + w
+        terms[w] = terms.get(w, 0) + count

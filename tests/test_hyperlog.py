@@ -18,6 +18,7 @@ Frozen oracle values used below, all independently derivable by hand:
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -149,6 +150,89 @@ class TestSeriesRecursion:
         family = MonomialFamily(sorted(set(word)), order=4)
         with pytest.raises(ResonanceError):
             v_series(family, word)
+
+
+def neumann_series(fam, word):
+    """The monomial of ``word`` by the Neumann sum
+    sum_(j<=N) (-1)^j s^(-j-1) (d/dz)^j rhs at each letter: the
+    construction the coefficient recurrence of ``v_series`` replaced,
+    kept here as its reference."""
+    value, total = FormalSeries.constant(1, fam.order), Fraction(0)
+    for letter in word:
+        total += letter
+        term = (value * fam.input_series(letter)).scale(-1)
+        value = FormalSeries.zero(fam.order)
+        for j in range(fam.order + 1):
+            value = value + term.scale(Fraction((-1) ** j) / total ** (j + 1))
+            term = term.differentiate()
+    return value
+
+
+def seeded_family(seed, order):
+    """Three distinct nonzero integer letters, some negative, each with
+    probability 1/2 a weight polynomial of degree up to 2 with fractional
+    coefficients.  (Letters are integers: the alphabet refuses a Fraction,
+    so fractions enter through 1/s and the weights.)"""
+    rng = random.Random(seed)
+    letters = rng.sample([-3, -2, -1, 1, 2, 3, 5], 3)
+    a_hat = {c: [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 3))]
+             for c in letters if rng.random() < 0.5}
+    return MonomialFamily(letters, a_hat=a_hat, order=order), rng
+
+
+class TestCoefficientRecurrence:
+    """``v_series`` solves (d/dz + s) y = rhs by the coefficient recurrence;
+    each value equals the Neumann sum it replaced, exactly."""
+
+    @pytest.mark.parametrize("order", [1, 2, 12, 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_neumann_sum(self, seed, order):
+        fam, rng = seeded_family(seed, order)
+        checked = 0
+        for _ in range(6):
+            word = Word(rng.choice(fam.alphabet.letters)
+                        for _ in range(rng.randint(1, 4)))
+            if any(sum(word[:k]) == 0 for k in range(1, len(word) + 1)):
+                continue
+            assert v_series(fam, word) == neumann_series(fam, word)
+            checked += 1
+        assert checked
+        # every prefix the recursion cached, not only the words asked for
+        for word, value in fam._cache.items():
+            assert value.order == order
+            assert value == neumann_series(fam, word)
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError):
+            MonomialFamily([1, 2], order=0)
+
+    def test_vanishing_prefix_sum_is_refused(self):
+        fam = MonomialFamily([-2, 1, 3], order=5)
+        v_series(fam, (1, 3))
+        cached = dict(fam._cache)
+        with pytest.raises(ResonanceError) as err:
+            v_series(fam, (1, 3, -2, -2))
+        assert err.value.details["prefix_length"] == 4
+        assert fam._cache == cached
+
+    def test_scalar_products(self, monkeypatch):
+        """Four letters at order 100 make at most 20,000 scalar products
+        (15,760: the Cauchy products take 14,952); the Neumann sum made
+        136,960."""
+        calls = [0]
+
+        def counted(method):
+            def wrapper(self, other):
+                calls[0] += 1
+                return method(self, other)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(ExactScalar, name,
+                                counted(getattr(ExactScalar, name)))
+        v_series(MonomialFamily([1, 2, 3, 4], order=100), (1, 2, 3, 4))
+        assert calls[0] <= 20000
 
 
 class TestSymmetrality:

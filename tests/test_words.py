@@ -5,12 +5,15 @@ the stuffle also diagonal steps), independently of the recursive production
 rules used in the package.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resurgence.scalars import ExactScalar
 from resurgence.words import (
     Alphabet,
     Word,
@@ -116,6 +119,53 @@ class TestStuffle:
         assert total == 25
 
 
+def recursive_terms(a, b, add=None):
+    """{word: count} by the depth-first recursion that takes a letter of
+    ``a``, then one of ``b``, then (when ``add`` is given) the merged pair,
+    recording each word when first reached: the enumeration the suffix
+    table of ``words._interleave`` replaced, kept as the reference for its
+    terms and their order."""
+    out = {}
+
+    def rec(i, j, acc):
+        if i == len(a) and j == len(b):
+            out[Word(acc)] = out.get(Word(acc), 0) + 1
+            return
+        if i < len(a):
+            rec(i + 1, j, acc + (a[i],))
+        if j < len(b):
+            rec(i, j + 1, acc + (b[j],))
+        if add is not None and i < len(a) and j < len(b):
+            rec(i + 1, j + 1, acc + (add(a[i], b[j]),))
+
+    rec(0, 0, ())
+    return out
+
+
+LETTER_KINDS = {
+    "int": lambda rng: rng.randint(1, 3),
+    "scalar": lambda rng: ExactScalar.tau(rng.randint(0, 2)) * rng.randint(1, 2),
+    "coloured": lambda rng: (rng.randint(1, 3), Fraction(rng.randint(0, 2), 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LETTER_KINDS))
+def test_suffix_table_keeps_the_recursive_terms_and_order(kind):
+    """``shuffle`` and ``stuffle`` return the recursion's dicts, equal and
+    in the same key order, on seeded pairs of up to 5 letters each, with
+    repeated letters so that distinct paths spell one word."""
+    rng = random.Random(len(kind))
+    letter = LETTER_KINDS[kind]
+    for _ in range(150):
+        a = tuple(letter(rng) for _ in range(rng.randint(0, 5)))
+        b = tuple(letter(rng) for _ in range(rng.randint(0, 5)))
+        for got, want in [(shuffle(a, b), recursive_terms(a, b)),
+                          (stuffle(a, b), recursive_terms(a, b, add_letters))]:
+            assert got == want
+            assert list(got.items()) == list(want.items())
+            assert all(type(w) is Word for w in got)
+
+
 class TestSplittings:
     def test_all_splittings_of_length_three(self):
         w = (1, 2, 3)
@@ -156,8 +206,6 @@ class TestAlphabet:
         ]
 
     def test_rejects_zero_when_asked(self):
-        import pytest
-
         with pytest.raises(ValueError):
             Alphabet([0, 1], require_nonzero=True)
         Alphabet([0, 1])  # fine without the flag

@@ -85,20 +85,24 @@ Under ``exact``, for the exact-algebra round: per operation its wall
 ``seconds``, the ``entries`` it stores when its result is a mould (null
 otherwise), the conditions its mould law checks tested
 (``law_conditions``: one per non-Lyndon word for a shuffle law) and the
-words their sums added up (``law_leaves``), and ``sha256``, the SHA-256
-of its output as JSON text in the form the worker writes it
-(``json.dumps`` of the worker's serializer; an operation that the worker
-does not serialize is digested through the worker's ``table`` when its
-result is a mould, and is null otherwise); and their ``total``: the
-``seconds``, the ``entries``, the ``law_conditions`` and ``law_leaves``,
-and the ``sha256`` of the operations' digests joined in order.  Equal
-digests on two checkouts mean byte-identical exact outputs, mould entry
-order included.
+words their sums added up (``law_leaves``), ``scalar_products``, the
+calls of ``ExactScalar.__mul__`` and ``__rmul__`` it made (this tool
+wraps the two methods for the round, in its own process, so the package
+counts nothing itself), and ``sha256``, the SHA-256 of its output as JSON
+text in the form the worker writes it (``json.dumps`` of the worker's
+serializer; an operation that the worker does not serialize is digested
+through the worker's ``table`` when its result is a mould, and is null
+otherwise); and their ``total``: the ``seconds``, the ``entries``, the
+``law_conditions``, ``law_leaves`` and ``scalar_products``, and the
+``sha256`` of the operations' digests joined in order.  Equal digests on
+two checkouts mean byte-identical exact outputs, mould entry order
+included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -113,6 +117,7 @@ from bench import inputs, worker  # noqa: E402
 from resurgence import _chebyshev as cheb  # noqa: E402
 from resurgence import _borelnum, _work, laplace, mzv, series  # noqa: E402
 from resurgence.moulds import Mould  # noqa: E402
+from resurgence.scalars import ExactScalar  # noqa: E402
 
 LIBMP = ("exp", "cos_sin", "log")
 # the terms of a wa_eval or L_numeric error, as resurgence._work counts them
@@ -128,8 +133,9 @@ PANEL_CACHES = {"kernels": cheb._kernel, "first_levels": cheb._first_level}
 REUSE = ("computed", "reused")
 # the two evaluations of the panel bound by its degree search
 PASSES = ("screen", "check")
-# the work of the mould law checks
-LAW = ("law_conditions", "law_leaves")
+# the work of an exact-algebra operation: its mould law checks, and its
+# exact scalar products, which counting_products adds
+EXACT = ("law_conditions", "law_leaves", "scalar_products")
 
 
 def clear_caches():
@@ -158,6 +164,28 @@ def colour_roots(counts):
     """The libmp calls of the root-of-unity tables ``mzv._roots`` per
     (d, P), as {"d,P": calls}."""
     return {f"{d},{P}": c for (d, P), c in keyed(counts, "roots").items()}
+
+
+@contextlib.contextmanager
+def counting_products():
+    """Within the scope, each call of ``ExactScalar.__mul__`` or
+    ``__rmul__`` adds one ``scalar_products`` to the open work count."""
+    methods = {name: getattr(ExactScalar, name)
+               for name in ("__mul__", "__rmul__")}
+
+    def counted(method):
+        def wrapper(self, other):
+            _work.add("scalar_products")
+            return method(self, other)
+        return wrapper
+
+    for name, method in methods.items():
+        setattr(ExactScalar, name, counted(method))
+    try:
+        yield
+    finally:
+        for name, method in methods.items():
+            setattr(ExactScalar, name, method)
 
 
 def run_round(ops, R, caches):
@@ -314,7 +342,8 @@ def exact_work(seed):
     round, as described in the module docstring."""
     R = {}
     ops = worker.exact_algebra(inputs.exact_algebra(seed), R)
-    runs, _counts, _elapsed = run_round(ops, R, {})
+    with counting_products():
+        runs, _counts, _elapsed = run_round(ops, R, {})
     exact = {}
     for name, _call, serialize in ops:
         result, op, seconds, _caches = runs[name]
@@ -325,12 +354,12 @@ def exact_work(seed):
             json.dumps(serialize(result)).encode()).hexdigest()
         exact[name] = {"seconds": seconds,
                        "entries": len(result.entries) if is_mould else None,
-                       **{key: op[key] for key in LAW},
+                       **{key: op[key] for key in EXACT},
                        "sha256": digest}
     joined = "".join(op["sha256"] or "-" for op in exact.values())
     total = {"seconds": round(sum(op["seconds"] for op in exact.values()), 5),
              "entries": sum(op["entries"] or 0 for op in exact.values()),
-             **{key: sum(op[key] for op in exact.values()) for key in LAW},
+             **{key: sum(op[key] for op in exact.values()) for key in EXACT},
              "sha256": hashlib.sha256(joined.encode()).hexdigest()}
     return {"operations": exact, "total": total}
 
